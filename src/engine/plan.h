@@ -87,6 +87,21 @@ class Workspace {
   std::size_t allocations() const { return allocations_; }
 
  private:
+  /// One cached kernel table and the (object, ISA) it was selected for.
+  template <typename Kernel>
+  struct KernelCache {
+    std::vector<Kernel> table;
+    const void* rep = nullptr;
+    kernels::SimdIsa isa = kernels::SimdIsa::kScalar;
+  };
+
+  /// Re-selects through `plan` unless `cache` already holds the table for
+  /// `a` (same address and `count` entries) at the active ISA.
+  template <typename Kernel, typename Rep>
+  std::span<const Kernel> cached_kernels(
+      KernelCache<Kernel>& cache, const Rep& a, std::size_t count,
+      std::vector<Kernel> (*plan)(const Rep&, kernels::SimdIsa));
+
   std::vector<value_t> values_;
   std::vector<kernels::BroCooCarry> carries_;
   std::vector<value_t> carry_sums_;
@@ -96,18 +111,10 @@ class Workspace {
   const sparse::Coo* ranges_for_ = nullptr;
   std::size_t ranges_nnz_ = 0;
   int ranges_threads_ = 0;
-  std::vector<kernels::BroEllKernel> ell_kernels_;
-  const core::BroEll* ell_kernels_for_ = nullptr;
-  kernels::SimdIsa ell_kernels_isa_ = kernels::SimdIsa::kScalar;
-  std::vector<kernels::BroCooKernel> coo_kernels_;
-  const core::BroCoo* coo_kernels_for_ = nullptr;
-  kernels::SimdIsa coo_kernels_isa_ = kernels::SimdIsa::kScalar;
-  std::vector<kernels::BroAnsKernel> ans_kernels_;
-  const core::BroAns* ans_kernels_for_ = nullptr;
-  kernels::SimdIsa ans_kernels_isa_ = kernels::SimdIsa::kScalar;
-  std::vector<kernels::BroBcsrKernel> bcsr_kernels_;
-  const core::BroBcsr* bcsr_kernels_for_ = nullptr;
-  kernels::SimdIsa bcsr_kernels_isa_ = kernels::SimdIsa::kScalar;
+  KernelCache<kernels::BroEllKernel> ell_kernels_;
+  KernelCache<kernels::BroCooKernel> coo_kernels_;
+  KernelCache<kernels::BroAnsKernel> ans_kernels_;
+  KernelCache<kernels::BroBcsrKernel> bcsr_kernels_;
   std::size_t allocations_ = 0;
 };
 

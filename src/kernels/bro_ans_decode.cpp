@@ -20,12 +20,11 @@ void check_sym_len(int sym_len) {
 BroAnsKernel select_bro_ans_kernel(int sym_len, SimdIsa isa) {
   check_sym_len(sym_len);
   BroAnsKernel k;
-  if (const AnsSimdKernelSet* set = ans_simd_kernel_set(isa)) {
-    k.spmv = sym_len == 32 ? set->spmv32 : set->spmv64;
-    if (k.spmv) {
-      k.isa = set->isa;
-      return k;
-    }
+  const SimdKernels* t = simd_kernels(isa);
+  if (t != nullptr && sym_len == 32 && t->ans_spmv32 != nullptr) {
+    k.spmv = t->ans_spmv32;
+    k.isa = isa;
+    return k;
   }
   k.spmv = sym_len == 32 ? &detail::bro_ans_slice_spmv<std::uint32_t>
                          : &detail::bro_ans_slice_spmv<std::uint64_t>;
@@ -38,10 +37,6 @@ BroAnsKernel generic_bro_ans_kernel(int sym_len) {
   k.spmv = sym_len == 32 ? &detail::bro_ans_slice_spmv_single<std::uint32_t>
                          : &detail::bro_ans_slice_spmv_single<std::uint64_t>;
   return k;
-}
-
-std::vector<BroAnsKernel> plan_bro_ans_kernels(const core::BroAns& a) {
-  return plan_bro_ans_kernels(a, active_simd_isa());
 }
 
 std::vector<BroAnsKernel> plan_bro_ans_kernels(const core::BroAns& a,

@@ -9,11 +9,11 @@
 // state — so the scalar kernels here run several fully independent row
 // chains in flight (instruction-level parallelism), each over its own lane
 // of the group stream plus a 4 KiB (L1-resident) decode-table lookup per
-// symbol. The vectorized counterparts live behind the AnsSimdKernelSet
-// seam (bro_ans_decode_simd_impl.h). Per-row floating-point accumulation
-// stays in column order everywhere, so results are bitwise identical to
-// the sequential reference decoder by construction — the property the
-// differential fuzzer pins.
+// symbol. The vectorized counterparts are the ans_* entries of the AVX2
+// SimdKernels table (bro_ans_decode_simd_impl.h). Per-row floating-point
+// accumulation stays in column order everywhere, so results are bitwise
+// identical to the sequential reference decoder by construction — the
+// property the differential fuzzer pins.
 #pragma once
 
 #include <cstdint>

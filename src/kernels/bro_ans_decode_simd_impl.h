@@ -1,10 +1,8 @@
-// Vectorized BRO-ANS entropy decode, included once per ISA translation
-// unit (bro_ans_decode_sse4.cpp / bro_ans_decode_avx2.cpp).
+// Vectorized BRO-ANS entropy decode, included by the AVX2 translation unit
+// (simd_avx2.cpp) only.
 //
-// The including TU defines
-//   BRO_SIMD_NS   — the namespace for this ISA's kernels (e.g. ans_avx2)
-//   BRO_SIMD_ISA  — the matching ::bro::kernels::SimdIsa enumerator
-// and is compiled with exactly that ISA's target flag plus -ffp-contract=off
+// The including TU defines BRO_SIMD_NS — the namespace for this header's
+// kernels (ans_avx2) — and is compiled with -mavx2 -ffp-contract=off
 // (src/kernels/CMakeLists.txt), never -march=native.
 //
 // ODR rule, as in bro_decode_simd_impl.h: stay self-contained. The scalar
@@ -32,11 +30,14 @@
 // sequential reference, the property the differential fuzzer and the
 // dispatch parity tests pin.
 //
-// SSE4 has neither gathers nor per-lane variable shifts, so its
-// contribution is chain count, not vector unpacking: all 8 chains of a
-// lane group in flight (the baseline keeps 4), compiled under -msse4.2.
-// 64-bit stream symbols stay on the baseline scalar path (spmv64 is null;
-// dispatch falls back to the 4-chain ILP kernel).
+// There is no SSE4 variant: without gathers or per-lane variable shifts a
+// tANS chain has nothing to vectorize, and running all 8 chains of a lane
+// group as scalars measured no faster than the baseline 4-chain kernel. 64-bit
+// stream symbols stay on the baseline scalar path too.
+
+#if !defined(__AVX2__)
+#error "bro_ans_decode_simd_impl.h needs AVX2 (gathers, per-lane shifts)"
+#endif
 
 #include <immintrin.h>
 
@@ -115,8 +116,7 @@ struct Chain {
 };
 
 /// One lane group decoded by up-to-kAnsLaneGroup interleaved scalar chains
-/// — the SSE4 SpMV body and the AVX2 remainder path (partial last group or
-/// zero-slot streams).
+/// — the remainder path (partial last group or zero-slot streams).
 inline void ans_group_spmv_chains(const core::BroAns& a,
                                   const core::BroAnsSlice& slice, index_t g,
                                   const value_t* xp, value_t* yp) {
@@ -182,8 +182,6 @@ inline std::uint64_t ans_group_checksum_chains(const core::BroAns& a,
   for (int j = 0; j < gw; ++j) sum += acc[j];
   return sum;
 }
-
-#if defined(__AVX2__)
 
 // ------------------------------------------------ AVX2 vector group
 // All eight ANS states of one full lane group as 8 x u32 vectors. The bit
@@ -554,57 +552,14 @@ std::uint64_t ans_slice_checksum_vec(const core::BroAns& a,
   return total;
 }
 
-#else // !__AVX2__ — the SSE4 TU: interleaved scalar chains
-
-void ans_slice_spmv_chains8(const core::BroAns& a,
-                            const core::BroAnsSlice& slice,
-                            std::span<const value_t> x,
-                            std::span<value_t> y) {
-  const std::size_t first = static_cast<std::size_t>(slice.first_row);
-  if (slice.num_col == 0) {
-    for (index_t t = 0; t < slice.height; ++t)
-      y[first + static_cast<std::size_t>(t)] = 0;
-    return;
-  }
-  const index_t num_groups = core::ans_num_groups(slice.height);
-  for (index_t g = 0; g < num_groups; ++g)
-    ans_group_spmv_chains(a, slice, g, x.data(), y.data());
-}
-
-std::uint64_t ans_slice_checksum_chains8(const core::BroAns& a,
-                                         const core::BroAnsSlice& slice) {
-  if (slice.num_col == 0) return 0;
-  std::uint64_t total = 0;
-  const index_t num_groups = core::ans_num_groups(slice.height);
-  for (index_t g = 0; g < num_groups; ++g)
-    total += ans_group_checksum_chains(a, slice, g);
-  return total;
-}
-
-#endif
-
 } // namespace
 
-// The set this TU contributes, constant-initialized so the baseline-ABI
-// dispatch code can read the exported pointer without running any code
-// compiled at this ISA. 64-bit symbol streams stay null: dispatch falls
-// back to the baseline 4-chain scalar kernel.
-#if defined(__AVX2__)
-constexpr AnsSimdKernelSet kAnsKernelSet{
-    .isa = BRO_SIMD_ISA,
-    .spmv32 = &ans_slice_spmv_vec,
-    .spmv64 = nullptr,
-    .checksum32 = &ans_slice_checksum_vec,
-    .checksum64 = nullptr,
-};
-#else
-constexpr AnsSimdKernelSet kAnsKernelSet{
-    .isa = BRO_SIMD_ISA,
-    .spmv32 = &ans_slice_spmv_chains8,
-    .spmv64 = nullptr,
-    .checksum32 = &ans_slice_checksum_chains8,
-    .checksum64 = nullptr,
-};
-#endif
+// This header's entries of the AVX2 SimdKernels table, filled at compile
+// time so the baseline-ABI dispatch code can read the exported table
+// without running any code compiled at this ISA.
+constexpr void add_kernels(SimdKernels& t) {
+  t.ans_spmv32 = &ans_slice_spmv_vec;
+  t.ans_checksum32 = &ans_slice_checksum_vec;
+}
 
 } // namespace bro::kernels::BRO_SIMD_NS

@@ -5,6 +5,7 @@
 
 #include "bits/bitwidth.h"
 #include "bits/delta.h"
+#include "kernels/bro_decode_simd.h"
 #include "util/error.h"
 
 namespace bro::kernels {
@@ -209,24 +210,15 @@ int bcsr_shape_index(int br, int bc) {
   return -1;
 }
 
-const BcsrSimdKernelSet* bcsr_simd_kernel_set(SimdIsa isa) {
-  switch (isa) {
-    case SimdIsa::kSse4: return detail::kBcsrSimdSetSse4;
-    case SimdIsa::kAvx2: return detail::kBcsrSimdSetAvx2;
-    case SimdIsa::kScalar: break;
-  }
-  return nullptr;
-}
-
 BroBcsrKernel select_bro_bcsr_kernel(const core::BroBcsr& a, SimdIsa isa) {
   const int sym_len = a.options().sym_len;
   const int shape = bcsr_shape_index(a.block_r(), a.block_c());
   BroBcsrKernel k = sym_len == 32 ? scalar_kernel_for<std::uint32_t>(shape)
                                   : scalar_kernel_for<std::uint64_t>(shape);
-  if (isa == SimdIsa::kScalar || shape < 0) return k;
-  const BcsrSimdKernelSet* set = bcsr_simd_kernel_set(isa);
-  if (set == nullptr) return k;
-  const auto fn = sym_len == 32 ? set->spmv32[shape] : set->spmv64[shape];
+  const SimdKernels* t = simd_kernels(isa);
+  if (t == nullptr || shape < 0) return k;
+  const auto fn =
+      sym_len == 32 ? t->bcsr_spmv32[shape] : t->bcsr_spmv64[shape];
   if (fn != nullptr) {
     k.spmv = fn;
     k.isa = isa;
@@ -243,10 +235,6 @@ std::vector<BroBcsrKernel> plan_bro_bcsr_kernels(const core::BroBcsr& a,
                                                  SimdIsa isa) {
   return std::vector<BroBcsrKernel>(a.slices().size(),
                                     select_bro_bcsr_kernel(a, isa));
-}
-
-std::vector<BroBcsrKernel> plan_bro_bcsr_kernels(const core::BroBcsr& a) {
-  return plan_bro_bcsr_kernels(a, active_simd_isa());
 }
 
 void native_spmv_bro_bcsr(const core::BroBcsr& a,

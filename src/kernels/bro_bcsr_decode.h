@@ -14,9 +14,9 @@
 // core::BroBcsr::spmv. The differential fuzzer compares them with no
 // tolerance.
 //
-// Per-ISA kernel sets follow the SimdKernelSet seam (bro_decode_simd.h):
-// bro_bcsr_decode_{sse4,avx2}.cpp are the only BCSR TUs compiled with ISA
-// target flags and export constant-initialized set pointers.
+// The SIMD kernels are the bcsr_* entries of each ISA's SimdKernels table
+// (bro_decode_simd.h), compiled from bro_bcsr_decode_simd_impl.h into the
+// per-ISA TUs.
 #pragma once
 
 #include <span>
@@ -39,28 +39,13 @@ struct BroBcsrKernel {
   SimdIsa isa = SimdIsa::kScalar;
 };
 
-/// What one ISA contributes to BCSR decode, indexed by block shape in
-/// kBcsrCandidateShapes order (0=2x2, 1=4x4, 2=8x1, 3=1x8) and symbol
-/// length. A null entry means that shape runs the scalar kernel. SpMM stays
-/// on the scalar kernels for every ISA (the batch loop already amortizes
-/// decode; entries exist for future use).
-struct BcsrSimdKernelSet {
-  SimdIsa isa = SimdIsa::kScalar;
-  decltype(BroBcsrKernel::spmv) spmv32[4] = {};
-  decltype(BroBcsrKernel::spmv) spmv64[4] = {};
-};
-
-/// The BCSR kernel set compiled for `isa`, or nullptr when the binary does
-/// not carry one. Link-time availability only, as with simd_kernel_set().
-const BcsrSimdKernelSet* bcsr_simd_kernel_set(SimdIsa isa);
-
 /// Index of (br, bc) in kBcsrCandidateShapes, or -1 for other shapes.
 int bcsr_shape_index(int br, int bc);
 
 /// Per-slice kernel selection (all slices of one matrix share shape and
 /// sym_len, so every entry is identical; the table keeps plan symmetry with
-/// the other BRO formats). The ISA-free overload uses active_simd_isa().
-std::vector<BroBcsrKernel> plan_bro_bcsr_kernels(const core::BroBcsr& a);
+/// the other BRO formats). A shape with a SIMD entry at `isa` gets it for
+/// SpMV; SpMM stays on the scalar kernels.
 std::vector<BroBcsrKernel> plan_bro_bcsr_kernels(const core::BroBcsr& a,
                                                  SimdIsa isa);
 BroBcsrKernel select_bro_bcsr_kernel(const core::BroBcsr& a, SimdIsa isa);
@@ -94,11 +79,5 @@ void native_spmm_bro_bcsr(const core::BroBcsr& a,
                           std::span<const BroBcsrKernel> kernels,
                           std::span<const value_t> x, std::span<value_t> y,
                           int k);
-
-namespace detail {
-// Defined by the per-ISA TUs; constant initialized.
-extern const BcsrSimdKernelSet* const kBcsrSimdSetSse4;
-extern const BcsrSimdKernelSet* const kBcsrSimdSetAvx2;
-} // namespace detail
 
 } // namespace bro::kernels

@@ -1,8 +1,9 @@
-// Vectorized BRO-BCSR kernels, included once per ISA translation unit.
+// Vectorized BRO-BCSR kernels, included once per ISA translation unit
+// (simd_sse4.cpp / simd_avx2.cpp).
 //
-// The including TU defines BRO_SIMD_NS / BRO_SIMD_ISA and is compiled with
-// exactly that ISA's target flag plus -ffp-contract=off
-// (src/kernels/CMakeLists.txt), never -march=native.
+// The including TU defines BRO_SIMD_NS and is compiled with exactly that
+// ISA's target flag plus -ffp-contract=off (src/kernels/CMakeLists.txt),
+// never -march=native.
 //
 // ODR rule: as in bro_decode_simd_impl.h, stay self-contained — the symbol
 // decoder below is a local copy of the bro_bcsr_decode.cpp one, not a shared
@@ -34,7 +35,7 @@
 #include "bits/bitwidth.h"
 #include "bits/delta.h"
 #include "core/bro_bcsr.h"
-#include "kernels/bro_bcsr_decode.h"
+#include "kernels/bro_decode_simd.h"
 
 namespace bro::kernels::BRO_SIMD_NS {
 namespace {
@@ -332,13 +333,17 @@ void spmv_1x8(const BroBcsr& a, std::size_t si, std::span<const value_t> x,
 
 } // namespace
 
+// This header's entries of the ISA's SimdKernels table, in
 // kBcsrCandidateShapes order: 0=2x2, 1=4x4, 2=8x1, 3=1x8.
-constexpr BcsrSimdKernelSet kBcsrKernelSet = {
-    BRO_SIMD_ISA,
-    {&spmv_2x2<std::uint32_t>, &spmv_4x4<std::uint32_t>,
-     &spmv_8x1<std::uint32_t>, &spmv_1x8<std::uint32_t>},
-    {&spmv_2x2<std::uint64_t>, &spmv_4x4<std::uint64_t>,
-     &spmv_8x1<std::uint64_t>, &spmv_1x8<std::uint64_t>},
-};
+constexpr void add_kernels(SimdKernels& t) {
+  t.bcsr_spmv32[0] = &spmv_2x2<std::uint32_t>;
+  t.bcsr_spmv32[1] = &spmv_4x4<std::uint32_t>;
+  t.bcsr_spmv32[2] = &spmv_8x1<std::uint32_t>;
+  t.bcsr_spmv32[3] = &spmv_1x8<std::uint32_t>;
+  t.bcsr_spmv64[0] = &spmv_2x2<std::uint64_t>;
+  t.bcsr_spmv64[1] = &spmv_4x4<std::uint64_t>;
+  t.bcsr_spmv64[2] = &spmv_8x1<std::uint64_t>;
+  t.bcsr_spmv64[3] = &spmv_1x8<std::uint64_t>;
+}
 
 } // namespace bro::kernels::BRO_SIMD_NS

@@ -2,9 +2,9 @@
 // (bro_decode.h) and the per-slice / per-interval selection rules.
 //
 // ISA layering: the scalar tables below are always present and are what
-// generic_bro_*_kernel exposes as the parity baseline. When the active ISA
-// carries a compiled-in SIMD kernel set (bro_decode_simd.h), selection
-// returns that set's runtime-width kernel instead — for specialized AND
+// generic_bro_*_kernel exposes as the parity baseline. When the requested
+// ISA has a compiled-in SimdKernels table (bro_decode_simd.h), selection
+// returns that table's runtime-width kernel instead — for specialized AND
 // mixed-width slices alike, since the vector shift count is a register
 // operand. The width field keeps its informational meaning (uniform width
 // or -1) either way, so selection-rule tests and diagnostics are
@@ -95,15 +95,13 @@ BroEllKernel select_bro_ell_kernel(const core::BroEllSlice& slice,
                                    int sym_len, SimdIsa isa) {
   check_sym_len(sym_len);
   const int w = uniform_width(slice);
-  if (isa != SimdIsa::kScalar) {
-    if (const SimdKernelSet* set = simd_kernel_set(isa)) {
-      BroEllKernel k;
-      k.width = w >= 0 && w <= kMaxSpecializedDecodeWidth ? w : -1;
-      k.spmv = sym_len == 32 ? set->ell_spmv32 : set->ell_spmv64;
-      k.spmm = sym_len == 32 ? set->ell_spmm32 : set->ell_spmm64;
-      k.isa = isa;
-      return k;
-    }
+  if (const SimdKernels* t = simd_kernels(isa)) {
+    BroEllKernel k;
+    k.width = w >= 0 && w <= kMaxSpecializedDecodeWidth ? w : -1;
+    k.spmv = sym_len == 32 ? t->ell_spmv32 : t->ell_spmv64;
+    k.spmm = sym_len == 32 ? t->ell_spmm32 : t->ell_spmm64;
+    k.isa = isa;
+    return k;
   }
   if (w < 0 || w > kMaxSpecializedDecodeWidth)
     return generic_bro_ell_kernel(sym_len);
@@ -114,32 +112,19 @@ BroEllKernel select_bro_ell_kernel(const core::BroEllSlice& slice,
 BroCooKernel select_bro_coo_kernel(const core::BroCooInterval& iv,
                                    int sym_len, SimdIsa isa) {
   check_sym_len(sym_len);
-  if (isa != SimdIsa::kScalar) {
-    if (const SimdKernelSet* set = simd_kernel_set(isa)) {
-      BroCooKernel k;
-      k.width =
-          iv.bits >= 0 && iv.bits <= kMaxSpecializedDecodeWidth ? iv.bits
-                                                                : -1;
-      k.spmv = sym_len == 32 ? set->coo_spmv32 : set->coo_spmv64;
-      k.spmm = sym_len == 32 ? set->coo_spmm32 : set->coo_spmm64;
-      k.isa = isa;
-      return k;
-    }
+  if (const SimdKernels* t = simd_kernels(isa)) {
+    BroCooKernel k;
+    k.width =
+        iv.bits >= 0 && iv.bits <= kMaxSpecializedDecodeWidth ? iv.bits : -1;
+    k.spmv = sym_len == 32 ? t->coo_spmv32 : t->coo_spmv64;
+    k.spmm = sym_len == 32 ? t->coo_spmm32 : t->coo_spmm64;
+    k.isa = isa;
+    return k;
   }
   if (iv.bits < 0 || iv.bits > kMaxSpecializedDecodeWidth)
     return generic_bro_coo_kernel(sym_len);
   return sym_len == 32 ? kCoo32[static_cast<std::size_t>(iv.bits)]
                        : kCoo64[static_cast<std::size_t>(iv.bits)];
-}
-
-BroEllKernel select_bro_ell_kernel(const core::BroEllSlice& slice,
-                                   int sym_len) {
-  return select_bro_ell_kernel(slice, sym_len, active_simd_isa());
-}
-
-BroCooKernel select_bro_coo_kernel(const core::BroCooInterval& iv,
-                                   int sym_len) {
-  return select_bro_coo_kernel(iv, sym_len, active_simd_isa());
 }
 
 std::vector<BroEllKernel> plan_bro_ell_kernels(const core::BroEll& a,
@@ -158,14 +143,6 @@ std::vector<BroCooKernel> plan_bro_coo_kernels(const core::BroCoo& a,
   for (const auto& iv : a.intervals())
     kernels.push_back(select_bro_coo_kernel(iv, a.options().sym_len, isa));
   return kernels;
-}
-
-std::vector<BroEllKernel> plan_bro_ell_kernels(const core::BroEll& a) {
-  return plan_bro_ell_kernels(a, active_simd_isa());
-}
-
-std::vector<BroCooKernel> plan_bro_coo_kernels(const core::BroCoo& a) {
-  return plan_bro_coo_kernels(a, active_simd_isa());
 }
 
 } // namespace bro::kernels

@@ -1,17 +1,19 @@
-// The SIMD decode backend's link seam: one SimdKernelSet per ISA, defined by
-// the per-ISA translation units (bro_decode_sse4.cpp / bro_decode_avx2.cpp —
+// The SIMD decode backend's link seam: one SimdKernels table per ISA,
+// defined by the per-ISA translation units (simd_sse4.cpp / simd_avx2.cpp —
 // the only TUs in the tree compiled with ISA target flags) and consumed by
-// the baseline-ABI dispatch code (bro_decode.cpp, cpu_features.cpp).
+// the baseline-ABI dispatch code (bro_decode.cpp, bro_ans_decode.cpp,
+// bro_bcsr_decode.cpp, cpu_features.cpp).
 //
 // The seam is deliberately data, not code: each per-ISA TU exports a
-// constant-initialized pointer to its kernel set (nullptr when the
-// toolchain could not target the ISA and the TU collapsed to a stub), so
-// probing availability never executes an instruction from an ISA-flagged
-// TU on a host that may not support it.
+// constant-initialized pointer to its table (nullptr when the toolchain
+// could not target the ISA and the TU collapsed to a stub), so probing
+// availability never executes an instruction from an ISA-flagged TU on a
+// host that may not support it.
 #pragma once
 
 #include <cstdint>
 
+#include "kernels/bro_bcsr_decode.h"
 #include "kernels/cpu_features.h"
 #include "kernels/native_spmv.h"
 
@@ -28,14 +30,17 @@ using SimdChecksumFn = std::uint64_t (*)(const SymT* stream,
                                          const std::uint8_t* widths,
                                          std::size_t cols);
 
-/// Everything one ISA contributes to dispatch: BRO-ELL slice and BRO-COO
-/// interval kernels for both symbol lengths (runtime-width — the vector
-/// shift count is a register operand, so one kernel covers every width 0..32
-/// uniform or mixed), plus the bench checksum passes. All kernels decode the
-/// identical delta sequence and keep per-row/per-segment FP accumulation in
+/// Everything one ISA contributes to dispatch. Every kernel decodes the
+/// identical delta sequence and keeps per-row/per-segment FP accumulation in
 /// scalar program order, so results are bitwise equal to the scalar kernels.
-struct SimdKernelSet {
+/// A null entry means dispatch runs the scalar kernel instead.
+struct SimdKernels {
   SimdIsa isa = SimdIsa::kScalar;
+
+  // BRO-ELL slice and BRO-COO interval kernels for both symbol lengths
+  // (runtime-width — the vector shift count is a register operand, so one
+  // kernel covers every width 0..32, uniform or mixed), plus the bench
+  // checksum passes (bro_decode_simd_impl.h).
   decltype(BroEllKernel::spmv) ell_spmv32 = nullptr;
   decltype(BroEllKernel::spmv) ell_spmv64 = nullptr;
   decltype(BroEllKernel::spmm) ell_spmm32 = nullptr;
@@ -46,45 +51,36 @@ struct SimdKernelSet {
   decltype(BroCooKernel::spmm) coo_spmm64 = nullptr;
   SimdChecksumFn<std::uint32_t> checksum32 = nullptr;
   SimdChecksumFn<std::uint64_t> checksum64 = nullptr;
+
+  // BRO-ANS entropy decode of 32-bit stream symbols: one ANS state per
+  // interleaved lane-group row, vectorized table gathers and branchless
+  // renorm (bro_ans_decode_simd_impl.h, AVX2 only). The checksum is the
+  // decode-only pass the throughput bench times. 64-bit symbols always run
+  // the scalar 4-chain kernel.
+  decltype(BroAnsKernel::spmv) ans_spmv32 = nullptr;
+  std::uint64_t (*ans_checksum32)(const core::BroAns& a,
+                                  const core::BroAnsSlice& slice) = nullptr;
+
+  // BRO-BCSR SpMV indexed by block shape in kBcsrCandidateShapes order
+  // (0=2x2, 1=4x4, 2=8x1, 3=1x8) and symbol length
+  // (bro_bcsr_decode_simd_impl.h). SpMM stays on the scalar kernels (the
+  // batch loop already amortizes decode).
+  decltype(BroBcsrKernel::spmv) bcsr_spmv32[4] = {};
+  decltype(BroBcsrKernel::spmv) bcsr_spmv64[4] = {};
 };
 
-/// What one ISA contributes to BRO-ANS entropy decode. A separate set (and
-/// separate per-ISA TUs, bro_ans_decode_{sse4,avx2}.cpp) because the
-/// entropy decoders share nothing with the fixed-width lockstep kernels:
-/// they run one ANS state per interleaved lane-group row, with vectorized
-/// table gathers and branchless renorm on AVX2. The checksum entries are
-/// the decode-only passes the throughput bench and entropy-bench time.
-/// Every kernel decodes the identical delta sequence and keeps per-row FP
-/// accumulation in scalar program order, so results are bitwise equal to
-/// the scalar chains.
-struct AnsSimdKernelSet {
-  SimdIsa isa = SimdIsa::kScalar;
-  decltype(BroAnsKernel::spmv) spmv32 = nullptr;
-  decltype(BroAnsKernel::spmv) spmv64 = nullptr;
-  std::uint64_t (*checksum32)(const core::BroAns& a,
-                              const core::BroAnsSlice& slice) = nullptr;
-  std::uint64_t (*checksum64)(const core::BroAns& a,
-                              const core::BroAnsSlice& slice) = nullptr;
-};
-
-/// The kernel set compiled for `isa`, or nullptr when the binary does not
-/// carry one (kScalar, or a toolchain that cannot target the ISA). Link-time
-/// availability only — whether the host can execute the set is
+/// The table compiled for `isa`, or nullptr when the binary does not carry
+/// one (kScalar, or a toolchain that cannot target the ISA). Link-time
+/// availability only — whether the host can execute the table is
 /// cpu_features()'s side of the bargain, and active_simd_isa() combines the
 /// two.
-const SimdKernelSet* simd_kernel_set(SimdIsa isa);
-
-/// Same contract for the BRO-ANS entropy decode set.
-const AnsSimdKernelSet* ans_simd_kernel_set(SimdIsa isa);
+const SimdKernels* simd_kernels(SimdIsa isa);
 
 namespace detail {
-// Defined by the per-ISA TUs; read by simd_kernel_set() /
-// ans_simd_kernel_set(). Constant initialized, so safe to read from any
-// static initializer.
-extern const SimdKernelSet* const kSimdSetSse4;
-extern const SimdKernelSet* const kSimdSetAvx2;
-extern const AnsSimdKernelSet* const kAnsSimdSetSse4;
-extern const AnsSimdKernelSet* const kAnsSimdSetAvx2;
+// Defined by the per-ISA TUs; read by simd_kernels(). Constant initialized,
+// so safe to read from any static initializer.
+extern const SimdKernels* const kSimdKernelsSse4;
+extern const SimdKernels* const kSimdKernelsAvx2;
 } // namespace detail
 
 } // namespace bro::kernels

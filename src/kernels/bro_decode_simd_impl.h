@@ -1,10 +1,10 @@
-// Vectorized BRO decode kernels, included once per ISA translation unit.
+// Vectorized BRO-ELL/BRO-COO decode kernels, included once per ISA
+// translation unit (simd_sse4.cpp / simd_avx2.cpp).
 //
-// The including TU defines
-//   BRO_SIMD_NS   — the namespace for this ISA's kernels (e.g. simd_avx2)
-//   BRO_SIMD_ISA  — the matching ::bro::kernels::SimdIsa enumerator
-// and is compiled with exactly that ISA's target flag plus -ffp-contract=off
-// (src/kernels/CMakeLists.txt), never -march=native.
+// The including TU defines BRO_SIMD_NS — the namespace for this header's
+// kernels at that ISA (e.g. simd_avx2) — and is compiled with exactly that
+// ISA's target flag plus -ffp-contract=off (src/kernels/CMakeLists.txt),
+// never -march=native.
 //
 // ODR rule for this file: stay self-contained. Do NOT instantiate the
 // kernel/decoder templates from bro_decode.h (or any other non-trivial
@@ -578,21 +578,20 @@ std::uint64_t stream_checksum(const SymT* stream, std::size_t lanes,
 
 } // namespace
 
-// The set this TU contributes, constant-initialized so the baseline-ABI
-// dispatch code can read the exported pointer without running any code
-// compiled at this ISA.
-constexpr SimdKernelSet kKernelSet{
-    .isa = BRO_SIMD_ISA,
-    .ell_spmv32 = &ell_slice_spmv<std::uint32_t, VecU32>,
-    .ell_spmv64 = &ell_slice_spmv<std::uint64_t, VecU64>,
-    .ell_spmm32 = &ell_slice_spmm<std::uint32_t, VecU32>,
-    .ell_spmm64 = &ell_slice_spmm<std::uint64_t, VecU64>,
-    .coo_spmv32 = &coo_interval_spmv<std::uint32_t, VecU32>,
-    .coo_spmv64 = &coo_interval_spmv<std::uint64_t, VecU64>,
-    .coo_spmm32 = &coo_interval_spmm<std::uint32_t, VecU32>,
-    .coo_spmm64 = &coo_interval_spmm<std::uint64_t, VecU64>,
-    .checksum32 = &stream_checksum<std::uint32_t, VecU32>,
-    .checksum64 = &stream_checksum<std::uint64_t, VecU64>,
-};
+// This header's entries of the ISA's SimdKernels table, filled at compile
+// time so the baseline-ABI dispatch code can read the exported table
+// without running any code compiled at this ISA.
+constexpr void add_kernels(SimdKernels& t) {
+  t.ell_spmv32 = &ell_slice_spmv<std::uint32_t, VecU32>;
+  t.ell_spmv64 = &ell_slice_spmv<std::uint64_t, VecU64>;
+  t.ell_spmm32 = &ell_slice_spmm<std::uint32_t, VecU32>;
+  t.ell_spmm64 = &ell_slice_spmm<std::uint64_t, VecU64>;
+  t.coo_spmv32 = &coo_interval_spmv<std::uint32_t, VecU32>;
+  t.coo_spmv64 = &coo_interval_spmv<std::uint64_t, VecU64>;
+  t.coo_spmm32 = &coo_interval_spmm<std::uint32_t, VecU32>;
+  t.coo_spmm64 = &coo_interval_spmm<std::uint64_t, VecU64>;
+  t.checksum32 = &stream_checksum<std::uint32_t, VecU32>;
+  t.checksum64 = &stream_checksum<std::uint64_t, VecU64>;
+}
 
 } // namespace bro::kernels::BRO_SIMD_NS

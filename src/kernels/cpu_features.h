@@ -2,11 +2,11 @@
 // kernels.
 //
 // The library is built without -march=native: every translation unit targets
-// the baseline ABI except the two per-ISA kernel TUs (bro_decode_sse4.cpp,
-// bro_decode_avx2.cpp), which are compiled with exactly their own target
-// flag. Which of those kernel sets actually runs is decided here, once, at
-// run time: the hardware probe (cpu_features), the link-time availability
-// check (simd_isa_compiled — the per-ISA TUs collapse to stubs when the
+// the baseline ABI except the two per-ISA kernel-table TUs (simd_sse4.cpp,
+// simd_avx2.cpp), which are compiled with exactly their own target flag.
+// Which of those tables actually runs is decided here, once, at run time:
+// the hardware probe (cpu_features), the link-time availability check
+// (simd_isa_compiled — the per-ISA TUs collapse to stubs when the
 // toolchain cannot target x86) and the BRO_SIMD env override meet in
 // active_simd_isa(), which plan-time kernel selection consults. One binary
 // therefore stays portable across CI runners and user machines while still
@@ -41,11 +41,11 @@ struct CpuFeatures {
 };
 CpuFeatures cpu_features();
 
-/// Whether the kernel set for `isa` was compiled into this binary (false on
-/// toolchains that cannot target the ISA; kScalar is always available).
+/// Whether the kernel table for `isa` was compiled into this binary (false
+/// on toolchains that cannot target the ISA; kScalar is always available).
 bool simd_isa_compiled(SimdIsa isa);
 
-/// Whether this process can actually execute the kernel set for `isa`:
+/// Whether this process can actually execute the kernel table for `isa`:
 /// compiled in AND supported by the host CPU (kScalar always is). This is
 /// the gate tests and benches use before forcing an ISA.
 bool simd_isa_runnable(SimdIsa isa);

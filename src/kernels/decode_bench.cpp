@@ -49,34 +49,13 @@ using Widths = std::make_index_sequence<kMaxSpecializedDecodeWidth + 1>;
 constexpr auto kChecksum32 = checksum_table<std::uint32_t>(Widths{});
 constexpr auto kChecksum64 = checksum_table<std::uint64_t>(Widths{});
 
-/// The pre-packing decode loop: runtime bit width AND runtime symbol length
-/// over one-uint64-per-symbol storage (each symbol right-aligned in its
-/// slot), exactly what the old MuxedStream forced on sym_len=32 streams.
-std::uint64_t legacy_lane_checksum(const std::uint64_t* slots,
-                                   std::size_t stride, std::size_t lane,
-                                   std::size_t count, int b, int sym_len) {
-  const std::uint64_t* next_load = slots + lane;
-  std::uint64_t sym = 0;
-  int rb = 0;
-  std::uint64_t sum = 0;
-  for (std::size_t c = 0; c < count; ++c) {
-    std::uint64_t d;
-    if (b <= rb) {
-      d = (sym >> (rb - b)) & bits::max_value_for_bits(b);
-      rb -= b;
-    } else {
-      const int high = rb;
-      d = high > 0 ? (sym & bits::max_value_for_bits(high)) : 0;
-      sym = *next_load;
-      next_load += stride;
-      const int low = b - high;
-      d = (d << low) |
-          ((sym >> (sym_len - low)) & bits::max_value_for_bits(low));
-      rb = sym_len - low;
-    }
-    sum += d;
-  }
-  return sum;
+/// The table for a SIMD ISA the caller is about to run.
+const SimdKernels& runnable_kernels(SimdIsa isa) {
+  const SimdKernels* t = simd_kernels(isa);
+  BRO_CHECK_MSG(t != nullptr && simd_isa_runnable(isa),
+                "SIMD ISA " << simd_isa_name(isa)
+                            << " is not runnable in this process");
+  return *t;
 }
 
 } // namespace
@@ -112,23 +91,17 @@ DecodeBenchCase make_decode_bench_case(int width, int sym_len,
     bs.pad_to_multiple(sym_len);
   }
   c.stream = bits::MuxedStream::interleave(rows, sym_len);
-  c.legacy_slots.resize(c.stream.total_symbols());
-  for (std::size_t i = 0; i < c.legacy_slots.size(); ++i)
-    c.legacy_slots[i] = c.stream[i];
   c.widths.assign(deltas_per_lane, static_cast<std::uint8_t>(width));
   return c;
 }
 
 std::uint64_t simd_decode_pass(const DecodeBenchCase& c, SimdIsa isa) {
-  const SimdKernelSet* set = simd_kernel_set(isa);
-  BRO_CHECK_MSG(set != nullptr && simd_isa_runnable(isa),
-                "SIMD ISA " << simd_isa_name(isa)
-                            << " is not runnable in this process");
+  const SimdKernels& t = runnable_kernels(isa);
   if (c.sym_len == 32)
-    return set->checksum32(c.stream.data<std::uint32_t>(), c.lanes,
-                           c.widths.data(), c.deltas_per_lane);
-  return set->checksum64(c.stream.data<std::uint64_t>(), c.lanes,
-                         c.widths.data(), c.deltas_per_lane);
+    return t.checksum32(c.stream.data<std::uint32_t>(), c.lanes,
+                        c.widths.data(), c.deltas_per_lane);
+  return t.checksum64(c.stream.data<std::uint64_t>(), c.lanes,
+                      c.widths.data(), c.deltas_per_lane);
 }
 
 std::uint64_t decode_pass(const DecodeBenchCase& c, DecodeVariant variant) {
@@ -163,12 +136,6 @@ std::uint64_t decode_pass(const DecodeBenchCase& c, DecodeVariant variant) {
                                               detail::kGenericWidth>(
               stream, stride, lane, c.deltas_per_lane, c.width);
       }
-      break;
-    }
-    case DecodeVariant::kLegacySlots: {
-      for (std::size_t lane = 0; lane < c.lanes; ++lane)
-        sum += legacy_lane_checksum(c.legacy_slots.data(), stride, lane,
-                                    c.deltas_per_lane, c.width, c.sym_len);
       break;
     }
   }
@@ -245,8 +212,6 @@ std::vector<DecodeThroughputRow> decode_throughput_sweep(
         time_variant(c, DecodeVariant::kSpecialized, min_seconds_per_cell);
     row.generic_gdps =
         time_variant(c, DecodeVariant::kGeneric, min_seconds_per_cell);
-    row.legacy_gdps =
-        time_variant(c, DecodeVariant::kLegacySlots, min_seconds_per_cell);
     if (simd_isa_runnable(SimdIsa::kSse4))
       row.sse4_gdps = time_simd(c, SimdIsa::kSse4, min_seconds_per_cell);
     if (simd_isa_runnable(SimdIsa::kAvx2))
@@ -300,7 +265,7 @@ std::uint64_t scalar_slices_checksum(std::span<const core::BroEllSlice> slices,
 }
 
 std::uint64_t simd_slices_checksum(std::span<const core::BroEllSlice> slices,
-                                   int sym_len, const SimdKernelSet& set) {
+                                   int sym_len, const SimdKernels& set) {
   std::uint64_t sum = 0;
   for (const auto& s : slices) {
     if (s.height <= 0 || s.num_col <= 0) continue;
@@ -321,7 +286,7 @@ std::uint64_t scalar_ell_checksum(const core::BroEll& a) {
 }
 
 std::uint64_t simd_ell_checksum(const core::BroEll& a,
-                                const SimdKernelSet& set) {
+                                const SimdKernels& set) {
   return simd_slices_checksum(a.slices(), a.options().sym_len, set);
 }
 
@@ -329,10 +294,7 @@ std::uint64_t simd_ell_checksum(const core::BroEll& a,
 
 std::vector<EllSuiteDecodeRow> ell_suite_decode_sweep(
     SimdIsa isa, double scale, double min_seconds_per_cell) {
-  const SimdKernelSet* set = simd_kernel_set(isa);
-  BRO_CHECK_MSG(set != nullptr && simd_isa_runnable(isa),
-                "SIMD ISA " << simd_isa_name(isa)
-                            << " is not runnable in this process");
+  const SimdKernels& set = runnable_kernels(isa);
 
   std::vector<EllSuiteDecodeRow> rows;
   for (const auto& entry : sparse::suite_test_set(1)) {
@@ -347,7 +309,7 @@ std::vector<EllSuiteDecodeRow> ell_suite_decode_sweep(
     if (row.deltas == 0) continue;
 
     const std::uint64_t expect = scalar_ell_checksum(bro);
-    BRO_CHECK_MSG(simd_ell_checksum(bro, *set) == expect,
+    BRO_CHECK_MSG(simd_ell_checksum(bro, set) == expect,
                   simd_isa_name(isa) << " decode disagrees with scalar on "
                                      << entry.name);
 
@@ -363,7 +325,7 @@ std::vector<EllSuiteDecodeRow> ell_suite_decode_sweep(
       row.simd_gdps = std::max(
           row.simd_gdps,
           time_pass(row.deltas, expect,
-                    [&] { return simd_ell_checksum(bro, *set); },
+                    [&] { return simd_ell_checksum(bro, set); },
                     min_seconds_per_cell));
     }
     rows.push_back(std::move(row));
@@ -538,8 +500,7 @@ std::vector<BlockSuiteRow> block_suite_sweep(SimdIsa isa, double scale,
     // path at `isa`. BCSR block-index slices share BRO-ELL's layout, so
     // both sides run the identical decode machinery — the difference is
     // purely how many symbols each format stores per matrix row.
-    const SimdKernelSet* set =
-        isa == SimdIsa::kScalar ? nullptr : simd_kernel_set(isa);
+    const SimdKernels* set = simd_kernels(isa);
     const auto ell_decode = [&] {
       return set ? simd_slices_checksum(ell.slices(), ell.options().sym_len,
                                         *set)
@@ -616,8 +577,8 @@ AnsDecodeBenchCase make_ans_decode_bench_case(int sym_len, index_t nrows,
 std::uint64_t ans_decode_pass(const AnsDecodeBenchCase& c, SimdIsa isa) {
   const core::BroAns& a = *c.coded;
   const bool w32 = a.options().sym_len == 32;
-  const AnsSimdKernelSet* set = ans_simd_kernel_set(isa);
-  const auto vec = set ? (w32 ? set->checksum32 : set->checksum64) : nullptr;
+  const SimdKernels* t = simd_kernels(isa);
+  const auto vec = t && w32 ? t->ans_checksum32 : nullptr;
   std::uint64_t sum = 0;
   for (const auto& s : a.slices()) {
     if (s.height <= 0 || s.num_col <= 0) continue;
@@ -649,10 +610,10 @@ std::uint64_t bcsr_decode_pass(const BcsrDecodeBenchCase& c, SimdIsa isa) {
   const core::BroBcsr& a = *c.coded;
   if (isa == SimdIsa::kScalar)
     return scalar_slices_checksum(a.slices(), a.options().sym_len);
-  const SimdKernelSet* set = simd_kernel_set(isa);
-  BRO_CHECK_MSG(set != nullptr, "no SIMD kernel set for "
-                                    << simd_isa_name(isa));
-  return simd_slices_checksum(a.slices(), a.options().sym_len, *set);
+  const SimdKernels* t = simd_kernels(isa);
+  BRO_CHECK_MSG(t != nullptr, "no SIMD kernel table for "
+                                  << simd_isa_name(isa));
+  return simd_slices_checksum(a.slices(), a.options().sym_len, *t);
 }
 
 } // namespace bro::kernels

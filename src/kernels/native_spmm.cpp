@@ -73,9 +73,10 @@ void native_spmm_bro_ell(const core::BroEll& a, std::span<const value_t> x,
   check_spmm_shapes(a.rows(), a.cols(), x, y, k);
   const auto& slices = a.slices();
   const int sym_len = a.options().sym_len;
+  const SimdIsa isa = active_simd_isa();
 #pragma omp parallel for schedule(dynamic, 1)
   for (std::size_t si = 0; si < slices.size(); ++si) {
-    const BroEllKernel kn = select_bro_ell_kernel(slices[si], sym_len);
+    const BroEllKernel kn = select_bro_ell_kernel(slices[si], sym_len, isa);
     kn.spmm(a, slices[si], x, y, k);
   }
 }
@@ -134,8 +135,9 @@ void native_spmm_bro_coo(const core::BroCoo& a, std::span<const value_t> x,
                          std::span<BroCooCarry> carries,
                          std::span<value_t> carry_sums) {
   const int sym_len = a.options().sym_len;
+  const SimdIsa isa = active_simd_isa();
   bro_coo_spmm_impl(a, x, y, k, carries, carry_sums, [&](std::size_t i) {
-    return select_bro_coo_kernel(a.intervals()[i], sym_len);
+    return select_bro_coo_kernel(a.intervals()[i], sym_len, isa);
   });
 }
 

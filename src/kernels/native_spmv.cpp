@@ -181,9 +181,10 @@ void native_spmv_bro_ell(const core::BroEll& a, std::span<const value_t> x,
   BRO_CHECK(y.size() == static_cast<std::size_t>(a.rows()));
   const auto& slices = a.slices();
   const int sym_len = a.options().sym_len;
+  const SimdIsa isa = active_simd_isa();
 #pragma omp parallel for schedule(dynamic, 1)
   for (std::size_t si = 0; si < slices.size(); ++si) {
-    const BroEllKernel k = select_bro_ell_kernel(slices[si], sym_len);
+    const BroEllKernel k = select_bro_ell_kernel(slices[si], sym_len, isa);
     k.spmv(a, slices[si], x, y);
   }
 }
@@ -242,8 +243,9 @@ void native_spmv_bro_coo(const core::BroCoo& a, std::span<const value_t> x,
                          std::span<value_t> y,
                          std::span<BroCooCarry> carries) {
   const int sym_len = a.options().sym_len;
+  const SimdIsa isa = active_simd_isa();
   bro_coo_spmv_impl(a, x, y, carries, [&](std::size_t i) {
-    return select_bro_coo_kernel(a.intervals()[i], sym_len);
+    return select_bro_coo_kernel(a.intervals()[i], sym_len, isa);
   });
 }
 

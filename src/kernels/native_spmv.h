@@ -105,27 +105,20 @@ struct BroAnsKernel {
   SimdIsa isa = SimdIsa::kScalar;
 };
 
-/// Per-slice / per-interval kernel selection (the plan-time step). The
-/// returned vectors are index-aligned with slices() / intervals(). The
-/// overloads without an ISA parameter use active_simd_isa() — the BRO_SIMD
-/// override and host capability are folded in exactly once, here; execute()
-/// runs whatever the table says with no further branching.
-std::vector<BroEllKernel> plan_bro_ell_kernels(const core::BroEll& a);
-std::vector<BroCooKernel> plan_bro_coo_kernels(const core::BroCoo& a);
+/// Per-slice / per-interval kernel selection (the plan-time step) at `isa`.
+/// The returned vectors are index-aligned with slices() / intervals().
+/// Execute paths pass active_simd_isa(), so the BRO_SIMD override and host
+/// capability are folded in exactly once, at plan time; execute() runs
+/// whatever the table says with no further branching.
 std::vector<BroEllKernel> plan_bro_ell_kernels(const core::BroEll& a,
                                                SimdIsa isa);
 std::vector<BroCooKernel> plan_bro_coo_kernels(const core::BroCoo& a,
                                                SimdIsa isa);
-std::vector<BroAnsKernel> plan_bro_ans_kernels(const core::BroAns& a);
 std::vector<BroAnsKernel> plan_bro_ans_kernels(const core::BroAns& a,
                                                SimdIsa isa);
 
 /// Selection for a single slice / interval (what plan_bro_*_kernels applies
 /// per element; exposed for tests and the table-free kernel overloads).
-BroEllKernel select_bro_ell_kernel(const core::BroEllSlice& slice,
-                                   int sym_len);
-BroCooKernel select_bro_coo_kernel(const core::BroCooInterval& iv,
-                                   int sym_len);
 BroEllKernel select_bro_ell_kernel(const core::BroEllSlice& slice,
                                    int sym_len, SimdIsa isa);
 BroCooKernel select_bro_coo_kernel(const core::BroCooInterval& iv,
@@ -136,9 +129,10 @@ BroCooKernel select_bro_coo_kernel(const core::BroCooInterval& iv,
 BroEllKernel generic_bro_ell_kernel(int sym_len);
 BroCooKernel generic_bro_coo_kernel(int sym_len);
 
-/// BRO-ANS slice kernel selection: the SIMD set's entry when the ISA
-/// provides one, else the scalar multi-chain kernel. All slices of one
-/// matrix share a symbol length, so selection is per matrix, not per slice.
+/// BRO-ANS slice kernel selection: the ISA's SimdKernels entry when it has
+/// one for the symbol length, else the scalar multi-chain kernel. All
+/// slices of one matrix share a symbol length, so selection is per matrix,
+/// not per slice.
 BroAnsKernel select_bro_ans_kernel(int sym_len, SimdIsa isa);
 
 /// The single-chain sequential decoder as a dispatch entry: the

@@ -110,6 +110,7 @@ void Executor::add_matrix(const std::string& id,
                           std::shared_ptr<const core::Matrix> matrix) {
   BRO_CHECK_MSG(matrix != nullptr, "add_matrix requires a matrix");
   auto entry = std::make_shared<MatrixEntry>();
+  entry->format = opts_.format ? *opts_.format : matrix->auto_format();
   entry->matrix = std::move(matrix);
   std::lock_guard lk(mu_);
   matrices_[id] = std::move(entry);
@@ -171,31 +172,37 @@ void Executor::execute_batch(Batch& batch) {
 
     const RunResult run = run_batch(*entry, id, x_batch, y_batch, k);
 
-    for (std::size_t j = 0; j < uk; ++j) {
-      std::vector<value_t> y(rows);
-      for (std::size_t r = 0; r < rows; ++r) y[r] = y_batch[r * uk + j];
-      batch[j].result.set_value(std::move(y));
-    }
+    std::vector<std::vector<value_t>> ys(uk, std::vector<value_t>(rows));
+    for (std::size_t j = 0; j < uk; ++j)
+      for (std::size_t r = 0; r < rows; ++r) ys[j][r] = y_batch[r * uk + j];
 
-    std::lock_guard mlk(metrics_mu_);
-    ++metrics_.batches;
-    if (run.sharded) ++metrics_.sharded_batches;
-    metrics_.served += uk;
-    metrics_.batch_sizes.add(static_cast<double>(k));
-    for (double w : waits) metrics_.queue_wait.add(w);
-    metrics_.execute.add(run.secs);
-    if (run.format_name) {
-      auto [hit, inserted] = metrics_.latency_by_format.try_emplace(
-          run.format_name, latency_histogram());
-      (void)inserted;
-      hit->second.add(run.secs);
+    // Record the batch before fulfilling any promise, so a caller that has
+    // its result also sees it in metrics().
+    {
+      std::lock_guard mlk(metrics_mu_);
+      ++metrics_.batches;
+      if (run.sharded) ++metrics_.sharded_batches;
+      metrics_.served += uk;
+      metrics_.batch_sizes.add(static_cast<double>(k));
+      for (double w : waits) metrics_.queue_wait.add(w);
+      metrics_.execute.add(run.secs);
+      if (run.format_name) {
+        auto [hit, inserted] = metrics_.latency_by_format.try_emplace(
+            run.format_name, latency_histogram());
+        (void)inserted;
+        hit->second.add(run.secs);
+      }
     }
+    for (std::size_t j = 0; j < uk; ++j)
+      batch[j].result.set_value(std::move(ys[j]));
   } catch (...) {
+    {
+      std::lock_guard mlk(metrics_mu_);
+      metrics_.failed += uk;
+      for (double w : waits) metrics_.queue_wait.add(w);
+    }
     const auto error = std::current_exception();
     for (auto& req : batch) req.result.set_exception(error);
-    std::lock_guard mlk(metrics_mu_);
-    metrics_.failed += uk;
-    for (double w : waits) metrics_.queue_wait.add(w);
   }
 }
 
@@ -204,7 +211,7 @@ Executor::RunResult Executor::run_batch(MatrixEntry& entry,
                                         std::span<const value_t> x,
                                         std::span<value_t> y, int k) {
   RunResult run;
-  auto plan = cache_.get_or_build(id, entry.matrix, opts_.format);
+  auto plan = cache_.get_or_build(id, entry.matrix, entry.format);
   run.format_name = plan->format_traits().name;
   // One executor per plan at a time (the SpmvPlan contract).
   std::lock_guard ex(entry.exec_mu);
@@ -238,11 +245,9 @@ Executor::RunResult ShardedExecutor::run_batch(MatrixEntry& entry,
   // row-shardable — never silently trade the matrix's format for a
   // shardable one (that would change results and drop the compression the
   // format was chosen for).
-  const core::Format format =
-      opts_.format ? *opts_.format : entry.matrix->auto_format();
   const bool shard = opts_.shards > 1 && entry.matrix->rows() > 1 &&
                      entry.matrix->nnz() >= opts_.shard_min_nnz &&
-                     engine::traits(format).row_shardable;
+                     engine::traits(entry.format).row_shardable;
 
   if (!shard) {
     // Whole-matrix route: consistent-hash the id to one pool so a working
@@ -259,7 +264,7 @@ Executor::RunResult ShardedExecutor::run_batch(MatrixEntry& entry,
     std::lock_guard lk(entry.shard_mu);
     if (!entry.sharded)
       entry.sharded = std::make_shared<engine::ShardedSpmvPlan>(
-          entry.matrix, opts_.shards, format);
+          entry.matrix, opts_.shards, entry.format);
     plan = entry.sharded;
   }
 

@@ -150,6 +150,10 @@ class Executor {
  protected:
   struct MatrixEntry {
     std::shared_ptr<const core::Matrix> matrix;
+    // Resolved once at registration (opts_.format, else auto_format()):
+    // auto-selection runs the BRO-BCSR cover analysis over the whole
+    // matrix, far too costly to repeat per batch.
+    core::Format format = core::Format::kCsr;
     // SpmvPlan is a single-executor object (engine/plan.h); batches for
     // the same matrix serialize on this so two pool workers never share a
     // plan's workspace concurrently.

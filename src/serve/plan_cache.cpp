@@ -35,11 +35,9 @@ PlanCache::PlanCache(std::size_t max_resident_bytes)
 
 std::shared_ptr<engine::SpmvPlan> PlanCache::get_or_build(
     const std::string& matrix_id,
-    const std::shared_ptr<const core::Matrix>& matrix,
-    std::optional<core::Format> format) {
+    const std::shared_ptr<const core::Matrix>& matrix, core::Format format) {
   BRO_CHECK_MSG(matrix != nullptr, "PlanCache requires a matrix");
-  const core::Format f = format.value_or(matrix->auto_format());
-  const PlanKey key{matrix_id, f, current_thread_count()};
+  const PlanKey key{matrix_id, format, current_thread_count()};
 
   std::unique_lock lk(mu_);
   for (;;) {
@@ -69,7 +67,7 @@ std::shared_ptr<engine::SpmvPlan> PlanCache::get_or_build(
   std::size_t bytes = 0;
   try {
     std::lock_guard build_lk(*build_mu);
-    plan = std::make_shared<engine::SpmvPlan>(matrix, f);
+    plan = std::make_shared<engine::SpmvPlan>(matrix, format);
     bytes = plan->resident_bytes();
   } catch (...) {
     lk.lock();

@@ -24,7 +24,6 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -64,13 +63,11 @@ class PlanCache {
   PlanCache& operator=(const PlanCache&) = delete;
 
   /// Return the cached plan for (matrix_id, format, current thread count),
-  /// building it from `matrix` on a miss. `format` defaults to the
-  /// matrix's auto-selected format. Build exceptions propagate to every
-  /// waiter of that key and leave the cache unchanged.
+  /// building it from `matrix` on a miss. Build exceptions propagate to
+  /// every waiter of that key and leave the cache unchanged.
   std::shared_ptr<engine::SpmvPlan> get_or_build(
       const std::string& matrix_id,
-      const std::shared_ptr<const core::Matrix>& matrix,
-      std::optional<core::Format> format = std::nullopt);
+      const std::shared_ptr<const core::Matrix>& matrix, core::Format format);
 
   PlanCacheStats stats() const;
   std::size_t max_resident_bytes() const { return cap_; }

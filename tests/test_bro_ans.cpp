@@ -257,7 +257,7 @@ TEST_P(BroAnsProperty, RoundTripAndSpmv) {
   bk::native_spmv_bro_ans_generic(bro, x, y_gen);
   bk::native_spmv_bro_ans(bro, x, y_nat);
   EXPECT_EQ(y_gen, y_nat);
-  const auto kernels = bk::plan_bro_ans_kernels(bro);
+  const auto kernels = bk::plan_bro_ans_kernels(bro, bk::active_simd_isa());
   std::vector<value_t> y_plan(static_cast<std::size_t>(csr.rows));
   bk::native_spmv_bro_ans(bro, kernels, x, y_plan);
   EXPECT_EQ(y_gen, y_plan);
@@ -328,28 +328,31 @@ TEST(BroAnsSavings, BeatsFixedWidthOnStructuredMatrices) {
 
 // ---- SIMD dispatch parity ----
 
-/// Selection honors the forced ISA when its kernel set carries an SpMV for
-/// the symbol length and falls back to the scalar multi-chain kernel
-/// (tagged kScalar) otherwise — today that is every 64-bit-symbol request.
+/// Selection reads the ISA's SimdKernels table: only AVX2 carries a BRO-ANS
+/// kernel, and only for 32-bit symbols. Every other request — SSE4 included
+/// — gets the scalar 4-chain kernel, tagged kScalar. Selection only reads
+/// the table, so every ISA is checked whether or not this host can run it.
 TEST(AnsSimdParity, SelectionTagsAndScalarFallback) {
-  for (const bk::SimdIsa isa : host_isas()) {
-    for (const int sym_len : {32, 64}) {
+  for (const int sym_len : {32, 64}) {
+    const bk::BroAnsKernel scalar =
+        bk::select_bro_ans_kernel(sym_len, bk::SimdIsa::kScalar);
+    ASSERT_NE(scalar.spmv, nullptr);
+    for (const bk::SimdIsa isa :
+         {bk::SimdIsa::kScalar, bk::SimdIsa::kSse4, bk::SimdIsa::kAvx2}) {
       const bk::BroAnsKernel k = bk::select_bro_ans_kernel(sym_len, isa);
-      ASSERT_NE(k.spmv, nullptr);
       EXPECT_EQ(k.width, -1);
-      const bk::AnsSimdKernelSet* set = bk::ans_simd_kernel_set(isa);
-      const bool vec = set != nullptr &&
-                       (sym_len == 32 ? set->spmv32 : set->spmv64) != nullptr;
+      const bool vec = isa == bk::SimdIsa::kAvx2 && sym_len == 32 &&
+                       bk::simd_isa_compiled(isa);
       EXPECT_EQ(k.isa, vec ? isa : bk::SimdIsa::kScalar)
           << bk::simd_isa_name(isa) << " sym" << sym_len;
-      if (vec) {
-        EXPECT_EQ(k.spmv, sym_len == 32 ? set->spmv32 : set->spmv64);
-      }
+      EXPECT_EQ(k.spmv, vec ? bk::simd_kernels(isa)->ans_spmv32 : scalar.spmv)
+          << bk::simd_isa_name(isa) << " sym" << sym_len;
     }
-    bk::ScopedSimdIsa forced(isa);
+  }
+  for (const bk::SimdIsa isa : host_isas()) {
     const bs::Csr csr = bs::generate_poisson2d(12, 13);
     const auto bro = bc::BroAns::compress(bs::csr_to_ell(csr));
-    const auto kernels = bk::plan_bro_ans_kernels(bro);
+    const auto kernels = bk::plan_bro_ans_kernels(bro, isa);
     ASSERT_EQ(kernels.size(), bro.slices().size());
     for (const auto& k : kernels)
       EXPECT_EQ(k.spmv,
@@ -392,7 +395,7 @@ TEST(AnsSimdParity, AdversarialSweepAcrossIsasTableLogsSymLens) {
           bk::native_spmv_bro_ans(bro, x, y);
           expect_bitwise(y, y_gen, adversarial.name.c_str());
 
-          const auto kernels = bk::plan_bro_ans_kernels(bro);
+          const auto kernels = bk::plan_bro_ans_kernels(bro, isa);
           bk::native_spmv_bro_ans(bro, kernels, x, y);
           expect_bitwise(y, y_gen, adversarial.name.c_str());
         }

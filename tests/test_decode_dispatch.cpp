@@ -10,6 +10,7 @@
 #include <cstring>
 #include <vector>
 
+#include "core/bro_bcsr.h"
 #include "core/bro_coo.h"
 #include "core/bro_ell.h"
 #include "core/bro_hyb.h"
@@ -68,7 +69,7 @@ TEST(DecodeDispatch, EllSelectionUniformWidth) {
     bc::BroEllOptions opt;
     opt.forced_bit_width = w;
     const auto bro = bc::BroEll::compress(bs::csr_to_ell(csr), opt);
-    const auto kernels = bk::plan_bro_ell_kernels(bro);
+    const auto kernels = bk::plan_bro_ell_kernels(bro, bk::active_simd_isa());
     ASSERT_EQ(kernels.size(), bro.slices().size());
     for (std::size_t s = 0; s < kernels.size(); ++s) {
       const auto& alloc = bro.slices()[s].bit_alloc;
@@ -93,7 +94,8 @@ TEST(DecodeDispatch, EllSelectionWideAndMixedFallBack) {
   bc::BroEllOptions opt;
   opt.forced_bit_width = bk::kMaxSpecializedDecodeWidth + 4;
   const auto wide = bc::BroEll::compress(bs::csr_to_ell(csr), opt);
-  for (const auto& kernel : bk::plan_bro_ell_kernels(wide))
+  for (const auto& kernel :
+       bk::plan_bro_ell_kernels(wide, bk::active_simd_isa()))
     EXPECT_EQ(kernel.width, -1);
 
   // A spike matrix mixes per-column widths within one slice: one long row
@@ -108,7 +110,8 @@ TEST(DecodeDispatch, EllSelectionWideAndMixedFallBack) {
   const auto mixed =
       bc::BroEll::compress(bs::csr_to_ell(bs::generate(spec)));
   bool saw_generic = false;
-  for (const auto& kernel : bk::plan_bro_ell_kernels(mixed))
+  for (const auto& kernel :
+       bk::plan_bro_ell_kernels(mixed, bk::active_simd_isa()))
     saw_generic = saw_generic || kernel.width == -1;
   EXPECT_TRUE(saw_generic);
 }
@@ -116,7 +119,7 @@ TEST(DecodeDispatch, EllSelectionWideAndMixedFallBack) {
 TEST(DecodeDispatch, CooSelectionMatchesIntervalBits) {
   const bs::Csr csr = bs::generate_poisson2d(50, 50);
   const auto bro = bc::BroCoo::compress(bs::csr_to_coo(csr));
-  const auto kernels = bk::plan_bro_coo_kernels(bro);
+  const auto kernels = bk::plan_bro_coo_kernels(bro, bk::active_simd_isa());
   ASSERT_EQ(kernels.size(), bro.intervals().size());
   for (std::size_t i = 0; i < kernels.size(); ++i) {
     const int bits = bro.intervals()[i].bits;
@@ -160,7 +163,7 @@ void check_parity(const bs::Csr& csr, int width, int sym_len,
     bk::native_spmv_bro_ell_generic(ell, x, y_gen);
     expect_bitwise(y, y_gen, name);
 
-    const auto table = bk::plan_bro_ell_kernels(ell);
+    const auto table = bk::plan_bro_ell_kernels(ell, isa);
     std::vector<bk::BroEllKernel> generic_table(
         table.size(), bk::generic_bro_ell_kernel(sym_len));
     bk::native_spmm_bro_ell(ell, table, xm, ym, k);
@@ -235,7 +238,7 @@ TEST(DecodeDispatch, AdversarialParity) {
         bk::native_spmv_bro_coo_generic(coo, x, y_gen);
         expect_bitwise(y, y_gen, adversarial.name.c_str());
 
-        const auto table = bk::plan_bro_coo_kernels(coo);
+        const auto table = bk::plan_bro_coo_kernels(coo, isa);
         std::vector<bk::BroCooKernel> generic_table(
             table.size(), bk::generic_bro_coo_kernel(sym_len));
         bk::native_spmm_bro_coo(coo, table, xm, ym, k, carries, sums);
@@ -278,11 +281,25 @@ TEST(DecodeDispatch, CooParityAcrossWarpSizes) {
   }
 }
 
-/// When a SIMD ISA is forced, every planned kernel-table entry must be
-/// tagged with it and point at that ISA's kernel set functions; forcing
-/// scalar must restore the baseline selection (isa tag kScalar).
+/// One SimdKernels table per ISA: present exactly when the ISA is compiled
+/// in (never for scalar), and plan-time selection at that ISA hands out
+/// exactly its ELL, COO and BCSR entries, tagged with the ISA; scalar
+/// selection keeps the baseline kernels (tag kScalar). Selection only reads
+/// the table, so every compiled ISA is checked, runnable on this host or
+/// not.
 TEST(DecodeDispatch, SimdSelectionTagsKernels) {
+  EXPECT_EQ(bk::simd_kernels(bk::SimdIsa::kScalar), nullptr);
+  for (const bk::SimdIsa isa : {bk::SimdIsa::kSse4, bk::SimdIsa::kAvx2}) {
+    const bk::SimdKernels* t = bk::simd_kernels(isa);
+    EXPECT_EQ(t != nullptr, bk::simd_isa_compiled(isa))
+        << bk::simd_isa_name(isa);
+    if (t != nullptr) {
+      EXPECT_EQ(t->isa, isa);
+    }
+  }
+
   const bs::Csr csr = bs::generate_poisson2d(40, 40);
+  const bs::Csr truss = bs::generate_truss2d(40, 6, 7);
   for (const int sym_len : {32, 64}) {
     bc::BroEllOptions eopt;
     eopt.sym_len = sym_len;
@@ -291,29 +308,39 @@ TEST(DecodeDispatch, SimdSelectionTagsKernels) {
     copt.sym_len = sym_len;
     const auto coo = bc::BroCoo::compress(bs::csr_to_coo(csr), copt);
 
-    for (const bk::SimdIsa isa : host_isas()) {
-      bk::ScopedSimdIsa forced(isa);
-      const auto* set = bk::simd_kernel_set(isa);
-      if (isa != bk::SimdIsa::kScalar) {
-        ASSERT_NE(set, nullptr);
-      }
-
-      for (const auto& kernel : bk::plan_bro_ell_kernels(ell)) {
-        EXPECT_EQ(kernel.isa, isa);
-        if (set != nullptr) {
-          EXPECT_EQ(kernel.spmv,
-                    sym_len == 32 ? set->ell_spmv32 : set->ell_spmv64);
-          EXPECT_EQ(kernel.spmm,
-                    sym_len == 32 ? set->ell_spmm32 : set->ell_spmm64);
+    for (const bk::SimdIsa isa :
+         {bk::SimdIsa::kScalar, bk::SimdIsa::kSse4, bk::SimdIsa::kAvx2}) {
+      const bk::SimdKernels* t = bk::simd_kernels(isa);
+      const bk::SimdIsa tag = t != nullptr ? isa : bk::SimdIsa::kScalar;
+      const bool w32 = sym_len == 32;
+      for (const auto& kernel : bk::plan_bro_ell_kernels(ell, isa)) {
+        EXPECT_EQ(kernel.isa, tag);
+        if (t != nullptr) {
+          EXPECT_EQ(kernel.spmv, w32 ? t->ell_spmv32 : t->ell_spmv64);
+          EXPECT_EQ(kernel.spmm, w32 ? t->ell_spmm32 : t->ell_spmm64);
         }
       }
-      for (const auto& kernel : bk::plan_bro_coo_kernels(coo)) {
-        EXPECT_EQ(kernel.isa, isa);
-        if (set != nullptr) {
-          EXPECT_EQ(kernel.spmv,
-                    sym_len == 32 ? set->coo_spmv32 : set->coo_spmv64);
-          EXPECT_EQ(kernel.spmm,
-                    sym_len == 32 ? set->coo_spmm32 : set->coo_spmm64);
+      for (const auto& kernel : bk::plan_bro_coo_kernels(coo, isa)) {
+        EXPECT_EQ(kernel.isa, tag);
+        if (t != nullptr) {
+          EXPECT_EQ(kernel.spmv, w32 ? t->coo_spmv32 : t->coo_spmv64);
+          EXPECT_EQ(kernel.spmm, w32 ? t->coo_spmm32 : t->coo_spmm64);
+        }
+      }
+      for (const auto& [br, bcol] : bc::kBcsrCandidateShapes) {
+        bc::BroBcsrOptions bopt;
+        bopt.block_rows = br;
+        bopt.block_cols = bcol;
+        bopt.sym_len = sym_len;
+        const auto bcsr = bc::BroBcsr::compress(truss, bopt);
+        const auto shape =
+            static_cast<std::size_t>(bk::bcsr_shape_index(br, bcol));
+        for (const auto& kernel : bk::plan_bro_bcsr_kernels(bcsr, isa)) {
+          EXPECT_EQ(kernel.isa, tag);
+          if (t != nullptr) {
+            EXPECT_EQ(kernel.spmv,
+                      w32 ? t->bcsr_spmv32[shape] : t->bcsr_spmv64[shape]);
+          }
         }
       }
     }

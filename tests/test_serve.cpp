@@ -113,8 +113,8 @@ TEST(PlanCache, LruEvictionKeepsMostRecent) {
 TEST(PlanCache, ClearDropsEntries) {
   bv::PlanCache cache(std::size_t{64} << 20);
   auto m = make_matrix(60, 60, 4);
-  cache.get_or_build("a", m);
-  cache.get_or_build("b", m);
+  cache.get_or_build("a", m, m->auto_format());
+  cache.get_or_build("b", m, m->auto_format());
   cache.clear();
   const auto s = cache.stats();
   EXPECT_EQ(s.entries, 0u);
@@ -588,6 +588,11 @@ TEST(SpmvServer, SmallMatricesRouteUnshardedThroughPools) {
   const auto metrics = server.metrics();
   EXPECT_EQ(metrics.batches, 1u);
   EXPECT_EQ(metrics.sharded_batches, 0u);
+  // With no forced format, the format resolved at registration is the
+  // auto-selected one.
+  ASSERT_EQ(metrics.latency_by_format.size(), 1u);
+  EXPECT_EQ(metrics.latency_by_format.begin()->first,
+            be::traits(m->auto_format()).name);
   // Placement went through the consistent-hash ring.
   auto& ex = dynamic_cast<bv::ShardedExecutor&>(server.executor());
   EXPECT_EQ(ex.pool_count(), 2);
@@ -609,6 +614,9 @@ TEST(SpmvServer, MetricsSplitQueueWaitFromExecute) {
   EXPECT_EQ(metrics.queue_wait.count(), 4u); // one sample per request
   EXPECT_EQ(metrics.execute.count(), metrics.batches);
   EXPECT_GT(metrics.execute.max(), 0.0);
+  ASSERT_EQ(metrics.latency_by_format.size(), 1u);
+  EXPECT_EQ(metrics.latency_by_format.begin()->first,
+            be::traits(m->auto_format()).name);
 }
 
 TEST(AdmissionController, EvictsIdleRefilledBuckets) {

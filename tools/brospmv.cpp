@@ -74,7 +74,7 @@ int usage() {
          "                                     (--short: active ISA only)\n"
          "  bench --decode [--min-time S]      host decode-throughput sweep\n"
          "                                     (specialized vs generic vs\n"
-         "                                     legacy slots vs SIMD ISAs)\n"
+         "                                     SIMD ISAs)\n"
          "       [--suite [--scale S]]         add the BRO-ELL suite decode\n"
          "                                     A/B (scalar vs active SIMD)\n"
          "  entropy-bench [--scale S] [--min-time T]  BRO-ANS vs BRO-ELL\n"
@@ -299,9 +299,9 @@ int cmd_cpuinfo(const Args& args) {
   spec.mu = 4.0;
   const sparse::Csr csr = sparse::generate(spec);
   const auto ell = core::BroEll::compress(sparse::csr_to_ell(csr));
-  const auto ell_kernels = kernels::plan_bro_ell_kernels(ell);
+  const auto ell_kernels = kernels::plan_bro_ell_kernels(ell, active);
   const auto coo = core::BroCoo::compress(sparse::csr_to_coo(csr));
-  const auto coo_kernels = kernels::plan_bro_coo_kernels(coo);
+  const auto coo_kernels = kernels::plan_bro_coo_kernels(coo, active);
   std::cout << "BRO-ELL    "
             << (ell_kernels.empty()
                     ? "(no slices)"
@@ -352,22 +352,19 @@ int cmd_bench_decode_suite(const Args& args, double min_time) {
 }
 
 /// `bench --decode`: host decode throughput per bit width, in giga-deltas
-/// per second, for the decoder variants the PR's perf claims compare (the
-/// scalar trio plus every SIMD ISA runnable on this host; ISA columns the
-/// host lacks print n/a).
+/// per second, for the scalar decoder pair plus every SIMD ISA runnable on
+/// this host (ISA columns the host lacks print n/a).
 int cmd_bench_decode(const Args& args) {
   const double min_time = args.get_double("min-time", 0.02);
   std::cout << "Decode throughput (Gdeltas/s), 64 lanes x 16384 deltas:\n";
-  Table t({"Width", "sym_len", "specialized", "generic", "legacy slots",
-           "sse4", "avx2"});
+  Table t({"Width", "sym_len", "specialized", "generic", "sse4", "avx2"});
   for (const int sym_len : {32, 64}) {
     const auto rows =
         kernels::decode_throughput_sweep(sym_len, 64, 16384, min_time);
     for (const auto& r : rows)
       t.add_row({std::to_string(r.width), std::to_string(r.sym_len),
                  Table::fmt(r.specialized_gdps, 3), Table::fmt(r.generic_gdps, 3),
-                 Table::fmt(r.legacy_gdps, 3), Table::fmt(r.sse4_gdps, 3),
-                 Table::fmt(r.avx2_gdps, 3)});
+                 Table::fmt(r.sse4_gdps, 3), Table::fmt(r.avx2_gdps, 3)});
   }
   t.print(std::cout);
   if (args.has("suite")) return cmd_bench_decode_suite(args, min_time);
@@ -386,8 +383,8 @@ int cmd_entropy_bench(const Args& args) {
   const kernels::SimdIsa isa = kernels::active_simd_isa();
   // With the AVX2 interleaved-stream decoder the design target itself is
   // the budget: BRO-ANS must hold within 1.5x of BRO-ELL (EXPERIMENTS.md).
-  // ISAs without a vector tANS kernel (scalar, SSE4) decode on the
-  // chain-interleaved scalar path in the 2.5-3x band, so they keep the old
+  // ISAs without a vector tANS kernel (scalar, SSE4) decode on the scalar
+  // 4-chain path in the 2.5-3x band, so they keep the old
   // 4x headroom — the BRO_SIMD=scalar CI pass still gates that path.
   // Tighten with --max-slowdown when chasing decode regressions.
   const double default_budget =
