@@ -8,45 +8,27 @@
 
 namespace bro::core {
 
-namespace {
+AnsRowDecoder::AnsRowDecoder(const bits::AnsTable& table,
+                             const BroAnsSlice& slice, index_t row_in_slice,
+                             int sym_len)
+    : table_(&table),
+      fields_(slice.groups[static_cast<std::size_t>(row_in_slice /
+                                                    kAnsLaneGroup)],
+              row_in_slice % kAnsLaneGroup, sym_len),
+      state_(table.size() +
+             slice.init_states[static_cast<std::size_t>(row_in_slice)]) {
+  BRO_CHECK_MSG(state_ < 2 * table.size(),
+                "BRO-ANS initial state outside the table");
+}
 
-/// Sequential MSB-first reader over one lane of a muxed stream — the same
-/// b <= rb load rule as RowStreamDecoder / LaneDecoder, against which the
-/// kernels are bitwise-fuzzed.
-class AnsLaneReader {
- public:
-  AnsLaneReader(const bits::MuxedStream& stream, index_t row, int sym_len)
-      : stream_(&stream), row_(row), sym_len_(sym_len) {}
-
-  std::uint32_t next(int b) {
-    std::uint64_t decoded;
-    if (b <= rb_) {
-      decoded = b > 0 ? (sym_ >> (rb_ - b)) & bits::max_value_for_bits(b) : 0;
-      rb_ -= b;
-    } else {
-      const int high = rb_;
-      decoded = high > 0 ? (sym_ & bits::max_value_for_bits(high)) : 0;
-      sym_ = stream_->at(static_cast<std::size_t>(loads_),
-                         static_cast<std::size_t>(row_));
-      ++loads_;
-      const int low = b - high;
-      decoded = (decoded << low) |
-                ((sym_ >> (sym_len_ - low)) & bits::max_value_for_bits(low));
-      rb_ = sym_len_ - low;
-    }
-    return static_cast<std::uint32_t>(decoded);
-  }
-
- private:
-  const bits::MuxedStream* stream_;
-  index_t row_;
-  int sym_len_;
-  std::uint64_t sym_ = 0;
-  int rb_ = 0;
-  index_t loads_ = 0;
-};
-
-} // namespace
+std::uint32_t AnsRowDecoder::next() {
+  const std::uint32_t e = table_->entry(state_);
+  const int cls = bits::AnsTable::entry_class(e);
+  const int nb = bits::AnsTable::entry_bits(e);
+  const std::uint32_t mantissa = cls > 0 ? fields_.next(cls - 1) : 0;
+  state_ = bits::AnsTable::entry_base(e) + fields_.next(nb);
+  return cls == 0 ? 0 : (1u << (cls - 1)) | mantissa;
+}
 
 BroAns BroAns::compress(const sparse::Ell& ell, BroAnsOptions opts) {
   BRO_CHECK_MSG(opts.slice_height > 0, "slice height must be positive");
@@ -155,25 +137,14 @@ std::vector<index_t> BroAns::decode_row(index_t row) const {
   BRO_CHECK(row >= 0 && row < rows_);
   const auto& slice =
       slices_[static_cast<std::size_t>(row / opts_.slice_height)];
-  const index_t t = row - slice.first_row;
   std::vector<index_t> cols;
   if (slice.num_col == 0) return cols;
-  const index_t g = t / kAnsLaneGroup;
-  AnsLaneReader rd(slice.groups[static_cast<std::size_t>(g)],
-                   t % kAnsLaneGroup, opts_.sym_len);
-  const int tl = table_.table_log();
-  std::uint32_t x =
-      (1u << tl) + slice.init_states[static_cast<std::size_t>(t)];
+  AnsRowDecoder dec(table_, slice, row - slice.first_row, opts_.sym_len);
   index_t acc = -1;
   for (index_t c = 0; c < slice.num_col; ++c) {
-    const std::uint32_t e = table_.entry(x);
-    const int cls = bits::AnsTable::entry_class(e);
-    const int nb = bits::AnsTable::entry_bits(e);
-    const std::uint32_t mantissa = cls > 0 ? rd.next(cls - 1) : 0;
-    const std::uint32_t state_bits = rd.next(nb);
-    x = bits::AnsTable::entry_base(e) + state_bits;
-    if (cls == 0) continue;
-    acc += static_cast<index_t>((1u << (cls - 1)) | mantissa);
+    const std::uint32_t d = dec.next();
+    if (d == bits::kInvalidDelta) continue;
+    acc += static_cast<index_t>(d);
     cols.push_back(acc);
   }
   return cols;
@@ -197,26 +168,17 @@ sparse::Ell BroAns::decompress() const {
 void BroAns::spmv(std::span<const value_t> x, std::span<value_t> y) const {
   BRO_CHECK(x.size() == static_cast<std::size_t>(cols_));
   BRO_CHECK(y.size() == static_cast<std::size_t>(rows_));
-  const int tl = table_.table_log();
   for (const BroAnsSlice& slice : slices_) {
     for (index_t t = 0; t < slice.height; ++t) {
       const index_t r = slice.first_row + t;
       value_t sum = 0;
       if (slice.num_col > 0) {
-        AnsLaneReader rd(slice.groups[static_cast<std::size_t>(t / kAnsLaneGroup)],
-                         t % kAnsLaneGroup, opts_.sym_len);
-        std::uint32_t st =
-            (1u << tl) + slice.init_states[static_cast<std::size_t>(t)];
+        AnsRowDecoder dec(table_, slice, t, opts_.sym_len);
         index_t col = -1;
         for (index_t c = 0; c < slice.num_col; ++c) {
-          const std::uint32_t e = table_.entry(st);
-          const int cls = bits::AnsTable::entry_class(e);
-          const int nb = bits::AnsTable::entry_bits(e);
-          const std::uint32_t mantissa = cls > 0 ? rd.next(cls - 1) : 0;
-          const std::uint32_t state_bits = rd.next(nb);
-          st = bits::AnsTable::entry_base(e) + state_bits;
-          if (cls == 0) continue;
-          col += static_cast<index_t>((1u << (cls - 1)) | mantissa);
+          const std::uint32_t d = dec.next();
+          if (d == bits::kInvalidDelta) continue;
+          col += static_cast<index_t>(d);
           sum += val_at(r, c) * x[static_cast<std::size_t>(col)];
         }
       }

@@ -29,6 +29,7 @@
 
 #include "bits/ans.h"
 #include "bits/mux.h"
+#include "core/bro_ell.h"
 #include "sparse/ell.h"
 
 namespace bro::core {
@@ -67,6 +68,23 @@ struct BroAnsSlice {
   index_t num_col = 0; // symbols decoded per row (0: empty streams)
   std::vector<std::uint16_t> init_states; // height entries, x0 - L
   std::vector<bits::MuxedStream> groups;  // ans_num_groups(height) streams
+};
+
+/// Sequential decoder of one BRO-ANS row: each next() yields the row's
+/// next delta (0 = padding), num_col of them in all. The reference decode
+/// that decode_row, spmv and the .bro ingest share; the SIMD kernels are
+/// fuzzed bitwise against it.
+class AnsRowDecoder {
+ public:
+  AnsRowDecoder(const bits::AnsTable& table, const BroAnsSlice& slice,
+                index_t row_in_slice, int sym_len);
+
+  std::uint32_t next();
+
+ private:
+  const bits::AnsTable* table_;
+  RowStreamDecoder fields_;
+  std::uint32_t state_;
 };
 
 class BroAns {

@@ -325,13 +325,19 @@ std::vector<index_t> BroBcsr::decode_block_row(index_t brow) const {
   const index_t t = brow - slice.first_row;
   RowStreamDecoder dec(slice, t, opts_.sym_len);
   std::vector<index_t> bcols;
-  index_t acc = -1;
+  const std::int64_t block_cols =
+      (static_cast<std::int64_t>(cols_) + bc_ - 1) / bc_;
+  std::int64_t acc = -1;
   for (index_t c = 0; c < slice.num_col; ++c) {
     const std::uint32_t d =
         dec.next(slice.bit_alloc[static_cast<std::size_t>(c)]);
     if (d == bits::kInvalidDelta) continue;
-    acc += static_cast<index_t>(d);
-    bcols.push_back(acc);
+    acc += d;
+    BRO_CHECK_MSG(acc < block_cols, "decoded block column " << acc
+                                                            << " outside [0, "
+                                                            << block_cols
+                                                            << ')');
+    bcols.push_back(static_cast<index_t>(acc));
   }
   return bcols;
 }

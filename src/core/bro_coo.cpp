@@ -5,6 +5,7 @@
 #include "bits/bit_string.h"
 #include "bits/bitwidth.h"
 #include "bits/delta.h"
+#include "core/bro_ell.h"
 #include "util/error.h"
 
 namespace bro::core {
@@ -85,51 +86,33 @@ BroCoo BroCoo::compress(const sparse::Coo& coo, BroCooOptions opts) {
   return out;
 }
 
-std::vector<index_t> BroCoo::decode_rows() const {
-  std::vector<index_t> out(padded_nnz());
-  const int w = opts_.warp_size;
+std::vector<index_t> decode_coo_rows(std::span<const BroCooInterval> intervals,
+                                     const BroCooOptions& opts, index_t rows) {
+  const int w = opts.warp_size;
   const std::size_t interval_size =
-      static_cast<std::size_t>(w) * static_cast<std::size_t>(opts_.interval_cols);
-  for (std::size_t i = 0; i < intervals_.size(); ++i) {
-    const auto& iv = intervals_[i];
+      static_cast<std::size_t>(w) * static_cast<std::size_t>(opts.interval_cols);
+  std::vector<index_t> out(intervals.size() * interval_size);
+  for (std::size_t i = 0; i < intervals.size(); ++i) {
+    const auto& iv = intervals[i];
     for (int j = 0; j < w; ++j) {
-      // Reuse the BRO-ELL row-stream decoder shape: symbols of lane j are at
-      // c*w + j; decode sequentially with the fixed width.
-      std::uint64_t sym = 0;
-      int rb = 0;
-      index_t loads = 0;
-      index_t acc = iv.start_row;
-      const auto load = [&]() {
-        sym = iv.stream.at(static_cast<std::size_t>(loads),
-                           static_cast<std::size_t>(j));
-        ++loads;
-        rb = opts_.sym_len;
-      };
-      const auto take = [&](int q) -> std::uint64_t {
-        if (q <= 0) return 0;
-        const std::uint64_t v =
-            (sym >> (rb - q)) & bits::max_value_for_bits(q);
-        rb -= q;
-        return v;
-      };
-      for (int c = 0; c < opts_.interval_cols; ++c) {
-        std::uint64_t d;
-        if (iv.bits <= rb) {
-          d = take(iv.bits);
-        } else {
-          const int high = rb;
-          d = take(high);
-          load();
-          const int low = iv.bits - high;
-          d = (d << low) | take(low);
-        }
-        acc += static_cast<index_t>(d);
+      // Lane j of the interval is one row stream of the mux (symbol c at
+      // c*w + j), decoded with the interval's single bit width.
+      RowStreamDecoder dec(iv.stream, j, opts.sym_len);
+      std::int64_t acc = iv.start_row;
+      for (int c = 0; c < opts.interval_cols; ++c) {
+        acc += dec.next(iv.bits);
+        BRO_CHECK_MSG(acc >= 0 && acc < rows,
+                      "BRO-COO row " << acc << " outside [0, " << rows << ')');
         out[i * interval_size + static_cast<std::size_t>(c) * w +
-            static_cast<std::size_t>(j)] = acc;
+            static_cast<std::size_t>(j)] = static_cast<index_t>(acc);
       }
     }
   }
   return out;
+}
+
+std::vector<index_t> BroCoo::decode_rows() const {
+  return decode_coo_rows(intervals_, opts_, rows_);
 }
 
 void BroCoo::spmv_accumulate(std::span<const value_t> x,

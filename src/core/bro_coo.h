@@ -36,6 +36,14 @@ struct BroCooInterval {
   bits::MuxedStream stream;
 };
 
+/// Decode the row index of every entry the intervals hold, padding
+/// included, in stream order (interval i, lane j, position c -> entry
+/// i*warp_size*interval_cols + c*warp_size + j). Throws std::runtime_error
+/// when a decoded row falls outside [0, rows) or a lane overruns its
+/// stream, so a corrupt interval cannot index past the caller's arrays.
+std::vector<index_t> decode_coo_rows(std::span<const BroCooInterval> intervals,
+                                     const BroCooOptions& opts, index_t rows);
+
 class BroCoo {
  public:
   /// Offline compression. Requires canonical (row-sorted) COO.

@@ -41,12 +41,13 @@ std::vector<index_t> BroCsr::decode_row(index_t r) const {
   cols.reserve(static_cast<std::size_t>(len));
   std::size_t bit_pos = static_cast<std::size_t>(sym_ptr_[static_cast<std::size_t>(r)]) *
                         static_cast<std::size_t>(opts_.sym_len);
-  index_t acc = -1;
+  std::int64_t acc = -1;
   for (index_t j = 0; j < len; ++j) {
-    const auto d = stream_.peek(bit_pos, b);
+    acc += static_cast<std::int64_t>(stream_.peek(bit_pos, b));
     bit_pos += static_cast<std::size_t>(b);
-    acc += static_cast<index_t>(d);
-    cols.push_back(acc);
+    BRO_CHECK_MSG(acc < cols_, "decoded column " << acc << " outside [0, "
+                                                 << cols_ << ')');
+    cols.push_back(static_cast<index_t>(acc));
   }
   return cols;
 }

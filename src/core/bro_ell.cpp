@@ -16,9 +16,9 @@ std::uint64_t field_mask(int sym_len) {
 
 } // namespace
 
-RowStreamDecoder::RowStreamDecoder(const BroEllSlice& slice,
-                                   index_t row_in_slice, int sym_len)
-    : slice_(&slice), row_(row_in_slice), sym_len_(sym_len) {}
+RowStreamDecoder::RowStreamDecoder(const bits::MuxedStream& stream,
+                                   index_t row, int sym_len)
+    : stream_(&stream), row_(row), sym_len_(sym_len) {}
 
 std::uint32_t RowStreamDecoder::next(int b) {
   // Top-of-register extraction: sym[0:q] of Algorithm 1.
@@ -45,8 +45,12 @@ std::uint32_t RowStreamDecoder::next(int b) {
     // symbol (high part came from the old buffer).
     decoded = take(rb_);
     const int b2 = b - rb_;
-    sym_ = slice_->stream.at(static_cast<std::size_t>(loads_),
-                             static_cast<std::size_t>(row_)) &
+    BRO_CHECK_MSG(static_cast<std::size_t>(loads_) <
+                      stream_->symbols_per_row(),
+                  "row stream overruns its " << stream_->symbols_per_row()
+                                             << " symbols");
+    sym_ = stream_->at(static_cast<std::size_t>(loads_),
+                       static_cast<std::size_t>(row_)) &
            field_mask(sym_len_);
     ++loads_;
     decoded = (decoded << b2) | ((b2 > 0) ? ((sym_ >> (sym_len_ - b2)) &

@@ -95,9 +95,15 @@ class BroEll {
 /// row stream. Exposed so both the native SpMV and the GPU-simulator kernel
 /// share one decode definition; `needs_load()` tells the caller (and the
 /// simulator's traffic model) when the next sym_len-bit symbol is consumed.
+/// Any multiplexed stream decodes through it: a BRO-ELL slice row, a BRO-ANS
+/// lane-group lane or a BRO-COO interval lane. A decode that would load
+/// past the row's symbols throws std::runtime_error instead of reading out
+/// of bounds.
 class RowStreamDecoder {
  public:
-  RowStreamDecoder(const BroEllSlice& slice, index_t row_in_slice, int sym_len);
+  RowStreamDecoder(const bits::MuxedStream& stream, index_t row, int sym_len);
+  RowStreamDecoder(const BroEllSlice& slice, index_t row_in_slice, int sym_len)
+      : RowStreamDecoder(slice.stream, row_in_slice, sym_len) {}
 
   /// True if decoding the next value will consume a symbol from the stream.
   bool needs_load(int b) const { return b > rb_; }
@@ -109,7 +115,7 @@ class RowStreamDecoder {
   index_t symbols_loaded() const { return loads_; }
 
  private:
-  const BroEllSlice* slice_;
+  const bits::MuxedStream* stream_;
   index_t row_;
   int sym_len_;
   std::uint64_t sym_ = 0; // buffer, left-aligned in sym_len bits

@@ -20,8 +20,8 @@ Matrix Matrix::from_csr(sparse::Csr csr, MatrixOptions opts) {
   return Matrix(std::move(csr), opts);
 }
 
-Matrix Matrix::from_coo(const sparse::Coo& coo, MatrixOptions opts) {
-  return Matrix(sparse::coo_to_csr(coo), opts);
+Matrix Matrix::from_coo(sparse::Coo coo, MatrixOptions opts) {
+  return Matrix(sparse::coo_to_csr(std::move(coo)), opts);
 }
 
 Matrix Matrix::from_file(const std::string& mtx_path, MatrixOptions opts) {

@@ -60,7 +60,7 @@ struct MatrixOptions {
 class Matrix {
  public:
   static Matrix from_csr(sparse::Csr csr, MatrixOptions opts = {});
-  static Matrix from_coo(const sparse::Coo& coo, MatrixOptions opts = {});
+  static Matrix from_coo(sparse::Coo coo, MatrixOptions opts = {});
   static Matrix from_file(const std::string& mtx_path,
                           MatrixOptions opts = {});
 

@@ -1,11 +1,14 @@
 #include "core/serialize.h"
 
+#include <algorithm>
+#include <cstring>
 #include <fstream>
 #include <istream>
+#include <iterator>
 #include <ostream>
 
-#include "sparse/convert.h"
-#include "sparse/coo.h"
+#include "bits/delta.h"
+#include "util/bytes.h"
 #include "util/error.h"
 
 namespace bro::core {
@@ -109,6 +112,7 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x53'4F'52'42; // "BROS" little-endian
 constexpr std::uint32_t kVersion = 1;
+constexpr std::size_t kHeaderBytes = 4 + 4 + 1;
 
 enum class Tag : std::uint8_t {
   kBroEll = 1,
@@ -119,18 +123,12 @@ enum class Tag : std::uint8_t {
   kBroBcsr = 6,
 };
 
+// ---------------------------------------------------------------------------
+// Writers.
+
 template <typename T>
 void write_pod(std::ostream& out, const T& v) {
   out.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-T read_pod(std::istream& in) {
-  T v{};
-  in.read(reinterpret_cast<char*>(&v), sizeof(T));
-  BRO_CHECK_MSG(in.good(), "truncated stream while reading "
-                               << sizeof(T) << "-byte field");
-  return v;
 }
 
 template <typename T>
@@ -141,36 +139,10 @@ void write_vec(std::ostream& out, const std::vector<T>& v) {
               static_cast<std::streamsize>(v.size() * sizeof(T)));
 }
 
-template <typename T>
-std::vector<T> read_vec(std::istream& in, std::uint64_t sanity_max) {
-  const auto n = read_pod<std::uint64_t>(in);
-  BRO_CHECK_MSG(n <= sanity_max, "implausible element count " << n);
-  std::vector<T> v(n);
-  if (n > 0) {
-    in.read(reinterpret_cast<char*>(v.data()),
-            static_cast<std::streamsize>(n * sizeof(T)));
-    BRO_CHECK_MSG(in.good(), "truncated stream while reading array");
-  }
-  return v;
-}
-
-// Generous bound for corrupted-size detection (1 G elements).
-constexpr std::uint64_t kSane = 1ull << 30;
-
 void write_header(std::ostream& out, Tag tag) {
   write_pod(out, kMagic);
   write_pod(out, kVersion);
   write_pod(out, static_cast<std::uint8_t>(tag));
-}
-
-void read_header(std::istream& in, Tag expected) {
-  BRO_CHECK_MSG(read_pod<std::uint32_t>(in) == kMagic,
-                "not a BRO serialized stream (bad magic)");
-  BRO_CHECK_MSG(read_pod<std::uint32_t>(in) == kVersion,
-                "unsupported BRO stream version");
-  const auto tag = read_pod<std::uint8_t>(in);
-  BRO_CHECK_MSG(tag == static_cast<std::uint8_t>(expected),
-                "stream holds a different format (tag " << int(tag) << ')');
 }
 
 void write_mux(std::ostream& out, const bits::MuxedStream& s) {
@@ -181,16 +153,13 @@ void write_mux(std::ostream& out, const bits::MuxedStream& s) {
     write_pod<std::uint64_t>(out, s[i]);
 }
 
-bits::MuxedStream read_mux(std::istream& in) {
-  const auto sym_len = read_pod<std::int32_t>(in);
-  const auto height = read_pod<std::uint64_t>(in);
-  const auto spr = read_pod<std::uint64_t>(in);
-  BRO_CHECK_MSG(height <= kSane && spr <= kSane && height * spr <= kSane,
-                "implausible stream dimensions");
-  bits::MuxedStream s(sym_len, height, spr);
-  for (std::size_t i = 0; i < s.total_symbols(); ++i)
-    s.set_slot(i, read_pod<std::uint64_t>(in));
-  return s;
+void write_ell_slice(std::ostream& out, const BroEllSlice& s) {
+  write_pod(out, s.first_row);
+  write_pod(out, s.height);
+  write_pod(out, s.num_col);
+  write_pod<std::int32_t>(out, s.pad_bits);
+  write_vec(out, s.bit_alloc);
+  write_mux(out, s.stream);
 }
 
 void write_ell_body(std::ostream& out, const BroEll& m) {
@@ -200,39 +169,8 @@ void write_ell_body(std::ostream& out, const BroEll& m) {
   write_pod<std::int32_t>(out, m.options().slice_height);
   write_pod<std::int32_t>(out, m.options().sym_len);
   write_pod<std::uint64_t>(out, m.slices().size());
-  for (const BroEllSlice& s : m.slices()) {
-    write_pod(out, s.first_row);
-    write_pod(out, s.height);
-    write_pod(out, s.num_col);
-    write_pod<std::int32_t>(out, s.pad_bits);
-    write_vec(out, s.bit_alloc);
-    write_mux(out, s.stream);
-  }
+  for (const BroEllSlice& s : m.slices()) write_ell_slice(out, s);
   write_vec(out, m.vals());
-}
-
-BroEll read_ell_body(std::istream& in) {
-  const auto rows = read_pod<index_t>(in);
-  const auto cols = read_pod<index_t>(in);
-  const auto width = read_pod<index_t>(in);
-  BroEllOptions opts;
-  opts.slice_height = read_pod<std::int32_t>(in);
-  opts.sym_len = read_pod<std::int32_t>(in);
-  BRO_CHECK_MSG(opts.sym_len == 32 || opts.sym_len == 64, "corrupt sym_len");
-  const auto n = read_pod<std::uint64_t>(in);
-  BRO_CHECK_MSG(n <= kSane, "implausible slice count");
-  std::vector<BroEllSlice> slices(n);
-  for (auto& s : slices) {
-    s.first_row = read_pod<index_t>(in);
-    s.height = read_pod<index_t>(in);
-    s.num_col = read_pod<index_t>(in);
-    s.pad_bits = read_pod<std::int32_t>(in);
-    s.bit_alloc = read_vec<std::uint8_t>(in, kSane);
-    s.stream = read_mux(in);
-  }
-  auto vals = read_vec<value_t>(in, kSane);
-  return SerializeAccess::make_ell(rows, cols, width, opts, std::move(slices),
-                                   std::move(vals));
 }
 
 void write_ans_body(std::ostream& out, const BroAns& m) {
@@ -261,41 +199,6 @@ void write_ans_body(std::ostream& out, const BroAns& m) {
   write_vec(out, m.vals());
 }
 
-BroAns read_ans_body(std::istream& in) {
-  const auto rows = read_pod<index_t>(in);
-  const auto cols = read_pod<index_t>(in);
-  const auto width = read_pod<index_t>(in);
-  BroAnsOptions opts;
-  opts.slice_height = read_pod<std::int32_t>(in);
-  opts.sym_len = read_pod<std::int32_t>(in);
-  opts.table_log = read_pod<std::int32_t>(in);
-  BRO_CHECK_MSG(opts.sym_len == 32 || opts.sym_len == 64, "corrupt sym_len");
-  const auto layout = read_pod<std::uint32_t>(in);
-  BRO_CHECK_MSG(layout == 2, "unsupported BRO-ANS payload layout "
-                                 << layout
-                                 << " (this build reads layout 2 only)");
-  auto freqs = read_vec<std::uint16_t>(in, kSane);
-  // from_freqs validates table_log range, table size and frequency sum.
-  bits::AnsTable table =
-      bits::AnsTable::from_freqs(std::move(freqs), opts.table_log);
-  const auto n = read_pod<std::uint64_t>(in);
-  BRO_CHECK_MSG(n <= kSane, "implausible slice count");
-  std::vector<BroAnsSlice> slices(n);
-  for (auto& s : slices) {
-    s.first_row = read_pod<index_t>(in);
-    s.height = read_pod<index_t>(in);
-    s.num_col = read_pod<index_t>(in);
-    s.init_states = read_vec<std::uint16_t>(in, kSane);
-    const auto ng = read_pod<std::uint64_t>(in);
-    BRO_CHECK_MSG(ng <= kSane, "implausible lane-group count");
-    s.groups.resize(ng);
-    for (auto& g : s.groups) g = read_mux(in);
-  }
-  auto vals = read_vec<value_t>(in, kSane);
-  return SerializeAccess::make_ans(rows, cols, width, opts, std::move(table),
-                                   std::move(slices), std::move(vals));
-}
-
 void write_coo_body(std::ostream& out, const BroCoo& m) {
   write_pod(out, m.rows());
   write_pod(out, m.cols());
@@ -313,28 +216,6 @@ void write_coo_body(std::ostream& out, const BroCoo& m) {
   write_vec(out, m.vals());
 }
 
-BroCoo read_coo_body(std::istream& in) {
-  const auto rows = read_pod<index_t>(in);
-  const auto cols = read_pod<index_t>(in);
-  const auto nnz = read_pod<std::uint64_t>(in);
-  BroCooOptions opts;
-  opts.warp_size = read_pod<std::int32_t>(in);
-  opts.interval_cols = read_pod<std::int32_t>(in);
-  opts.sym_len = read_pod<std::int32_t>(in);
-  const auto n = read_pod<std::uint64_t>(in);
-  BRO_CHECK_MSG(n <= kSane, "implausible interval count");
-  std::vector<BroCooInterval> intervals(n);
-  for (auto& iv : intervals) {
-    iv.start_row = read_pod<index_t>(in);
-    iv.bits = read_pod<std::int32_t>(in);
-    iv.stream = read_mux(in);
-  }
-  auto col_idx = read_vec<index_t>(in, kSane);
-  auto vals = read_vec<value_t>(in, kSane);
-  return SerializeAccess::make_coo(rows, cols, nnz, opts, std::move(intervals),
-                                   std::move(col_idx), std::move(vals));
-}
-
 void write_bcsr_body(std::ostream& out, const BroBcsr& m) {
   write_pod(out, m.rows());
   write_pod(out, m.cols());
@@ -348,109 +229,60 @@ void write_bcsr_body(std::ostream& out, const BroBcsr& m) {
   write_pod<std::int32_t>(out, m.options().sym_len);
   write_pod<double>(out, m.options().min_fill);
   write_pod<std::uint64_t>(out, m.slices().size());
-  for (const BroEllSlice& s : m.slices()) {
-    write_pod(out, s.first_row);
-    write_pod(out, s.height);
-    write_pod(out, s.num_col);
-    write_pod<std::int32_t>(out, s.pad_bits);
-    write_vec(out, s.bit_alloc);
-    write_mux(out, s.stream);
-  }
+  for (const BroEllSlice& s : m.slices()) write_ell_slice(out, s);
   std::vector<value_t> vals(m.vals().begin(), m.vals().end());
   write_vec(out, vals);
 }
 
-BroBcsr read_bcsr_body(std::istream& in) {
-  const auto rows = read_pod<index_t>(in);
-  const auto cols = read_pod<index_t>(in);
-  const auto br = read_pod<std::int32_t>(in);
-  const auto bc = read_pod<std::int32_t>(in);
-  BRO_CHECK_MSG(br >= 1 && br <= 8 && (bc == 1 || bc == 2 || bc == 4 || bc == 8),
-                "corrupt BRO-BCSR block shape " << br << 'x' << bc);
-  const auto ell_width = read_pod<index_t>(in);
-  const auto nnz = read_pod<std::uint64_t>(in);
-  BroBcsrOptions opts;
-  opts.block_rows = read_pod<std::int32_t>(in);
-  opts.block_cols = read_pod<std::int32_t>(in);
-  opts.slice_height = read_pod<std::int32_t>(in);
-  opts.sym_len = read_pod<std::int32_t>(in);
-  opts.min_fill = read_pod<double>(in);
-  BRO_CHECK_MSG(opts.sym_len == 32 || opts.sym_len == 64, "corrupt sym_len");
-  BRO_CHECK_MSG(opts.slice_height > 0, "corrupt slice_height");
-  const auto n = read_pod<std::uint64_t>(in);
-  BRO_CHECK_MSG(n <= kSane, "implausible slice count");
-  std::vector<BroEllSlice> slices(n);
-  std::vector<std::size_t> val_off;
-  val_off.reserve(n);
-  std::size_t slots = 0;
-  const auto tile = static_cast<std::size_t>(br) * static_cast<std::size_t>(bc);
-  for (auto& s : slices) {
-    s.first_row = read_pod<index_t>(in);
-    s.height = read_pod<index_t>(in);
-    s.num_col = read_pod<index_t>(in);
-    s.pad_bits = read_pod<std::int32_t>(in);
-    s.bit_alloc = read_vec<std::uint8_t>(in, kSane);
-    BRO_CHECK_MSG(s.height >= 0 && s.num_col >= 0 &&
-                      s.bit_alloc.size() ==
-                          static_cast<std::size_t>(s.num_col),
-                  "corrupt BRO-BCSR slice header");
-    s.stream = read_mux(in);
-    val_off.push_back(slots);
-    slots += static_cast<std::size_t>(s.height) *
-             static_cast<std::size_t>(s.num_col) * tile;
+// ---------------------------------------------------------------------------
+// The reader: one bounds-checked ByteReader cursor over the stream bytes.
+// Every element count is checked against the bytes left before it sizes an
+// allocation (ByteReader::get_count), with the minimum wire size of one
+// element as the divisor.
+
+/// Wire bytes of a mux header (sym_len, height, symbols_per_row); a mux
+/// occupies at least this much even with no slots.
+constexpr std::size_t kMuxHeaderBytes = 4 + 8 + 8;
+/// An ELL-style slice at its smallest: four i32 fields, an empty bit_alloc
+/// and an empty mux.
+constexpr std::size_t kMinEllSliceBytes = 4 * 4 + 8 + kMuxHeaderBytes;
+/// A BRO-ANS slice at its smallest: three i32 fields, an empty init_states
+/// array and a zero lane-group count.
+constexpr std::size_t kMinAnsSliceBytes = 3 * 4 + 8 + 8;
+/// A BRO-COO interval at its smallest: two i32 fields and an empty mux.
+constexpr std::size_t kMinCooIntervalBytes = 2 * 4 + kMuxHeaderBytes;
+
+/// A counted array left in place in the input: the ingest path reads value
+/// and column arrays straight out of the stream bytes instead of copying
+/// them into vectors first.
+template <typename T>
+class ArrayView {
+ public:
+  ArrayView() = default;
+  explicit ArrayView(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
+
+  std::size_t size() const { return bytes_.size() / sizeof(T); }
+  T operator[](std::size_t i) const {
+    T v;
+    std::memcpy(&v, bytes_.data() + i * sizeof(T), sizeof(T));
+    return v;
   }
-  auto vals = read_vec<value_t>(in, kSane);
-  BRO_CHECK_MSG(vals.size() == slots,
-                "BRO-BCSR value array size mismatches its slices");
-  return SerializeAccess::make_bcsr(rows, cols, br, bc, ell_width, nnz, opts,
-                                    std::move(slices), std::move(val_off),
-                                    std::move(vals));
+  std::vector<T> to_vector() const {
+    std::vector<T> v(size());
+    if (!v.empty()) std::memcpy(v.data(), bytes_.data(), bytes_.size());
+    return v;
+  }
+
+ private:
+  std::span<const std::uint8_t> bytes_;
+};
+
+template <typename T>
+ArrayView<T> read_view(ByteReader& in) {
+  return ArrayView<T>(in.get_array_bytes<T>());
 }
 
-/// The real (unpadded) entries of a BRO-COO as canonical COO triples. The
-/// stream enumerates entries in original row-sorted order (lane j of 2-D
-/// position c owns entry base + c*warp_size + j), so the first nnz decoded
-/// coordinates are exactly the source entries.
-void append_bro_coo_entries(const BroCoo& coo, sparse::Coo& out) {
-  const auto rows = coo.decode_rows();
-  for (std::size_t i = 0; i < coo.nnz(); ++i)
-    out.push(rows[i], coo.col_idx()[i], coo.vals()[i]);
-}
-
-sparse::Csr csr_from_bro_coo(const BroCoo& m) {
-  sparse::Coo coo;
-  coo.rows = m.rows();
-  coo.cols = m.cols();
-  coo.reserve(m.nnz());
-  append_bro_coo_entries(m, coo);
-  return sparse::coo_to_csr(coo);
-}
-
-sparse::Csr csr_from_bro_hyb(const BroHyb& m) {
-  // Merge both parts through one COO: the split is by row width, so the
-  // parts never hold duplicate coordinates and coo_to_csr just re-sorts.
-  sparse::Coo coo;
-  coo.rows = m.rows();
-  coo.cols = m.cols();
-  coo.reserve(m.total_nnz());
-  const sparse::Csr ell_csr = sparse::ell_to_csr(m.ell_part().decompress());
-  for (index_t r = 0; r < ell_csr.rows; ++r)
-    for (index_t k = ell_csr.row_ptr[static_cast<std::size_t>(r)];
-         k < ell_csr.row_ptr[static_cast<std::size_t>(r) + 1]; ++k)
-      coo.push(r, ell_csr.col_idx[static_cast<std::size_t>(k)],
-               ell_csr.vals[static_cast<std::size_t>(k)]);
-  append_bro_coo_entries(m.coo_part(), coo);
-  return sparse::coo_to_csr(coo);
-}
-
-} // namespace
-
-Format peek_bro_format(std::istream& in) {
-  BRO_CHECK_MSG(read_pod<std::uint32_t>(in) == kMagic,
-                "not a BRO serialized stream (bad magic)");
-  BRO_CHECK_MSG(read_pod<std::uint32_t>(in) == kVersion,
-                "unsupported BRO stream version");
-  const auto tag = read_pod<std::uint8_t>(in);
+Format format_of(std::uint8_t tag) {
   switch (static_cast<Tag>(tag)) {
     case Tag::kBroEll: return Format::kBroEll;
     case Tag::kBroCoo: return Format::kBroCoo;
@@ -463,14 +295,628 @@ Format peek_bro_format(std::istream& in) {
   return Format::kBroHyb; // unreachable
 }
 
+Format read_header(ByteReader& in) {
+  BRO_CHECK_MSG(in.get<std::uint32_t>() == kMagic,
+                "not a BRO serialized stream (bad magic)");
+  BRO_CHECK_MSG(in.get<std::uint32_t>() == kVersion,
+                "unsupported BRO stream version");
+  return format_of(in.get<std::uint8_t>());
+}
+
+void expect_header(ByteReader& in, Format expected) {
+  const Format f = read_header(in);
+  BRO_CHECK_MSG(f == expected, "stream holds a different format (tag "
+                                   << static_cast<int>(f) << ')');
+}
+
+bits::MuxedStream read_mux(ByteReader& in) {
+  const auto sym_len = in.get<std::int32_t>();
+  BRO_CHECK_MSG(sym_len == 32 || sym_len == 64,
+                "corrupt stream sym_len " << sym_len);
+  const auto height = in.get<std::uint64_t>();
+  const auto spr = in.get<std::uint64_t>();
+  // Every slot is a u64 on the wire, so height x symbols_per_row is bounded
+  // by the bytes left before the stream is sized.
+  const std::uint64_t slots_left = in.remaining() / sizeof(std::uint64_t);
+  BRO_CHECK_MSG(height <= slots_left && spr <= ByteReader::kSaneCount &&
+                    (height == 0 || spr <= slots_left / height),
+                "implausible stream dimensions " << height << " x " << spr
+                                                 << " with "
+                                                 << in.remaining()
+                                                 << " bytes left");
+  const std::size_t n = static_cast<std::size_t>(height * spr);
+  return bits::MuxedStream::from_u64_slots(
+      sym_len, static_cast<std::size_t>(height), static_cast<std::size_t>(spr),
+      in.get_span(n * sizeof(std::uint64_t)));
+}
+
+std::vector<BroEllSlice> read_ell_slices(ByteReader& in) {
+  std::vector<BroEllSlice> slices(in.get_count(kMinEllSliceBytes));
+  for (auto& s : slices) {
+    s.first_row = in.get<index_t>();
+    s.height = in.get<index_t>();
+    s.num_col = in.get<index_t>();
+    s.pad_bits = in.get<std::int32_t>();
+    s.bit_alloc = in.get_array<std::uint8_t>();
+    s.stream = read_mux(in);
+  }
+  return slices;
+}
+
+struct EllBody {
+  index_t rows = 0, cols = 0, width = 0;
+  BroEllOptions opts;
+  std::vector<BroEllSlice> slices;
+  ArrayView<value_t> vals;
+};
+
+EllBody read_ell_body(ByteReader& in) {
+  EllBody b;
+  b.rows = in.get<index_t>();
+  b.cols = in.get<index_t>();
+  b.width = in.get<index_t>();
+  b.opts.slice_height = in.get<std::int32_t>();
+  b.opts.sym_len = in.get<std::int32_t>();
+  BRO_CHECK_MSG(b.opts.sym_len == 32 || b.opts.sym_len == 64,
+                "corrupt sym_len");
+  b.slices = read_ell_slices(in);
+  b.vals = read_view<value_t>(in);
+  return b;
+}
+
+struct AnsBody {
+  index_t rows = 0, cols = 0, width = 0;
+  BroAnsOptions opts;
+  bits::AnsTable table;
+  std::vector<BroAnsSlice> slices;
+  ArrayView<value_t> vals;
+};
+
+AnsBody read_ans_body(ByteReader& in) {
+  AnsBody b;
+  b.rows = in.get<index_t>();
+  b.cols = in.get<index_t>();
+  b.width = in.get<index_t>();
+  b.opts.slice_height = in.get<std::int32_t>();
+  b.opts.sym_len = in.get<std::int32_t>();
+  b.opts.table_log = in.get<std::int32_t>();
+  BRO_CHECK_MSG(b.opts.sym_len == 32 || b.opts.sym_len == 64,
+                "corrupt sym_len");
+  const auto layout = in.get<std::uint32_t>();
+  BRO_CHECK_MSG(layout == 2, "unsupported BRO-ANS payload layout "
+                                 << layout
+                                 << " (this build reads layout 2 only)");
+  // from_freqs validates table_log range, table size and frequency sum.
+  b.table = bits::AnsTable::from_freqs(in.get_array<std::uint16_t>(),
+                                       b.opts.table_log);
+  b.slices.resize(in.get_count(kMinAnsSliceBytes));
+  for (auto& s : b.slices) {
+    s.first_row = in.get<index_t>();
+    s.height = in.get<index_t>();
+    s.num_col = in.get<index_t>();
+    s.init_states = in.get_array<std::uint16_t>();
+    s.groups.resize(in.get_count(kMuxHeaderBytes));
+    for (auto& g : s.groups) g = read_mux(in);
+  }
+  b.vals = read_view<value_t>(in);
+  return b;
+}
+
+struct CooBody {
+  index_t rows = 0, cols = 0;
+  std::uint64_t nnz = 0;
+  BroCooOptions opts;
+  std::vector<BroCooInterval> intervals;
+  ArrayView<index_t> col_idx;
+  ArrayView<value_t> vals;
+};
+
+CooBody read_coo_body(ByteReader& in) {
+  CooBody b;
+  b.rows = in.get<index_t>();
+  b.cols = in.get<index_t>();
+  b.nnz = in.get<std::uint64_t>();
+  b.opts.warp_size = in.get<std::int32_t>();
+  b.opts.interval_cols = in.get<std::int32_t>();
+  b.opts.sym_len = in.get<std::int32_t>();
+  b.intervals.resize(in.get_count(kMinCooIntervalBytes));
+  for (auto& iv : b.intervals) {
+    iv.start_row = in.get<index_t>();
+    iv.bits = in.get<std::int32_t>();
+    iv.stream = read_mux(in);
+  }
+  b.col_idx = read_view<index_t>(in);
+  b.vals = read_view<value_t>(in);
+  return b;
+}
+
+struct HybBody {
+  index_t rows = 0, cols = 0, split_width = 0;
+  std::uint64_t ell_nnz = 0;
+  EllBody ell;
+  CooBody coo;
+};
+
+HybBody read_hyb_body(ByteReader& in) {
+  HybBody b;
+  b.rows = in.get<index_t>();
+  b.cols = in.get<index_t>();
+  b.split_width = in.get<index_t>();
+  b.ell_nnz = in.get<std::uint64_t>();
+  b.ell = read_ell_body(in);
+  b.coo = read_coo_body(in);
+  return b;
+}
+
+BroEll make_ell(EllBody b) {
+  return SerializeAccess::make_ell(b.rows, b.cols, b.width, b.opts,
+                                   std::move(b.slices), b.vals.to_vector());
+}
+
+BroCoo make_coo(CooBody b) {
+  return SerializeAccess::make_coo(b.rows, b.cols,
+                                   static_cast<std::size_t>(b.nnz), b.opts,
+                                   std::move(b.intervals),
+                                   b.col_idx.to_vector(), b.vals.to_vector());
+}
+
+BroAns read_ans(ByteReader& in) {
+  AnsBody b = read_ans_body(in);
+  return SerializeAccess::make_ans(b.rows, b.cols, b.width, b.opts,
+                                   std::move(b.table), std::move(b.slices),
+                                   b.vals.to_vector());
+}
+
+BroHyb read_hyb(ByteReader& in) {
+  HybBody b = read_hyb_body(in);
+  return SerializeAccess::make_hyb(b.rows, b.cols, b.split_width,
+                                   static_cast<std::size_t>(b.ell_nnz),
+                                   make_ell(std::move(b.ell)),
+                                   make_coo(std::move(b.coo)));
+}
+
+BroCsr read_csr(ByteReader& in) {
+  const auto rows = in.get<index_t>();
+  const auto cols = in.get<index_t>();
+  BroCsrOptions opts;
+  opts.sym_len = in.get<std::int32_t>();
+  auto row_ptr = in.get_array<index_t>();
+  auto bits_v = in.get_array<std::uint8_t>();
+  auto sym_ptr = in.get_array<std::uint32_t>();
+  auto vals = in.get_array<value_t>();
+  const auto size_bits = in.get<std::uint64_t>();
+  auto words = in.get_array<std::uint64_t>();
+  return SerializeAccess::make_csr(
+      rows, cols, opts, std::move(row_ptr), std::move(bits_v),
+      std::move(sym_ptr), std::move(vals),
+      bits::BitString::from_words(std::move(words), size_bits));
+}
+
+BroBcsr read_bcsr(ByteReader& in) {
+  const auto rows = in.get<index_t>();
+  const auto cols = in.get<index_t>();
+  const auto br = in.get<std::int32_t>();
+  const auto bc = in.get<std::int32_t>();
+  BRO_CHECK_MSG(br >= 1 && br <= 8 && (bc == 1 || bc == 2 || bc == 4 || bc == 8),
+                "corrupt BRO-BCSR block shape " << br << 'x' << bc);
+  const auto ell_width = in.get<index_t>();
+  const auto nnz = in.get<std::uint64_t>();
+  BroBcsrOptions opts;
+  opts.block_rows = in.get<std::int32_t>();
+  opts.block_cols = in.get<std::int32_t>();
+  opts.slice_height = in.get<std::int32_t>();
+  opts.sym_len = in.get<std::int32_t>();
+  opts.min_fill = in.get<double>();
+  BRO_CHECK_MSG(opts.sym_len == 32 || opts.sym_len == 64, "corrupt sym_len");
+  BRO_CHECK_MSG(opts.slice_height > 0, "corrupt slice_height");
+  std::vector<BroEllSlice> slices = read_ell_slices(in);
+  std::vector<std::size_t> val_off;
+  val_off.reserve(slices.size());
+  std::size_t slots = 0;
+  const auto tile = static_cast<std::size_t>(br) * static_cast<std::size_t>(bc);
+  for (const auto& s : slices) {
+    BRO_CHECK_MSG(s.height >= 0 && s.num_col >= 0 &&
+                      s.bit_alloc.size() ==
+                          static_cast<std::size_t>(s.num_col),
+                  "corrupt BRO-BCSR slice header");
+    val_off.push_back(slots);
+    slots += static_cast<std::size_t>(s.height) *
+             static_cast<std::size_t>(s.num_col) * tile;
+  }
+  auto vals = in.get_array<value_t>();
+  BRO_CHECK_MSG(vals.size() == slots,
+                "BRO-BCSR value array size mismatches its slices");
+  return SerializeAccess::make_bcsr(rows, cols, br, bc, ell_width, nnz, opts,
+                                    std::move(slices), std::move(val_off),
+                                    std::move(vals));
+}
+
+// ---------------------------------------------------------------------------
+// Ingest: stream bytes straight to canonical CSR, one row at a time, with
+// no padded ELL, intermediate COO or sort in between. Each check below
+// guards an index the row decoders would otherwise take on trust.
+
+/// Slices must tile `rows` exactly as the writers lay them out: slice s
+/// holds rows [s*h, min((s+1)*h, rows)).
+template <typename Slice>
+void check_tiling(const std::vector<Slice>& slices, index_t rows, int h,
+                  const char* what) {
+  BRO_CHECK_MSG(rows >= 0 && h > 0, "corrupt " << what << " dimensions");
+  BRO_CHECK_MSG(slices.size() == (static_cast<std::size_t>(rows) +
+                                  static_cast<std::size_t>(h) - 1) /
+                                     static_cast<std::size_t>(h),
+                what << " slice count mismatches its rows");
+  for (std::size_t si = 0; si < slices.size(); ++si) {
+    const std::int64_t first = static_cast<std::int64_t>(si) * h;
+    BRO_CHECK_MSG(slices[si].first_row == first &&
+                      slices[si].height ==
+                          std::min<std::int64_t>(h, rows - first) &&
+                      slices[si].num_col >= 0,
+                  what << " slice " << si << " does not tile the rows");
+  }
+}
+
+/// An ELL-style slice's stream has one lane per slice row and a bit width
+/// in [1, 32] per slice column.
+void check_ell_slice(const BroEllSlice& s, int sym_len, const char* what) {
+  BRO_CHECK_MSG(s.bit_alloc.size() == static_cast<std::size_t>(s.num_col),
+                "corrupt " << what << " slice header");
+  for (const std::uint8_t b : s.bit_alloc)
+    BRO_CHECK_MSG(b >= 1 && b <= 32, "corrupt " << what << " bit width "
+                                                << int(b));
+  BRO_CHECK_MSG(s.stream.sym_len() == sym_len &&
+                    s.stream.height() == static_cast<std::size_t>(s.height),
+                what << " stream shape mismatches its slice");
+}
+
+/// Dimensions and the column-major value array of an ELL-style body.
+void check_ell_values(index_t rows, index_t cols, index_t width,
+                      std::size_t nvals, const char* what) {
+  BRO_CHECK_MSG(rows >= 0 && cols >= 0 && width >= 0,
+                "corrupt " << what << " dimensions");
+  BRO_CHECK_MSG(nvals == static_cast<std::size_t>(rows) *
+                             static_cast<std::size_t>(width),
+                what << " value array size mismatches rows x width");
+}
+
+/// Append one decoded row: `next(c)` yields the delta of slot c (0 =
+/// padding) and `value(c)` the value stored in that slot; returns the
+/// entries appended. Padding must be a suffix. The format's own SpMV pairs
+/// value slot c with stream position c, so a real delta after a padding one
+/// would decode to a CSR whose product differs from the format's; no writer
+/// emits one, and the row is rejected.
+template <typename NextDelta, typename SlotValue>
+index_t append_row(sparse::CsrBuilder& out, index_t cols, index_t num_col,
+                   NextDelta&& next, SlotValue&& value) {
+  std::int64_t col = -1;
+  index_t c = 0;
+  for (; c < num_col; ++c) {
+    const std::uint32_t d = next(c);
+    if (d == bits::kInvalidDelta) break;
+    col += d;
+    BRO_CHECK_MSG(col < cols,
+                  "decoded column " << col << " outside [0, " << cols << ')');
+    out.push(static_cast<index_t>(col), value(c));
+  }
+  const index_t entries = c;
+  for (++c; c < num_col; ++c)
+    BRO_CHECK_MSG(next(c) == bits::kInvalidDelta,
+                  "row stream holds a real delta after padding");
+  return entries;
+}
+
+/// The rows of a BRO-ELL body, decoded with RowStreamDecoder.
+class EllRows {
+ public:
+  explicit EllRows(const EllBody& b) : b_(b) {
+    check_ell_values(b.rows, b.cols, b.width, b.vals.size(), "BRO-ELL");
+    check_tiling(b.slices, b.rows, b.opts.slice_height, "BRO-ELL");
+    for (const auto& s : b.slices) {
+      check_ell_slice(s, b.opts.sym_len, "BRO-ELL");
+      BRO_CHECK_MSG(s.num_col <= b.width, "BRO-ELL slice wider than width");
+    }
+  }
+
+  void append(index_t r, sparse::CsrBuilder& out) {
+    const BroEllSlice& s =
+        b_.slices[static_cast<std::size_t>(r / b_.opts.slice_height)];
+    RowStreamDecoder dec(s, r - s.first_row, b_.opts.sym_len);
+    entries_ += append_row(
+        out, b_.cols, s.num_col,
+        [&](index_t c) {
+          return dec.next(s.bit_alloc[static_cast<std::size_t>(c)]);
+        },
+        [&](index_t c) {
+          return b_.vals[static_cast<std::size_t>(c) *
+                             static_cast<std::size_t>(b_.rows) +
+                         static_cast<std::size_t>(r)];
+        });
+  }
+
+  /// Entries appended so far.
+  std::uint64_t entries() const { return entries_; }
+
+ private:
+  const EllBody& b_;
+  std::uint64_t entries_ = 0;
+};
+
+/// The rows of a BRO-ANS body, decoded with AnsRowDecoder.
+class AnsRows {
+ public:
+  explicit AnsRows(const AnsBody& b) : b_(b) {
+    check_ell_values(b.rows, b.cols, b.width, b.vals.size(), "BRO-ANS");
+    check_tiling(b.slices, b.rows, b.opts.slice_height, "BRO-ANS");
+    for (const auto& s : b.slices) {
+      BRO_CHECK_MSG(s.num_col <= b.width, "BRO-ANS slice wider than width");
+      BRO_CHECK_MSG(
+          s.init_states.size() == static_cast<std::size_t>(s.height) &&
+              s.groups.size() ==
+                  static_cast<std::size_t>(ans_num_groups(s.height)),
+          "corrupt BRO-ANS slice header");
+      for (std::size_t g = 0; g < s.groups.size(); ++g)
+        BRO_CHECK_MSG(s.groups[g].sym_len() == b.opts.sym_len &&
+                          s.groups[g].height() ==
+                              static_cast<std::size_t>(ans_group_width(
+                                  s.height, static_cast<index_t>(g))),
+                      "BRO-ANS lane-group shape mismatches its slice");
+    }
+  }
+
+  void append(index_t r, sparse::CsrBuilder& out) {
+    const BroAnsSlice& s =
+        b_.slices[static_cast<std::size_t>(r / b_.opts.slice_height)];
+    if (s.num_col == 0) return;
+    AnsRowDecoder dec(b_.table, s, r - s.first_row, b_.opts.sym_len);
+    append_row(
+        out, b_.cols, s.num_col, [&](index_t) { return dec.next(); },
+        [&](index_t c) {
+          return b_.vals[static_cast<std::size_t>(c) *
+                             static_cast<std::size_t>(b_.rows) +
+                         static_cast<std::size_t>(r)];
+        });
+  }
+
+ private:
+  const AnsBody& b_;
+};
+
+/// The entries of a BRO-COO body, row by row. The writer emits them in row
+/// order, so row r's entries are one run of the stream; a hand-built stream
+/// that interleaves rows is bucketed by row first (stably, so each row's
+/// entries keep their stream order for CsrBuilder's canonicalization).
+class CooRows {
+ public:
+  CooRows(const CooBody& b, index_t rows, index_t cols) : b_(b) {
+    BRO_CHECK_MSG(b.rows == rows && b.cols == cols,
+                  "BRO-COO dimensions mismatch the matrix");
+    BRO_CHECK_MSG(b.opts.warp_size > 0 && b.opts.interval_cols > 0 &&
+                      (b.opts.sym_len == 32 || b.opts.sym_len == 64),
+                  "corrupt BRO-COO options");
+    const std::size_t interval_size =
+        static_cast<std::size_t>(b.opts.warp_size) *
+        static_cast<std::size_t>(b.opts.interval_cols);
+    const std::size_t padded = b.col_idx.size();
+    BRO_CHECK_MSG(b.vals.size() == padded && padded % interval_size == 0 &&
+                      padded / interval_size == b.intervals.size() &&
+                      b.nnz <= padded,
+                  "BRO-COO arrays mismatch its intervals");
+    for (const auto& iv : b.intervals)
+      BRO_CHECK_MSG(iv.bits >= 1 && iv.bits <= 32 &&
+                        iv.stream.sym_len() == b.opts.sym_len &&
+                        iv.stream.height() ==
+                            static_cast<std::size_t>(b.opts.warp_size),
+                    "corrupt BRO-COO interval");
+
+    const std::vector<index_t> stream_rows =
+        decode_coo_rows(b.intervals, b.opts, rows);
+    const auto nnz = static_cast<std::size_t>(b.nnz);
+    ptr_.assign(static_cast<std::size_t>(rows) + 1, 0);
+    bool sorted = true;
+    for (std::size_t i = 0; i < nnz; ++i) {
+      ++ptr_[static_cast<std::size_t>(stream_rows[i]) + 1];
+      sorted = sorted && (i == 0 || stream_rows[i - 1] <= stream_rows[i]);
+    }
+    for (std::size_t r = 0; r < static_cast<std::size_t>(rows); ++r)
+      ptr_[r + 1] += ptr_[r];
+    if (!sorted) {
+      std::vector<std::size_t> next(ptr_.begin(), ptr_.end() - 1);
+      order_.resize(nnz);
+      for (std::size_t i = 0; i < nnz; ++i)
+        order_[next[static_cast<std::size_t>(stream_rows[i])]++] = i;
+    }
+    cols_ = cols;
+  }
+
+  void append(index_t r, sparse::CsrBuilder& out) {
+    for (std::size_t k = ptr_[static_cast<std::size_t>(r)];
+         k < ptr_[static_cast<std::size_t>(r) + 1]; ++k) {
+      const std::size_t i = order_.empty() ? k : order_[k];
+      const index_t c = b_.col_idx[i];
+      BRO_CHECK_MSG(c >= 0 && c < cols_,
+                    "BRO-COO column " << c << " outside [0, " << cols_
+                                      << ')');
+      out.push(c, b_.vals[i]);
+    }
+  }
+
+ private:
+  const CooBody& b_;
+  index_t cols_ = 0;
+  std::vector<std::size_t> ptr_;   // row r's entries: [ptr_[r], ptr_[r+1])
+  std::vector<std::size_t> order_; // bucketed stream positions; empty when
+                                   // the stream is already row-ordered
+};
+
+/// Row r of the result is row r of every part, in order, canonicalized by
+/// CsrBuilder::end_row.
+template <typename... Parts>
+sparse::Csr assemble(index_t rows, index_t cols, std::size_t nnz_hint,
+                     Parts&... parts) {
+  sparse::CsrBuilder out(rows, cols, nnz_hint);
+  for (index_t r = 0; r < rows; ++r) {
+    (parts.append(r, out), ...);
+    out.end_row();
+  }
+  return out.finish();
+}
+
+sparse::Csr csr_from_ell(const EllBody& b) {
+  // BRO-ELL carries no nnz field; rows x width bounds it (and is bounded
+  // by the value bytes just read).
+  EllRows rows(b);
+  return assemble(b.rows, b.cols, b.vals.size(), rows);
+}
+
+sparse::Csr csr_from_ans(const AnsBody& b) {
+  AnsRows rows(b);
+  return assemble(b.rows, b.cols, b.vals.size(), rows);
+}
+
+sparse::Csr csr_from_coo(const CooBody& b) {
+  BRO_CHECK_MSG(b.rows >= 0 && b.cols >= 0, "corrupt BRO-COO dimensions");
+  CooRows rows(b, b.rows, b.cols);
+  return assemble(b.rows, b.cols, static_cast<std::size_t>(b.nnz), rows);
+}
+
+sparse::Csr csr_from_hyb(const HybBody& b) {
+  // The HYB split puts each row's first split_width entries in the ELL part
+  // and the rest in the COO part, so ELL row r then COO row r is row r.
+  BRO_CHECK_MSG(b.ell.rows == b.rows && b.ell.cols == b.cols,
+                "BRO-HYB ELL part dimensions mismatch the matrix");
+  EllRows ell(b.ell);
+  CooRows coo(b.coo, b.rows, b.cols);
+  const std::size_t nnz =
+      std::min<std::uint64_t>(b.ell_nnz, b.ell.vals.size()) + b.coo.nnz;
+  sparse::Csr out = assemble(b.rows, b.cols, nnz, ell, coo);
+  BRO_CHECK_MSG(ell.entries() == b.ell_nnz,
+                "BRO-HYB ell_nnz " << b.ell_nnz << " mismatches the "
+                                   << ell.entries()
+                                   << " entries of its ELL part");
+  return out;
+}
+
+sparse::Csr csr_from_bro_csr(const BroCsr& m) {
+  const auto rows = static_cast<std::size_t>(m.rows());
+  const auto& row_ptr = m.row_ptr();
+  BRO_CHECK_MSG(m.rows() >= 0 && m.cols() >= 0 &&
+                    row_ptr.size() == rows + 1 &&
+                    m.bits_per_row().size() == rows &&
+                    m.row_sym_ptr().size() == rows + 1 && row_ptr[0] == 0 &&
+                    static_cast<std::size_t>(row_ptr[rows]) == m.nnz(),
+                "corrupt BRO-CSR row arrays");
+  for (std::size_t r = 0; r < rows; ++r)
+    BRO_CHECK_MSG(row_ptr[r] <= row_ptr[r + 1] &&
+                      m.bits_per_row()[r] >= 1 && m.bits_per_row()[r] <= 32,
+                  "corrupt BRO-CSR row " << r);
+  sparse::CsrBuilder out(m.rows(), m.cols(), m.nnz());
+  for (index_t r = 0; r < m.rows(); ++r) {
+    const std::vector<index_t> cols = m.decode_row(r);
+    for (std::size_t j = 0; j < cols.size(); ++j) {
+      BRO_CHECK_MSG(cols[j] >= 0 && cols[j] < m.cols(),
+                    "BRO-CSR column " << cols[j] << " outside [0, "
+                                      << m.cols() << ')');
+      out.push(cols[j], m.vals()[static_cast<std::size_t>(row_ptr[r]) + j]);
+    }
+    out.end_row();
+  }
+  return out.finish();
+}
+
+sparse::Csr csr_from_bcsr(const BroBcsr& m) {
+  BRO_CHECK_MSG(m.rows() >= 0 && m.cols() >= 0, "corrupt BRO-BCSR dimensions");
+  const index_t block_rows =
+      m.rows() == 0 ? 0 : (m.rows() - 1) / m.block_r() + 1;
+  check_tiling(m.slices(), block_rows, m.options().slice_height, "BRO-BCSR");
+  for (const auto& s : m.slices())
+    check_ell_slice(s, m.options().sym_len, "BRO-BCSR");
+  // The cover stores fill-in zeros; strip them so serialize -> deserialize
+  // -> serialize is bitwise idempotent for any matrix without explicitly
+  // stored zero values. (A source entry that IS exactly 0.0 is
+  // indistinguishable from fill and gets dropped too — the one lossy corner
+  // of this format's serialization. SpMV results are unaffected either way.)
+  const sparse::Csr cover = m.to_csr();
+  sparse::CsrBuilder out(cover.rows, cover.cols, cover.nnz());
+  for (index_t r = 0; r < cover.rows; ++r) {
+    for (index_t e = cover.row_ptr[r]; e < cover.row_ptr[r + 1]; ++e) {
+      const auto i = static_cast<std::size_t>(e);
+      if (cover.vals[i] == value_t{0}) continue;
+      BRO_CHECK_MSG(cover.col_idx[i] >= 0 && cover.col_idx[i] < cover.cols,
+                    "BRO-BCSR column outside the matrix");
+      out.push(cover.col_idx[i], cover.vals[i]);
+    }
+    out.end_row();
+  }
+  return out.finish();
+}
+
+/// Parse one object of any tag and decode it to CSR: the ONE tag-dispatch
+/// site behind both read_bro_to_csr overloads.
+sparse::Csr decode_csr(ByteReader& in, Format* fmt) {
+  const Format f = read_header(in);
+  if (fmt != nullptr) *fmt = f;
+  switch (f) {
+    case Format::kBroEll: return csr_from_ell(read_ell_body(in));
+    case Format::kBroAns: return csr_from_ans(read_ans_body(in));
+    case Format::kBroCoo: return csr_from_coo(read_coo_body(in));
+    case Format::kBroHyb: return csr_from_hyb(read_hyb_body(in));
+    case Format::kBroCsr: return csr_from_bro_csr(read_csr(in));
+    case Format::kBroBcsr: return csr_from_bcsr(read_bcsr(in));
+    default: break;
+  }
+  BRO_CHECK_MSG(false, "unsupported .bro payload format tag");
+  return {}; // unreachable
+}
+
+/// The std::istream adapters: read the rest of the stream, parse one object
+/// from those bytes, and leave a seekable stream positioned just after the
+/// object (a non-seekable one is consumed to its end).
+template <typename Parse>
+auto read_from_stream(std::istream& in, Parse&& parse) {
+  const std::istream::pos_type start = in.tellg();
+  std::vector<std::uint8_t> bytes;
+  if (start != std::istream::pos_type(-1) && in.seekg(0, std::ios::end)) {
+    const auto end = in.tellg();
+    in.seekg(start);
+    bytes.resize(static_cast<std::size_t>(end - start));
+    in.read(reinterpret_cast<char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+    BRO_CHECK_MSG(in.good(), "stream read failed");
+  } else {
+    in.clear();
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  ByteReader r(bytes);
+  auto out = parse(r);
+  if (start != std::istream::pos_type(-1)) {
+    in.clear();
+    in.seekg(start + static_cast<std::streamoff>(r.position()));
+  }
+  return out;
+}
+
+} // namespace
+
+Format peek_bro_format(std::istream& in) {
+  std::uint8_t header[kHeaderBytes];
+  in.read(reinterpret_cast<char*>(header), sizeof(header));
+  BRO_CHECK_MSG(in.gcount() == static_cast<std::streamsize>(sizeof(header)),
+                "truncated stream while reading the header");
+  ByteReader r(header, sizeof(header));
+  return read_header(r);
+}
+
 void write_bro_ell(std::ostream& out, const BroEll& m) {
   write_header(out, Tag::kBroEll);
   write_ell_body(out, m);
 }
 
 BroEll read_bro_ell(std::istream& in) {
-  read_header(in, Tag::kBroEll);
-  return read_ell_body(in);
+  return read_from_stream(in, [](ByteReader& r) {
+    expect_header(r, Format::kBroEll);
+    return make_ell(read_ell_body(r));
+  });
 }
 
 void write_bro_ans(std::ostream& out, const BroAns& m) {
@@ -479,8 +925,10 @@ void write_bro_ans(std::ostream& out, const BroAns& m) {
 }
 
 BroAns read_bro_ans(std::istream& in) {
-  read_header(in, Tag::kBroAns);
-  return read_ans_body(in);
+  return read_from_stream(in, [](ByteReader& r) {
+    expect_header(r, Format::kBroAns);
+    return read_ans(r);
+  });
 }
 
 void write_bro_coo(std::ostream& out, const BroCoo& m) {
@@ -489,8 +937,10 @@ void write_bro_coo(std::ostream& out, const BroCoo& m) {
 }
 
 BroCoo read_bro_coo(std::istream& in) {
-  read_header(in, Tag::kBroCoo);
-  return read_coo_body(in);
+  return read_from_stream(in, [](ByteReader& r) {
+    expect_header(r, Format::kBroCoo);
+    return make_coo(read_coo_body(r));
+  });
 }
 
 void write_bro_hyb(std::ostream& out, const BroHyb& m) {
@@ -504,15 +954,10 @@ void write_bro_hyb(std::ostream& out, const BroHyb& m) {
 }
 
 BroHyb read_bro_hyb(std::istream& in) {
-  read_header(in, Tag::kBroHyb);
-  const auto rows = read_pod<index_t>(in);
-  const auto cols = read_pod<index_t>(in);
-  const auto split_width = read_pod<index_t>(in);
-  const auto ell_nnz = read_pod<std::uint64_t>(in);
-  BroEll ell = read_ell_body(in);
-  BroCoo coo = read_coo_body(in);
-  return SerializeAccess::make_hyb(rows, cols, split_width, ell_nnz,
-                                   std::move(ell), std::move(coo));
+  return read_from_stream(in, [](ByteReader& r) {
+    expect_header(r, Format::kBroHyb);
+    return read_hyb(r);
+  });
 }
 
 void write_bro_csr(std::ostream& out, const BroCsr& m) {
@@ -531,21 +976,10 @@ void write_bro_csr(std::ostream& out, const BroCsr& m) {
 }
 
 BroCsr read_bro_csr(std::istream& in) {
-  read_header(in, Tag::kBroCsr);
-  const auto rows = read_pod<index_t>(in);
-  const auto cols = read_pod<index_t>(in);
-  BroCsrOptions opts;
-  opts.sym_len = read_pod<std::int32_t>(in);
-  auto row_ptr = read_vec<index_t>(in, kSane);
-  auto bits_v = read_vec<std::uint8_t>(in, kSane);
-  auto sym_ptr = read_vec<std::uint32_t>(in, kSane);
-  auto vals = read_vec<value_t>(in, kSane);
-  const auto size_bits = read_pod<std::uint64_t>(in);
-  auto words = read_vec<std::uint64_t>(in, kSane);
-  return SerializeAccess::make_csr(
-      rows, cols, opts, std::move(row_ptr), std::move(bits_v),
-      std::move(sym_ptr), std::move(vals),
-      bits::BitString::from_words(std::move(words), size_bits));
+  return read_from_stream(in, [](ByteReader& r) {
+    expect_header(r, Format::kBroCsr);
+    return read_csr(r);
+  });
 }
 
 void write_bro_bcsr(std::ostream& out, const BroBcsr& m) {
@@ -554,53 +988,23 @@ void write_bro_bcsr(std::ostream& out, const BroBcsr& m) {
 }
 
 BroBcsr read_bro_bcsr(std::istream& in) {
-  read_header(in, Tag::kBroBcsr);
-  return read_bcsr_body(in);
+  return read_from_stream(in, [](ByteReader& r) {
+    expect_header(r, Format::kBroBcsr);
+    return read_bcsr(r);
+  });
+}
+
+sparse::Csr read_bro_to_csr(std::span<const std::uint8_t> bytes, Format* fmt) {
+  ByteReader r(bytes);
+  sparse::Csr out = decode_csr(r, fmt);
+  BRO_CHECK_MSG(r.done(), r.remaining() << " trailing bytes after the .bro "
+                                           "object");
+  return out;
 }
 
 sparse::Csr read_bro_to_csr(std::istream& in, Format* fmt) {
-  const std::istream::pos_type start = in.tellg();
-  const Format f = peek_bro_format(in);
-  in.seekg(start);
-  if (fmt != nullptr) *fmt = f;
-  switch (f) {
-    case Format::kBroEll:
-      return sparse::ell_to_csr(read_bro_ell(in).decompress());
-    case Format::kBroAns:
-      return sparse::ell_to_csr(read_bro_ans(in).decompress());
-    case Format::kBroCsr:
-      return read_bro_csr(in).decompress();
-    case Format::kBroCoo:
-      return csr_from_bro_coo(read_bro_coo(in));
-    case Format::kBroHyb:
-      return csr_from_bro_hyb(read_bro_hyb(in));
-    case Format::kBroBcsr: {
-      // The cover stores fill-in zeros; strip them so serialize ->
-      // deserialize -> serialize is bitwise idempotent for any matrix
-      // without explicitly stored zero values. (A source entry that IS
-      // exactly 0.0 is indistinguishable from fill and gets dropped too —
-      // the one lossy corner of this format's serialization. SpMV results
-      // are unaffected either way.)
-      const sparse::Csr cover = read_bro_bcsr(in).to_csr();
-      sparse::Csr out;
-      out.rows = cover.rows;
-      out.cols = cover.cols;
-      out.row_ptr.reserve(cover.row_ptr.size());
-      out.row_ptr.push_back(0);
-      for (index_t r = 0; r < cover.rows; ++r) {
-        for (index_t e = cover.row_ptr[r]; e < cover.row_ptr[r + 1]; ++e) {
-          if (cover.vals[static_cast<std::size_t>(e)] == value_t{0}) continue;
-          out.col_idx.push_back(cover.col_idx[static_cast<std::size_t>(e)]);
-          out.vals.push_back(cover.vals[static_cast<std::size_t>(e)]);
-        }
-        out.row_ptr.push_back(static_cast<index_t>(out.col_idx.size()));
-      }
-      return out;
-    }
-    default:
-      BRO_CHECK_MSG(false, "unsupported .bro payload format tag");
-  }
-  return {}; // unreachable
+  return read_from_stream(in,
+                          [fmt](ByteReader& r) { return decode_csr(r, fmt); });
 }
 
 void save_bro_ell(const std::string& path, const BroEll& m) {

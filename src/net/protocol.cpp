@@ -1,5 +1,6 @@
 #include "net/protocol.h"
 
+#include <cstdint>
 #include <cstring>
 #include <sstream>
 
@@ -45,18 +46,42 @@ Status status_for(serve::RejectCause cause) {
   return Status::kInternalError;
 }
 
+namespace {
+
+/// A frame is encoded into one buffer: the header slot is reserved up
+/// front, the payload written in place behind it, and the header patched
+/// in by finish_frame once the payload length is known.
+ByteWriter frame_writer(std::size_t payload_hint = 0) {
+  ByteWriter w;
+  w.reserve(kFrameHeaderBytes + payload_hint);
+  w.put<std::uint64_t>(0);
+  w.put<std::uint64_t>(0);
+  return w;
+}
+
+std::vector<std::uint8_t> finish_frame(ByteWriter&& w, FrameKind kind,
+                                       std::uint8_t code,
+                                       std::uint64_t request_id) {
+  const std::size_t payload = w.size() - kFrameHeaderBytes;
+  BRO_CHECK_MSG(payload <= UINT32_MAX,
+                "frame payload of " << payload << " B exceeds the u32 length");
+  w.put_at<std::uint32_t>(0, static_cast<std::uint32_t>(payload));
+  w.put_at<std::uint8_t>(4, kProtocolVersion);
+  w.put_at<std::uint8_t>(5, static_cast<std::uint8_t>(kind));
+  w.put_at<std::uint8_t>(6, code);
+  w.put_at<std::uint8_t>(7, 0); // reserved
+  w.put_at<std::uint64_t>(8, request_id);
+  return w.take();
+}
+
+} // namespace
+
 std::vector<std::uint8_t> encode_frame(FrameKind kind, std::uint8_t code,
                                        std::uint64_t request_id,
                                        std::span<const std::uint8_t> payload) {
-  ByteWriter w;
-  w.put<std::uint32_t>(static_cast<std::uint32_t>(payload.size()));
-  w.put<std::uint8_t>(kProtocolVersion);
-  w.put<std::uint8_t>(static_cast<std::uint8_t>(kind));
-  w.put<std::uint8_t>(code);
-  w.put<std::uint8_t>(0); // reserved
-  w.put<std::uint64_t>(request_id);
+  ByteWriter w = frame_writer(payload.size());
   w.put_bytes(payload.data(), payload.size());
-  return w.take();
+  return finish_frame(std::move(w), kind, code, request_id);
 }
 
 void FrameAssembler::append(const std::uint8_t* data, std::size_t n) {
@@ -106,18 +131,15 @@ std::optional<Frame> FrameAssembler::next() {
 namespace {
 
 std::vector<std::uint8_t> request_frame(std::uint64_t request_id, Op op,
-                                        ByteWriter&& payload) {
-  const auto body = payload.take();
-  return encode_frame(FrameKind::kRequest, static_cast<std::uint8_t>(op),
-                      request_id, body);
+                                        ByteWriter&& frame) {
+  return finish_frame(std::move(frame), FrameKind::kRequest,
+                      static_cast<std::uint8_t>(op), request_id);
 }
 
 std::vector<std::uint8_t> response_frame(std::uint64_t request_id,
-                                         Status status,
-                                         ByteWriter&& payload) {
-  const auto body = payload.take();
-  return encode_frame(FrameKind::kResponse, static_cast<std::uint8_t>(status),
-                      request_id, body);
+                                         Status status, ByteWriter&& frame) {
+  return finish_frame(std::move(frame), FrameKind::kResponse,
+                      static_cast<std::uint8_t>(status), request_id);
 }
 
 ByteReader payload_reader(const Frame& f) {
@@ -130,7 +152,8 @@ std::vector<std::uint8_t> make_submit_request(std::uint64_t request_id,
                                               const std::string& matrix_id,
                                               const std::string& client_id,
                                               std::span<const value_t> x) {
-  ByteWriter w;
+  ByteWriter w = frame_writer(4 + matrix_id.size() + 4 + client_id.size() +
+                              8 + x.size_bytes());
   w.put_string(matrix_id);
   w.put_string(client_id);
   w.put_array<value_t>(x);
@@ -149,7 +172,7 @@ SubmitRequest parse_submit_request(const Frame& f) {
 
 std::vector<std::uint8_t> make_vector_response(std::uint64_t request_id,
                                                std::span<const value_t> y) {
-  ByteWriter w;
+  ByteWriter w = frame_writer(8 + y.size_bytes());
   w.put_array<value_t>(y);
   return response_frame(request_id, Status::kOk, std::move(w));
 }
@@ -165,7 +188,7 @@ std::vector<std::uint8_t> make_error_response(std::uint64_t request_id,
                                               Status status,
                                               std::uint64_t queue_depth,
                                               const std::string& message) {
-  ByteWriter w;
+  ByteWriter w = frame_writer();
   w.put<std::uint64_t>(queue_depth);
   w.put_string(message);
   return response_frame(request_id, status, std::move(w));
@@ -183,7 +206,7 @@ ErrorInfo parse_error_response(const Frame& f) {
 std::vector<std::uint8_t> make_upload_request(
     std::uint64_t request_id, const std::string& matrix_id,
     std::span<const std::uint8_t> bro_bytes) {
-  ByteWriter w;
+  ByteWriter w = frame_writer(4 + matrix_id.size() + 8 + bro_bytes.size());
   w.put_string(matrix_id);
   w.put_array<std::uint8_t>(bro_bytes);
   return request_frame(request_id, Op::kUploadMatrix, std::move(w));
@@ -193,14 +216,14 @@ UploadRequest parse_upload_request(const Frame& f) {
   auto r = payload_reader(f);
   UploadRequest req;
   req.matrix_id = r.get_string();
-  req.bro_bytes = r.get_array<std::uint8_t>();
+  req.bro_bytes = r.get_array_bytes<std::uint8_t>();
   BRO_CHECK_MSG(r.done(), "trailing bytes after UPLOAD_MATRIX payload");
   return req;
 }
 
 std::vector<std::uint8_t> make_upload_ack(std::uint64_t request_id,
                                           const UploadAck& ack) {
-  ByteWriter w;
+  ByteWriter w = frame_writer();
   w.put<std::uint64_t>(ack.rows);
   w.put<std::uint64_t>(ack.cols);
   w.put<std::uint64_t>(ack.nnz);
@@ -218,7 +241,7 @@ UploadAck parse_upload_ack(const Frame& f) {
 
 std::vector<std::uint8_t> make_remove_request(std::uint64_t request_id,
                                               const std::string& matrix_id) {
-  ByteWriter w;
+  ByteWriter w = frame_writer();
   w.put_string(matrix_id);
   return request_frame(request_id, Op::kRemove, std::move(w));
 }
@@ -232,7 +255,7 @@ std::string parse_remove_request(const Frame& f) {
 
 std::vector<std::uint8_t> make_bool_response(std::uint64_t request_id,
                                              bool value) {
-  ByteWriter w;
+  ByteWriter w = frame_writer();
   w.put<std::uint8_t>(value ? 1 : 0);
   return response_frame(request_id, Status::kOk, std::move(w));
 }
@@ -243,11 +266,11 @@ bool parse_bool_response(const Frame& f) {
 }
 
 std::vector<std::uint8_t> make_empty_request(std::uint64_t request_id, Op op) {
-  return request_frame(request_id, op, ByteWriter{});
+  return request_frame(request_id, op, frame_writer());
 }
 
 std::vector<std::uint8_t> make_ok_response(std::uint64_t request_id) {
-  return response_frame(request_id, Status::kOk, ByteWriter{});
+  return response_frame(request_id, Status::kOk, frame_writer());
 }
 
 StatsSnapshot snapshot_from(const serve::ServerMetrics& m) {
@@ -274,7 +297,7 @@ StatsSnapshot snapshot_from(const serve::ServerMetrics& m) {
 
 std::vector<std::uint8_t> make_stats_response(std::uint64_t request_id,
                                               const StatsSnapshot& s) {
-  ByteWriter w;
+  ByteWriter w = frame_writer();
   w.put(s.submitted);
   w.put(s.rejected);
   w.put(s.queue_full);
@@ -331,12 +354,10 @@ std::vector<std::uint8_t> matrix_to_bro_bytes(const core::Matrix& m,
 }
 
 core::Matrix matrix_from_bro_bytes(std::span<const std::uint8_t> bytes) {
-  std::istringstream in(
-      std::string(reinterpret_cast<const char*>(bytes.data()), bytes.size()),
-      std::ios::binary);
-  // The tag dispatch lives in core::read_bro_to_csr, so uploads accept every
+  // Decoded in place: no copy of the upload is made on the way to CSR. The
+  // tag dispatch lives in core::read_bro_to_csr, so uploads accept every
   // serializable format automatically.
-  return core::Matrix::from_csr(core::read_bro_to_csr(in));
+  return core::Matrix::from_csr(core::read_bro_to_csr(bytes));
 }
 
 } // namespace bro::net

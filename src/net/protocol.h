@@ -17,7 +17,8 @@
 // submission order, and the client re-associates by id. Matrix payloads
 // ride the existing tagged `.bro` serialization (core/serialize.h) —
 // UPLOAD_MATRIX frames carry exactly the bytes `brospmv compress` writes,
-// and the server dispatches on the embedded tag via core::peek_bro_format.
+// and the server decodes them in place, dispatching on the embedded tag,
+// via core::read_bro_to_csr.
 //
 // Every serve-layer refusal maps to a distinct Status (queue-full vs shed
 // vs throttled, mirroring serve::RejectCause) and carries the observed
@@ -165,7 +166,9 @@ ErrorInfo parse_error_response(const Frame& f);
 
 struct UploadRequest {
   std::string matrix_id;
-  std::vector<std::uint8_t> bro_bytes; // a complete tagged .bro stream
+  /// A complete tagged .bro stream, viewed in place in the frame payload:
+  /// valid only while the parsed Frame lives.
+  std::span<const std::uint8_t> bro_bytes;
 };
 
 std::vector<std::uint8_t> make_upload_request(
@@ -233,10 +236,10 @@ StatsSnapshot parse_stats_response(const Frame& f);
 std::vector<std::uint8_t> matrix_to_bro_bytes(const core::Matrix& m,
                                               core::Format format);
 
-/// Reconstruct a Matrix from a tagged .bro stream: peek the format tag,
-/// deserialize, and decompress back to CSR (exact — indices and values are
-/// stored losslessly), so the server plans from the same CSR the uploader
-/// held. Throws std::runtime_error on malformed bytes.
+/// Reconstruct a Matrix from a tagged .bro stream, decoded in place straight
+/// to CSR (exact — indices and values are stored losslessly), so the server
+/// plans from the same CSR the uploader held. Throws std::runtime_error on
+/// malformed bytes.
 core::Matrix matrix_from_bro_bytes(std::span<const std::uint8_t> bytes);
 
 } // namespace bro::net

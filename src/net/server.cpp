@@ -233,7 +233,10 @@ void NetServer::handle_frame(Loop& loop, Connection& conn,
 
     case Op::kUploadMatrix: {
       try {
-        UploadRequest req = parse_upload_request(frame);
+        // The .bro bytes are decoded in place in the frame payload, so the
+        // server holds two copies of an upload while it decodes: the
+        // reassembly buffer and the frame.
+        const UploadRequest req = parse_upload_request(frame);
         auto m = std::make_shared<const core::Matrix>(
             matrix_from_bro_bytes(req.bro_bytes));
         UploadAck ack;

@@ -6,21 +6,68 @@
 
 namespace bro::sparse {
 
-Csr coo_to_csr(const Coo& coo_in) {
-  BRO_CHECK_MSG(coo_in.is_valid(), "COO matrix is structurally invalid");
-  Coo coo = coo_in;
-  if (!coo.is_canonical()) coo.canonicalize();
+namespace {
 
+/// Canonicalize every row of `a` in place (canonicalize_row) and close the
+/// gaps merged duplicates leave behind.
+void canonicalize_rows(Csr& a) {
+  std::size_t begin = 0, w = 0;
+  for (index_t r = 0; r < a.rows; ++r) {
+    const auto end = static_cast<std::size_t>(a.row_ptr[r + 1]);
+    const std::size_t n = canonicalize_row(a.col_idx.data() + begin,
+                                           a.vals.data() + begin, end - begin);
+    if (w != begin) {
+      std::copy_n(a.col_idx.begin() + begin, n, a.col_idx.begin() + w);
+      std::copy_n(a.vals.begin() + begin, n, a.vals.begin() + w);
+    }
+    w += n;
+    begin = end;
+    a.row_ptr[r + 1] = static_cast<index_t>(w);
+  }
+  a.col_idx.resize(w);
+  a.vals.resize(w);
+}
+
+/// COO -> CSR with at most one copy of the entries: canonical input keeps
+/// its column/value arrays as they are (moved out of `movable` when the
+/// caller gave the COO up); any other order is bucketed by row, stably,
+/// and each row canonicalized in place.
+Csr to_csr(const Coo& coo, Coo* movable) {
+  BRO_CHECK_MSG(coo.is_valid(), "COO matrix is structurally invalid");
   Csr out;
   out.rows = coo.rows;
   out.cols = coo.cols;
   out.row_ptr.assign(static_cast<std::size_t>(coo.rows) + 1, 0);
   for (const index_t r : coo.row_idx) ++out.row_ptr[r + 1];
   for (index_t r = 0; r < coo.rows; ++r) out.row_ptr[r + 1] += out.row_ptr[r];
-  out.col_idx = coo.col_idx;
-  out.vals = coo.vals;
+
+  if (coo.is_canonical()) {
+    if (movable != nullptr) {
+      out.col_idx = std::move(movable->col_idx);
+      out.vals = std::move(movable->vals);
+    } else {
+      out.col_idx = coo.col_idx;
+      out.vals = coo.vals;
+    }
+    return out;
+  }
+  std::vector<index_t> next(out.row_ptr.begin(), out.row_ptr.end() - 1);
+  out.col_idx.resize(coo.nnz());
+  out.vals.resize(coo.nnz());
+  for (std::size_t i = 0; i < coo.nnz(); ++i) {
+    const auto p = static_cast<std::size_t>(next[coo.row_idx[i]]++);
+    out.col_idx[p] = coo.col_idx[i];
+    out.vals[p] = coo.vals[i];
+  }
+  canonicalize_rows(out);
   return out;
 }
+
+} // namespace
+
+Csr coo_to_csr(const Coo& coo) { return to_csr(coo, nullptr); }
+
+Csr coo_to_csr(Coo&& coo) { return to_csr(coo, &coo); }
 
 Coo csr_to_coo(const Csr& csr) {
   Coo out;
@@ -66,16 +113,21 @@ EllR csr_to_ellr(const Csr& csr) {
 }
 
 Csr ell_to_csr(const Ell& ell) {
-  Coo coo;
-  coo.rows = ell.rows;
-  coo.cols = ell.cols;
-  for (index_t r = 0; r < ell.rows; ++r)
+  const auto nnz = static_cast<std::size_t>(
+      std::count_if(ell.col_idx.begin(), ell.col_idx.end(),
+                    [](index_t c) { return c != kPad; }));
+  CsrBuilder out(ell.rows, ell.cols, nnz);
+  for (index_t r = 0; r < ell.rows; ++r) {
     for (index_t j = 0; j < ell.width; ++j) {
       const index_t c = ell.col_at(r, j);
       if (c == kPad) break;
-      coo.push(r, c, ell.val_at(r, j));
+      BRO_CHECK_MSG(c >= 0 && c < ell.cols,
+                    "ELL column " << c << " outside [0, " << ell.cols << ')');
+      out.push(c, ell.val_at(r, j));
     }
-  return coo_to_csr(coo);
+    out.end_row();
+  }
+  return out.finish();
 }
 
 Hyb csr_to_hyb(const Csr& csr, index_t width_override) {
@@ -113,7 +165,7 @@ Csr hyb_to_csr(const Hyb& hyb) {
   coo.cols = hyb.cols();
   for (std::size_t i = 0; i < hyb.coo.nnz(); ++i)
     coo.push(hyb.coo.row_idx[i], hyb.coo.col_idx[i], hyb.coo.vals[i]);
-  return coo_to_csr(coo);
+  return coo_to_csr(std::move(coo));
 }
 
 std::vector<index_t> row_lengths(const Csr& csr) {

@@ -9,8 +9,10 @@
 
 namespace bro::sparse {
 
-/// COO (any order, duplicates summed) -> CSR.
+/// COO (any order, duplicates summed) -> CSR. Copies the entries at most
+/// once; a canonical COO given up with std::move is not copied at all.
 Csr coo_to_csr(const Coo& coo);
+Csr coo_to_csr(Coo&& coo);
 
 /// CSR -> canonical COO.
 Coo csr_to_coo(const Csr& csr);

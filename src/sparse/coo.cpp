@@ -1,52 +1,37 @@
 #include "sparse/coo.h"
 
 #include <algorithm>
-#include <numeric>
+
+#include "sparse/convert.h"
 
 namespace bro::sparse {
 
 void Coo::canonicalize(bool drop_zeros) {
-  const std::size_t n = nnz();
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (row_idx[a] != row_idx[b]) return row_idx[a] < row_idx[b];
-    return col_idx[a] < col_idx[b];
-  });
-
-  std::vector<index_t> r2, c2;
-  std::vector<value_t> v2;
-  r2.reserve(n);
-  c2.reserve(n);
-  v2.reserve(n);
-  for (const std::size_t i : order) {
-    if (!r2.empty() && r2.back() == row_idx[i] && c2.back() == col_idx[i]) {
-      v2.back() += vals[i]; // merge duplicate coordinate
-    } else {
-      r2.push_back(row_idx[i]);
-      c2.push_back(col_idx[i]);
-      v2.push_back(vals[i]);
-    }
-  }
+  if (!drop_zeros && is_canonical()) return;
+  // One canonicalization rule for the whole library: coo_to_csr buckets
+  // the entries by row and applies canonicalize_row to each.
+  Csr csr = coo_to_csr(std::move(*this));
+  row_idx.resize(csr.nnz());
+  for (index_t r = 0; r < csr.rows; ++r)
+    std::fill(row_idx.begin() + csr.row_ptr[r],
+              row_idx.begin() + csr.row_ptr[r + 1], r);
+  col_idx = std::move(csr.col_idx);
+  vals = std::move(csr.vals);
 
   if (drop_zeros) {
     std::size_t w = 0;
-    for (std::size_t i = 0; i < v2.size(); ++i) {
-      if (v2[i] != value_t{0}) {
-        r2[w] = r2[i];
-        c2[w] = c2[i];
-        v2[w] = v2[i];
+    for (std::size_t i = 0; i < vals.size(); ++i) {
+      if (vals[i] != value_t{0}) {
+        row_idx[w] = row_idx[i];
+        col_idx[w] = col_idx[i];
+        vals[w] = vals[i];
         ++w;
       }
     }
-    r2.resize(w);
-    c2.resize(w);
-    v2.resize(w);
+    row_idx.resize(w);
+    col_idx.resize(w);
+    vals.resize(w);
   }
-
-  row_idx = std::move(r2);
-  col_idx = std::move(c2);
-  vals = std::move(v2);
 }
 
 bool Coo::is_canonical() const {

@@ -31,8 +31,9 @@ struct Coo {
     vals.push_back(v);
   }
 
-  /// Sort by (row, col) and sum duplicate entries. Drops explicit zeros
-  /// produced by duplicate cancellation only if `drop_zeros` is set.
+  /// Sort by (row, col) and sum duplicate entries in arrival order
+  /// (canonicalize_row in sparse/csr.h). Drops explicit zeros only if
+  /// `drop_zeros` is set. Requires is_valid().
   void canonicalize(bool drop_zeros = false);
 
   /// True if entries are sorted by (row, col) without duplicates.

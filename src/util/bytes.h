@@ -3,7 +3,9 @@
 // length-prefixed strings and arrays to a growable byte vector; ByteReader
 // is a bounds-checked cursor over a received buffer that throws
 // std::runtime_error on underrun, so truncated payloads surface as typed
-// decode failures instead of reads past the frame.
+// decode failures instead of reads past the frame. It is the one binary
+// reader of the codebase: wire frames and .bro streams (core/serialize.h)
+// both parse through it.
 //
 // Scalars are encoded as their in-memory little-endian representation
 // (the only byte order this codebase targets); strings and arrays carry a
@@ -26,6 +28,7 @@ class ByteWriter {
   const std::vector<std::uint8_t>& bytes() const { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }
   std::size_t size() const { return buf_.size(); }
+  void reserve(std::size_t n) { buf_.reserve(n); }
 
   template <typename T>
   void put(T v) {
@@ -33,6 +36,15 @@ class ByteWriter {
     const auto n = buf_.size();
     buf_.resize(n + sizeof(T));
     std::memcpy(buf_.data() + n, &v, sizeof(T));
+  }
+
+  /// Overwrite a scalar already written at byte offset `off` (patching a
+  /// length field once the bytes it counts are in place).
+  template <typename T>
+  void put_at(std::size_t off, T v) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    BRO_CHECK(off <= buf_.size() && sizeof(T) <= buf_.size() - off);
+    std::memcpy(buf_.data() + off, &v, sizeof(T));
   }
 
   void put_bytes(const void* data, std::size_t n) {
@@ -61,12 +73,17 @@ class ByteWriter {
 
 class ByteReader {
  public:
+  /// Corrupted-length backstop on top of the bytes-left bound: no sane
+  /// payload field holds a billion elements.
+  static constexpr std::size_t kSaneCount = std::size_t{1} << 30;
+
   ByteReader(const std::uint8_t* data, std::size_t size)
       : data_(data), size_(size) {}
   explicit ByteReader(std::span<const std::uint8_t> buf)
       : ByteReader(buf.data(), buf.size()) {}
 
   std::size_t remaining() const { return size_ - pos_; }
+  std::size_t position() const { return pos_; }
   bool done() const { return pos_ == size_; }
 
   template <typename T>
@@ -84,16 +101,36 @@ class ByteReader {
     return std::string(reinterpret_cast<const char*>(p), n);
   }
 
+  /// A u64 element count whose elements occupy at least `min_bytes` each
+  /// on the wire, checked against the bytes left *before* anything is
+  /// sized by it: a stomped count fails here instead of asking for
+  /// gigabytes.
+  std::size_t get_count(std::size_t min_bytes,
+                        std::size_t max_elems = kSaneCount) {
+    const auto n = get<std::uint64_t>();
+    BRO_CHECK_MSG(n <= max_elems && n <= remaining() / min_bytes,
+                  "implausible element count " << n << " with "
+                                               << remaining()
+                                               << " bytes left");
+    return static_cast<std::size_t>(n);
+  }
+
   template <typename T>
   std::vector<T> get_array(std::size_t max_elems = kSaneCount) {
     static_assert(std::is_trivially_copyable_v<T>);
-    const auto n = get<std::uint64_t>();
-    BRO_CHECK_MSG(n <= max_elems, "implausible element count " << n);
-    std::vector<T> v(static_cast<std::size_t>(n));
-    if (n > 0)
-      std::memcpy(v.data(), need(static_cast<std::size_t>(n) * sizeof(T)),
-                  static_cast<std::size_t>(n) * sizeof(T));
+    const std::size_t n = get_count(sizeof(T), max_elems);
+    std::vector<T> v(n);
+    if (n > 0) std::memcpy(v.data(), need(n * sizeof(T)), n * sizeof(T));
     return v;
+  }
+
+  /// A counted array borrowed in place: the element count, then a view of
+  /// its bytes (valid while the underlying buffer lives).
+  template <typename T>
+  std::span<const std::uint8_t> get_array_bytes(
+      std::size_t max_elems = kSaneCount) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    return get_span(get_count(sizeof(T), max_elems) * sizeof(T));
   }
 
   /// Borrow `n` raw bytes (valid while the underlying buffer lives).
@@ -102,10 +139,6 @@ class ByteReader {
   }
 
  private:
-  // Corrupted-length backstop: no sane payload field holds a billion
-  // elements (mirrors serialize.cpp's kSane bound).
-  static constexpr std::size_t kSaneCount = std::size_t{1} << 30;
-
   const std::uint8_t* need(std::size_t n) {
     BRO_CHECK_MSG(n <= size_ - pos_, "payload underrun: need "
                                          << n << " bytes, have "

@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <memory>
@@ -22,7 +23,9 @@
 #include "net/protocol.h"
 #include "net/server.h"
 #include "serve/server.h"
+#include "sparse/matgen/adversarial.h"
 #include "sparse/matgen/generators.h"
+#include "sparse/matgen/suite.h"
 #include "util/rng.h"
 
 namespace bn = bro::net;
@@ -129,7 +132,8 @@ TEST(Protocol, EveryRegistryFormatRoundTripsBitwise) {
     EXPECT_EQ(frame->header.request_id, 7u);
     const auto req = bn::parse_upload_request(*frame);
     EXPECT_EQ(req.matrix_id, "m");
-    ASSERT_EQ(req.bro_bytes, bytes); // payload bitwise intact
+    // The payload is viewed in place and bitwise intact.
+    ASSERT_TRUE(std::ranges::equal(req.bro_bytes, bytes));
 
     // Deserialize and re-serialize: the round trip must be lossless, so
     // the re-encoded stream is bitwise identical.
@@ -273,6 +277,63 @@ TEST(Protocol, RejectsTruncatedAndCorruptFrames) {
     bytes.resize(bytes.size() / 2);
     EXPECT_THROW(bn::matrix_from_bro_bytes(bytes), std::runtime_error);
   }
+}
+
+TEST(Protocol, UploadIngestMatchesSourceCsrBitwise) {
+  // Every serializable format x the adversarial battery x Test Set 1
+  // stand-ins: an upload parsed out of a frame and decoded in place must
+  // hand the server exactly the uploader's CSR.
+  std::vector<bro::sparse::AdversarialCase> cases =
+      bro::sparse::adversarial_suite(2);
+  const auto set1 = bro::sparse::suite_test_set(1);
+  for (std::size_t i = 0; i < 3 && i < set1.size(); ++i)
+    cases.push_back(
+        {set1[i].name, bro::sparse::generate_suite_matrix(set1[i], 0.02)});
+  for (const auto& c : cases) {
+    const bc::Matrix m = bc::Matrix::from_csr(c.csr);
+    for (const auto* t : serializable_formats()) {
+      if (!t->applicable(c.csr, 3.0)) continue;
+      SCOPED_TRACE(c.name + " / " + t->name);
+      const auto frame_bytes =
+          bn::make_upload_request(1, "m", bn::matrix_to_bro_bytes(m, t->format));
+      bn::FrameAssembler fa;
+      fa.append(frame_bytes.data(), frame_bytes.size());
+      const auto frame = fa.next();
+      ASSERT_TRUE(frame.has_value());
+      const auto req = bn::parse_upload_request(*frame);
+      // The request views the frame's payload rather than copying it.
+      EXPECT_GE(req.bro_bytes.data(), frame->payload.data());
+      EXPECT_LE(req.bro_bytes.data() + req.bro_bytes.size(),
+                frame->payload.data() + frame->payload.size());
+      const bc::Matrix back = bn::matrix_from_bro_bytes(req.bro_bytes);
+      const bro::sparse::Csr& got = back.csr();
+      EXPECT_EQ(got.rows, c.csr.rows);
+      EXPECT_EQ(got.cols, c.csr.cols);
+      EXPECT_EQ(got.row_ptr, c.csr.row_ptr);
+      EXPECT_EQ(got.col_idx, c.csr.col_idx);
+      ASSERT_EQ(got.vals.size(), c.csr.vals.size());
+      if (!got.vals.empty()) {
+        EXPECT_EQ(std::memcmp(got.vals.data(), c.csr.vals.data(),
+                              got.vals.size() * sizeof(value_t)),
+                  0);
+      }
+    }
+  }
+}
+
+TEST(Protocol, StompedArrayCountFailsBeforeAllocating) {
+  // A SUBMIT whose x count claims just under the sanity bound: the parse
+  // must refuse it against the bytes left, not allocate gigabytes first.
+  auto frame_bytes =
+      bn::make_submit_request(5, "m", "c", std::vector<value_t>(4, 1.0));
+  const std::uint64_t stomp = bro::ByteReader::kSaneCount - 1;
+  const std::size_t count_at = bn::kFrameHeaderBytes + 4 + 1 + 4 + 1;
+  std::memcpy(frame_bytes.data() + count_at, &stomp, sizeof(stomp));
+  bn::FrameAssembler fa;
+  fa.append(frame_bytes.data(), frame_bytes.size());
+  const auto frame = fa.next();
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_THROW(bn::parse_submit_request(*frame), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------

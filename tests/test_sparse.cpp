@@ -95,6 +95,38 @@ TEST(Csr, RoundTripThroughCoo) {
   EXPECT_EQ(back.vals, orig.vals);
 }
 
+TEST(Csr, CanonicalCooMovedInIsNotCopied) {
+  bs::Coo coo = paper_matrix();
+  const bs::Csr copied = bs::coo_to_csr(coo);
+  const index_t* cols = coo.col_idx.data();
+  const value_t* vals = coo.vals.data();
+  const bs::Csr moved = bs::coo_to_csr(std::move(coo));
+  EXPECT_EQ(moved.col_idx.data(), cols); // the buffers changed hands
+  EXPECT_EQ(moved.vals.data(), vals);
+  EXPECT_EQ(moved.row_ptr, copied.row_ptr);
+  EXPECT_EQ(moved.col_idx, copied.col_idx);
+  EXPECT_EQ(moved.vals, copied.vals);
+}
+
+TEST(Csr, BuilderCanonicalizesEachRow) {
+  bs::CsrBuilder b(2, 6, 5);
+  b.push(4, 1.0);
+  b.push(1, 2.0);
+  b.push(4, 3.0); // duplicate of column 4, summed in arrival order
+  b.end_row();
+  b.push(0, 5.0);
+  b.push(5, 6.0);
+  b.end_row();
+  const bs::Csr a = b.finish();
+  EXPECT_TRUE(a.is_valid());
+  EXPECT_EQ(a.row_ptr, (std::vector<index_t>{0, 2, 4}));
+  EXPECT_EQ(a.col_idx, (std::vector<index_t>{1, 4, 0, 5}));
+  EXPECT_EQ(a.vals, (std::vector<value_t>{2.0, 4.0, 5.0, 6.0}));
+  bs::CsrBuilder short_one(2, 2);
+  short_one.end_row();
+  EXPECT_THROW(short_one.finish(), std::runtime_error);
+}
+
 TEST(Csr, ReferenceSpmvOnPaperMatrix) {
   const bs::Csr csr = bs::coo_to_csr(paper_matrix());
   const std::vector<value_t> x = {1, 2, 3, 4, 5};

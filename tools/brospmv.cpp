@@ -212,10 +212,8 @@ int cmd_spmv(const Args& args) {
   if (src.size() > 4 && src.substr(src.size() - 4) == ".bro") {
     std::ifstream in(src, std::ios::binary);
     if (!in) throw std::runtime_error("cannot open " + src);
-    f = core::peek_bro_format(in);
-    in.seekg(0);
     m = std::make_shared<core::Matrix>(
-        core::Matrix::from_csr(core::read_bro_to_csr(in)));
+        core::Matrix::from_csr(core::read_bro_to_csr(in, &f)));
     format = std::string(core::format_name(f)) + " (from file)";
   } else {
     m = std::make_shared<core::Matrix>(
