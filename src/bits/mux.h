@@ -101,4 +101,45 @@ class MuxedStream {
   std::vector<std::uint64_t> slots64_; // used when sym_len == 64
 };
 
+/// Writes one row of a MuxedStream: fields appended MSB-first, in exactly
+/// BitString::append's bit order, land straight in the row's slots (symbol
+/// c of row t at c*h + t) with no per-row BitString and no interleave.
+/// The stream starts zeroed, so trailing zero fields need not be written.
+class MuxRowWriter {
+ public:
+  MuxRowWriter(MuxedStream& stream, std::size_t row)
+      : stream_(&stream), slot_(row) {}
+
+  /// Append the low `nbits` bits of `value` (nbits in [0, 32]; value must
+  /// fit in them).
+  void append(std::uint32_t value, int nbits) {
+    const int room = stream_->sym_len() - n_;
+    if (nbits < room) {
+      acc_ = (acc_ << nbits) | value;
+      n_ += nbits;
+      return;
+    }
+    const int rest = nbits - room; // bits that spill into the next symbol
+    put((acc_ << room) | (std::uint64_t{value} >> rest));
+    acc_ = value & ((std::uint64_t{1} << rest) - 1);
+    n_ = rest;
+  }
+
+  /// Store the partial last symbol, zero-padded. Call once, at the end.
+  void finish() {
+    if (n_ > 0) put(acc_ << (stream_->sym_len() - n_));
+  }
+
+ private:
+  void put(std::uint64_t symbol) {
+    stream_->set_slot(slot_, symbol);
+    slot_ += stream_->height();
+  }
+
+  MuxedStream* stream_;
+  std::size_t slot_;      // flat slot of the row's next symbol
+  std::uint64_t acc_ = 0; // the current symbol's first n_ bits
+  int n_ = 0;
+};
+
 } // namespace bro::bits

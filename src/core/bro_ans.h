@@ -89,6 +89,11 @@ class AnsRowDecoder {
 
 class BroAns {
  public:
+  /// Compression straight from CSR rows, laid out as BroEll::compress
+  /// lays them; thread-count independent.
+  static BroAns compress(const sparse::Csr& csr, index_t width,
+                         BroAnsOptions opts = {});
+  /// Adapter for callers that hold a padded ELLPACK.
   static BroAns compress(const sparse::Ell& ell, BroAnsOptions opts = {});
 
   index_t rows() const { return rows_; }
@@ -103,7 +108,7 @@ class BroAns {
   std::vector<index_t> decode_row(index_t row) const;
 
   /// Full decompression back to ELLPACK (round-trip testing).
-  sparse::Ell decompress() const;
+  sparse::Ell decompress() const { return decompress_to_ell(*this); }
 
   /// y = A * x via the sequential per-row decode loop.
   void spmv(std::span<const value_t> x, std::span<value_t> y) const;

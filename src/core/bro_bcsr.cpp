@@ -1,9 +1,8 @@
 #include "core/bro_bcsr.h"
 
 #include <algorithm>
-#include <limits>
+#include <utility>
 
-#include "bits/bitwidth.h"
 #include "bits/delta.h"
 #include "util/error.h"
 
@@ -26,86 +25,102 @@ void check_shape(int br, int bc) {
                 "block_cols must divide 8");
 }
 
-/// Walk the block rows of an r x c cover in order, materializing one block
-/// row's ascending unique block-column list at a time (cursor merge over the
-/// r member rows; each CSR row is sorted).
-template <typename Fn>
-void for_each_block_row(const sparse::Csr& csr, int br, int bc, Fn&& fn) {
-  const index_t nbrows = csr.rows == 0 ? 0 : (csr.rows + br - 1) / br;
-  std::vector<index_t> bcols;
-  std::array<index_t, 8> p{}, e{};
-  for (index_t brow = 0; brow < nbrows; ++brow) {
-    const index_t r0 = brow * br;
-    const int rh = static_cast<int>(std::min<index_t>(br, csr.rows - r0));
-    for (int i = 0; i < rh; ++i) {
-      p[static_cast<std::size_t>(i)] = csr.row_ptr[static_cast<std::size_t>(r0 + i)];
-      e[static_cast<std::size_t>(i)] = csr.row_ptr[static_cast<std::size_t>(r0 + i) + 1];
+/// An r x c block cover: every block row's ascending unique block-column
+/// list, stored flat.
+struct BlockCover {
+  std::vector<index_t> cols;
+  std::vector<std::span<const index_t>> rows; // views into cols
+};
+
+/// Build the cover by merging each block row's member rows (each CSR row
+/// is sorted, so each contributes one ascending run).
+BlockCover block_cover(const sparse::Csr& csr, int br, int bc) {
+  BlockCover out;
+  out.cols.reserve(csr.nnz()); // never outgrown, so the row views stay valid
+  for (index_t r0 = 0, r1 = 0; r0 < csr.rows; r0 = r1) {
+    r1 = r0 + std::min<index_t>(br, csr.rows - r0);
+    const auto first = static_cast<std::ptrdiff_t>(out.cols.size());
+    for (index_t r = r0; r < r1; ++r) {
+      const auto mid = static_cast<std::ptrdiff_t>(out.cols.size());
+      for (const index_t col : csr.row_cols(r)) out.cols.push_back(col / bc);
+      std::inplace_merge(out.cols.begin() + first, out.cols.begin() + mid,
+                         out.cols.end());
     }
-    bcols.clear();
-    for (;;) {
-      index_t next = std::numeric_limits<index_t>::max();
-      for (int i = 0; i < rh; ++i) {
-        const auto ui = static_cast<std::size_t>(i);
-        if (p[ui] < e[ui])
-          next = std::min(next, csr.col_idx[static_cast<std::size_t>(p[ui])] /
-                                    bc);
-      }
-      if (next == std::numeric_limits<index_t>::max()) break;
-      bcols.push_back(next);
-      for (int i = 0; i < rh; ++i) {
-        auto& pi = p[static_cast<std::size_t>(i)];
-        const index_t ei = e[static_cast<std::size_t>(i)];
-        while (pi < ei &&
-               csr.col_idx[static_cast<std::size_t>(pi)] / bc == next)
-          ++pi;
-      }
-    }
-    fn(brow, rh, bcols);
+    out.cols.erase(std::unique(out.cols.begin() + first, out.cols.end()),
+                   out.cols.end());
+    out.rows.emplace_back(out.cols.data() + first,
+                          out.cols.size() - static_cast<std::size_t>(first));
   }
+  return out;
 }
 
-/// Exact packed-stream cost of slicing `lists` of (block-)column indices the
-/// BRO-ELL way: per-slice-column bit allocation over the 1-based deltas,
-/// per-row padding to a sym_len multiple, plus bit_alloc and num_col header
-/// bytes per slice. Streams one slice of state at a time.
-struct SliceCostAccum {
-  int slice_height;
-  int sym_len;
-  std::size_t bits = 0;
-  std::size_t value_slots = 0; // slices' height * num_col (TILES, not bytes)
+/// Fill of a cover from its non-empty block count, as analyze_bro_bcsr
+/// computes it (the prefilter must agree with it bit for bit).
+double cover_fill(std::size_t nnz, std::size_t blocks, int br, int bc) {
+  const std::size_t tile_entries =
+      blocks * static_cast<std::size_t>(br) * static_cast<std::size_t>(bc);
+  return tile_entries == 0 ? 0.0
+                           : static_cast<double>(nnz) /
+                                 static_cast<double>(tile_entries);
+}
 
-  // current slice state
-  index_t in_slice = 0;
-  index_t num_col = 0;
-  std::vector<int> width = {}; // per slice column, floor 1
-
-  void add_row(std::span<const index_t> cols) {
-    const auto deltas = bits::delta_encode_row(cols);
-    if (static_cast<index_t>(deltas.size()) > num_col) {
-      num_col = static_cast<index_t>(deltas.size());
-      width.resize(static_cast<std::size_t>(num_col), 1);
+/// Highest cover fill over every candidate shape, in one linear pass over
+/// the CSR entries: a stamp per block column records the last block row
+/// that touched it, so each non-empty block is counted once with no
+/// cursor merge. Returns 1.0 (no verdict) when a column lies outside the
+/// matrix, or when the stamps would outgrow the CSR itself (far more
+/// columns than entries), leaving such input to the full analysis.
+double best_candidate_fill(const sparse::Csr& csr) {
+  const auto cols = static_cast<std::size_t>(csr.cols);
+  if (cols > csr.nnz() + static_cast<std::size_t>(csr.rows)) return 1.0;
+  constexpr std::size_t kShapes = kBcsrCandidateShapes.size();
+  std::array<std::vector<index_t>, kShapes> stamp;
+  std::array<std::size_t, kShapes> blocks{};
+  for (std::size_t i = 0; i < kShapes; ++i) {
+    const auto bc = static_cast<std::size_t>(kBcsrCandidateShapes[i].second);
+    stamp[i].assign((cols + bc - 1) / bc, -1);
+  }
+  for (index_t r = 0; r < csr.rows; ++r) {
+    std::array<index_t, kShapes> brow;
+    for (std::size_t i = 0; i < kShapes; ++i)
+      brow[i] = r / kBcsrCandidateShapes[i].first;
+    for (const index_t col : csr.row_cols(r)) {
+      if (col < 0 || col >= csr.cols) return 1.0;
+      for (std::size_t i = 0; i < kShapes; ++i) {
+        index_t& last =
+            stamp[i][static_cast<std::size_t>(col / kBcsrCandidateShapes[i].second)];
+        blocks[i] += last != brow[i];
+        last = brow[i];
+      }
     }
-    for (std::size_t j = 0; j < deltas.size(); ++j)
-      width[j] = std::max(width[j], bits::bit_width_of(deltas[j]));
-    if (++in_slice == slice_height) flush();
   }
+  double best = 0.0;
+  for (std::size_t i = 0; i < kShapes; ++i)
+    best = std::max(best, cover_fill(csr.nnz(), blocks[i],
+                                     kBcsrCandidateShapes[i].first,
+                                     kBcsrCandidateShapes[i].second));
+  return best;
+}
 
-  void flush() {
-    if (in_slice == 0) return;
-    std::size_t row_bits = 0;
-    for (index_t j = 0; j < num_col; ++j)
-      row_bits += static_cast<std::size_t>(width[static_cast<std::size_t>(j)]);
-    const auto sym = static_cast<std::size_t>(sym_len);
-    row_bits = (row_bits + sym - 1) / sym * sym;
-    bits += static_cast<std::size_t>(in_slice) * row_bits;
-    bits += 8 * (static_cast<std::size_t>(num_col) + sizeof(index_t));
-    value_slots +=
-        static_cast<std::size_t>(in_slice) * static_cast<std::size_t>(num_col);
-    in_slice = 0;
-    num_col = 0;
-    width.clear();
+/// Exact cost of slicing `rows` (index lists) the BRO-ELL way, from the
+/// slice packer's own layout: {padded stream bits plus bit_alloc and
+/// num_col header bytes per slice, the slices' height * num_col value
+/// slots (TILES, not bytes)}.
+std::pair<std::size_t, std::size_t> slice_cost(
+    std::span<const std::span<const index_t>> rows, const BroBcsrOptions& opts) {
+  std::size_t bits = 0, slots = 0;
+  const auto h = static_cast<std::size_t>(opts.slice_height);
+  for (std::size_t first = 0; first < rows.size(); first += h) {
+    const std::size_t n = std::min(h, rows.size() - first);
+    const BroEllSlice s = slice_layout(0, rows.subspan(first, n), opts.sym_len);
+    std::size_t row_bits = static_cast<std::size_t>(s.pad_bits);
+    for (const std::uint8_t b : s.bit_alloc) row_bits += b;
+    const auto num_col = static_cast<std::size_t>(s.num_col);
+    bits += n * row_bits + 8 * (num_col + sizeof(index_t));
+    slots += n * num_col;
   }
-};
+  return {bits, slots};
+}
 
 } // namespace
 
@@ -120,33 +135,22 @@ BcsrAnalysis analyze_bro_bcsr(const sparse::Csr& csr,
                         static_cast<std::size_t>(csr.max_row_length());
 
   // Unblocked baseline: the exact BRO-ELL index stream cost of the rows.
-  {
-    SliceCostAccum acc{opts.slice_height, opts.sym_len};
-    for (index_t r = 0; r < csr.rows; ++r) acc.add_row(csr.row_cols(r));
-    acc.flush();
-    out.ell_index_bits = acc.bits;
-  }
+  std::vector<std::span<const index_t>> rows(static_cast<std::size_t>(csr.rows));
+  for (index_t r = 0; r < csr.rows; ++r)
+    rows[static_cast<std::size_t>(r)] = csr.row_cols(r);
+  out.ell_index_bits = slice_cost(rows, opts).first;
 
   for (const auto& [br, bc] : kBcsrCandidateShapes) {
     BcsrShapeStats s;
     s.br = br;
     s.bc = bc;
-    SliceCostAccum acc{opts.slice_height, opts.sym_len};
-    for_each_block_row(csr, br, bc,
-                       [&](index_t, int, const std::vector<index_t>& bcols) {
-                         s.blocks += bcols.size();
-                         acc.add_row(bcols);
-                       });
-    acc.flush();
-    s.index_bits = acc.bits;
-    s.value_slots = acc.value_slots * static_cast<std::size_t>(br) *
-                    static_cast<std::size_t>(bc);
-    const std::size_t tile_entries =
-        s.blocks * static_cast<std::size_t>(br) * static_cast<std::size_t>(bc);
-    s.fill = tile_entries == 0
-                 ? 0.0
-                 : static_cast<double>(csr.nnz()) /
-                       static_cast<double>(tile_entries);
+    const BlockCover cover = block_cover(csr, br, bc);
+    s.blocks = cover.cols.size();
+    const auto [index_bits, tiles] = slice_cost(cover.rows, opts);
+    s.index_bits = index_bits;
+    s.value_slots =
+        tiles * static_cast<std::size_t>(br) * static_cast<std::size_t>(bc);
+    s.fill = cover_fill(csr.nnz(), s.blocks, br, bc);
     // Fill charge: every tile value slot beyond the nnz a plain CSR value
     // array would hold costs a stored double. Charging against nnz (not the
     // ELLPACK slot count, which one heavy row can inflate without bound)
@@ -171,6 +175,10 @@ BcsrAnalysis analyze_bro_bcsr(const sparse::Csr& csr,
 bool bro_bcsr_applicable(const sparse::Csr& csr, double max_ell_expand,
                          const BroBcsrOptions& opts) {
   if (csr.rows == 0 || csr.cols == 0 || csr.nnz() == 0) return false;
+  // Exact early-out: the best shape's fill is at most the highest fill of
+  // any candidate, so when none reaches the floor the full analysis below
+  // would reject too.
+  if (best_candidate_fill(csr) < opts.min_fill) return false;
   const BcsrAnalysis a = analyze_bro_bcsr(csr, opts);
   if (a.best < 0) return false;
   const BcsrShapeStats& s = a.shapes[static_cast<std::size_t>(a.best)];
@@ -226,95 +234,47 @@ BroBcsr BroBcsr::compress(const sparse::Csr& csr, BroBcsrOptions opts) {
   const index_t h = opts.slice_height;
   const index_t num_slices =
       out.block_rows_ == 0 ? 0 : (out.block_rows_ + h - 1) / h;
-  out.slices_.reserve(static_cast<std::size_t>(num_slices));
-  out.val_off_.reserve(static_cast<std::size_t>(num_slices));
-
-  // The block cover, one slice of block rows at a time.
-  std::vector<std::vector<index_t>> slice_bcols;
-  index_t next_brow = 0;
+  // The block cover, packed slice by slice in parallel, then each slice's
+  // tiles filled in parallel once the value offsets are known.
+  const BlockCover cover = block_cover(csr, br, bc);
+  const std::span<const std::span<const index_t>> lists(cover.rows);
+  out.slices_.resize(static_cast<std::size_t>(num_slices));
+  parallel_for_slices(num_slices, [&](index_t s) {
+    const auto first = static_cast<std::size_t>(s * h);
+    out.slices_[static_cast<std::size_t>(s)] = pack_slice(
+        s * h,
+        lists.subspan(first, std::min<std::size_t>(h, lists.size() - first)),
+        opts.sym_len);
+  });
   const auto tile = static_cast<std::size_t>(br) * static_cast<std::size_t>(bc);
+  std::size_t total = 0;
+  for (const BroEllSlice& slice : out.slices_) {
+    out.val_off_.push_back(total);
+    total += static_cast<std::size_t>(slice.height) *
+             static_cast<std::size_t>(slice.num_col) * tile;
+  }
+  out.vals_.assign(total, 0.0);
 
-  for_each_block_row(
-      csr, br, bc, [&](index_t brow, int, const std::vector<index_t>& bcols) {
-        slice_bcols.push_back(bcols);
-        next_brow = brow + 1;
-        const bool slice_done =
-            next_brow == out.block_rows_ || next_brow % h == 0;
-        if (!slice_done) return;
-
-        BroEllSlice slice;
-        slice.height = static_cast<index_t>(slice_bcols.size());
-        slice.first_row = next_brow - slice.height;
-        slice.num_col = 0;
-        std::vector<std::vector<std::uint32_t>> deltas(slice_bcols.size());
-        for (std::size_t t = 0; t < slice_bcols.size(); ++t) {
-          deltas[t] = bits::delta_encode_row(slice_bcols[t]);
-          slice.num_col =
-              std::max(slice.num_col, static_cast<index_t>(deltas[t].size()));
+  // Value pass: scatter each member row's entries into its tiles.
+  parallel_for_slices(num_slices, [&](index_t s) {
+    const BroEllSlice& slice = out.slices_[static_cast<std::size_t>(s)];
+    value_t* vb = out.vals_.data() + out.val_off_[static_cast<std::size_t>(s)];
+    for (index_t t = 0; t < slice.height; ++t) {
+      const index_t r0 = (slice.first_row + t) * br;
+      const auto cols = lists[static_cast<std::size_t>(slice.first_row + t)];
+      for (index_t r = r0; r < r0 + std::min<index_t>(br, csr.rows - r0); ++r) {
+        std::size_t j = 0;
+        for (index_t p = csr.row_ptr[static_cast<std::size_t>(r)];
+             p < csr.row_ptr[static_cast<std::size_t>(r) + 1]; ++p) {
+          const index_t col = csr.col_idx[static_cast<std::size_t>(p)];
+          while (cols[j] != col / bc) ++j;
+          vb[(static_cast<std::size_t>(t) * static_cast<std::size_t>(slice.num_col) + j) * tile +
+             static_cast<std::size_t>((r - r0) * bc + col - cols[j] * bc)] =
+              csr.vals[static_cast<std::size_t>(p)];
         }
-
-        slice.bit_alloc.assign(static_cast<std::size_t>(slice.num_col), 1);
-        for (index_t c = 0; c < slice.num_col; ++c) {
-          int b = 1;
-          for (const auto& d : deltas)
-            if (static_cast<std::size_t>(c) < d.size())
-              b = std::max(b,
-                           bits::bit_width_of(d[static_cast<std::size_t>(c)]));
-          slice.bit_alloc[static_cast<std::size_t>(c)] =
-              static_cast<std::uint8_t>(b);
-        }
-
-        std::vector<bits::BitString> row_streams(slice_bcols.size());
-        for (std::size_t t = 0; t < slice_bcols.size(); ++t) {
-          auto& bs = row_streams[t];
-          for (index_t c = 0; c < slice.num_col; ++c) {
-            const std::uint32_t v = static_cast<std::size_t>(c) < deltas[t].size()
-                                        ? deltas[t][static_cast<std::size_t>(c)]
-                                        : bits::kInvalidDelta;
-            bs.append(v, slice.bit_alloc[static_cast<std::size_t>(c)]);
-          }
-          slice.pad_bits = bs.pad_to_multiple(opts.sym_len);
-        }
-
-        if (slice.num_col > 0) {
-          slice.stream = bits::MuxedStream::interleave(row_streams, opts.sym_len);
-        } else {
-          slice.stream =
-              bits::MuxedStream(opts.sym_len, slice_bcols.size(), 0);
-        }
-
-        out.val_off_.push_back(out.vals_.size());
-        out.vals_.resize(out.vals_.size() +
-                             slice_bcols.size() *
-                                 static_cast<std::size_t>(slice.num_col) * tile,
-                         0.0);
-
-        // Value pass: scatter each member row's entries into its tiles.
-        value_t* vb = out.vals_.data() + out.val_off_.back();
-        for (std::size_t t = 0; t < slice_bcols.size(); ++t) {
-          const index_t r0 = (slice.first_row + static_cast<index_t>(t)) * br;
-          const int rh =
-              static_cast<int>(std::min<index_t>(br, csr.rows - r0));
-          const auto& cols = slice_bcols[t];
-          for (int i = 0; i < rh; ++i) {
-            const index_t r = r0 + i;
-            std::size_t j = 0;
-            for (index_t p = csr.row_ptr[static_cast<std::size_t>(r)];
-                 p < csr.row_ptr[static_cast<std::size_t>(r) + 1]; ++p) {
-              const index_t col = csr.col_idx[static_cast<std::size_t>(p)];
-              while (cols[j] != col / bc) ++j;
-              vb[(t * static_cast<std::size_t>(slice.num_col) + j) * tile +
-                 static_cast<std::size_t>(i) * static_cast<std::size_t>(bc) +
-                 static_cast<std::size_t>(col - cols[j] * bc)] =
-                  csr.vals[static_cast<std::size_t>(p)];
-            }
-          }
-        }
-
-        out.slices_.push_back(std::move(slice));
-        slice_bcols.clear();
-      });
-
+      }
+    }
+  });
   return out;
 }
 
@@ -417,24 +377,8 @@ sparse::Csr BroBcsr::to_csr() const {
 }
 
 std::size_t BroBcsr::compressed_index_bytes() const {
-  std::size_t total = 0;
-  for (const auto& s : slices_) {
-    total += s.stream.byte_size();
-    total += s.bit_alloc.size();
-    total += sizeof(index_t);
-  }
-  if (vals_.size() > nnz_) total += sizeof(value_t) * (vals_.size() - nnz_);
-  return total;
-}
-
-std::size_t BroBcsr::resident_index_bytes() const {
-  std::size_t total = 0;
-  for (const auto& s : slices_) {
-    total += s.stream.resident_bytes();
-    total += s.bit_alloc.size();
-    total += sizeof(index_t);
-  }
-  return total;
+  const std::size_t fill = vals_.size() > nnz_ ? vals_.size() - nnz_ : 0;
+  return slice_index_bytes(slices_) + sizeof(value_t) * fill;
 }
 
 std::size_t BroBcsr::original_index_bytes() const {

@@ -94,7 +94,10 @@ BcsrAnalysis analyze_bro_bcsr(const sparse::Csr& csr,
 
 /// Savings-model applicability: the best shape must clear the fill floor,
 /// stay within the ELL expansion bound, and beat the unblocked index cost
-/// by a clear margin (so marginally-blocked matrices keep BRO-ELL).
+/// by a clear margin (so marginally-blocked matrices keep BRO-ELL). A
+/// one-pass block count rejects first, exactly, when no candidate shape
+/// reaches the fill floor; only matrices that pass it pay for
+/// analyze_bro_bcsr.
 bool bro_bcsr_applicable(const sparse::Csr& csr, double max_ell_expand,
                          const BroBcsrOptions& opts = {});
 
@@ -154,7 +157,7 @@ class BroBcsr {
 
   /// Actual heap bytes of the index data as stored (no fill charge — tile
   /// memory is accounted by resident value bytes).
-  std::size_t resident_index_bytes() const;
+  std::size_t resident_index_bytes() const { return slice_index_bytes(slices_); }
 
   /// Baseline ELLPACK index size of the source (rows * max_row_len * 4),
   /// identical to BRO-ELL's baseline so etas are comparable.

@@ -1,8 +1,8 @@
 #include "core/bro_coo.h"
 
 #include <algorithm>
+#include <utility>
 
-#include "bits/bit_string.h"
 #include "bits/bitwidth.h"
 #include "bits/delta.h"
 #include "core/bro_ell.h"
@@ -10,7 +10,7 @@
 
 namespace bro::core {
 
-BroCoo BroCoo::compress(const sparse::Coo& coo, BroCooOptions opts) {
+BroCoo BroCoo::compress(sparse::Coo coo, BroCooOptions opts) {
   BRO_CHECK_MSG(coo.is_canonical(), "BRO-COO requires canonical COO order");
   BRO_CHECK_MSG(opts.warp_size > 0 && opts.interval_cols > 0,
                 "interval dimensions must be positive");
@@ -33,11 +33,11 @@ BroCoo BroCoo::compress(const sparse::Coo& coo, BroCooOptions opts) {
   const std::size_t padded =
       (coo.nnz() + interval_size - 1) / interval_size * interval_size;
 
-  std::vector<index_t> row_idx = coo.row_idx;
-  out.col_idx_ = coo.col_idx;
-  out.vals_ = coo.vals;
-  row_idx.resize(padded, coo.row_idx.back());
-  out.col_idx_.resize(padded, coo.col_idx.back());
+  std::vector<index_t> row_idx = std::move(coo.row_idx);
+  out.col_idx_ = std::move(coo.col_idx);
+  out.vals_ = std::move(coo.vals);
+  row_idx.resize(padded, row_idx.back());
+  out.col_idx_.resize(padded, out.col_idx_.back());
   out.vals_.resize(padded, value_t{0});
 
   const std::size_t num_intervals = padded / interval_size;
@@ -67,20 +67,22 @@ BroCoo BroCoo::compress(const sparse::Coo& coo, BroCooOptions opts) {
 
     // Pass 2: pack every lane with the final bit width.
     iv.bits = bits_needed;
-    std::vector<bits::BitString> streams(static_cast<std::size_t>(w));
+    const auto sym = static_cast<std::size_t>(opts.sym_len);
+    iv.stream = bits::MuxedStream(
+        opts.sym_len, static_cast<std::size_t>(w),
+        (static_cast<std::size_t>(opts.interval_cols) * iv.bits + sym - 1) / sym);
     for (int j = 0; j < w; ++j) {
+      bits::MuxRowWriter lane(iv.stream, static_cast<std::size_t>(j));
       index_t prev = iv.start_row;
-      auto& bs = streams[static_cast<std::size_t>(j)];
       for (int c = 0; c < opts.interval_cols; ++c) {
         const index_t r =
             row_idx[base + static_cast<std::size_t>(c) * w +
                     static_cast<std::size_t>(j)];
-        bs.append(static_cast<std::uint32_t>(r - prev), iv.bits);
+        lane.append(static_cast<std::uint32_t>(r - prev), iv.bits);
         prev = r;
       }
-      bs.pad_to_multiple(opts.sym_len);
+      lane.finish();
     }
-    iv.stream = bits::MuxedStream::interleave(streams, opts.sym_len);
     out.intervals_.push_back(std::move(iv));
   }
   return out;

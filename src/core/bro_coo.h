@@ -46,8 +46,10 @@ std::vector<index_t> decode_coo_rows(std::span<const BroCooInterval> intervals,
 
 class BroCoo {
  public:
-  /// Offline compression. Requires canonical (row-sorted) COO.
-  static BroCoo compress(const sparse::Coo& coo, BroCooOptions opts = {});
+  /// Offline compression. Requires canonical (row-sorted) COO. Takes the
+  /// COO by value: a caller that gives it up with std::move hands its
+  /// arrays over without a copy.
+  static BroCoo compress(sparse::Coo coo, BroCooOptions opts = {});
 
   index_t rows() const { return rows_; }
   index_t cols() const { return cols_; }

@@ -1,9 +1,11 @@
 #include "core/bro_ell.h"
 
 #include <algorithm>
+#include <exception>
 
 #include "bits/bitwidth.h"
 #include "bits/delta.h"
+#include "sparse/convert.h"
 #include "util/error.h"
 
 namespace bro::core {
@@ -62,7 +64,114 @@ std::uint32_t RowStreamDecoder::next(int b) {
   return static_cast<std::uint32_t>(decoded);
 }
 
-BroEll BroEll::compress(const sparse::Ell& ell, BroEllOptions opts) {
+namespace {
+
+std::uint32_t delta(index_t col, index_t prev) {
+  return static_cast<std::uint32_t>(static_cast<std::int64_t>(col) - prev);
+}
+
+std::size_t row_bits(const BroEllSlice& slice) {
+  std::size_t bits = 0;
+  for (const std::uint8_t b : slice.bit_alloc) bits += b;
+  return bits;
+}
+
+} // namespace
+
+BroEllSlice slice_layout(index_t first_row,
+                         std::span<const std::span<const index_t>> rows,
+                         int sym_len, int forced_bit_width) {
+  BroEllSlice slice;
+  slice.first_row = first_row;
+  slice.height = static_cast<index_t>(rows.size());
+
+  // Stages 1-2: delta-encode each row on the fly and widen its columns'
+  // bit allocation (Fig. 1 "delta encoding", "bit packing"). Every valid
+  // column holds at least one 1-bit delta; forced_bit_width raises the
+  // floor for compression-ratio sweeps.
+  const auto floor = static_cast<std::uint8_t>(std::max(1, forced_bit_width));
+  for (const std::span<const index_t> row : rows) {
+    if (row.size() > slice.bit_alloc.size())
+      slice.bit_alloc.resize(row.size(), floor);
+    index_t prev = -1;
+    for (std::size_t c = 0; c < row.size(); ++c) {
+      BRO_CHECK_MSG(row[c] > prev, "column indices must be strictly increasing");
+      const auto b = static_cast<std::uint8_t>(
+          bits::bit_width_of(delta(row[c], prev)));
+      slice.bit_alloc[c] = std::max(slice.bit_alloc[c], b);
+      prev = row[c];
+    }
+  }
+  slice.num_col = static_cast<index_t>(slice.bit_alloc.size());
+
+  // Stage 3: every row carries the same bit count, padded to a sym_len
+  // multiple.
+  const std::size_t bits = row_bits(slice);
+  const auto sym = static_cast<std::size_t>(sym_len);
+  slice.pad_bits = static_cast<int>((bits + sym - 1) / sym * sym - bits);
+  return slice;
+}
+
+BroEllSlice pack_slice(index_t first_row,
+                       std::span<const std::span<const index_t>> rows,
+                       int sym_len, int forced_bit_width) {
+  BroEllSlice slice = slice_layout(first_row, rows, sym_len, forced_bit_width);
+  const std::size_t symbols =
+      (row_bits(slice) + static_cast<std::size_t>(slice.pad_bits)) /
+      static_cast<std::size_t>(sym_len);
+
+  // Stage 4: write each row's fields MSB-first into its multiplexed slots.
+  // The stream starts zeroed, so a row stops after its last real delta:
+  // the padding deltas it would append are zero bits.
+  slice.stream = bits::MuxedStream(sym_len, rows.size(), symbols);
+  for (std::size_t t = 0; t < rows.size(); ++t) {
+    bits::MuxRowWriter out(slice.stream, t);
+    index_t prev = -1;
+    for (std::size_t c = 0; c < rows[t].size(); ++c) {
+      out.append(delta(rows[t][c], prev), slice.bit_alloc[c]);
+      prev = rows[t][c];
+    }
+    out.finish();
+  }
+  return slice;
+}
+
+void parallel_for_slices(index_t n, const std::function<void(index_t)>& fn) {
+  std::exception_ptr error;
+#pragma omp parallel for schedule(dynamic, 1) if (n > 1)
+  for (index_t s = 0; s < n; ++s) {
+    try {
+      fn(s);
+    } catch (...) {
+#pragma omp critical(bro_slice_error)
+      if (!error) error = std::current_exception();
+    }
+  }
+  if (error) std::rethrow_exception(error);
+}
+
+std::span<const index_t> ell_row(const sparse::Csr& csr, index_t r,
+                                 index_t width) {
+  return csr.row_cols(r).first(static_cast<std::size_t>(
+      std::min(csr.row_length(r), width)));
+}
+
+std::vector<value_t> ell_values(const sparse::Csr& csr, index_t width) {
+  BRO_CHECK_MSG(width >= 0, "ELL width must be non-negative");
+  const auto m = static_cast<std::size_t>(csr.rows);
+  std::vector<value_t> vals(m * static_cast<std::size_t>(width), value_t{0});
+#pragma omp parallel for schedule(static)
+  for (index_t r = 0; r < csr.rows; ++r) {
+    const std::span<const value_t> row = csr.row_vals(r);
+    const std::size_t len = ell_row(csr, r, width).size();
+    for (std::size_t j = 0; j < len; ++j)
+      vals[j * m + static_cast<std::size_t>(r)] = row[j];
+  }
+  return vals;
+}
+
+BroEll BroEll::compress(const sparse::Csr& csr, index_t width,
+                        BroEllOptions opts) {
   BRO_CHECK_MSG(opts.slice_height > 0, "slice height must be positive");
   BRO_CHECK_MSG(opts.sym_len == 32 || opts.sym_len == 64,
                 "sym_len must be 32 or 64");
@@ -70,77 +179,29 @@ BroEll BroEll::compress(const sparse::Ell& ell, BroEllOptions opts) {
                 "forced_bit_width must be in [0, 32]");
 
   BroEll out;
-  out.rows_ = ell.rows;
-  out.cols_ = ell.cols;
-  out.width_ = ell.width;
+  out.rows_ = csr.rows;
+  out.cols_ = csr.cols;
+  out.width_ = width;
   out.opts_ = opts;
-  out.vals_ = ell.vals;
+  out.vals_ = ell_values(csr, width);
 
   const index_t h = opts.slice_height;
-  const index_t num_slices = ell.rows == 0 ? 0 : (ell.rows + h - 1) / h;
-  out.slices_.reserve(static_cast<std::size_t>(num_slices));
-
-  std::vector<std::vector<std::uint32_t>> deltas; // per row in slice
-  for (index_t s = 0; s < num_slices; ++s) {
-    BroEllSlice slice;
-    slice.first_row = s * h;
-    slice.height = std::min<index_t>(h, ell.rows - slice.first_row);
-
-    // Stage 1: delta-encode each row of the slice (Fig. 1 "delta encoding").
-    deltas.assign(static_cast<std::size_t>(slice.height), {});
-    slice.num_col = 0;
-    for (index_t t = 0; t < slice.height; ++t) {
-      const index_t r = slice.first_row + t;
-      index_t len = 0;
-      while (len < ell.width && ell.col_at(r, len) != sparse::kPad) ++len;
-      std::vector<index_t> row_cols(static_cast<std::size_t>(len));
-      for (index_t j = 0; j < len; ++j) row_cols[j] = ell.col_at(r, j);
-      deltas[static_cast<std::size_t>(t)] = bits::delta_encode_row(row_cols);
-      slice.num_col = std::max(slice.num_col, len);
-    }
-
-    // Stage 2: per-column bit allocation (Fig. 1 "bit packing").
-    slice.bit_alloc.assign(static_cast<std::size_t>(slice.num_col), 1);
-    for (index_t c = 0; c < slice.num_col; ++c) {
-      // Every valid column holds at least one 1-bit delta; forced_bit_width
-      // raises the floor for compression-ratio sweeps.
-      int b = std::max(1, opts.forced_bit_width);
-      for (index_t t = 0; t < slice.height; ++t) {
-        const auto& d = deltas[static_cast<std::size_t>(t)];
-        if (static_cast<std::size_t>(c) < d.size())
-          b = std::max(b, bits::bit_width_of(d[static_cast<std::size_t>(c)]));
-      }
-      slice.bit_alloc[static_cast<std::size_t>(c)] =
-          static_cast<std::uint8_t>(b);
-    }
-
-    // Stage 3: build per-row bit strings (padding rows emit delta 0) and pad
-    // each to a sym_len multiple. Every row appends the same total bit count,
-    // so pad_bits is identical across rows by construction.
-    std::vector<bits::BitString> row_streams(
-        static_cast<std::size_t>(slice.height));
-    for (index_t t = 0; t < slice.height; ++t) {
-      auto& bs = row_streams[static_cast<std::size_t>(t)];
-      const auto& d = deltas[static_cast<std::size_t>(t)];
-      for (index_t c = 0; c < slice.num_col; ++c) {
-        const std::uint32_t v = static_cast<std::size_t>(c) < d.size()
-                                    ? d[static_cast<std::size_t>(c)]
-                                    : bits::kInvalidDelta;
-        bs.append(v, slice.bit_alloc[static_cast<std::size_t>(c)]);
-      }
-      slice.pad_bits = bs.pad_to_multiple(opts.sym_len);
-    }
-
-    // Stage 4: multiplex the row streams (Fig. 1 final stage).
-    if (slice.num_col > 0) {
-      slice.stream = bits::MuxedStream::interleave(row_streams, opts.sym_len);
-    } else {
-      slice.stream = bits::MuxedStream(opts.sym_len,
-                                       static_cast<std::size_t>(slice.height), 0);
-    }
-    out.slices_.push_back(std::move(slice));
-  }
+  const index_t num_slices = csr.rows == 0 ? 0 : (csr.rows + h - 1) / h;
+  out.slices_.resize(static_cast<std::size_t>(num_slices));
+  parallel_for_slices(num_slices, [&](index_t s) {
+    const index_t first = s * h;
+    std::vector<std::span<const index_t>> rows(
+        static_cast<std::size_t>(std::min<index_t>(h, csr.rows - first)));
+    for (std::size_t t = 0; t < rows.size(); ++t)
+      rows[t] = ell_row(csr, first + static_cast<index_t>(t), width);
+    out.slices_[static_cast<std::size_t>(s)] =
+        pack_slice(first, rows, opts.sym_len, opts.forced_bit_width);
+  });
   return out;
+}
+
+BroEll BroEll::compress(const sparse::Ell& ell, BroEllOptions opts) {
+  return compress(sparse::ell_to_csr(ell), ell.width, opts);
 }
 
 std::vector<index_t> BroEll::decode_row(index_t row) const {
@@ -157,21 +218,6 @@ std::vector<index_t> BroEll::decode_row(index_t row) const {
     cols.push_back(acc);
   }
   return cols;
-}
-
-sparse::Ell BroEll::decompress() const {
-  sparse::Ell out;
-  out.rows = rows_;
-  out.cols = cols_;
-  out.width = width_;
-  out.col_idx.assign(static_cast<std::size_t>(rows_) * width_, sparse::kPad);
-  out.vals = vals_;
-  for (index_t r = 0; r < rows_; ++r) {
-    const std::vector<index_t> cols = decode_row(r);
-    for (std::size_t j = 0; j < cols.size(); ++j)
-      out.col_idx[j * static_cast<std::size_t>(rows_) + r] = cols[j];
-  }
-  return out;
 }
 
 void BroEll::spmv(std::span<const value_t> x, std::span<value_t> y) const {
@@ -196,23 +242,10 @@ void BroEll::spmv(std::span<const value_t> x, std::span<value_t> y) const {
   }
 }
 
-std::size_t BroEll::compressed_index_bytes() const {
+std::size_t slice_index_bytes(std::span<const BroEllSlice> slices) {
   std::size_t total = 0;
-  for (const auto& s : slices_) {
-    total += s.stream.byte_size();
-    total += s.bit_alloc.size();  // one byte per column's bit width
-    total += sizeof(index_t);     // num_col entry
-  }
-  return total;
-}
-
-std::size_t BroEll::resident_index_bytes() const {
-  std::size_t total = 0;
-  for (const auto& s : slices_) {
-    total += s.stream.resident_bytes();
-    total += s.bit_alloc.size();
-    total += sizeof(index_t);
-  }
+  for (const auto& s : slices)
+    total += s.stream.byte_size() + s.bit_alloc.size() + sizeof(index_t);
   return total;
 }
 

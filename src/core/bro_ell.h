@@ -12,10 +12,13 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
+#include <span>
 #include <vector>
 
 #include "bits/mux.h"
+#include "sparse/csr.h"
 #include "sparse/ell.h"
 
 namespace bro::core {
@@ -43,9 +46,65 @@ struct BroEllSlice {
   bits::MuxedStream stream;
 };
 
+/// The BRO slice packer, all Fig. 1 stages for one slice of rows given as
+/// strictly increasing index lists: deltas, per-column bit widths (floor
+/// max(1, forced_bit_width)), fields written MSB-first straight into the
+/// multiplexed slots. BRO-ELL, BRO-HYB and BRO-BCSR all pack through it.
+BroEllSlice pack_slice(index_t first_row,
+                       std::span<const std::span<const index_t>> rows,
+                       int sym_len, int forced_bit_width = 0);
+
+/// The packer's layout alone: num_col, bit_alloc and pad_bits, with an
+/// empty stream. BRO-BCSR's cost model prices its candidate covers with it.
+BroEllSlice slice_layout(index_t first_row,
+                         std::span<const std::span<const index_t>> rows,
+                         int sym_len, int forced_bit_width = 0);
+
+/// Row r of `csr` in an ELLPACK of width `width`: its first
+/// min(length, width) column indices.
+std::span<const index_t> ell_row(const sparse::Csr& csr, index_t r,
+                                 index_t width);
+
+/// ELLPACK's m x width column-major value array of those rows, zeros in
+/// the padding slots.
+std::vector<value_t> ell_values(const sparse::Csr& csr, index_t width);
+
+/// Run fn(s) for every slice s in [0, n) as an OpenMP parallel for over
+/// the current thread count; fn must write only slice s's output. The
+/// first exception a slice throws is rethrown after the loop.
+void parallel_for_slices(index_t n, const std::function<void(index_t)>& fn);
+
+/// Index bytes of packed slices: each stream, one byte per column's bit
+/// width and a num_col entry. Streams hold symbols at their true width, so
+/// this is the resident size as well as the packed one.
+std::size_t slice_index_bytes(std::span<const BroEllSlice> slices);
+
+/// ELLPACK reconstruction of a row-decodable BRO-ELL-layout format (BroEll,
+/// BroAns): decode_row(r) fills row r's leading slots, values verbatim.
+template <typename Bro>
+sparse::Ell decompress_to_ell(const Bro& m) {
+  sparse::Ell out;
+  out.rows = m.rows();
+  out.cols = m.cols();
+  out.width = m.width();
+  out.col_idx.assign(static_cast<std::size_t>(out.rows) * out.width, sparse::kPad);
+  out.vals = m.vals();
+  for (index_t r = 0; r < out.rows; ++r) {
+    const std::vector<index_t> cols = m.decode_row(r);
+    for (std::size_t j = 0; j < cols.size(); ++j)
+      out.col_idx[j * static_cast<std::size_t>(out.rows) + r] = cols[j];
+  }
+  return out;
+}
+
 class BroEll {
  public:
-  /// Offline host-side compression (all Fig. 1 stages).
+  /// Offline host-side compression straight from CSR rows (ell_row,
+  /// ell_values). Slices pack in parallel; the output does not depend on
+  /// the thread count.
+  static BroEll compress(const sparse::Csr& csr, index_t width,
+                         BroEllOptions opts = {});
+  /// Adapter for callers that hold a padded ELLPACK.
   static BroEll compress(const sparse::Ell& ell, BroEllOptions opts = {});
 
   index_t rows() const { return rows_; }
@@ -59,19 +118,21 @@ class BroEll {
   std::vector<index_t> decode_row(index_t row) const;
 
   /// Full decompression back to ELLPACK (round-trip testing).
-  sparse::Ell decompress() const;
+  sparse::Ell decompress() const { return decompress_to_ell(*this); }
 
   /// y = A * x via the Algorithm-1 decode loop, sequentially per row.
   void spmv(std::span<const value_t> x, std::span<value_t> y) const;
 
   /// Compressed size of the index data: streams + bit_alloc + num_col.
-  std::size_t compressed_index_bytes() const;
+  std::size_t compressed_index_bytes() const {
+    return slice_index_bytes(slices_);
+  }
 
   /// Actual heap bytes of the index data as stored (streams at their true
   /// symbol width + bit_alloc + per-slice header). Now that MuxedStream
   /// packs symbols, this coincides with compressed_index_bytes(); it is the
   /// number the plan/PlanCache resident accounting charges.
-  std::size_t resident_index_bytes() const;
+  std::size_t resident_index_bytes() const { return compressed_index_bytes(); }
 
   /// Original ELLPACK index size (m * k * 4 bytes).
   std::size_t original_index_bytes() const;

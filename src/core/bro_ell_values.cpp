@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "bits/bit_string.h"
 #include "bits/bitwidth.h"
 #include "bits/delta.h"
 #include "util/error.h"
@@ -46,16 +45,18 @@ BroEllValues BroEllValues::compress(const sparse::Ell& ell,
       vs.code_bits = std::max(
           1, bits::bit_width_of(static_cast<std::uint64_t>(vs.dict.size() - 1)));
 
-      std::vector<bits::BitString> rows(static_cast<std::size_t>(slice.height));
+      const auto sym = static_cast<std::size_t>(opts.ell.sym_len);
+      vs.codes = bits::MuxedStream(
+          opts.ell.sym_len, static_cast<std::size_t>(slice.height),
+          (static_cast<std::size_t>(slice.num_col * vs.code_bits) + sym - 1) /
+              sym);
       for (index_t t = 0; t < slice.height; ++t) {
-        auto& bs = rows[static_cast<std::size_t>(t)];
-        for (index_t c = 0; c < slice.num_col; ++c) {
-          const value_t v = out.index_.val_at(slice.first_row + t, c);
-          bs.append(dict_map.at(v), vs.code_bits);
-        }
-        bs.pad_to_multiple(opts.ell.sym_len);
+        bits::MuxRowWriter row(vs.codes, static_cast<std::size_t>(t));
+        for (index_t c = 0; c < slice.num_col; ++c)
+          row.append(dict_map.at(out.index_.val_at(slice.first_row + t, c)),
+                     vs.code_bits);
+        row.finish();
       }
-      vs.codes = bits::MuxedStream::interleave(rows, opts.ell.sym_len);
     }
     out.values_.push_back(std::move(vs));
   }
@@ -77,37 +78,13 @@ void BroEllValues::spmv(std::span<const value_t> x,
       const index_t r = slice.first_row + t;
       RowStreamDecoder dec(slice, t, sym_len);
 
-      // Value-code decoder state (same symbol-buffer discipline).
-      std::uint64_t vsym = 0;
-      int vrb = 0;
-      index_t vloads = 0;
-      const auto next_code = [&]() -> std::uint32_t {
-        std::uint64_t cbits;
-        if (vs.code_bits <= vrb) {
-          cbits = (vsym >> (vrb - vs.code_bits)) &
-                  bits::max_value_for_bits(vs.code_bits);
-          vrb -= vs.code_bits;
-        } else {
-          const int high = vrb;
-          cbits = high > 0 ? (vsym & bits::max_value_for_bits(high)) : 0;
-          vsym = vs.codes.at(static_cast<std::size_t>(vloads),
-                             static_cast<std::size_t>(t));
-          ++vloads;
-          vrb = sym_len;
-          const int low = vs.code_bits - high;
-          cbits = (cbits << low) |
-                  ((vsym >> (vrb - low)) & bits::max_value_for_bits(low));
-          vrb -= low;
-        }
-        return static_cast<std::uint32_t>(cbits);
-      };
-
+      RowStreamDecoder codes(vs.codes, t, sym_len); // read only if coded
       index_t col = -1;
       value_t sum = 0;
       for (index_t c = 0; c < slice.num_col; ++c) {
         const std::uint32_t d =
             dec.next(slice.bit_alloc[static_cast<std::size_t>(c)]);
-        const value_t v = coded ? vs.dict[next_code()]
+        const value_t v = coded ? vs.dict[codes.next(vs.code_bits)]
                                 : index_.val_at(r, c);
         if (d != bits::kInvalidDelta) {
           col += static_cast<index_t>(d);

@@ -1,8 +1,8 @@
 #include "core/bro_ell_vector.h"
 
-#include <algorithm>
 #include <vector>
 
+#include "sparse/convert.h"
 #include "util/error.h"
 
 namespace bro::core {
@@ -17,25 +17,13 @@ BroEllVector BroEllVector::compress(const sparse::Ell& ell,
 
   // Expand to m*T sub-rows: sub-row r*T + l holds entries l, l+T, ... of
   // row r. Column indices stay strictly increasing within each sub-row.
-  sparse::Ell expanded;
-  expanded.rows = ell.rows * t_count;
-  expanded.cols = ell.cols;
-  expanded.width = (ell.width + t_count - 1) / t_count;
-  expanded.col_idx.assign(
-      static_cast<std::size_t>(expanded.rows) * expanded.width, sparse::kPad);
-  expanded.vals.assign(
-      static_cast<std::size_t>(expanded.rows) * expanded.width, value_t{0});
-
+  const sparse::Csr src = sparse::ell_to_csr(ell);
+  sparse::CsrBuilder expanded(ell.rows * t_count, ell.cols, src.nnz());
   for (index_t r = 0; r < ell.rows; ++r) {
-    for (index_t j = 0; j < ell.width; ++j) {
-      const index_t col = ell.col_at(r, j);
-      if (col == sparse::kPad) break;
-      const index_t sub = r * t_count + (j % t_count);
-      const index_t sub_j = j / t_count;
-      expanded.col_idx[static_cast<std::size_t>(sub_j) * expanded.rows + sub] =
-          col;
-      expanded.vals[static_cast<std::size_t>(sub_j) * expanded.rows + sub] =
-          ell.val_at(r, j);
+    for (int l = 0; l < t_count; ++l) {
+      for (index_t p = src.row_ptr[r] + l; p < src.row_ptr[r + 1]; p += t_count)
+        expanded.push(src.col_idx[p], src.vals[p]);
+      expanded.end_row();
     }
   }
 
@@ -43,7 +31,8 @@ BroEllVector BroEllVector::compress(const sparse::Ell& ell,
   out.rows_ = ell.rows;
   out.threads_per_row_ = t_count;
   out.original_index_bytes_ = ell.index_bytes();
-  out.inner_ = BroEll::compress(expanded, opts);
+  out.inner_ = BroEll::compress(expanded.finish(),
+                                (ell.width + t_count - 1) / t_count, opts);
   return out;
 }
 

@@ -1,6 +1,7 @@
 #include "core/bro_hyb.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "sparse/convert.h"
 #include "util/error.h"
@@ -8,15 +9,27 @@
 namespace bro::core {
 
 BroHyb BroHyb::compress(const sparse::Csr& csr, BroHybOptions opts) {
-  const sparse::Hyb hyb = sparse::csr_to_hyb(csr, opts.width_override);
+  const index_t k = opts.width_override >= 0
+                        ? opts.width_override
+                        : sparse::hyb_split_width(sparse::row_lengths(csr));
+
+  // The ELL part packs straight from the CSR rows; only the overflow
+  // entries (beyond column k of a row) are gathered, in canonical order.
+  sparse::Coo overflow;
+  overflow.rows = csr.rows;
+  overflow.cols = csr.cols;
+  for (index_t r = 0; r < csr.rows; ++r)
+    for (index_t p = csr.row_ptr[r] + std::min(k, csr.row_length(r));
+         p < csr.row_ptr[r + 1]; ++p)
+      overflow.push(r, csr.col_idx[p], csr.vals[p]);
 
   BroHyb out;
   out.rows_ = csr.rows;
   out.cols_ = csr.cols;
-  out.split_width_ = hyb.ell.width;
-  out.ell_nnz_ = csr.nnz() - hyb.coo.nnz();
-  out.ell_ = BroEll::compress(hyb.ell, opts.ell);
-  out.coo_ = BroCoo::compress(hyb.coo, opts.coo);
+  out.split_width_ = k;
+  out.ell_nnz_ = csr.nnz() - overflow.nnz();
+  out.ell_ = BroEll::compress(csr, k, opts.ell);
+  out.coo_ = BroCoo::compress(std::move(overflow), opts.coo);
   return out;
 }
 

@@ -3,7 +3,8 @@
 // The matrix is split with the same Bell & Garland heuristic as HYB (so the
 // HYB and BRO-HYB comparisons share identical partitions, as the paper
 // requires for fairness); the ELL part is compressed with BRO-ELL and the
-// COO part with BRO-COO.
+// COO part with BRO-COO. Both parts are built straight from the CSR rows:
+// no padded HYB is materialized.
 #pragma once
 
 #include <iosfwd>

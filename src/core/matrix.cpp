@@ -49,7 +49,8 @@ const sparse::Hyb& Matrix::hyb() const {
 }
 
 const BroEll& Matrix::bro_ell() const {
-  if (!bro_ell_) bro_ell_ = BroEll::compress(ell(), opts_.ell);
+  if (!bro_ell_)
+    bro_ell_ = BroEll::compress(csr_, csr_.max_row_length(), opts_.ell);
   return *bro_ell_;
 }
 
@@ -59,7 +60,8 @@ const BroCoo& Matrix::bro_coo() const {
 }
 
 const BroAns& Matrix::bro_ans() const {
-  if (!bro_ans_) bro_ans_ = BroAns::compress(ell(), opts_.ans);
+  if (!bro_ans_)
+    bro_ans_ = BroAns::compress(csr_, csr_.max_row_length(), opts_.ans);
   return *bro_ans_;
 }
 

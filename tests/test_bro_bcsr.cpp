@@ -5,6 +5,7 @@
 // truss-FEM generator the format is benchmarked on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <set>
@@ -291,4 +292,72 @@ TEST(BroBcsr, SuiteTestSetThreeIsBcsrTerritory) {
     const bs::Csr csr = bs::generate_suite_matrix(e, 0.0625);
     EXPECT_TRUE(bc::bro_bcsr_applicable(csr, 3.0)) << e.name;
   }
+}
+
+namespace {
+
+/// The gate without the fill prefilter: the full cover analysis decides
+/// alone. Same rule, margin included, as bro_bcsr_applicable.
+bool reference_applicable(const bs::Csr& csr, double max_ell_expand,
+                          const bc::BroBcsrOptions& opts = {}) {
+  if (csr.rows == 0 || csr.cols == 0 || csr.nnz() == 0) return false;
+  const bc::BcsrAnalysis a = bc::analyze_bro_bcsr(csr, opts);
+  if (a.best < 0) return false;
+  const bc::BcsrShapeStats& s = a.shapes[static_cast<std::size_t>(a.best)];
+  if (s.fill < opts.min_fill) return false;
+  if (static_cast<double>(s.value_slots) >
+      max_ell_expand * static_cast<double>(csr.nnz()))
+    return false;
+  const std::size_t ell_excess =
+      a.ell_value_slots > csr.nnz() ? a.ell_value_slots - csr.nnz() : 0;
+  const std::size_t baseline =
+      (a.ell_index_bits + 7) / 8 + sizeof(value_t) * ell_excess;
+  return static_cast<double>(s.cost_bytes) < 0.7 * static_cast<double>(baseline);
+}
+
+/// 4x4 dense tiles, four per block row, 64 columns apart; the first tile of
+/// each block row lacks its bottom-right 2x2 quadrant. 2x2 covers it with
+/// fill 1.0, but the cheapest cover is 4x4 at fill 15/16 < 0.95.
+bs::Csr quadrant_hole_tiles() {
+  bs::Coo coo;
+  coo.rows = 256;
+  coo.cols = 256;
+  for (index_t br = 0; br < 64; ++br)
+    for (index_t k = 0; k < 4; ++k)
+      for (index_t i = 0; i < 4; ++i)
+        for (index_t j = 0; j < 4; ++j)
+          if (k != 0 || i < 2 || j < 2)
+            coo.push(br * 4 + i, k * 64 + (br * 4) % 64 + j, 1.0);
+  return bs::coo_to_csr(coo);
+}
+
+} // namespace
+
+TEST(BroBcsr, FillPrefilterAgreesWithFullAnalysis) {
+  std::vector<bs::AdversarialCase> cases = bs::adversarial_suite();
+  for (const int set : {1, 2, 3})
+    for (const auto& e : bs::suite_test_set(set))
+      cases.push_back({e.name, bs::generate_suite_matrix(e, set == 3 ? 0.0625 : 0.02)});
+  int accepted = 0;
+  for (const auto& c : cases) {
+    for (const double expand : {3.0, 1e30}) {
+      const bool want = reference_applicable(c.csr, expand);
+      EXPECT_EQ(bc::bro_bcsr_applicable(c.csr, expand), want) << c.name;
+      accepted += want;
+    }
+  }
+  EXPECT_GT(accepted, 0); // the truss suite passes, so both branches run
+}
+
+TEST(BroBcsr, FillPrefilterDefersWhenOnlyANonBestShapeClearsTheFloor) {
+  const bs::Csr csr = quadrant_hole_tiles();
+  const bc::BroBcsrOptions opts;
+  const bc::BcsrAnalysis a = bc::analyze_bro_bcsr(csr, opts);
+  ASSERT_GE(a.best, 0);
+  EXPECT_LT(a.shapes[static_cast<std::size_t>(a.best)].fill, opts.min_fill);
+  double best_fill = 0;
+  for (const auto& s : a.shapes) best_fill = std::max(best_fill, s.fill);
+  EXPECT_GE(best_fill, opts.min_fill); // the prefilter cannot reject it
+  EXPECT_FALSE(reference_applicable(csr, 3.0));
+  EXPECT_FALSE(bc::bro_bcsr_applicable(csr, 3.0));
 }

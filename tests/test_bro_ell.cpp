@@ -1,16 +1,32 @@
 // BRO-ELL tests: the Fig. 1 pipeline on the paper's example matrix,
 // compress/decompress round-trips, SpMV agreement with the CSR reference,
-// and parameterized sweeps over slice height / sym_len / structure.
+// parameterized sweeps over slice height / sym_len / structure, and the
+// slice packer of every BRO format checked field by field against the
+// reference packer (per-row BitString + MuxedStream::interleave).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <sstream>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "bits/ans.h"
+#include "bits/bitwidth.h"
+#include "bits/delta.h"
+#include "core/bro_ans.h"
+#include "core/bro_bcsr.h"
 #include "core/bro_ell.h"
+#include "core/bro_hyb.h"
+#include "core/serialize.h"
 #include "sparse/convert.h"
+#include "sparse/matgen/adversarial.h"
 #include "sparse/matgen/generators.h"
+#include "sparse/matgen/suite.h"
 #include "util/rng.h"
 
+namespace bb = bro::bits;
 namespace bc = bro::core;
 namespace bs = bro::sparse;
 using bro::index_t;
@@ -244,3 +260,253 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 32, 256, 1000), // slice height
                        ::testing::Values(32, 64),           // sym_len
                        ::testing::Values(0, 1, 2, 3)));     // matrix kind
+
+// ---- reference packer: the slice packer checked against the original ----
+
+namespace {
+
+using IndexRows = std::vector<std::vector<index_t>>;
+
+/// The original slice packer, kept as the oracle: one delta vector and one
+/// BitString per row, per-column maximum widths, then interleave.
+bc::BroEllSlice reference_slice(index_t first_row, const IndexRows& rows,
+                                int sym_len, int forced_bit_width) {
+  bc::BroEllSlice slice;
+  slice.first_row = first_row;
+  slice.height = static_cast<index_t>(rows.size());
+  std::vector<std::vector<std::uint32_t>> deltas;
+  for (const auto& r : rows) {
+    deltas.push_back(bb::delta_encode_row(r));
+    slice.num_col = std::max(slice.num_col, static_cast<index_t>(r.size()));
+  }
+  for (index_t c = 0; c < slice.num_col; ++c) {
+    int b = std::max(1, forced_bit_width);
+    for (const auto& d : deltas)
+      if (static_cast<std::size_t>(c) < d.size())
+        b = std::max(b, bb::bit_width_of(d[static_cast<std::size_t>(c)]));
+    slice.bit_alloc.push_back(static_cast<std::uint8_t>(b));
+  }
+  std::vector<bb::BitString> streams(rows.size());
+  for (std::size_t t = 0; t < rows.size(); ++t) {
+    for (index_t c = 0; c < slice.num_col; ++c) {
+      const auto j = static_cast<std::size_t>(c);
+      streams[t].append(j < deltas[t].size() ? deltas[t][j] : bb::kInvalidDelta,
+                        slice.bit_alloc[j]);
+    }
+    slice.pad_bits = streams[t].pad_to_multiple(sym_len);
+  }
+  slice.stream = slice.num_col > 0
+                     ? bb::MuxedStream::interleave(streams, sym_len)
+                     : bb::MuxedStream(sym_len, rows.size(), 0);
+  return slice;
+}
+
+std::vector<bc::BroEllSlice> reference_slices(const IndexRows& rows, int h,
+                                              int sym_len, int forced) {
+  std::vector<bc::BroEllSlice> out;
+  for (std::size_t first = 0; first < rows.size(); first += h) {
+    const IndexRows slice_rows(
+        rows.begin() + static_cast<std::ptrdiff_t>(first),
+        rows.begin() + static_cast<std::ptrdiff_t>(
+                           std::min(rows.size(), first + h)));
+    out.push_back(reference_slice(static_cast<index_t>(first), slice_rows,
+                                  sym_len, forced));
+  }
+  return out;
+}
+
+/// Each row's leading columns up to its first padding slot.
+IndexRows ell_rows(const bs::Ell& ell) {
+  IndexRows rows(static_cast<std::size_t>(ell.rows));
+  for (index_t r = 0; r < ell.rows; ++r)
+    for (index_t j = 0; j < ell.width && ell.col_at(r, j) != bs::kPad; ++j)
+      rows[static_cast<std::size_t>(r)].push_back(ell.col_at(r, j));
+  return rows;
+}
+
+/// The block-column list of every block row, from a set per block row
+/// (independent of the library's cursor merge).
+IndexRows block_rows(const bs::Csr& csr, int br, int bc) {
+  IndexRows rows(static_cast<std::size_t>((csr.rows + br - 1) / br));
+  for (std::size_t b = 0; b < rows.size(); ++b) {
+    std::set<index_t> cols;
+    for (index_t r = static_cast<index_t>(b) * br;
+         r < std::min<index_t>(csr.rows, static_cast<index_t>(b + 1) * br); ++r)
+      for (const index_t c : csr.row_cols(r)) cols.insert(c / bc);
+    rows[b].assign(cols.begin(), cols.end());
+  }
+  return rows;
+}
+
+void expect_same_stream(const bb::MuxedStream& got, const bb::MuxedStream& want,
+                        const std::string& ctx) {
+  ASSERT_EQ(got.sym_len(), want.sym_len()) << ctx;
+  ASSERT_EQ(got.height(), want.height()) << ctx;
+  ASSERT_EQ(got.symbols_per_row(), want.symbols_per_row()) << ctx;
+  for (std::size_t i = 0; i < want.total_symbols(); ++i)
+    ASSERT_EQ(got[i], want[i]) << ctx << " slot " << i;
+}
+
+void expect_same_slices(const std::vector<bc::BroEllSlice>& got,
+                        const std::vector<bc::BroEllSlice>& want,
+                        const std::string& ctx) {
+  ASSERT_EQ(got.size(), want.size()) << ctx;
+  for (std::size_t s = 0; s < want.size(); ++s) {
+    const std::string at = ctx + " slice " + std::to_string(s);
+    EXPECT_EQ(got[s].first_row, want[s].first_row) << at;
+    EXPECT_EQ(got[s].height, want[s].height) << at;
+    EXPECT_EQ(got[s].num_col, want[s].num_col) << at;
+    EXPECT_EQ(got[s].bit_alloc, want[s].bit_alloc) << at;
+    EXPECT_EQ(got[s].pad_bits, want[s].pad_bits) << at;
+    expect_same_stream(got[s].stream, want[s].stream, at);
+  }
+}
+
+/// The original BRO-ANS coder over ELLPACK rows: one class histogram, then
+/// per lane group one BitString per row padded to the group's longest.
+void expect_ans_matches_reference(const bc::BroAns& got, const bs::Ell& ell,
+                                  const bc::BroAnsOptions& opts,
+                                  const std::string& ctx) {
+  const IndexRows rows = ell_rows(ell);
+  const int h = opts.slice_height;
+  std::vector<std::vector<std::uint32_t>> deltas(rows.size());
+  std::vector<std::uint64_t> histogram(bb::AnsTable::kNumClasses, 0);
+  for (std::size_t first = 0; first < rows.size(); first += h) {
+    const std::size_t end = std::min(rows.size(), first + h);
+    std::size_t num_col = 0;
+    for (std::size_t r = first; r < end; ++r)
+      num_col = std::max(num_col, rows[r].size());
+    for (std::size_t r = first; r < end; ++r) {
+      deltas[r] = bb::delta_encode_row(rows[r]);
+      deltas[r].resize(num_col, bb::kInvalidDelta);
+      for (const std::uint32_t d : deltas[r])
+        ++histogram[static_cast<std::size_t>(bb::ans_class_of(d))];
+    }
+  }
+  const auto table = bb::AnsTable::from_histogram(histogram, opts.table_log);
+  ASSERT_EQ(got.table().freqs(), table.freqs()) << ctx;
+  ASSERT_EQ(got.slices().size(), (rows.size() + h - 1) / h) << ctx;
+  std::vector<bb::AnsEncSym> scratch;
+  for (const bc::BroAnsSlice& slice : got.slices()) {
+    for (index_t g = 0; g < bc::ans_num_groups(slice.height); ++g) {
+      const index_t gw = bc::ans_group_width(slice.height, g);
+      std::vector<bb::BitString> streams(static_cast<std::size_t>(gw));
+      std::size_t max_bits = 0;
+      for (index_t j = 0; j < gw; ++j) {
+        const index_t t = g * bc::kAnsLaneGroup + j;
+        const auto& d = deltas[static_cast<std::size_t>(slice.first_row + t)];
+        ASSERT_EQ(d.size(), static_cast<std::size_t>(slice.num_col)) << ctx;
+        if (d.empty()) continue;
+        EXPECT_EQ(slice.init_states[static_cast<std::size_t>(t)],
+                  bb::ans_encode_row_split(table, d, scratch,
+                                           streams[static_cast<std::size_t>(j)]))
+            << ctx;
+        max_bits = std::max(max_bits, streams[static_cast<std::size_t>(j)].size_bits());
+      }
+      for (auto& bs : streams)
+        while (bs.size_bits() < max_bits) bs.append(0, 1);
+      for (auto& bs : streams) bs.pad_to_multiple(opts.sym_len);
+      expect_same_stream(
+          slice.groups[static_cast<std::size_t>(g)],
+          slice.num_col > 0
+              ? bb::MuxedStream::interleave(streams, opts.sym_len)
+              : bb::MuxedStream(opts.sym_len, static_cast<std::size_t>(gw), 0),
+          ctx + " group " + std::to_string(g));
+    }
+  }
+}
+
+std::string coo_bytes(const bc::BroCoo& coo) {
+  std::ostringstream out(std::ios::binary);
+  bc::write_bro_coo(out, coo);
+  return out.str();
+}
+
+/// The adversarial battery plus the Test Set 1 stand-ins, scaled down.
+std::vector<bs::AdversarialCase> packer_cases() {
+  std::vector<bs::AdversarialCase> out = bs::adversarial_suite(3);
+  for (const auto& e : bs::suite_test_set(1))
+    out.push_back({e.name, bs::generate_suite_matrix(e, 0.01)});
+  return out;
+}
+
+} // namespace
+
+TEST(SlicePacker, EveryFormatMatchesTheReferencePacker) {
+  for (const auto& c : packer_cases()) {
+    const bs::Ell ell = bs::csr_to_ell(c.csr);
+    for (const int h : {1, 7, 256}) {
+      for (const int sym_len : {32, 64}) {
+        for (const int forced : {0, 20}) {
+          const std::string ctx = c.name + " h=" + std::to_string(h) +
+                                  " sym=" + std::to_string(sym_len) +
+                                  " forced=" + std::to_string(forced);
+          bc::BroEllOptions eo;
+          eo.slice_height = h;
+          eo.sym_len = sym_len;
+          eo.forced_bit_width = forced;
+
+          const auto bro = bc::BroEll::compress(c.csr, ell.width, eo);
+          expect_same_slices(bro.slices(),
+                             reference_slices(ell_rows(ell), h, sym_len, forced),
+                             "BRO-ELL " + ctx);
+          EXPECT_EQ(bro.vals(), ell.vals) << ctx;
+
+          for (const index_t width : {index_t{-1}, index_t{3}}) {
+            bc::BroHybOptions ho;
+            ho.ell = eo;
+            ho.width_override = width;
+            const auto hyb = bc::BroHyb::compress(c.csr, ho);
+            const bs::Hyb ref = bs::csr_to_hyb(c.csr, width);
+            const std::string hctx =
+                "BRO-HYB width=" + std::to_string(width) + " " + ctx;
+            expect_same_slices(
+                hyb.ell_part().slices(),
+                reference_slices(ell_rows(ref.ell), h, sym_len, forced), hctx);
+            EXPECT_EQ(hyb.ell_part().vals(), ref.ell.vals) << hctx;
+            EXPECT_EQ(hyb.split_width(), ref.ell.width) << hctx;
+            EXPECT_EQ(coo_bytes(hyb.coo_part()),
+                      coo_bytes(bc::BroCoo::compress(ref.coo, ho.coo)))
+                << hctx;
+          }
+          if (forced != 0) continue; // ANS and BCSR have no width floor
+
+          bc::BroAnsOptions ao;
+          ao.slice_height = h;
+          ao.sym_len = sym_len;
+          const auto ans = bc::BroAns::compress(c.csr, ell.width, ao);
+          expect_ans_matches_reference(ans, ell, ao, "BRO-ANS " + ctx);
+          EXPECT_EQ(ans.vals(), ell.vals) << ctx;
+
+          bc::BroBcsrOptions bo;
+          bo.slice_height = h;
+          bo.sym_len = sym_len;
+          const auto bcsr = bc::BroBcsr::compress(c.csr, bo);
+          expect_same_slices(
+              bcsr.slices(),
+              reference_slices(block_rows(c.csr, bcsr.block_r(), bcsr.block_c()),
+                               h, sym_len, 0),
+              "BRO-BCSR " + ctx);
+        }
+      }
+    }
+  }
+}
+
+TEST(SlicePacker, EllAdapterEqualsCsrSource) {
+  const bs::Csr csr = bs::generate_poisson2d(23, 19);
+  const bs::Ell ell = bs::csr_to_ell(csr);
+  const auto a = bc::BroEll::compress(ell);
+  const auto b = bc::BroEll::compress(csr, ell.width);
+  expect_same_slices(a.slices(), b.slices(), "adapter");
+  EXPECT_EQ(a.vals(), b.vals());
+}
+
+TEST(SlicePacker, RejectsUnsortedRows) {
+  bs::Csr csr = bs::generate_poisson2d(8, 8);
+  std::swap(csr.col_idx[5], csr.col_idx[6]); // one row out of order
+  EXPECT_THROW(bc::BroEll::compress(csr, csr.max_row_length()),
+               std::runtime_error);
+  EXPECT_THROW(bc::BroAns::compress(csr, csr.max_row_length()),
+               std::runtime_error);
+}
