@@ -4,8 +4,10 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -41,16 +43,30 @@ NetClient::NetClient(const std::string& host, int port,
   ::setsockopt(fd_.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
-void NetClient::send_all(const std::uint8_t* data, std::size_t n) {
-  std::size_t off = 0;
-  while (off < n) {
-    const ssize_t sent =
-        ::send(fd_.get(), data + off, n - off, MSG_NOSIGNAL);
+void NetClient::send_all(std::span<const std::uint8_t> head,
+                         std::span<const std::uint8_t> tail) {
+  iovec iov[2] = {{const_cast<std::uint8_t*>(head.data()), head.size()},
+                  {const_cast<std::uint8_t*>(tail.data()), tail.size()}};
+  std::size_t first = 0;
+  for (;;) {
+    while (first < 2 && iov[first].iov_len == 0) ++first;
+    if (first == 2) return;
+    msghdr msg{};
+    msg.msg_iov = iov + first;
+    msg.msg_iovlen = 2 - first;
+    const ssize_t sent = ::sendmsg(fd_.get(), &msg, MSG_NOSIGNAL);
     if (sent < 0) {
       if (errno == EINTR) continue;
       throw_errno("send");
     }
-    off += static_cast<std::size_t>(sent);
+    // Partial write: drop what went out, resume mid-buffer.
+    for (auto left = static_cast<std::size_t>(sent); left > 0; ++first) {
+      const std::size_t k = std::min(left, iov[first].iov_len);
+      iov[first].iov_base = static_cast<std::uint8_t*>(iov[first].iov_base) + k;
+      iov[first].iov_len -= k;
+      left -= k;
+      if (iov[first].iov_len > 0) break;
+    }
   }
 }
 
@@ -68,10 +84,17 @@ Frame NetClient::read_response(std::uint64_t request_id) {
     }
     if (received_.count(request_id)) continue;
 
-    std::uint8_t buf[64 * 1024];
-    const ssize_t got = ::recv(fd_.get(), buf, sizeof(buf), 0);
+    // A large response (next() armed its payload) is received in place.
+    std::uint8_t buf[kRecvChunkBytes];
+    const std::span<std::uint8_t> tail = assembler_.direct_tail();
+    const std::span<std::uint8_t> dst = tail.empty() ? std::span(buf) : tail;
+    const ssize_t got = ::recv(fd_.get(), dst.data(), dst.size(), 0);
     if (got > 0) {
-      assembler_.append(buf, static_cast<std::size_t>(got));
+      const auto n = static_cast<std::size_t>(got);
+      if (tail.empty())
+        assembler_.append(buf, n);
+      else
+        assembler_.commit_direct(n);
     } else if (got == 0) {
       throw std::runtime_error(
           "connection closed while awaiting response " +
@@ -82,9 +105,10 @@ Frame NetClient::read_response(std::uint64_t request_id) {
   }
 }
 
-Frame NetClient::call(std::vector<std::uint8_t> frame,
-                      std::uint64_t request_id) {
-  send_all(frame.data(), frame.size());
+Frame NetClient::call(std::uint64_t request_id,
+                      std::span<const std::uint8_t> head,
+                      std::span<const std::uint8_t> tail) {
+  send_all(head, tail);
   Frame resp = read_response(request_id);
   if (resp.status() != Status::kOk) {
     const ErrorInfo e = parse_error_response(resp);
@@ -96,51 +120,52 @@ Frame NetClient::call(std::vector<std::uint8_t> frame,
 
 void NetClient::ping() {
   const std::uint64_t rid = next_id();
-  call(make_empty_request(rid, Op::kPing), rid);
+  call(rid, make_empty_request(rid, Op::kPing));
 }
 
 std::vector<value_t> NetClient::submit(const std::string& matrix_id,
                                        std::span<const value_t> x,
                                        const std::string& client_id) {
   const std::uint64_t rid = next_id();
-  return parse_vector_response(
-      call(make_submit_request(rid, matrix_id, client_id, x), rid));
+  const FrameParts req = submit_request_parts(rid, matrix_id, client_id, x);
+  return parse_vector_response(call(rid, req.head, req.tail));
 }
 
 UploadAck NetClient::upload_matrix(const std::string& matrix_id,
                                    std::span<const std::uint8_t> bro_bytes) {
   const std::uint64_t rid = next_id();
-  return parse_upload_ack(
-      call(make_upload_request(rid, matrix_id, bro_bytes), rid));
+  const FrameParts req = upload_request_parts(rid, matrix_id, bro_bytes);
+  return parse_upload_ack(call(rid, req.head, req.tail));
 }
 
 bool NetClient::remove_matrix(const std::string& matrix_id) {
   const std::uint64_t rid = next_id();
-  return parse_bool_response(call(make_remove_request(rid, matrix_id), rid));
+  return parse_bool_response(call(rid, make_remove_request(rid, matrix_id)));
 }
 
 StatsSnapshot NetClient::stats() {
   const std::uint64_t rid = next_id();
-  return parse_stats_response(call(make_empty_request(rid, Op::kStats), rid));
+  return parse_stats_response(call(rid, make_empty_request(rid, Op::kStats)));
 }
 
 void NetClient::drain() {
   const std::uint64_t rid = next_id();
-  call(make_empty_request(rid, Op::kDrain), rid);
+  call(rid, make_empty_request(rid, Op::kDrain));
 }
 
 std::uint64_t NetClient::enqueue_submit(const std::string& matrix_id,
                                         std::span<const value_t> x,
                                         const std::string& client_id) {
   const std::uint64_t rid = next_id();
-  const auto frame = make_submit_request(rid, matrix_id, client_id, x);
-  send_buf_.insert(send_buf_.end(), frame.begin(), frame.end());
+  const FrameParts req = submit_request_parts(rid, matrix_id, client_id, x);
+  send_buf_.insert(send_buf_.end(), req.head.begin(), req.head.end());
+  send_buf_.insert(send_buf_.end(), req.tail.begin(), req.tail.end());
   return rid;
 }
 
 void NetClient::flush() {
   if (send_buf_.empty()) return;
-  send_all(send_buf_.data(), send_buf_.size());
+  send_all(send_buf_);
   send_buf_.clear();
 }
 

@@ -96,11 +96,14 @@ class NetClient {
 
  private:
   std::uint64_t next_id() { return next_id_++; }
-  void send_all(const std::uint8_t* data, std::size_t n);
+  /// Write `head` then `tail` in one gathered write loop.
+  void send_all(std::span<const std::uint8_t> head,
+                std::span<const std::uint8_t> tail = {});
   /// Read frames until `request_id`'s response arrives.
   Frame read_response(std::uint64_t request_id);
   /// send + read_response + throw RpcError on non-kOk.
-  Frame call(std::vector<std::uint8_t> frame, std::uint64_t request_id);
+  Frame call(std::uint64_t request_id, std::span<const std::uint8_t> head,
+             std::span<const std::uint8_t> tail = {});
 
   UniqueFd fd_;
   FrameAssembler assembler_;

@@ -1,7 +1,9 @@
 #include "net/protocol.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <new>
 #include <sstream>
 
 #include "core/serialize.h"
@@ -59,10 +61,12 @@ ByteWriter frame_writer(std::size_t payload_hint = 0) {
   return w;
 }
 
+/// `tail_bytes` counts payload bytes that follow `w` in a gathered write.
 std::vector<std::uint8_t> finish_frame(ByteWriter&& w, FrameKind kind,
                                        std::uint8_t code,
-                                       std::uint64_t request_id) {
-  const std::size_t payload = w.size() - kFrameHeaderBytes;
+                                       std::uint64_t request_id,
+                                       std::size_t tail_bytes = 0) {
+  const std::size_t payload = w.size() - kFrameHeaderBytes + tail_bytes;
   BRO_CHECK_MSG(payload <= UINT32_MAX,
                 "frame payload of " << payload << " B exceeds the u32 length");
   w.put_at<std::uint32_t>(0, static_cast<std::uint32_t>(payload));
@@ -84,9 +88,35 @@ std::vector<std::uint8_t> encode_frame(FrameKind kind, std::uint8_t code,
   return finish_frame(std::move(w), kind, code, request_id);
 }
 
+Payload::Payload(std::size_t n)
+    : bytes_(n > 0 ? std::make_unique_for_overwrite<std::uint8_t[]>(n)
+                   : nullptr),
+      size_(n) {}
+
+std::span<std::uint8_t> FrameAssembler::direct_tail() {
+  if (!pending_) return {};
+  Payload& p = pending_->payload;
+  return {p.data() + filled_, p.size() - filled_};
+}
+
+void FrameAssembler::commit_direct(std::size_t n) {
+  BRO_CHECK(n <= direct_tail().size());
+  filled_ += n;
+}
+
 void FrameAssembler::append(const std::uint8_t* data, std::size_t n) {
-  // Compact once the consumed prefix dominates, so long-lived connections
-  // do not accrete every frame they ever received.
+  const std::span<std::uint8_t> tail = direct_tail();
+  const std::size_t direct = std::min(n, tail.size());
+  if (direct > 0) {
+    std::memcpy(tail.data(), data, direct);
+    filled_ += direct;
+    data += direct;
+    n -= direct;
+  }
+  if (n == 0) return;
+  // Compact once the consumed prefix dominates. Compaction only moves
+  // bytes: the capacity a burst of appends grew is given back by next()
+  // once staging drains.
   if (pos_ > 0 && pos_ >= buf_.size() / 2) {
     buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(pos_));
     pos_ = 0;
@@ -95,6 +125,12 @@ void FrameAssembler::append(const std::uint8_t* data, std::size_t n) {
 }
 
 std::optional<Frame> FrameAssembler::next() {
+  if (pending_) {
+    if (!direct_tail().empty()) return std::nullopt;
+    std::optional<Frame> f = std::move(pending_);
+    pending_.reset();
+    return f;
+  }
   if (buffered() < kFrameHeaderBytes) return std::nullopt;
   const std::uint8_t* h = buf_.data() + pos_;
   FrameHeader header;
@@ -117,23 +153,43 @@ std::optional<Frame> FrameAssembler::next() {
                         " B bound");
   header.kind = static_cast<FrameKind>(kind);
 
-  if (buffered() < kFrameHeaderBytes + header.payload_len)
-    return std::nullopt;
+  const std::size_t len = header.payload_len;
+  const std::size_t staged = std::min(buffered() - kFrameHeaderBytes, len);
+  if (staged < len && len <= kRecvChunkBytes) return std::nullopt;
 
   Frame f;
   f.header = header;
-  const std::uint8_t* p = buf_.data() + pos_ + kFrameHeaderBytes;
-  f.payload.assign(p, p + header.payload_len);
-  pos_ += kFrameHeaderBytes + header.payload_len;
+  try {
+    f.payload = Payload(len);
+  } catch (const std::bad_alloc&) {
+    throw ProtocolError("cannot allocate a frame payload of " +
+                        std::to_string(len) + " B");
+  }
+  if (staged > 0) std::memcpy(f.payload.data(), h + kFrameHeaderBytes, staged);
+  pos_ += kFrameHeaderBytes + staged;
+  if (pos_ == buf_.size()) {
+    // Drained: reuse the buffer, but give back what one burst of appends
+    // grew it to.
+    buf_.clear();
+    pos_ = 0;
+    if (buf_.capacity() > 2 * kRecvChunkBytes) buf_.shrink_to_fit();
+  }
+  if (staged < len) {
+    // A large frame: the rest of its payload lands straight in it.
+    pending_ = std::move(f);
+    filled_ = staged;
+    return std::nullopt;
+  }
   return f;
 }
 
 namespace {
 
 std::vector<std::uint8_t> request_frame(std::uint64_t request_id, Op op,
-                                        ByteWriter&& frame) {
+                                        ByteWriter&& frame,
+                                        std::size_t tail_bytes = 0) {
   return finish_frame(std::move(frame), FrameKind::kRequest,
-                      static_cast<std::uint8_t>(op), request_id);
+                      static_cast<std::uint8_t>(op), request_id, tail_bytes);
 }
 
 std::vector<std::uint8_t> response_frame(std::uint64_t request_id,
@@ -146,18 +202,31 @@ ByteReader payload_reader(const Frame& f) {
   return ByteReader(f.payload.data(), f.payload.size());
 }
 
+std::vector<std::uint8_t> joined(FrameParts parts) {
+  parts.head.insert(parts.head.end(), parts.tail.begin(), parts.tail.end());
+  return std::move(parts.head);
+}
+
 } // namespace
+
+FrameParts submit_request_parts(std::uint64_t request_id,
+                                const std::string& matrix_id,
+                                const std::string& client_id,
+                                std::span<const value_t> x) {
+  ByteWriter w = frame_writer(4 + matrix_id.size() + 4 + client_id.size() + 8);
+  w.put_string(matrix_id);
+  w.put_string(client_id);
+  w.put<std::uint64_t>(x.size());
+  const auto tail = std::as_bytes(x);
+  return {request_frame(request_id, Op::kSubmit, std::move(w), tail.size()),
+          {reinterpret_cast<const std::uint8_t*>(tail.data()), tail.size()}};
+}
 
 std::vector<std::uint8_t> make_submit_request(std::uint64_t request_id,
                                               const std::string& matrix_id,
                                               const std::string& client_id,
                                               std::span<const value_t> x) {
-  ByteWriter w = frame_writer(4 + matrix_id.size() + 4 + client_id.size() +
-                              8 + x.size_bytes());
-  w.put_string(matrix_id);
-  w.put_string(client_id);
-  w.put_array<value_t>(x);
-  return request_frame(request_id, Op::kSubmit, std::move(w));
+  return joined(submit_request_parts(request_id, matrix_id, client_id, x));
 }
 
 SubmitRequest parse_submit_request(const Frame& f) {
@@ -203,13 +272,21 @@ ErrorInfo parse_error_response(const Frame& f) {
   return e;
 }
 
+FrameParts upload_request_parts(std::uint64_t request_id,
+                                const std::string& matrix_id,
+                                std::span<const std::uint8_t> bro_bytes) {
+  ByteWriter w = frame_writer(4 + matrix_id.size() + 8);
+  w.put_string(matrix_id);
+  w.put<std::uint64_t>(bro_bytes.size());
+  return {request_frame(request_id, Op::kUploadMatrix, std::move(w),
+                        bro_bytes.size()),
+          bro_bytes};
+}
+
 std::vector<std::uint8_t> make_upload_request(
     std::uint64_t request_id, const std::string& matrix_id,
     std::span<const std::uint8_t> bro_bytes) {
-  ByteWriter w = frame_writer(4 + matrix_id.size() + 8 + bro_bytes.size());
-  w.put_string(matrix_id);
-  w.put_array<std::uint8_t>(bro_bytes);
-  return request_frame(request_id, Op::kUploadMatrix, std::move(w));
+  return joined(upload_request_parts(request_id, matrix_id, bro_bytes));
 }
 
 UploadRequest parse_upload_request(const Frame& f) {

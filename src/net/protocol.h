@@ -32,6 +32,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -95,9 +96,28 @@ struct FrameHeader {
   std::uint64_t request_id = 0;
 };
 
+/// A received frame's payload: one allocation at its exact size, never
+/// zero-filled, so the memory a frame holds grows with the bytes that have
+/// actually arrived rather than with the length its header announces.
+class Payload {
+ public:
+  Payload() = default;
+  explicit Payload(std::size_t n);
+
+  std::uint8_t* data() { return bytes_.get(); }
+  const std::uint8_t* data() const { return bytes_.get(); }
+  std::size_t size() const { return size_; }
+  const std::uint8_t* begin() const { return data(); }
+  const std::uint8_t* end() const { return data() + size_; }
+
+ private:
+  std::unique_ptr<std::uint8_t[]> bytes_;
+  std::size_t size_ = 0;
+};
+
 struct Frame {
   FrameHeader header;
-  std::vector<std::uint8_t> payload;
+  Payload payload;
 
   Op op() const { return static_cast<Op>(header.code); }
   Status status() const { return static_cast<Status>(header.code); }
@@ -108,10 +128,29 @@ std::vector<std::uint8_t> encode_frame(FrameKind kind, std::uint8_t code,
                                        std::uint64_t request_id,
                                        std::span<const std::uint8_t> payload);
 
+/// A frame ready for a gathered write: `head` holds the header, the fixed
+/// fields and the trailing array's count, and `tail` views that array's
+/// bytes where the caller keeps them. head followed by tail is
+/// byte-identical to the matching make_* frame.
+struct FrameParts {
+  std::vector<std::uint8_t> head;
+  std::span<const std::uint8_t> tail;
+};
+
+/// The socket loops' read size, and the payload size above which a frame
+/// is received straight into its own buffer instead of through staging.
+inline constexpr std::size_t kRecvChunkBytes = 64 * 1024;
+
 /// Incremental frame reassembly over a byte stream: append() whatever the
 /// socket produced, next() yields complete frames (nullopt while a frame is
 /// still partial). Throws ProtocolError when the stream cannot be a valid
 /// frame sequence (version mismatch, oversized or malformed header).
+///
+/// Headers and frames of at most kRecvChunkBytes of payload reassemble in a
+/// staging buffer. A larger frame lands in memory once: when next() has
+/// validated its header, it allocates the payload at its exact size, moves
+/// in the bytes already staged, and exposes the rest as direct_tail(), the
+/// place the next socket read should land. append() fills that tail too.
 class FrameAssembler {
  public:
   explicit FrameAssembler(std::size_t max_frame_bytes = kDefaultMaxFrameBytes)
@@ -120,12 +159,23 @@ class FrameAssembler {
   void append(const std::uint8_t* data, std::size_t n);
   std::optional<Frame> next();
 
+  /// The unfilled part of a large frame's payload; empty when the next
+  /// bytes belong in append().
+  std::span<std::uint8_t> direct_tail();
+  /// Record that the first `n` bytes of direct_tail() were written.
+  void commit_direct(std::size_t n);
+
+  /// Staged bytes not yet consumed (a large payload's bytes excluded).
   std::size_t buffered() const { return buf_.size() - pos_; }
+  /// Once every staged byte is consumed, at most 2 * kRecvChunkBytes.
+  std::size_t staging_capacity() const { return buf_.capacity(); }
 
  private:
   std::size_t max_frame_bytes_;
   std::vector<std::uint8_t> buf_;
-  std::size_t pos_ = 0; // consumed prefix; compacted lazily
+  std::size_t pos_ = 0;          // consumed prefix; compacted lazily
+  std::optional<Frame> pending_; // a large frame whose payload is arriving
+  std::size_t filled_ = 0;       // bytes of pending_'s payload received
 };
 
 // ---------------------------------------------------------------------------
@@ -143,6 +193,11 @@ std::vector<std::uint8_t> make_submit_request(std::uint64_t request_id,
                                               const std::string& matrix_id,
                                               const std::string& client_id,
                                               std::span<const value_t> x);
+/// The same frame with `x` left in place as the tail.
+FrameParts submit_request_parts(std::uint64_t request_id,
+                                const std::string& matrix_id,
+                                const std::string& client_id,
+                                std::span<const value_t> x);
 SubmitRequest parse_submit_request(const Frame& f);
 
 /// kOk submit response: the y vector.
@@ -174,6 +229,10 @@ struct UploadRequest {
 std::vector<std::uint8_t> make_upload_request(
     std::uint64_t request_id, const std::string& matrix_id,
     std::span<const std::uint8_t> bro_bytes);
+/// The same frame with `bro_bytes` left in place as the tail.
+FrameParts upload_request_parts(std::uint64_t request_id,
+                                const std::string& matrix_id,
+                                std::span<const std::uint8_t> bro_bytes);
 UploadRequest parse_upload_request(const Frame& f);
 
 /// kOk upload response: dimensions of the registered matrix.

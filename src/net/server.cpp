@@ -13,6 +13,7 @@
 #include <cstring>
 #include <deque>
 #include <future>
+#include <span>
 #include <vector>
 
 #include "util/error.h"
@@ -233,9 +234,9 @@ void NetServer::handle_frame(Loop& loop, Connection& conn,
 
     case Op::kUploadMatrix: {
       try {
-        // The .bro bytes are decoded in place in the frame payload, so the
-        // server holds two copies of an upload while it decodes: the
-        // reassembly buffer and the frame.
+        // The .bro bytes are decoded in place in the frame payload, which
+        // the upload was received into directly: the server holds one
+        // copy of an upload while it decodes.
         const UploadRequest req = parse_upload_request(frame);
         auto m = std::make_shared<const core::Matrix>(
             matrix_from_bro_bytes(req.bro_bytes));
@@ -290,7 +291,7 @@ void NetServer::run() {
 
   std::vector<pollfd> pfds;
   std::vector<Connection*> pfd_conns;
-  std::vector<std::uint8_t> rdbuf(64 * 1024);
+  std::vector<std::uint8_t> rdbuf(kRecvChunkBytes);
 
   for (;;) {
     // --- build the poll set -------------------------------------------
@@ -351,27 +352,33 @@ void NetServer::run() {
       }
       if (c.dead || !(rev & POLLIN)) continue;
       bool peer_closed = false;
-      for (;;) {
-        const ssize_t got = ::recv(c.fd.get(), rdbuf.data(), rdbuf.size(), 0);
-        if (got > 0) {
-          c.assembler.append(rdbuf.data(), static_cast<std::size_t>(got));
-          if (got < static_cast<ssize_t>(rdbuf.size())) break;
-        } else if (got == 0) {
-          peer_closed = true;
-          break;
-        } else {
-          if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)
-            break;
-          peer_closed = true;
-          break;
-        }
-      }
       try {
-        while (!c.dead && c.assembler.buffered() > 0)
-          if (auto frame = c.assembler.next())
-            handle_frame(loop, c, *frame);
-          else
-            break;
+        // Each read's frames are handled before the next read: that is
+        // where next() arms a large frame's payload, so the following
+        // reads land in it directly (uploads and SUBMIT x alike).
+        for (bool more = true; more && !c.dead;) {
+          const std::span<std::uint8_t> tail = c.assembler.direct_tail();
+          const std::span<std::uint8_t> dst =
+              tail.empty() ? std::span<std::uint8_t>(rdbuf) : tail;
+          const ssize_t got = ::recv(c.fd.get(), dst.data(), dst.size(), 0);
+          if (got > 0) {
+            const auto n = static_cast<std::size_t>(got);
+            if (tail.empty())
+              c.assembler.append(rdbuf.data(), n);
+            else
+              c.assembler.commit_direct(n);
+            more = n == dst.size();
+          } else {
+            more = false;
+            peer_closed = got == 0 || !(errno == EAGAIN ||
+                                        errno == EWOULDBLOCK || errno == EINTR);
+          }
+          while (!c.dead)
+            if (auto frame = c.assembler.next())
+              handle_frame(loop, c, *frame);
+            else
+              break;
+        }
       } catch (const ProtocolError&) {
         // Reassembly lost sync; nothing sensible can follow.
         if (!c.dead) {

@@ -6,13 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <malloc.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -94,6 +97,63 @@ struct RawConn {
   }
 };
 
+/// Resident set size of this process, from /proc/self/statm.
+std::int64_t resident_bytes() {
+  std::ifstream in("/proc/self/statm");
+  std::int64_t pages = 0, resident = 0;
+  in >> pages >> resident;
+  return resident * ::sysconf(_SC_PAGESIZE);
+}
+
+constexpr std::int64_t kMiB = std::int64_t{1} << 20;
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  bro::Rng rng(seed);
+  std::vector<std::uint8_t> out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.next());
+  return out;
+}
+
+/// A frame header alone, announcing `payload_len` bytes.
+std::vector<std::uint8_t> header_announcing(std::uint32_t payload_len) {
+  auto h = bn::make_empty_request(1, bn::Op::kUploadMatrix);
+  std::memcpy(h.data(), &payload_len, 4);
+  return h;
+}
+
+/// How a simulated reader hands stream bytes to a FrameAssembler: append()
+/// only, reads into direct_tail() whenever one is armed (the socket loops'
+/// rule), or a random choice between the two on every read.
+enum class Feed { kAppend, kDirect, kMixed };
+
+/// Feed `stream` in random read sizes (tiny and up to a full chunk),
+/// draining next() after every read as the socket loops do.
+std::vector<bn::Frame> reassemble(bn::FrameAssembler& fa,
+                                  std::span<const std::uint8_t> stream,
+                                  Feed feed, std::uint64_t seed) {
+  bro::Rng rng(seed);
+  std::vector<bn::Frame> out;
+  for (std::size_t off = 0; off < stream.size();) {
+    std::size_t n = rng.below(2) == 0 ? 1 + rng.below(40)
+                                      : 1 + rng.below(bn::kRecvChunkBytes);
+    n = std::min(n, stream.size() - off);
+    const std::span<std::uint8_t> tail = fa.direct_tail();
+    const bool direct = !tail.empty() &&
+                        (feed == Feed::kDirect ||
+                         (feed == Feed::kMixed && rng.below(2) == 0));
+    if (direct) {
+      n = std::min(n, tail.size());
+      std::memcpy(tail.data(), stream.data() + off, n);
+      fa.commit_direct(n);
+    } else {
+      fa.append(stream.data() + off, n);
+    }
+    off += n;
+    while (auto f = fa.next()) out.push_back(std::move(*f));
+  }
+  return out;
+}
+
 /// Every registered format that has a serialized form.
 std::vector<const be::FormatTraits*> serializable_formats() {
   std::vector<const be::FormatTraits*> out;
@@ -153,7 +213,7 @@ TEST(Protocol, CodecsRoundTrip) {
     auto frame = fa.next();
     EXPECT_TRUE(frame.has_value());
     EXPECT_EQ(fa.buffered(), 0u);
-    return *frame;
+    return std::move(*frame);
   };
 
   const auto sub = f(bn::make_submit_request(3, "mat", "cli", x));
@@ -334,6 +394,190 @@ TEST(Protocol, StompedArrayCountFailsBeforeAllocating) {
   const auto frame = fa.next();
   ASSERT_TRUE(frame.has_value());
   EXPECT_THROW(bn::parse_submit_request(*frame), std::runtime_error);
+}
+
+TEST(Protocol, SplitPointSweepMatchesEncodedFrames) {
+  // Payloads around the staging chunk, each with a small frame right behind
+  // it, fed by append() in random read sizes, through the direct tail, and
+  // by both mixed: every frame must come out whole, intact and in order.
+  const std::size_t c = bn::kRecvChunkBytes;
+  const std::vector<std::size_t> sizes = {0, 1, c - 1, c, c + 1, 3 << 20};
+  std::vector<std::vector<std::uint8_t>> payloads;
+  std::vector<std::uint8_t> stream;
+  std::uint64_t rid = 100;
+  for (const std::size_t n : sizes) {
+    payloads.push_back(random_bytes(n, n + 1));
+    payloads.push_back(random_bytes(7, n + 2)); // the small frame behind it
+  }
+  for (const auto& p : payloads) {
+    const auto f = bn::encode_frame(bn::FrameKind::kResponse,
+                                    static_cast<std::uint8_t>(rid % 8), rid, p);
+    stream.insert(stream.end(), f.begin(), f.end());
+    ++rid;
+  }
+
+  for (const Feed feed : {Feed::kAppend, Feed::kDirect, Feed::kMixed})
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE("feed " + std::to_string(static_cast<int>(feed)) +
+                   " seed " + std::to_string(seed));
+      bn::FrameAssembler fa;
+      const auto frames = reassemble(fa, stream, feed, seed);
+      ASSERT_EQ(frames.size(), payloads.size());
+      for (std::size_t i = 0; i < frames.size(); ++i) {
+        const std::uint64_t want_rid = 100 + i;
+        EXPECT_EQ(frames[i].header.request_id, want_rid);
+        EXPECT_EQ(frames[i].header.kind, bn::FrameKind::kResponse);
+        EXPECT_EQ(frames[i].header.code, want_rid % 8);
+        EXPECT_EQ(frames[i].header.payload_len, payloads[i].size());
+        ASSERT_TRUE(std::ranges::equal(frames[i].payload, payloads[i]))
+            << "frame " << i;
+      }
+      EXPECT_EQ(fa.buffered(), 0u);
+      EXPECT_TRUE(fa.direct_tail().empty());
+    }
+
+  { // One read carrying the end of a large payload, a whole small frame and
+    // the start of the next frame.
+    const auto large = bn::encode_frame(bn::FrameKind::kRequest, 3, 1,
+                                        random_bytes(c + 100, 9));
+    const auto small = bn::make_empty_request(2, bn::Op::kPing);
+    const auto third = bn::make_remove_request(3, "m");
+    std::vector<std::uint8_t> rest(large.begin() + 50, large.end());
+    rest.insert(rest.end(), small.begin(), small.end());
+    rest.insert(rest.end(), third.begin(), third.begin() + 5);
+
+    bn::FrameAssembler fa;
+    fa.append(large.data(), 50);
+    EXPECT_FALSE(fa.next().has_value());
+    // Armed: the payload is allocated and its tail awaits the rest.
+    EXPECT_EQ(fa.direct_tail().size(), c + 100 - (50 - bn::kFrameHeaderBytes));
+    EXPECT_EQ(fa.buffered(), 0u);
+    fa.append(rest.data(), rest.size());
+    const auto f1 = fa.next();
+    ASSERT_TRUE(f1.has_value());
+    EXPECT_EQ(f1->header.request_id, 1u);
+    EXPECT_TRUE(std::ranges::equal(
+        f1->payload, std::span(large).subspan(bn::kFrameHeaderBytes)));
+    const auto f2 = fa.next();
+    ASSERT_TRUE(f2.has_value());
+    EXPECT_EQ(f2->op(), bn::Op::kPing);
+    EXPECT_FALSE(fa.next().has_value());
+    fa.append(third.data() + 5, third.size() - 5);
+    const auto f3 = fa.next();
+    ASSERT_TRUE(f3.has_value());
+    EXPECT_EQ(bn::parse_remove_request(*f3), "m");
+  }
+}
+
+TEST(Protocol, StagingStaysBoundedAfterLargeFrame) {
+  // A 32 MB frame followed by small frames: read by the socket loops' rule
+  // (chunk-sized reads, direct reads into an armed payload) the large
+  // payload never passes through staging; appended in one piece, staging
+  // gives the memory back once it has drained.
+  const std::size_t c = bn::kRecvChunkBytes;
+  const auto large = bn::encode_frame(bn::FrameKind::kRequest, 3, 1,
+                                      random_bytes(32 << 20, 5));
+  std::vector<std::uint8_t> stream = large;
+  for (std::uint64_t r = 2; r < 2000; ++r) {
+    const auto f = bn::make_remove_request(r, std::to_string(r));
+    stream.insert(stream.end(), f.begin(), f.end());
+  }
+
+  {
+    bn::FrameAssembler fa;
+    std::size_t frames = 0, max_capacity = 0;
+    for (std::size_t off = 0; off < stream.size();) {
+      const std::span<std::uint8_t> tail = fa.direct_tail();
+      const std::size_t n = std::min(tail.empty() ? c : tail.size(),
+                                     stream.size() - off);
+      if (tail.empty()) {
+        fa.append(stream.data() + off, n);
+      } else {
+        std::memcpy(tail.data(), stream.data() + off, n);
+        fa.commit_direct(n);
+      }
+      off += n;
+      while (auto f = fa.next()) ++frames;
+      max_capacity = std::max(max_capacity, fa.staging_capacity());
+    }
+    EXPECT_EQ(frames, 1999u);
+    EXPECT_LE(max_capacity, 2 * c);
+  }
+  {
+    bn::FrameAssembler fa;
+    fa.append(stream.data(), stream.size());
+    std::size_t frames = 0;
+    while (auto f = fa.next()) ++frames;
+    EXPECT_EQ(frames, 1999u);
+    EXPECT_LE(fa.staging_capacity(), 2 * c);
+  }
+}
+
+TEST(Protocol, HostileLengthCostsOnlyTheBytesSent) {
+  // A header announcing 512 MB, then a few bytes: the payload is allocated
+  // but never zero-filled, so resident memory follows the bytes received.
+  constexpr std::uint32_t kAnnounced = 512u << 20;
+  auto bytes = header_announcing(kAnnounced);
+  const auto few = random_bytes(64, 3);
+  bytes.insert(bytes.end(), few.begin(), few.end());
+
+  const std::int64_t before = resident_bytes();
+  {
+    bn::FrameAssembler fa;
+    fa.append(bytes.data(), bytes.size());
+    EXPECT_FALSE(fa.next().has_value());
+    EXPECT_EQ(fa.direct_tail().size(), kAnnounced - few.size());
+    EXPECT_LT(resident_bytes() - before, 4 * kMiB);
+  }
+
+  // A corrupt header must throw before its length sizes anything.
+  const auto corrupt = [&](std::size_t at, std::uint8_t value,
+                           std::size_t max_frame) {
+    auto bad = header_announcing(kAnnounced);
+    if (at < bad.size()) bad[at] = value;
+    bn::FrameAssembler fa(max_frame);
+    fa.append(bad.data(), bad.size());
+    const std::size_t mapped = ::mallinfo2().hblkhd;
+    EXPECT_THROW(fa.next(), bn::ProtocolError);
+    EXPECT_EQ(::mallinfo2().hblkhd, mapped);
+    EXPECT_TRUE(fa.direct_tail().empty());
+  };
+  corrupt(4, bn::kProtocolVersion + 1, bn::kDefaultMaxFrameBytes); // version
+  corrupt(5, 2, bn::kDefaultMaxFrameBytes);                        // kind
+  corrupt(7, 1, bn::kDefaultMaxFrameBytes);                        // reserved
+  corrupt(bn::kFrameHeaderBytes, 0, kAnnounced - 1);               // oversized
+}
+
+TEST(Protocol, GatheredPartsMatchEncodedFrames) {
+  // The parts a client writes from the caller's buffer, joined, are the
+  // make_* frame, and both match a frame built by the generic encoder.
+  const auto bro = random_bytes(3 << 20, 11);
+  const auto up = bn::upload_request_parts(4, "mat", bro);
+  EXPECT_EQ(up.tail.data(), bro.data()); // the caller's bytes, not a copy
+  std::vector<std::uint8_t> joined = up.head;
+  joined.insert(joined.end(), up.tail.begin(), up.tail.end());
+  EXPECT_EQ(joined, bn::make_upload_request(4, "mat", bro));
+  bro::ByteWriter w;
+  w.put_string("mat");
+  w.put_array<std::uint8_t>(bro);
+  EXPECT_EQ(joined, bn::encode_frame(bn::FrameKind::kRequest,
+                                     static_cast<std::uint8_t>(
+                                         bn::Op::kUploadMatrix),
+                                     4, w.bytes()));
+
+  const auto x = random_x(20000, 12);
+  const auto sub = bn::submit_request_parts(5, "mat", "cli", x);
+  joined = sub.head;
+  joined.insert(joined.end(), sub.tail.begin(), sub.tail.end());
+  EXPECT_EQ(joined, bn::make_submit_request(5, "mat", "cli", x));
+  bro::ByteWriter sw;
+  sw.put_string("mat");
+  sw.put_string("cli");
+  sw.put_array<value_t>(x);
+  EXPECT_EQ(joined,
+            bn::encode_frame(bn::FrameKind::kRequest,
+                             static_cast<std::uint8_t>(bn::Op::kSubmit), 5,
+                             sw.bytes()));
 }
 
 // ---------------------------------------------------------------------------
@@ -657,5 +901,212 @@ TEST(NetServer, ManyConnectionsConcurrently) {
   const auto ns = server.stats();
   EXPECT_GE(ns.accepted, static_cast<std::uint64_t>(kThreads) + 1);
   EXPECT_EQ(ns.protocol_errors, 0u);
+  server.stop();
+}
+
+namespace {
+
+/// Read exactly `n` bytes from a blocking socket.
+std::vector<std::uint8_t> recv_exact(int fd, std::size_t n) {
+  std::vector<std::uint8_t> out(n);
+  for (std::size_t off = 0; off < n;) {
+    const ssize_t got = ::recv(fd, out.data() + off, n - off, 0);
+    if (got <= 0) return {};
+    off += static_cast<std::size_t>(got);
+  }
+  return out;
+}
+
+/// One request frame as it crossed the wire, header and payload (empty
+/// when the stream does not hold one of a plausible size).
+std::vector<std::uint8_t> recv_wire_frame(int fd) {
+  auto bytes = recv_exact(fd, bn::kFrameHeaderBytes);
+  if (bytes.empty()) return {};
+  std::uint32_t len = 0;
+  std::memcpy(&len, bytes.data(), 4);
+  if (len > (64u << 20)) return {};
+  const auto payload = recv_exact(fd, len);
+  bytes.insert(bytes.end(), payload.begin(), payload.end());
+  return bytes;
+}
+
+} // namespace
+
+TEST(NetClient, GatheredSendPutsEncodedFramesOnTheWire) {
+  // A bare listener stands in for the server and records the bytes the
+  // client writes: a multi-MB upload and an x above the staging chunk go
+  // out from the caller's buffers, byte-identical to make_*. The large y
+  // it answers with is received straight into its frame.
+  bro::UniqueFd listener(::socket(AF_INET, SOCK_STREAM, 0));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::bind(listener.get(), reinterpret_cast<sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listener.get(), 1), 0);
+  socklen_t len = sizeof(addr);
+  ::getsockname(listener.get(), reinterpret_cast<sockaddr*>(&addr), &len);
+
+  bn::NetClient cli("127.0.0.1", ntohs(addr.sin_port));
+  bro::UniqueFd peer(::accept(listener.get(), nullptr, nullptr));
+  ASSERT_TRUE(peer.valid());
+
+  const auto bro_bytes = random_bytes(5 << 20, 21);
+  const auto x = random_x(20000, 22);
+  const auto y = random_x(30000, 23);
+  std::vector<std::uint8_t> upload_wire, submit_wire;
+  std::thread server([&] {
+    // A receive timeout and the final shutdown turn a malformed frame
+    // into a failed comparison on both sides rather than a hang.
+    const timeval timeout{10, 0};
+    ::setsockopt(peer.get(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                 sizeof(timeout));
+    upload_wire = recv_wire_frame(peer.get());
+    if (!upload_wire.empty()) {
+      const auto ack = bn::make_upload_ack(1, {30000, 20000, 7});
+      ::send(peer.get(), ack.data(), ack.size(), MSG_NOSIGNAL);
+      submit_wire = recv_wire_frame(peer.get());
+    }
+    if (!submit_wire.empty()) {
+      const auto resp = bn::make_vector_response(2, y);
+      for (std::size_t off = 0; off < resp.size();) {
+        const ssize_t n = ::send(peer.get(), resp.data() + off,
+                                 resp.size() - off, MSG_NOSIGNAL);
+        if (n <= 0) break;
+        off += static_cast<std::size_t>(n);
+      }
+    }
+    ::shutdown(peer.get(), SHUT_RDWR);
+  });
+  bn::UploadAck ack;
+  std::vector<value_t> got;
+  try {
+    ack = cli.upload_matrix("A", bro_bytes);
+    got = cli.submit("A", x, "cli");
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << e.what();
+  }
+  server.join();
+
+  EXPECT_EQ(ack.rows, 30000u);
+  EXPECT_EQ(upload_wire, bn::make_upload_request(1, "A", bro_bytes));
+  EXPECT_EQ(submit_wire, bn::make_submit_request(2, "A", "cli", x));
+  ASSERT_EQ(got.size(), y.size());
+  EXPECT_EQ(std::memcmp(got.data(), y.data(), y.size() * sizeof(value_t)), 0);
+}
+
+TEST(NetServer, LargeFramesCrossTheWireIntact) {
+  // A multi-MB upload, x and y above the staging chunk, synchronous and
+  // pipelined: all take the direct receive path. The served CSR and every
+  // y are bitwise the in-process ones, and the frame counters reconcile.
+  bv::ServerOptions sopts;
+  sopts.threads = 2;
+  sopts.max_batch = 4;
+  bv::SpmvServer remote_core(sopts);
+  bn::NetServer server(remote_core, {});
+  server.start();
+
+  bro::sparse::GenSpec spec;
+  spec.rows = 30000;
+  spec.cols = 20000;
+  spec.mu = 12;
+  spec.sigma = 4;
+  spec.seed = 31;
+  const bro::sparse::Csr src = bro::sparse::generate(spec);
+  const auto bytes =
+      bn::matrix_to_bro_bytes(bc::Matrix::from_csr(src), bc::Format::kBroHyb);
+  ASSERT_GT(bytes.size(), std::size_t{2} << 20);
+
+  bn::NetClient cli("127.0.0.1", server.port());
+  const auto ack = cli.upload_matrix("A", bytes);
+  EXPECT_EQ(ack.nnz, src.nnz());
+  const auto served = remote_core.matrix("A");
+  ASSERT_NE(served, nullptr);
+  const bro::sparse::Csr& csr = served->csr();
+  EXPECT_EQ(csr.row_ptr, src.row_ptr);
+  EXPECT_EQ(csr.col_idx, src.col_idx);
+  ASSERT_EQ(csr.vals.size(), src.vals.size());
+  EXPECT_EQ(std::memcmp(csr.vals.data(), src.vals.data(),
+                        src.vals.size() * sizeof(value_t)),
+            0);
+
+  bv::SpmvServer local(sopts);
+  local.add_matrix("A", bn::matrix_from_bro_bytes(bytes));
+  std::uint64_t requests = 1; // the upload
+  for (int r = 0; r < 3; ++r, ++requests) {
+    const auto x = random_x(20000, 40 + static_cast<std::uint64_t>(r));
+    EXPECT_EQ(cli.submit("A", x), local.submit("A", x).get());
+  }
+  std::vector<std::uint64_t> rids;
+  std::vector<std::vector<value_t>> xs;
+  for (int r = 0; r < 6; ++r, ++requests) {
+    xs.push_back(random_x(20000, 60 + static_cast<std::uint64_t>(r)));
+    rids.push_back(cli.enqueue_submit("A", xs.back()));
+  }
+  cli.flush();
+  for (std::size_t r = rids.size(); r-- > 0;) {
+    const auto res = cli.wait_submit(rids[r]);
+    ASSERT_TRUE(res.ok());
+    EXPECT_EQ(res.y, local.submit("A", xs[r]).get());
+  }
+
+  const auto stats = cli.stats();
+  ++requests;
+  EXPECT_EQ(stats.submitted, 9u);
+  EXPECT_EQ(stats.served, 9u);
+  // frames_out counts a response once it is fully written, which the loop
+  // records just after the client may already have read it.
+  for (int i = 0; i < 200 && server.stats().frames_out < requests; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  const auto ns = server.stats();
+  EXPECT_EQ(ns.frames_in, requests);
+  EXPECT_EQ(ns.frames_out, requests);
+  EXPECT_EQ(ns.protocol_errors, 0u);
+  server.stop();
+}
+
+TEST(NetServer, HostileLengthHoldsOnlyReceivedBytesAndFreesOnClose) {
+  // A peer announces a 384 MB upload and sends 4 MB of it: the server
+  // holds what arrived, not what was announced, and closing the connection
+  // mid-payload frees it. (The bound leaves room for a sanitizer's shadow
+  // of the bytes received; the announced length is far above it.)
+  bv::ServerOptions sopts;
+  sopts.threads = 0;
+  bv::SpmvServer core(sopts);
+  bn::NetServer server(core, {});
+  server.start();
+
+  constexpr std::uint32_t kAnnounced = 384u << 20;
+  constexpr std::int64_t kSent = 4 * kMiB;
+  auto bytes = header_announcing(kAnnounced);
+  const auto body = random_bytes(static_cast<std::size_t>(kSent), 41);
+  bytes.insert(bytes.end(), body.begin(), body.end());
+
+  const auto wait_for_rise = [&](std::int64_t before, auto done) {
+    std::int64_t rise = resident_bytes() - before;
+    for (int i = 0; i < 2000 && !done(rise); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      rise = resident_bytes() - before;
+    }
+    return rise;
+  };
+  const std::int64_t before = resident_bytes();
+  {
+    RawConn raw(server.port());
+    raw.send_bytes(bytes);
+    const std::int64_t held =
+        wait_for_rise(before, [&](std::int64_t r) { return r >= kSent; });
+    EXPECT_GE(held, kSent);
+    EXPECT_LT(held, std::int64_t{kAnnounced} / 8);
+  }
+  // The connection is closed, then swept with its half-filled frame.
+  EXPECT_LT(wait_for_rise(before, [](std::int64_t r) { return r < 2 * kMiB; }),
+            2 * kMiB);
+  EXPECT_EQ(server.stats().closed, 1u);
+
+  bn::NetClient cli("127.0.0.1", server.port());
+  cli.ping(); // the server is unaffected
+  EXPECT_EQ(server.stats().protocol_errors, 0u);
   server.stop();
 }
