@@ -14,6 +14,7 @@
 #include "engine/plan.h"
 #include "solver/cg.h"
 #include "sparse/matgen/generators.h"
+#include "sparse/spmv.h"
 #include "util/timer.h"
 
 int main(int argc, char** argv) {
@@ -30,7 +31,7 @@ int main(int argc, char** argv) {
   // Right-hand side for the known solution x* = 1.
   const std::vector<value_t> x_true(n, 1.0);
   std::vector<value_t> b(n);
-  a->spmv(x_true, b, core::Format::kCsr);
+  sparse::spmv_csr_reference(a->csr(), x_true, b);
 
   solver::SolveOptions opts;
   opts.max_iterations = 4000;

@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
     std::vector<std::string> row = {tr.name};
     if (tr.applicable(m.csr(), 3.0)) {
       for (const auto& dev : sim::all_devices())
-        row.push_back(Table::fmt(tr.tune(dev, m, x).gflops, 2));
+        row.push_back(Table::fmt(tr.tune(dev, m.csr(), x).gflops, 2));
     } else {
       row.insert(row.end(), {"-", "-", "-"});
     }

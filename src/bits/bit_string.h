@@ -46,6 +46,10 @@ class BitString {
   /// Read back `nbits` bits starting at `bit_pos` (MSB-first order).
   std::uint64_t peek(std::size_t bit_pos, int nbits) const;
 
+  /// Release the capacity that appends left beyond the stored words (for a
+  /// finished, read-only stream).
+  void shrink_to_fit() { words_.shrink_to_fit(); }
+
   // Serialization access: the raw word storage (big-endian bit order within
   // each word) and reconstruction from it.
   const std::vector<std::uint64_t>& words() const { return words_; }

@@ -153,24 +153,27 @@ class Driver {
                     const std::shared_ptr<core::Matrix>& matrix,
                     std::span<const value_t> x, std::span<const value_t> ref,
                     bool spmv_safe) {
-    const core::Matrix& m = *matrix;
+    // One plan, one representation: validate, apply, the native kernels,
+    // the generic decoder and the simulator all run on the object this plan
+    // built, so nothing is rebuilt per hook.
+    engine::SpmvPlan plan(matrix, t.format);
+    const void* rep = plan.representation();
 
     ++report_.validations;
-    for (const auto& issue : t.validate(m))
+    for (const auto& issue : t.validate(rep, matrix->csr()))
       fail(name, t.name, "validate", issue);
 
     if (!spmv_safe) return;
     std::string msg;
     std::vector<value_t> y(ref.size());
 
-    t.apply(m, x, y);
+    t.apply(rep, x, y);
     ++report_.comparisons;
     if (!matches_reference(y, ref, opts_.eps, msg))
       fail(name, t.name, "apply", msg);
 
-    // The planned path: build once, execute twice. Both results must match
-    // and the second execute must not grow the workspace.
-    engine::SpmvPlan plan(matrix, t.format);
+    // The planned path: execute twice. Both results must match and the
+    // second execute must not grow the workspace.
     plan.execute(x, y);
     ++report_.comparisons;
     if (!matches_reference(y, ref, opts_.eps, msg))
@@ -193,7 +196,7 @@ class Driver {
     // accumulation order — only the unpacking code differs).
     if (opts_.decode_check && t.native_generic) {
       std::vector<value_t> y_generic(ref.size());
-      t.native_generic(m, x, y_generic);
+      t.native_generic(rep, x, y_generic);
       ++report_.comparisons;
       for (std::size_t r = 0; r < y_generic.size(); ++r) {
         if (y_generic[r] != y[r]) {
@@ -207,19 +210,19 @@ class Driver {
       }
     }
 
-    // SIMD parity: when dispatch is running vectorized kernels, rebuild the
-    // plan with the ISA forced to scalar and compare against the SIMD
-    // execute bit for bit. Identical decode output and identical FP
-    // accumulation order are the SIMD backend's core contract — any
-    // divergence is a kernel bug, not rounding. Gated on native_generic so
-    // only formats with a bit-level decode path pay for the extra plan.
+    // SIMD parity: when dispatch is running vectorized kernels, execute the
+    // same plan with the ISA forced to scalar (its workspace re-selects the
+    // decode kernels) and compare against the SIMD execute bit for bit.
+    // Identical decode output and identical FP accumulation order are the
+    // SIMD backend's core contract — any divergence is a kernel bug, not
+    // rounding. Gated on native_generic: only formats with a bit-level
+    // decode path have SIMD kernels.
     const kernels::SimdIsa simd_isa = kernels::active_simd_isa();
     if (opts_.simd_check && t.native_generic &&
         simd_isa != kernels::SimdIsa::kScalar) {
       kernels::ScopedSimdIsa forced(kernels::SimdIsa::kScalar);
-      engine::SpmvPlan scalar_plan(matrix, t.format);
       std::vector<value_t> y_scalar(ref.size());
-      scalar_plan.execute(x, y_scalar);
+      plan.execute(x, y_scalar);
       ++report_.comparisons;
       for (std::size_t r = 0; r < y_scalar.size(); ++r) {
         if (y_scalar[r] != y[r]) {
@@ -239,7 +242,7 @@ class Driver {
     // them into y sub-spans — the result must reproduce the whole-matrix
     // plan bit for bit. This is the contract FormatTraits::row_shardable
     // declares and the serve layer's multi-pool fan-out relies on.
-    if (opts_.shard_check && t.row_shardable && m.rows() > 0) {
+    if (opts_.shard_check && t.row_shardable && matrix->rows() > 0) {
       engine::ShardedSpmvPlan sharded(matrix, opts_.shard_count, t.format);
       std::vector<value_t> y_sharded(ref.size());
       sharded.execute(x, y_sharded);
@@ -258,7 +261,7 @@ class Driver {
     }
 
     if (opts_.simulate && t.sim_apply) {
-      const std::vector<value_t> sim_y = t.sim_apply(opts_.device, m, x);
+      const std::vector<value_t> sim_y = t.sim_apply(opts_.device, rep, x);
       ++report_.comparisons;
       if (!matches_reference(sim_y, ref, opts_.eps, msg))
         fail(name, t.name, "sim", msg);

@@ -2,12 +2,13 @@
 //
 // One round = one matrix (adversarial battery first, then seeded random
 // shapes) swept across every registered format. For each applicable format
-// the driver:
+// the fuzzer builds one SpmvPlan, and every hook below runs on that plan's
+// representation (nothing is rebuilt per hook):
 //
 //   1. runs the registry's validate hook (structural + lossless invariants),
-//   2. compares the facade apply path against the sequential CSR reference,
-//   3. builds an SpmvPlan and executes it twice — results must match the
-//      reference and the second execute must not grow the workspace,
+//   2. compares the sequential reference apply against the CSR reference,
+//   3. executes the plan twice — results must match the reference and the
+//      second execute must not grow the workspace,
 //   4. compares the GPU-simulator kernel's numerical result (sim_apply),
 //   5. runs the multi-vector path: execute_multi(X, Y, k) must match k
 //      single-vector execute() calls column-by-column *bitwise* (the SpMM

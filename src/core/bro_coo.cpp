@@ -10,10 +10,20 @@
 
 namespace bro::core {
 
-BroCoo BroCoo::compress(sparse::Coo coo, BroCooOptions opts) {
-  BRO_CHECK_MSG(coo.is_canonical(), "BRO-COO requires canonical COO order");
+std::size_t BroCoo::padded_length(std::size_t nnz, const BroCooOptions& opts) {
   BRO_CHECK_MSG(opts.warp_size > 0 && opts.interval_cols > 0,
                 "interval dimensions must be positive");
+  const std::size_t interval_size =
+      static_cast<std::size_t>(opts.warp_size) *
+      static_cast<std::size_t>(opts.interval_cols);
+  return (nnz + interval_size - 1) / interval_size * interval_size;
+}
+
+BroCoo BroCoo::compress(sparse::Coo coo, BroCooOptions opts) {
+  BRO_CHECK_MSG(coo.is_canonical(), "BRO-COO requires canonical COO order");
+  // Pad the entry stream to a whole number of intervals with (last_row,
+  // last_col, 0.0) entries: delta 0, value 0 — no effect on the product.
+  const std::size_t padded = padded_length(coo.nnz(), opts);
   BRO_CHECK_MSG(opts.sym_len == 32 || opts.sym_len == 64,
                 "sym_len must be 32 or 64");
 
@@ -25,21 +35,21 @@ BroCoo BroCoo::compress(sparse::Coo coo, BroCooOptions opts) {
 
   if (coo.nnz() == 0) return out;
 
-  // Pad the entry stream to a whole number of intervals with (last_row,
-  // last_col, 0.0) entries: delta 0, value 0 — no effect on the product.
-  const std::size_t interval_size =
-      static_cast<std::size_t>(opts.warp_size) *
-      static_cast<std::size_t>(opts.interval_cols);
-  const std::size_t padded =
-      (coo.nnz() + interval_size - 1) / interval_size * interval_size;
-
+  // Reserve the exact padded length first: a moved-in vector's capacity is
+  // usually its size, and resize() alone would roughly double it.
   std::vector<index_t> row_idx = std::move(coo.row_idx);
   out.col_idx_ = std::move(coo.col_idx);
   out.vals_ = std::move(coo.vals);
+  row_idx.reserve(padded);
+  out.col_idx_.reserve(padded);
+  out.vals_.reserve(padded);
   row_idx.resize(padded, row_idx.back());
   out.col_idx_.resize(padded, out.col_idx_.back());
   out.vals_.resize(padded, value_t{0});
 
+  const std::size_t interval_size =
+      static_cast<std::size_t>(opts.warp_size) *
+      static_cast<std::size_t>(opts.interval_cols);
   const std::size_t num_intervals = padded / interval_size;
   out.intervals_.reserve(num_intervals);
   const int w = opts.warp_size;

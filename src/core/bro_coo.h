@@ -51,6 +51,11 @@ class BroCoo {
   /// arrays over without a copy.
   static BroCoo compress(sparse::Coo coo, BroCooOptions opts = {});
 
+  /// Entries after padding `nnz` to a whole number of intervals: the
+  /// length of col_idx() and vals(). A caller that reserves this much
+  /// lets compress pad the moved-in arrays in place.
+  static std::size_t padded_length(std::size_t nnz, const BroCooOptions& opts);
+
   index_t rows() const { return rows_; }
   index_t cols() const { return cols_; }
   std::size_t nnz() const { return nnz_; }                 // real entries

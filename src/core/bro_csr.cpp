@@ -30,6 +30,7 @@ BroCsr BroCsr::compress(const sparse::Csr& csr, BroCsrOptions opts) {
     out.sym_ptr_[static_cast<std::size_t>(r) + 1] = static_cast<std::uint32_t>(
         out.stream_.symbol_count(opts.sym_len));
   }
+  out.stream_.shrink_to_fit();
   return out;
 }
 

@@ -14,10 +14,17 @@ BroHyb BroHyb::compress(const sparse::Csr& csr, BroHybOptions opts) {
                         : sparse::hyb_split_width(sparse::row_lengths(csr));
 
   // The ELL part packs straight from the CSR rows; only the overflow
-  // entries (beyond column k of a row) are gathered, in canonical order.
+  // entries (beyond column k of a row) are gathered, in canonical order,
+  // into arrays of BRO-COO's padded length so it pads them in place.
+  std::size_t overflow_nnz = 0;
+  for (index_t r = 0; r < csr.rows; ++r)
+    overflow_nnz += static_cast<std::size_t>(
+        std::max<index_t>(csr.row_length(r) - k, 0));
+  const std::size_t capacity = BroCoo::padded_length(overflow_nnz, opts.coo);
   sparse::Coo overflow;
   overflow.rows = csr.rows;
   overflow.cols = csr.cols;
+  overflow.reserve(capacity);
   for (index_t r = 0; r < csr.rows; ++r)
     for (index_t p = csr.row_ptr[r] + std::min(k, csr.row_length(r));
          p < csr.row_ptr[r + 1]; ++p)

@@ -6,23 +6,23 @@
 
 namespace bro::engine {
 
-TuneResult autotune(const core::Matrix& m, const sim::DeviceSpec& dev,
+TuneResult autotune(const sparse::Csr& csr, const sim::DeviceSpec& dev,
                     const TuneOptions& opts) {
   // A deterministic probe vector; the access pattern, not the values,
   // drives the simulated performance.
   Rng rng(2013);
-  std::vector<value_t> x(static_cast<std::size_t>(m.cols()));
+  std::vector<value_t> x(static_cast<std::size_t>(csr.cols));
   for (auto& v : x) v = rng.uniform() * 2 - 1;
 
   TuneResult result;
   for (const auto& t : format_registry()) {
     if (!t.tunable) continue;
     if (t.extension && !opts.include_extensions) continue;
-    if (!t.applicable(m.csr(), opts.max_ell_expand)) {
+    if (!t.applicable(csr, opts.max_ell_expand)) {
       result.ranking.push_back({t.format, 0, 0, false});
       continue;
     }
-    const TuneOutcome out = t.tune(dev, m, x);
+    const TuneOutcome out = t.tune(dev, csr, x);
     result.ranking.push_back({t.format, out.gflops, out.eta, true});
   }
 
@@ -32,11 +32,6 @@ TuneResult autotune(const core::Matrix& m, const sim::DeviceSpec& dev,
                      return a.gflops > b.gflops;
                    });
   return result;
-}
-
-TuneResult autotune(const sparse::Csr& csr, const sim::DeviceSpec& dev,
-                    const TuneOptions& opts) {
-  return autotune(core::Matrix::from_csr(csr), dev, opts);
 }
 
 } // namespace bro::engine

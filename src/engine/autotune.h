@@ -8,7 +8,6 @@
 
 #include <vector>
 
-#include "core/matrix.h"
 #include "engine/format_registry.h"
 #include "gpusim/device.h"
 
@@ -34,9 +33,8 @@ struct TuneOptions {
 };
 
 /// Evaluate every registered tunable format on `dev` and rank by simulated
-/// GFlop/s. The Matrix overload reuses the facade's cached representations.
-TuneResult autotune(const core::Matrix& m, const sim::DeviceSpec& dev,
-                    const TuneOptions& opts = {});
+/// GFlop/s. Each candidate builds its own device-matched representation
+/// from the CSR and drops it once simulated.
 TuneResult autotune(const sparse::Csr& csr, const sim::DeviceSpec& dev,
                     const TuneOptions& opts = {});
 

@@ -4,7 +4,6 @@
 // interface, the registry supplies the behaviour.
 #include "core/matrix.h"
 #include "engine/format_registry.h"
-#include "util/error.h"
 
 namespace bro::core {
 
@@ -12,17 +11,6 @@ const char* format_name(Format f) { return engine::traits(f).name; }
 
 Format Matrix::auto_format() const {
   return engine::auto_select(csr_, opts_.max_ell_expand);
-}
-
-void Matrix::spmv(std::span<const value_t> x, std::span<value_t> y) const {
-  spmv(x, y, auto_format());
-}
-
-void Matrix::spmv(std::span<const value_t> x, std::span<value_t> y,
-                  Format format) const {
-  BRO_CHECK(x.size() == static_cast<std::size_t>(cols()));
-  BRO_CHECK(y.size() == static_cast<std::size_t>(rows()));
-  engine::traits(format).apply(*this, x, y);
 }
 
 Savings Matrix::savings() const {

@@ -20,6 +20,8 @@ namespace {
 using core::Format;
 using core::Matrix;
 using sim::DeviceSpec;
+using X = std::span<const value_t>;
+using Y = std::span<value_t>;
 
 bool always_applicable(const sparse::Csr&, double) { return true; }
 
@@ -36,258 +38,311 @@ bool ell_applicable(const sparse::Csr& csr, double max_ell_expand) {
              max_ell_expand * static_cast<double>(csr.nnz());
 }
 
-core::Savings index_savings(std::size_t original, std::size_t compressed) {
-  return core::make_savings(original, compressed);
+/// The plan's representation as the type the entry's make hook built.
+template <typename T>
+const T& as(const void* rep) {
+  return *static_cast<const T*>(rep);
 }
 
+template <typename T>
+Representation own(T rep) {
+  return std::make_shared<const T>(std::move(rep));
+}
+
+/// Index savings of the formats that report them over all index data.
+template <typename T>
+core::Savings index_savings(const void* rep) {
+  const auto& bro = as<T>(rep);
+  return core::make_savings(bro.original_index_bytes(),
+                            bro.compressed_index_bytes());
+}
+
+// The one-shot queries: build F's representation of m, measure it through
+// the plan path's hook, drop it.
+template <Format F>
+std::size_t resident_bytes_once(const Matrix& m) {
+  const FormatTraits& t = traits(F);
+  return t.rep_bytes(t.make(m.csr(), m.options()).get());
+}
+
+template <Format F>
+core::Savings savings_once(const Matrix& m) {
+  const FormatTraits& t = traits(F);
+  return t.rep_savings(t.make(m.csr(), m.options()).get());
+}
+
+constexpr std::size_t kCooEntryBytes = 2 * sizeof(index_t) + sizeof(value_t);
+constexpr std::size_t kEllEntryBytes = sizeof(index_t) + sizeof(value_t);
+
 const std::vector<FormatTraits>& build_registry() {
+  using sparse::Coo, sparse::Csr, sparse::Ell, sparse::EllR, sparse::Hyb;
+  using core::BroAns, core::BroBcsr, core::BroCoo, core::BroCsr,
+      core::BroEll, core::BroHyb;
+  using Opts = core::MatrixOptions;
   static const std::vector<FormatTraits> registry = {
-      {Format::kCsr, "CSR", /*compressed=*/false, /*extension=*/false,
-       // The host CSR reference is the correctness baseline, not a GPU
-       // cocktail candidate (the CSR-scalar/vector simulator baselines live
-       // in bench_baselines_csr).
-       /*tunable=*/false, /*auto_priority=*/3, always_applicable,
-       /*build=*/nullptr,
-       [](const Matrix& m, std::span<const value_t> x, std::span<value_t> y) {
-         sparse::spmv_csr_reference(m.csr(), x, y);
+      // The host CSR reference is the correctness baseline, not a GPU
+      // cocktail candidate (the CSR-scalar/vector simulator baselines live
+      // in bench_baselines_csr). No make hook: the plan runs on the
+      // matrix's own CSR.
+      {.format = Format::kCsr, .name = "CSR", .auto_priority = 3,
+       .applicable = always_applicable,
+       .apply = [](const void* r, X x, Y y) {
+         sparse::spmv_csr_reference(as<Csr>(r), x, y);
        },
-       [](const Matrix& m, Workspace&, std::span<const value_t> x,
-          std::span<value_t> y) { kernels::native_spmv_csr(m.csr(), x, y); },
-       /*tune=*/nullptr, /*savings=*/nullptr, /*serialize=*/nullptr,
-       [](const Matrix& m) { return check::validate_csr(m.csr()); },
-       [](const DeviceSpec& dev, const Matrix& m,
-          std::span<const value_t> x) {
-         return kernels::sim_spmv_csr_scalar(dev, m.csr(), x).y;
+       .native = [](const void* r, Workspace&, X x, Y y) {
+         kernels::native_spmv_csr(as<Csr>(r), x, y);
        },
-       [](const Matrix& m, Workspace&, std::span<const value_t> x,
-          std::span<value_t> y, int k) {
-         kernels::native_spmm_csr(m.csr(), x, y, k);
+       .native_multi = [](const void* r, Workspace&, X x, Y y, int k) {
+         kernels::native_spmm_csr(as<Csr>(r), x, y, k);
        },
-       /*resident_bytes=*/nullptr,
-       /*native_generic=*/nullptr, /*row_shardable=*/true},
+       .validate = [](const void* r, const Csr&) {
+         return check::validate_csr(as<Csr>(r));
+       },
+       .sim_apply = [](const DeviceSpec& dev, const void* r, X x) {
+         return kernels::sim_spmv_csr_scalar(dev, as<Csr>(r), x).y;
+       },
+       .row_shardable = true},
 
-      {Format::kCoo, "COO", false, false, true, -1, always_applicable,
-       [](const Matrix& m, Workspace& ws) { ws.coo_ranges(m.coo()); },
-       [](const Matrix& m, std::span<const value_t> x, std::span<value_t> y) {
+      {.format = Format::kCoo, .name = "COO", .tunable = true,
+       .applicable = always_applicable,
+       .make = [](const Csr& csr, const Opts&) {
+         return own(sparse::csr_to_coo(csr));
+       },
+       .build = [](const void* r, Workspace& ws) { ws.coo_ranges(as<Coo>(r)); },
+       .apply = [](const void* r, X x, Y y) {
          std::fill(y.begin(), y.end(), value_t{0});
-         sparse::spmv_coo_accumulate(m.coo(), x, y);
+         sparse::spmv_coo_accumulate(as<Coo>(r), x, y);
        },
-       [](const Matrix& m, Workspace& ws, std::span<const value_t> x,
-          std::span<value_t> y) {
-         kernels::native_spmv_coo(m.coo(), ws.coo_ranges(m.coo()), x, y);
+       .native = [](const void* r, Workspace& ws, X x, Y y) {
+         const auto& a = as<Coo>(r);
+         kernels::native_spmv_coo(a, ws.coo_ranges(a), x, y);
        },
-       [](const DeviceSpec& dev, const Matrix& m,
-          std::span<const value_t> x) -> TuneOutcome {
-         return {kernels::sim_spmv_coo(dev, m.coo(), x).time.gflops, 0.0};
+       .validate = [](const void* r, const Csr& src) {
+         return check::validate_coo(as<Coo>(r), &src);
        },
-       nullptr, nullptr,
-       [](const Matrix& m) {
-         return check::validate_coo(m.coo(), &m.csr());
+       .sim_apply = [](const DeviceSpec& dev, const void* r, X x) {
+         return kernels::sim_spmv_coo(dev, as<Coo>(r), x).y;
        },
-       [](const DeviceSpec& dev, const Matrix& m,
-          std::span<const value_t> x) {
-         return kernels::sim_spmv_coo(dev, m.coo(), x).y;
+       .rep_bytes = [](const void* r) {
+         return as<Coo>(r).nnz() * kCooEntryBytes;
        },
-       /*native_multi=*/nullptr,
-       [](const Matrix& m) {
-         return m.coo().nnz() * (2 * sizeof(index_t) + sizeof(value_t));
+       .resident_bytes = resident_bytes_once<Format::kCoo>,
+       .tune = [](const DeviceSpec& dev, const Csr& csr, X x) {
+         const auto coo = sparse::csr_to_coo(csr);
+         return TuneOutcome{kernels::sim_spmv_coo(dev, coo, x).time.gflops};
        },
-       /*native_generic=*/nullptr, /*row_shardable=*/true},
+       .row_shardable = true},
 
-      {Format::kEll, "ELLPACK", false, false, true, -1, ell_applicable,
-       [](const Matrix& m, Workspace&) { m.ell(); },
-       [](const Matrix& m, std::span<const value_t> x, std::span<value_t> y) {
-         sparse::spmv_ell(m.ell(), x, y);
+      {.format = Format::kEll, .name = "ELLPACK", .tunable = true,
+       .applicable = ell_applicable,
+       .make = [](const Csr& csr, const Opts&) {
+         return own(sparse::csr_to_ell(csr));
        },
-       [](const Matrix& m, Workspace&, std::span<const value_t> x,
-          std::span<value_t> y) { kernels::native_spmv_ell(m.ell(), x, y); },
-       [](const DeviceSpec& dev, const Matrix& m,
-          std::span<const value_t> x) -> TuneOutcome {
-         return {kernels::sim_spmv_ell(dev, m.ell(), x).time.gflops, 0.0};
+       .apply = [](const void* r, X x, Y y) {
+         sparse::spmv_ell(as<Ell>(r), x, y);
        },
-       nullptr, nullptr,
-       [](const Matrix& m) {
-         return check::validate_ell(m.ell(), &m.csr());
+       .native = [](const void* r, Workspace&, X x, Y y) {
+         kernels::native_spmv_ell(as<Ell>(r), x, y);
        },
-       [](const DeviceSpec& dev, const Matrix& m,
-          std::span<const value_t> x) {
-         return kernels::sim_spmv_ell(dev, m.ell(), x).y;
+       .native_multi = [](const void* r, Workspace&, X x, Y y, int k) {
+         kernels::native_spmm_ell(as<Ell>(r), x, y, k);
        },
-       [](const Matrix& m, Workspace&, std::span<const value_t> x,
-          std::span<value_t> y, int k) {
-         kernels::native_spmm_ell(m.ell(), x, y, k);
+       .validate = [](const void* r, const Csr& src) {
+         return check::validate_ell(as<Ell>(r), &src);
        },
-       [](const Matrix& m) {
-         return m.ell().entries() * (sizeof(index_t) + sizeof(value_t));
+       .sim_apply = [](const DeviceSpec& dev, const void* r, X x) {
+         return kernels::sim_spmv_ell(dev, as<Ell>(r), x).y;
        },
-       /*native_generic=*/nullptr, /*row_shardable=*/true},
+       .rep_bytes = [](const void* r) {
+         return as<Ell>(r).entries() * kEllEntryBytes;
+       },
+       .resident_bytes = resident_bytes_once<Format::kEll>,
+       .tune = [](const DeviceSpec& dev, const Csr& csr, X x) {
+         const auto ell = sparse::csr_to_ell(csr);
+         return TuneOutcome{kernels::sim_spmv_ell(dev, ell, x).time.gflops};
+       },
+       .row_shardable = true},
 
-      {Format::kEllR, "ELLPACK-R", false, false, true, -1, ell_applicable,
-       [](const Matrix& m, Workspace&) { m.ellr(); },
-       [](const Matrix& m, std::span<const value_t> x, std::span<value_t> y) {
-         sparse::spmv_ellr(m.ellr(), x, y);
+      {.format = Format::kEllR, .name = "ELLPACK-R", .tunable = true,
+       .applicable = ell_applicable,
+       .make = [](const Csr& csr, const Opts&) {
+         return own(sparse::csr_to_ellr(csr));
        },
-       [](const Matrix& m, Workspace&, std::span<const value_t> x,
-          std::span<value_t> y) { kernels::native_spmv_ellr(m.ellr(), x, y); },
-       [](const DeviceSpec& dev, const Matrix& m,
-          std::span<const value_t> x) -> TuneOutcome {
-         return {kernels::sim_spmv_ellr(dev, m.ellr(), x).time.gflops, 0.0};
+       .apply = [](const void* r, X x, Y y) {
+         sparse::spmv_ellr(as<EllR>(r), x, y);
        },
-       nullptr, nullptr,
-       [](const Matrix& m) {
-         return check::validate_ellr(m.ellr(), &m.csr());
+       .native = [](const void* r, Workspace&, X x, Y y) {
+         kernels::native_spmv_ellr(as<EllR>(r), x, y);
        },
-       [](const DeviceSpec& dev, const Matrix& m,
-          std::span<const value_t> x) {
-         return kernels::sim_spmv_ellr(dev, m.ellr(), x).y;
+       .validate = [](const void* r, const Csr& src) {
+         return check::validate_ellr(as<EllR>(r), &src);
        },
-       /*native_multi=*/nullptr,
-       [](const Matrix& m) {
-         const auto& e = m.ellr();
-         return e.ell.entries() * (sizeof(index_t) + sizeof(value_t)) +
+       .sim_apply = [](const DeviceSpec& dev, const void* r, X x) {
+         return kernels::sim_spmv_ellr(dev, as<EllR>(r), x).y;
+       },
+       .rep_bytes = [](const void* r) {
+         const auto& e = as<EllR>(r);
+         return e.ell.entries() * kEllEntryBytes +
                 e.row_length.size() * sizeof(index_t);
        },
-       /*native_generic=*/nullptr, /*row_shardable=*/true},
+       .resident_bytes = resident_bytes_once<Format::kEllR>,
+       .tune = [](const DeviceSpec& dev, const Csr& csr, X x) {
+         const auto ellr = sparse::csr_to_ellr(csr);
+         return TuneOutcome{kernels::sim_spmv_ellr(dev, ellr, x).time.gflops};
+       },
+       .row_shardable = true},
 
-      {Format::kHyb, "HYB", false, false, true, -1, always_applicable,
-       [](const Matrix& m, Workspace& ws) { ws.coo_ranges(m.hyb().coo); },
-       [](const Matrix& m, std::span<const value_t> x, std::span<value_t> y) {
-         sparse::spmv_hyb(m.hyb(), x, y);
+      {.format = Format::kHyb, .name = "HYB", .tunable = true,
+       .applicable = always_applicable,
+       .make = [](const Csr& csr, const Opts&) {
+         return own(sparse::csr_to_hyb(csr));
        },
-       [](const Matrix& m, Workspace& ws, std::span<const value_t> x,
-          std::span<value_t> y) {
-         kernels::native_spmv_hyb(m.hyb(), ws.coo_ranges(m.hyb().coo), x, y);
+       .build = [](const void* r, Workspace& ws) {
+         ws.coo_ranges(as<Hyb>(r).coo);
        },
-       [](const DeviceSpec& dev, const Matrix& m,
-          std::span<const value_t> x) -> TuneOutcome {
-         return {kernels::sim_spmv_hyb(dev, m.hyb(), x).time.gflops, 0.0};
+       .apply = [](const void* r, X x, Y y) {
+         sparse::spmv_hyb(as<Hyb>(r), x, y);
        },
-       nullptr, nullptr,
-       [](const Matrix& m) {
-         return check::validate_hyb(m.hyb(), &m.csr());
+       .native = [](const void* r, Workspace& ws, X x, Y y) {
+         const auto& h = as<Hyb>(r);
+         kernels::native_spmv_hyb(h, ws.coo_ranges(h.coo), x, y);
        },
-       [](const DeviceSpec& dev, const Matrix& m,
-          std::span<const value_t> x) {
-         return kernels::sim_spmv_hyb(dev, m.hyb(), x).y;
+       .validate = [](const void* r, const Csr& src) {
+         return check::validate_hyb(as<Hyb>(r), &src);
        },
-       /*native_multi=*/nullptr,
-       [](const Matrix& m) {
-         const auto& h = m.hyb();
-         return h.ell.entries() * (sizeof(index_t) + sizeof(value_t)) +
-                h.coo.nnz() * (2 * sizeof(index_t) + sizeof(value_t));
+       .sim_apply = [](const DeviceSpec& dev, const void* r, X x) {
+         return kernels::sim_spmv_hyb(dev, as<Hyb>(r), x).y;
        },
-       /*native_generic=*/nullptr, /*row_shardable=*/true},
+       .rep_bytes = [](const void* r) {
+         const auto& h = as<Hyb>(r);
+         return h.ell.entries() * kEllEntryBytes +
+                h.coo.nnz() * kCooEntryBytes;
+       },
+       .resident_bytes = resident_bytes_once<Format::kHyb>,
+       .tune = [](const DeviceSpec& dev, const Csr& csr, X x) {
+         const auto hyb = sparse::csr_to_hyb(csr);
+         return TuneOutcome{kernels::sim_spmv_hyb(dev, hyb, x).time.gflops};
+       },
+       .row_shardable = true},
 
-      {Format::kBroEll, "BRO-ELL", true, false, true, 1, ell_applicable,
-       [](const Matrix& m, Workspace& ws) { ws.bro_ell_kernels(m.bro_ell()); },
-       [](const Matrix& m, std::span<const value_t> x, std::span<value_t> y) {
-         m.bro_ell().spmv(x, y);
+      {.format = Format::kBroEll, .name = "BRO-ELL", .tunable = true,
+       .auto_priority = 1, .applicable = ell_applicable,
+       .make = [](const Csr& csr, const Opts& o) {
+         return own(BroEll::compress(csr, csr.max_row_length(), o.ell));
        },
-       [](const Matrix& m, Workspace& ws, std::span<const value_t> x,
-          std::span<value_t> y) {
-         kernels::native_spmv_bro_ell(m.bro_ell(),
-                                      ws.bro_ell_kernels(m.bro_ell()), x, y);
+       .build = [](const void* r, Workspace& ws) {
+         ws.bro_ell_kernels(as<BroEll>(r));
        },
-       [](const DeviceSpec& dev, const Matrix& m,
-          std::span<const value_t> x) -> TuneOutcome {
-         const auto& bro = m.bro_ell();
-         return {kernels::sim_spmv_bro_ell(dev, bro, x).time.gflops,
-                 index_savings(bro.original_index_bytes(),
-                               bro.compressed_index_bytes())
-                     .eta()};
+       .apply = [](const void* r, X x, Y y) { as<BroEll>(r).spmv(x, y); },
+       .native = [](const void* r, Workspace& ws, X x, Y y) {
+         const auto& bro = as<BroEll>(r);
+         kernels::native_spmv_bro_ell(bro, ws.bro_ell_kernels(bro), x, y);
        },
-       [](const Matrix& m) {
-         return index_savings(m.bro_ell().original_index_bytes(),
-                              m.bro_ell().compressed_index_bytes());
+       .native_multi = [](const void* r, Workspace& ws, X x, Y y, int k) {
+         const auto& bro = as<BroEll>(r);
+         kernels::native_spmm_bro_ell(bro, ws.bro_ell_kernels(bro), x, y, k);
        },
-       [](std::ostream& out, const Matrix& m) {
-         core::write_bro_ell(out, m.bro_ell());
+       .native_generic = [](const void* r, X x, Y y) {
+         kernels::native_spmv_bro_ell_generic(as<BroEll>(r), x, y);
        },
-       [](const Matrix& m) {
-         return check::validate_bro_ell(m.bro_ell(), &m.csr());
+       .validate = [](const void* r, const Csr& src) {
+         return check::validate_bro_ell(as<BroEll>(r), &src);
        },
-       [](const DeviceSpec& dev, const Matrix& m,
-          std::span<const value_t> x) {
-         return kernels::sim_spmv_bro_ell(dev, m.bro_ell(), x).y;
+       .sim_apply = [](const DeviceSpec& dev, const void* r, X x) {
+         return kernels::sim_spmv_bro_ell(dev, as<BroEll>(r), x).y;
        },
-       [](const Matrix& m, Workspace& ws, std::span<const value_t> x,
-          std::span<value_t> y, int k) {
-         kernels::native_spmm_bro_ell(
-             m.bro_ell(), ws.bro_ell_kernels(m.bro_ell()), x, y, k);
+       .serialize = [](std::ostream& out, const void* r) {
+         core::write_bro_ell(out, as<BroEll>(r));
        },
-       [](const Matrix& m) {
-         return m.bro_ell().resident_index_bytes() +
-                m.bro_ell().vals().size() * sizeof(value_t);
+       .rep_bytes = [](const void* r) {
+         const auto& bro = as<BroEll>(r);
+         return bro.resident_index_bytes() +
+                bro.vals().size() * sizeof(value_t);
        },
-       [](const Matrix& m, std::span<const value_t> x, std::span<value_t> y) {
-         kernels::native_spmv_bro_ell_generic(m.bro_ell(), x, y);
+       .rep_savings = index_savings<BroEll>,
+       .resident_bytes = resident_bytes_once<Format::kBroEll>,
+       .savings = savings_once<Format::kBroEll>,
+       .tune = [](const DeviceSpec& dev, const Csr& csr, X x) {
+         const auto bro = BroEll::compress(csr, csr.max_row_length());
+         return TuneOutcome{kernels::sim_spmv_bro_ell(dev, bro, x).time.gflops,
+                            index_savings<BroEll>(&bro).eta()};
        },
-       /*row_shardable=*/true},
+       .row_shardable = true},
 
-      {Format::kBroCoo, "BRO-COO", true, false, true, -1, always_applicable,
-       [](const Matrix& m, Workspace& ws) {
-         ws.carries(m.bro_coo().intervals().size());
-         ws.bro_coo_kernels(m.bro_coo());
+      {.format = Format::kBroCoo, .name = "BRO-COO", .tunable = true,
+       .applicable = always_applicable,
+       .make = [](const Csr& csr, const Opts& o) {
+         return own(BroCoo::compress(sparse::csr_to_coo(csr), o.coo));
        },
-       [](const Matrix& m, std::span<const value_t> x, std::span<value_t> y) {
+       .build = [](const void* r, Workspace& ws) {
+         const auto& bro = as<BroCoo>(r);
+         ws.carries(bro.intervals().size());
+         ws.bro_coo_kernels(bro);
+       },
+       .apply = [](const void* r, X x, Y y) {
          std::fill(y.begin(), y.end(), value_t{0});
-         m.bro_coo().spmv_accumulate(x, y);
+         as<BroCoo>(r).spmv_accumulate(x, y);
        },
-       [](const Matrix& m, Workspace& ws, std::span<const value_t> x,
-          std::span<value_t> y) {
-         const auto& bro = m.bro_coo();
+       .native = [](const void* r, Workspace& ws, X x, Y y) {
+         const auto& bro = as<BroCoo>(r);
          kernels::native_spmv_bro_coo(bro, ws.bro_coo_kernels(bro), x, y,
                                       ws.carries(bro.intervals().size()));
        },
-       [](const DeviceSpec& dev, const Matrix& m,
-          std::span<const value_t> x) -> TuneOutcome {
-         // Device-matched interval sizing (the COO kernel's launch rule).
-         const auto bro = core::BroCoo::compress(
-             m.coo(), kernels::bro_coo_options_for(m.nnz(), dev));
-         return {kernels::sim_spmv_bro_coo(dev, bro, x).time.gflops,
-                 index_savings(bro.original_row_bytes(),
-                               bro.compressed_row_bytes())
-                     .eta()};
-       },
-       [](const Matrix& m) {
-         return index_savings(m.bro_coo().original_row_bytes(),
-                              m.bro_coo().compressed_row_bytes());
-       },
-       [](std::ostream& out, const Matrix& m) {
-         core::write_bro_coo(out, m.bro_coo());
-       },
-       [](const Matrix& m) {
-         return check::validate_bro_coo(m.bro_coo(), &m.csr());
-       },
-       [](const DeviceSpec& dev, const Matrix& m,
-          std::span<const value_t> x) {
-         // The facade-cached object (not the device-retuned one tune() uses)
-         // so the differential run covers what apply/native ran.
-         return kernels::sim_spmv_bro_coo(dev, m.bro_coo(), x).y;
-       },
-       [](const Matrix& m, Workspace& ws, std::span<const value_t> x,
-          std::span<value_t> y, int k) {
-         const auto& bro = m.bro_coo();
+       .native_multi = [](const void* r, Workspace& ws, X x, Y y, int k) {
+         const auto& bro = as<BroCoo>(r);
          const std::size_t n = bro.intervals().size();
          kernels::native_spmm_bro_coo(
              bro, ws.bro_coo_kernels(bro), x, y, k, ws.carries(n),
              ws.carry_sums(n * 2 * static_cast<std::size_t>(k)));
        },
-       [](const Matrix& m) {
-         return m.bro_coo().resident_row_bytes() +
-                m.bro_coo().padded_nnz() *
-                    (sizeof(index_t) + sizeof(value_t));
+       .native_generic = [](const void* r, X x, Y y) {
+         kernels::native_spmv_bro_coo_generic(as<BroCoo>(r), x, y);
        },
-       [](const Matrix& m, std::span<const value_t> x, std::span<value_t> y) {
-         kernels::native_spmv_bro_coo_generic(m.bro_coo(), x, y);
+       .validate = [](const void* r, const Csr& src) {
+         return check::validate_bro_coo(as<BroCoo>(r), &src);
+       },
+       .sim_apply = [](const DeviceSpec& dev, const void* r, X x) {
+         return kernels::sim_spmv_bro_coo(dev, as<BroCoo>(r), x).y;
+       },
+       .serialize = [](std::ostream& out, const void* r) {
+         core::write_bro_coo(out, as<BroCoo>(r));
+       },
+       .rep_bytes = [](const void* r) {
+         const auto& bro = as<BroCoo>(r);
+         return bro.resident_row_bytes() +
+                bro.padded_nnz() * (sizeof(index_t) + sizeof(value_t));
+       },
+       .rep_savings = [](const void* r) {
+         const auto& bro = as<BroCoo>(r);
+         return core::make_savings(bro.original_row_bytes(),
+                                   bro.compressed_row_bytes());
+       },
+       .resident_bytes = resident_bytes_once<Format::kBroCoo>,
+       .savings = savings_once<Format::kBroCoo>,
+       .tune = [](const DeviceSpec& dev, const Csr& csr, X x) {
+         // Device-matched interval sizing (the COO kernel's launch rule).
+         const auto bro =
+             BroCoo::compress(sparse::csr_to_coo(csr),
+                              kernels::bro_coo_options_for(csr.nnz(), dev));
+         return TuneOutcome{kernels::sim_spmv_bro_coo(dev, bro, x).time.gflops,
+                            core::make_savings(bro.original_row_bytes(),
+                                               bro.compressed_row_bytes())
+                                .eta()};
        },
        // Interval carries regroup a row's partial sums at global stream
        // offsets; a shard's re-compression regroups them differently.
-       /*row_shardable=*/false},
+       .row_shardable = false},
 
-      {Format::kBroHyb, "BRO-HYB", true, false, true, 2, nonzero_applicable,
-       [](const Matrix& m, Workspace& ws) {
-         const auto& bro = m.bro_hyb();
+      {.format = Format::kBroHyb, .name = "BRO-HYB", .tunable = true,
+       .auto_priority = 2, .applicable = nonzero_applicable,
+       .make = [](const Csr& csr, const Opts& o) {
+         core::BroHybOptions ho;
+         ho.ell = o.ell;
+         ho.coo = o.coo;
+         return own(BroHyb::compress(csr, ho));
+       },
+       .build = [](const void* r, Workspace& ws) {
+         const auto& bro = as<BroHyb>(r);
          ws.bro_ell_kernels(bro.ell_part());
          if (bro.coo_part().nnz() > 0) {
            ws.values(static_cast<std::size_t>(bro.rows()));
@@ -295,207 +350,183 @@ const std::vector<FormatTraits>& build_registry() {
            ws.bro_coo_kernels(bro.coo_part());
          }
        },
-       [](const Matrix& m, std::span<const value_t> x, std::span<value_t> y) {
-         m.bro_hyb().spmv(x, y);
-       },
-       [](const Matrix& m, Workspace& ws, std::span<const value_t> x,
-          std::span<value_t> y) {
-         const auto& bro = m.bro_hyb();
+       .apply = [](const void* r, X x, Y y) { as<BroHyb>(r).spmv(x, y); },
+       .native = [](const void* r, Workspace& ws, X x, Y y) {
+         const auto& bro = as<BroHyb>(r);
          kernels::native_spmv_bro_hyb(
              bro, ws.bro_ell_kernels(bro.ell_part()),
              ws.bro_coo_kernels(bro.coo_part()), x, y, ws.values(y.size()),
              ws.carries(bro.coo_part().intervals().size()));
        },
-       [](const DeviceSpec& dev, const Matrix& m,
-          std::span<const value_t> x) -> TuneOutcome {
-         // Identical partition to HYB (paper §4.2.3) with device-matched
-         // BRO-COO intervals for the overflow part.
-         const auto& hyb = m.hyb();
-         core::BroHybOptions ho;
-         ho.width_override = hyb.ell.width;
-         ho.coo = kernels::bro_coo_options_for(hyb.coo.nnz(), dev);
-         const auto bro = core::BroHyb::compress(m.csr(), ho);
-         return {kernels::sim_spmv_bro_hyb(dev, bro, x).time.gflops,
-                 index_savings(bro.original_index_bytes(),
-                               bro.compressed_index_bytes())
-                     .eta()};
+       .native_generic = [](const void* r, X x, Y y) {
+         kernels::native_spmv_bro_hyb_generic(as<BroHyb>(r), x, y);
        },
-       [](const Matrix& m) {
-         return index_savings(m.bro_hyb().original_index_bytes(),
-                              m.bro_hyb().compressed_index_bytes());
+       .validate = [](const void* r, const Csr& src) {
+         return check::validate_bro_hyb(as<BroHyb>(r), &src);
        },
-       [](std::ostream& out, const Matrix& m) {
-         core::write_bro_hyb(out, m.bro_hyb());
+       .sim_apply = [](const DeviceSpec& dev, const void* r, X x) {
+         return kernels::sim_spmv_bro_hyb(dev, as<BroHyb>(r), x).y;
        },
-       [](const Matrix& m) {
-         return check::validate_bro_hyb(m.bro_hyb(), &m.csr());
+       .serialize = [](std::ostream& out, const void* r) {
+         core::write_bro_hyb(out, as<BroHyb>(r));
        },
-       [](const DeviceSpec& dev, const Matrix& m,
-          std::span<const value_t> x) {
-         return kernels::sim_spmv_bro_hyb(dev, m.bro_hyb(), x).y;
-       },
-       /*native_multi=*/nullptr,
-       [](const Matrix& m) {
-         const auto& bro = m.bro_hyb();
+       .rep_bytes = [](const void* r) {
+         const auto& bro = as<BroHyb>(r);
          return bro.resident_index_bytes() +
                 bro.ell_part().vals().size() * sizeof(value_t) +
                 bro.coo_part().padded_nnz() * sizeof(value_t);
        },
-       [](const Matrix& m, std::span<const value_t> x, std::span<value_t> y) {
-         kernels::native_spmv_bro_hyb_generic(m.bro_hyb(), x, y);
+       .rep_savings = index_savings<BroHyb>,
+       .resident_bytes = resident_bytes_once<Format::kBroHyb>,
+       .savings = savings_once<Format::kBroHyb>,
+       .tune = [](const DeviceSpec& dev, const Csr& csr, X x) {
+         // Identical partition to HYB (paper §4.2.3) with device-matched
+         // BRO-COO intervals for the overflow part.
+         const auto hyb = sparse::csr_to_hyb(csr);
+         core::BroHybOptions ho;
+         ho.width_override = hyb.ell.width;
+         ho.coo = kernels::bro_coo_options_for(hyb.coo.nnz(), dev);
+         const auto bro = BroHyb::compress(csr, ho);
+         return TuneOutcome{kernels::sim_spmv_bro_hyb(dev, bro, x).time.gflops,
+                            index_savings<BroHyb>(&bro).eta()};
        },
        // The ELL/COO split point (width rule) shifts per shard and the COO
        // part inherits BRO-COO's interval regrouping.
-       /*row_shardable=*/false},
+       .row_shardable = false},
 
-      {Format::kBroCsr, "BRO-CSR", true, /*extension=*/true, true, -1,
-       always_applicable,
-       [](const Matrix& m, Workspace&) { m.bro_csr(); },
-       [](const Matrix& m, std::span<const value_t> x, std::span<value_t> y) {
-         m.bro_csr().spmv(x, y);
+      // No OpenMP host kernel yet: the plan falls back to the sequential
+      // warp-scan decode.
+      {.format = Format::kBroCsr, .name = "BRO-CSR", .extension = true,
+       .tunable = true, .applicable = always_applicable,
+       .make = [](const Csr& csr, const Opts&) {
+         return own(BroCsr::compress(csr));
        },
-       // No OpenMP host kernel yet: the plan falls back to the sequential
-       // warp-scan decode.
-       /*native=*/nullptr,
-       [](const DeviceSpec& dev, const Matrix& m,
-          std::span<const value_t> x) -> TuneOutcome {
-         const auto& bro = m.bro_csr();
-         return {kernels::sim_spmv_bro_csr(dev, bro, x).time.gflops,
-                 index_savings(bro.original_index_bytes(),
-                               bro.compressed_index_bytes())
-                     .eta()};
+       .apply = [](const void* r, X x, Y y) { as<BroCsr>(r).spmv(x, y); },
+       .validate = [](const void* r, const Csr& src) {
+         return check::validate_bro_csr(as<BroCsr>(r), &src);
        },
-       [](const Matrix& m) {
-         return index_savings(m.bro_csr().original_index_bytes(),
-                              m.bro_csr().compressed_index_bytes());
+       .sim_apply = [](const DeviceSpec& dev, const void* r, X x) {
+         return kernels::sim_spmv_bro_csr(dev, as<BroCsr>(r), x).y;
        },
-       [](std::ostream& out, const Matrix& m) {
-         core::write_bro_csr(out, m.bro_csr());
+       .serialize = [](std::ostream& out, const void* r) {
+         core::write_bro_csr(out, as<BroCsr>(r));
        },
-       [](const Matrix& m) {
-         return check::validate_bro_csr(m.bro_csr(), &m.csr());
-       },
-       [](const DeviceSpec& dev, const Matrix& m,
-          std::span<const value_t> x) {
-         return kernels::sim_spmv_bro_csr(dev, m.bro_csr(), x).y;
-       },
-       /*native_multi=*/nullptr,
-       [](const Matrix& m) {
-         const auto& bro = m.bro_csr();
+       .rep_bytes = [](const void* r) {
+         const auto& bro = as<BroCsr>(r);
          return bro.compressed_index_bytes() +
                 bro.row_ptr().size() * sizeof(index_t) +
                 bro.vals().size() * sizeof(value_t);
        },
-       /*native_generic=*/nullptr, /*row_shardable=*/true},
+       .rep_savings = index_savings<BroCsr>,
+       .resident_bytes = resident_bytes_once<Format::kBroCsr>,
+       .savings = savings_once<Format::kBroCsr>,
+       .tune = [](const DeviceSpec& dev, const Csr& csr, X x) {
+         const auto bro = BroCsr::compress(csr);
+         return TuneOutcome{kernels::sim_spmv_bro_csr(dev, bro, x).time.gflops,
+                            index_savings<BroCsr>(&bro).eta()};
+       },
+       .row_shardable = true},
 
-      {Format::kBroAns, "BRO-ANS", true, /*extension=*/true,
-       // Not tunable: the symbol model adapts to the matrix by construction
-       // (the frequency table is rebuilt per matrix), leaving no
-       // device-dependent knob for the cocktail to sweep.
-       /*tunable=*/false, /*auto_priority=*/-1, ell_applicable,
-       [](const Matrix& m, Workspace& ws) {
-         ws.bro_ans_kernels(m.bro_ans());
+      // Not tunable: the symbol model adapts to the matrix by construction
+      // (the frequency table is rebuilt per matrix), leaving no
+      // device-dependent knob for the cocktail to sweep.
+      {.format = Format::kBroAns, .name = "BRO-ANS", .extension = true,
+       .applicable = ell_applicable,
+       .make = [](const Csr& csr, const Opts& o) {
+         return own(BroAns::compress(csr, csr.max_row_length(), o.ans));
        },
-       [](const Matrix& m, std::span<const value_t> x, std::span<value_t> y) {
-         m.bro_ans().spmv(x, y);
+       .build = [](const void* r, Workspace& ws) {
+         ws.bro_ans_kernels(as<BroAns>(r));
        },
-       [](const Matrix& m, Workspace& ws, std::span<const value_t> x,
-          std::span<value_t> y) {
-         const auto& bro = m.bro_ans();
+       .apply = [](const void* r, X x, Y y) { as<BroAns>(r).spmv(x, y); },
+       .native = [](const void* r, Workspace& ws, X x, Y y) {
+         const auto& bro = as<BroAns>(r);
          kernels::native_spmv_bro_ans(bro, ws.bro_ans_kernels(bro), x, y);
        },
-       /*tune=*/nullptr,
-       [](const Matrix& m) {
-         return index_savings(m.bro_ans().original_index_bytes(),
-                              m.bro_ans().compressed_index_bytes());
+       .native_generic = [](const void* r, X x, Y y) {
+         kernels::native_spmv_bro_ans_generic(as<BroAns>(r), x, y);
        },
-       [](std::ostream& out, const Matrix& m) {
-         core::write_bro_ans(out, m.bro_ans());
+       .validate = [](const void* r, const Csr& src) {
+         return check::validate_bro_ans(as<BroAns>(r), &src);
        },
-       [](const Matrix& m) {
-         return check::validate_bro_ans(m.bro_ans(), &m.csr());
+       .sim_apply = [](const DeviceSpec& dev, const void* r, X x) {
+         return kernels::sim_spmv_bro_ans(dev, as<BroAns>(r), x).y;
        },
-       [](const DeviceSpec& dev, const Matrix& m,
-          std::span<const value_t> x) {
-         return kernels::sim_spmv_bro_ans(dev, m.bro_ans(), x).y;
+       .serialize = [](std::ostream& out, const void* r) {
+         core::write_bro_ans(out, as<BroAns>(r));
        },
-       /*native_multi=*/nullptr,
-       [](const Matrix& m) {
-         return m.bro_ans().resident_index_bytes() +
-                m.bro_ans().vals().size() * sizeof(value_t);
+       .rep_bytes = [](const void* r) {
+         const auto& bro = as<BroAns>(r);
+         return bro.resident_index_bytes() +
+                bro.vals().size() * sizeof(value_t);
        },
-       [](const Matrix& m, std::span<const value_t> x, std::span<value_t> y) {
-         kernels::native_spmv_bro_ans_generic(m.bro_ans(), x, y);
-       },
+       .rep_savings = index_savings<BroAns>,
+       .resident_bytes = resident_bytes_once<Format::kBroAns>,
+       .savings = savings_once<Format::kBroAns>,
        // Entropy coding is per-row-slice with a per-matrix table; a shard
        // rebuild re-derives its own table, but decode stays lossless and
        // accumulation left-to-right, so sharded results are bitwise equal.
-       /*row_shardable=*/true},
+       .row_shardable = true},
 
-      {Format::kBroBcsr, "BRO-BCSR", true, /*extension=*/true, true,
-       // First pick when its strict applicability gate (block cover with
-       // enough fill AND a real byte win over the unblocked streams —
-       // core/bro_bcsr.cpp) passes: on matrices that block well it beats
-       // BRO-ELL on both eta and decode rate, and the gate keeps it off
-       // everything else (notably all of Test Set 1).
-       /*auto_priority=*/0,
-       [](const sparse::Csr& csr, double max_ell_expand) {
+      // First pick when its strict applicability gate (block cover with
+      // enough fill AND a real byte win over the unblocked streams —
+      // core/bro_bcsr.cpp) passes: on matrices that block well it beats
+      // BRO-ELL on both eta and decode rate, and the gate keeps it off
+      // everything else (notably all of Test Set 1).
+      {.format = Format::kBroBcsr, .name = "BRO-BCSR", .extension = true,
+       .tunable = true, .auto_priority = 0,
+       .applicable = [](const Csr& csr, double max_ell_expand) {
          return core::bro_bcsr_applicable(csr, max_ell_expand);
        },
-       [](const Matrix& m, Workspace& ws) {
-         ws.bro_bcsr_kernels(m.bro_bcsr());
+       .make = [](const Csr& csr, const Opts& o) {
+         return own(BroBcsr::compress(csr, o.bcsr));
        },
-       [](const Matrix& m, std::span<const value_t> x, std::span<value_t> y) {
-         m.bro_bcsr().spmv(x, y);
+       .build = [](const void* r, Workspace& ws) {
+         ws.bro_bcsr_kernels(as<BroBcsr>(r));
        },
-       [](const Matrix& m, Workspace& ws, std::span<const value_t> x,
-          std::span<value_t> y) {
-         const auto& bro = m.bro_bcsr();
+       .apply = [](const void* r, X x, Y y) { as<BroBcsr>(r).spmv(x, y); },
+       .native = [](const void* r, Workspace& ws, X x, Y y) {
+         const auto& bro = as<BroBcsr>(r);
          kernels::native_spmv_bro_bcsr(bro, ws.bro_bcsr_kernels(bro), x, y);
        },
-       [](const DeviceSpec& dev, const Matrix& m,
-          std::span<const value_t> x) -> TuneOutcome {
-         const auto& bro = m.bro_bcsr();
-         // eta is fill-adjusted: compressed_index_bytes charges the cover's
-         // explicit-zero value slots against the index-bit savings.
-         return {kernels::sim_spmv_bro_bcsr(dev, bro, x).time.gflops,
-                 index_savings(bro.original_index_bytes(),
-                               bro.compressed_index_bytes())
-                     .eta()};
-       },
-       [](const Matrix& m) {
-         return index_savings(m.bro_bcsr().original_index_bytes(),
-                              m.bro_bcsr().compressed_index_bytes());
-       },
-       [](std::ostream& out, const Matrix& m) {
-         core::write_bro_bcsr(out, m.bro_bcsr());
-       },
-       [](const Matrix& m) {
-         return check::validate_bro_bcsr(m.bro_bcsr(), &m.csr());
-       },
-       [](const DeviceSpec& dev, const Matrix& m,
-          std::span<const value_t> x) {
-         return kernels::sim_spmv_bro_bcsr(dev, m.bro_bcsr(), x).y;
-       },
-       [](const Matrix& m, Workspace& ws, std::span<const value_t> x,
-          std::span<value_t> y, int k) {
-         const auto& bro = m.bro_bcsr();
+       .native_multi = [](const void* r, Workspace& ws, X x, Y y, int k) {
+         const auto& bro = as<BroBcsr>(r);
          kernels::native_spmm_bro_bcsr(bro, ws.bro_bcsr_kernels(bro), x, y,
                                        k);
        },
-       [](const Matrix& m) {
-         return m.bro_bcsr().resident_index_bytes() +
-                m.bro_bcsr().vals().size() * sizeof(value_t);
+       .native_generic = [](const void* r, X x, Y y) {
+         kernels::native_spmv_bro_bcsr_generic(as<BroBcsr>(r), x, y);
        },
-       [](const Matrix& m, std::span<const value_t> x, std::span<value_t> y) {
-         kernels::native_spmv_bro_bcsr_generic(m.bro_bcsr(), x, y);
+       .validate = [](const void* r, const Csr& src) {
+         return check::validate_bro_bcsr(as<BroBcsr>(r), &src);
+       },
+       .sim_apply = [](const DeviceSpec& dev, const void* r, X x) {
+         return kernels::sim_spmv_bro_bcsr(dev, as<BroBcsr>(r), x).y;
+       },
+       .serialize = [](std::ostream& out, const void* r) {
+         core::write_bro_bcsr(out, as<BroBcsr>(r));
+       },
+       .rep_bytes = [](const void* r) {
+         const auto& bro = as<BroBcsr>(r);
+         return bro.resident_index_bytes() +
+                bro.vals().size() * sizeof(value_t);
+       },
+       // eta is fill-adjusted: compressed_index_bytes charges the cover's
+       // explicit-zero value slots against the index-bit savings.
+       .rep_savings = index_savings<BroBcsr>,
+       .resident_bytes = resident_bytes_once<Format::kBroBcsr>,
+       .savings = savings_once<Format::kBroBcsr>,
+       .tune = [](const DeviceSpec& dev, const Csr& csr, X x) {
+         const auto bro = BroBcsr::compress(csr);
+         return TuneOutcome{kernels::sim_spmv_bro_bcsr(dev, bro, x).time.gflops,
+                            index_savings<BroBcsr>(&bro).eta()};
        },
        // Per-row accumulation is the 8-lane contract in ascending column
        // order; a shard's re-blocked cover only changes which exact-zero
        // fill products appear, and those never alter a lane (the reduce's
        // trailing +0.0 also normalizes the -0.0 edge), so sharded results
        // stay bitwise equal.
-       /*row_shardable=*/true},
+       .row_shardable = true},
   };
   return registry;
 }

@@ -2,15 +2,19 @@
 //
 // Every storage format the library knows (the paper's formats, their
 // baselines and the extensions) registers one FormatTraits entry: its name,
-// applicability predicate (the ELL-viability rule), build / reference-apply /
-// native-kernel / simulator hooks and serialization. Everything that used to
-// switch over core::Format — format_name, name parsing, Matrix::spmv,
-// auto-selection, the autotuner's candidate enumeration, the CLI's --format
-// handling and the bench harness — iterates this table instead, so adding a
-// format is a one-entry change.
+// applicability predicate (the ELL-viability rule), a make hook that builds
+// the representation from the CSR, the hooks that run on that built
+// representation (workspace build, reference apply, native kernels,
+// validation, simulator, serialization, byte accounting) and the simulator
+// tuning hook. Ownership has one rule: a plan owns what it runs. The make
+// hook's result lives in the engine::SpmvPlan that asked for it and dies
+// with it. format_name, name parsing, auto-selection, the autotuner's
+// candidate enumeration, the CLI's --format handling and the bench harness
+// iterate this table, so adding a format is a one-entry change.
 #pragma once
 
 #include <iosfwd>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -33,79 +37,97 @@ struct TuneOutcome {
   double eta = 0;
 };
 
+/// A format's built representation: one heap object of the type its
+/// registry entry's make hook chose, owned by the plan that runs it. Its
+/// address is stable for the plan's lifetime, moves included.
+using Representation = std::shared_ptr<const void>;
+
+/// One registry entry. Null hooks are left out of the designated
+/// initializers; each hook's comment says what null means. `rep` is the
+/// plan's representation: the make hook's object, or the matrix's CSR when
+/// make is null.
 struct FormatTraits {
   core::Format format;
-  const char* name;   // the canonical display/CLI name ("BRO-ELL", ...)
-  bool compressed;    // BRO family: reports nonzero index savings
-  bool extension;     // beyond the paper (gated by TuneOptions)
-  bool tunable;       // participates in the autotuner's cocktail ranking
-  int auto_priority;  // auto_format(): lowest applicable wins; <0 = never
+  const char* name;       // the canonical display/CLI name ("BRO-ELL", ...)
+  bool extension = false; // beyond the paper (gated by TuneOptions)
+  bool tunable = false;   // participates in the autotuner's cocktail
+  int auto_priority = -1; // auto_format(): lowest applicable wins; <0 = never
 
   /// Can this format hold the matrix without pathological expansion?
   /// (ELLPACK family: rows * max_row_length <= max_ell_expand * nnz.)
   bool (*applicable)(const sparse::Csr& csr, double max_ell_expand);
 
-  /// One-time plan step: materialize the representation in the facade's
-  /// cache and pre-size the workspace so execute() never allocates.
-  void (*build)(const core::Matrix& m, Workspace& ws);
+  /// Builds the representation from the CSR and the matrix's options;
+  /// intermediates are dropped before it returns. Null: the plan runs on
+  /// the matrix's CSR itself.
+  Representation (*make)(const sparse::Csr& csr,
+                         const core::MatrixOptions& opts) = nullptr;
 
-  /// Sequential reference kernel — what Matrix::spmv dispatches to.
-  void (*apply)(const core::Matrix& m, std::span<const value_t> x,
-                std::span<value_t> y);
+  /// One-time plan step: pre-size the workspace so execute() never
+  /// allocates. Null: nothing to pre-size.
+  void (*build)(const void* rep, Workspace& ws) = nullptr;
+
+  /// Sequential reference kernel.
+  void (*apply)(const void* rep, std::span<const value_t> x,
+                std::span<value_t> y) = nullptr;
 
   /// OpenMP host kernel fed from the plan workspace (null: falls back to
   /// apply — e.g. the sequential BRO-CSR extension).
-  void (*native)(const core::Matrix& m, Workspace& ws,
-                 std::span<const value_t> x, std::span<value_t> y);
-
-  /// Simulator run with device-matched compression options (null for
-  /// formats excluded from the cocktail, e.g. the CSR host reference).
-  TuneOutcome (*tune)(const sim::DeviceSpec& dev, const core::Matrix& m,
-                      std::span<const value_t> x);
-
-  /// Index space savings of the device-independent representation
-  /// (null for uncompressed formats).
-  core::Savings (*savings)(const core::Matrix& m);
-
-  /// Write the compressed representation as a tagged .bro stream
-  /// (null when the format has no on-disk form).
-  void (*serialize)(std::ostream& out, const core::Matrix& m);
-
-  /// Structural + lossless-against-source invariant check of the format's
-  /// representation (bro::check validators): one message per violation,
-  /// empty = valid. Builds the representation on first call.
-  std::vector<std::string> (*validate)(const core::Matrix& m);
-
-  /// Simulator-kernel numerical result for differential testing: runs the
-  /// GPU-simulator kernel and returns its y vector (null when the format
-  /// has no simulator kernel). Unlike tune(), the representation is the
-  /// facade-cached one, so validate / apply / native / sim all exercise the
-  /// same object.
-  std::vector<value_t> (*sim_apply)(const sim::DeviceSpec& dev,
-                                    const core::Matrix& m,
-                                    std::span<const value_t> x);
+  void (*native)(const void* rep, Workspace& ws, std::span<const value_t> x,
+                 std::span<value_t> y) = nullptr;
 
   /// Multi-vector (SpMM) OpenMP host kernel over k interleaved right-hand
   /// sides (see kernels/native_spmm.h for the layout and the bitwise
   /// contract). Null: SpmvPlan::execute_multi falls back to k single-vector
   /// executes through gather/scatter scratch.
-  void (*native_multi)(const core::Matrix& m, Workspace& ws,
+  void (*native_multi)(const void* rep, Workspace& ws,
                        std::span<const value_t> x, std::span<value_t> y,
-                       int k);
-
-  /// Bytes of the built format-specific representation beyond the facade's
-  /// base CSR (null: the representation *is* that CSR, e.g. the CSR host
-  /// reference). Builds the representation on first call. Feeds the serve
-  /// layer's PlanCache byte budget via SpmvPlan::resident_bytes().
-  std::size_t (*resident_bytes)(const core::Matrix& m);
+                       int k) = nullptr;
 
   /// The same SpMV forced through the runtime-width (generic) decoder
   /// instead of the plan's width-specialized dispatch table (null for
   /// formats without bit-level decode). Decodes bit-for-bit identically, so
   /// the differential fuzz driver compares it against native() *bitwise* —
   /// the parity oracle for the specialized kernels.
-  void (*native_generic)(const core::Matrix& m, std::span<const value_t> x,
-                         std::span<value_t> y);
+  void (*native_generic)(const void* rep, std::span<const value_t> x,
+                         std::span<value_t> y) = nullptr;
+
+  /// Structural + lossless-against-`source` invariant check of the
+  /// representation (bro::check validators): one message per violation,
+  /// empty = valid.
+  std::vector<std::string> (*validate)(const void* rep,
+                                       const sparse::Csr& source) = nullptr;
+
+  /// Simulator-kernel numerical result for differential testing: runs the
+  /// GPU-simulator kernel on the plan's representation (not tune()'s
+  /// device-matched one), so validate / apply / native / sim all exercise
+  /// the same object.
+  std::vector<value_t> (*sim_apply)(const sim::DeviceSpec& dev,
+                                    const void* rep,
+                                    std::span<const value_t> x) = nullptr;
+
+  /// Write the representation as a tagged .bro stream (null when the
+  /// format has no on-disk form).
+  void (*serialize)(std::ostream& out, const void* rep) = nullptr;
+
+  /// Heap bytes of the representation (null: the representation is the
+  /// matrix's CSR). Feeds SpmvPlan::resident_bytes() and through it the
+  /// serve layer's PlanCache byte budget.
+  std::size_t (*rep_bytes)(const void* rep) = nullptr;
+
+  /// Index space savings of the representation (null for uncompressed
+  /// formats: the BRO family is exactly the formats that set it).
+  core::Savings (*rep_savings)(const void* rep) = nullptr;
+
+  /// One-shot queries on a matrix: build the representation, measure it
+  /// with rep_bytes / rep_savings, drop it. Null exactly where those are.
+  std::size_t (*resident_bytes)(const core::Matrix& m) = nullptr;
+  core::Savings (*savings)(const core::Matrix& m) = nullptr;
+
+  /// Simulator run with device-matched compression options (null for
+  /// formats excluded from the cocktail, e.g. the CSR host reference).
+  TuneOutcome (*tune)(const sim::DeviceSpec& dev, const sparse::Csr& csr,
+                      std::span<const value_t> x) = nullptr;
 
   /// True when a row partition of the matrix, re-compressed shard by shard,
   /// executes bitwise-identically to the whole-matrix plan (engine/shard.h).
@@ -132,7 +154,7 @@ const FormatTraits* find_format(std::string_view name);
 /// All registered canonical names, in registry order.
 std::vector<std::string> format_names();
 
-/// The facade's auto-selection heuristic over the registry: the applicable
+/// Matrix::auto_format's heuristic over the registry: the applicable
 /// format with the lowest non-negative auto_priority.
 core::Format auto_select(const sparse::Csr& csr, double max_ell_expand);
 

@@ -79,11 +79,8 @@ std::span<value_t> Workspace::gather_y(std::size_t n) {
 std::span<const kernels::CooRange> Workspace::coo_ranges(
     const sparse::Coo& a) {
   const int threads = plan_thread_count();
-  if (ranges_for_ != &a || ranges_nnz_ != a.nnz() ||
-      ranges_threads_ != threads) {
+  if (ranges_threads_ != threads) {
     ranges_ = kernels::coo_thread_ranges(a, threads);
-    ranges_for_ = &a;
-    ranges_nnz_ = a.nnz();
     ranges_threads_ = threads;
     ++allocations_;
   }
@@ -92,12 +89,11 @@ std::span<const kernels::CooRange> Workspace::coo_ranges(
 
 template <typename Kernel, typename Rep>
 std::span<const Kernel> Workspace::cached_kernels(
-    KernelCache<Kernel>& cache, const Rep& a, std::size_t count,
+    KernelCache<Kernel>& cache, const Rep& a,
     std::vector<Kernel> (*plan)(const Rep&, kernels::SimdIsa)) {
   const kernels::SimdIsa isa = kernels::active_simd_isa();
-  if (cache.rep != &a || cache.table.size() != count || cache.isa != isa) {
+  if (cache.isa != isa) {
     cache.table = plan(a, isa);
-    cache.rep = &a;
     cache.isa = isa;
     ++allocations_;
   }
@@ -106,26 +102,22 @@ std::span<const Kernel> Workspace::cached_kernels(
 
 std::span<const kernels::BroEllKernel> Workspace::bro_ell_kernels(
     const core::BroEll& a) {
-  return cached_kernels(ell_kernels_, a, a.slices().size(),
-                        &kernels::plan_bro_ell_kernels);
+  return cached_kernels(ell_kernels_, a, &kernels::plan_bro_ell_kernels);
 }
 
 std::span<const kernels::BroCooKernel> Workspace::bro_coo_kernels(
     const core::BroCoo& a) {
-  return cached_kernels(coo_kernels_, a, a.intervals().size(),
-                        &kernels::plan_bro_coo_kernels);
+  return cached_kernels(coo_kernels_, a, &kernels::plan_bro_coo_kernels);
 }
 
 std::span<const kernels::BroAnsKernel> Workspace::bro_ans_kernels(
     const core::BroAns& a) {
-  return cached_kernels(ans_kernels_, a, a.slices().size(),
-                        &kernels::plan_bro_ans_kernels);
+  return cached_kernels(ans_kernels_, a, &kernels::plan_bro_ans_kernels);
 }
 
 std::span<const kernels::BroBcsrKernel> Workspace::bro_bcsr_kernels(
     const core::BroBcsr& a) {
-  return cached_kernels(bcsr_kernels_, a, a.slices().size(),
-                        &kernels::plan_bro_bcsr_kernels);
+  return cached_kernels(bcsr_kernels_, a, &kernels::plan_bro_bcsr_kernels);
 }
 
 SpmvPlan::SpmvPlan(std::shared_ptr<const core::Matrix> matrix,
@@ -133,17 +125,24 @@ SpmvPlan::SpmvPlan(std::shared_ptr<const core::Matrix> matrix,
     : matrix_(std::move(matrix)) {
   BRO_CHECK_MSG(matrix_ != nullptr, "SpmvPlan requires a matrix");
   traits_ = &traits(format.value_or(matrix_->auto_format()));
-  if (traits_->build) traits_->build(*matrix_, ws_);
+  if (traits_->make)
+    owned_ = traits_->make(matrix_->csr(), matrix_->options());
+  rep_ = owned_ ? owned_.get() : &matrix_->csr();
+  if (traits_->build) traits_->build(rep_, ws_);
 }
 
 SpmvPlan::SpmvPlan(SpmvPlan&& other) noexcept
     : matrix_(std::move(other.matrix_)),
       traits_(other.traits_),
+      owned_(std::move(other.owned_)),
+      rep_(other.rep_),
       ws_(std::move(other.ws_)) {}
 
 SpmvPlan& SpmvPlan::operator=(SpmvPlan&& other) noexcept {
   matrix_ = std::move(other.matrix_);
   traits_ = other.traits_;
+  owned_ = std::move(other.owned_);
+  rep_ = other.rep_;
   ws_ = std::move(other.ws_);
   return *this;
 }
@@ -158,9 +157,9 @@ void SpmvPlan::execute(std::span<const value_t> x, std::span<value_t> y) {
 void SpmvPlan::execute_impl(std::span<const value_t> x,
                             std::span<value_t> y) {
   if (traits_->native)
-    traits_->native(*matrix_, ws_, x, y);
+    traits_->native(rep_, ws_, x, y);
   else
-    traits_->apply(*matrix_, x, y);
+    traits_->apply(rep_, x, y);
 }
 
 void SpmvPlan::execute_multi(std::span<const value_t> x,
@@ -175,7 +174,7 @@ void SpmvPlan::execute_multi(std::span<const value_t> x,
     return;
   }
   if (traits_->native_multi) {
-    traits_->native_multi(*matrix_, ws_, x, y, k);
+    traits_->native_multi(rep_, ws_, x, y, k);
     return;
   }
   // Fallback for formats without an SpMM kernel: de-interleave each column
@@ -189,15 +188,17 @@ void SpmvPlan::execute_multi(std::span<const value_t> x,
   }
 }
 
+std::size_t SpmvPlan::representation_bytes() const {
+  return traits_->rep_bytes ? traits_->rep_bytes(rep_) : 0;
+}
+
 std::size_t SpmvPlan::resident_bytes() const {
-  // Every facade owns its base CSR; the hook adds the bytes of the built
-  // format-specific representation (null = the representation is that CSR).
+  // The matrix's CSR, which every plan keeps alive, plus the plan's own
+  // representation.
   const std::size_t csr_bytes =
       (static_cast<std::size_t>(matrix_->rows()) + 1) * sizeof(index_t) +
       matrix_->nnz() * (sizeof(index_t) + sizeof(value_t));
-  const std::size_t rep_bytes =
-      traits_->resident_bytes ? traits_->resident_bytes(*matrix_) : 0;
-  return csr_bytes + rep_bytes;
+  return csr_bytes + representation_bytes();
 }
 
 void SpmvPlan::debug_acquire() {

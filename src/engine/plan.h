@@ -3,11 +3,12 @@
 // The paper's deployment model (and SMASH/clSpMV's architecture) is a
 // one-time planning/indexing step feeding a cheap repeated-apply step:
 // compress once, then decode every CG/GMRES iteration. SpmvPlan is that
-// split made explicit. Building a plan materializes the chosen format and
-// pre-sizes every scratch buffer the native kernels need (the BRO-HYB y_coo
-// vector, the BRO-COO carry array, the COO per-thread row-range split);
-// execute() is then allocation-free, which an instrumented workspace
-// counter makes testable.
+// split made explicit. Building a plan builds the chosen format's
+// representation from the matrix's CSR — the plan owns it, and it is freed
+// with the plan — and pre-sizes every scratch buffer the native kernels
+// need (the BRO-HYB y_coo vector, the BRO-COO carry array, the COO
+// per-thread row-range split); execute() is then allocation-free, which an
+// instrumented workspace counter makes testable.
 //
 //   auto m = std::make_shared<core::Matrix>(core::Matrix::from_file(path));
 //   engine::SpmvPlan plan(m);            // auto-selected format
@@ -17,11 +18,12 @@
 // SpmvPlan (and hence its Workspace) must NOT be shared across threads that
 // execute concurrently — the kernels parallelize internally with OpenMP, so
 // there is nothing to gain and a silent data race to lose. Concurrent
-// callers need one plan each (cheap: representations are shared through the
-// facade) or an external lock; bro::serve::PlanCache + SpmvServer implement
-// the locked variant. Misuse fails loudly: execute()/execute_multi() guard
-// entry with an atomic in-use flag and throw via BRO_CHECK instead of
-// racing.
+// callers need one plan each (each plan holds one representation, so that
+// costs its bytes again) or an external lock; bro::serve::PlanCache +
+// SpmvServer implement the locked variant. Building plans is lock-free:
+// the shared core::Matrix is immutable. Misuse fails loudly:
+// execute()/execute_multi() guard entry with an atomic in-use flag and
+// throw via BRO_CHECK instead of racing.
 #pragma once
 
 #include <atomic>
@@ -59,18 +61,16 @@ class Workspace {
   std::span<value_t> gather_x(std::size_t n);
   std::span<value_t> gather_y(std::size_t n);
 
-  /// The COO row-range split for this matrix at the plan's thread count,
-  /// computed on first request and cached. The cache is keyed on the matrix
-  /// address, its nnz and the current thread count, so a different matrix
-  /// reallocated at the same address or an omp_set_num_threads() change
-  /// recomputes the split instead of silently reusing stale ranges.
+  /// The COO row-range split of the plan's representation at the current
+  /// thread count, computed on first request and cached. A workspace
+  /// belongs to one plan and so to one immutable representation: only an
+  /// omp_set_num_threads() change recomputes the split.
   std::span<const kernels::CooRange> coo_ranges(const sparse::Coo& a);
 
   /// The per-slice / per-interval decode-kernel selection for a BRO
-  /// representation, computed on first request and cached (keyed on the
-  /// object address plus its slice/interval count, like coo_ranges, plus
-  /// the active SIMD ISA so a ScopedSimdIsa/BRO_SIMD change re-selects
-  /// instead of reusing stale kernels). The build hooks populate these so
+  /// representation, computed on first request and cached; a change of the
+  /// active SIMD ISA (ScopedSimdIsa/BRO_SIMD) re-selects instead of reusing
+  /// stale kernels. The build hooks populate these so
   /// execute()/execute_multi() dispatch through pre-selected
   /// width-specialized kernels with no per-call selection scan or
   /// allocation.
@@ -87,19 +87,18 @@ class Workspace {
   std::size_t allocations() const { return allocations_; }
 
  private:
-  /// One cached kernel table and the (object, ISA) it was selected for.
+  /// One cached kernel table and the ISA it was selected for (none yet).
   template <typename Kernel>
   struct KernelCache {
     std::vector<Kernel> table;
-    const void* rep = nullptr;
-    kernels::SimdIsa isa = kernels::SimdIsa::kScalar;
+    std::optional<kernels::SimdIsa> isa;
   };
 
   /// Re-selects through `plan` unless `cache` already holds the table for
-  /// `a` (same address and `count` entries) at the active ISA.
+  /// the active ISA.
   template <typename Kernel, typename Rep>
   std::span<const Kernel> cached_kernels(
-      KernelCache<Kernel>& cache, const Rep& a, std::size_t count,
+      KernelCache<Kernel>& cache, const Rep& a,
       std::vector<Kernel> (*plan)(const Rep&, kernels::SimdIsa));
 
   std::vector<value_t> values_;
@@ -108,9 +107,7 @@ class Workspace {
   std::vector<value_t> gather_x_;
   std::vector<value_t> gather_y_;
   std::vector<kernels::CooRange> ranges_;
-  const sparse::Coo* ranges_for_ = nullptr;
-  std::size_t ranges_nnz_ = 0;
-  int ranges_threads_ = 0;
+  int ranges_threads_ = 0; // 0: not split yet
   KernelCache<kernels::BroEllKernel> ell_kernels_;
   KernelCache<kernels::BroCooKernel> coo_kernels_;
   KernelCache<kernels::BroAnsKernel> ans_kernels_;
@@ -119,8 +116,8 @@ class Workspace {
 };
 
 /// A matrix bound to one format with everything needed to apply y = A*x
-/// repeatedly: the built representation (shared with the facade's cache)
-/// plus a pre-sized workspace. Built once per (matrix, format, thread
+/// repeatedly: the built representation, which the plan owns, plus a
+/// pre-sized workspace. Built once per (matrix, format, thread
 /// count); execute() performs no per-call heap allocation.
 ///
 /// Plans are movable but not copyable, and must not execute concurrently
@@ -156,9 +153,19 @@ class SpmvPlan {
   /// Workspace growth counter — stable across execute() calls once built.
   std::size_t workspace_allocations() const { return ws_.allocations(); }
 
-  /// Estimated resident bytes of this plan: the facade's base CSR plus the
-  /// built representation (registry resident_bytes hook). What the serve
-  /// layer's PlanCache charges against its byte budget.
+  /// The plan's representation, as the registry hooks take it: the make
+  /// hook's object, or the matrix's CSR for formats without one. Only this
+  /// plan's format_traits() hooks may be given it; it lives as long as the
+  /// plan.
+  const void* representation() const { return rep_; }
+
+  /// Heap bytes of the plan's own representation (registry rep_bytes hook;
+  /// 0 when it runs on the matrix's CSR).
+  std::size_t representation_bytes() const;
+
+  /// Resident bytes of this plan: the matrix's CSR plus the plan's
+  /// representation. What the serve layer's PlanCache charges against its
+  /// byte budget.
   std::size_t resident_bytes() const;
 
   /// Test seam for the concurrency contract: acquire/release exactly the
@@ -172,11 +179,13 @@ class SpmvPlan {
 
   std::shared_ptr<const core::Matrix> matrix_;
   const FormatTraits* traits_;
+  Representation owned_;      // null when the plan runs on the matrix's CSR
+  const void* rep_ = nullptr; // owned_.get() or &matrix_->csr()
   Workspace ws_;
   std::atomic<bool> in_use_{false};
 };
 
-/// Convenience: take ownership of a facade and plan it in one step.
+/// Convenience: take ownership of a matrix and plan it in one step.
 SpmvPlan make_plan(core::Matrix matrix,
                    std::optional<core::Format> format = std::nullopt);
 std::shared_ptr<SpmvPlan> make_shared_plan(

@@ -58,15 +58,11 @@ std::shared_ptr<engine::SpmvPlan> PlanCache::get_or_build(
 
   ++stats_.misses;
   Entry& e = entries_[key]; // building placeholder; reference survives rehash
-  auto& slot = build_mu_[key.matrix_id];
-  if (!slot) slot = std::make_shared<std::mutex>();
-  const auto build_mu = slot;
   lk.unlock();
 
   std::shared_ptr<engine::SpmvPlan> plan;
   std::size_t bytes = 0;
   try {
-    std::lock_guard build_lk(*build_mu);
     plan = std::make_shared<engine::SpmvPlan>(matrix, format);
     bytes = plan->resident_bytes();
   } catch (...) {
@@ -141,7 +137,6 @@ std::size_t PlanCache::erase_matrix(const std::string& matrix_id) {
       ++dropped;
     }
   }
-  build_mu_.erase(matrix_id);
   return dropped;
 }
 
@@ -154,13 +149,11 @@ void PlanCache::clear() {
   }
   lru_.clear();
   // Same blind spot as erase_matrix: in-flight builds are not on the LRU
-  // list. Discard them on completion, and release the per-matrix build
-  // locks (builders keep theirs alive through their own shared_ptr).
+  // list. Discard them on completion.
   for (auto& [key, e] : entries_) {
     (void)key;
     if (e.building) e.discard = true;
   }
-  build_mu_.clear();
 }
 
 } // namespace bro::serve

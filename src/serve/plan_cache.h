@@ -12,11 +12,14 @@
 // Concurrency: any number of threads may call get_or_build. A miss inserts
 // a building placeholder and compresses outside the lock; other threads
 // requesting the same key wait on the build (counted as hits — the plan was
-// reused, not rebuilt) instead of duplicating it. Evicted plans stay alive
-// while callers hold their shared_ptr; eviction only drops the cache's
-// reference. The returned plan still carries SpmvPlan's single-executor
-// contract — callers execute under their own per-plan lock (SpmvServer
-// does) or hold one plan per thread.
+// reused, not rebuilt) instead of duplicating it. Builds of different keys,
+// even for one matrix, run in parallel with no lock: core::Matrix is an
+// immutable CSR and each plan builds and owns its own representation.
+// Eviction drops the cache's reference; the representation is freed once
+// no caller holds the plan's shared_ptr, so the byte budget bounds what
+// the cache keeps alive. The returned plan still carries SpmvPlan's
+// single-executor contract — callers execute under their own per-plan lock
+// (SpmvServer does) or hold one plan per thread.
 #pragma once
 
 #include <condition_variable>
@@ -82,7 +85,7 @@ class PlanCache {
   std::size_t erase_matrix(const std::string& matrix_id);
 
   /// Drop every entry (in-flight builds are discarded on completion, as in
-  /// erase_matrix) and release the per-matrix build locks.
+  /// erase_matrix).
   void clear();
 
  private:
@@ -100,10 +103,6 @@ class PlanCache {
   const std::size_t cap_;
   mutable std::mutex mu_;
   std::condition_variable build_done_;
-  // Builds of *different* plans for one matrix id run serialized: the
-  // facade's lazily-built representations are not safe to materialize from
-  // two threads at once.
-  std::unordered_map<std::string, std::shared_ptr<std::mutex>> build_mu_;
   std::list<PlanKey> lru_; // front = most recently used
   std::unordered_map<PlanKey, Entry, PlanKeyHash> entries_;
   PlanCacheStats stats_;

@@ -113,7 +113,7 @@ TEST(Autotune, CompressedFormatsReportSavings) {
   const auto res = bk::autotune(csr, gs::tesla_c2070());
   for (const auto& e : res.ranking) {
     const auto& t = bk::traits(e.format);
-    if (!t.compressed) {
+    if (!t.rep_savings) {
       EXPECT_DOUBLE_EQ(e.eta, 0.0) << t.name;
     } else if (e.format == bc::Format::kBroCoo) {
       // BRO-COO pads the nnz stream to whole intervals, which can exceed

@@ -64,6 +64,17 @@ TEST(BroCoo, PaddedValuesAreZero) {
   expect_spmv_matches(bs::coo_to_csr(coo), bro);
 }
 
+TEST(BroCoo, PaddedStreamsHoldExactCapacity) {
+  // A moved-in COO whose vectors are exactly full: padding them by
+  // resize() alone would regrow each to about twice the entry count.
+  bs::Coo coo = bs::csr_to_coo(bs::generate_poisson2d(40, 40));
+  ASSERT_EQ(coo.col_idx.capacity(), coo.nnz());
+  const bc::BroCoo bro = bc::BroCoo::compress(std::move(coo));
+  ASSERT_GT(bro.padded_nnz(), bro.nnz());
+  EXPECT_EQ(bro.col_idx().capacity(), bro.padded_nnz());
+  EXPECT_EQ(bro.vals().capacity(), bro.padded_nnz());
+}
+
 TEST(BroCoo, SingleBitWidthPerInterval) {
   // A diagonal matrix: lane deltas are all 32 (stride w down a lane) except
   // the first per lane; all intervals should pick a width of 6 bits.

@@ -58,6 +58,17 @@ TEST(BroHyb, SpmvMatchesReference) {
   expect_spmv_matches(csr, bc::BroHyb::compress(csr));
 }
 
+TEST(BroHyb, CooPartHoldsExactCapacity) {
+  // The overflow entries are gathered by push_back, so their capacity is
+  // whatever growth left; the padded COO part must still hold exactly its
+  // padded length.
+  const bc::BroHyb bro = bc::BroHyb::compress(skewed_matrix(3));
+  const bc::BroCoo& coo = bro.coo_part();
+  ASSERT_GT(coo.nnz(), 0u);
+  EXPECT_EQ(coo.col_idx().capacity(), coo.padded_nnz());
+  EXPECT_EQ(coo.vals().capacity(), coo.padded_nnz());
+}
+
 TEST(BroHyb, ForcedWidthPropagates) {
   const bs::Csr csr = skewed_matrix(3);
   bc::BroHybOptions opts;

@@ -14,6 +14,7 @@
 #include "check/validate.h"
 #include "core/matrix.h"
 #include "engine/format_registry.h"
+#include "engine/plan.h"
 #include "sparse/convert.h"
 #include "sparse/matgen/adversarial.h"
 #include "sparse/matgen/generators.h"
@@ -50,11 +51,13 @@ std::string joined(const ck::Issues& issues) {
 TEST(Validate, EveryRegisteredFormatValidatesCleanMatrices) {
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
     const bs::Csr csr = sample_matrix(seed);
-    const auto m = bc::Matrix::from_csr(csr);
+    const auto m =
+        std::make_shared<const bc::Matrix>(bc::Matrix::from_csr(csr));
     for (const auto& t : be::format_registry()) {
       if (!t.applicable(csr, 3.0)) continue;
       ASSERT_NE(t.validate, nullptr) << t.name;
-      const auto issues = t.validate(m);
+      const be::SpmvPlan plan(m, t.format);
+      const auto issues = t.validate(plan.representation(), csr);
       EXPECT_TRUE(issues.empty())
           << t.name << " (seed " << seed << "): " << joined(issues);
     }

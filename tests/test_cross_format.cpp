@@ -2,8 +2,8 @@
 // must agree exactly on structure and numerically on SpMV, across a
 // randomized sweep of shapes and densities. The format sweep is driven by
 // the engine registry, so a newly registered format is covered with no test
-// edit — both through the facade's sequential apply and through a planned
-// native execute.
+// edit — both through the registry's sequential apply and through a planned
+// native execute, on the plan's own representation.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -71,15 +71,16 @@ TEST_P(CrossFormat, StructureAndSpmvAgree) {
 
   const auto m = std::make_shared<bc::Matrix>(bc::Matrix::from_csr(csr));
   for (const auto& t : be::format_registry()) {
-    // Facade path: the sequential reference apply.
+    be::SpmvPlan plan(m, t.format);
+
+    // The sequential reference apply on the plan's representation.
     std::vector<value_t> y(y_ref.size(), -123.0);
-    m->spmv(x, y, t.format);
+    t.apply(plan.representation(), x, y);
     for (std::size_t r = 0; r < y.size(); ++r)
       ASSERT_NEAR(y[r], y_ref[r], 1e-11 * (1.0 + std::abs(y_ref[r])))
           << t.name << " row " << r;
 
     // Planned path: the native (OpenMP) kernel with plan-owned workspaces.
-    be::SpmvPlan plan(m, t.format);
     std::vector<value_t> y_plan(y_ref.size(), -321.0);
     plan.execute(x, y_plan);
     for (std::size_t r = 0; r < y_plan.size(); ++r)
@@ -87,7 +88,7 @@ TEST_P(CrossFormat, StructureAndSpmvAgree) {
           << t.name << " (plan) row " << r;
   }
 
-  // SlicedEll too (not in the facade's Format enum).
+  // SlicedEll too (not in the Format enum).
   {
     std::vector<value_t> y(y_ref.size());
     bc::SlicedEll::build(bs::csr_to_ell(csr)).spmv(x, y);
@@ -107,7 +108,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // The adversarial battery (empty matrices, empty rows at slice boundaries,
 // degenerate aspect ratios, maximum deltas, duplicate-heavy inputs) swept
-// across every registered format: structural validation plus the facade,
+// across every registered format: structural validation plus the reference,
 // planned-native and simulator SpMV paths against the CSR reference.
 TEST(CrossFormat, AdversarialSweepAcrossRegistry) {
   const auto dev = bro::sim::tesla_k20();
@@ -126,23 +127,24 @@ TEST(CrossFormat, AdversarialSweepAcrossRegistry) {
       if (!t.applicable(csr, 3.0)) continue;
       SCOPED_TRACE(t.name);
 
-      const auto issues = t.validate(*m);
+      be::SpmvPlan plan(m, t.format);
+      const void* rep = plan.representation();
+      const auto issues = t.validate(rep, csr);
       EXPECT_TRUE(issues.empty())
           << (issues.empty() ? std::string() : issues.front());
 
       std::vector<value_t> y(y_ref.size(), -5.0);
-      t.apply(*m, x, y);
+      t.apply(rep, x, y);
       for (std::size_t r = 0; r < y.size(); ++r)
         ASSERT_NEAR(y[r], y_ref[r], 1e-10 * (1.0 + std::abs(y_ref[r])));
 
-      be::SpmvPlan plan(m, t.format);
       std::vector<value_t> y_plan(y_ref.size(), -6.0);
       plan.execute(x, y_plan);
       for (std::size_t r = 0; r < y_plan.size(); ++r)
         ASSERT_NEAR(y_plan[r], y_ref[r], 1e-10 * (1.0 + std::abs(y_ref[r])));
 
       if (t.sim_apply) {
-        const auto y_sim = t.sim_apply(dev, *m, x);
+        const auto y_sim = t.sim_apply(dev, rep, x);
         ASSERT_EQ(y_sim.size(), y_ref.size());
         for (std::size_t r = 0; r < y_sim.size(); ++r)
           ASSERT_NEAR(y_sim[r], y_ref[r], 1e-10 * (1.0 + std::abs(y_ref[r])));
@@ -156,11 +158,13 @@ TEST(CrossFormat, AdversarialSweepAcrossRegistry) {
 TEST(CrossFormat, HugeDimensionCasesValidateStructurally) {
   for (const auto& c : bs::adversarial_huge_cases(2013)) {
     SCOPED_TRACE(c.name);
-    const auto m = bc::Matrix::from_csr(c.csr);
+    const auto m =
+        std::make_shared<const bc::Matrix>(bc::Matrix::from_csr(c.csr));
     for (const auto& t : be::format_registry()) {
-      if (!t.applicable(m.csr(), 3.0)) continue;
+      if (!t.applicable(m->csr(), 3.0)) continue;
       SCOPED_TRACE(t.name);
-      const auto issues = t.validate(m);
+      const be::SpmvPlan plan(m, t.format);
+      const auto issues = t.validate(plan.representation(), m->csr());
       EXPECT_TRUE(issues.empty())
           << (issues.empty() ? std::string() : issues.front());
     }

@@ -184,46 +184,9 @@ TEST(SpmvPlan, ChecksOperandSizes) {
 
 // ---- Workspace::coo_ranges cache keying ----
 //
-// The COO row-range split is cached inside the plan workspace. The cache key
-// must cover everything the split depends on: the matrix identity AND its
-// entry count AND the thread count. Keying on the pointer alone reuses a
-// stale split when the same object is mutated in place (or when a different
-// matrix is allocated at a recycled address with equal nnz by chance).
-
-TEST(Workspace, CooRangesRekeyWhenMatrixMutatesInPlace) {
-  be::Workspace ws;
-  bro::sparse::Coo a = bs::csr_to_coo(bs::generate_poisson2d(10, 10));
-  const auto first = ws.coo_ranges(a);
-  ASSERT_FALSE(first.empty());
-  EXPECT_EQ(first.back().hi, a.nnz());
-
-  // Same object, same address, more entries: the split must be recomputed —
-  // a stale one would make the native COO kernel drop the appended tail.
-  const std::size_t old_nnz = a.nnz();
-  for (index_t r = 0; r < a.rows; ++r) a.push(r, a.cols - 1, 0.5);
-  a.canonicalize();
-  ASSERT_NE(a.nnz(), old_nnz);
-  const auto second = ws.coo_ranges(a);
-  ASSERT_FALSE(second.empty());
-  EXPECT_EQ(second.back().hi, a.nnz());
-
-  std::size_t covered = 0;
-  for (const auto& rg : second) covered += rg.hi - rg.lo;
-  EXPECT_EQ(covered, a.nnz());
-}
-
-TEST(Workspace, CooRangesRekeyAcrossDistinctMatrices) {
-  be::Workspace ws;
-  bro::sparse::Coo a = bs::csr_to_coo(bs::generate_poisson2d(8, 8));
-  bro::sparse::Coo b = bs::csr_to_coo(bs::generate_poisson2d(12, 12));
-  ws.coo_ranges(a);
-  EXPECT_EQ(ws.coo_ranges(b).back().hi, b.nnz());
-  EXPECT_EQ(ws.coo_ranges(a).back().hi, a.nnz());
-  // Re-requesting the cached matrix without changes must not reallocate.
-  const std::size_t allocs = ws.allocations();
-  ws.coo_ranges(a);
-  EXPECT_EQ(ws.allocations(), allocs);
-}
+// The COO row-range split is cached inside the plan workspace. A workspace
+// belongs to one plan and so to one immutable representation; the only key
+// left is the thread count the split was made for.
 
 #ifdef _OPENMP
 TEST(Workspace, CooRangesRekeyOnThreadCountChange) {

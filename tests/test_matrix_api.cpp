@@ -3,13 +3,17 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/matrix.h"
+#include "engine/plan.h"
 #include "sparse/matgen/generators.h"
 #include "util/rng.h"
 
 namespace bc = bro::core;
+namespace be = bro::engine;
 namespace bs = bro::sparse;
 using bro::index_t;
 using bro::value_t;
@@ -17,6 +21,16 @@ using bro::value_t;
 namespace {
 
 bs::Csr uniform_matrix() { return bs::generate_poisson2d(30, 30); }
+
+/// y = A * x through a plan of the given format (default: auto-selected).
+std::vector<value_t> planned_spmv(const bc::Matrix& m,
+                                  const std::vector<value_t>& x,
+                                  std::optional<bc::Format> f = std::nullopt) {
+  be::SpmvPlan plan(std::make_shared<const bc::Matrix>(m), f);
+  std::vector<value_t> y(static_cast<std::size_t>(m.rows()), -7.0);
+  plan.execute(x, y);
+  return y;
+}
 
 bs::Csr skewed_matrix() {
   bs::GenSpec spec;
@@ -51,8 +65,7 @@ TEST(MatrixApi, AllFormatsAgreeOnSpmv) {
     bro::Rng rng(5);
     std::vector<value_t> x(static_cast<std::size_t>(m.cols()));
     for (auto& v : x) v = rng.uniform() * 2 - 1;
-    std::vector<value_t> y_ref(static_cast<std::size_t>(m.rows()));
-    m.spmv(x, y_ref, bc::Format::kCsr);
+    const auto y_ref = planned_spmv(m, x, bc::Format::kCsr);
 
     for (const auto f :
          {bc::Format::kCoo, bc::Format::kEll, bc::Format::kEllR,
@@ -63,8 +76,7 @@ TEST(MatrixApi, AllFormatsAgreeOnSpmv) {
         // Skip padded formats for the spiked matrix (ELL expansion guard).
         if (m.auto_format() == bc::Format::kBroHyb) continue;
       }
-      std::vector<value_t> y(static_cast<std::size_t>(m.rows()), -7.0);
-      m.spmv(x, y, f);
+      const auto y = planned_spmv(m, x, f);
       for (index_t r = 0; r < m.rows(); ++r)
         EXPECT_NEAR(y[static_cast<std::size_t>(r)],
                     y_ref[static_cast<std::size_t>(r)],
@@ -79,11 +91,7 @@ TEST(MatrixApi, DefaultSpmvUsesAutoFormat) {
   bro::Rng rng(6);
   std::vector<value_t> x(static_cast<std::size_t>(m.cols()));
   for (auto& v : x) v = rng.uniform();
-  std::vector<value_t> y1(static_cast<std::size_t>(m.rows()));
-  std::vector<value_t> y2(static_cast<std::size_t>(m.rows()));
-  m.spmv(x, y1);
-  m.spmv(x, y2, m.auto_format());
-  EXPECT_EQ(y1, y2);
+  EXPECT_EQ(planned_spmv(m, x), planned_spmv(m, x, m.auto_format()));
 }
 
 TEST(MatrixApi, SavingsPositiveForStructuredMatrix) {
@@ -114,8 +122,7 @@ TEST(MatrixApi, FromFile) {
   EXPECT_EQ(m.rows(), 2);
   EXPECT_EQ(m.nnz(), 2u);
   std::vector<value_t> x = {1.0, 2.0};
-  std::vector<value_t> y(2);
-  m.spmv(x, y);
+  const auto y = planned_spmv(m, x);
   EXPECT_DOUBLE_EQ(y[0], 4.0);
   EXPECT_DOUBLE_EQ(y[1], 10.0);
   std::remove(path.c_str());

@@ -1,0 +1,105 @@
+// Plan memory ownership: a plan owns what it runs. Measured as glibc's
+// in-use heap bytes (mallinfo2 after malloc_trim) on the pwtk stand-in at
+// scale 0.25 (~2.9 M non-zeros), for every registered format that applies:
+//   - building a plan retains its representation bytes (within 5 %);
+//   - destroying the plan returns the heap to its pre-build size (1 MB);
+//   - so does evicting the plan from a PlanCache while the matrix stays
+//     referenced, so the cache's byte budget bounds real memory.
+#include <gtest/gtest.h>
+#include <malloc.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <vector>
+
+#include "engine/format_registry.h"
+#include "engine/plan.h"
+#include "serve/plan_cache.h"
+#include "sparse/matgen/suite.h"
+
+namespace bc = bro::core;
+namespace be = bro::engine;
+namespace bs = bro::sparse;
+namespace bv = bro::serve;
+using bro::value_t;
+
+namespace {
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true; // the sanitizer's allocator replaces glibc's
+#else
+constexpr bool kSanitized = false;
+#endif
+
+constexpr std::int64_t kMiB = std::int64_t{1} << 20;
+
+/// Bytes of live heap allocations, small and mmapped.
+std::int64_t heap_in_use() {
+  ::malloc_trim(0);
+  const struct mallinfo2 mi = ::mallinfo2();
+  return static_cast<std::int64_t>(mi.uordblks + mi.hblkhd);
+}
+
+std::shared_ptr<const bc::Matrix> pwtk() {
+  static const auto m = std::make_shared<const bc::Matrix>(bc::Matrix::from_csr(
+      bs::generate_suite_matrix(*bs::find_suite_entry("pwtk"), 0.25)));
+  return m;
+}
+
+/// The formats a plan of pwtk can use, after one warm-up execute so the
+/// OpenMP pool and one-time tables exist before anything is measured.
+std::vector<const be::FormatTraits*> applicable_formats() {
+  const auto m = pwtk();
+  std::vector<const be::FormatTraits*> out;
+  for (const auto& t : be::format_registry())
+    if (t.applicable(m->csr(), m->options().max_ell_expand)) out.push_back(&t);
+  be::SpmvPlan warm(m, bc::Format::kCsr);
+  std::vector<value_t> x(static_cast<std::size_t>(m->cols()), 1.0);
+  std::vector<value_t> y(static_cast<std::size_t>(m->rows()));
+  warm.execute(x, y);
+  return out;
+}
+
+/// Retained bytes must match the plan's representation bytes within 5 %
+/// (and 1 MB of workspace for the CSR plan, which has no representation).
+void expect_retains_representation(std::int64_t retained,
+                                   std::size_t rep_bytes) {
+  const auto rep = static_cast<double>(rep_bytes);
+  EXPECT_NEAR(static_cast<double>(retained), rep,
+              std::max(0.05 * rep, static_cast<double>(kMiB)));
+}
+
+} // namespace
+
+TEST(PlanMemory, DestroyingAPlanFreesItsRepresentation) {
+  if (kSanitized) GTEST_SKIP() << "mallinfo2 does not see sanitizer heaps";
+  const auto m = pwtk();
+  for (const be::FormatTraits* t : applicable_formats()) {
+    SCOPED_TRACE(t->name);
+    const std::int64_t before = heap_in_use();
+    {
+      const be::SpmvPlan plan(m, t->format);
+      expect_retains_representation(heap_in_use() - before,
+                                    plan.representation_bytes());
+    }
+    EXPECT_LT(std::abs(heap_in_use() - before), kMiB);
+  }
+}
+
+TEST(PlanMemory, EvictionFreesTheRepresentation) {
+  if (kSanitized) GTEST_SKIP() << "mallinfo2 does not see sanitizer heaps";
+  const auto m = pwtk();
+  for (const be::FormatTraits* t : applicable_formats()) {
+    SCOPED_TRACE(t->name);
+    bv::PlanCache cache(1); // each insert evicts all but the newest entry
+    const std::int64_t before = heap_in_use();
+    const std::size_t rep_bytes =
+        cache.get_or_build("pwtk", m, t->format)->representation_bytes();
+    expect_retains_representation(heap_in_use() - before, rep_bytes);
+    // Another entry evicts the plan; the matrix stays referenced.
+    cache.get_or_build("other", m, bc::Format::kCsr);
+    EXPECT_EQ(cache.stats().evictions, 1u);
+    EXPECT_LT(std::abs(heap_in_use() - before), kMiB);
+  }
+}

@@ -63,7 +63,7 @@ void expect_same_csr(const bs::Csr& got, const bs::Csr& want) {
 
 Bytes serialize(const be::FormatTraits& t, const bs::Csr& csr) {
   std::ostringstream out(std::ios::binary);
-  t.serialize(out, bc::Matrix::from_csr(csr));
+  t.serialize(out, t.make(csr, bc::MatrixOptions{}).get());
   const std::string s = out.str();
   return Bytes(s.begin(), s.end());
 }

@@ -121,6 +121,41 @@ TEST(PlanCache, ClearDropsEntries) {
   EXPECT_EQ(s.resident_bytes, 0u);
 }
 
+// Plans build lock-free from one shared matrix: core::Matrix is an
+// immutable CSR and each plan builds and owns its representation, so two
+// threads planning different formats (and the same format) at once share
+// only const data. ThreadSanitizer (the tsan preset) checks the claim.
+TEST(SpmvPlan, BuildsLockFreeFromOneSharedMatrix) {
+  const std::shared_ptr<const bc::Matrix> m = make_matrix(400, 380, 9);
+  const auto x = random_x(m->cols(), 10);
+  const auto ref = reference(*m, x);
+  const std::vector<std::vector<bc::Format>> orders = {
+      {bc::Format::kBroEll, bc::Format::kCoo, bc::Format::kBroHyb},
+      {bc::Format::kBroHyb, bc::Format::kBroCoo, bc::Format::kBroEll}};
+
+  std::atomic<int> ready{0};
+  std::vector<std::vector<std::vector<value_t>>> results(orders.size());
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < orders.size(); ++t)
+    threads.emplace_back([&, t] {
+      ++ready;
+      while (ready.load() < static_cast<int>(orders.size()))
+        std::this_thread::yield();
+      for (const bc::Format f : orders[t]) {
+        be::SpmvPlan plan(m, f);
+        std::vector<value_t> y(ref.size());
+        plan.execute(x, y);
+        results[t].push_back(std::move(y));
+      }
+    });
+  for (auto& th : threads) th.join();
+
+  for (std::size_t t = 0; t < orders.size(); ++t) {
+    ASSERT_EQ(results[t].size(), orders[t].size());
+    for (const auto& y : results[t]) expect_near_ref(y, ref);
+  }
+}
+
 // The contention satellite: N threads hammer M matrices through one cache
 // whose budget forces continual eviction. Counters must reconcile exactly
 // and every result must match the sequential CSR reference.
@@ -809,10 +844,13 @@ TEST(SpmvServer, DrainRacesActiveDispatchAndInFlightShardedBatches) {
     });
 
   // Several concurrent drainers: drain() is a shared-state barrier, not
-  // an owner-only operation, and overlapping calls must all return.
+  // an owner-only operation, and overlapping calls must all return. They
+  // start after the first accepted submit: otherwise, on a loaded host,
+  // both can finish before any submitter is scheduled and nothing races.
   std::vector<std::thread> drainers;
   for (int d = 0; d < 2; ++d)
     drainers.emplace_back([&] {
+      while (accepted.load() == 0) std::this_thread::yield();
       for (int i = 0; i < 25; ++i) server.drain();
     });
   for (auto& t : drainers) t.join();

@@ -4,10 +4,12 @@
 // kernel paths. Parameterized so each matrix is its own test case.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/matrix.h"
+#include "engine/plan.h"
 #include "kernels/native_spmv.h"
 #include "kernels/sim_spmv.h"
 #include "sparse/convert.h"
@@ -15,6 +17,7 @@
 #include "util/rng.h"
 
 namespace bc = bro::core;
+namespace be = bro::engine;
 namespace bk = bro::kernels;
 namespace bs = bro::sparse;
 namespace gs = bro::sim;
@@ -60,10 +63,11 @@ TEST_P(SuiteMatrix, GeneratesValidStructure) {
 }
 
 TEST_P(SuiteMatrix, FacadeAutoFormatAgreesWithReference) {
-  const auto m = bc::Matrix::from_csr(csr_);
+  const auto m = std::make_shared<const bc::Matrix>(bc::Matrix::from_csr(csr_));
+  be::SpmvPlan plan(m);
   std::vector<value_t> y(static_cast<std::size_t>(csr_.rows));
-  m.spmv(x_, y);
-  expect_matches(y, bc::format_name(m.auto_format()));
+  plan.execute(x_, y);
+  expect_matches(y, bc::format_name(m->auto_format()));
 }
 
 TEST_P(SuiteMatrix, BroHybRoundTripAndNativeKernel) {

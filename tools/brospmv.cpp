@@ -182,12 +182,12 @@ int cmd_compress(const Args& args) {
   if (!t.serialize)
     throw std::runtime_error(std::string(t.name) +
                              " has no serialized form (use a BRO format)");
-  const auto mat = core::Matrix::from_csr(m);
   Timer timer;
   std::ofstream out(out_path, std::ios::binary);
   if (!out) throw std::runtime_error("cannot open " + out_path);
-  t.serialize(out, mat);
-  const auto s = t.savings ? t.savings(mat) : core::Savings{};
+  const auto rep = t.make(m, core::MatrixOptions{});
+  t.serialize(out, rep.get());
+  const auto s = t.rep_savings(rep.get());
   std::cout << "compressed " << m.nnz() << " non-zeros to " << t.name
             << " in " << timer.seconds() << " s\nindex data "
             << s.original_bytes << " B -> " << s.compressed_bytes << " B ("
@@ -599,8 +599,7 @@ int cmd_block_bench(const Args& args) {
 int cmd_bench(const Args& args) {
   if (args.has("decode")) return cmd_bench_decode(args);
   // Equivalent to tune but over all three devices, one column each.
-  const auto m = core::Matrix::from_csr(
-      load_matrix(args.positional().at(1), args));
+  const sparse::Csr m = load_matrix(args.positional().at(1), args);
   Table t({"Format", "C2070", "GTX680", "K20"});
   bool first = true;
   std::vector<std::string> names;
