@@ -27,8 +27,8 @@ namespace {
     }                                                                    \
   } while (0)
 
-template <typename T>
-T* upload(const std::vector<T>& host) {
+template <typename T, typename Alloc>
+T* upload(const std::vector<T, Alloc>& host) {
   T* dev = nullptr;
   cudaMalloc(&dev, host.size() * sizeof(T));
   cudaMemcpy(dev, host.data(), host.size() * sizeof(T),

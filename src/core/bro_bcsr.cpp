@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <utility>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include "bits/delta.h"
 #include "util/error.h"
 
@@ -18,6 +22,22 @@ namespace {
 // Truss-FEM assemblies stay under 0.48 on this ratio from 1/16 generator
 // scale up (and fall with size), so 0.7 leaves real headroom.
 constexpr double kBcsrSavingsMargin = 0.7;
+
+int max_threads() {
+#ifdef _OPENMP
+  return omp_get_max_threads();
+#else
+  return 1;
+#endif
+}
+
+int thread_id() {
+#ifdef _OPENMP
+  return omp_get_thread_num();
+#else
+  return 0;
+#endif
+}
 
 void check_shape(int br, int bc) {
   BRO_CHECK_MSG(br >= 1 && br <= 8, "block_rows must be in [1, 8]");
@@ -64,28 +84,23 @@ double cover_fill(std::size_t nnz, std::size_t blocks, int br, int bc) {
                                  static_cast<double>(tile_entries);
 }
 
-/// Highest cover fill over every candidate shape, in one linear pass over
-/// the CSR entries: a stamp per block column records the last block row
-/// that touched it, so each non-empty block is counted once with no
-/// cursor merge. Returns 1.0 (no verdict) when a column lies outside the
-/// matrix, or when the stamps would outgrow the CSR itself (far more
-/// columns than entries), leaving such input to the full analysis.
-double best_candidate_fill(const sparse::Csr& csr) {
-  const auto cols = static_cast<std::size_t>(csr.cols);
-  if (cols > csr.nnz() + static_cast<std::size_t>(csr.rows)) return 1.0;
-  constexpr std::size_t kShapes = kBcsrCandidateShapes.size();
-  std::array<std::vector<index_t>, kShapes> stamp;
-  std::array<std::size_t, kShapes> blocks{};
-  for (std::size_t i = 0; i < kShapes; ++i) {
-    const auto bc = static_cast<std::size_t>(kBcsrCandidateShapes[i].second);
-    stamp[i].assign((cols + bc - 1) / bc, -1);
-  }
-  for (index_t r = 0; r < csr.rows; ++r) {
+constexpr std::size_t kShapes = kBcsrCandidateShapes.size();
+/// Per candidate shape, per block column: the last block row that touched it.
+using ShapeStamps = std::array<std::vector<index_t>, kShapes>;
+
+/// Add to `blocks` the non-empty blocks of every candidate shape in rows
+/// [first, end), where no block of any shape crosses `first` or `end`: a
+/// block is counted when an entry finds its column's stamp stale. Returns
+/// false, counting stopped, at a column outside the matrix.
+bool count_blocks(const sparse::Csr& csr, index_t first, index_t end,
+                  ShapeStamps& stamp,
+                  std::array<std::size_t, kShapes>& blocks) {
+  for (index_t r = first; r < end; ++r) {
     std::array<index_t, kShapes> brow;
     for (std::size_t i = 0; i < kShapes; ++i)
       brow[i] = r / kBcsrCandidateShapes[i].first;
     for (const index_t col : csr.row_cols(r)) {
-      if (col < 0 || col >= csr.cols) return 1.0;
+      if (col < 0 || col >= csr.cols) return false;
       for (std::size_t i = 0; i < kShapes; ++i) {
         index_t& last =
             stamp[i][static_cast<std::size_t>(col / kBcsrCandidateShapes[i].second)];
@@ -94,6 +109,52 @@ double best_candidate_fill(const sparse::Csr& csr) {
       }
     }
   }
+  return true;
+}
+
+/// Highest cover fill over every candidate shape, from an exact count of
+/// each shape's non-empty blocks (count_blocks). Rows split into chunks of
+/// 8, the lcm of the candidate block heights, so no block spans two chunks
+/// and the chunks count in parallel: each thread counts its chunks with its
+/// own stamps, and the integer counts sum to the serial ones. Returns 1.0
+/// (no verdict) when a column lies outside the matrix, or when the stamps
+/// would outgrow the CSR itself (far more columns than entries), leaving
+/// such input to the full analysis.
+double best_candidate_fill(const sparse::Csr& csr) {
+  const auto cols = static_cast<std::size_t>(csr.cols);
+  if (cols > csr.nnz() + static_cast<std::size_t>(csr.rows)) return 1.0;
+  constexpr index_t kChunkRows = 8;
+  static_assert(std::ranges::all_of(kBcsrCandidateShapes, [](const auto& s) {
+    return kChunkRows % s.first == 0;
+  }));
+
+  // Every thread's stamps are allocated here, before the parallel region,
+  // so the workers allocate nothing.
+  std::vector<ShapeStamps> stamps(static_cast<std::size_t>(max_threads()));
+  for (ShapeStamps& stamp : stamps)
+    for (std::size_t i = 0; i < kShapes; ++i) {
+      const auto bc = static_cast<std::size_t>(kBcsrCandidateShapes[i].second);
+      stamp[i].assign((cols + bc - 1) / bc, -1);
+    }
+
+  std::size_t blocks[kShapes] = {};
+  bool out_of_range = false;
+  const index_t chunks = (csr.rows + kChunkRows - 1) / kChunkRows;
+#pragma omp parallel reduction(+ : blocks[:kShapes]) \
+    reduction(|| : out_of_range)
+  {
+    ShapeStamps& stamp = stamps[static_cast<std::size_t>(thread_id())];
+    std::array<std::size_t, kShapes> count{};
+#pragma omp for schedule(dynamic, 64)
+    for (index_t k = 0; k < chunks; ++k)
+      if (!out_of_range)
+        out_of_range = !count_blocks(csr, k * kChunkRows,
+                                     std::min(csr.rows, (k + 1) * kChunkRows),
+                                     stamp, count);
+    for (std::size_t i = 0; i < kShapes; ++i) blocks[i] += count[i];
+  }
+  if (out_of_range) return 1.0;
+
   double best = 0.0;
   for (std::size_t i = 0; i < kShapes; ++i)
     best = std::max(best, cover_fill(csr.nnz(), blocks[i],

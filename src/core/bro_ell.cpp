@@ -76,6 +76,25 @@ std::size_t row_bits(const BroEllSlice& slice) {
   return bits;
 }
 
+/// Write rows [first, last) of `csr`'s ELLPACK value array into `vals`
+/// (m x width, column-major): +0.0 in every slot of those rows, then the
+/// rows' values over their leading slots. Rows outside the range are not
+/// touched, so disjoint ranges may fill in parallel, and a range's slots
+/// stay cache-resident between the two passes.
+void fill_ell_values(const sparse::Csr& csr, index_t width, index_t first,
+                     index_t last, std::span<value_t> vals) {
+  const auto m = static_cast<std::size_t>(csr.rows);
+  for (std::size_t j = 0; j < static_cast<std::size_t>(width); ++j)
+    std::fill(vals.begin() + j * m + first, vals.begin() + j * m + last,
+              value_t{0});
+  for (index_t r = first; r < last; ++r) {
+    const std::span<const value_t> row = csr.row_vals(r);
+    const std::size_t len = ell_row(csr, r, width).size();
+    for (std::size_t j = 0; j < len; ++j)
+      vals[j * m + static_cast<std::size_t>(r)] = row[j];
+  }
+}
+
 } // namespace
 
 BroEllSlice slice_layout(index_t first_row,
@@ -156,17 +175,16 @@ std::span<const index_t> ell_row(const sparse::Csr& csr, index_t r,
       std::min(csr.row_length(r), width)));
 }
 
-std::vector<value_t> ell_values(const sparse::Csr& csr, index_t width) {
+EllValues ell_values(const sparse::Csr& csr, index_t width) {
   BRO_CHECK_MSG(width >= 0, "ELL width must be non-negative");
-  const auto m = static_cast<std::size_t>(csr.rows);
-  std::vector<value_t> vals(m * static_cast<std::size_t>(width), value_t{0});
-#pragma omp parallel for schedule(static)
-  for (index_t r = 0; r < csr.rows; ++r) {
-    const std::span<const value_t> row = csr.row_vals(r);
-    const std::size_t len = ell_row(csr, r, width).size();
-    for (std::size_t j = 0; j < len; ++j)
-      vals[j * m + static_cast<std::size_t>(r)] = row[j];
-  }
+  constexpr index_t kTileRows = 256;
+  EllValues vals(static_cast<std::size_t>(csr.rows) *
+                 static_cast<std::size_t>(width));
+  parallel_for_slices((csr.rows + kTileRows - 1) / kTileRows, [&](index_t t) {
+    const index_t first = t * kTileRows;
+    fill_ell_values(csr, width, first, std::min(csr.rows, first + kTileRows),
+                    vals);
+  });
   return vals;
 }
 
@@ -183,19 +201,25 @@ BroEll BroEll::compress(const sparse::Csr& csr, index_t width,
   out.cols_ = csr.cols;
   out.width_ = width;
   out.opts_ = opts;
-  out.vals_ = ell_values(csr, width);
+  BRO_CHECK_MSG(width >= 0, "ELL width must be non-negative");
+  out.vals_.resize(static_cast<std::size_t>(csr.rows) *
+                   static_cast<std::size_t>(width));
 
+  // One task per slice packs its stream and fills its rows of the value
+  // array, so the array's pages are first touched by the filling threads.
   const index_t h = opts.slice_height;
   const index_t num_slices = csr.rows == 0 ? 0 : (csr.rows + h - 1) / h;
   out.slices_.resize(static_cast<std::size_t>(num_slices));
   parallel_for_slices(num_slices, [&](index_t s) {
     const index_t first = s * h;
+    const index_t last = std::min<index_t>(csr.rows, first + h);
     std::vector<std::span<const index_t>> rows(
-        static_cast<std::size_t>(std::min<index_t>(h, csr.rows - first)));
+        static_cast<std::size_t>(last - first));
     for (std::size_t t = 0; t < rows.size(); ++t)
       rows[t] = ell_row(csr, first + static_cast<index_t>(t), width);
     out.slices_[static_cast<std::size_t>(s)] =
         pack_slice(first, rows, opts.sym_len, opts.forced_bit_width);
+    fill_ell_values(csr, width, first, last, out.vals_);
   });
   return out;
 }

@@ -20,6 +20,7 @@
 #include "bits/mux.h"
 #include "sparse/csr.h"
 #include "sparse/ell.h"
+#include "util/uninit.h"
 
 namespace bro::core {
 
@@ -65,9 +66,14 @@ BroEllSlice slice_layout(index_t first_row,
 std::span<const index_t> ell_row(const sparse::Csr& csr, index_t r,
                                  index_t width);
 
-/// ELLPACK's m x width column-major value array of those rows, zeros in
-/// the padding slots.
-std::vector<value_t> ell_values(const sparse::Csr& csr, index_t width);
+/// ELLPACK's m x width column-major value array, allocated without
+/// zeroing: every slot is written by a fill, so each page is first touched
+/// by the thread that fills it.
+using EllValues = util::UninitVector<value_t>;
+
+/// ELLPACK's m x width column-major value array of those rows, +0.0 in the
+/// padding slots, filled in parallel 256-row tiles.
+EllValues ell_values(const sparse::Csr& csr, index_t width);
 
 /// Run fn(s) for every slice s in [0, n) as an OpenMP parallel for over
 /// the current thread count; fn must write only slice s's output. The
@@ -88,7 +94,7 @@ sparse::Ell decompress_to_ell(const Bro& m) {
   out.cols = m.cols();
   out.width = m.width();
   out.col_idx.assign(static_cast<std::size_t>(out.rows) * out.width, sparse::kPad);
-  out.vals = m.vals();
+  out.vals.assign(m.vals().begin(), m.vals().end());
   for (index_t r = 0; r < out.rows; ++r) {
     const std::vector<index_t> cols = m.decode_row(r);
     for (std::size_t j = 0; j < cols.size(); ++j)
@@ -99,8 +105,9 @@ sparse::Ell decompress_to_ell(const Bro& m) {
 
 class BroEll {
  public:
-  /// Offline host-side compression straight from CSR rows (ell_row,
-  /// ell_values). Slices pack in parallel; the output does not depend on
+  /// Offline host-side compression straight from CSR rows (ell_row). Each
+  /// slice task packs its stream and fills its rows of the value array, so
+  /// the array is first touched in parallel; the output does not depend on
   /// the thread count.
   static BroEll compress(const sparse::Csr& csr, index_t width,
                          BroEllOptions opts = {});
@@ -112,7 +119,7 @@ class BroEll {
   index_t width() const { return width_; }
   const BroEllOptions& options() const { return opts_; }
   const std::vector<BroEllSlice>& slices() const { return slices_; }
-  const std::vector<value_t>& vals() const { return vals_; }
+  const EllValues& vals() const { return vals_; }
 
   /// Decode the column indices of one row (testing / verification path).
   std::vector<index_t> decode_row(index_t row) const;
@@ -149,7 +156,7 @@ class BroEll {
   index_t width_ = 0;
   BroEllOptions opts_;
   std::vector<BroEllSlice> slices_;
-  std::vector<value_t> vals_; // column-major m x k, as in ELLPACK
+  EllValues vals_; // column-major m x k, as in ELLPACK
 };
 
 /// Stateful implementation of the Algorithm-1 symbol-buffer decoder for one

@@ -6,6 +6,7 @@
 #include <istream>
 #include <iterator>
 #include <ostream>
+#include <ranges>
 
 #include "bits/delta.h"
 #include "util/bytes.h"
@@ -17,7 +18,7 @@ namespace bro::core {
 struct SerializeAccess {
   static BroEll make_ell(index_t rows, index_t cols, index_t width,
                          BroEllOptions opts, std::vector<BroEllSlice> slices,
-                         std::vector<value_t> vals) {
+                         EllValues vals) {
     BroEll m;
     m.rows_ = rows;
     m.cols_ = cols;
@@ -59,7 +60,7 @@ struct SerializeAccess {
   static BroAns make_ans(index_t rows, index_t cols, index_t width,
                          BroAnsOptions opts, bits::AnsTable table,
                          std::vector<BroAnsSlice> slices,
-                         std::vector<value_t> vals) {
+                         EllValues vals) {
     BroAns m;
     m.rows_ = rows;
     m.cols_ = cols;
@@ -131,12 +132,15 @@ void write_pod(std::ostream& out, const T& v) {
   out.write(reinterpret_cast<const char*>(&v), sizeof(T));
 }
 
-template <typename T>
-void write_vec(std::ostream& out, const std::vector<T>& v) {
-  write_pod<std::uint64_t>(out, v.size());
-  if (!v.empty())
-    out.write(reinterpret_cast<const char*>(v.data()),
-              static_cast<std::streamsize>(v.size() * sizeof(T)));
+/// A counted array: its element count, then its bytes, straight from the
+/// caller's storage (any vector or span).
+template <std::ranges::contiguous_range R>
+void write_vec(std::ostream& out, const R& v) {
+  using T = std::ranges::range_value_t<R>;
+  write_pod<std::uint64_t>(out, std::ranges::size(v));
+  if (!std::ranges::empty(v))
+    out.write(reinterpret_cast<const char*>(std::ranges::data(v)),
+              static_cast<std::streamsize>(std::ranges::size(v) * sizeof(T)));
 }
 
 void write_header(std::ostream& out, Tag tag) {
@@ -230,8 +234,7 @@ void write_bcsr_body(std::ostream& out, const BroBcsr& m) {
   write_pod<double>(out, m.options().min_fill);
   write_pod<std::uint64_t>(out, m.slices().size());
   for (const BroEllSlice& s : m.slices()) write_ell_slice(out, s);
-  std::vector<value_t> vals(m.vals().begin(), m.vals().end());
-  write_vec(out, vals);
+  write_vec(out, m.vals());
 }
 
 // ---------------------------------------------------------------------------
@@ -267,8 +270,11 @@ class ArrayView {
     std::memcpy(&v, bytes_.data() + i * sizeof(T), sizeof(T));
     return v;
   }
-  std::vector<T> to_vector() const {
-    std::vector<T> v(size());
+  /// The array copied into a vector of type V (EllValues reads without a
+  /// zeroing pass first).
+  template <typename V = std::vector<T>>
+  V to_vector() const {
+    V v(size());
     if (!v.empty()) std::memcpy(v.data(), bytes_.data(), bytes_.size());
     return v;
   }
@@ -450,7 +456,8 @@ HybBody read_hyb_body(ByteReader& in) {
 
 BroEll make_ell(EllBody b) {
   return SerializeAccess::make_ell(b.rows, b.cols, b.width, b.opts,
-                                   std::move(b.slices), b.vals.to_vector());
+                                   std::move(b.slices),
+                                   b.vals.to_vector<EllValues>());
 }
 
 BroCoo make_coo(CooBody b) {
@@ -464,7 +471,7 @@ BroAns read_ans(ByteReader& in) {
   AnsBody b = read_ans_body(in);
   return SerializeAccess::make_ans(b.rows, b.cols, b.width, b.opts,
                                    std::move(b.table), std::move(b.slices),
-                                   b.vals.to_vector());
+                                   b.vals.to_vector<EllValues>());
 }
 
 BroHyb read_hyb(ByteReader& in) {

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "bcsr_gate_reference.h"
 #include "core/bro_bcsr.h"
 #include "core/serialize.h"
 #include "kernels/bro_bcsr_decode.h"
@@ -27,6 +28,7 @@ namespace bk = bro::kernels;
 namespace bs = bro::sparse;
 using bro::index_t;
 using bro::value_t;
+using bro::oracle::reference_applicable;
 
 namespace {
 
@@ -296,25 +298,6 @@ TEST(BroBcsr, SuiteTestSetThreeIsBcsrTerritory) {
 
 namespace {
 
-/// The gate without the fill prefilter: the full cover analysis decides
-/// alone. Same rule, margin included, as bro_bcsr_applicable.
-bool reference_applicable(const bs::Csr& csr, double max_ell_expand,
-                          const bc::BroBcsrOptions& opts = {}) {
-  if (csr.rows == 0 || csr.cols == 0 || csr.nnz() == 0) return false;
-  const bc::BcsrAnalysis a = bc::analyze_bro_bcsr(csr, opts);
-  if (a.best < 0) return false;
-  const bc::BcsrShapeStats& s = a.shapes[static_cast<std::size_t>(a.best)];
-  if (s.fill < opts.min_fill) return false;
-  if (static_cast<double>(s.value_slots) >
-      max_ell_expand * static_cast<double>(csr.nnz()))
-    return false;
-  const std::size_t ell_excess =
-      a.ell_value_slots > csr.nnz() ? a.ell_value_slots - csr.nnz() : 0;
-  const std::size_t baseline =
-      (a.ell_index_bits + 7) / 8 + sizeof(value_t) * ell_excess;
-  return static_cast<double>(s.cost_bytes) < 0.7 * static_cast<double>(baseline);
-}
-
 /// 4x4 dense tiles, four per block row, 64 columns apart; the first tile of
 /// each block row lacks its bottom-right 2x2 quadrant. 2x2 covers it with
 /// fill 1.0, but the cheapest cover is 4x4 at fill 15/16 < 0.95.
@@ -334,12 +317,8 @@ bs::Csr quadrant_hole_tiles() {
 } // namespace
 
 TEST(BroBcsr, FillPrefilterAgreesWithFullAnalysis) {
-  std::vector<bs::AdversarialCase> cases = bs::adversarial_suite();
-  for (const int set : {1, 2, 3})
-    for (const auto& e : bs::suite_test_set(set))
-      cases.push_back({e.name, bs::generate_suite_matrix(e, set == 3 ? 0.0625 : 0.02)});
   int accepted = 0;
-  for (const auto& c : cases) {
+  for (const auto& c : bro::oracle::gate_cases()) {
     for (const double expand : {3.0, 1e30}) {
       const bool want = reference_applicable(c.csr, expand);
       EXPECT_EQ(bc::bro_bcsr_applicable(c.csr, expand), want) << c.name;

@@ -1,17 +1,25 @@
 // Parallel-correctness tests: force several OpenMP threads (the host here
 // may have one core; logical races don't care) and verify the native
-// kernels' partitioning and carry logic, plus simulator determinism.
+// kernels' partitioning and carry logic, simulator determinism, and that
+// plan set-up (compressed bytes, ELL value arrays, the BRO-BCSR gate) does
+// not depend on the thread count.
 #include <gtest/gtest.h>
 
 #ifdef _OPENMP
 #include <omp.h>
 #endif
 
+#include <algorithm>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bcsr_gate_reference.h"
 #include "core/serialize.h"
+#include "engine/format_registry.h"
 #include "kernels/native_spmv.h"
 #include "kernels/sim_spmv.h"
 #include "sparse/convert.h"
@@ -21,6 +29,7 @@
 
 namespace bk = bro::kernels;
 namespace bc = bro::core;
+namespace be = bro::engine;
 namespace bs = bro::sparse;
 namespace gs = bro::sim;
 using bro::index_t;
@@ -169,6 +178,205 @@ TEST(ParallelCompression, BytesDoNotDependOnThreadCount) {
         four = bro_bytes(csr);
       }
       EXPECT_EQ(one, four) << e.name;
+    }
+  }
+}
+
+namespace {
+
+/// `rows` rows of 0..max_len entries in 64 columns (every `empty_every`-th
+/// row empty when it is positive), with nonzero values.
+bs::Csr ragged_rows(index_t rows, index_t max_len, index_t empty_every,
+                    std::uint64_t seed) {
+  bro::Rng rng(seed);
+  bs::Csr csr;
+  csr.rows = rows;
+  csr.cols = 64;
+  csr.row_ptr.push_back(0);
+  for (index_t r = 0; r < rows; ++r) {
+    const auto len =
+        empty_every > 0 && r % empty_every == 0
+            ? 0
+            : static_cast<index_t>(rng.below(static_cast<std::uint64_t>(max_len) + 1));
+    index_t col = static_cast<index_t>(rng.below(4));
+    for (index_t j = 0; j < len; ++j) {
+      csr.col_idx.push_back(col);
+      csr.vals.push_back(1.0 + rng.uniform());
+      col += 1 + static_cast<index_t>(rng.below(3));
+    }
+    csr.row_ptr.push_back(static_cast<index_t>(csr.col_idx.size()));
+  }
+  return csr;
+}
+
+/// ELLPACK's value array written the obvious way: +0.0 everywhere, then
+/// each row's leading min(length, width) values.
+std::vector<value_t> naive_ell_values(const bs::Csr& csr, index_t width) {
+  const auto m = static_cast<std::size_t>(csr.rows);
+  std::vector<value_t> vals(m * static_cast<std::size_t>(width), +0.0);
+  for (index_t r = 0; r < csr.rows; ++r)
+    for (index_t j = 0; j < std::min(csr.row_length(r), width); ++j)
+      vals[static_cast<std::size_t>(j) * m + static_cast<std::size_t>(r)] =
+          csr.row_vals(r)[static_cast<std::size_t>(j)];
+  return vals;
+}
+
+/// A freed heap block of `n` values, every byte 0xFF (a NaN), for the next
+/// allocation of that size to reuse: an array built in it that leaves a
+/// slot unwritten reads it back as NaN, not as zero. A live guard block
+/// behind it keeps the allocator from merging it into the top of the heap
+/// and trimming it; blocks this small stay below the mmap threshold.
+class HeapPoison {
+ public:
+  explicit HeapPoison(std::size_t n) {
+    if (n == 0) return;
+    void* p = std::malloc(n * sizeof(value_t));
+    guard_ = std::malloc(sizeof(value_t));
+    // Volatile stores: a plain memset before free() is a dead store the
+    // compiler may drop.
+    auto* bytes = static_cast<volatile unsigned char*>(p);
+    for (std::size_t i = 0; i < n * sizeof(value_t); ++i) bytes[i] = 0xFF;
+    std::free(p);
+  }
+  ~HeapPoison() { std::free(guard_); }
+  HeapPoison(const HeapPoison&) = delete;
+  HeapPoison& operator=(const HeapPoison&) = delete;
+
+ private:
+  void* guard_ = nullptr;
+};
+
+template <typename A>
+bool same_bits(const A& a, const std::vector<value_t>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(value_t)) == 0);
+}
+
+} // namespace
+
+TEST(ParallelCompression, EveryEllValueSlotIsWritten) {
+  struct Shape {
+    const char* name;
+    bs::Csr csr;
+    index_t width;
+  };
+  const bs::Csr odd = ragged_rows(1003, 6, 0, 71);
+  const bs::Csr holes = ragged_rows(700, 5, 3, 72);
+  const bs::Csr short_rows = ragged_rows(900, 4, 0, 73);
+  const std::vector<Shape> shapes = {
+      {"rows not a multiple of the tile", odd, odd.max_row_length()},
+      {"rows cut at the width", odd, 3},
+      {"empty rows", holes, holes.max_row_length()},
+      {"width 0", short_rows, 0},
+      {"width beyond every row", short_rows, short_rows.max_row_length() + 4},
+  };
+  for (const Shape& sh : shapes) {
+    // Below the mmap threshold (~64 KiB of values), so HeapPoison works.
+    const std::size_t n = static_cast<std::size_t>(sh.csr.rows) *
+                          static_cast<std::size_t>(sh.width);
+    ASSERT_LE(n * sizeof(value_t), 64u * 1024) << sh.name;
+    const std::vector<value_t> want = naive_ell_values(sh.csr, sh.width);
+    for (const int threads : {1, 4}) {
+      ThreadGuard g(threads);
+      for (const int h : {256, 7}) {
+        const std::string ctx = std::string(sh.name) +
+                                " threads=" + std::to_string(threads) +
+                                " h=" + std::to_string(h);
+        bc::BroEllOptions eo;
+        eo.slice_height = h;
+        bc::BroAnsOptions ao;
+        ao.slice_height = h;
+        bc::BroHybOptions ho;
+        ho.ell = eo;
+        ho.width_override = sh.width;
+
+        {
+          const HeapPoison poison(n);
+          EXPECT_TRUE(same_bits(bc::ell_values(sh.csr, sh.width), want))
+              << "ell_values " << ctx;
+        }
+        {
+          const HeapPoison poison(n);
+          EXPECT_TRUE(same_bits(
+              bc::BroEll::compress(sh.csr, sh.width, eo).vals(), want))
+              << "BRO-ELL " << ctx;
+        }
+        {
+          const HeapPoison poison(n);
+          EXPECT_TRUE(same_bits(
+              bc::BroAns::compress(sh.csr, sh.width, ao).vals(), want))
+              << "BRO-ANS " << ctx;
+        }
+        const HeapPoison poison(n);
+        const bc::BroHyb hyb = bc::BroHyb::compress(sh.csr, ho);
+        EXPECT_EQ(hyb.split_width(), sh.width) << ctx;
+        EXPECT_TRUE(same_bits(hyb.ell_part().vals(), want))
+            << "BRO-HYB " << ctx;
+      }
+    }
+  }
+}
+
+namespace {
+
+/// The first `rows` rows of `csr`, all its columns kept.
+bs::Csr leading_rows(const bs::Csr& csr, index_t rows) {
+  bs::Csr out;
+  out.rows = rows;
+  out.cols = csr.cols;
+  out.row_ptr.assign(csr.row_ptr.begin(), csr.row_ptr.begin() + rows + 1);
+  const auto nnz = static_cast<std::size_t>(out.row_ptr.back());
+  out.col_idx.assign(csr.col_idx.begin(), csr.col_idx.begin() + nnz);
+  out.vals.assign(csr.vals.begin(), csr.vals.begin() + nnz);
+  return out;
+}
+
+/// A truss stand-in cut to a row count that is not a multiple of 8, the
+/// prefilter's chunk height.
+bs::Csr truss_with_ragged_chunk() {
+  const bs::Csr truss =
+      bs::generate_suite_matrix(bs::suite_test_set(3).front(), 0.0625);
+  return leading_rows(truss, truss.rows / 8 * 8 - 3);
+}
+
+} // namespace
+
+TEST(ParallelGate, VerdictsDoNotDependOnThreadCount) {
+  std::vector<bs::AdversarialCase> cases = bro::oracle::gate_cases();
+  cases.push_back({"truss, rows % 8 == 5", truss_with_ragged_chunk()});
+  ASSERT_EQ(cases.back().csr.rows % 8, 5);
+  ASSERT_TRUE(bro::oracle::reference_applicable(cases.back().csr, 3.0));
+  for (const auto& c : cases) {
+    const auto first = be::auto_select(c.csr, 3.0);
+    for (const int threads : {1, 2, 4}) {
+      ThreadGuard g(threads);
+      for (const double expand : {3.0, 1e30})
+        EXPECT_EQ(bc::bro_bcsr_applicable(c.csr, expand),
+                  bro::oracle::reference_applicable(c.csr, expand))
+            << c.name << " threads=" << threads << " expand=" << expand;
+      EXPECT_EQ(be::auto_select(c.csr, 3.0), first)
+          << c.name << " threads=" << threads;
+    }
+  }
+}
+
+TEST(ParallelGate, OutOfRangeColumnDefersToFullAnalysis) {
+  // One column just past the matrix, in the last row: the prefilter must
+  // neither index its stamps with it nor reject, and the full analysis
+  // decides. One case the gate would accept, one it rejects.
+  std::vector<bs::Csr> cases = {
+      truss_with_ragged_chunk(),
+      bs::generate_suite_matrix(bs::suite_test_set(1).front(), 0.02)};
+  for (bs::Csr& csr : cases) {
+    ASSERT_GT(csr.row_length(csr.rows - 1), 0);
+    csr.col_idx.back() = csr.cols;
+    ASSERT_FALSE(csr.is_valid());
+    const bool want = bro::oracle::reference_applicable(csr, 3.0);
+    for (const int threads : {1, 2, 4}) {
+      ThreadGuard g(threads);
+      EXPECT_EQ(bc::bro_bcsr_applicable(csr, 3.0), want)
+          << csr.rows << " rows, threads=" << threads;
     }
   }
 }
