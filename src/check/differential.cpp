@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 
+#include "core/serialize.h"
 #include "engine/plan.h"
 #include "engine/shard.h"
 #include "kernels/cpu_features.h"
@@ -163,6 +165,11 @@ class Driver {
     for (const auto& issue : t.validate(rep, matrix->csr()))
       fail(name, t.name, "validate", issue);
 
+    if (t.serialize) {
+      ++report_.comparisons;
+      check_ingest(name, t, rep, matrix->csr());
+    }
+
     if (!spmv_safe) return;
     std::string msg;
     std::vector<value_t> y(ref.size());
@@ -268,6 +275,36 @@ class Driver {
     }
 
     if (opts_.spmm_k > 0) sweep_spmm(name, t, plan, x);
+  }
+
+  /// The .bro round trip: the representation's serialized bytes must
+  /// decode straight back to the source CSR *bitwise* through
+  /// core::read_bro_to_csr, whose tiles run at the current thread count.
+  void check_ingest(const std::string& name, const engine::FormatTraits& t,
+                    const void* rep, const sparse::Csr& want) {
+    std::ostringstream out(std::ios::binary);
+    t.serialize(out, rep);
+    const std::string s = out.str();
+    const sparse::Csr got = core::read_bro_to_csr(std::span(
+        reinterpret_cast<const std::uint8_t*>(s.data()), s.size()));
+    std::ostringstream os;
+    if (got.rows != want.rows || got.cols != want.cols) {
+      os << "decoded " << got.rows << " x " << got.cols << ", source "
+         << want.rows << " x " << want.cols;
+    } else if (got.row_ptr != want.row_ptr) {
+      os << "row_ptr differs from the source";
+    } else {
+      for (std::size_t i = 0; i < want.nnz(); ++i) {
+        if (got.col_idx[i] != want.col_idx[i] ||
+            std::memcmp(&got.vals[i], &want.vals[i], sizeof(value_t)) != 0) {
+          os << "entry " << i << " decoded as (" << got.col_idx[i] << ", "
+             << got.vals[i] << "), source (" << want.col_idx[i] << ", "
+             << want.vals[i] << ") (must be bitwise-identical)";
+          break;
+        }
+      }
+    }
+    if (!os.str().empty()) fail(name, t.name, "ingest", os.str());
   }
 
   /// The multi-vector path: X's k columns are rotations of the fuzz x, and

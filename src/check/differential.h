@@ -16,7 +16,11 @@
 //      and a second execute_multi must not grow the workspace,
 //   6. for row-shardable formats, re-compresses the matrix as balanced row
 //      shards (engine/shard.h) and compares the sharded execute against
-//      the plan *bitwise* (`--no-shard` opts out).
+//      the plan *bitwise* (`--no-shard` opts out),
+//   7. for formats with a serialize hook, serializes the representation and
+//      decodes the bytes with core::read_bro_to_csr: the result must equal
+//      the source CSR *bitwise*. Always on; it runs for validate-only
+//      matrices too.
 //
 // All randomness flows from one seed, so a failing (seed, round) pair is a
 // complete reproducer. Exposed via `brospmv fuzz --rounds N --seed S` and a
@@ -65,13 +69,13 @@ struct FuzzFailure {
   std::string matrix; // generated name, reproducible from (seed, round)
   std::string format; // canonical registry name
   std::string path;   // "validate" | "apply" | "plan" | "sim" | "spmm" |
-                      // "decode" | "simd" | "shard" | "build"
+                      // "decode" | "simd" | "shard" | "ingest" | "build"
   std::string message;
 };
 
 struct FuzzReport {
   int matrices = 0;
-  std::size_t comparisons = 0; // numerical vector comparisons performed
+  std::size_t comparisons = 0; // vector and .bro round-trip comparisons
   std::size_t validations = 0; // validate-hook invocations
   std::size_t skipped = 0;     // (matrix, format) pairs ruled inapplicable
   std::vector<FuzzFailure> failures;

@@ -21,15 +21,6 @@ AnsRowDecoder::AnsRowDecoder(const bits::AnsTable& table,
                 "BRO-ANS initial state outside the table");
 }
 
-std::uint32_t AnsRowDecoder::next() {
-  const std::uint32_t e = table_->entry(state_);
-  const int cls = bits::AnsTable::entry_class(e);
-  const int nb = bits::AnsTable::entry_bits(e);
-  const std::uint32_t mantissa = cls > 0 ? fields_.next(cls - 1) : 0;
-  state_ = bits::AnsTable::entry_base(e) + fields_.next(nb);
-  return cls == 0 ? 0 : (1u << (cls - 1)) | mantissa;
-}
-
 BroAns BroAns::compress(const sparse::Csr& csr, index_t width,
                         BroAnsOptions opts) {
   BRO_CHECK_MSG(opts.slice_height > 0, "slice height must be positive");

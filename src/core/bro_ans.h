@@ -79,7 +79,14 @@ class AnsRowDecoder {
   AnsRowDecoder(const bits::AnsTable& table, const BroAnsSlice& slice,
                 index_t row_in_slice, int sym_len);
 
-  std::uint32_t next();
+  std::uint32_t next() {
+    const std::uint32_t e = table_->entry(state_);
+    const int cls = bits::AnsTable::entry_class(e);
+    const int nb = bits::AnsTable::entry_bits(e);
+    const std::uint32_t mantissa = cls > 0 ? fields_.next(cls - 1) : 0;
+    state_ = bits::AnsTable::entry_base(e) + fields_.next(nb);
+    return cls == 0 ? 0 : (1u << (cls - 1)) | mantissa;
+  }
 
  private:
   const bits::AnsTable* table_;

@@ -104,22 +104,31 @@ std::vector<index_t> decode_coo_rows(std::span<const BroCooInterval> intervals,
   const std::size_t interval_size =
       static_cast<std::size_t>(w) * static_cast<std::size_t>(opts.interval_cols);
   std::vector<index_t> out(intervals.size() * interval_size);
-  for (std::size_t i = 0; i < intervals.size(); ++i) {
+  // Each interval writes only its own entries, so intervals decode in
+  // parallel. Lane j of an interval is row stream j of its mux (symbol c at
+  // c*w + j) and every lane has the interval's one bit width, so the lanes
+  // decode in lockstep and position c of all lanes lands contiguously.
+  parallel_for_slices(static_cast<index_t>(intervals.size()), [&](index_t s) {
+    const auto i = static_cast<std::size_t>(s);
     const auto& iv = intervals[i];
-    for (int j = 0; j < w; ++j) {
-      // Lane j of the interval is one row stream of the mux (symbol c at
-      // c*w + j), decoded with the interval's single bit width.
-      RowStreamDecoder dec(iv.stream, j, opts.sym_len);
-      std::int64_t acc = iv.start_row;
-      for (int c = 0; c < opts.interval_cols; ++c) {
-        acc += dec.next(iv.bits);
-        BRO_CHECK_MSG(acc >= 0 && acc < rows,
-                      "BRO-COO row " << acc << " outside [0, " << rows << ')');
-        out[i * interval_size + static_cast<std::size_t>(c) * w +
-            static_cast<std::size_t>(j)] = static_cast<index_t>(acc);
+    BRO_CHECK_MSG(iv.stream.height() == static_cast<std::size_t>(w),
+                  "BRO-COO interval " << i << " is not " << w
+                                      << " lanes wide");
+    LockstepDecoder dec(iv.stream, opts.sym_len);
+    std::vector<std::uint32_t> d(static_cast<std::size_t>(w));
+    std::vector<std::int64_t> acc(static_cast<std::size_t>(w), iv.start_row);
+    index_t* dst = out.data() + i * interval_size;
+    for (int c = 0; c < opts.interval_cols; ++c, dst += w) {
+      dec.next(iv.bits, d.data());
+      for (std::size_t j = 0; j < d.size(); ++j) {
+        acc[j] += d[j];
+        BRO_CHECK_MSG(acc[j] >= 0 && acc[j] < rows,
+                      "BRO-COO row " << acc[j] << " outside [0, " << rows
+                                     << ')');
+        dst[j] = static_cast<index_t>(acc[j]);
       }
     }
-  }
+  });
   return out;
 }
 

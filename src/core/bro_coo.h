@@ -38,9 +38,11 @@ struct BroCooInterval {
 
 /// Decode the row index of every entry the intervals hold, padding
 /// included, in stream order (interval i, lane j, position c -> entry
-/// i*warp_size*interval_cols + c*warp_size + j). Throws std::runtime_error
-/// when a decoded row falls outside [0, rows) or a lane overruns its
-/// stream, so a corrupt interval cannot index past the caller's arrays.
+/// i*warp_size*interval_cols + c*warp_size + j), one interval per task of
+/// a parallel loop (parallel_for_slices). Throws std::runtime_error when a
+/// decoded row falls outside [0, rows), a lane overruns its stream, or an
+/// interval's stream is not warp_size lanes wide or its bit width outside
+/// [1, 32], so a corrupt interval cannot index past the caller's arrays.
 std::vector<index_t> decode_coo_rows(std::span<const BroCooInterval> intervals,
                                      const BroCooOptions& opts, index_t rows);
 

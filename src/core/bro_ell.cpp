@@ -10,58 +10,55 @@
 
 namespace bro::core {
 
-namespace {
-
-std::uint64_t field_mask(int sym_len) {
-  return sym_len >= 64 ? ~0ull : ((1ull << sym_len) - 1);
-}
-
-} // namespace
-
 RowStreamDecoder::RowStreamDecoder(const bits::MuxedStream& stream,
                                    index_t row, int sym_len)
     : stream_(&stream), row_(row), sym_len_(sym_len) {}
 
-std::uint32_t RowStreamDecoder::next(int b) {
-  // Top-of-register extraction: sym[0:q] of Algorithm 1.
-  const auto take = [&](int q) -> std::uint64_t {
-    if (q <= 0) return 0;
-    return (sym_ >> (sym_len_ - q)) & bits::max_value_for_bits(q);
-  };
-  const auto shift_out = [&](int q) {
-    sym_ = (q >= 64 ? 0 : (sym_ << q)) & field_mask(sym_len_);
-  };
+void RowStreamDecoder::overrun() const {
+  BRO_CHECK_MSG(false, "row stream overruns its "
+                           << stream_->symbols_per_row() << " symbols");
+}
 
-  // Algorithm 1 uses the strict test `b < rb`, which loads a symbol even
-  // when the value exactly drains the buffer — over-reading the stream by
-  // one symbol on exact-fit rows. We use b <= rb, which decodes identically,
-  // preserves warp-uniform control flow (rb evolves the same in all lanes),
-  // and reads exactly ceil(sum(bit_alloc)/sym_len) symbols per row.
-  std::uint64_t decoded;
+LockstepDecoder::LockstepDecoder(const bits::MuxedStream& stream, int sym_len)
+    : stream_(&stream), sym_len_(sym_len), sym_(stream.height(), 0) {
+  BRO_CHECK_MSG(stream.sym_len() == sym_len,
+                "stream sym_len " << stream.sym_len() << " is not " << sym_len);
+}
+
+void LockstepDecoder::next(int b, std::uint32_t* out) {
+  BRO_CHECK_MSG(b >= 1 && b <= 32, "bit width " << b << " outside [1, 32]");
   if (b <= rb_) {
-    decoded = take(b);
-    shift_out(b);
+    for (std::uint64_t& s : sym_) {
+      *out++ = static_cast<std::uint32_t>(s >> (64 - b));
+      s <<= b;
+    }
     rb_ -= b;
+  } else if (sym_len_ == 32) {
+    load<std::uint32_t>(b, out);
   } else {
-    // Drain the buffer, then split the value across the freshly loaded
-    // symbol (high part came from the old buffer).
-    decoded = take(rb_);
-    const int b2 = b - rb_;
-    BRO_CHECK_MSG(static_cast<std::size_t>(loads_) <
-                      stream_->symbols_per_row(),
-                  "row stream overruns its " << stream_->symbols_per_row()
-                                             << " symbols");
-    sym_ = stream_->at(static_cast<std::size_t>(loads_),
-                       static_cast<std::size_t>(row_)) &
-           field_mask(sym_len_);
-    ++loads_;
-    decoded = (decoded << b2) | ((b2 > 0) ? ((sym_ >> (sym_len_ - b2)) &
-                                             bits::max_value_for_bits(b2))
-                                          : 0);
-    shift_out(b2);
-    rb_ = sym_len_ - b2;
+    load<std::uint64_t>(b, out);
   }
-  return static_cast<std::uint32_t>(decoded);
+}
+
+template <typename SymT>
+void LockstepDecoder::load(int b, std::uint32_t* out) {
+  BRO_CHECK_MSG(loads_ < stream_->symbols_per_row(),
+                "row stream overruns its " << stream_->symbols_per_row()
+                                           << " symbols");
+  // Every lane drains its rb_ buffered bits (the value's high part), then
+  // takes the low b2 bits from the top of its next symbol.
+  const SymT* slots = stream_->data<SymT>() + loads_ * sym_.size();
+  const int rest = 63 - rb_; // (s >> 1) >> rest is s's top rb_ bits, or 0
+  const int b2 = b - rb_;
+  const int align = 64 - sym_len_;
+  for (std::size_t t = 0; t < sym_.size(); ++t) {
+    const std::uint64_t high = (sym_[t] >> 1) >> rest;
+    const std::uint64_t s = std::uint64_t{slots[t]} << align;
+    out[t] = static_cast<std::uint32_t>((high << b2) | (s >> (64 - b2)));
+    sym_[t] = s << b2;
+  }
+  ++loads_;
+  rb_ = sym_len_ - b2;
 }
 
 namespace {

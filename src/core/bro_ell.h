@@ -17,6 +17,7 @@
 #include <span>
 #include <vector>
 
+#include "bits/bitwidth.h"
 #include "bits/mux.h"
 #include "sparse/csr.h"
 #include "sparse/ell.h"
@@ -177,18 +178,90 @@ class RowStreamDecoder {
   bool needs_load(int b) const { return b > rb_; }
 
   /// Decode the next value with bit width b (Algorithm 1 lines 6-16).
-  std::uint32_t next(int b);
+  /// Inline: every sequential decode (the formats' own spmv, the BRO-ANS
+  /// row decoder, the simulator) calls it once per field.
+  std::uint32_t next(int b) {
+    // Top-of-register extraction: sym[0:q] of Algorithm 1.
+    const std::uint64_t field = bits::max_value_for_bits(sym_len_);
+    const auto take = [&](int q) -> std::uint64_t {
+      if (q <= 0) return 0;
+      return (sym_ >> (sym_len_ - q)) & bits::max_value_for_bits(q);
+    };
+    const auto shift_out = [&](int q) {
+      sym_ = (q >= 64 ? 0 : (sym_ << q)) & field;
+    };
+
+    // Algorithm 1 uses the strict test `b < rb`, which loads a symbol even
+    // when the value exactly drains the buffer — over-reading the stream
+    // by one symbol on exact-fit rows. We use b <= rb, which decodes
+    // identically, preserves warp-uniform control flow (rb evolves the same
+    // in all lanes), and reads exactly ceil(sum(bit_alloc)/sym_len)
+    // symbols per row.
+    std::uint64_t decoded;
+    if (b <= rb_) {
+      decoded = take(b);
+      shift_out(b);
+      rb_ -= b;
+    } else {
+      // Drain the buffer, then split the value across the freshly loaded
+      // symbol (high part came from the old buffer).
+      decoded = take(rb_);
+      const int b2 = b - rb_;
+      if (static_cast<std::size_t>(loads_) >= stream_->symbols_per_row())
+        overrun();
+      sym_ = stream_->at(static_cast<std::size_t>(loads_),
+                         static_cast<std::size_t>(row_)) &
+             field;
+      ++loads_;
+      decoded = (decoded << b2) | take(b2);
+      shift_out(b2);
+      rb_ = sym_len_ - b2;
+    }
+    return static_cast<std::uint32_t>(decoded);
+  }
 
   /// Symbols consumed so far.
   index_t symbols_loaded() const { return loads_; }
 
  private:
+  [[noreturn]] void overrun() const;
+
   const bits::MuxedStream* stream_;
   index_t row_;
   int sym_len_;
   std::uint64_t sym_ = 0; // buffer, left-aligned in sym_len bits
   int rb_ = 0;            // remaining bits in the buffer
   index_t loads_ = 0;
+};
+
+/// Lockstep decoder of every row (lane) of one multiplexed stream, as a
+/// slice decodes on the GPU: all lanes consume the same bit width at each
+/// step, so the buffer level and the load counter are shared and only the
+/// symbol buffers are per lane (Algorithm 1's warp-uniform control flow).
+/// Lane t yields exactly what RowStreamDecoder(stream, t, sym_len) does,
+/// under the same b <= rb load rule, while each load reads the h
+/// consecutive slots of one symbol column. A step that would load past the
+/// rows' symbols throws std::runtime_error.
+class LockstepDecoder {
+ public:
+  LockstepDecoder(const bits::MuxedStream& stream, int sym_len);
+
+  /// Decode the next value of every lane, with bit width b in [1, 32],
+  /// into out[0, height).
+  void next(int b, std::uint32_t* out);
+
+  /// Symbols consumed so far by each lane.
+  index_t symbols_loaded() const { return static_cast<index_t>(loads_); }
+
+ private:
+  template <typename SymT>
+  void load(int b, std::uint32_t* out);
+
+  const bits::MuxedStream* stream_;
+  int sym_len_;
+  int rb_ = 0; // remaining bits in every lane's buffer
+  std::size_t loads_ = 0;
+  std::vector<std::uint64_t> sym_; // per lane, left-aligned in 64 bits
 };
 
 } // namespace bro::core

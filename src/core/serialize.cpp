@@ -1,16 +1,20 @@
 #include "core/serialize.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <fstream>
 #include <istream>
 #include <iterator>
+#include <limits>
+#include <numeric>
 #include <ostream>
 #include <ranges>
 
 #include "bits/delta.h"
 #include "util/bytes.h"
 #include "util/error.h"
+#include "util/uninit.h"
 
 namespace bro::core {
 
@@ -322,10 +326,12 @@ bits::MuxedStream read_mux(ByteReader& in) {
   const auto height = in.get<std::uint64_t>();
   const auto spr = in.get<std::uint64_t>();
   // Every slot is a u64 on the wire, so height x symbols_per_row is bounded
-  // by the bytes left before the stream is sized.
+  // by the bytes left before the stream is sized. A stream with no symbols
+  // (a slice of empty rows) may be of any height up to the sanity bound.
   const std::uint64_t slots_left = in.remaining() / sizeof(std::uint64_t);
-  BRO_CHECK_MSG(height <= slots_left && spr <= ByteReader::kSaneCount &&
-                    (height == 0 || spr <= slots_left / height),
+  BRO_CHECK_MSG(height <= ByteReader::kSaneCount &&
+                    spr <= ByteReader::kSaneCount &&
+                    (spr == 0 || height <= slots_left / spr),
                 "implausible stream dimensions " << height << " x " << spr
                                                  << " with "
                                                  << in.remaining()
@@ -539,9 +545,121 @@ BroBcsr read_bcsr(ByteReader& in) {
 }
 
 // ---------------------------------------------------------------------------
-// Ingest: stream bytes straight to canonical CSR, one row at a time, with
-// no padded ELL, intermediate COO or sort in between. Each check below
-// guards an index the row decoders would otherwise take on trust.
+// Ingest: stream bytes straight to canonical CSR, with no padded ELL,
+// intermediate COO or sort in between, in two passes over tiles of rows.
+// A tile is a run of rows (an ELL-style body's slice) and each tile is one
+// task of parallel_for_slices. A body is one or more parts; row r of the
+// result is row r of every part, in part order. A part decodes any tile
+// in both passes:
+//
+//   count(t, first, last, len)    adds the entries of row first+i to len[i];
+//   fill(t, first, last, pos, cols, vals)
+//                                 writes them to cols/vals at pos[i],
+//                                 pos[i] + 1, ..., advancing pos[i].
+//
+// Pass 1 counts into the output's row_ptr and one exclusive scan turns the
+// counts into offsets; pass 2 decodes again, writes every entry straight
+// into the final arrays and canonicalizes the tile's rows in place. Both
+// passes decode the same bytes the same way, so the output does not depend
+// on the thread count, and a part's scratch is O(tile rows). Each check
+// below guards an index the decoders would otherwise take on trust; the
+// first tile that fails one throws after its loop (parallel_for_slices).
+
+/// Rows per tile of the bodies that have no slices (BRO-COO, BRO-CSR).
+constexpr index_t kIngestTileRows = 256;
+
+index_t tile_count(index_t rows, index_t tile_rows) {
+  return static_cast<index_t>(
+      (static_cast<std::int64_t>(rows) + tile_rows - 1) / tile_rows);
+}
+
+/// Rows [first, last) of tile t.
+std::pair<index_t, index_t> tile_span(index_t t, index_t rows,
+                                      index_t tile_rows) {
+  const std::int64_t first = static_cast<std::int64_t>(t) * tile_rows;
+  return {static_cast<index_t>(first),
+          static_cast<index_t>(std::min<std::int64_t>(rows, first + tile_rows))};
+}
+
+/// Pass 1: row r's entry count over every part into row_ptr[r + 1], then
+/// the exclusive scan, checked against the index_t range.
+template <typename... Parts>
+std::vector<index_t> count_rows(index_t rows, index_t tile_rows,
+                                Parts&... parts) {
+  std::vector<index_t> row_ptr(static_cast<std::size_t>(rows) + 1, 0);
+  parallel_for_slices(tile_count(rows, tile_rows), [&](index_t t) {
+    const auto [first, last] = tile_span(t, rows, tile_rows);
+    (parts.count(t, first, last, row_ptr.data() + first + 1), ...);
+  });
+  std::int64_t total = 0;
+  for (std::size_t r = 1; r < row_ptr.size(); ++r) {
+    total += row_ptr[r];
+    BRO_CHECK_MSG(total <= std::numeric_limits<index_t>::max(),
+                  "matrix exceeds the index range");
+    row_ptr[r] = static_cast<index_t>(total);
+  }
+  return row_ptr;
+}
+
+/// Close the slots that rows merging duplicate columns left behind: each
+/// row's canonical entries are a prefix of its slots, ended by the first
+/// column -1.
+void compact_rows(sparse::Csr& a) {
+  std::size_t w = 0, start = 0;
+  for (std::size_t r = 0; r < static_cast<std::size_t>(a.rows); ++r) {
+    const auto end = static_cast<std::size_t>(a.row_ptr[r + 1]);
+    for (std::size_t k = start; k < end && a.col_idx[k] >= 0; ++k, ++w) {
+      a.col_idx[w] = a.col_idx[k];
+      a.vals[w] = a.vals[k];
+    }
+    a.row_ptr[r + 1] = static_cast<index_t>(w);
+    start = end;
+  }
+  a.col_idx.resize(w);
+  a.vals.resize(w);
+}
+
+/// Pass 2: the parts write every entry into place, then each row is
+/// canonicalized there (sparse::canonicalize_row). A row whose columns
+/// arrive unsorted or duplicated comes only from a hand-built stream; one
+/// that merged duplicates marks its leftover slots with column -1, and
+/// compact_rows closes them once every tile is done.
+template <typename... Parts>
+sparse::Csr fill_rows(index_t rows, index_t cols, index_t tile_rows,
+                      std::vector<index_t> row_ptr, Parts&... parts) {
+  sparse::Csr out;
+  out.rows = rows;
+  out.cols = cols;
+  out.col_idx.resize(static_cast<std::size_t>(row_ptr.back()));
+  out.vals.resize(out.col_idx.size());
+  std::atomic<bool> merged{false};
+  parallel_for_slices(tile_count(rows, tile_rows), [&](index_t t) {
+    const auto [first, last] = tile_span(t, rows, tile_rows);
+    std::vector<index_t> pos(row_ptr.begin() + first, row_ptr.begin() + last);
+    (parts.fill(t, first, last, pos.data(), out.col_idx.data(),
+                out.vals.data()),
+     ...);
+    for (index_t r = first; r < last; ++r) {
+      BRO_CHECK_MSG(pos[static_cast<std::size_t>(r - first)] == row_ptr[r + 1],
+                    "ingest passes disagree on row " << r);
+      const auto start = static_cast<std::size_t>(row_ptr[r]);
+      const auto end = static_cast<std::size_t>(row_ptr[r + 1]);
+      const std::size_t n =
+          start + sparse::canonicalize_row(out.col_idx.data() + start,
+                                           out.vals.data() + start,
+                                           end - start);
+      if (n < end) {
+        std::fill(out.col_idx.begin() + static_cast<std::ptrdiff_t>(n),
+                  out.col_idx.begin() + static_cast<std::ptrdiff_t>(end),
+                  index_t{-1});
+        merged = true;
+      }
+    }
+  });
+  out.row_ptr = std::move(row_ptr);
+  if (merged) compact_rows(out);
+  return out;
+}
 
 /// Slices must tile `rows` exactly as the writers lay them out: slice s
 /// holds rows [s*h, min((s+1)*h, rows)).
@@ -563,16 +681,23 @@ void check_tiling(const std::vector<Slice>& slices, index_t rows, int h,
   }
 }
 
-/// An ELL-style slice's stream has one lane per slice row and a bit width
-/// in [1, 32] per slice column.
+/// An ELL-style slice's stream has one lane per slice row, a bit width in
+/// [1, 32] per slice column, and room for every lane's fields. A slice with
+/// columns therefore has symbols, so its height is bounded by the bytes its
+/// stream occupies.
 void check_ell_slice(const BroEllSlice& s, int sym_len, const char* what) {
   BRO_CHECK_MSG(s.bit_alloc.size() == static_cast<std::size_t>(s.num_col),
                 "corrupt " << what << " slice header");
-  for (const std::uint8_t b : s.bit_alloc)
+  std::size_t bits = 0;
+  for (const std::uint8_t b : s.bit_alloc) {
     BRO_CHECK_MSG(b >= 1 && b <= 32, "corrupt " << what << " bit width "
                                                 << int(b));
+    bits += b;
+  }
   BRO_CHECK_MSG(s.stream.sym_len() == sym_len &&
-                    s.stream.height() == static_cast<std::size_t>(s.height),
+                    s.stream.height() == static_cast<std::size_t>(s.height) &&
+                    bits <= s.stream.symbols_per_row() *
+                                static_cast<std::size_t>(sym_len),
                 what << " stream shape mismatches its slice");
 }
 
@@ -586,115 +711,148 @@ void check_ell_values(index_t rows, index_t cols, index_t width,
                 what << " value array size mismatches rows x width");
 }
 
-/// Append one decoded row: `next(c)` yields the delta of slot c (0 =
-/// padding) and `value(c)` the value stored in that slot; returns the
-/// entries appended. Padding must be a suffix. The format's own SpMV pairs
-/// value slot c with stream position c, so a real delta after a padding one
-/// would decode to a CSR whose product differs from the format's; no writer
-/// emits one, and the row is rejected.
-template <typename NextDelta, typename SlotValue>
-index_t append_row(sparse::CsrBuilder& out, index_t cols, index_t num_col,
-                   NextDelta&& next, SlotValue&& value) {
-  std::int64_t col = -1;
-  index_t c = 0;
-  for (; c < num_col; ++c) {
-    const std::uint32_t d = next(c);
-    if (d == bits::kInvalidDelta) break;
-    col += d;
-    BRO_CHECK_MSG(col < cols,
-                  "decoded column " << col << " outside [0, " << cols << ')');
-    out.push(static_cast<index_t>(col), value(c));
+void check_ell_body(const EllBody& b) {
+  check_ell_values(b.rows, b.cols, b.width, b.vals.size(), "BRO-ELL");
+  check_tiling(b.slices, b.rows, b.opts.slice_height, "BRO-ELL");
+  for (const auto& s : b.slices) {
+    check_ell_slice(s, b.opts.sym_len, "BRO-ELL");
+    BRO_CHECK_MSG(s.num_col <= b.width, "BRO-ELL slice wider than width");
   }
-  const index_t entries = c;
-  for (++c; c < num_col; ++c)
-    BRO_CHECK_MSG(next(c) == bits::kInvalidDelta,
-                  "row stream holds a real delta after padding");
-  return entries;
 }
 
-/// The rows of a BRO-ELL body, decoded with RowStreamDecoder.
-class EllRows {
+void check_ans_body(const AnsBody& b) {
+  check_ell_values(b.rows, b.cols, b.width, b.vals.size(), "BRO-ANS");
+  check_tiling(b.slices, b.rows, b.opts.slice_height, "BRO-ANS");
+  for (const auto& s : b.slices) {
+    BRO_CHECK_MSG(s.num_col <= b.width, "BRO-ANS slice wider than width");
+    BRO_CHECK_MSG(
+        s.init_states.size() == static_cast<std::size_t>(s.height) &&
+            s.groups.size() ==
+                static_cast<std::size_t>(ans_num_groups(s.height)),
+        "corrupt BRO-ANS slice header");
+    for (std::size_t g = 0; g < s.groups.size(); ++g)
+      BRO_CHECK_MSG(s.groups[g].sym_len() == b.opts.sym_len &&
+                        s.groups[g].height() ==
+                            static_cast<std::size_t>(ans_group_width(
+                                s.height, static_cast<index_t>(g))),
+                    "BRO-ANS lane-group shape mismatches its slice");
+  }
+}
+
+/// The lanes of one BRO-ELL slice, decoded in lockstep: column c's delta
+/// of every lane (0 = padding) per call.
+class EllLanes {
  public:
-  explicit EllRows(const EllBody& b) : b_(b) {
-    check_ell_values(b.rows, b.cols, b.width, b.vals.size(), "BRO-ELL");
-    check_tiling(b.slices, b.rows, b.opts.slice_height, "BRO-ELL");
-    for (const auto& s : b.slices) {
-      check_ell_slice(s, b.opts.sym_len, "BRO-ELL");
-      BRO_CHECK_MSG(s.num_col <= b.width, "BRO-ELL slice wider than width");
+  EllLanes(const EllBody& b, const BroEllSlice& s)
+      : s_(s), dec_(s.stream, b.opts.sym_len) {}
+  void operator()(index_t c, std::uint32_t* d) {
+    dec_.next(s_.bit_alloc[static_cast<std::size_t>(c)], d);
+  }
+
+ private:
+  const BroEllSlice& s_;
+  LockstepDecoder dec_;
+};
+
+/// The lanes of one BRO-ANS slice: one AnsRowDecoder per lane, stepped
+/// together column by column.
+class AnsLanes {
+ public:
+  AnsLanes(const AnsBody& b, const BroAnsSlice& s) {
+    dec_.reserve(static_cast<std::size_t>(s.height));
+    for (index_t t = 0; t < s.height; ++t)
+      dec_.emplace_back(b.table, s, t, b.opts.sym_len);
+  }
+  void operator()(index_t, std::uint32_t* d) {
+    for (AnsRowDecoder& dec : dec_) *d++ = dec.next();
+  }
+
+ private:
+  std::vector<AnsRowDecoder> dec_;
+};
+
+/// An ELL-style body as a part: tile t is slice t, its lanes decoded
+/// column by column, so the deltas and the column-major value array are
+/// read sequentially. Padding must be a suffix of each row. The format's
+/// own SpMV pairs value slot c with stream position c, so a real delta
+/// after a padding one would decode to a CSR whose product differs from
+/// the format's; no writer emits one, and the row is rejected.
+template <typename Body, typename Lanes>
+class SlicePart {
+ public:
+  explicit SlicePart(const Body& b) : b_(b) {}
+
+  void count(index_t t, index_t, index_t, index_t* len) {
+    const auto& s = b_.slices[static_cast<std::size_t>(t)];
+    if (s.num_col == 0) return; // empty rows: no lanes to decode
+    const auto h = static_cast<std::size_t>(s.height);
+    Lanes lanes(b_, s);
+    std::vector<std::uint32_t> d(h);
+    std::vector<index_t> n(h, 0); // real deltas so far per lane
+    bool interior = false;
+    for (index_t c = 0; c < s.num_col; ++c) {
+      lanes(c, d.data());
+      for (std::size_t i = 0; i < h; ++i) {
+        const bool real = d[i] != bits::kInvalidDelta;
+        interior |= real && n[i] != c;
+        n[i] += real;
+      }
+    }
+    BRO_CHECK_MSG(!interior, "row stream holds a real delta after padding");
+    std::uint64_t entries = 0;
+    for (std::size_t i = 0; i < h; ++i) {
+      len[i] += n[i];
+      entries += static_cast<std::uint64_t>(n[i]);
+    }
+    entries_ += entries;
+  }
+
+  void fill(index_t t, index_t first, index_t, index_t* pos, index_t* cols,
+            value_t* vals) {
+    const auto& s = b_.slices[static_cast<std::size_t>(t)];
+    if (s.num_col == 0) return;
+    const auto h = static_cast<std::size_t>(s.height);
+    Lanes lanes(b_, s);
+    std::vector<std::uint32_t> d(h);
+    std::vector<std::int64_t> col(h, -1);
+    for (index_t c = 0; c < s.num_col; ++c) {
+      lanes(c, d.data());
+      const std::size_t slot = static_cast<std::size_t>(c) *
+                                   static_cast<std::size_t>(b_.rows) +
+                               static_cast<std::size_t>(first);
+      for (std::size_t i = 0; i < h; ++i) {
+        if (d[i] == bits::kInvalidDelta) continue; // padding: a suffix
+        col[i] += d[i];
+        BRO_CHECK_MSG(col[i] < b_.cols, "decoded column " << col[i]
+                                                          << " outside [0, "
+                                                          << b_.cols << ')');
+        const auto p = static_cast<std::size_t>(pos[i]++);
+        cols[p] = static_cast<index_t>(col[i]);
+        vals[p] = b_.vals[slot + i];
+      }
     }
   }
 
-  void append(index_t r, sparse::CsrBuilder& out) {
-    const BroEllSlice& s =
-        b_.slices[static_cast<std::size_t>(r / b_.opts.slice_height)];
-    RowStreamDecoder dec(s, r - s.first_row, b_.opts.sym_len);
-    entries_ += append_row(
-        out, b_.cols, s.num_col,
-        [&](index_t c) {
-          return dec.next(s.bit_alloc[static_cast<std::size_t>(c)]);
-        },
-        [&](index_t c) {
-          return b_.vals[static_cast<std::size_t>(c) *
-                             static_cast<std::size_t>(b_.rows) +
-                         static_cast<std::size_t>(r)];
-        });
-  }
-
-  /// Entries appended so far.
+  /// Real entries counted by pass 1.
   std::uint64_t entries() const { return entries_; }
 
  private:
-  const EllBody& b_;
-  std::uint64_t entries_ = 0;
+  const Body& b_;
+  std::atomic<std::uint64_t> entries_{0};
 };
 
-/// The rows of a BRO-ANS body, decoded with AnsRowDecoder.
-class AnsRows {
+using EllPart = SlicePart<EllBody, EllLanes>;
+using AnsPart = SlicePart<AnsBody, AnsLanes>;
+
+/// The entries of a BRO-COO body as a part: the interval lanes decode to
+/// one row index per entry (decode_coo_rows, intervals in parallel), and a
+/// tile's entries are the run of rows inside it. The writer emits entries
+/// in row order; a hand-built stream that interleaves rows is ordered by
+/// row first, stably, so each row's entries keep their stream order for
+/// canonicalize_row.
+class CooPart {
  public:
-  explicit AnsRows(const AnsBody& b) : b_(b) {
-    check_ell_values(b.rows, b.cols, b.width, b.vals.size(), "BRO-ANS");
-    check_tiling(b.slices, b.rows, b.opts.slice_height, "BRO-ANS");
-    for (const auto& s : b.slices) {
-      BRO_CHECK_MSG(s.num_col <= b.width, "BRO-ANS slice wider than width");
-      BRO_CHECK_MSG(
-          s.init_states.size() == static_cast<std::size_t>(s.height) &&
-              s.groups.size() ==
-                  static_cast<std::size_t>(ans_num_groups(s.height)),
-          "corrupt BRO-ANS slice header");
-      for (std::size_t g = 0; g < s.groups.size(); ++g)
-        BRO_CHECK_MSG(s.groups[g].sym_len() == b.opts.sym_len &&
-                          s.groups[g].height() ==
-                              static_cast<std::size_t>(ans_group_width(
-                                  s.height, static_cast<index_t>(g))),
-                      "BRO-ANS lane-group shape mismatches its slice");
-    }
-  }
-
-  void append(index_t r, sparse::CsrBuilder& out) {
-    const BroAnsSlice& s =
-        b_.slices[static_cast<std::size_t>(r / b_.opts.slice_height)];
-    if (s.num_col == 0) return;
-    AnsRowDecoder dec(b_.table, s, r - s.first_row, b_.opts.sym_len);
-    append_row(
-        out, b_.cols, s.num_col, [&](index_t) { return dec.next(); },
-        [&](index_t c) {
-          return b_.vals[static_cast<std::size_t>(c) *
-                             static_cast<std::size_t>(b_.rows) +
-                         static_cast<std::size_t>(r)];
-        });
-  }
-
- private:
-  const AnsBody& b_;
-};
-
-/// The entries of a BRO-COO body, row by row. The writer emits them in row
-/// order, so row r's entries are one run of the stream; a hand-built stream
-/// that interleaves rows is bucketed by row first (stably, so each row's
-/// entries keep their stream order for CsrBuilder's canonicalization).
-class CooRows {
- public:
-  CooRows(const CooBody& b, index_t rows, index_t cols) : b_(b) {
+  CooPart(const CooBody& b, index_t rows, index_t cols) : b_(b), cols_(cols) {
     BRO_CHECK_MSG(b.rows == rows && b.cols == cols,
                   "BRO-COO dimensions mismatch the matrix");
     BRO_CHECK_MSG(b.opts.warp_size > 0 && b.opts.interval_cols > 0 &&
@@ -715,75 +873,110 @@ class CooRows {
                             static_cast<std::size_t>(b.opts.warp_size),
                     "corrupt BRO-COO interval");
 
-    const std::vector<index_t> stream_rows =
-        decode_coo_rows(b.intervals, b.opts, rows);
-    const auto nnz = static_cast<std::size_t>(b.nnz);
-    ptr_.assign(static_cast<std::size_t>(rows) + 1, 0);
-    bool sorted = true;
-    for (std::size_t i = 0; i < nnz; ++i) {
-      ++ptr_[static_cast<std::size_t>(stream_rows[i]) + 1];
-      sorted = sorted && (i == 0 || stream_rows[i - 1] <= stream_rows[i]);
+    rows_ = decode_coo_rows(b.intervals, b.opts, rows);
+    rows_.resize(static_cast<std::size_t>(b.nnz));
+    if (!std::is_sorted(rows_.begin(), rows_.end())) {
+      order_.resize(rows_.size());
+      std::iota(order_.begin(), order_.end(), std::size_t{0});
+      std::stable_sort(order_.begin(), order_.end(),
+                       [&](std::size_t a, std::size_t c) {
+                         return rows_[a] < rows_[c];
+                       });
+      std::vector<index_t> sorted(rows_.size());
+      for (std::size_t k = 0; k < sorted.size(); ++k)
+        sorted[k] = rows_[order_[k]];
+      rows_ = std::move(sorted);
     }
-    for (std::size_t r = 0; r < static_cast<std::size_t>(rows); ++r)
-      ptr_[r + 1] += ptr_[r];
-    if (!sorted) {
-      std::vector<std::size_t> next(ptr_.begin(), ptr_.end() - 1);
-      order_.resize(nnz);
-      for (std::size_t i = 0; i < nnz; ++i)
-        order_[next[static_cast<std::size_t>(stream_rows[i])]++] = i;
-    }
-    cols_ = cols;
   }
 
-  void append(index_t r, sparse::CsrBuilder& out) {
-    for (std::size_t k = ptr_[static_cast<std::size_t>(r)];
-         k < ptr_[static_cast<std::size_t>(r) + 1]; ++k) {
+  void count(index_t, index_t first, index_t last, index_t* len) {
+    const auto [lo, hi] = run(first, last);
+    for (std::size_t k = lo; k < hi; ++k) ++len[rows_[k] - first];
+  }
+
+  void fill(index_t, index_t first, index_t last, index_t* pos, index_t* cols,
+            value_t* vals) {
+    const auto [lo, hi] = run(first, last);
+    for (std::size_t k = lo; k < hi; ++k) {
       const std::size_t i = order_.empty() ? k : order_[k];
       const index_t c = b_.col_idx[i];
       BRO_CHECK_MSG(c >= 0 && c < cols_,
                     "BRO-COO column " << c << " outside [0, " << cols_
                                       << ')');
-      out.push(c, b_.vals[i]);
+      const auto p = static_cast<std::size_t>(pos[rows_[k] - first]++);
+      cols[p] = c;
+      vals[p] = b_.vals[i];
     }
   }
 
  private:
+  /// The entries of rows [first, last): positions [lo, hi) of rows_.
+  std::pair<std::size_t, std::size_t> run(index_t first, index_t last) const {
+    const auto lo = std::lower_bound(rows_.begin(), rows_.end(), first);
+    const auto hi = std::lower_bound(lo, rows_.end(), last);
+    return {static_cast<std::size_t>(lo - rows_.begin()),
+            static_cast<std::size_t>(hi - rows_.begin())};
+  }
+
   const CooBody& b_;
   index_t cols_ = 0;
-  std::vector<std::size_t> ptr_;   // row r's entries: [ptr_[r], ptr_[r+1])
-  std::vector<std::size_t> order_; // bucketed stream positions; empty when
-                                   // the stream is already row-ordered
+  std::vector<index_t> rows_;      // each entry's row, ascending
+  std::vector<std::size_t> order_; // stream position of entry k; empty
+                                   // when the stream is row-ordered
 };
 
-/// Row r of the result is row r of every part, in order, canonicalized by
-/// CsrBuilder::end_row.
-template <typename... Parts>
-sparse::Csr assemble(index_t rows, index_t cols, std::size_t nnz_hint,
-                     Parts&... parts) {
-  sparse::CsrBuilder out(rows, cols, nnz_hint);
-  for (index_t r = 0; r < rows; ++r) {
-    (parts.append(r, out), ...);
-    out.end_row();
+/// A BRO-CSR body as a part of the fill pass (its stored row_ptr gives the
+/// counts): row r's deltas start at its row symbol pointer, all of the
+/// row's one bit width.
+class BroCsrPart {
+ public:
+  explicit BroCsrPart(const BroCsr& m) : m_(m) {}
+
+  void fill(index_t, index_t first, index_t last, index_t* pos, index_t* cols,
+            value_t* vals) {
+    const auto sym_len = static_cast<std::size_t>(m_.options().sym_len);
+    for (index_t r = first; r < last; ++r) {
+      const auto row = static_cast<std::size_t>(r);
+      const index_t begin = m_.row_ptr()[row];
+      const int b = m_.bits_per_row()[row];
+      std::size_t bit_pos = m_.row_sym_ptr()[row] * sym_len;
+      std::int64_t col = -1;
+      for (index_t e = begin; e < m_.row_ptr()[row + 1]; ++e) {
+        col += static_cast<std::int64_t>(m_.decode_bits(bit_pos, b));
+        bit_pos += static_cast<std::size_t>(b);
+        BRO_CHECK_MSG(col >= 0 && col < m_.cols(),
+                      "BRO-CSR column " << col << " outside [0, "
+                                        << m_.cols() << ')');
+        const auto p = static_cast<std::size_t>(pos[r - first]++);
+        cols[p] = static_cast<index_t>(col);
+        vals[p] = m_.vals()[static_cast<std::size_t>(e)];
+      }
+    }
   }
-  return out.finish();
-}
+
+ private:
+  const BroCsr& m_;
+};
 
 sparse::Csr csr_from_ell(const EllBody& b) {
-  // BRO-ELL carries no nnz field; rows x width bounds it (and is bounded
-  // by the value bytes just read).
-  EllRows rows(b);
-  return assemble(b.rows, b.cols, b.vals.size(), rows);
+  check_ell_body(b);
+  EllPart ell(b);
+  const index_t h = b.opts.slice_height;
+  return fill_rows(b.rows, b.cols, h, count_rows(b.rows, h, ell), ell);
 }
 
 sparse::Csr csr_from_ans(const AnsBody& b) {
-  AnsRows rows(b);
-  return assemble(b.rows, b.cols, b.vals.size(), rows);
+  check_ans_body(b);
+  AnsPart ans(b);
+  const index_t h = b.opts.slice_height;
+  return fill_rows(b.rows, b.cols, h, count_rows(b.rows, h, ans), ans);
 }
 
 sparse::Csr csr_from_coo(const CooBody& b) {
   BRO_CHECK_MSG(b.rows >= 0 && b.cols >= 0, "corrupt BRO-COO dimensions");
-  CooRows rows(b, b.rows, b.cols);
-  return assemble(b.rows, b.cols, static_cast<std::size_t>(b.nnz), rows);
+  CooPart coo(b, b.rows, b.cols);
+  return fill_rows(b.rows, b.cols, kIngestTileRows,
+                   count_rows(b.rows, kIngestTileRows, coo), coo);
 }
 
 sparse::Csr csr_from_hyb(const HybBody& b) {
@@ -791,16 +984,16 @@ sparse::Csr csr_from_hyb(const HybBody& b) {
   // and the rest in the COO part, so ELL row r then COO row r is row r.
   BRO_CHECK_MSG(b.ell.rows == b.rows && b.ell.cols == b.cols,
                 "BRO-HYB ELL part dimensions mismatch the matrix");
-  EllRows ell(b.ell);
-  CooRows coo(b.coo, b.rows, b.cols);
-  const std::size_t nnz =
-      std::min<std::uint64_t>(b.ell_nnz, b.ell.vals.size()) + b.coo.nnz;
-  sparse::Csr out = assemble(b.rows, b.cols, nnz, ell, coo);
+  check_ell_body(b.ell);
+  EllPart ell(b.ell);
+  CooPart coo(b.coo, b.rows, b.cols);
+  const index_t h = b.ell.opts.slice_height;
+  std::vector<index_t> row_ptr = count_rows(b.rows, h, ell, coo);
   BRO_CHECK_MSG(ell.entries() == b.ell_nnz,
                 "BRO-HYB ell_nnz " << b.ell_nnz << " mismatches the "
                                    << ell.entries()
                                    << " entries of its ELL part");
-  return out;
+  return fill_rows(b.rows, b.cols, h, std::move(row_ptr), ell, coo);
 }
 
 sparse::Csr csr_from_bro_csr(const BroCsr& m) {
@@ -816,18 +1009,8 @@ sparse::Csr csr_from_bro_csr(const BroCsr& m) {
     BRO_CHECK_MSG(row_ptr[r] <= row_ptr[r + 1] &&
                       m.bits_per_row()[r] >= 1 && m.bits_per_row()[r] <= 32,
                   "corrupt BRO-CSR row " << r);
-  sparse::CsrBuilder out(m.rows(), m.cols(), m.nnz());
-  for (index_t r = 0; r < m.rows(); ++r) {
-    const std::vector<index_t> cols = m.decode_row(r);
-    for (std::size_t j = 0; j < cols.size(); ++j) {
-      BRO_CHECK_MSG(cols[j] >= 0 && cols[j] < m.cols(),
-                    "BRO-CSR column " << cols[j] << " outside [0, "
-                                      << m.cols() << ')');
-      out.push(cols[j], m.vals()[static_cast<std::size_t>(row_ptr[r]) + j]);
-    }
-    out.end_row();
-  }
-  return out.finish();
+  BroCsrPart part(m);
+  return fill_rows(m.rows(), m.cols(), kIngestTileRows, row_ptr, part);
 }
 
 sparse::Csr csr_from_bcsr(const BroBcsr& m) {
@@ -881,7 +1064,7 @@ sparse::Csr decode_csr(ByteReader& in, Format* fmt) {
 template <typename Parse>
 auto read_from_stream(std::istream& in, Parse&& parse) {
   const std::istream::pos_type start = in.tellg();
-  std::vector<std::uint8_t> bytes;
+  util::UninitVector<std::uint8_t> bytes; // read() overwrites it in full
   if (start != std::istream::pos_type(-1) && in.seekg(0, std::ios::end)) {
     const auto end = in.tellg();
     in.seekg(start);

@@ -1,8 +1,9 @@
 // Parallel-correctness tests: force several OpenMP threads (the host here
 // may have one core; logical races don't care) and verify the native
-// kernels' partitioning and carry logic, simulator determinism, and that
-// plan set-up (compressed bytes, ELL value arrays, the BRO-BCSR gate) does
-// not depend on the thread count.
+// kernels' partitioning and carry logic, simulator determinism, that plan
+// set-up (compressed bytes, ELL value arrays, the BRO-BCSR gate) and the
+// .bro -> CSR ingest do not depend on the thread count, and that the
+// ingest's lockstep slice decoder matches the per-row one.
 #include <gtest/gtest.h>
 
 #ifdef _OPENMP
@@ -377,6 +378,257 @@ TEST(ParallelGate, OutOfRangeColumnDefersToFullAnalysis) {
       ThreadGuard g(threads);
       EXPECT_EQ(bc::bro_bcsr_applicable(csr, 3.0), want)
           << csr.rows << " rows, threads=" << threads;
+    }
+  }
+}
+
+// ---- the .bro -> CSR ingest: slice-parallel tiles ----
+
+namespace {
+
+using Bytes = std::vector<std::uint8_t>;
+
+Bytes to_bytes(const std::string& s) { return Bytes(s.begin(), s.end()); }
+
+/// Bitwise CSR equality (values compared by representation).
+bool same_csr(const bs::Csr& a, const bs::Csr& b) {
+  return a.rows == b.rows && a.cols == b.cols && a.row_ptr == b.row_ptr &&
+         a.col_idx == b.col_idx && same_bits(a.vals, b.vals);
+}
+
+/// Serialized bytes of every format with a serialize hook, built through
+/// the registry (default options) where applicable, plus, when
+/// `small_slices`, bro_bytes' streams, so the ingest runs over many tiles.
+std::vector<std::pair<std::string, Bytes>> ingest_streams(const bs::Csr& csr,
+                                                          bool small_slices) {
+  std::vector<std::pair<std::string, Bytes>> out;
+  for (const auto& t : be::format_registry()) {
+    if (!t.serialize || !t.applicable(csr, 3.0)) continue;
+    std::ostringstream s(std::ios::binary);
+    t.serialize(s, t.make(csr, bc::MatrixOptions{}).get());
+    out.emplace_back(t.name, to_bytes(s.str()));
+  }
+  if (small_slices)
+    for (const std::string& s : bro_bytes(csr))
+      out.emplace_back("small slices, tag " + std::to_string(int(s[8])),
+                       to_bytes(s));
+  return out;
+}
+
+/// Byte offset of the first mux slot of the last slice of a BRO-ELL body
+/// that starts at `body` (the rows field) in a stream of `m`.
+std::size_t last_slice_slots(const bc::BroEll& m, std::size_t body) {
+  std::size_t off = body + 3 * 4 + 2 * 4 + 8; // dims, options, slice count
+  const auto& slices = m.slices();
+  for (std::size_t s = 0; s < slices.size(); ++s) {
+    off += 4 * 4 + 8 + slices[s].bit_alloc.size() + 4 + 8 + 8;
+    if (s + 1 < slices.size()) off += 8 * slices[s].stream.total_symbols();
+  }
+  return off;
+}
+
+} // namespace
+
+TEST(ParallelIngest, CsrDoesNotDependOnThreadCount) {
+  // The adversarial battery and every third stand-in of each test set.
+  // Test Set 2 gets no small-slice streams: its padded BRO-ELL would dwarf
+  // the rest (the registry builds it as BRO-HYB instead).
+  struct Case {
+    bs::AdversarialCase c;
+    bool small_slices;
+  };
+  std::vector<Case> cases;
+  for (auto& c : bs::adversarial_suite(3)) cases.push_back({std::move(c), true});
+  for (const int set : {1, 2, 3}) {
+    const auto entries = bs::suite_test_set(set);
+    for (std::size_t i = 0; i < entries.size(); i += 3)
+      cases.push_back(
+          {{entries[i].name, bs::generate_suite_matrix(entries[i], 0.02)},
+           set != 2});
+  }
+  for (const auto& [c, small_slices] : cases) {
+    for (const auto& [name, bytes] : ingest_streams(c.csr, small_slices)) {
+      for (const int threads : {1, 2, 4}) {
+        ThreadGuard g(threads);
+        const std::string ctx =
+            c.name + " / " + name + " threads=" + std::to_string(threads);
+        try {
+          EXPECT_TRUE(same_csr(bc::read_bro_to_csr(bytes), c.csr)) << ctx;
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << ctx << ": " << e.what();
+        }
+      }
+    }
+  }
+}
+
+TEST(ParallelIngest, HybCooDuplicateOfAnEllColumnMergesAndCompacts) {
+  // Every row holds 4 entries; rows 17 and 30 hold 7, so with the ELL
+  // width forced to 4 their last 3 spill into the COO part. Slices are 7
+  // rows high, so both rows sit past the first slice. A hand-built stream
+  // points one COO entry of row 17 at the column its ELL part holds first:
+  // that row must merge the two, and every later row shift down by one.
+  bro::Rng rng(97);
+  bs::Coo coo;
+  coo.rows = 40;
+  coo.cols = 64;
+  for (index_t r = 0; r < 40; ++r) {
+    const index_t len = r == 17 || r == 30 ? 7 : 4;
+    for (index_t j = 0; j < len; ++j)
+      coo.push(r, (r + 5 * j) % 64, rng.uniform() + 0.5);
+  }
+  coo.canonicalize();
+  const bs::Csr csr = bs::coo_to_csr(coo);
+  bc::BroHybOptions ho;
+  ho.ell.slice_height = 7;
+  ho.width_override = 4;
+  const bc::BroHyb hyb = bc::BroHyb::compress(csr, ho);
+  ASSERT_EQ(hyb.coo_part().nnz(), 6u);
+
+  // The COO body ends with its col_idx array, then its value array.
+  std::ostringstream s(std::ios::binary);
+  bc::write_bro_hyb(s, hyb);
+  Bytes bytes = to_bytes(s.str());
+  const std::size_t n = hyb.coo_part().padded_nnz();
+  const std::size_t cols_at = bytes.size() - (8 + 8 * n) - 4 * n;
+  const std::vector<index_t> coo_rows = hyb.coo_part().decode_rows();
+  ASSERT_EQ(coo_rows[0], 17);
+  const index_t dup = csr.row_cols(17)[0];
+  std::memcpy(bytes.data() + cols_at, &dup, sizeof(dup));
+
+  // The same triples in the same arrival order (ELL part, then COO part).
+  bs::Coo want_coo;
+  want_coo.rows = csr.rows;
+  want_coo.cols = csr.cols;
+  for (index_t r = 0; r < csr.rows; ++r)
+    for (index_t e = csr.row_ptr[r]; e < csr.row_ptr[r + 1]; ++e)
+      want_coo.push(r, e == csr.row_ptr[17] + 4 ? dup : csr.col_idx[e],
+                    csr.vals[e]);
+  const bs::Csr want = bs::coo_to_csr(want_coo);
+  ASSERT_EQ(want.nnz(), csr.nnz() - 1);
+  for (const int threads : {1, 4}) {
+    ThreadGuard g(threads);
+    EXPECT_TRUE(same_csr(bc::read_bro_to_csr(bytes), want))
+        << "threads=" << threads;
+  }
+}
+
+TEST(ParallelIngest, CorruptLastSliceThrowsAtFourThreads) {
+  // 46 rows in slices of 7: the last slice holds rows 42..45, whose first
+  // columns (642..645) give the slice's first column a 10-bit width. An
+  // all-ones first field in row 42 then decodes to column 1022, past the
+  // 1000 columns; a zero one is padding before two real deltas.
+  bro::Rng rng(23);
+  bs::Coo coo;
+  coo.rows = 46;
+  coo.cols = 1000;
+  for (index_t r = 0; r < 46; ++r) {
+    const index_t first = r < 42 ? r % 5 : 600 + r;
+    for (const index_t c : {first, index_t(first + 100), index_t(999 - r)})
+      coo.push(r, c, rng.uniform() + 0.5);
+  }
+  coo.canonicalize();
+  const bs::Csr csr = bs::coo_to_csr(coo);
+
+  bc::BroEllOptions eo;
+  eo.slice_height = 7;
+  const bc::BroEll ell = bc::BroEll::compress(csr, csr.max_row_length(), eo);
+  bc::BroHybOptions ho;
+  ho.ell = eo;
+  ho.width_override = 2;
+  const bc::BroHyb hyb = bc::BroHyb::compress(csr, ho);
+  std::ostringstream ell_out(std::ios::binary), hyb_out(std::ios::binary);
+  bc::write_bro_ell(ell_out, ell);
+  bc::write_bro_hyb(hyb_out, hyb);
+  // BRO-ELL's body follows the 9-byte header; BRO-HYB's ELL body follows
+  // the header, rows, cols, split_width and ell_nnz.
+  const struct {
+    const char* name;
+    Bytes bytes;
+    std::size_t slots;
+    int width;
+  } streams[] = {
+      {"BRO-ELL", to_bytes(ell_out.str()), last_slice_slots(ell, 9),
+       ell.slices().back().bit_alloc[0]},
+      {"BRO-HYB", to_bytes(hyb_out.str()),
+       last_slice_slots(hyb.ell_part(), 9 + 12 + 8),
+       hyb.ell_part().slices().back().bit_alloc[0]},
+  };
+  ThreadGuard g(4);
+  for (const auto& st : streams) {
+    SCOPED_TRACE(st.name);
+    ASSERT_TRUE(same_csr(bc::read_bro_to_csr(st.bytes), csr));
+    ASSERT_EQ(st.width, 10);
+    // Slot 0 of the last slice is symbol 0 of row 42 (a u64 on the wire);
+    // its top `width` bits of 32 hold the first delta.
+    const std::uint64_t field = ((1ull << st.width) - 1) << (32 - st.width);
+    for (const bool ones : {true, false}) {
+      Bytes bad = st.bytes;
+      std::uint64_t slot;
+      std::memcpy(&slot, bad.data() + st.slots, sizeof(slot));
+      slot = ones ? slot | field : slot & ~field;
+      std::memcpy(bad.data() + st.slots, &slot, sizeof(slot));
+      EXPECT_THROW(bc::read_bro_to_csr(bad), std::runtime_error)
+          << (ones ? "column past the matrix" : "interior padding");
+    }
+  }
+}
+
+TEST(LockstepDecoder, MatchesRowStreamDecoderOnRandomWidths) {
+  bro::Rng rng(2013);
+  for (const int sym_len : {32, 64}) {
+    for (int round = 0; round < 20; ++round) {
+      const std::size_t h = 1 + rng.below(19);
+      // Random widths in [1, 32], one in four chosen to drain the buffer
+      // exactly (b == rb) whenever the level allows it.
+      std::vector<int> widths;
+      int rb = 0, exact = 0;
+      std::size_t total = 0;
+      for (int c = 0; c < 60; ++c) {
+        int b = 1 + static_cast<int>(rng.below(32));
+        if (rng.below(4) == 0 && rb >= 1 && rb <= 32) b = rb;
+        exact += b == rb;
+        rb = b <= rb ? rb - b : sym_len - (b - rb);
+        widths.push_back(b);
+        total += static_cast<std::size_t>(b);
+      }
+      ASSERT_GT(exact, 0);
+      const std::size_t spr = (total + sym_len - 1) / sym_len;
+      bro::bits::MuxedStream stream(sym_len, h, spr);
+      std::vector<std::vector<std::uint32_t>> want(h);
+      for (std::size_t t = 0; t < h; ++t) {
+        bro::bits::MuxRowWriter w(stream, t);
+        for (const int b : widths) {
+          const auto v = static_cast<std::uint32_t>(
+              rng.next() & bro::bits::max_value_for_bits(b));
+          want[t].push_back(v);
+          w.append(v, b);
+        }
+        w.finish();
+      }
+
+      bc::LockstepDecoder lock(stream, sym_len);
+      std::vector<bc::RowStreamDecoder> rows;
+      for (std::size_t t = 0; t < h; ++t)
+        rows.emplace_back(stream, static_cast<index_t>(t), sym_len);
+      std::vector<std::uint32_t> got(h);
+      for (std::size_t c = 0; c < widths.size(); ++c) {
+        lock.next(widths[c], got.data());
+        for (std::size_t t = 0; t < h; ++t) {
+          ASSERT_EQ(got[t], rows[t].next(widths[c]))
+              << "sym_len " << sym_len << " column " << c << " lane " << t;
+          ASSERT_EQ(got[t], want[t][c]);
+        }
+      }
+      for (const auto& r : rows)
+        EXPECT_EQ(lock.symbols_loaded(), r.symbols_loaded());
+      EXPECT_EQ(static_cast<std::size_t>(lock.symbols_loaded()), spr);
+      // One more full-width field needs a symbol the rows do not have.
+      EXPECT_THROW(
+          {
+            for (int k = 0; k <= sym_len / 32; ++k) lock.next(32, got.data());
+          },
+          std::runtime_error);
     }
   }
 }
