@@ -10,17 +10,8 @@
 // Part 2: server-level batching. The same request stream served with
 // max_batch = 1 (coalescing off) vs max_batch = 8: requests/s plus the
 // cache and batch metrics the serve layer exports.
-//
-// Part 3: row-sharded multi-pool execution. A >= 1M-nnz suite matrix
-// served at saturation by one single-threaded pool vs P pools x S shards
-// (engine/shard.h), with queue-wait and execute-time percentiles reported
-// separately. Shard fan-out buys throughput only when the host has cores
-// to fan out to — the pool count follows hardware_concurrency, and on a
-// 1-core host the sharded row shows the overhead floor, not a speedup.
-#include <algorithm>
 #include <future>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -154,108 +145,10 @@ void bench_server() {
   t.print(std::cout);
 }
 
-struct ShardedRunResult {
-  double rps = 0;
-  std::uint64_t batches = 0;
-  std::uint64_t sharded_batches = 0;
-  double wait_p50 = 0, wait_p99 = 0;
-  double exec_p50 = 0, exec_p99 = 0;
-};
-
-ShardedRunResult run_sharded_server(
-    const std::shared_ptr<const core::Matrix>& m, int pools, int shards,
-    int pool_omp) {
-  serve::ServerOptions opts;
-  opts.threads = 1; // one dispatcher; parallelism lives in the pools
-  opts.max_batch = kBatch;
-  opts.max_queue = 4096;
-  opts.format = core::Format::kBroEll;
-  opts.pools = pools;
-  opts.pool_threads = 1;
-  opts.pool_omp = pool_omp;
-  opts.shards = shards;
-  opts.shard_min_nnz = 1; // the bench matrix always shards when shards > 1
-  serve::SpmvServer server(opts);
-  server.add_matrix("big", m);
-
-  const std::vector<value_t> x = bench::random_x(m->cols());
-  // Warm the plan (and the per-shard plans) before timing.
-  server.submit("big", x).get();
-
-  constexpr int kRequests = 192;
-  std::vector<std::future<std::vector<value_t>>> pending;
-  pending.reserve(kRequests);
-  Timer wall;
-  // Saturation: the queue is long enough that the dispatcher never idles.
-  for (int r = 0; r < kRequests; ++r)
-    pending.push_back(server.submit("big", x));
-  for (auto& f : pending) f.get();
-  const double secs = wall.seconds();
-
-  const auto metrics = server.metrics();
-  ShardedRunResult res;
-  res.rps = double(kRequests) / secs;
-  res.batches = metrics.batches - 1; // minus the warm-up batch
-  res.sharded_batches = metrics.sharded_batches;
-  res.wait_p50 = metrics.queue_wait.percentile(50);
-  res.wait_p99 = metrics.queue_wait.percentile(99);
-  res.exec_p50 = metrics.execute.percentile(50);
-  res.exec_p99 = metrics.execute.percentile(99);
-  return res;
-}
-
-void bench_sharded_pools() {
-  bench::print_header(
-      "Row-sharded multi-pool serving at saturation (BRO-ELL)",
-      "serving-layer extension (no paper table)");
-
-  // Scale a heavy suite matrix up to >= 1M nnz so the shards carry real
-  // work; respect BRO_SCALE as the floor.
-  const auto entry = sparse::find_suite_entry("pwtk");
-  double scale = bench_scale();
-  std::shared_ptr<const core::Matrix> m;
-  for (int tries = 0; tries < 8; ++tries) {
-    m = std::make_shared<const core::Matrix>(core::Matrix::from_csr(
-        sparse::generate_suite_matrix(*entry, scale)));
-    if (m->nnz() >= 1000000) break;
-    scale *= 2;
-  }
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const int pools = static_cast<int>(std::clamp(hw, 2u, 8u));
-  std::cout << "matrix pwtk @ scale " << Table::fmt(scale, 3) << ": "
-            << m->rows() << " x " << m->cols() << ", nnz " << m->nnz()
-            << "; host cores " << hw << ", pools " << pools << "\n\n";
-
-  Table t({"config", "req/s", "speedup", "batches", "wait p50/p99",
-           "exec p50/p99"});
-  // Baseline: one pool, one thread, kernel-internal OpenMP left as-is.
-  const auto single = run_sharded_server(m, 1, 0, 0);
-  // Sharded: parallelism moves from inside the kernel to across shards,
-  // so each pool worker runs its kernels single-threaded (pool_omp = 1).
-  const auto sharded = run_sharded_server(m, pools, pools, 1);
-  const auto row = [&](const char* name, const ShardedRunResult& r) {
-    t.add_row({name, Table::fmt(r.rps, 1), Table::fmt(r.rps / single.rps, 2),
-               std::to_string(r.batches),
-               Table::fmt(r.wait_p50 * 1e3, 2) + "/" +
-                   Table::fmt(r.wait_p99 * 1e3, 2) + " ms",
-               Table::fmt(r.exec_p50 * 1e3, 2) + "/" +
-                   Table::fmt(r.exec_p99 * 1e3, 2) + " ms"});
-  };
-  row("1 pool, unsharded", single);
-  row((std::to_string(pools) + " pools x " + std::to_string(pools) +
-       " shards").c_str(),
-      sharded);
-  t.print(std::cout);
-  std::cout << "sharded batches: " << sharded.sharded_batches
-            << " (bitwise-identical to the unsharded plan; see "
-               "`brospmv fuzz` shard sweep)\n";
-}
-
 } // namespace
 
 int main() {
   bench_kernels();
   bench_server();
-  bench_sharded_pools();
   return 0;
 }

@@ -10,7 +10,6 @@
 
 #include "core/serialize.h"
 #include "engine/plan.h"
-#include "engine/shard.h"
 #include "kernels/cpu_features.h"
 #include "sparse/matgen/adversarial.h"
 #include "sparse/matgen/generators.h"
@@ -239,29 +238,6 @@ class Driver {
              << y_scalar[r]
              << " from forced-scalar dispatch (must be bitwise-identical)";
           fail(name, t.name, "simd", os.str());
-          break;
-        }
-      }
-    }
-
-    // Sharded-execution parity: split the matrix into balanced row shards,
-    // re-compress each shard independently (engine/shard.h) and execute
-    // them into y sub-spans — the result must reproduce the whole-matrix
-    // plan bit for bit. This is the contract FormatTraits::row_shardable
-    // declares and the serve layer's multi-pool fan-out relies on.
-    if (opts_.shard_check && t.row_shardable && matrix->rows() > 0) {
-      engine::ShardedSpmvPlan sharded(matrix, opts_.shard_count, t.format);
-      std::vector<value_t> y_sharded(ref.size());
-      sharded.execute(x, y_sharded);
-      ++report_.comparisons;
-      for (std::size_t r = 0; r < y_sharded.size(); ++r) {
-        if (y_sharded[r] != y[r]) {
-          std::ostringstream os;
-          os << "y[" << r << "] = " << y[r] << " from the whole-matrix plan "
-             << "but " << y_sharded[r] << " from "
-             << sharded.shard_count()
-             << " row shards (must be bitwise-identical)";
-          fail(name, t.name, "shard", os.str());
           break;
         }
       }

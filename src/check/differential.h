@@ -14,10 +14,7 @@
 //      single-vector execute() calls column-by-column *bitwise* (the SpMM
 //      kernels replicate the single-vector accumulation order exactly),
 //      and a second execute_multi must not grow the workspace,
-//   6. for row-shardable formats, re-compresses the matrix as balanced row
-//      shards (engine/shard.h) and compares the sharded execute against
-//      the plan *bitwise* (`--no-shard` opts out),
-//   7. for formats with a serialize hook, serializes the representation and
+//   6. for formats with a serialize hook, serializes the representation and
 //      decodes the bytes with core::read_bro_to_csr: the result must equal
 //      the source CSR *bitwise*. Always on; it runs for validate-only
 //      matrices too.
@@ -54,12 +51,6 @@ struct FuzzOptions {
   // planned execute *bitwise* against the SIMD result. No-op on hosts or
   // builds without a SIMD backend.
   bool simd_check = true;
-  // For every row-shardable format, re-compress the matrix as shard_count
-  // balanced row shards (engine/shard.h) and compare the sharded execute
-  // against the plan's result *bitwise* — the shardability contract the
-  // serve layer's multi-pool execution relies on.
-  bool shard_check = true;
-  int shard_count = 4;
   // Matrices with rows or cols beyond this run the validate hook only: an
   // x vector of near-index_t-max size is not allocatable.
   index_t max_spmv_dim = index_t{1} << 24;
@@ -69,7 +60,7 @@ struct FuzzFailure {
   std::string matrix; // generated name, reproducible from (seed, round)
   std::string format; // canonical registry name
   std::string path;   // "validate" | "apply" | "plan" | "sim" | "spmm" |
-                      // "decode" | "simd" | "shard" | "ingest" | "build"
+                      // "decode" | "simd" | "ingest" | "build"
   std::string message;
 };
 

@@ -43,8 +43,8 @@ struct BroAnsOptions {
 };
 
 /// Rows per interleaved lane group — the AVX2 u32 SIMD width. Slices keep
-/// the BRO-ELL slice_height for value layout and row sharding; the lane
-/// group is the unit the SIMD decoder consumes.
+/// the BRO-ELL slice_height for the value layout; the lane group is the
+/// unit the SIMD decoder consumes.
 inline constexpr index_t kAnsLaneGroup = 8;
 
 /// Number of lane groups covering `height` rows.

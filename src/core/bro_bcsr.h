@@ -18,13 +18,13 @@
 // dropped, so decompression reproduces the source values bit-for-bit.
 //
 // Bitwise-FP contract (DESIGN.md §12): every SpMV path — sequential
-// reference, scalar/SSE4/AVX2 kernels, SpMM columns, shard re-compressions
-// with different shapes — accumulates row r through BcsrLaneAcc below: 8
-// partial sums indexed by (column & 7), entries added in ascending column
-// order as a separate multiply and add, reduced by a fixed pairwise tree,
-// and normalized with a trailing + 0.0 so a fill-in-induced -0.0 cannot
-// leak. Because every candidate block width divides 8, a block's columns
-// occupy one aligned lane group, which is what the SIMD kernels exploit.
+// reference, scalar/SSE4/AVX2 kernels, SpMM columns — accumulates row r
+// through BcsrLaneAcc below: 8 partial sums indexed by (column & 7),
+// entries added in ascending column order as a separate multiply and add,
+// reduced by a fixed pairwise tree, and normalized with a trailing + 0.0
+// so a fill-in-induced -0.0 cannot leak. Because every candidate block
+// width divides 8, a block's columns occupy one aligned lane group, which
+// is what the SIMD kernels exploit.
 #pragma once
 
 #include <array>

@@ -100,8 +100,7 @@ const std::vector<FormatTraits>& build_registry() {
        },
        .sim_apply = [](const DeviceSpec& dev, const void* r, X x) {
          return kernels::sim_spmv_csr_scalar(dev, as<Csr>(r), x).y;
-       },
-       .row_shardable = true},
+       }},
 
       {.format = Format::kCoo, .name = "COO", .tunable = true,
        .applicable = always_applicable,
@@ -130,8 +129,7 @@ const std::vector<FormatTraits>& build_registry() {
        .tune = [](const DeviceSpec& dev, const Csr& csr, X x) {
          const auto coo = sparse::csr_to_coo(csr);
          return TuneOutcome{kernels::sim_spmv_coo(dev, coo, x).time.gflops};
-       },
-       .row_shardable = true},
+       }},
 
       {.format = Format::kEll, .name = "ELLPACK", .tunable = true,
        .applicable = ell_applicable,
@@ -160,8 +158,7 @@ const std::vector<FormatTraits>& build_registry() {
        .tune = [](const DeviceSpec& dev, const Csr& csr, X x) {
          const auto ell = sparse::csr_to_ell(csr);
          return TuneOutcome{kernels::sim_spmv_ell(dev, ell, x).time.gflops};
-       },
-       .row_shardable = true},
+       }},
 
       {.format = Format::kEllR, .name = "ELLPACK-R", .tunable = true,
        .applicable = ell_applicable,
@@ -189,8 +186,7 @@ const std::vector<FormatTraits>& build_registry() {
        .tune = [](const DeviceSpec& dev, const Csr& csr, X x) {
          const auto ellr = sparse::csr_to_ellr(csr);
          return TuneOutcome{kernels::sim_spmv_ellr(dev, ellr, x).time.gflops};
-       },
-       .row_shardable = true},
+       }},
 
       {.format = Format::kHyb, .name = "HYB", .tunable = true,
        .applicable = always_applicable,
@@ -222,8 +218,7 @@ const std::vector<FormatTraits>& build_registry() {
        .tune = [](const DeviceSpec& dev, const Csr& csr, X x) {
          const auto hyb = sparse::csr_to_hyb(csr);
          return TuneOutcome{kernels::sim_spmv_hyb(dev, hyb, x).time.gflops};
-       },
-       .row_shardable = true},
+       }},
 
       {.format = Format::kBroEll, .name = "BRO-ELL", .tunable = true,
        .auto_priority = 1, .applicable = ell_applicable,
@@ -266,8 +261,7 @@ const std::vector<FormatTraits>& build_registry() {
          const auto bro = BroEll::compress(csr, csr.max_row_length());
          return TuneOutcome{kernels::sim_spmv_bro_ell(dev, bro, x).time.gflops,
                             index_savings<BroEll>(&bro).eta()};
-       },
-       .row_shardable = true},
+       }},
 
       {.format = Format::kBroCoo, .name = "BRO-COO", .tunable = true,
        .applicable = always_applicable,
@@ -328,10 +322,7 @@ const std::vector<FormatTraits>& build_registry() {
                             core::make_savings(bro.original_row_bytes(),
                                                bro.compressed_row_bytes())
                                 .eta()};
-       },
-       // Interval carries regroup a row's partial sums at global stream
-       // offsets; a shard's re-compression regroups them differently.
-       .row_shardable = false},
+       }},
 
       {.format = Format::kBroHyb, .name = "BRO-HYB", .tunable = true,
        .auto_priority = 2, .applicable = nonzero_applicable,
@@ -389,10 +380,7 @@ const std::vector<FormatTraits>& build_registry() {
          const auto bro = BroHyb::compress(csr, ho);
          return TuneOutcome{kernels::sim_spmv_bro_hyb(dev, bro, x).time.gflops,
                             index_savings<BroHyb>(&bro).eta()};
-       },
-       // The ELL/COO split point (width rule) shifts per shard and the COO
-       // part inherits BRO-COO's interval regrouping.
-       .row_shardable = false},
+       }},
 
       // No OpenMP host kernel yet: the plan falls back to the sequential
       // warp-scan decode.
@@ -424,8 +412,7 @@ const std::vector<FormatTraits>& build_registry() {
          const auto bro = BroCsr::compress(csr);
          return TuneOutcome{kernels::sim_spmv_bro_csr(dev, bro, x).time.gflops,
                             index_savings<BroCsr>(&bro).eta()};
-       },
-       .row_shardable = true},
+       }},
 
       // Not tunable: the symbol model adapts to the matrix by construction
       // (the frequency table is rebuilt per matrix), leaving no
@@ -462,11 +449,7 @@ const std::vector<FormatTraits>& build_registry() {
        },
        .rep_savings = index_savings<BroAns>,
        .resident_bytes = resident_bytes_once<Format::kBroAns>,
-       .savings = savings_once<Format::kBroAns>,
-       // Entropy coding is per-row-slice with a per-matrix table; a shard
-       // rebuild re-derives its own table, but decode stays lossless and
-       // accumulation left-to-right, so sharded results are bitwise equal.
-       .row_shardable = true},
+       .savings = savings_once<Format::kBroAns>},
 
       // First pick when its strict applicability gate (block cover with
       // enough fill AND a real byte win over the unblocked streams —
@@ -520,13 +503,7 @@ const std::vector<FormatTraits>& build_registry() {
          const auto bro = BroBcsr::compress(csr);
          return TuneOutcome{kernels::sim_spmv_bro_bcsr(dev, bro, x).time.gflops,
                             index_savings<BroBcsr>(&bro).eta()};
-       },
-       // Per-row accumulation is the 8-lane contract in ascending column
-       // order; a shard's re-blocked cover only changes which exact-zero
-       // fill products appear, and those never alter a lane (the reduce's
-       // trailing +0.0 also normalizes the -0.0 edge), so sharded results
-       // stay bitwise equal.
-       .row_shardable = true},
+       }},
   };
   return registry;
 }

@@ -128,17 +128,6 @@ struct FormatTraits {
   /// formats excluded from the cocktail, e.g. the CSR host reference).
   TuneOutcome (*tune)(const sim::DeviceSpec& dev, const sparse::Csr& csr,
                       std::span<const value_t> x) = nullptr;
-
-  /// True when a row partition of the matrix, re-compressed shard by shard,
-  /// executes bitwise-identically to the whole-matrix plan (engine/shard.h).
-  /// Holds for every format whose kernels accumulate each y row strictly
-  /// left-to-right over that row's entries (CSR, COO, the ELLPACK family,
-  /// HYB, BRO-ELL, BRO-CSR — padding terms only ever add ±0.0, which cannot
-  /// change a sum that is never exactly -0.0). False for the interval-carry
-  /// formats (BRO-COO, BRO-HYB): interval boundaries fall at fixed offsets
-  /// of the *global* entry stream, so re-compressing a shard regroups a
-  /// row's partial sums and floating-point addition is not associative.
-  bool row_shardable = false;
 };
 
 /// The registered formats, in core::Format enumeration order.

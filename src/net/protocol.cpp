@@ -360,7 +360,6 @@ StatsSnapshot snapshot_from(const serve::ServerMetrics& m) {
   s.served = m.served;
   s.failed = m.failed;
   s.batches = m.batches;
-  s.sharded_batches = m.sharded_batches;
   s.wait_count = m.queue_wait.count();
   s.exec_count = m.execute.count();
   s.wait_p50 = m.queue_wait.percentile(50);
@@ -383,7 +382,9 @@ std::vector<std::uint8_t> make_stats_response(std::uint64_t request_id,
   w.put(s.served);
   w.put(s.failed);
   w.put(s.batches);
-  w.put(s.sharded_batches);
+  // Reserved until STATS v2: the slot that carried sharded_batches, always
+  // zero now, kept so v1 payloads stay byte-identical.
+  w.put(std::uint64_t{0});
   w.put(s.wait_count);
   w.put(s.exec_count);
   w.put(s.wait_p50);
@@ -406,7 +407,7 @@ StatsSnapshot parse_stats_response(const Frame& f) {
   s.served = r.get<std::uint64_t>();
   s.failed = r.get<std::uint64_t>();
   s.batches = r.get<std::uint64_t>();
-  s.sharded_batches = r.get<std::uint64_t>();
+  (void)r.get<std::uint64_t>(); // reserved slot
   s.wait_count = r.get<std::uint64_t>();
   s.exec_count = r.get<std::uint64_t>();
   s.wait_p50 = r.get<double>();

@@ -261,7 +261,9 @@ std::vector<std::uint8_t> make_ok_response(std::uint64_t request_id);
 
 /// The STATS payload: the server-side counters and the split queue-wait vs
 /// execute-time percentiles, so a remote load generator can attribute
-/// round-trip latency to network vs queueing vs execution.
+/// round-trip latency to network vs queueing vs execution. On the wire:
+/// 11 u64 (eight counters, one reserved zero slot after `batches`, then
+/// the two histogram counts) and 6 f64, 136 bytes.
 struct StatsSnapshot {
   std::uint64_t submitted = 0;
   std::uint64_t rejected = 0;   // all causes
@@ -271,7 +273,6 @@ struct StatsSnapshot {
   std::uint64_t served = 0;
   std::uint64_t failed = 0;
   std::uint64_t batches = 0;
-  std::uint64_t sharded_batches = 0;
   std::uint64_t wait_count = 0;
   std::uint64_t exec_count = 0;
   double wait_p50 = 0, wait_p99 = 0, wait_mean = 0; // seconds

@@ -8,10 +8,6 @@ void ServerOptions::validate() const {
   BRO_CHECK_MSG(threads >= 0, "SpmvServer threads must be >= 0");
   BRO_CHECK_MSG(max_batch >= 1, "SpmvServer max_batch must be >= 1");
   BRO_CHECK_MSG(max_queue >= 1, "SpmvServer max_queue must be >= 1");
-  BRO_CHECK_MSG(pools >= 0, "SpmvServer pools must be >= 0");
-  BRO_CHECK_MSG(pool_threads >= 1, "SpmvServer pool_threads must be >= 1");
-  BRO_CHECK_MSG(pool_omp >= 0, "SpmvServer pool_omp must be >= 0");
-  BRO_CHECK_MSG(shards >= 0, "SpmvServer shards must be >= 0");
   BRO_CHECK_MSG(admission.rate >= 0,
                 "SpmvServer admission rate must be >= 0");
 }
@@ -21,25 +17,9 @@ ServerMetrics::ServerMetrics()
       queue_wait(Histogram::exponential(1e-6, 10.0, 2.0)),
       execute(Histogram::exponential(1e-6, 10.0, 2.0)) {}
 
-namespace {
-
-ExecutorOptions executor_options(const ServerOptions& opts) {
-  ExecutorOptions eo;
-  eo.cache_bytes = opts.cache_bytes;
-  eo.format = opts.format;
-  eo.pools = opts.pools;
-  eo.pool_threads = opts.pool_threads;
-  eo.pool_omp = opts.pool_omp;
-  eo.shards = opts.shards;
-  eo.shard_min_nnz = opts.shard_min_nnz;
-  return eo;
-}
-
-} // namespace
-
 SpmvServer::SpmvServer(ServerOptions opts)
     : opts_((opts.validate(), opts)),
-      executor_(make_executor(executor_options(opts))),
+      executor_({.cache_bytes = opts.cache_bytes, .format = opts.format}),
       scheduler_(opts.max_queue, opts.max_batch),
       admission_(opts.admission) {
   dispatchers_.reserve(static_cast<std::size_t>(opts_.threads));
@@ -58,7 +38,7 @@ SpmvServer::~SpmvServer() {
 
 void SpmvServer::dispatch_loop() {
   while (auto batch = scheduler_.wait_take()) {
-    executor_->execute_batch(*batch);
+    executor_.execute_batch(*batch);
     scheduler_.complete();
   }
 }
@@ -69,23 +49,23 @@ void SpmvServer::add_matrix(const std::string& id, core::Matrix matrix) {
 
 void SpmvServer::add_matrix(const std::string& id,
                             std::shared_ptr<const core::Matrix> matrix) {
-  executor_->add_matrix(id, std::move(matrix));
+  executor_.add_matrix(id, std::move(matrix));
 }
 
 bool SpmvServer::remove_matrix(const std::string& id) {
-  return executor_->remove_matrix(id);
+  return executor_.remove_matrix(id);
 }
 
 std::shared_ptr<const core::Matrix> SpmvServer::matrix(
     const std::string& id) const {
-  return executor_->matrix(id);
+  return executor_.matrix(id);
 }
 
 std::future<std::vector<value_t>> SpmvServer::submit(
     const std::string& id, std::vector<value_t> x,
     const std::string& client) {
   // Transport: validate against the registry, then admission-control.
-  const auto m = executor_->matrix(id);
+  const auto m = executor_.matrix(id);
   BRO_CHECK_MSG(m != nullptr, "unknown matrix id '" << id << "'");
   const auto cols = static_cast<std::size_t>(m->cols());
   BRO_CHECK_MSG(x.size() == cols, "matrix '" << id << "' needs x of size "
@@ -104,7 +84,7 @@ std::future<std::vector<value_t>> SpmvServer::submit(
 bool SpmvServer::poll_once() {
   auto batch = scheduler_.try_take();
   if (!batch) return false;
-  executor_->execute_batch(*batch);
+  executor_.execute_batch(*batch);
   scheduler_.complete();
   return true;
 }
@@ -122,7 +102,7 @@ ServerMetrics SpmvServer::metrics() const {
   ServerMetrics m;
   const AdmissionStats adm = admission_.stats();
   const SchedulerStats sched = scheduler_.stats();
-  const ExecMetrics exec = executor_->metrics();
+  const ExecMetrics exec = executor_.metrics();
   m.submitted = sched.submitted;
   m.shed = adm.shed;
   m.throttled = adm.throttled;
@@ -130,8 +110,7 @@ ServerMetrics SpmvServer::metrics() const {
   m.served = exec.served;
   m.failed = exec.failed;
   m.batches = exec.batches;
-  m.sharded_batches = exec.sharded_batches;
-  m.cache = executor_->cache_stats();
+  m.cache = executor_.cache_stats();
   m.batch_sizes = exec.batch_sizes;
   m.queue_wait = exec.queue_wait;
   m.execute = exec.execute;

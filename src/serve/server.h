@@ -11,12 +11,12 @@
 //     (max_queue backpressure) and same-matrix coalescing into SpMM
 //     batches of up to max_batch right-hand sides,
 //   * execution (serve/executor.h): PlanCache resolution, per-matrix
-//     plan serialization, worker pools, and row-sharded multi-pool
-//     execution of large matrices (engine/shard.h — bitwise-identical to
-//     the unsharded plan).
+//     plan serialization, and the SpMM itself, run on the thread that
+//     took the batch.
 //
 // The façade owns `threads` dispatch threads that move batches from the
-// scheduler to the executor. With threads == 0 the server runs
+// scheduler to the executor; each runs its batch's kernel, which
+// parallelizes rows internally. With threads == 0 the server runs
 // synchronously: the caller drives batches with poll_once() —
 // deterministic, which is what the batching tests and benches need.
 // Metrics merge the per-layer views: admission (shed/throttled),
@@ -53,18 +53,8 @@ struct ServerOptions {
   // (admission.h); all off by default.
   AdmissionOptions admission;
 
-  // Execution: pools == 0 executes on the dispatch thread (the classic
-  // single-pool server); pools >= 1 routes through worker pools with
-  // consistent id hashing, and shards > 1 row-shards matrices of at least
-  // shard_min_nnz across those pools (executor.h).
-  int pools = 0;
-  int pool_threads = 1;
-  int pool_omp = 0; // OpenMP threads per pool worker; 0 = ambient
-  int shards = 0;
-  std::size_t shard_min_nnz = 100000;
-
   /// Throws (BRO_CHECK) on out-of-domain values: threads < 0,
-  /// max_batch < 1, max_queue == 0, negative pool/shard counts, ...
+  /// max_batch < 1, max_queue == 0, a negative admission rate.
   void validate() const;
 };
 
@@ -76,7 +66,6 @@ struct ServerMetrics {
   std::uint64_t served = 0;    // requests whose future got a value
   std::uint64_t failed = 0;    // requests whose future got an exception
   std::uint64_t batches = 0;   // execute_multi invocations
-  std::uint64_t sharded_batches = 0; // batches fanned out over row shards
   PlanCacheStats cache;
   Histogram batch_sizes;       // one sample per batch
   Histogram queue_wait;        // per-request seconds enqueue -> execute
@@ -129,15 +118,11 @@ class SpmvServer {
   ServerMetrics metrics() const;
   const ServerOptions& options() const { return opts_; }
 
-  /// The composed execution layer (worker pools, plan cache) — exposed for
-  /// tests and benches that reason about placement and sharding.
-  Executor& executor() { return *executor_; }
-
  private:
   void dispatch_loop();
 
   ServerOptions opts_;
-  std::unique_ptr<Executor> executor_;
+  Executor executor_;
   Scheduler scheduler_;
   AdmissionController admission_;
   std::vector<std::thread> dispatchers_;

@@ -259,6 +259,64 @@ TEST(Protocol, CodecsRoundTrip) {
   EXPECT_EQ(s2.exec_p50, 0.125);
 }
 
+TEST(Protocol, StatsPayloadKeepsItsV1Layout) {
+  // STATS v1 is 11 u64 then 6 f64, 136 bytes. The u64 after `batches` is a
+  // reserved slot: always written as zero and skipped on parse, so every
+  // other field keeps its offset and old clients read the same bytes.
+  EXPECT_EQ(bn::kProtocolVersion, 1);
+  bn::StatsSnapshot s;
+  s.submitted = 11;
+  s.rejected = 12;
+  s.queue_full = 13;
+  s.shed = 14;
+  s.throttled = 15;
+  s.served = 16;
+  s.failed = 17;
+  s.batches = 18;
+  s.wait_count = 19;
+  s.exec_count = 20;
+  s.wait_p50 = 0.5;
+  s.wait_p99 = 0.75;
+  s.wait_mean = 1.5;
+  s.exec_p50 = 2.5;
+  s.exec_p99 = 3.25;
+  s.exec_mean = 4.125;
+  auto bytes = bn::make_stats_response(10, s);
+  ASSERT_EQ(bytes.size(), bn::kFrameHeaderBytes + 136);
+  const std::uint8_t* payload = bytes.data() + bn::kFrameHeaderBytes;
+  const auto u64_at = [&](std::size_t off) {
+    std::uint64_t v;
+    std::memcpy(&v, payload + off, sizeof v);
+    return v;
+  };
+  const auto f64_at = [&](std::size_t off) {
+    double v;
+    std::memcpy(&v, payload + off, sizeof v);
+    return v;
+  };
+  const std::uint64_t counters[] = {11, 12, 13, 14, 15, 16, 17, 18,
+                                    0 /* reserved */, 19, 20};
+  for (std::size_t i = 0; i < std::size(counters); ++i)
+    EXPECT_EQ(u64_at(8 * i), counters[i]) << "u64 slot " << i;
+  const double times[] = {0.5, 0.75, 1.5, 2.5, 3.25, 4.125};
+  for (std::size_t i = 0; i < std::size(times); ++i)
+    EXPECT_EQ(f64_at(88 + 8 * i), times[i]) << "f64 slot " << i;
+
+  // A nonzero reserved slot from an older peer is skipped, not misread.
+  const std::uint64_t legacy = 7;
+  std::memcpy(bytes.data() + bn::kFrameHeaderBytes + 64, &legacy,
+              sizeof legacy);
+  bn::FrameAssembler fa;
+  fa.append(bytes.data(), bytes.size());
+  const auto frame = fa.next();
+  ASSERT_TRUE(frame.has_value());
+  const auto back = bn::parse_stats_response(*frame);
+  EXPECT_EQ(back.batches, 18u);
+  EXPECT_EQ(back.wait_count, 19u);
+  EXPECT_EQ(back.exec_count, 20u);
+  EXPECT_EQ(back.exec_mean, 4.125);
+}
+
 TEST(Protocol, MapsEveryRejectCauseToDistinctStatus) {
   const auto qf = bn::status_for(bv::RejectCause::kQueueFull);
   const auto sh = bn::status_for(bv::RejectCause::kShed);

@@ -349,12 +349,6 @@ TEST(ServerOptions, ValidatedAtConstruction) {
   EXPECT_THROW(bv::SpmvServer({.max_queue = 0}), std::runtime_error);
   EXPECT_THROW(bv::SpmvServer({.max_batch = 0}), std::runtime_error);
   EXPECT_THROW(bv::SpmvServer({.max_batch = -7}), std::runtime_error);
-  bv::ServerOptions bad_pools;
-  bad_pools.pools = -1;
-  EXPECT_THROW(bv::SpmvServer{bad_pools}, std::runtime_error);
-  bv::ServerOptions bad_shards;
-  bad_shards.shards = -2;
-  EXPECT_THROW(bv::SpmvServer{bad_shards}, std::runtime_error);
 }
 
 TEST(SpmvServer, RejectedErrorCarriesQueueDepth) {
@@ -510,24 +504,6 @@ TEST(SpmvServer, ShedsAndThrottlesThroughSubmit) {
   server.drain();
 }
 
-TEST(HashRing, DeterministicAndCoversAllNodes) {
-  bv::HashRing ring(4);
-  ASSERT_EQ(ring.nodes(), 4);
-  std::vector<int> seen(4, 0);
-  for (int i = 0; i < 256; ++i) {
-    const std::string key = "matrix-" + std::to_string(i);
-    const int n = ring.node(key);
-    ASSERT_GE(n, 0);
-    ASSERT_LT(n, 4);
-    EXPECT_EQ(n, ring.node(key)); // stable
-    ++seen[static_cast<std::size_t>(n)];
-  }
-  for (int n = 0; n < 4; ++n) EXPECT_GT(seen[static_cast<std::size_t>(n)], 0);
-  // A single-node ring maps everything to node 0.
-  bv::HashRing one(1);
-  EXPECT_EQ(one.node("anything"), 0);
-}
-
 TEST(Scheduler, DrainRacesConcurrentSubmit) {
   // Hammer drain() from one side while submitters and a dispatcher race on
   // the other: every accepted request must be served exactly once and
@@ -571,69 +547,6 @@ TEST(Scheduler, DrainRacesConcurrentSubmit) {
   const auto metrics = server.metrics();
   EXPECT_EQ(metrics.served, static_cast<std::uint64_t>(accepted.load()));
   EXPECT_EQ(metrics.failed, 0u);
-}
-
-TEST(SpmvServer, ShardedExecutionMatchesUnshardedBitwise) {
-  auto m = make_matrix(400, 380, 30);
-
-  bv::ServerOptions plain;
-  plain.threads = 0;
-  plain.format = bc::Format::kCsr;
-  bv::SpmvServer unsharded(plain);
-  unsharded.add_matrix("a", m);
-
-  bv::ServerOptions sharded = plain;
-  sharded.pools = 2;
-  sharded.pool_threads = 2;
-  sharded.shards = 3;
-  sharded.shard_min_nnz = 1; // force sharding for this small matrix
-  bv::SpmvServer server(sharded);
-  server.add_matrix("a", m);
-
-  const auto x = random_x(m->cols(), 31);
-  auto f_plain = unsharded.submit("a", x);
-  auto f_shard = server.submit("a", x);
-  unsharded.drain();
-  server.drain();
-  const auto y_plain = f_plain.get();
-  const auto y_shard = f_shard.get();
-  ASSERT_EQ(y_plain.size(), y_shard.size());
-  for (std::size_t r = 0; r < y_plain.size(); ++r)
-    ASSERT_EQ(y_shard[r], y_plain[r]) << "row " << r; // bitwise
-
-  const auto metrics = server.metrics();
-  EXPECT_EQ(metrics.sharded_batches, 1u);
-  EXPECT_EQ(metrics.batches, 1u);
-  EXPECT_EQ(unsharded.metrics().sharded_batches, 0u);
-}
-
-TEST(SpmvServer, SmallMatricesRouteUnshardedThroughPools) {
-  bv::ServerOptions opts;
-  opts.threads = 0;
-  opts.pools = 2;
-  opts.shards = 4;
-  opts.shard_min_nnz = std::size_t{1} << 40; // nothing is big enough
-  bv::SpmvServer server(opts);
-  auto m = make_matrix(64, 64, 32);
-  server.add_matrix("a", m);
-  const auto x = random_x(m->cols(), 33);
-  auto f = server.submit("a", x);
-  server.drain();
-  expect_near_ref(f.get(), reference(*m, x));
-  const auto metrics = server.metrics();
-  EXPECT_EQ(metrics.batches, 1u);
-  EXPECT_EQ(metrics.sharded_batches, 0u);
-  // With no forced format, the format resolved at registration is the
-  // auto-selected one.
-  ASSERT_EQ(metrics.latency_by_format.size(), 1u);
-  EXPECT_EQ(metrics.latency_by_format.begin()->first,
-            be::traits(m->auto_format()).name);
-  // Placement went through the consistent-hash ring.
-  auto& ex = dynamic_cast<bv::ShardedExecutor&>(server.executor());
-  EXPECT_EQ(ex.pool_count(), 2);
-  const int pool = ex.pool_for("a");
-  EXPECT_GE(pool, 0);
-  EXPECT_LT(pool, 2);
 }
 
 TEST(SpmvServer, MetricsSplitQueueWaitFromExecute) {
@@ -805,19 +718,14 @@ TEST(Scheduler, CompleteWithoutTakeThrows) {
   EXPECT_THROW(sched.complete(), std::runtime_error);
 }
 
-TEST(SpmvServer, DrainRacesActiveDispatchAndInFlightShardedBatches) {
+TEST(SpmvServer, DrainRacesActiveDispatchAndInFlightBatches) {
   // drain() must block on batches that dispatch threads have already taken
-  // — including row-sharded multi-pool batches whose shards are still in
-  // flight across workers — and must stay correct when submits keep
+  // and are still executing, and must stay correct when submits keep
   // arriving while it waits. Every accepted future resolves, exactly once.
   bv::ServerOptions opts;
   opts.threads = 2;
   opts.max_queue = 32;
   opts.max_batch = 4;
-  opts.pools = 2;
-  opts.pool_threads = 2;
-  opts.shards = 2;
-  opts.shard_min_nnz = 1; // every batch fans out over row shards
   bv::SpmvServer server(opts);
   auto m = make_matrix(300, 280, 61);
   server.add_matrix("a", m);
@@ -863,8 +771,6 @@ TEST(SpmvServer, DrainRacesActiveDispatchAndInFlightShardedBatches) {
   const auto metrics = server.metrics();
   EXPECT_EQ(metrics.served, static_cast<std::uint64_t>(accepted.load()));
   EXPECT_EQ(metrics.failed, 0u);
-  EXPECT_GT(metrics.sharded_batches, 0u); // the race really covered shards
-  EXPECT_EQ(metrics.sharded_batches, metrics.batches);
 }
 
 TEST(SpmvServer, DrainReturnsWithEmptyQueueUnderSubmitPressure) {

@@ -69,7 +69,7 @@ int usage() {
          "  bench <matrix> [--device D]        per-format simulated GFlop/s\n"
          "  fuzz [--rounds N] [--seed S]       differential-test every format\n"
          "       [--eps E] [--device D] [--no-sim] [--no-decode] [--no-simd]\n"
-         "       [--quiet] [--spmm-k K] [--no-shard] [--shards S]\n"
+         "       [--quiet] [--spmm-k K]\n"
          "  cpuinfo [--short]                  SIMD probe + dispatch report\n"
          "                                     (--short: active ISA only)\n"
          "  bench --decode [--min-time S]      host decode-throughput sweep\n"
@@ -95,8 +95,6 @@ int usage() {
          "  serve-bench [--threads N] [--clients C] [--requests R]\n"
          "       [--matrices M] [--max-batch K] [--cache-mb B]\n"
          "       [--format F] [--scale S] [--seed S]\n"
-         "       [--pools P] [--pool-threads T] [--pool-omp O]\n"
-         "       [--shards S] [--shard-min-nnz N]\n"
          "       [--admit-rate R] [--admit-burst B] [--shed-depth D]\n"
          "       [--slo-p99-ms MS]             drive the serving layer and\n"
          "                                     report throughput + metrics\n"
@@ -638,10 +636,6 @@ int cmd_fuzz(const Args& args) {
   if (opts.spmm_k < 0) throw std::runtime_error("--spmm-k must be >= 0");
   opts.decode_check = !args.has("no-decode");
   opts.simd_check = !args.has("no-simd");
-  opts.shard_check = !args.has("no-shard");
-  opts.shard_count =
-      static_cast<int>(args.get_long("shards", opts.shard_count));
-  if (opts.shard_count < 1) throw std::runtime_error("--shards must be >= 1");
 
   std::ostream* log = args.has("quiet") ? nullptr : &std::cout;
   const auto report = check::run_fuzz(opts, log);
@@ -669,14 +663,6 @@ serve::ServerOptions server_options_from(const Args& args) {
   opts.cache_bytes =
       static_cast<std::size_t>(args.get_long("cache-mb", 256)) << 20;
   if (args.has("format")) opts.format = parse_format(args.get("format", "")).format;
-  opts.pools = static_cast<int>(args.get_long("pools", opts.pools));
-  opts.pool_threads =
-      static_cast<int>(args.get_long("pool-threads", opts.pool_threads));
-  opts.pool_omp = static_cast<int>(args.get_long("pool-omp", opts.pool_omp));
-  opts.shards = static_cast<int>(args.get_long("shards", opts.shards));
-  opts.shard_min_nnz = static_cast<std::size_t>(
-      args.get_long("shard-min-nnz",
-                    static_cast<long>(opts.shard_min_nnz)));
   opts.admission.rate = args.get_double("admit-rate", opts.admission.rate);
   opts.admission.burst = args.get_double("admit-burst", opts.admission.burst);
   opts.admission.shed_depth = static_cast<std::size_t>(
@@ -797,8 +783,8 @@ int cmd_serve_bench(const Args& args) {
             << double(served_rows.load()) / secs << " rows/s)\n"
             << "rejected  " << m.rejected << " submits bounced (retried): "
             << m.shed << " shed, " << m.throttled << " throttled\n"
-            << "batches   " << m.batches << " (" << m.sharded_batches
-            << " sharded), mean size " << m.batch_sizes.mean() << ", max "
+            << "batches   " << m.batches << ", mean size "
+            << m.batch_sizes.mean() << ", max "
             << m.batch_sizes.max() << '\n'
             << "cache     " << m.cache.hits << " hits, " << m.cache.misses
             << " misses, " << m.cache.evictions << " evictions, "

@@ -1,8 +1,8 @@
 #!/bin/sh
 # End-to-end smoke of the serving layer through the CLI: a synchronous
-# (deterministic) run, a threaded run, a tiny-queue run that must exercise
-# the RejectedError backpressure path without losing a request, and a
-# sharded multi-pool run whose batches must all take the sharded path.
+# (deterministic) run, a threaded run, and a forced-format run on a pinned
+# cache, each of which must serve every request and report its queue-wait
+# and execute percentiles.
 # Usage: check_serve_bench.sh /path/to/brospmv
 set -eu
 
@@ -14,11 +14,13 @@ echo "== serve-bench (synchronous, deterministic) =="
 cat out.txt
 grep -q "served    48 / 48 requests" out.txt
 
-echo "== serve-bench (worker pool) =="
+echo "== serve-bench (dispatch threads) =="
 "$BROSPMV" serve-bench --threads 2 --clients 3 --requests 40 --matrices 2 \
     --scale 0.02 --seed 7 >out.txt
 cat out.txt
 grep -q "served    120 / 120 requests" out.txt
+grep -q "wait      p50=" out.txt
+grep -q "execute   p50=" out.txt
 
 echo "== serve-bench (forced format, pinned cache) =="
 "$BROSPMV" serve-bench --threads 1 --clients 2 --requests 30 --matrices 3 \
@@ -26,17 +28,6 @@ echo "== serve-bench (forced format, pinned cache) =="
 cat out.txt
 grep -q "served    60 / 60 requests" out.txt
 grep -q "latency   BRO-ELL" out.txt
-
-echo "== serve-bench (sharded multi-pool) =="
-"$BROSPMV" serve-bench --threads 1 --clients 2 --requests 30 --matrices 1 \
-    --scale 0.02 --format CSR --pools 2 --pool-threads 1 --pool-omp 1 \
-    --shards 3 --shard-min-nnz 1 --seed 17 >out.txt
-cat out.txt
-grep -q "served    60 / 60 requests" out.txt
-# Every batch must have taken the sharded path: "batches N (N sharded)".
-grep -Eq "batches   ([0-9]+) \(\1 sharded\)" out.txt
-grep -q "wait      p50=" out.txt
-grep -q "execute   p50=" out.txt
 
 echo "== unknown format must fail =="
 if "$BROSPMV" serve-bench --format NO-SUCH 2>err.txt; then
