@@ -6,8 +6,8 @@
 
 namespace bro::engine {
 
-TuneResult autotune(const sparse::Csr& csr, const sim::DeviceSpec& dev,
-                    const TuneOptions& opts) {
+TuneResult autotune(const sparse::Csr& csr, const sim::DeviceSpec& dev) {
+  const double max_ell_expand = core::MatrixOptions{}.max_ell_expand;
   // A deterministic probe vector; the access pattern, not the values,
   // drives the simulated performance.
   Rng rng(2013);
@@ -17,8 +17,7 @@ TuneResult autotune(const sparse::Csr& csr, const sim::DeviceSpec& dev,
   TuneResult result;
   for (const auto& t : format_registry()) {
     if (!t.tunable) continue;
-    if (t.extension && !opts.include_extensions) continue;
-    if (!t.applicable(csr, opts.max_ell_expand)) {
+    if (!t.applicable(csr, max_ell_expand)) {
       result.ranking.push_back({t.format, 0, 0, false});
       continue;
     }

@@ -25,17 +25,10 @@ struct TuneResult {
   core::Format best() const { return ranking.front().format; }
 };
 
-struct TuneOptions {
-  /// ELLPACK-family formats are skipped when rows*k > max_ell_expand * nnz.
-  double max_ell_expand = 3.0;
-  /// Evaluate extension formats as well (BRO-CSR; not part of the paper).
-  bool include_extensions = true;
-};
-
 /// Evaluate every registered tunable format on `dev` and rank by simulated
 /// GFlop/s. Each candidate builds its own device-matched representation
-/// from the CSR and drops it once simulated.
-TuneResult autotune(const sparse::Csr& csr, const sim::DeviceSpec& dev,
-                    const TuneOptions& opts = {});
+/// from the CSR and drops it once simulated. Applicability uses the default
+/// core::MatrixOptions ELL-expansion bound.
+TuneResult autotune(const sparse::Csr& csr, const sim::DeviceSpec& dev);
 
 } // namespace bro::engine

@@ -384,8 +384,8 @@ const std::vector<FormatTraits>& build_registry() {
 
       // No OpenMP host kernel yet: the plan falls back to the sequential
       // warp-scan decode.
-      {.format = Format::kBroCsr, .name = "BRO-CSR", .extension = true,
-       .tunable = true, .applicable = always_applicable,
+      {.format = Format::kBroCsr, .name = "BRO-CSR", .tunable = true,
+       .applicable = always_applicable,
        .make = [](const Csr& csr, const Opts&) {
          return own(BroCsr::compress(csr));
        },
@@ -417,7 +417,7 @@ const std::vector<FormatTraits>& build_registry() {
       // Not tunable: the symbol model adapts to the matrix by construction
       // (the frequency table is rebuilt per matrix), leaving no
       // device-dependent knob for the cocktail to sweep.
-      {.format = Format::kBroAns, .name = "BRO-ANS", .extension = true,
+      {.format = Format::kBroAns, .name = "BRO-ANS",
        .applicable = ell_applicable,
        .make = [](const Csr& csr, const Opts& o) {
          return own(BroAns::compress(csr, csr.max_row_length(), o.ans));
@@ -456,8 +456,8 @@ const std::vector<FormatTraits>& build_registry() {
       // core/bro_bcsr.cpp) passes: on matrices that block well it beats
       // BRO-ELL on both eta and decode rate, and the gate keeps it off
       // everything else (notably all of Test Set 1).
-      {.format = Format::kBroBcsr, .name = "BRO-BCSR", .extension = true,
-       .tunable = true, .auto_priority = 0,
+      {.format = Format::kBroBcsr, .name = "BRO-BCSR", .tunable = true,
+       .auto_priority = 0,
        .applicable = [](const Csr& csr, double max_ell_expand) {
          return core::bro_bcsr_applicable(csr, max_ell_expand);
        },

@@ -49,7 +49,6 @@ using Representation = std::shared_ptr<const void>;
 struct FormatTraits {
   core::Format format;
   const char* name;       // the canonical display/CLI name ("BRO-ELL", ...)
-  bool extension = false; // beyond the paper (gated by TuneOptions)
   bool tunable = false;   // participates in the autotuner's cocktail
   int auto_priority = -1; // auto_format(): lowest applicable wins; <0 = never
 

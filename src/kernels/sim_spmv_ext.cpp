@@ -17,141 +17,6 @@ using AddrArray = std::array<std::uint64_t, kWarp>;
 
 } // namespace
 
-SimResult sim_spmv_sliced_ell(const sim::DeviceSpec& dev,
-                              const core::SlicedEll& a,
-                              std::span<const value_t> x) {
-  BRO_CHECK(x.size() == static_cast<std::size_t>(a.cols()));
-  const index_t m = a.rows();
-  const int h = a.slice_height();
-  const std::uint64_t blocks = std::max<std::uint64_t>(1, a.slices().size());
-  sim::SimContext sim(dev, {blocks, h});
-
-  const auto x_arr = sim.alloc(x.size(), sizeof(value_t));
-  const auto y_arr = sim.alloc(static_cast<std::uint64_t>(m), sizeof(value_t));
-  std::vector<sim::VirtualArray> col_arrs, val_arrs;
-  for (const auto& s : a.slices()) {
-    col_arrs.push_back(sim.alloc(s.col_idx.size(), sizeof(index_t)));
-    val_arrs.push_back(sim.alloc(s.vals.size(), sizeof(value_t)));
-  }
-
-  SimResult res;
-  res.y.assign(static_cast<std::size_t>(m), value_t{0});
-  std::size_t nnz = 0;
-
-  AddrArray addrs{};
-  for (std::size_t si = 0; si < a.slices().size(); ++si) {
-    const core::SlicedEllSlice& slice = a.slices()[si];
-    auto blk = sim.begin_block(si);
-    const int warps = (slice.height + kWarp - 1) / kWarp;
-    for (int w = 0; w < warps; ++w) {
-      const index_t t0 = w * kWarp;
-      const int lanes = std::min<index_t>(kWarp, slice.height - t0);
-
-      for (index_t c = 0; c < slice.num_col; ++c) {
-        for (int l = 0; l < kWarp; ++l)
-          addrs[static_cast<std::size_t>(l)] =
-              l < lanes ? col_arrs[si].addr(
-                              static_cast<std::uint64_t>(c) * slice.height +
-                              t0 + l)
-                        : sim::kInactive;
-        blk.load_global(addrs, sizeof(index_t));
-        blk.add_int_ops(static_cast<std::uint64_t>(lanes) * kEllIterIntOps);
-
-        AddrArray vaddrs{};
-        AddrArray xaddrs{};
-        int active = 0;
-        for (int l = 0; l < kWarp; ++l) {
-          vaddrs[static_cast<std::size_t>(l)] = sim::kInactive;
-          xaddrs[static_cast<std::size_t>(l)] = sim::kInactive;
-          if (l >= lanes) continue;
-          const index_t t = t0 + l;
-          const index_t col =
-              slice.col_idx[static_cast<std::size_t>(c) * slice.height + t];
-          if (col == sparse::kPad) continue;
-          vaddrs[static_cast<std::size_t>(l)] = val_arrs[si].addr(
-              static_cast<std::uint64_t>(c) * slice.height + t);
-          xaddrs[static_cast<std::size_t>(l)] =
-              x_arr.addr(static_cast<std::uint64_t>(col));
-          res.y[static_cast<std::size_t>(slice.first_row + t)] +=
-              slice.vals[static_cast<std::size_t>(c) * slice.height + t] *
-              x[static_cast<std::size_t>(col)];
-          ++active;
-          ++nnz;
-        }
-        if (active > 0) {
-          blk.load_global(vaddrs, sizeof(value_t));
-          blk.load_texture(xaddrs, sizeof(value_t));
-          blk.add_dp_fma(static_cast<std::uint64_t>(active));
-        }
-      }
-
-      for (int l = 0; l < kWarp; ++l)
-        addrs[static_cast<std::size_t>(l)] =
-            l < lanes ? y_arr.addr(static_cast<std::uint64_t>(
-                            slice.first_row + t0 + l))
-                      : sim::kInactive;
-      blk.store_global(addrs, sizeof(value_t));
-    }
-  }
-
-  res.stats = sim.stats();
-  res.time = sim.estimate(2.0 * static_cast<double>(nnz));
-  return res;
-}
-
-SimResult sim_spmv_bro_ell_vector(const sim::DeviceSpec& dev,
-                                  const core::BroEllVector& a,
-                                  std::span<const value_t> x) {
-  // The inner kernel is a plain BRO-ELL launch over m*T sub-rows; on top of
-  // its trace we charge the in-warp partial-sum reduction (log2(T) shuffle +
-  // add steps per sub-row) and correct the y-store traffic (one store per
-  // row, not per sub-row).
-  SimResult inner = sim_spmv_bro_ell(dev, a.inner(), x);
-
-  const int t_count = a.threads_per_row();
-  const index_t m = a.rows();
-  std::vector<value_t> y(static_cast<std::size_t>(m), value_t{0});
-  for (index_t r = 0; r < m; ++r)
-    for (int l = 0; l < t_count; ++l)
-      y[static_cast<std::size_t>(r)] +=
-          inner.y[static_cast<std::size_t>(r) * t_count +
-                  static_cast<std::size_t>(l)];
-  inner.y = std::move(y);
-
-  if (t_count > 1) {
-    int steps = 0;
-    for (int s = 1; s < t_count; s <<= 1) ++steps;
-    const double extra_shfl =
-        static_cast<double>(m) * t_count * steps; // shuffle + add per step
-    inner.stats.shfl_ops += extra_shfl;
-    inner.stats.dp_flops += extra_shfl;
-    // Shuffle issue rate: device shfl throughput across all SMs.
-    const double shfl_rate =
-        dev.shfl_ops_per_cycle_sm * dev.sm_count * dev.clock_ghz * 1e9;
-    const double fma_rate =
-        dev.dp_fma_per_cycle_sm() * dev.sm_count * dev.clock_ghz * 1e9;
-    const double extra_s = extra_shfl / shfl_rate + extra_shfl / fma_rate;
-    inner.time.compute_seconds += extra_s;
-    inner.time.seconds += dev.overlap_alpha * extra_s;
-    // Store saving: (T-1)/T of the y stores disappear; the traffic is tiny
-    // relative to the streams, so the correction is applied to bytes only.
-    const std::uint64_t saved =
-        static_cast<std::uint64_t>(m) * (t_count - 1) * sizeof(value_t);
-    inner.stats.dram_write_bytes -=
-        std::min(inner.stats.dram_write_bytes, saved);
-  }
-  // Recompute headline numbers over the original matrix's useful flops.
-  std::size_t nnz = 0;
-  for (index_t r = 0; r < a.inner().rows(); ++r)
-    nnz += a.inner().decode_row(r).size();
-  inner.time.gflops = 2.0 * static_cast<double>(nnz) / inner.time.seconds / 1e9;
-  inner.time.eai = inner.stats.dram_bytes() > 0
-                       ? 2.0 * static_cast<double>(nnz) /
-                             static_cast<double>(inner.stats.dram_bytes())
-                       : 0;
-  return inner;
-}
-
 SimResult sim_spmv_bro_ans(const sim::DeviceSpec& dev, const core::BroAns& a,
                            std::span<const value_t> x) {
   BRO_CHECK(x.size() == static_cast<std::size_t>(a.cols()));
@@ -553,142 +418,6 @@ SimResult sim_spmv_bro_csr(const sim::DeviceSpec& dev, const core::BroCsr& a,
 
   res.stats = sim.stats();
   res.time = sim.estimate(2.0 * static_cast<double>(a.nnz()));
-  return res;
-}
-
-SimResult sim_spmv_bro_ell_values(const sim::DeviceSpec& dev,
-                                  const core::BroEllValues& a,
-                                  std::span<const value_t> x) {
-  BRO_CHECK(x.size() == static_cast<std::size_t>(a.cols()));
-  const core::BroEll& idx = a.index_part();
-  const index_t m = idx.rows();
-  const int h = idx.options().slice_height;
-  const int sym_len = idx.options().sym_len;
-  const int sym_bytes = sym_len / 8;
-  const std::uint64_t blocks = std::max<std::uint64_t>(1, idx.slices().size());
-  sim::SimContext sim(dev, {blocks, h});
-
-  const auto x_arr = sim.alloc(x.size(), sizeof(value_t));
-  const auto y_arr = sim.alloc(static_cast<std::uint64_t>(m), sizeof(value_t));
-  std::vector<sim::VirtualArray> idx_arrs, code_arrs, raw_arrs;
-  for (std::size_t si = 0; si < idx.slices().size(); ++si) {
-    idx_arrs.push_back(
-        sim.alloc(idx.slices()[si].stream.total_symbols(), sym_bytes));
-    const auto& vs = a.value_slices()[si];
-    code_arrs.push_back(vs.dict.empty()
-                            ? sim::VirtualArray()
-                            : sim.alloc(vs.codes.total_symbols(), sym_bytes));
-    raw_arrs.push_back(sim.alloc(
-        static_cast<std::uint64_t>(idx.slices()[si].height) *
-            std::max<index_t>(1, idx.slices()[si].num_col),
-        sizeof(value_t)));
-  }
-
-  SimResult res;
-  res.y.assign(static_cast<std::size_t>(m), value_t{0});
-  std::size_t nnz = 0;
-
-  AddrArray addrs{};
-  for (std::size_t si = 0; si < idx.slices().size(); ++si) {
-    const core::BroEllSlice& slice = idx.slices()[si];
-    const core::ValueSlice& vs = a.value_slices()[si];
-    const bool coded = !vs.dict.empty();
-    auto blk = sim.begin_block(si);
-
-    const int warps = (slice.height + kWarp - 1) / kWarp;
-    for (int w = 0; w < warps; ++w) {
-      const index_t t0 = w * kWarp;
-      const int lanes = std::min<index_t>(kWarp, slice.height - t0);
-
-      std::vector<core::RowStreamDecoder> dec;
-      dec.reserve(static_cast<std::size_t>(lanes));
-      for (int l = 0; l < lanes; ++l)
-        dec.emplace_back(slice, t0 + l, sym_len);
-      std::vector<index_t> col(static_cast<std::size_t>(lanes), -1);
-
-      int rb = 0, vrb = 0;
-      index_t loads = 0, vloads = 0;
-      // Functional value-code decode runs through BroEllValues::spmv's
-      // logic; here the simulator only needs the traffic pattern, and the
-      // numerical result is obtained from the format's own spmv afterwards.
-      for (index_t c = 0; c < slice.num_col; ++c) {
-        const int bwidth = slice.bit_alloc[static_cast<std::size_t>(c)];
-        blk.add_int_ops(static_cast<std::uint64_t>(lanes)); // bit_alloc read
-
-        if (bwidth > rb) {
-          for (int l = 0; l < kWarp; ++l)
-            addrs[static_cast<std::size_t>(l)] =
-                l < lanes ? idx_arrs[si].addr(
-                                static_cast<std::uint64_t>(loads) * h + t0 + l)
-                          : sim::kInactive;
-          blk.load_global(addrs, sym_bytes);
-          rb = sym_len - (bwidth - rb);
-          ++loads;
-        } else {
-          rb -= bwidth;
-        }
-        blk.add_int_ops(static_cast<std::uint64_t>(lanes) * kBroDecodeIntOps);
-
-        if (coded) {
-          if (vs.code_bits > vrb) {
-            for (int l = 0; l < kWarp; ++l)
-              addrs[static_cast<std::size_t>(l)] =
-                  l < lanes ? code_arrs[si].addr(
-                                  static_cast<std::uint64_t>(vloads) * h + t0 + l)
-                            : sim::kInactive;
-            blk.load_global(addrs, sym_bytes);
-            vrb = sym_len - (vs.code_bits - vrb);
-            ++vloads;
-          } else {
-            vrb -= vs.code_bits;
-          }
-          // Dictionary lookup from shared memory.
-          blk.add_int_ops(static_cast<std::uint64_t>(lanes) * kBroDecodeIntOps);
-          blk.add_shfl_ops(static_cast<std::uint64_t>(lanes));
-        }
-
-        AddrArray vaddrs{};
-        AddrArray xaddrs{};
-        int active = 0;
-        for (int l = 0; l < kWarp; ++l) {
-          vaddrs[static_cast<std::size_t>(l)] = sim::kInactive;
-          xaddrs[static_cast<std::size_t>(l)] = sim::kInactive;
-          if (l >= lanes) continue;
-          const std::uint32_t d = dec[static_cast<std::size_t>(l)].next(bwidth);
-          if (d == bits::kInvalidDelta) continue;
-          auto& cl = col[static_cast<std::size_t>(l)];
-          cl += static_cast<index_t>(d);
-          if (!coded)
-            vaddrs[static_cast<std::size_t>(l)] = raw_arrs[si].addr(
-                static_cast<std::uint64_t>(c) * slice.height + t0 + l);
-          xaddrs[static_cast<std::size_t>(l)] =
-              x_arr.addr(static_cast<std::uint64_t>(cl));
-          ++active;
-          ++nnz;
-        }
-        if (active > 0) {
-          if (!coded) blk.load_global(vaddrs, sizeof(value_t));
-          blk.load_texture(xaddrs, sizeof(value_t));
-          blk.add_dp_fma(static_cast<std::uint64_t>(active));
-        }
-      }
-
-      for (int l = 0; l < kWarp; ++l)
-        addrs[static_cast<std::size_t>(l)] =
-            l < lanes ? y_arr.addr(static_cast<std::uint64_t>(
-                            slice.first_row + t0 + l))
-                      : sim::kInactive;
-      blk.store_global(addrs, sizeof(value_t));
-    }
-  }
-
-  // Numerical result from the format's reference implementation.
-  std::vector<value_t> y(static_cast<std::size_t>(m));
-  a.spmv(x, y);
-  res.y = std::move(y);
-
-  res.stats = sim.stats();
-  res.time = sim.estimate(2.0 * static_cast<double>(nnz));
   return res;
 }
 

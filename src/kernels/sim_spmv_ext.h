@@ -1,14 +1,11 @@
-// Simulator kernels for the extension formats (DESIGN.md §5): Sliced-ELLPACK
-// (Monakov et al. baseline / BRO-ELL ablation), BRO-ELL-T (multiple threads
-// per row) and BRO-ELL-VC (value compression).
+// Simulator kernels for the registered formats beyond the paper: BRO-CSR
+// (warp per row, DESIGN.md §5), BRO-ANS (entropy-coded deltas, §10) and
+// BRO-BCSR (bit-packed block-column indices, §12).
 #pragma once
 
 #include "core/bro_ans.h"
 #include "core/bro_bcsr.h"
 #include "core/bro_csr.h"
-#include "core/bro_ell_values.h"
-#include "core/bro_ell_vector.h"
-#include "core/sliced_ell.h"
 #include "kernels/sim_spmv.h"
 
 namespace bro::kernels {
@@ -32,17 +29,5 @@ SimResult sim_spmv_bro_ans(const sim::DeviceSpec& dev, const core::BroAns& a,
 /// the texture path, one per block column of the tile.
 SimResult sim_spmv_bro_bcsr(const sim::DeviceSpec& dev, const core::BroBcsr& a,
                             std::span<const value_t> x);
-
-SimResult sim_spmv_sliced_ell(const sim::DeviceSpec& dev,
-                              const core::SlicedEll& a,
-                              std::span<const value_t> x);
-
-SimResult sim_spmv_bro_ell_vector(const sim::DeviceSpec& dev,
-                                  const core::BroEllVector& a,
-                                  std::span<const value_t> x);
-
-SimResult sim_spmv_bro_ell_values(const sim::DeviceSpec& dev,
-                                  const core::BroEllValues& a,
-                                  std::span<const value_t> x);
 
 } // namespace bro::kernels

@@ -1,6 +1,8 @@
 #include "util/args.h"
 
+#include <algorithm>
 #include <cstdlib>
+#include <stdexcept>
 
 #include "util/error.h"
 
@@ -55,12 +57,9 @@ long Args::get_long(const std::string& key, long fallback) const {
 }
 
 void Args::allow_only(const std::vector<std::string>& keys) const {
-  for (const auto& [k, v] : options_) {
-    bool ok = false;
-    for (const auto& allowed : keys)
-      if (k == allowed) ok = true;
-    BRO_CHECK_MSG(ok, "unknown option --" << k);
-  }
+  for (const auto& [k, v] : options_)
+    if (std::find(keys.begin(), keys.end(), k) == keys.end())
+      throw std::runtime_error("unknown option --" + k);
 }
 
 } // namespace bro

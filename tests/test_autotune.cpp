@@ -126,15 +126,6 @@ TEST(Autotune, CompressedFormatsReportSavings) {
   }
 }
 
-TEST(Autotune, ExtensionsCanBeExcluded) {
-  const bs::Csr csr = bs::generate_poisson2d(30, 30);
-  bk::TuneOptions opts;
-  opts.include_extensions = false;
-  const auto res = bk::autotune(csr, gs::tesla_k20(), opts);
-  for (const auto& e : res.ranking)
-    EXPECT_NE(e.format, bc::Format::kBroCsr);
-}
-
 TEST(Autotune, DeterministicAcrossCalls) {
   const bs::Csr csr = bs::generate_poisson2d(40, 40);
   const auto a = bk::autotune(csr, gs::gtx680());

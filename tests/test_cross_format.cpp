@@ -13,7 +13,6 @@
 
 #include "core/bro_csr.h"
 #include "core/matrix.h"
-#include "core/sliced_ell.h"
 #include "core/savings.h"
 #include "engine/format_registry.h"
 #include "engine/plan.h"
@@ -86,14 +85,6 @@ TEST_P(CrossFormat, StructureAndSpmvAgree) {
     for (std::size_t r = 0; r < y_plan.size(); ++r)
       ASSERT_NEAR(y_plan[r], y_ref[r], 1e-11 * (1.0 + std::abs(y_ref[r])))
           << t.name << " (plan) row " << r;
-  }
-
-  // SlicedEll too (not in the Format enum).
-  {
-    std::vector<value_t> y(y_ref.size());
-    bc::SlicedEll::build(bs::csr_to_ell(csr)).spmv(x, y);
-    for (std::size_t r = 0; r < y.size(); ++r)
-      ASSERT_NEAR(y[r], y_ref[r], 1e-11 * (1.0 + std::abs(y_ref[r])));
   }
 }
 

@@ -5,14 +5,15 @@
 //   brospmv compress <matrix> <out.bro>       offline compression (--format)
 //   brospmv spmv <matrix|.bro> [--format F]   y = A*1, checksum + timing
 //   brospmv tune <matrix> [--device D]        simulated format ranking
-//   brospmv bench <matrix> [--device D]       per-format simulated GFlop/s
+//   brospmv bench <matrix>                    per-format simulated GFlop/s
 //   brospmv fuzz [--rounds N] [--seed S]      differential fuzz all formats
 //   brospmv serve-bench [--clients N] ...     drive the serving layer
 //
 // <matrix> is a Matrix Market file, a named suite matrix (with optional
 // --scale, default 0.125), or a .bro file where noted. --device is one of
 // c2070 / gtx680 / k20 (default k20). --format takes any name printed by
-// `brospmv formats`; unknown names are a hard error.
+// `brospmv formats`; unknown names are a hard error, and so is any flag the
+// command does not read.
 #include <atomic>
 #include <bit>
 #include <chrono>
@@ -66,7 +67,7 @@ int usage() {
          "(--format F, default BRO-HYB)\n"
          "  spmv <matrix|.bro> [--format F]    run y = A*1 and report\n"
          "  tune <matrix> [--device D]         simulated format ranking\n"
-         "  bench <matrix> [--device D]        per-format simulated GFlop/s\n"
+         "  bench <matrix>                     per-format simulated GFlop/s\n"
          "  fuzz [--rounds N] [--seed S]       differential-test every format\n"
          "       [--eps E] [--device D] [--no-sim] [--no-decode] [--no-simd]\n"
          "       [--quiet] [--spmm-k K]\n"
@@ -93,8 +94,8 @@ int usage() {
          "                                    adversarial battery, and Test\n"
          "                                    Set 1 never auto-selects it\n"
          "  serve-bench [--threads N] [--clients C] [--requests R]\n"
-         "       [--matrices M] [--max-batch K] [--cache-mb B]\n"
-         "       [--format F] [--scale S] [--seed S]\n"
+         "       [--matrices M] [--max-batch K] [--max-queue Q]\n"
+         "       [--cache-mb B] [--format F] [--scale S] [--seed S]\n"
          "       [--admit-rate R] [--admit-burst B] [--shed-depth D]\n"
          "       [--slo-p99-ms MS]             drive the serving layer and\n"
          "                                     report throughput + metrics\n"
@@ -153,6 +154,7 @@ sim::DeviceSpec device_from(const Args& args) {
 }
 
 int cmd_info(const Args& args) {
+  args.allow_only({"scale"});
   const sparse::Csr m = load_matrix(args.positional().at(1), args);
   const auto s = sparse::compute_stats(m);
   std::cout << "dimensions     " << sparse::dims_string(s.rows, s.cols) << '\n'
@@ -168,12 +170,14 @@ int cmd_info(const Args& args) {
   return 0;
 }
 
-int cmd_formats() {
+int cmd_formats(const Args& args) {
+  args.allow_only({});
   for (const auto& t : engine::format_registry()) std::cout << t.name << '\n';
   return 0;
 }
 
 int cmd_compress(const Args& args) {
+  args.allow_only({"scale", "format"});
   const sparse::Csr m = load_matrix(args.positional().at(1), args);
   const std::string out_path = args.positional().at(2);
   const auto& t = parse_format(args.get("format", "BRO-HYB"));
@@ -194,6 +198,7 @@ int cmd_compress(const Args& args) {
 }
 
 int cmd_spmv(const Args& args) {
+  args.allow_only({"scale", "format"});
   const std::string src = args.positional().at(1);
   std::vector<value_t> y;
   std::size_t nnz = 0;
@@ -243,6 +248,7 @@ int cmd_spmv(const Args& args) {
 }
 
 int cmd_tune(const Args& args) {
+  args.allow_only({"scale", "device"});
   const sparse::Csr m = load_matrix(args.positional().at(1), args);
   const auto dev = device_from(args);
   const auto res = engine::autotune(m, dev);
@@ -262,6 +268,7 @@ int cmd_tune(const Args& args) {
 /// kernel table actually resolved to. `--short` prints just the active ISA
 /// name (the CI artifact-tagging hook).
 int cmd_cpuinfo(const Args& args) {
+  args.allow_only({"short"});
   namespace bk = kernels;
   const bk::SimdIsa active = bk::active_simd_isa();
   if (args.has("short")) {
@@ -351,6 +358,7 @@ int cmd_bench_decode_suite(const Args& args, double min_time) {
 /// per second, for the scalar decoder pair plus every SIMD ISA runnable on
 /// this host (ISA columns the host lacks print n/a).
 int cmd_bench_decode(const Args& args) {
+  args.allow_only({"decode", "min-time", "suite", "scale"});
   const double min_time = args.get_double("min-time", 0.02);
   std::cout << "Decode throughput (Gdeltas/s), 64 lanes x 16384 deltas:\n";
   Table t({"Width", "sym_len", "specialized", "generic", "sse4", "avx2"});
@@ -374,6 +382,7 @@ int cmd_bench_decode(const Args& args) {
 /// stays within --max-slowdown of BRO-ELL's (geomean), the PR's acceptance
 /// claim as a CI check.
 int cmd_entropy_bench(const Args& args) {
+  args.allow_only({"scale", "min-time", "gate", "max-slowdown"});
   const double scale = args.get_double("scale", 0.125);
   const double min_time = args.get_double("min-time", 0.02);
   const kernels::SimdIsa isa = kernels::active_simd_isa();
@@ -443,6 +452,7 @@ int cmd_entropy_bench(const Args& args) {
 /// agree bitwise across the adversarial battery at every forced shape and
 /// symbol length, and no Test Set 1 matrix may auto-select the format.
 int cmd_block_bench(const Args& args) {
+  args.allow_only({"scale", "min-time", "gate", "min-speedup", "json"});
   const double scale = args.get_double("scale", 0.125);
   const double min_time = args.get_double("min-time", 0.02);
   const kernels::SimdIsa isa = kernels::active_simd_isa();
@@ -595,7 +605,7 @@ int cmd_block_bench(const Args& args) {
 }
 
 int cmd_bench(const Args& args) {
-  if (args.has("decode")) return cmd_bench_decode(args);
+  args.allow_only({"scale"});
   // Equivalent to tune but over all three devices, one column each.
   const sparse::Csr m = load_matrix(args.positional().at(1), args);
   Table t({"Format", "C2070", "GTX680", "K20"});
@@ -624,6 +634,8 @@ int cmd_bench(const Args& args) {
 }
 
 int cmd_fuzz(const Args& args) {
+  args.allow_only({"rounds", "seed", "eps", "no-sim", "device", "spmm-k",
+                   "no-decode", "no-simd", "quiet"});
   check::FuzzOptions opts;
   opts.rounds = static_cast<int>(args.get_long("rounds", opts.rounds));
   if (opts.rounds < 0) throw std::runtime_error("--rounds must be >= 0");
@@ -650,6 +662,14 @@ int cmd_fuzz(const Args& args) {
             << report.comparisons << " comparisons against the CSR reference"
             << '\n';
   return 0;
+}
+
+/// The flags server_options_from reads, plus a command's own `extra` ones.
+std::vector<std::string> with_server_flags(std::vector<std::string> extra) {
+  extra.insert(extra.end(), {"threads", "max-queue", "max-batch", "cache-mb",
+                             "format", "admit-rate", "admit-burst",
+                             "shed-depth"});
+  return extra;
 }
 
 /// The ServerOptions knobs shared by serve-bench and the serve daemon.
@@ -689,6 +709,8 @@ int check_slo(const Args& args, double wait_p99_s, double exec_p99_s) {
 }
 
 int cmd_serve_bench(const Args& args) {
+  args.allow_only(with_server_flags(
+      {"clients", "requests", "matrices", "scale", "seed", "slo-p99-ms"}));
   serve::ServerOptions opts = server_options_from(args);
 
   const int clients = static_cast<int>(args.get_long("clients", 4));
@@ -804,6 +826,7 @@ int cmd_serve_bench(const Args& args) {
 /// Matrices arrive over the wire (UPLOAD_MATRIX); runs until a client
 /// sends DRAIN. --port-file publishes the bound port (for --port 0).
 int cmd_serve(const Args& args) {
+  args.allow_only(with_server_flags({"listen", "port", "port-file"}));
   serve::SpmvServer server(server_options_from(args));
 
   net::NetServerOptions nopts;
@@ -843,6 +866,9 @@ int cmd_serve(const Args& args) {
 /// round-trip p50/p99 is reported next to the server's queue-wait /
 /// execute percentiles so latency can be attributed.
 int cmd_net_bench(const Args& args) {
+  args.allow_only({"host", "port", "port-file", "clients", "requests",
+                   "window", "matrices", "scale", "seed", "format",
+                   "no-verify", "drain", "slo-p99-ms"});
   const std::string host = args.get("host", "127.0.0.1");
   int port = static_cast<int>(args.get_long("port", 0));
   if (port == 0 && args.has("port-file")) {
@@ -1076,7 +1102,7 @@ int main(int argc, char** argv) {
     const std::string cmd = args.positional().front();
     if (cmd == "info" && args.positional().size() == 2) return cmd_info(args);
     if (cmd == "formats" && args.positional().size() == 1)
-      return cmd_formats();
+      return cmd_formats(args);
     if (cmd == "compress" && args.positional().size() == 3)
       return cmd_compress(args);
     if (cmd == "spmv" && args.positional().size() == 2) return cmd_spmv(args);

@@ -4,7 +4,7 @@
 # (Longer sweeps: `brospmv fuzz --rounds 500 --seed $RANDOM`, ideally from
 # the `asan` CMake preset.)
 # Also checks that numeric options reject trailing garbage — the Args
-# parser must not read "3abc" as 3.
+# parser must not read "3abc" as 3 — and that an unknown flag is an error.
 # Usage: check_fuzz.sh /path/to/brospmv
 set -eu
 
@@ -19,6 +19,13 @@ if "$BROSPMV" fuzz --rounds 3abc --seed 2013 2>err.txt; then
   exit 1
 fi
 grep -q "expects an integer" err.txt
+
+echo "== unknown flag must fail =="
+if "$BROSPMV" fuzz --rounds 3 --seed 2013 --no-shard 2>err.txt; then
+  echo "FAIL: --no-shard was accepted"
+  exit 1
+fi
+grep -q -- "--no-shard" err.txt
 rm -f err.txt
 
 echo "check_fuzz: OK"

@@ -2,7 +2,7 @@
 # End-to-end smoke of the serving layer through the CLI: a synchronous
 # (deterministic) run, a threaded run, and a forced-format run on a pinned
 # cache, each of which must serve every request and report its queue-wait
-# and execute percentiles.
+# and execute percentiles; an unknown --format or flag must fail.
 # Usage: check_serve_bench.sh /path/to/brospmv
 set -eu
 
@@ -35,6 +35,17 @@ if "$BROSPMV" serve-bench --format NO-SUCH 2>err.txt; then
   exit 1
 fi
 grep -q "unknown --format" err.txt
+
+echo "== unknown flag must fail =="
+# A removed or mistyped flag must be a hard error naming the flag, never a
+# silent fall-back to the default.
+for flag in pools no-such-flag; do
+  if "$BROSPMV" serve-bench --$flag 4 2>err.txt; then
+    echo "FAIL: --$flag was accepted"
+    exit 1
+  fi
+  grep -q -- "--$flag" err.txt
+done
 rm -f out.txt err.txt
 
 echo "check_serve_bench: OK"
