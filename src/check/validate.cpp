@@ -379,7 +379,7 @@ Issues validate_bro_coo(const core::BroCoo& a, const sparse::Csr* ref) {
 
   // Decoded row indices must be row-sorted along the entry stream (the
   // canonical order the segmented reduction requires) and in range.
-  const std::vector<index_t> rows = a.decode_rows();
+  const auto rows = a.decode_rows();
   for (std::size_t i = 0; i < rows.size() && !acc.full(); ++i) {
     acc.check(rows[i] >= 0 && rows[i] < a.rows(), [&](auto& os) {
       os << "entry " << i << ": decoded row " << rows[i] << " out of [0, "
@@ -459,7 +459,7 @@ Issues validate_bro_hyb(const core::BroHyb& a, const sparse::Csr* ref) {
       sparse::ell_to_csr(a.ell_part().decompress()));
   merged.rows = a.rows();
   merged.cols = a.cols();
-  const std::vector<index_t> coo_rows = a.coo_part().decode_rows();
+  const auto coo_rows = a.coo_part().decode_rows();
   for (std::size_t i = 0; i < a.coo_part().nnz(); ++i)
     merged.push(coo_rows[i], a.coo_part().col_idx()[i],
                 a.coo_part().vals()[i]);

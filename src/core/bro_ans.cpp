@@ -71,7 +71,7 @@ BroAns BroAns::compress(const sparse::Csr& csr, index_t width,
   // bound is the max over 8 rows, not over the whole slice, which is what
   // keeps the interleaved layout competitive.
   const auto sym = static_cast<std::size_t>(opts.sym_len);
-  parallel_for_slices(num_slices, [&](index_t s) {
+  util::parallel_for_slices(num_slices, [&](index_t s) {
     BroAnsSlice& slice = out.slices_[static_cast<std::size_t>(s)];
     slice.init_states.assign(static_cast<std::size_t>(slice.height), 0);
     slice.groups.resize(static_cast<std::size_t>(ans_num_groups(slice.height)));

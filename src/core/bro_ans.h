@@ -109,7 +109,7 @@ class BroAns {
   const BroAnsOptions& options() const { return opts_; }
   const bits::AnsTable& table() const { return table_; }
   const std::vector<BroAnsSlice>& slices() const { return slices_; }
-  const EllValues& vals() const { return vals_; }
+  const util::UninitVector<value_t>& vals() const { return vals_; }
 
   /// Decode the column indices of one row (testing / verification path).
   std::vector<index_t> decode_row(index_t row) const;
@@ -144,7 +144,7 @@ class BroAns {
   BroAnsOptions opts_;
   bits::AnsTable table_;
   std::vector<BroAnsSlice> slices_;
-  EllValues vals_; // column-major m x k, as in ELLPACK
+  util::UninitVector<value_t> vals_; // column-major m x k, as in ELLPACK
 };
 
 } // namespace bro::core

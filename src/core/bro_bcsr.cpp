@@ -300,7 +300,7 @@ BroBcsr BroBcsr::compress(const sparse::Csr& csr, BroBcsrOptions opts) {
   const BlockCover cover = block_cover(csr, br, bc);
   const std::span<const std::span<const index_t>> lists(cover.rows);
   out.slices_.resize(static_cast<std::size_t>(num_slices));
-  parallel_for_slices(num_slices, [&](index_t s) {
+  util::parallel_for_slices(num_slices, [&](index_t s) {
     const auto first = static_cast<std::size_t>(s * h);
     out.slices_[static_cast<std::size_t>(s)] = pack_slice(
         s * h,
@@ -314,12 +314,17 @@ BroBcsr BroBcsr::compress(const sparse::Csr& csr, BroBcsrOptions opts) {
     total += static_cast<std::size_t>(slice.height) *
              static_cast<std::size_t>(slice.num_col) * tile;
   }
-  out.vals_.assign(total, 0.0);
+  out.vals_.resize(total);
 
-  // Value pass: scatter each member row's entries into its tiles.
-  parallel_for_slices(num_slices, [&](index_t s) {
+  // Value pass: zero each slice's tiles, then scatter each member row's
+  // entries into them, so the slice's task first-touches its values.
+  util::parallel_for_slices(num_slices, [&](index_t s) {
     const BroEllSlice& slice = out.slices_[static_cast<std::size_t>(s)];
     value_t* vb = out.vals_.data() + out.val_off_[static_cast<std::size_t>(s)];
+    std::fill_n(vb,
+                static_cast<std::size_t>(slice.height) *
+                    static_cast<std::size_t>(slice.num_col) * tile,
+                value_t{0});
     for (index_t t = 0; t < slice.height; ++t) {
       const index_t r0 = (slice.first_row + t) * br;
       const auto cols = lists[static_cast<std::size_t>(slice.first_row + t)];

@@ -176,7 +176,7 @@ class BroBcsr {
   BroBcsrOptions opts_;
   std::vector<BroEllSlice> slices_;
   std::vector<std::size_t> val_off_; // per-slice offset into vals_
-  std::vector<value_t> vals_;        // row-major r*c tiles
+  util::UninitVector<value_t> vals_; // row-major r*c tiles
 };
 
 } // namespace bro::core

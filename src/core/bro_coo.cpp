@@ -37,7 +37,7 @@ BroCoo BroCoo::compress(sparse::Coo coo, BroCooOptions opts) {
 
   // Reserve the exact padded length first: a moved-in vector's capacity is
   // usually its size, and resize() alone would roughly double it.
-  std::vector<index_t> row_idx = std::move(coo.row_idx);
+  util::UninitVector<index_t> row_idx = std::move(coo.row_idx);
   out.col_idx_ = std::move(coo.col_idx);
   out.vals_ = std::move(coo.vals);
   row_idx.reserve(padded);
@@ -98,17 +98,19 @@ BroCoo BroCoo::compress(sparse::Coo coo, BroCooOptions opts) {
   return out;
 }
 
-std::vector<index_t> decode_coo_rows(std::span<const BroCooInterval> intervals,
-                                     const BroCooOptions& opts, index_t rows) {
+util::UninitVector<index_t> decode_coo_rows(
+    std::span<const BroCooInterval> intervals, const BroCooOptions& opts,
+    index_t rows) {
   const int w = opts.warp_size;
   const std::size_t interval_size =
       static_cast<std::size_t>(w) * static_cast<std::size_t>(opts.interval_cols);
-  std::vector<index_t> out(intervals.size() * interval_size);
+  util::UninitVector<index_t> out(intervals.size() * interval_size);
   // Each interval writes only its own entries, so intervals decode in
   // parallel. Lane j of an interval is row stream j of its mux (symbol c at
   // c*w + j) and every lane has the interval's one bit width, so the lanes
   // decode in lockstep and position c of all lanes lands contiguously.
-  parallel_for_slices(static_cast<index_t>(intervals.size()), [&](index_t s) {
+  const auto num_intervals = static_cast<index_t>(intervals.size());
+  util::parallel_for_slices(num_intervals, [&](index_t s) {
     const auto i = static_cast<std::size_t>(s);
     const auto& iv = intervals[i];
     BRO_CHECK_MSG(iv.stream.height() == static_cast<std::size_t>(w),
@@ -132,7 +134,7 @@ std::vector<index_t> decode_coo_rows(std::span<const BroCooInterval> intervals,
   return out;
 }
 
-std::vector<index_t> BroCoo::decode_rows() const {
+util::UninitVector<index_t> BroCoo::decode_rows() const {
   return decode_coo_rows(intervals_, opts_, rows_);
 }
 
@@ -140,7 +142,7 @@ void BroCoo::spmv_accumulate(std::span<const value_t> x,
                              std::span<value_t> y) const {
   BRO_CHECK(x.size() == static_cast<std::size_t>(cols_));
   BRO_CHECK(y.size() == static_cast<std::size_t>(rows_));
-  const std::vector<index_t> rows = decode_rows();
+  const util::UninitVector<index_t> rows = decode_rows();
   for (std::size_t i = 0; i < rows.size(); ++i)
     y[static_cast<std::size_t>(rows[i])] +=
         vals_[i] * x[static_cast<std::size_t>(col_idx_[i])];

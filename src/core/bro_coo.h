@@ -39,12 +39,14 @@ struct BroCooInterval {
 /// Decode the row index of every entry the intervals hold, padding
 /// included, in stream order (interval i, lane j, position c -> entry
 /// i*warp_size*interval_cols + c*warp_size + j), one interval per task of
-/// a parallel loop (parallel_for_slices). Throws std::runtime_error when a
-/// decoded row falls outside [0, rows), a lane overruns its stream, or an
-/// interval's stream is not warp_size lanes wide or its bit width outside
-/// [1, 32], so a corrupt interval cannot index past the caller's arrays.
-std::vector<index_t> decode_coo_rows(std::span<const BroCooInterval> intervals,
-                                     const BroCooOptions& opts, index_t rows);
+/// a parallel loop (util::parallel_for_slices). Throws std::runtime_error
+/// when a decoded row falls outside [0, rows), a lane overruns its stream,
+/// or an interval's stream is not warp_size lanes wide or its bit width
+/// outside [1, 32], so a corrupt interval cannot index past the caller's
+/// arrays.
+util::UninitVector<index_t> decode_coo_rows(
+    std::span<const BroCooInterval> intervals, const BroCooOptions& opts,
+    index_t rows);
 
 class BroCoo {
  public:
@@ -64,12 +66,12 @@ class BroCoo {
   std::size_t padded_nnz() const { return col_idx_.size(); } // incl. padding
   const BroCooOptions& options() const { return opts_; }
   const std::vector<BroCooInterval>& intervals() const { return intervals_; }
-  const std::vector<index_t>& col_idx() const { return col_idx_; }
-  const std::vector<value_t>& vals() const { return vals_; }
+  const util::UninitVector<index_t>& col_idx() const { return col_idx_; }
+  const util::UninitVector<value_t>& vals() const { return vals_; }
 
   /// Decode all row indices (testing path); returns padded_nnz entries in
   /// stream order.
-  std::vector<index_t> decode_rows() const;
+  util::UninitVector<index_t> decode_rows() const;
 
   /// y += A * x (accumulating, matching the GPU kernel's semantics where the
   /// COO part runs after the ELL part in HYB). Callers wanting y = A*x must
@@ -95,8 +97,8 @@ class BroCoo {
   std::size_t nnz_ = 0;
   BroCooOptions opts_;
   std::vector<BroCooInterval> intervals_;
-  std::vector<index_t> col_idx_; // uncompressed, padded
-  std::vector<value_t> vals_;    // uncompressed, padded
+  util::UninitVector<index_t> col_idx_; // uncompressed, padded
+  util::UninitVector<value_t> vals_;    // uncompressed, padded
 };
 
 } // namespace bro::core

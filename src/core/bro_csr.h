@@ -40,10 +40,14 @@ class BroCsr {
   std::size_t nnz() const { return vals_.size(); }
   const BroCsrOptions& options() const { return opts_; }
 
-  const std::vector<index_t>& row_ptr() const { return row_ptr_; }
-  const std::vector<std::uint8_t>& bits_per_row() const { return bits_; }
-  const std::vector<std::uint32_t>& row_sym_ptr() const { return sym_ptr_; }
-  const std::vector<value_t>& vals() const { return vals_; }
+  const util::UninitVector<index_t>& row_ptr() const { return row_ptr_; }
+  const util::UninitVector<std::uint8_t>& bits_per_row() const {
+    return bits_;
+  }
+  const util::UninitVector<std::uint32_t>& row_sym_ptr() const {
+    return sym_ptr_;
+  }
+  const util::UninitVector<value_t>& vals() const { return vals_; }
 
   /// Symbol `i` of the global packed stream (right-aligned sym_len bits).
   std::uint64_t symbol(std::size_t i) const {
@@ -77,11 +81,11 @@ class BroCsr {
   index_t rows_ = 0;
   index_t cols_ = 0;
   BroCsrOptions opts_;
-  std::vector<index_t> row_ptr_;      // as in CSR (also gives row lengths)
-  std::vector<std::uint8_t> bits_;    // per-row delta bit width
-  std::vector<std::uint32_t> sym_ptr_; // per-row first symbol (rows+1)
-  bits::BitString stream_;            // all rows' packed deltas
-  std::vector<value_t> vals_;         // as in CSR
+  util::UninitVector<index_t> row_ptr_;        // as in CSR (row lengths)
+  util::UninitVector<std::uint8_t> bits_;      // per-row delta bit width
+  util::UninitVector<std::uint32_t> sym_ptr_;  // first symbol, rows+1
+  bits::BitString stream_;                     // all rows' packed deltas
+  util::UninitVector<value_t> vals_;           // as in CSR
 };
 
 } // namespace bro::core

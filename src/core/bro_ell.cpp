@@ -1,7 +1,6 @@
 #include "core/bro_ell.h"
 
 #include <algorithm>
-#include <exception>
 
 #include "bits/bitwidth.h"
 #include "bits/delta.h"
@@ -152,32 +151,19 @@ BroEllSlice pack_slice(index_t first_row,
   return slice;
 }
 
-void parallel_for_slices(index_t n, const std::function<void(index_t)>& fn) {
-  std::exception_ptr error;
-#pragma omp parallel for schedule(dynamic, 1) if (n > 1)
-  for (index_t s = 0; s < n; ++s) {
-    try {
-      fn(s);
-    } catch (...) {
-#pragma omp critical(bro_slice_error)
-      if (!error) error = std::current_exception();
-    }
-  }
-  if (error) std::rethrow_exception(error);
-}
-
 std::span<const index_t> ell_row(const sparse::Csr& csr, index_t r,
                                  index_t width) {
   return csr.row_cols(r).first(static_cast<std::size_t>(
       std::min(csr.row_length(r), width)));
 }
 
-EllValues ell_values(const sparse::Csr& csr, index_t width) {
+util::UninitVector<value_t> ell_values(const sparse::Csr& csr, index_t width) {
   BRO_CHECK_MSG(width >= 0, "ELL width must be non-negative");
   constexpr index_t kTileRows = 256;
-  EllValues vals(static_cast<std::size_t>(csr.rows) *
-                 static_cast<std::size_t>(width));
-  parallel_for_slices((csr.rows + kTileRows - 1) / kTileRows, [&](index_t t) {
+  util::UninitVector<value_t> vals(static_cast<std::size_t>(csr.rows) *
+                                   static_cast<std::size_t>(width));
+  const index_t tiles = (csr.rows + kTileRows - 1) / kTileRows;
+  util::parallel_for_slices(tiles, [&](index_t t) {
     const index_t first = t * kTileRows;
     fill_ell_values(csr, width, first, std::min(csr.rows, first + kTileRows),
                     vals);
@@ -207,7 +193,7 @@ BroEll BroEll::compress(const sparse::Csr& csr, index_t width,
   const index_t h = opts.slice_height;
   const index_t num_slices = csr.rows == 0 ? 0 : (csr.rows + h - 1) / h;
   out.slices_.resize(static_cast<std::size_t>(num_slices));
-  parallel_for_slices(num_slices, [&](index_t s) {
+  util::parallel_for_slices(num_slices, [&](index_t s) {
     const index_t first = s * h;
     const index_t last = std::min<index_t>(csr.rows, first + h);
     std::vector<std::span<const index_t>> rows(

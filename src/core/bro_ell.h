@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <span>
 #include <vector>
@@ -21,6 +20,7 @@
 #include "bits/mux.h"
 #include "sparse/csr.h"
 #include "sparse/ell.h"
+#include "util/parallel.h"
 #include "util/uninit.h"
 
 namespace bro::core {
@@ -67,19 +67,9 @@ BroEllSlice slice_layout(index_t first_row,
 std::span<const index_t> ell_row(const sparse::Csr& csr, index_t r,
                                  index_t width);
 
-/// ELLPACK's m x width column-major value array, allocated without
-/// zeroing: every slot is written by a fill, so each page is first touched
-/// by the thread that fills it.
-using EllValues = util::UninitVector<value_t>;
-
 /// ELLPACK's m x width column-major value array of those rows, +0.0 in the
 /// padding slots, filled in parallel 256-row tiles.
-EllValues ell_values(const sparse::Csr& csr, index_t width);
-
-/// Run fn(s) for every slice s in [0, n) as an OpenMP parallel for over
-/// the current thread count; fn must write only slice s's output. The
-/// first exception a slice throws is rethrown after the loop.
-void parallel_for_slices(index_t n, const std::function<void(index_t)>& fn);
+util::UninitVector<value_t> ell_values(const sparse::Csr& csr, index_t width);
 
 /// Index bytes of packed slices: each stream, one byte per column's bit
 /// width and a num_col entry. Streams hold symbols at their true width, so
@@ -120,7 +110,7 @@ class BroEll {
   index_t width() const { return width_; }
   const BroEllOptions& options() const { return opts_; }
   const std::vector<BroEllSlice>& slices() const { return slices_; }
-  const EllValues& vals() const { return vals_; }
+  const util::UninitVector<value_t>& vals() const { return vals_; }
 
   /// Decode the column indices of one row (testing / verification path).
   std::vector<index_t> decode_row(index_t row) const;
@@ -157,7 +147,7 @@ class BroEll {
   index_t width_ = 0;
   BroEllOptions opts_;
   std::vector<BroEllSlice> slices_;
-  EllValues vals_; // column-major m x k, as in ELLPACK
+  util::UninitVector<value_t> vals_; // column-major m x k, as in ELLPACK
 };
 
 /// Stateful implementation of the Algorithm-1 symbol-buffer decoder for one

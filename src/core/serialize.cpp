@@ -22,7 +22,7 @@ namespace bro::core {
 struct SerializeAccess {
   static BroEll make_ell(index_t rows, index_t cols, index_t width,
                          BroEllOptions opts, std::vector<BroEllSlice> slices,
-                         EllValues vals) {
+                         util::UninitVector<value_t> vals) {
     BroEll m;
     m.rows_ = rows;
     m.cols_ = cols;
@@ -35,8 +35,8 @@ struct SerializeAccess {
   static BroCoo make_coo(index_t rows, index_t cols, std::size_t nnz,
                          BroCooOptions opts,
                          std::vector<BroCooInterval> intervals,
-                         std::vector<index_t> col_idx,
-                         std::vector<value_t> vals) {
+                         util::UninitVector<index_t> col_idx,
+                         util::UninitVector<value_t> vals) {
     BroCoo m;
     m.rows_ = rows;
     m.cols_ = cols;
@@ -64,7 +64,7 @@ struct SerializeAccess {
   static BroAns make_ans(index_t rows, index_t cols, index_t width,
                          BroAnsOptions opts, bits::AnsTable table,
                          std::vector<BroAnsSlice> slices,
-                         EllValues vals) {
+                         util::UninitVector<value_t> vals) {
     BroAns m;
     m.rows_ = rows;
     m.cols_ = cols;
@@ -80,7 +80,7 @@ struct SerializeAccess {
                            BroBcsrOptions opts,
                            std::vector<BroEllSlice> slices,
                            std::vector<std::size_t> val_off,
-                           std::vector<value_t> vals) {
+                           util::UninitVector<value_t> vals) {
     BroBcsr m;
     m.rows_ = rows;
     m.cols_ = cols;
@@ -96,10 +96,11 @@ struct SerializeAccess {
     return m;
   }
   static BroCsr make_csr(index_t rows, index_t cols, BroCsrOptions opts,
-                         std::vector<index_t> row_ptr,
-                         std::vector<std::uint8_t> bits,
-                         std::vector<std::uint32_t> sym_ptr,
-                         std::vector<value_t> vals, bits::BitString stream) {
+                         util::UninitVector<index_t> row_ptr,
+                         util::UninitVector<std::uint8_t> bits,
+                         util::UninitVector<std::uint32_t> sym_ptr,
+                         util::UninitVector<value_t> vals,
+                         bits::BitString stream) {
     BroCsr m;
     m.rows_ = rows;
     m.cols_ = cols;
@@ -274,11 +275,9 @@ class ArrayView {
     std::memcpy(&v, bytes_.data() + i * sizeof(T), sizeof(T));
     return v;
   }
-  /// The array copied into a vector of type V (EllValues reads without a
-  /// zeroing pass first).
-  template <typename V = std::vector<T>>
-  V to_vector() const {
-    V v(size());
+  /// The array copied out (the copy is its first touch).
+  util::UninitVector<T> to_vector() const {
+    util::UninitVector<T> v(size());
     if (!v.empty()) std::memcpy(v.data(), bytes_.data(), bytes_.size());
     return v;
   }
@@ -463,7 +462,7 @@ HybBody read_hyb_body(ByteReader& in) {
 BroEll make_ell(EllBody b) {
   return SerializeAccess::make_ell(b.rows, b.cols, b.width, b.opts,
                                    std::move(b.slices),
-                                   b.vals.to_vector<EllValues>());
+                                   b.vals.to_vector());
 }
 
 BroCoo make_coo(CooBody b) {
@@ -477,7 +476,7 @@ BroAns read_ans(ByteReader& in) {
   AnsBody b = read_ans_body(in);
   return SerializeAccess::make_ans(b.rows, b.cols, b.width, b.opts,
                                    std::move(b.table), std::move(b.slices),
-                                   b.vals.to_vector<EllValues>());
+                                   b.vals.to_vector());
 }
 
 BroHyb read_hyb(ByteReader& in) {
@@ -493,10 +492,10 @@ BroCsr read_csr(ByteReader& in) {
   const auto cols = in.get<index_t>();
   BroCsrOptions opts;
   opts.sym_len = in.get<std::int32_t>();
-  auto row_ptr = in.get_array<index_t>();
-  auto bits_v = in.get_array<std::uint8_t>();
-  auto sym_ptr = in.get_array<std::uint32_t>();
-  auto vals = in.get_array<value_t>();
+  auto row_ptr = read_view<index_t>(in).to_vector();
+  auto bits_v = read_view<std::uint8_t>(in).to_vector();
+  auto sym_ptr = read_view<std::uint32_t>(in).to_vector();
+  auto vals = read_view<value_t>(in).to_vector();
   const auto size_bits = in.get<std::uint64_t>();
   auto words = in.get_array<std::uint64_t>();
   return SerializeAccess::make_csr(
@@ -536,7 +535,7 @@ BroBcsr read_bcsr(ByteReader& in) {
     slots += static_cast<std::size_t>(s.height) *
              static_cast<std::size_t>(s.num_col) * tile;
   }
-  auto vals = in.get_array<value_t>();
+  auto vals = read_view<value_t>(in).to_vector();
   BRO_CHECK_MSG(vals.size() == slots,
                 "BRO-BCSR value array size mismatches its slices");
   return SerializeAccess::make_bcsr(rows, cols, br, bc, ell_width, nnz, opts,
@@ -563,7 +562,7 @@ BroBcsr read_bcsr(ByteReader& in) {
 // passes decode the same bytes the same way, so the output does not depend
 // on the thread count, and a part's scratch is O(tile rows). Each check
 // below guards an index the decoders would otherwise take on trust; the
-// first tile that fails one throws after its loop (parallel_for_slices).
+// first tile that fails one throws after its loop (util::parallel_for_slices).
 
 /// Rows per tile of the bodies that have no slices (BRO-COO, BRO-CSR).
 constexpr index_t kIngestTileRows = 256;
@@ -582,14 +581,18 @@ std::pair<index_t, index_t> tile_span(index_t t, index_t rows,
 }
 
 /// Pass 1: row r's entry count over every part into row_ptr[r + 1], then
-/// the exclusive scan, checked against the index_t range.
+/// the exclusive scan, checked against the index_t range. Each tile zeroes
+/// its own counts.
 template <typename... Parts>
-std::vector<index_t> count_rows(index_t rows, index_t tile_rows,
-                                Parts&... parts) {
-  std::vector<index_t> row_ptr(static_cast<std::size_t>(rows) + 1, 0);
-  parallel_for_slices(tile_count(rows, tile_rows), [&](index_t t) {
+util::UninitVector<index_t> count_rows(index_t rows, index_t tile_rows,
+                                       Parts&... parts) {
+  util::UninitVector<index_t> row_ptr(static_cast<std::size_t>(rows) + 1);
+  row_ptr[0] = 0;
+  util::parallel_for_slices(tile_count(rows, tile_rows), [&](index_t t) {
     const auto [first, last] = tile_span(t, rows, tile_rows);
-    (parts.count(t, first, last, row_ptr.data() + first + 1), ...);
+    index_t* len = row_ptr.data() + first + 1;
+    std::fill(len, len + (last - first), index_t{0});
+    (parts.count(t, first, last, len), ...);
   });
   std::int64_t total = 0;
   for (std::size_t r = 1; r < row_ptr.size(); ++r) {
@@ -619,21 +622,22 @@ void compact_rows(sparse::Csr& a) {
   a.vals.resize(w);
 }
 
-/// Pass 2: the parts write every entry into place, then each row is
+/// Pass 2: the parts write every entry into place (the first touch of the
+/// unzeroed arrays, on the tile's thread), then each row is
 /// canonicalized there (sparse::canonicalize_row). A row whose columns
 /// arrive unsorted or duplicated comes only from a hand-built stream; one
 /// that merged duplicates marks its leftover slots with column -1, and
 /// compact_rows closes them once every tile is done.
 template <typename... Parts>
 sparse::Csr fill_rows(index_t rows, index_t cols, index_t tile_rows,
-                      std::vector<index_t> row_ptr, Parts&... parts) {
+                      util::UninitVector<index_t> row_ptr, Parts&... parts) {
   sparse::Csr out;
   out.rows = rows;
   out.cols = cols;
   out.col_idx.resize(static_cast<std::size_t>(row_ptr.back()));
   out.vals.resize(out.col_idx.size());
   std::atomic<bool> merged{false};
-  parallel_for_slices(tile_count(rows, tile_rows), [&](index_t t) {
+  util::parallel_for_slices(tile_count(rows, tile_rows), [&](index_t t) {
     const auto [first, last] = tile_span(t, rows, tile_rows);
     std::vector<index_t> pos(row_ptr.begin() + first, row_ptr.begin() + last);
     (parts.fill(t, first, last, pos.data(), out.col_idx.data(),
@@ -882,7 +886,7 @@ class CooPart {
                        [&](std::size_t a, std::size_t c) {
                          return rows_[a] < rows_[c];
                        });
-      std::vector<index_t> sorted(rows_.size());
+      util::UninitVector<index_t> sorted(rows_.size());
       for (std::size_t k = 0; k < sorted.size(); ++k)
         sorted[k] = rows_[order_[k]];
       rows_ = std::move(sorted);
@@ -920,9 +924,9 @@ class CooPart {
 
   const CooBody& b_;
   index_t cols_ = 0;
-  std::vector<index_t> rows_;      // each entry's row, ascending
-  std::vector<std::size_t> order_; // stream position of entry k; empty
-                                   // when the stream is row-ordered
+  util::UninitVector<index_t> rows_; // each entry's row, ascending
+  std::vector<std::size_t> order_;   // stream position of entry k; empty
+                                     // when the stream is row-ordered
 };
 
 /// A BRO-CSR body as a part of the fill pass (its stored row_ptr gives the
@@ -988,7 +992,7 @@ sparse::Csr csr_from_hyb(const HybBody& b) {
   EllPart ell(b.ell);
   CooPart coo(b.coo, b.rows, b.cols);
   const index_t h = b.ell.opts.slice_height;
-  std::vector<index_t> row_ptr = count_rows(b.rows, h, ell, coo);
+  util::UninitVector<index_t> row_ptr = count_rows(b.rows, h, ell, coo);
   BRO_CHECK_MSG(ell.entries() == b.ell_nnz,
                 "BRO-HYB ell_nnz " << b.ell_nnz << " mismatches the "
                                    << ell.entries()

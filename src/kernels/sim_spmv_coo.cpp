@@ -216,7 +216,7 @@ SimResult sim_spmv_bro_coo_accumulate(const sim::DeviceSpec& dev,
     stream_arrs.push_back(sim.alloc(iv.stream.total_symbols(), sym_bytes));
 
   // Decode once functionally (the per-lane decode cost is charged below).
-  const std::vector<index_t> rows = a.decode_rows();
+  const auto rows = a.decode_rows();
   const std::size_t interval_size =
       static_cast<std::size_t>(kWarp) *
       static_cast<std::size_t>(a.options().interval_cols);

@@ -88,11 +88,6 @@ std::vector<std::uint8_t> encode_frame(FrameKind kind, std::uint8_t code,
   return finish_frame(std::move(w), kind, code, request_id);
 }
 
-Payload::Payload(std::size_t n)
-    : bytes_(n > 0 ? std::make_unique_for_overwrite<std::uint8_t[]>(n)
-                   : nullptr),
-      size_(n) {}
-
 std::span<std::uint8_t> FrameAssembler::direct_tail() {
   if (!pending_) return {};
   Payload& p = pending_->payload;

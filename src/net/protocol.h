@@ -32,7 +32,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -44,6 +43,7 @@
 #include "serve/server.h"
 #include "util/bytes.h"
 #include "util/types.h"
+#include "util/uninit.h"
 
 namespace bro::net {
 
@@ -97,22 +97,22 @@ struct FrameHeader {
 };
 
 /// A received frame's payload: one allocation at its exact size, never
-/// zero-filled, so the memory a frame holds grows with the bytes that have
-/// actually arrived rather than with the length its header announces.
+/// zero-filled (util::UninitVector, so a large one is on huge pages), so
+/// the memory a frame holds grows with the bytes that have actually
+/// arrived rather than with the length its header announces.
 class Payload {
  public:
   Payload() = default;
-  explicit Payload(std::size_t n);
+  explicit Payload(std::size_t n) : bytes_(n) {}
 
-  std::uint8_t* data() { return bytes_.get(); }
-  const std::uint8_t* data() const { return bytes_.get(); }
-  std::size_t size() const { return size_; }
+  std::uint8_t* data() { return bytes_.data(); }
+  const std::uint8_t* data() const { return bytes_.data(); }
+  std::size_t size() const { return bytes_.size(); }
   const std::uint8_t* begin() const { return data(); }
-  const std::uint8_t* end() const { return data() + size_; }
+  const std::uint8_t* end() const { return data() + size(); }
 
  private:
-  std::unique_ptr<std::uint8_t[]> bytes_;
-  std::size_t size_ = 0;
+  util::UninitVector<std::uint8_t> bytes_;
 };
 
 struct Frame {

@@ -3,10 +3,36 @@
 #include <algorithm>
 
 #include "util/error.h"
+#include "util/parallel.h"
 
 namespace bro::sparse {
 
 namespace {
+
+/// Size `ell`'s column-major arrays for csr.rows x ell.width and fill them
+/// in parallel 256-row tiles, each tile's task writing (and so first
+/// touching) its own slots: a row's first min(length, width) entries, then
+/// kPad and +0.0.
+void fill_ell(const Csr& csr, Ell& ell) {
+  constexpr index_t kTileRows = 256;
+  const auto m = static_cast<std::size_t>(csr.rows);
+  ell.col_idx.resize(m * static_cast<std::size_t>(ell.width));
+  ell.vals.resize(ell.col_idx.size());
+  util::parallel_for_slices(
+      csr.rows / kTileRows + (csr.rows % kTileRows != 0), [&](index_t t) {
+        const index_t first = t * kTileRows;
+        const index_t last = std::min(csr.rows, first + kTileRows);
+        for (index_t j = 0; j < ell.width; ++j) {
+          index_t* cols = ell.col_idx.data() + static_cast<std::size_t>(j) * m;
+          value_t* vals = ell.vals.data() + static_cast<std::size_t>(j) * m;
+          for (index_t r = first; r < last; ++r) {
+            const bool real = j < csr.row_length(r);
+            cols[r] = real ? csr.col_idx[csr.row_ptr[r] + j] : kPad;
+            vals[r] = real ? csr.vals[csr.row_ptr[r] + j] : value_t{0};
+          }
+        }
+      });
+}
 
 /// Canonicalize every row of `a` in place (canonicalize_row) and close the
 /// gaps merged duplicates leave behind.
@@ -93,15 +119,7 @@ Ell csr_to_ell(const Csr& csr, double max_expand) {
   out.rows = csr.rows;
   out.cols = csr.cols;
   out.width = k;
-  out.col_idx.assign(static_cast<std::size_t>(csr.rows) * k, kPad);
-  out.vals.assign(static_cast<std::size_t>(csr.rows) * k, value_t{0});
-  for (index_t r = 0; r < csr.rows; ++r) {
-    index_t j = 0;
-    for (index_t p = csr.row_ptr[r]; p < csr.row_ptr[r + 1]; ++p, ++j) {
-      out.col_idx[static_cast<std::size_t>(j) * csr.rows + r] = csr.col_idx[p];
-      out.vals[static_cast<std::size_t>(j) * csr.rows + r] = csr.vals[p];
-    }
-  }
+  fill_ell(csr, out);
   return out;
 }
 
@@ -131,7 +149,7 @@ Csr ell_to_csr(const Ell& ell) {
 }
 
 Hyb csr_to_hyb(const Csr& csr, index_t width_override) {
-  const std::vector<index_t> lens = row_lengths(csr);
+  const util::UninitVector<index_t> lens = row_lengths(csr);
   const index_t k =
       width_override >= 0 ? width_override : hyb_split_width(lens);
 
@@ -139,23 +157,13 @@ Hyb csr_to_hyb(const Csr& csr, index_t width_override) {
   out.ell.rows = csr.rows;
   out.ell.cols = csr.cols;
   out.ell.width = k;
-  out.ell.col_idx.assign(static_cast<std::size_t>(csr.rows) * k, kPad);
-  out.ell.vals.assign(static_cast<std::size_t>(csr.rows) * k, value_t{0});
+  fill_ell(csr, out.ell);
   out.coo.rows = csr.rows;
   out.coo.cols = csr.cols;
-
-  for (index_t r = 0; r < csr.rows; ++r) {
-    index_t j = 0;
-    for (index_t p = csr.row_ptr[r]; p < csr.row_ptr[r + 1]; ++p, ++j) {
-      if (j < k) {
-        out.ell.col_idx[static_cast<std::size_t>(j) * csr.rows + r] =
-            csr.col_idx[p];
-        out.ell.vals[static_cast<std::size_t>(j) * csr.rows + r] = csr.vals[p];
-      } else {
-        out.coo.push(r, csr.col_idx[p], csr.vals[p]);
-      }
-    }
-  }
+  for (index_t r = 0; r < csr.rows; ++r)
+    for (index_t p = csr.row_ptr[r] + std::min(k, csr.row_length(r));
+         p < csr.row_ptr[r + 1]; ++p)
+      out.coo.push(r, csr.col_idx[p], csr.vals[p]);
   return out;
 }
 
@@ -168,8 +176,8 @@ Csr hyb_to_csr(const Hyb& hyb) {
   return coo_to_csr(std::move(coo));
 }
 
-std::vector<index_t> row_lengths(const Csr& csr) {
-  std::vector<index_t> lens(static_cast<std::size_t>(csr.rows));
+util::UninitVector<index_t> row_lengths(const Csr& csr) {
+  util::UninitVector<index_t> lens(static_cast<std::size_t>(csr.rows));
   for (index_t r = 0; r < csr.rows; ++r) lens[r] = csr.row_length(r);
   return lens;
 }

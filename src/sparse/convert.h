@@ -36,6 +36,6 @@ Hyb csr_to_hyb(const Csr& csr, index_t width_override = -1);
 Csr hyb_to_csr(const Hyb& hyb);
 
 /// Row-length array of a CSR matrix.
-std::vector<index_t> row_lengths(const Csr& csr);
+util::UninitVector<index_t> row_lengths(const Csr& csr);
 
 } // namespace bro::sparse

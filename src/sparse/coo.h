@@ -1,9 +1,8 @@
 // Coordinate (COO) sparse matrix storage (paper §2.1.1).
 #pragma once
 
-#include <vector>
-
 #include "util/types.h"
+#include "util/uninit.h"
 
 namespace bro::sparse {
 
@@ -13,9 +12,9 @@ namespace bro::sparse {
 struct Coo {
   index_t rows = 0;
   index_t cols = 0;
-  std::vector<index_t> row_idx;
-  std::vector<index_t> col_idx;
-  std::vector<value_t> vals;
+  util::UninitVector<index_t> row_idx;
+  util::UninitVector<index_t> col_idx;
+  util::UninitVector<value_t> vals;
 
   std::size_t nnz() const { return vals.size(); }
 

@@ -71,19 +71,41 @@ Csr CsrBuilder::finish() {
   return std::move(out_);
 }
 
+namespace {
+
+/// Rows [first, last) of `a`: monotone row pointers inside [0, nnz], then
+/// in-range, strictly increasing columns. The bounds are checked before any
+/// column is read, so a tile never reads past col_idx.
+bool rows_valid(const Csr& a, index_t first, index_t last) {
+  const auto nnz = static_cast<std::int64_t>(a.nnz());
+  if (a.row_ptr[first] < 0 || a.row_ptr[last] > nnz) return false;
+  for (index_t r = first; r < last; ++r)
+    if (a.row_ptr[r + 1] < a.row_ptr[r]) return false;
+  for (index_t r = first; r < last; ++r)
+    for (index_t p = a.row_ptr[r]; p < a.row_ptr[r + 1]; ++p) {
+      if (a.col_idx[p] < 0 || a.col_idx[p] >= a.cols) return false;
+      if (p > a.row_ptr[r] && a.col_idx[p] <= a.col_idx[p - 1]) return false;
+    }
+  return true;
+}
+
+} // namespace
+
 bool Csr::is_valid() const {
   if (row_ptr.size() != static_cast<std::size_t>(rows) + 1) return false;
   if (row_ptr.front() != 0) return false;
   if (static_cast<std::size_t>(row_ptr.back()) != nnz()) return false;
   if (col_idx.size() != vals.size()) return false;
-  for (index_t r = 0; r < rows; ++r) {
-    if (row_ptr[r + 1] < row_ptr[r]) return false;
-    for (index_t p = row_ptr[r]; p < row_ptr[r + 1]; ++p) {
-      if (col_idx[p] < 0 || col_idx[p] >= cols) return false;
-      if (p > row_ptr[r] && col_idx[p] <= col_idx[p - 1]) return false;
-    }
+  // Each tile checks its own rows; the matrix is valid when every tile is.
+  constexpr index_t kTileRows = 4096;
+  const index_t tiles = rows / kTileRows + (rows % kTileRows != 0);
+  bool ok = true;
+#pragma omp parallel for schedule(dynamic) reduction(&& : ok) if (tiles > 1)
+  for (index_t t = 0; t < tiles; ++t) {
+    const index_t first = t * kTileRows;
+    ok = ok && rows_valid(*this, first, std::min(rows, first + kTileRows));
   }
-  return true;
+  return ok;
 }
 
 index_t Csr::max_row_length() const {

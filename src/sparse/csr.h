@@ -3,18 +3,18 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "util/types.h"
+#include "util/uninit.h"
 
 namespace bro::sparse {
 
 struct Csr {
   index_t rows = 0;
   index_t cols = 0;
-  std::vector<index_t> row_ptr; // length rows+1
-  std::vector<index_t> col_idx; // length nnz, sorted within each row
-  std::vector<value_t> vals;    // length nnz
+  util::UninitVector<index_t> row_ptr; // length rows+1
+  util::UninitVector<index_t> col_idx; // length nnz, sorted within each row
+  util::UninitVector<value_t> vals;    // length nnz
 
   std::size_t nnz() const { return vals.size(); }
 

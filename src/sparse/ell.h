@@ -6,9 +6,8 @@
 // row_length array so kernels can stop early instead of testing a sentinel.
 #pragma once
 
-#include <vector>
-
 #include "util/types.h"
+#include "util/uninit.h"
 
 namespace bro::sparse {
 
@@ -21,8 +20,8 @@ struct Ell {
   index_t width = 0; // k: the maximum row length
 
   // Column-major m*k arrays: entry (r, j) lives at [j * rows + r].
-  std::vector<index_t> col_idx;
-  std::vector<value_t> vals;
+  util::UninitVector<index_t> col_idx;
+  util::UninitVector<value_t> vals;
 
   std::size_t entries() const { return col_idx.size(); }
 
@@ -41,7 +40,7 @@ struct Ell {
 
 struct EllR {
   Ell ell;
-  std::vector<index_t> row_length; // length rows
+  util::UninitVector<index_t> row_length; // length rows
 
   bool is_valid() const;
 };

@@ -35,7 +35,8 @@ std::string Args::get(const std::string& key,
 
 double Args::get_double(const std::string& key, double fallback) const {
   const auto it = options_.find(key);
-  if (it == options_.end() || it->second.empty()) return fallback;
+  if (it == options_.end()) return fallback;
+  BRO_CHECK_MSG(!it->second.empty(), "--" << key << " expects a number");
   char* end = nullptr;
   const double v = std::strtod(it->second.c_str(), &end);
   // The whole token must parse: "12abc" is an error, not 12.
@@ -47,7 +48,8 @@ double Args::get_double(const std::string& key, double fallback) const {
 
 long Args::get_long(const std::string& key, long fallback) const {
   const auto it = options_.find(key);
-  if (it == options_.end() || it->second.empty()) return fallback;
+  if (it == options_.end()) return fallback;
+  BRO_CHECK_MSG(!it->second.empty(), "--" << key << " expects an integer");
   char* end = nullptr;
   const long v = std::strtol(it->second.c_str(), &end, 10);
   BRO_CHECK_MSG(end != it->second.c_str() && *end == '\0',

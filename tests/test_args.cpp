@@ -63,6 +63,16 @@ TEST(Args, RejectsTrailingGarbage) {
   EXPECT_THROW(a.get_long("n", 0), std::runtime_error);
 }
 
+TEST(Args, NumericFlagWithoutValueIsAnError) {
+  // A numeric flag at the end of the line, or followed by another flag,
+  // has no value: an error, not the fallback.
+  const auto a = parse({"--max-batch", "--scale=2", "--eps"});
+  EXPECT_THROW(a.get_long("max-batch", 8), std::runtime_error);
+  EXPECT_THROW(a.get_double("max-batch", 8), std::runtime_error);
+  EXPECT_THROW(a.get_double("eps", 0), std::runtime_error);
+  EXPECT_DOUBLE_EQ(a.get_double("scale", 0), 2.0);
+}
+
 TEST(Args, AcceptsFullyConsumedNumbers) {
   const auto a = parse({"--rounds", "12", "--eps", "1.5e-3", "--neg", "-4"});
   EXPECT_EQ(a.get_long("rounds", 0), 12);

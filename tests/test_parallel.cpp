@@ -23,6 +23,7 @@
 #include "engine/format_registry.h"
 #include "kernels/native_spmv.h"
 #include "kernels/sim_spmv.h"
+#include "reorder/permutation.h"
 #include "sparse/convert.h"
 #include "sparse/matgen/generators.h"
 #include "sparse/matgen/suite.h"
@@ -222,33 +223,43 @@ std::vector<value_t> naive_ell_values(const bs::Csr& csr, index_t width) {
   return vals;
 }
 
-/// A freed heap block of `n` values, every byte 0xFF (a NaN), for the next
-/// allocation of that size to reuse: an array built in it that leaves a
-/// slot unwritten reads it back as NaN, not as zero. A live guard block
-/// behind it keeps the allocator from merging it into the top of the heap
-/// and trimming it; blocks this small stay below the mmap threshold.
+/// Freed heap blocks of the given byte sizes, every byte 0xFF (a NaN as a
+/// value, -1 as an index), for the next allocations of those sizes to
+/// reuse: an array built in one that leaves a slot unwritten reads it back
+/// as garbage, not as zero. A live guard block behind each keeps the
+/// allocator from merging it with its neighbours or into the top of the
+/// heap; blocks this small stay below the mmap threshold.
 class HeapPoison {
  public:
-  explicit HeapPoison(std::size_t n) {
-    if (n == 0) return;
-    void* p = std::malloc(n * sizeof(value_t));
-    guard_ = std::malloc(sizeof(value_t));
-    // Volatile stores: a plain memset before free() is a dead store the
-    // compiler may drop.
-    auto* bytes = static_cast<volatile unsigned char*>(p);
-    for (std::size_t i = 0; i < n * sizeof(value_t); ++i) bytes[i] = 0xFF;
-    std::free(p);
+  explicit HeapPoison(std::initializer_list<std::size_t> sizes) {
+    void* blocks[kMaxBlocks] = {};
+    std::size_t n = 0;
+    for (const std::size_t bytes : sizes) {
+      if (bytes == 0 || n == kMaxBlocks) continue;
+      EXPECT_LE(bytes, 64u * 1024) << "above the mmap threshold";
+      blocks[n] = std::malloc(bytes);
+      guards_[n] = std::malloc(sizeof(value_t));
+      // Volatile stores: a plain memset before free() is a dead store the
+      // compiler may drop.
+      auto* b = static_cast<volatile unsigned char*>(blocks[n]);
+      for (std::size_t i = 0; i < bytes; ++i) b[i] = 0xFF;
+      ++n;
+    }
+    for (std::size_t i = 0; i < n; ++i) std::free(blocks[i]);
   }
-  ~HeapPoison() { std::free(guard_); }
+  ~HeapPoison() {
+    for (void* g : guards_) std::free(g);
+  }
   HeapPoison(const HeapPoison&) = delete;
   HeapPoison& operator=(const HeapPoison&) = delete;
 
  private:
-  void* guard_ = nullptr;
+  static constexpr std::size_t kMaxBlocks = 4;
+  void* guards_[kMaxBlocks] = {};
 };
 
-template <typename A>
-bool same_bits(const A& a, const std::vector<value_t>& b) {
+template <typename A, typename B>
+bool same_bits(const A& a, const B& b) {
   return a.size() == b.size() &&
          (a.empty() ||
           std::memcmp(a.data(), b.data(), a.size() * sizeof(value_t)) == 0);
@@ -293,23 +304,23 @@ TEST(ParallelCompression, EveryEllValueSlotIsWritten) {
         ho.width_override = sh.width;
 
         {
-          const HeapPoison poison(n);
+          const HeapPoison poison({n * sizeof(value_t)});
           EXPECT_TRUE(same_bits(bc::ell_values(sh.csr, sh.width), want))
               << "ell_values " << ctx;
         }
         {
-          const HeapPoison poison(n);
+          const HeapPoison poison({n * sizeof(value_t)});
           EXPECT_TRUE(same_bits(
               bc::BroEll::compress(sh.csr, sh.width, eo).vals(), want))
               << "BRO-ELL " << ctx;
         }
         {
-          const HeapPoison poison(n);
+          const HeapPoison poison({n * sizeof(value_t)});
           EXPECT_TRUE(same_bits(
               bc::BroAns::compress(sh.csr, sh.width, ao).vals(), want))
               << "BRO-ANS " << ctx;
         }
-        const HeapPoison poison(n);
+        const HeapPoison poison({n * sizeof(value_t)});
         const bc::BroHyb hyb = bc::BroHyb::compress(sh.csr, ho);
         EXPECT_EQ(hyb.split_width(), sh.width) << ctx;
         EXPECT_TRUE(same_bits(hyb.ell_part().vals(), want))
@@ -491,7 +502,7 @@ TEST(ParallelIngest, HybCooDuplicateOfAnEllColumnMergesAndCompacts) {
   Bytes bytes = to_bytes(s.str());
   const std::size_t n = hyb.coo_part().padded_nnz();
   const std::size_t cols_at = bytes.size() - (8 + 8 * n) - 4 * n;
-  const std::vector<index_t> coo_rows = hyb.coo_part().decode_rows();
+  const auto coo_rows = hyb.coo_part().decode_rows();
   ASSERT_EQ(coo_rows[0], 17);
   const index_t dup = csr.row_cols(17)[0];
   std::memcpy(bytes.data() + cols_at, &dup, sizeof(dup));
@@ -631,4 +642,291 @@ TEST(LockstepDecoder, MatchesRowStreamDecoderOnRandomWidths) {
           std::runtime_error);
     }
   }
+}
+
+// ---- every array type of the core is written before it is read ----
+//
+// CSR, COO and BRO-COO arrays are allocated unzeroed (util::UninitVector).
+// Each builder below runs over poisoned heap blocks of its output's sizes
+// at 1 and 4 threads, and its arrays must match, bitwise, a reference
+// built with plain std::vectors.
+
+namespace {
+
+/// A CSR in plain std::vectors: the reference side of the comparisons.
+struct PlainCsr {
+  index_t rows = 0, cols = 0;
+  std::vector<index_t> row_ptr, col_idx;
+  std::vector<value_t> vals;
+};
+
+PlainCsr plain(const bs::Csr& a) {
+  return {a.rows, a.cols,
+          std::vector<index_t>(a.row_ptr.begin(), a.row_ptr.end()),
+          std::vector<index_t>(a.col_idx.begin(), a.col_idx.end()),
+          std::vector<value_t>(a.vals.begin(), a.vals.end())};
+}
+
+template <typename A, typename B>
+bool same_ints(const A& a, const B& b) {
+  return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());
+}
+
+bool same_csr(const bs::Csr& a, const PlainCsr& b) {
+  return a.rows == b.rows && a.cols == b.cols &&
+         same_ints(a.row_ptr, b.row_ptr) && same_ints(a.col_idx, b.col_idx) &&
+         same_bits(a.vals, b.vals);
+}
+
+/// Poisoned blocks the size of each of `want`'s arrays.
+struct CsrPoison {
+  explicit CsrPoison(const PlainCsr& want)
+      : poison({want.row_ptr.size() * sizeof(index_t),
+                want.col_idx.size() * sizeof(index_t),
+                want.vals.size() * sizeof(value_t)}) {}
+  HeapPoison poison;
+};
+
+/// Entries of `csr` in a shuffled order, with every fifth one followed by
+/// a duplicate of its coordinate: a COO that is not canonical.
+bs::Coo shuffled_with_duplicates(const bs::Csr& csr, std::uint64_t seed) {
+  bs::Coo coo;
+  coo.rows = csr.rows;
+  coo.cols = csr.cols;
+  for (index_t r = 0; r < csr.rows; ++r)
+    for (index_t p = csr.row_ptr[r]; p < csr.row_ptr[r + 1]; ++p) {
+      coo.push(r, csr.col_idx[p], csr.vals[p]);
+      if (p % 5 == 0) coo.push(r, csr.col_idx[p], 0.25);
+    }
+  bro::Rng rng(seed);
+  for (std::size_t i = coo.nnz(); i > 1; --i) {
+    const std::size_t j = rng.below(i);
+    std::swap(coo.row_idx[i - 1], coo.row_idx[j]);
+    std::swap(coo.col_idx[i - 1], coo.col_idx[j]);
+    std::swap(coo.vals[i - 1], coo.vals[j]);
+  }
+  return coo;
+}
+
+/// canonicalize_row's rule, written out: each row's entries stably sorted
+/// by column, duplicates summed in arrival order.
+PlainCsr naive_coo_to_csr(const bs::Coo& coo) {
+  std::vector<std::vector<std::pair<index_t, value_t>>> rows(
+      static_cast<std::size_t>(coo.rows));
+  for (std::size_t i = 0; i < coo.nnz(); ++i)
+    rows[static_cast<std::size_t>(coo.row_idx[i])].emplace_back(coo.col_idx[i],
+                                                                coo.vals[i]);
+  PlainCsr out{coo.rows, coo.cols, {0}, {}, {}};
+  for (auto& row : rows) {
+    std::stable_sort(row.begin(), row.end(), [](const auto& a, const auto& b) {
+      return a.first < b.first;
+    });
+    for (std::size_t k = 0; k < row.size(); ++k) {
+      if (k > 0 && row[k].first == row[k - 1].first) {
+        out.vals.back() += row[k].second;
+      } else {
+        out.col_idx.push_back(row[k].first);
+        out.vals.push_back(row[k].second);
+      }
+    }
+    out.row_ptr.push_back(static_cast<index_t>(out.col_idx.size()));
+  }
+  return out;
+}
+
+} // namespace
+
+TEST(HeapPoison, IngestWritesEveryCsrSlot) {
+  const bs::Csr csr = ragged_rows(700, 9, 4, 81);
+  const PlainCsr want = plain(csr);
+  // Every serializable tag: bro_bytes' five, plus BRO-CSR.
+  std::vector<std::string> streams = bro_bytes(csr);
+  std::ostringstream s(std::ios::binary);
+  bc::write_bro_csr(s, bc::BroCsr::compress(csr));
+  streams.push_back(s.str());
+  for (const std::string& bytes : streams) {
+    const Bytes in = to_bytes(bytes);
+    for (const int threads : {1, 4}) {
+      ThreadGuard g(threads);
+      const CsrPoison poison(want);
+      EXPECT_TRUE(same_csr(bc::read_bro_to_csr(in), want))
+          << "tag " << int(in[8]) << " threads=" << threads;
+    }
+  }
+}
+
+TEST(HeapPoison, CooToCsrWritesEveryCsrSlot) {
+  const bs::Coo coo = shuffled_with_duplicates(ragged_rows(600, 8, 5, 82), 9);
+  const PlainCsr want = naive_coo_to_csr(coo);
+  for (const int threads : {1, 4}) {
+    ThreadGuard g(threads);
+    {
+      // Sized for every entry, then cut to the merged row lengths.
+      const HeapPoison poison({coo.nnz() * sizeof(index_t),
+                               coo.nnz() * sizeof(value_t)});
+      EXPECT_TRUE(same_csr(bs::coo_to_csr(coo), want))
+          << "unsorted, threads=" << threads;
+    }
+    // Canonical input keeps (or, moved in, takes over) its own arrays.
+    bs::Coo canonical = bs::csr_to_coo(bs::coo_to_csr(coo));
+    const CsrPoison poison(want);
+    EXPECT_TRUE(same_csr(bs::coo_to_csr(std::move(canonical)), want))
+        << "canonical, threads=" << threads;
+  }
+}
+
+TEST(HeapPoison, CanonicalizeAndBroCooWriteEverySlot) {
+  const bs::Coo coo = shuffled_with_duplicates(ragged_rows(600, 8, 5, 83), 10);
+  const PlainCsr csr = naive_coo_to_csr(coo);
+  std::vector<index_t> rows;
+  for (index_t r = 0; r < csr.rows; ++r)
+    rows.insert(rows.end(),
+                static_cast<std::size_t>(csr.row_ptr[r + 1] - csr.row_ptr[r]),
+                r);
+  for (const int threads : {1, 4}) {
+    ThreadGuard g(threads);
+    bs::Coo canon = coo;
+    {
+      const HeapPoison poison({coo.nnz() * sizeof(index_t),
+                               coo.nnz() * sizeof(value_t)});
+      canon.canonicalize();
+    }
+    EXPECT_TRUE(same_ints(canon.row_idx, rows) &&
+                same_ints(canon.col_idx, csr.col_idx) &&
+                same_bits(canon.vals, csr.vals))
+        << "Coo::canonicalize threads=" << threads;
+
+    // BRO-COO pads the moved-in arrays to whole intervals: the last
+    // coordinate again, with value +0.0.
+    bc::BroCooOptions opts;
+    opts.warp_size = 8;
+    opts.interval_cols = 16;
+    const std::size_t padded = bc::BroCoo::padded_length(rows.size(), opts);
+    std::vector<index_t> want_rows = rows, want_cols = csr.col_idx;
+    std::vector<value_t> want_vals = csr.vals;
+    want_rows.resize(padded, rows.back());
+    want_cols.resize(padded, csr.col_idx.back());
+    want_vals.resize(padded, 0.0);
+    const bc::BroCoo bro = [&] {
+      const HeapPoison poison({padded * sizeof(index_t),
+                               padded * sizeof(index_t),
+                               padded * sizeof(value_t)});
+      return bc::BroCoo::compress(std::move(canon), opts);
+    }();
+    const HeapPoison poison({padded * sizeof(index_t)});
+    EXPECT_TRUE(same_ints(bro.decode_rows(), want_rows) &&
+                same_ints(bro.col_idx(), want_cols) &&
+                same_bits(bro.vals(), want_vals))
+        << "BroCoo::compress threads=" << threads;
+  }
+}
+
+TEST(HeapPoison, GeneratorsAndPermuteRowsWriteEverySlot) {
+  const auto entry = bs::suite_test_set(1).front();
+  const PlainCsr suite = plain(bs::generate_suite_matrix(entry, 0.002));
+  const PlainCsr poisson = plain(bs::generate_poisson2d(40, 30));
+  const bs::Csr src = ragged_rows(500, 9, 6, 84);
+  std::vector<index_t> perm(static_cast<std::size_t>(src.rows));
+  for (std::size_t i = 0; i < perm.size(); ++i)
+    perm[i] = static_cast<index_t>((i * 7 + 3) % perm.size());
+  PlainCsr permuted{src.rows, src.cols, {0}, {}, {}};
+  for (const index_t r : perm) {
+    const auto cols = src.row_cols(r);
+    const auto vals = src.row_vals(r);
+    permuted.col_idx.insert(permuted.col_idx.end(), cols.begin(), cols.end());
+    permuted.vals.insert(permuted.vals.end(), vals.begin(), vals.end());
+    permuted.row_ptr.push_back(static_cast<index_t>(permuted.col_idx.size()));
+  }
+  for (const int threads : {1, 4}) {
+    ThreadGuard g(threads);
+    {
+      const CsrPoison poison(suite);
+      EXPECT_TRUE(same_csr(bs::generate_suite_matrix(entry, 0.002), suite))
+          << entry.name << " threads=" << threads;
+    }
+    {
+      const CsrPoison poison(poisson);
+      EXPECT_TRUE(same_csr(bs::generate_poisson2d(40, 30), poisson))
+          << "poisson2d threads=" << threads;
+    }
+    const CsrPoison poison(permuted);
+    EXPECT_TRUE(same_csr(bro::reorder::permute_rows(src, perm), permuted))
+        << "permute_rows threads=" << threads;
+  }
+}
+
+// ---- Csr::is_valid over row tiles ----
+
+namespace {
+
+/// The validity rule, one row after another: row pointers monotone from 0
+/// to nnz, columns in range and strictly increasing within each row.
+bool serial_is_valid(const bs::Csr& a) {
+  if (a.row_ptr.size() != static_cast<std::size_t>(a.rows) + 1 ||
+      a.row_ptr.front() != 0 ||
+      static_cast<std::size_t>(a.row_ptr.back()) != a.nnz() ||
+      a.col_idx.size() != a.vals.size())
+    return false;
+  for (index_t r = 0; r < a.rows; ++r) {
+    if (a.row_ptr[r + 1] < a.row_ptr[r] ||
+        static_cast<std::size_t>(a.row_ptr[r + 1]) > a.nnz())
+      return false;
+    for (index_t p = a.row_ptr[r]; p < a.row_ptr[r + 1]; ++p) {
+      if (a.col_idx[p] < 0 || a.col_idx[p] >= a.cols) return false;
+      if (p > a.row_ptr[r] && a.col_idx[p] <= a.col_idx[p - 1]) return false;
+    }
+  }
+  return true;
+}
+
+/// `csr` with one fault in its last row (`csr` must end in a row of at
+/// least two entries).
+std::vector<std::pair<std::string, bs::Csr>> last_row_faults(
+    const bs::Csr& csr) {
+  std::vector<std::pair<std::string, bs::Csr>> out;
+  const auto add = [&](const char* what, auto&& mutate) {
+    bs::Csr bad = csr;
+    mutate(bad);
+    out.emplace_back(what, std::move(bad));
+  };
+  add("unsorted columns", [](bs::Csr& a) {
+    std::swap(a.col_idx[a.nnz() - 1], a.col_idx[a.nnz() - 2]);
+  });
+  add("duplicate column",
+      [](bs::Csr& a) { a.col_idx[a.nnz() - 1] = a.col_idx[a.nnz() - 2]; });
+  add("column past the matrix", [](bs::Csr& a) { a.col_idx.back() = a.cols; });
+  add("negative column", [](bs::Csr& a) { a.col_idx[a.nnz() - 2] = -1; });
+  add("non-monotone row_ptr", [](bs::Csr& a) {
+    a.row_ptr[static_cast<std::size_t>(a.rows) - 1] =
+        a.row_ptr[static_cast<std::size_t>(a.rows) - 2] - 1;
+  });
+  return out;
+}
+
+} // namespace
+
+TEST(ParallelValidity, VerdictsMatchTheSerialRule) {
+  std::vector<std::pair<std::string, bs::Csr>> cases;
+  for (auto& c : bs::adversarial_suite(5)) cases.emplace_back(c.name, c.csr);
+  for (auto& c : bs::adversarial_huge_cases(5))
+    cases.emplace_back(c.name, c.csr);
+  // 10000 rows: three tiles, the last one partial.
+  const bs::Csr grid = bs::generate_poisson2d(100, 100);
+  cases.emplace_back("poisson 100x100", grid);
+  for (auto& [what, bad] : last_row_faults(grid))
+    cases.emplace_back("poisson 100x100, " + what, std::move(bad));
+  for (const auto& c : bs::adversarial_suite(5))
+    if (c.csr.rows >= 2 && c.csr.row_length(c.csr.rows - 1) >= 2)
+      for (auto& [what, bad] : last_row_faults(c.csr))
+        cases.emplace_back(c.name + ", " + what, std::move(bad));
+  int invalid = 0;
+  for (const auto& [name, csr] : cases) {
+    const bool want = serial_is_valid(csr);
+    invalid += !want;
+    for (const int threads : {1, 2, 4}) {
+      ThreadGuard g(threads);
+      EXPECT_EQ(csr.is_valid(), want) << name << " threads=" << threads;
+    }
+  }
+  EXPECT_GE(invalid, 5);
 }

@@ -119,9 +119,9 @@ TEST(Csr, BuilderCanonicalizesEachRow) {
   b.end_row();
   const bs::Csr a = b.finish();
   EXPECT_TRUE(a.is_valid());
-  EXPECT_EQ(a.row_ptr, (std::vector<index_t>{0, 2, 4}));
-  EXPECT_EQ(a.col_idx, (std::vector<index_t>{1, 4, 0, 5}));
-  EXPECT_EQ(a.vals, (std::vector<value_t>{2.0, 4.0, 5.0, 6.0}));
+  EXPECT_EQ(a.row_ptr, (bro::util::UninitVector<index_t>{0, 2, 4}));
+  EXPECT_EQ(a.col_idx, (bro::util::UninitVector<index_t>{1, 4, 0, 5}));
+  EXPECT_EQ(a.vals, (bro::util::UninitVector<value_t>{2.0, 4.0, 5.0, 6.0}));
   bs::CsrBuilder short_one(2, 2);
   short_one.end_row();
   EXPECT_THROW(short_one.finish(), std::runtime_error);
@@ -174,7 +174,7 @@ TEST(EllR, RowLengthsRecorded) {
   const bs::Csr csr = bs::coo_to_csr(paper_matrix());
   const bs::EllR ellr = bs::csr_to_ellr(csr);
   EXPECT_TRUE(ellr.is_valid());
-  EXPECT_EQ(ellr.row_length, (std::vector<index_t>{2, 5, 3, 2}));
+  EXPECT_EQ(ellr.row_length, (bro::util::UninitVector<index_t>{2, 5, 3, 2}));
 }
 
 TEST(Hyb, SplitHeuristicPaperExample) {

@@ -1,9 +1,14 @@
 // Tests for the util substrate: RNG determinism and distribution sanity,
-// table rendering, env parsing, error macros and the timer.
+// table rendering, env parsing, error macros, the timer and the huge-page
+// advice of UninitVector's allocator.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
+#include <string>
 
 #include "util/env.h"
 #include "util/error.h"
@@ -11,6 +16,7 @@
 #include "util/rng.h"
 #include "util/table.h"
 #include "util/timer.h"
+#include "util/uninit.h"
 
 using bro::Rng;
 
@@ -204,4 +210,52 @@ TEST(Histogram, SummaryMentionsPercentiles) {
   EXPECT_NE(s.find("p95="), std::string::npos);
   EXPECT_NE(s.find("p99="), std::string::npos);
   EXPECT_NE(s.find("max="), std::string::npos);
+}
+
+namespace {
+
+/// The THPeligible field of the /proc/self/smaps mapping that holds `p`,
+/// or -1 when no mapping holds it.
+int thp_eligible(const void* p) {
+  const auto addr = reinterpret_cast<std::uintptr_t>(p);
+  std::ifstream smaps("/proc/self/smaps");
+  bool inside = false;
+  std::string line;
+  while (std::getline(smaps, line)) {
+    unsigned long long lo = 0, hi = 0;
+    if (std::sscanf(line.c_str(), "%llx-%llx ", &lo, &hi) == 2) {
+      inside = lo <= addr && addr < hi; // a mapping's header line
+    } else if (inside && line.rfind("THPeligible:", 0) == 0) {
+      return std::stoi(line.substr(12));
+    }
+  }
+  return -1;
+}
+
+/// The bracketed transparent-huge-page mode ("always", "madvise" or
+/// "never"), or "" where the kernel has none.
+std::string thp_mode() {
+  std::ifstream in("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string modes;
+  std::getline(in, modes);
+  const auto open = modes.find('['), close = modes.find(']');
+  if (open == std::string::npos || close == std::string::npos) return "";
+  return modes.substr(open + 1, close - open - 1);
+}
+
+} // namespace
+
+TEST(UninitVector, LargeArraysAreAdvisedOntoHugePages) {
+  const std::string mode = thp_mode();
+  if (mode.empty() || mode == "never")
+    GTEST_SKIP() << "transparent huge pages are off";
+  using Values = bro::util::UninitVector<double>;
+  const Values large(bro::util::kHugePageBytes / sizeof(double));
+  EXPECT_EQ(thp_eligible(large.data() + large.size() / 2), 1);
+  // Under "always" every mapping is eligible; under "madvise" only the
+  // advised ones are.
+  if (mode == "madvise") {
+    const Values small((std::size_t{1} << 20) / sizeof(double));
+    EXPECT_EQ(thp_eligible(small.data() + small.size() / 2), 0);
+  }
 }

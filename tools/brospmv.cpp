@@ -730,7 +730,6 @@ int cmd_serve_bench(const Args& args) {
   const auto& suite = sparse::suite_entries();
   std::vector<std::string> ids;
   std::vector<index_t> cols;
-  std::size_t total_rows = 0;
   for (int i = 0; i < n_matrices; ++i) {
     const auto& entry = suite[static_cast<std::size_t>(i) % suite.size()];
     auto m = std::make_shared<core::Matrix>(core::Matrix::from_csr(
@@ -739,10 +738,8 @@ int cmd_serve_bench(const Args& args) {
               << m->cols() << ", nnz " << m->nnz() << '\n';
     ids.push_back(entry.name);
     cols.push_back(m->cols());
-    total_rows += static_cast<std::size_t>(m->rows());
     server.add_matrix(entry.name, std::move(m));
   }
-  (void)total_rows;
 
   std::atomic<std::size_t> served_rows{0};
   std::atomic<int> submitting{clients};

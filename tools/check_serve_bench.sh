@@ -2,7 +2,8 @@
 # End-to-end smoke of the serving layer through the CLI: a synchronous
 # (deterministic) run, a threaded run, and a forced-format run on a pinned
 # cache, each of which must serve every request and report its queue-wait
-# and execute percentiles; an unknown --format or flag must fail.
+# and execute percentiles; an unknown --format or flag, or a numeric flag
+# without its value, must fail.
 # Usage: check_serve_bench.sh /path/to/brospmv
 set -eu
 
@@ -46,6 +47,14 @@ for flag in pools no-such-flag; do
   fi
   grep -q -- "--$flag" err.txt
 done
+
+echo "== numeric flag without a value must fail =="
+if "$BROSPMV" serve-bench --threads 0 --clients 1 --requests 8 --matrices 1 \
+    --scale 0.02 --max-batch >out.txt 2>err.txt; then
+  echo "FAIL: --max-batch without a value was accepted"
+  exit 1
+fi
+grep -q -- "--max-batch" err.txt
 rm -f out.txt err.txt
 
 echo "check_serve_bench: OK"
