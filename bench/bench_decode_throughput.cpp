@@ -36,11 +36,10 @@ using namespace bro;
 constexpr std::size_t kLanes = 64;
 constexpr std::size_t kDeltasPerLane = 16384;
 
-void BM_Decode(benchmark::State& state, kernels::DecodeVariant variant,
-               int sym_len) {
+void BM_Decode(benchmark::State& state, kernels::DecodeVariant variant) {
   const int width = static_cast<int>(state.range(0));
   const auto c = kernels::make_decode_bench_case(
-      width, sym_len, kLanes, kDeltasPerLane,
+      width, kLanes, kDeltasPerLane,
       0x5eed0000u + static_cast<unsigned>(width));
   std::uint64_t sink = 0;
   for (auto _ : state) {
@@ -53,11 +52,10 @@ void BM_Decode(benchmark::State& state, kernels::DecodeVariant variant,
       benchmark::Counter::kIsRate, benchmark::Counter::OneK::kIs1000);
 }
 
-void BM_DecodeSimd(benchmark::State& state, kernels::SimdIsa isa,
-                   int sym_len) {
+void BM_DecodeSimd(benchmark::State& state, kernels::SimdIsa isa) {
   const int width = static_cast<int>(state.range(0));
   const auto c = kernels::make_decode_bench_case(
-      width, sym_len, kLanes, kDeltasPerLane,
+      width, kLanes, kDeltasPerLane,
       0x5eed0000u + static_cast<unsigned>(width));
   if (kernels::simd_decode_pass(c, isa) !=
       kernels::decode_pass(c, kernels::DecodeVariant::kGeneric)) {
@@ -76,13 +74,11 @@ void BM_DecodeSimd(benchmark::State& state, kernels::SimdIsa isa,
 }
 
 /// BRO-ANS entropy decode through the path dispatch would select at `isa`
-/// (the table's vector kernel when present for the width, else the
-/// interleaved scalar chains). One synthetic FEM-like matrix per sym_len,
-/// checksum checked against the sequential reference before timing.
-void BM_AnsDecode(benchmark::State& state, kernels::SimdIsa isa,
-                  int sym_len) {
-  const auto c = kernels::make_ans_decode_bench_case(
-      sym_len, 4096, 0xa45eed00u + static_cast<unsigned>(sym_len));
+/// (the table's vector kernel when present, else the interleaved scalar
+/// chains). One synthetic FEM-like matrix, checksum checked against the
+/// sequential reference before timing.
+void BM_AnsDecode(benchmark::State& state, kernels::SimdIsa isa) {
+  const auto c = kernels::make_ans_decode_bench_case(4096, 0xa45eed20u);
   if (kernels::ans_decode_pass(c, isa) != c.expect) {
     state.SkipWithError("BRO-ANS decode disagrees with sequential reference");
     return;
@@ -101,10 +97,9 @@ void BM_AnsDecode(benchmark::State& state, kernels::SimdIsa isa,
 /// `isa` — the same slice machinery the decode-* rows time, fed the
 /// one-index-per-block stream of a truss-FEM compression. Checksum checked
 /// against the scalar dispatch path before timing.
-void BM_BcsrDecode(benchmark::State& state, kernels::SimdIsa isa,
-                   int sym_len) {
-  const auto c = kernels::make_bcsr_decode_bench_case(
-      sym_len, /*panels=*/2000, 0xbc5eed00u + static_cast<unsigned>(sym_len));
+void BM_BcsrDecode(benchmark::State& state, kernels::SimdIsa isa) {
+  const auto c = kernels::make_bcsr_decode_bench_case(/*panels=*/2000,
+                                                      0xbc5eed20u);
   if (kernels::bcsr_decode_pass(c, isa) != c.expect) {
     state.SkipWithError("BRO-BCSR decode disagrees with scalar dispatch");
     return;
@@ -161,42 +156,32 @@ int main(int argc, char** argv) {
       {"spec", kernels::DecodeVariant::kSpecialized},
       {"gen", kernels::DecodeVariant::kGeneric},
   };
-  for (const int sym_len : {32, 64}) {
-    for (const auto& v : kVariants) {
-      auto* b = benchmark::RegisterBenchmark(
-          ("decode-" + std::string(v.name) + "/sym" + std::to_string(sym_len))
-              .c_str(),
-          BM_Decode, v.variant, sym_len);
-      for (const int w : kWidths) b->Arg(w);
-    }
-    for (const kernels::SimdIsa isa :
-         {kernels::SimdIsa::kSse4, kernels::SimdIsa::kAvx2}) {
-      if (!kernels::simd_isa_runnable(isa)) continue;
-      auto* b = benchmark::RegisterBenchmark(
-          ("decode-" + std::string(kernels::simd_isa_name(isa)) + "/sym" +
-           std::to_string(sym_len))
-              .c_str(),
-          BM_DecodeSimd, isa, sym_len);
-      for (const int w : kWidths) b->Arg(w);
-    }
-    for (const kernels::SimdIsa isa :
-         {kernels::SimdIsa::kScalar, kernels::SimdIsa::kSse4,
-          kernels::SimdIsa::kAvx2}) {
-      if (!kernels::simd_isa_runnable(isa)) continue;
-      // SSE4 has no BRO-ANS kernel: its row would time the scalar chains
-      // a second time.
-      if (isa != kernels::SimdIsa::kSse4)
-        benchmark::RegisterBenchmark(
-            ("ans-decode-" + std::string(kernels::simd_isa_name(isa)) +
-             "/sym" + std::to_string(sym_len))
-                .c_str(),
-            BM_AnsDecode, isa, sym_len);
+  for (const auto& v : kVariants) {
+    auto* b = benchmark::RegisterBenchmark(
+        ("decode-" + std::string(v.name)).c_str(), BM_Decode, v.variant);
+    for (const int w : kWidths) b->Arg(w);
+  }
+  for (const kernels::SimdIsa isa :
+       {kernels::SimdIsa::kSse4, kernels::SimdIsa::kAvx2}) {
+    if (!kernels::simd_isa_runnable(isa)) continue;
+    auto* b = benchmark::RegisterBenchmark(
+        ("decode-" + std::string(kernels::simd_isa_name(isa))).c_str(),
+        BM_DecodeSimd, isa);
+    for (const int w : kWidths) b->Arg(w);
+  }
+  for (const kernels::SimdIsa isa :
+       {kernels::SimdIsa::kScalar, kernels::SimdIsa::kSse4,
+        kernels::SimdIsa::kAvx2}) {
+    if (!kernels::simd_isa_runnable(isa)) continue;
+    // SSE4 has no BRO-ANS kernel: its row would time the scalar chains a
+    // second time.
+    if (isa != kernels::SimdIsa::kSse4)
       benchmark::RegisterBenchmark(
-          ("bcsr-decode-" + std::string(kernels::simd_isa_name(isa)) +
-           "/sym" + std::to_string(sym_len))
-              .c_str(),
-          BM_BcsrDecode, isa, sym_len);
-    }
+          ("ans-decode-" + std::string(kernels::simd_isa_name(isa))).c_str(),
+          BM_AnsDecode, isa);
+    benchmark::RegisterBenchmark(
+        ("bcsr-decode-" + std::string(kernels::simd_isa_name(isa))).c_str(),
+        BM_BcsrDecode, isa);
   }
   print_suite_ab();
   benchmark::Initialize(&argc, argv);

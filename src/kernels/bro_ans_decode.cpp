@@ -8,49 +8,37 @@
 
 namespace bro::kernels {
 
-namespace {
-
-void check_sym_len(int sym_len) {
-  BRO_CHECK_MSG(sym_len == 32 || sym_len == 64,
-                "unsupported symbol length: " + std::to_string(sym_len));
-}
-
-} // namespace
-
-BroAnsKernel select_bro_ans_kernel(int sym_len, SimdIsa isa) {
-  check_sym_len(sym_len);
+BroAnsKernel select_bro_ans_kernel(SimdIsa isa) {
   BroAnsKernel k;
   const SimdKernels* t = simd_kernels(isa);
-  if (t != nullptr && sym_len == 32 && t->ans_spmv32 != nullptr) {
-    k.spmv = t->ans_spmv32;
+  if (t != nullptr && t->ans_spmv != nullptr) {
+    k.spmv = t->ans_spmv;
     k.isa = isa;
     return k;
   }
-  k.spmv = sym_len == 32 ? &detail::bro_ans_slice_spmv<std::uint32_t>
-                         : &detail::bro_ans_slice_spmv<std::uint64_t>;
+  k.spmv = &detail::bro_ans_slice_spmv;
   return k;
 }
 
-BroAnsKernel generic_bro_ans_kernel(int sym_len) {
-  check_sym_len(sym_len);
+BroAnsKernel generic_bro_ans_kernel() {
   BroAnsKernel k;
-  k.spmv = sym_len == 32 ? &detail::bro_ans_slice_spmv_single<std::uint32_t>
-                         : &detail::bro_ans_slice_spmv_single<std::uint64_t>;
+  k.spmv = &detail::bro_ans_slice_spmv_single;
   return k;
 }
 
 std::vector<BroAnsKernel> plan_bro_ans_kernels(const core::BroAns& a,
                                                SimdIsa isa) {
-  const BroAnsKernel k = select_bro_ans_kernel(a.options().sym_len, isa);
-  return std::vector<BroAnsKernel>(a.slices().size(), k);
+  check_host_sym_len(a.options().sym_len);
+  return std::vector<BroAnsKernel>(a.slices().size(),
+                                   select_bro_ans_kernel(isa));
 }
 
 void native_spmv_bro_ans(const core::BroAns& a, std::span<const value_t> x,
                          std::span<value_t> y) {
   BRO_CHECK(x.size() >= static_cast<std::size_t>(a.cols()));
   BRO_CHECK(y.size() >= static_cast<std::size_t>(a.rows()));
-  const BroAnsKernel k =
-      select_bro_ans_kernel(a.options().sym_len, active_simd_isa());
+  check_host_sym_len(a.options().sym_len);
+  const BroAnsKernel k = select_bro_ans_kernel(active_simd_isa());
   const auto& slices = a.slices();
 #pragma omp parallel for schedule(dynamic, 1)
   for (std::size_t si = 0; si < slices.size(); ++si)
@@ -74,7 +62,8 @@ void native_spmv_bro_ans_generic(const core::BroAns& a,
                                  std::span<value_t> y) {
   BRO_CHECK(x.size() >= static_cast<std::size_t>(a.cols()));
   BRO_CHECK(y.size() >= static_cast<std::size_t>(a.rows()));
-  const BroAnsKernel k = generic_bro_ans_kernel(a.options().sym_len);
+  check_host_sym_len(a.options().sym_len);
+  const BroAnsKernel k = generic_bro_ans_kernel();
   const auto& slices = a.slices();
 #pragma omp parallel for schedule(dynamic, 1)
   for (std::size_t si = 0; si < slices.size(); ++si)

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <type_traits>
 
 #include "bits/ans.h"
 #include "bits/bitwidth.h"
@@ -37,29 +36,16 @@ namespace bro::kernels::detail {
 /// here is state-dependent, so a lazy "refill when short" buffer turns
 /// into a data-dependent branch that mispredicts every few symbols — and
 /// the mispredict stalls, not the arithmetic, dominate entropy decode.
-/// The chain instead keeps a buffer twice the symbol width — 64 bits for
-/// 32-bit stream symbols, 128 bits for 64-bit ones — and refills eagerly
-/// and branchlessly after every read: an unconditional load (the cursor is
-/// clamped to the stream's last slot, so it stays in bounds; duplicated
-/// tail bits sit below the live ones and are never consumed) plus
-/// conditional-move updates of buffer, bit count, and cursor. The refill
-/// restores rb >= sym_len, so every read of <= 32 bits hits the in-buffer
-/// fast path. On toolchains without a 128-bit integer type the 64-bit
-/// symbol path falls back to the branchy drain-and-reload loop.
-template <typename SymT>
+/// The chain instead keeps a 64-bit buffer, twice the 32-bit symbol width,
+/// and refills eagerly and branchlessly after every read: an unconditional
+/// load (the cursor is clamped to the stream's last slot, so it stays in
+/// bounds; duplicated tail bits sit below the live ones and are never
+/// consumed) plus conditional-move updates of buffer, bit count, and
+/// cursor. The refill restores rb >= 32, so every read of <= 32 bits hits
+/// the in-buffer fast path.
 class AnsChain {
-  static constexpr int kSym = static_cast<int>(sizeof(SymT) * 8);
-#if defined(__SIZEOF_INT128__)
-  static constexpr bool kEager = true;
-  using BufT =
-      std::conditional_t<kSym == 32, std::uint64_t, unsigned __int128>;
-#else
-  static constexpr bool kEager = kSym == 32;
-  using BufT = std::uint64_t;
-#endif
-
  public:
-  AnsChain(const SymT* stream, std::size_t stride, std::size_t lane,
+  AnsChain(const std::uint32_t* stream, std::size_t stride, std::size_t lane,
            std::size_t total_slots, std::uint32_t init_state, int tl)
       : stride_(stride) {
     if (total_slots == 0) {
@@ -71,12 +57,10 @@ class AnsChain {
       p_ = stream + lane;
       last_ = stream + (total_slots - 1);
     }
-    if constexpr (kEager) {
-      // Prime the invariant rb_ >= kSym: buffer the lane's first symbol.
-      buf_ = static_cast<BufT>(*p_);
-      rb_ = kSym;
-      advance();
-    }
+    // Prime the invariant rb_ >= kSym: buffer the lane's first symbol.
+    buf_ = *p_;
+    rb_ = kSym;
+    advance();
     x_ = (1u << tl) + init_state;
   }
 
@@ -107,64 +91,43 @@ class AnsChain {
  private:
   /// MSB-first read of b <= 32 bits.
   inline std::uint32_t read(int b) {
-    if constexpr (kEager) {
-      const std::uint64_t d =
-          static_cast<std::uint64_t>(buf_ >> (rb_ - b)) &
-          bits::max_value_for_bits(b);
-      rb_ -= b;
-      // Branchless eager refill: restore rb_ >= kSym so the next read of
-      // up to 32 bits always hits the fast extract above. Capacity is
-      // safe: rb_ <= kSym - 1 before a refill, so rb_ <= 2*kSym - 1 after,
-      // and the buffer holds 2*kSym bits.
-      const SymT w = *p_; // clamped cursor — always in bounds
-      const bool need = rb_ < kSym;
-      const SymT* pn = p_ + stride_;
-      buf_ = need ? ((buf_ << kSym) | w) : buf_;
-      rb_ += need ? kSym : 0;
-      p_ = need ? (pn < last_ ? pn : last_) : p_;
-      return static_cast<std::uint32_t>(d);
-    } else {
-      std::uint64_t d;
-      if (b <= rb_) {
-        d = (buf_ >> (rb_ - b)) & bits::max_value_for_bits(b);
-        rb_ -= b;
-      } else {
-        const int high = rb_;
-        d = high > 0 ? (static_cast<std::uint64_t>(buf_) &
-                        bits::max_value_for_bits(high))
-                     : 0;
-        buf_ = *p_;
-        advance();
-        const int low = b - high;
-        d = (d << low) | ((static_cast<std::uint64_t>(buf_) >> (kSym - low)) &
-                          bits::max_value_for_bits(low));
-        rb_ = kSym - low;
-      }
-      return static_cast<std::uint32_t>(d);
-    }
+    const std::uint64_t d = (buf_ >> (rb_ - b)) & bits::max_value_for_bits(b);
+    rb_ -= b;
+    // Branchless eager refill: restore rb_ >= kSym so the next read of up
+    // to 32 bits always hits the fast extract above. Capacity is safe:
+    // rb_ <= kSym - 1 before a refill, so rb_ <= 2*kSym - 1 after, and the
+    // buffer holds 2*kSym bits.
+    const std::uint32_t w = *p_; // clamped cursor — always in bounds
+    const bool need = rb_ < kSym;
+    const std::uint32_t* pn = p_ + stride_;
+    buf_ = need ? ((buf_ << kSym) | w) : buf_;
+    rb_ += need ? kSym : 0;
+    p_ = need ? (pn < last_ ? pn : last_) : p_;
+    return static_cast<std::uint32_t>(d);
   }
 
   inline void advance() {
-    const SymT* pn = p_ + stride_;
+    const std::uint32_t* pn = p_ + stride_;
     p_ = pn < last_ ? pn : last_;
   }
 
-  const SymT* p_;
-  const SymT* last_;
+  const std::uint32_t* p_;
+  const std::uint32_t* last_;
   std::size_t stride_;
-  BufT buf_ = 0;
+  std::uint64_t buf_ = 0;
   int rb_ = 0;
   std::uint32_t x_ = 0;
-  SymT zero_ = 0; // cursor target for zero-slot group streams
+  std::uint32_t zero_ = 0; // cursor target for zero-slot group streams
 };
 
 /// Up to four independent chains in flight over one lane group (the ILP
 /// analogue of the fixed-width kernels' four-row lockstep; wider
 /// interleave loses to register spills — each chain carries six live
 /// values), scalar single-chain remainder for partial quads.
-template <typename SymT>
-void bro_ans_slice_spmv(const core::BroAns& a, const core::BroAnsSlice& slice,
-                        std::span<const value_t> x, std::span<value_t> y) {
+inline void bro_ans_slice_spmv(const core::BroAns& a,
+                               const core::BroAnsSlice& slice,
+                               std::span<const value_t> x,
+                               std::span<value_t> y) {
   const std::size_t first = static_cast<std::size_t>(slice.first_row);
   if (slice.num_col == 0) {
     for (index_t t = 0; t < slice.height; ++t)
@@ -182,7 +145,7 @@ void bro_ans_slice_spmv(const core::BroAns& a, const core::BroAnsSlice& slice,
   const index_t num_groups = core::ans_num_groups(slice.height);
   for (index_t g = 0; g < num_groups; ++g) {
     const bits::MuxedStream& mux = slice.groups[static_cast<std::size_t>(g)];
-    const SymT* stream = mux.template data<SymT>();
+    const std::uint32_t* stream = mux.data<std::uint32_t>();
     const std::size_t gw = mux.height();
     const std::size_t n = mux.total_symbols();
     const index_t t0 = g * core::kAnsLaneGroup;
@@ -190,14 +153,14 @@ void bro_ans_slice_spmv(const core::BroAns& a, const core::BroAnsSlice& slice,
     for (; j + 3 < static_cast<index_t>(gw); j += 4) {
       const std::size_t b = static_cast<std::size_t>(t0 + j);
       const std::size_t r0 = first + b;
-      AnsChain<SymT> ch0(stream, gw, static_cast<std::size_t>(j), n,
-                         init[b], tl);
-      AnsChain<SymT> ch1(stream, gw, static_cast<std::size_t>(j) + 1, n,
-                         init[b + 1], tl);
-      AnsChain<SymT> ch2(stream, gw, static_cast<std::size_t>(j) + 2, n,
-                         init[b + 2], tl);
-      AnsChain<SymT> ch3(stream, gw, static_cast<std::size_t>(j) + 3, n,
-                         init[b + 3], tl);
+      AnsChain ch0(stream, gw, static_cast<std::size_t>(j), n,
+                   init[b], tl);
+      AnsChain ch1(stream, gw, static_cast<std::size_t>(j) + 1, n,
+                   init[b + 1], tl);
+      AnsChain ch2(stream, gw, static_cast<std::size_t>(j) + 2, n,
+                   init[b + 2], tl);
+      AnsChain ch3(stream, gw, static_cast<std::size_t>(j) + 3, n,
+                   init[b + 3], tl);
       index_t col0 = -1, col1 = -1, col2 = -1, col3 = -1;
       value_t sum0 = 0, sum1 = 0, sum2 = 0, sum3 = 0;
       std::size_t voff = 0;
@@ -231,8 +194,7 @@ void bro_ans_slice_spmv(const core::BroAns& a, const core::BroAnsSlice& slice,
     for (; j < static_cast<index_t>(gw); ++j) {
       const std::size_t b = static_cast<std::size_t>(t0 + j);
       const std::size_t r = first + b;
-      AnsChain<SymT> ch(stream, gw, static_cast<std::size_t>(j), n, init[b],
-                        tl);
+      AnsChain ch(stream, gw, static_cast<std::size_t>(j), n, init[b], tl);
       index_t col = -1;
       value_t sum = 0;
       std::size_t voff = 0;
@@ -250,11 +212,10 @@ void bro_ans_slice_spmv(const core::BroAns& a, const core::BroAnsSlice& slice,
 
 /// One chain at a time — the parity baseline the differential fuzzer's
 /// decode sweep compares the dispatched kernels against.
-template <typename SymT>
-void bro_ans_slice_spmv_single(const core::BroAns& a,
-                               const core::BroAnsSlice& slice,
-                               std::span<const value_t> x,
-                               std::span<value_t> y) {
+inline void bro_ans_slice_spmv_single(const core::BroAns& a,
+                                      const core::BroAnsSlice& slice,
+                                      std::span<const value_t> x,
+                                      std::span<value_t> y) {
   const std::size_t first = static_cast<std::size_t>(slice.first_row);
   if (slice.num_col == 0) {
     for (index_t t = 0; t < slice.height; ++t)
@@ -271,10 +232,10 @@ void bro_ans_slice_spmv_single(const core::BroAns& a,
     const bits::MuxedStream& mux =
         slice.groups[static_cast<std::size_t>(t / core::kAnsLaneGroup)];
     const std::size_t r = first + static_cast<std::size_t>(t);
-    AnsChain<SymT> ch(mux.template data<SymT>(), mux.height(),
-                      static_cast<std::size_t>(t % core::kAnsLaneGroup),
-                      mux.total_symbols(),
-                      slice.init_states[static_cast<std::size_t>(t)], tl);
+    AnsChain ch(mux.data<std::uint32_t>(), mux.height(),
+                static_cast<std::size_t>(t % core::kAnsLaneGroup),
+                mux.total_symbols(),
+                slice.init_states[static_cast<std::size_t>(t)], tl);
     index_t col = -1;
     value_t sum = 0;
     std::size_t voff = 0;
@@ -293,9 +254,8 @@ void bro_ans_slice_spmv_single(const core::BroAns& a,
 /// counterpart of decode_lane_checksum for the throughput bench. Four
 /// interleaved chains per group, the ILP structure of the dispatched
 /// scalar SpMV kernel, so the bench times what execute() actually runs.
-template <typename SymT>
-std::uint64_t ans_decode_checksum(const core::BroAns& a,
-                                  const core::BroAnsSlice& slice) {
+inline std::uint64_t ans_decode_checksum(const core::BroAns& a,
+                                         const core::BroAnsSlice& slice) {
   if (slice.num_col == 0) return 0;
   const std::uint32_t* table = a.table().decode_data();
   const int tl = a.table().table_log();
@@ -305,21 +265,21 @@ std::uint64_t ans_decode_checksum(const core::BroAns& a,
   const index_t num_groups = core::ans_num_groups(slice.height);
   for (index_t g = 0; g < num_groups; ++g) {
     const bits::MuxedStream& mux = slice.groups[static_cast<std::size_t>(g)];
-    const SymT* stream = mux.template data<SymT>();
+    const std::uint32_t* stream = mux.data<std::uint32_t>();
     const std::size_t gw = mux.height();
     const std::size_t n = mux.total_symbols();
     const index_t t0 = g * core::kAnsLaneGroup;
     index_t j = 0;
     for (; j + 3 < static_cast<index_t>(gw); j += 4) {
       const std::size_t b = static_cast<std::size_t>(t0 + j);
-      AnsChain<SymT> ch0(stream, gw, static_cast<std::size_t>(j), n,
-                         init[b], tl);
-      AnsChain<SymT> ch1(stream, gw, static_cast<std::size_t>(j) + 1, n,
-                         init[b + 1], tl);
-      AnsChain<SymT> ch2(stream, gw, static_cast<std::size_t>(j) + 2, n,
-                         init[b + 2], tl);
-      AnsChain<SymT> ch3(stream, gw, static_cast<std::size_t>(j) + 3, n,
-                         init[b + 3], tl);
+      AnsChain ch0(stream, gw, static_cast<std::size_t>(j), n,
+                   init[b], tl);
+      AnsChain ch1(stream, gw, static_cast<std::size_t>(j) + 1, n,
+                   init[b + 1], tl);
+      AnsChain ch2(stream, gw, static_cast<std::size_t>(j) + 2, n,
+                   init[b + 2], tl);
+      AnsChain ch3(stream, gw, static_cast<std::size_t>(j) + 3, n,
+                   init[b + 3], tl);
       std::uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
       for (index_t c = 0; c < slice.num_col; ++c) {
         s0 += ch0.step(table, L);
@@ -331,8 +291,7 @@ std::uint64_t ans_decode_checksum(const core::BroAns& a,
     }
     for (; j < static_cast<index_t>(gw); ++j) {
       const std::size_t b = static_cast<std::size_t>(t0 + j);
-      AnsChain<SymT> ch(stream, gw, static_cast<std::size_t>(j), n, init[b],
-                        tl);
+      AnsChain ch(stream, gw, static_cast<std::size_t>(j), n, init[b], tl);
       for (index_t c = 0; c < slice.num_col; ++c) sum += ch.step(table, L);
     }
   }

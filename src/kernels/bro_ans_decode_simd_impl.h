@@ -11,7 +11,7 @@
 // instantiations, and if it picked the one compiled here the baseline
 // dispatch path could execute ISA instructions on hosts without them.
 //
-// What vectorizes (AVX2, 32-bit stream symbols): the v2 layout interleaves
+// What vectorizes (AVX2): the v2 layout interleaves
 // the 8 rows of a lane group round-robin into one stream, so the 8 ANS
 // states advance over disjoint bit budgets — symbol c of lane j at flat
 // slot c*8 + j. Per decoded column the kernel does one vpgatherdd into the
@@ -32,8 +32,7 @@
 //
 // There is no SSE4 variant: without gathers or per-lane variable shifts a
 // tANS chain has nothing to vectorize, and running all 8 chains of a lane
-// group as scalars measured no faster than the baseline 4-chain kernel. 64-bit
-// stream symbols stay on the baseline scalar path too.
+// group as scalars measured no faster than the baseline 4-chain kernel.
 
 #if !defined(__AVX2__)
 #error "bro_ans_decode_simd_impl.h needs AVX2 (gathers, per-lane shifts)"
@@ -56,7 +55,7 @@ namespace {
 // ------------------------------------------------ local scalar chain
 // Default-constructible local copy of detail::AnsChain (see ODR rule) so a
 // fixed-size array of chains can be init()'d in a loop; eager branchless
-// refill, 64-bit buffer (this TU only ever runs it for 32-bit symbols).
+// refill, 64-bit buffer.
 struct Chain {
   const std::uint32_t* p = nullptr;
   const std::uint32_t* last = nullptr;
@@ -558,8 +557,8 @@ std::uint64_t ans_slice_checksum_vec(const core::BroAns& a,
 // time so the baseline-ABI dispatch code can read the exported table
 // without running any code compiled at this ISA.
 constexpr void add_kernels(SimdKernels& t) {
-  t.ans_spmv32 = &ans_slice_spmv_vec;
-  t.ans_checksum32 = &ans_slice_checksum_vec;
+  t.ans_spmv = &ans_slice_spmv_vec;
+  t.ans_checksum = &ans_slice_checksum_vec;
 }
 
 } // namespace bro::kernels::BRO_SIMD_NS

@@ -5,7 +5,9 @@
 
 #include "bits/bitwidth.h"
 #include "bits/delta.h"
+#include "kernels/bro_decode.h"
 #include "kernels/bro_decode_simd.h"
+#include "kernels/native_spmv.h"
 #include "util/error.h"
 
 namespace bro::kernels {
@@ -16,55 +18,18 @@ using core::BcsrLaneAcc;
 using core::BroBcsr;
 using core::BroEllSlice;
 
-/// Symbol-buffer decoder over one lane (block row) of a muxed stream,
-/// templated on the symbol type. Decodes the identical sequence as
-/// core::RowStreamDecoder (same b <= rb load rule), with the symbol width a
-/// compile-time constant.
-template <typename SymT>
-class LaneStream {
- public:
-  LaneStream(const bits::MuxedStream& s, std::size_t lane)
-      : base_(s.template data<SymT>()), height_(s.height()), lane_(lane) {}
-
-  std::uint32_t next(int b) {
-    std::uint64_t decoded;
-    if (b <= rb_) {
-      decoded = take(b);
-      shift_out(b);
-      rb_ -= b;
-    } else {
-      decoded = take(rb_);
-      const int b2 = b - rb_;
-      sym_ = static_cast<std::uint64_t>(base_[loads_ * height_ + lane_]);
-      ++loads_;
-      decoded = (decoded << b2) | take(b2);
-      shift_out(b2);
-      rb_ = kSymLen - b2;
-    }
-    return static_cast<std::uint32_t>(decoded);
-  }
-
- private:
-  static constexpr int kSymLen = 8 * static_cast<int>(sizeof(SymT));
-  static constexpr std::uint64_t kMask = bits::max_value_for_bits(kSymLen);
-
-  std::uint64_t take(int q) const {
-    if (q <= 0) return 0;
-    return (sym_ >> (kSymLen - q)) & bits::max_value_for_bits(q);
-  }
-  void shift_out(int q) { sym_ = (q >= 64 ? 0 : (sym_ << q)) & kMask; }
-
-  const SymT* base_;
-  std::size_t height_;
-  std::size_t lane_;
-  std::uint64_t sym_ = 0;
-  int rb_ = 0;
-  std::size_t loads_ = 0;
-};
+/// Block row t's index decoder: the shared runtime-width lane decoder
+/// (bro_decode.h) over the slice's 32-bit symbol stream. It decodes the
+/// identical sequence as core::RowStreamDecoder (same b <= rb load rule).
+detail::LaneDecoder<detail::kGenericWidth> row_decoder(
+    const BroEllSlice& slice, index_t t) {
+  return {slice.stream.data<std::uint32_t>(), slice.stream.height(),
+          static_cast<std::size_t>(t)};
+}
 
 /// One slice's SpMV, shape-templated (BR/BC = -1 reads the shape at run
 /// time). Performs exactly the contract op sequence of core::BroBcsr::spmv.
-template <typename SymT, int BR, int BC>
+template <int BR, int BC>
 void slice_spmv(const BroBcsr& a, std::size_t si, std::span<const value_t> x,
                 std::span<value_t> y) {
   const BroEllSlice& slice = a.slices()[si];
@@ -82,7 +47,7 @@ void slice_spmv(const BroBcsr& a, std::size_t si, std::span<const value_t> x,
     const index_t r0 = (slice.first_row + t) * br;
     const int rh = static_cast<int>(std::min<index_t>(br, rows - r0));
     BcsrLaneAcc acc[kAccRows];
-    LaneStream<SymT> dec(slice.stream, static_cast<std::size_t>(t));
+    auto dec = row_decoder(slice, t);
     const value_t* trow =
         vb + static_cast<std::size_t>(t) *
                  static_cast<std::size_t>(slice.num_col) * tile;
@@ -125,7 +90,7 @@ void slice_spmv(const BroBcsr& a, std::size_t si, std::span<const value_t> x,
 /// decoded once per chunk and every column's accumulation follows the
 /// single-vector contract exactly (acc[i][lane][j] sees the same products in
 /// the same order as column j's spmv).
-template <typename SymT, int BR, int BC>
+template <int BR, int BC>
 void slice_spmm(const BroBcsr& a, std::size_t si, std::span<const value_t> x,
                 std::span<value_t> y, int k) {
   const BroEllSlice& slice = a.slices()[si];
@@ -144,7 +109,7 @@ void slice_spmm(const BroBcsr& a, std::size_t si, std::span<const value_t> x,
       for (int i = 0; i < rh; ++i)
         for (int l = 0; l < 8; ++l)
           for (int j = 0; j < kc; ++j) acc[i][l][j] = 0;
-      LaneStream<SymT> dec(slice.stream, static_cast<std::size_t>(t));
+      auto dec = row_decoder(slice, t);
       const value_t* trow =
           vb + static_cast<std::size_t>(t) *
                    static_cast<std::size_t>(slice.num_col) * tile;
@@ -183,20 +148,18 @@ void slice_spmm(const BroBcsr& a, std::size_t si, std::span<const value_t> x,
   }
 }
 
-template <typename SymT, int BR, int BC>
+template <int BR, int BC>
 constexpr BroBcsrKernel make_scalar_kernel() {
-  return {&slice_spmv<SymT, BR, BC>, &slice_spmm<SymT, BR, BC>,
-          SimdIsa::kScalar};
+  return {&slice_spmv<BR, BC>, &slice_spmm<BR, BC>, SimdIsa::kScalar};
 }
 
-template <typename SymT>
 BroBcsrKernel scalar_kernel_for(int shape_index) {
   switch (shape_index) {
-    case 0: return make_scalar_kernel<SymT, 2, 2>();
-    case 1: return make_scalar_kernel<SymT, 4, 4>();
-    case 2: return make_scalar_kernel<SymT, 8, 1>();
-    case 3: return make_scalar_kernel<SymT, 1, 8>();
-    default: return make_scalar_kernel<SymT, -1, -1>();
+    case 0: return make_scalar_kernel<2, 2>();
+    case 1: return make_scalar_kernel<4, 4>();
+    case 2: return make_scalar_kernel<8, 1>();
+    case 3: return make_scalar_kernel<1, 8>();
+    default: return make_scalar_kernel<-1, -1>();
   }
 }
 
@@ -211,24 +174,20 @@ int bcsr_shape_index(int br, int bc) {
 }
 
 BroBcsrKernel select_bro_bcsr_kernel(const core::BroBcsr& a, SimdIsa isa) {
-  const int sym_len = a.options().sym_len;
+  check_host_sym_len(a.options().sym_len);
   const int shape = bcsr_shape_index(a.block_r(), a.block_c());
-  BroBcsrKernel k = sym_len == 32 ? scalar_kernel_for<std::uint32_t>(shape)
-                                  : scalar_kernel_for<std::uint64_t>(shape);
+  BroBcsrKernel k = scalar_kernel_for(shape);
   const SimdKernels* t = simd_kernels(isa);
   if (t == nullptr || shape < 0) return k;
-  const auto fn =
-      sym_len == 32 ? t->bcsr_spmv32[shape] : t->bcsr_spmv64[shape];
-  if (fn != nullptr) {
+  if (const auto fn = t->bcsr_spmv[shape]) {
     k.spmv = fn;
     k.isa = isa;
   }
   return k;
 }
 
-BroBcsrKernel generic_bro_bcsr_kernel(int sym_len) {
-  return sym_len == 32 ? make_scalar_kernel<std::uint32_t, -1, -1>()
-                       : make_scalar_kernel<std::uint64_t, -1, -1>();
+BroBcsrKernel generic_bro_bcsr_kernel() {
+  return make_scalar_kernel<-1, -1>();
 }
 
 std::vector<BroBcsrKernel> plan_bro_bcsr_kernels(const core::BroBcsr& a,
@@ -262,7 +221,8 @@ void native_spmv_bro_bcsr_generic(const core::BroBcsr& a,
                                   std::span<value_t> y) {
   BRO_CHECK(x.size() == static_cast<std::size_t>(a.cols()));
   BRO_CHECK(y.size() == static_cast<std::size_t>(a.rows()));
-  const BroBcsrKernel k = generic_bro_bcsr_kernel(a.options().sym_len);
+  check_host_sym_len(a.options().sym_len);
+  const BroBcsrKernel k = generic_bro_bcsr_kernel();
 #pragma omp parallel for schedule(dynamic, 1)
   for (std::size_t si = 0; si < a.slices().size(); ++si) k.spmv(a, si, x, y);
 }

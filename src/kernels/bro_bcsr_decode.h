@@ -1,7 +1,8 @@
 // BRO-BCSR decode kernels: one bit-unpacked block index feeds r*c FMAs.
 //
 // The scalar kernels are shape-templated (one instantiation per candidate
-// block shape, a runtime-shape generic fallback) over both symbol lengths.
+// block shape, a runtime-shape generic fallback) over 32-bit symbols, the
+// only symbol length host kernels decode.
 // The SSE4/AVX2 kernels vectorize the VALUE loop — the part no other BRO
 // format can vectorize: a block's tile is contiguous, and because every
 // candidate block width divides 8 the block's columns land in one aligned
@@ -42,17 +43,18 @@ struct BroBcsrKernel {
 /// Index of (br, bc) in kBcsrCandidateShapes, or -1 for other shapes.
 int bcsr_shape_index(int br, int bc);
 
-/// Per-slice kernel selection (all slices of one matrix share shape and
-/// sym_len, so every entry is identical; the table keeps plan symmetry with
-/// the other BRO formats). A shape with a SIMD entry at `isa` gets it for
-/// SpMV; SpMM stays on the scalar kernels.
+/// Per-slice kernel selection (all slices of one matrix share a shape, so
+/// every entry is identical; the table keeps plan symmetry with the other
+/// BRO formats). A shape with a SIMD entry at `isa` gets it for SpMV; SpMM
+/// stays on the scalar kernels. Throws when sym_len is not 32
+/// (check_host_sym_len).
 std::vector<BroBcsrKernel> plan_bro_bcsr_kernels(const core::BroBcsr& a,
                                                  SimdIsa isa);
 BroBcsrKernel select_bro_bcsr_kernel(const core::BroBcsr& a, SimdIsa isa);
 
 /// The runtime-shape scalar kernels as a dispatch entry: the bitwise-parity
 /// baseline of the differential decode checks.
-BroBcsrKernel generic_bro_bcsr_kernel(int sym_len);
+BroBcsrKernel generic_bro_bcsr_kernel();
 
 /// BRO-BCSR SpMV with inline kernel selection (table-free convenience).
 void native_spmv_bro_bcsr(const core::BroBcsr& a, std::span<const value_t> x,

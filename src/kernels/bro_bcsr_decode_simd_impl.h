@@ -44,11 +44,10 @@ using core::BroBcsr;
 using core::BroEllSlice;
 
 // Local copy of the symbol-buffer lane decoder (see ODR rule above).
-template <typename SymT>
 class LaneStream {
  public:
   LaneStream(const bits::MuxedStream& s, std::size_t lane)
-      : base_(s.template data<SymT>()), height_(s.height()), lane_(lane) {}
+      : base_(s.data<std::uint32_t>()), height_(s.height()), lane_(lane) {}
 
   std::uint32_t next(int b) {
     std::uint64_t decoded;
@@ -69,16 +68,16 @@ class LaneStream {
   }
 
  private:
-  static constexpr int kSymLen = 8 * static_cast<int>(sizeof(SymT));
+  static constexpr int kSymLen = 32;
   static constexpr std::uint64_t kMask = bits::max_value_for_bits(kSymLen);
 
   std::uint64_t take(int q) const {
     if (q <= 0) return 0;
     return (sym_ >> (kSymLen - q)) & bits::max_value_for_bits(q);
   }
-  void shift_out(int q) { sym_ = (q >= 64 ? 0 : (sym_ << q)) & kMask; }
+  void shift_out(int q) { sym_ = (sym_ << q) & kMask; }
 
-  const SymT* base_;
+  const std::uint32_t* base_;
   std::size_t height_;
   std::size_t lane_;
   std::uint64_t sym_ = 0;
@@ -141,7 +140,6 @@ inline void apply_partial(value_t lanes[][8], const value_t* tv, int bc,
 
 // 2x2: block columns land on lane pair {2*(bcol&3), +1}; accumulators are
 // four xmm pairs per block row. Pure SSE2, shared by both register widths.
-template <typename SymT>
 void spmv_2x2(const BroBcsr& a, std::size_t si, std::span<const value_t> x,
               std::span<value_t> y) {
   const BroEllSlice& slice = a.slices()[si];
@@ -154,7 +152,7 @@ void spmv_2x2(const BroBcsr& a, std::size_t si, std::span<const value_t> x,
     __m128d acc[2][4];
     for (auto& row : acc)
       for (auto& s : row) s = _mm_setzero_pd();
-    LaneStream<SymT> dec(slice.stream, static_cast<std::size_t>(t));
+    LaneStream dec(slice.stream, static_cast<std::size_t>(t));
     const value_t* trow =
         vb + static_cast<std::size_t>(t) *
                  static_cast<std::size_t>(slice.num_col) * 4;
@@ -188,7 +186,6 @@ void spmv_2x2(const BroBcsr& a, std::size_t si, std::span<const value_t> x,
 
 // 4x4: block columns land on lane quad {4*(bcol&1)..}; per block row, two
 // accumulator slots of 4 lanes each.
-template <typename SymT>
 void spmv_4x4(const BroBcsr& a, std::size_t si, std::span<const value_t> x,
               std::span<value_t> y) {
   constexpr int kRegs = 4 / VecD::kLanes;
@@ -203,7 +200,7 @@ void spmv_4x4(const BroBcsr& a, std::size_t si, std::span<const value_t> x,
     for (auto& row : acc)
       for (auto& slot : row)
         for (auto& r : slot) r = VecD::zero();
-    LaneStream<SymT> dec(slice.stream, static_cast<std::size_t>(t));
+    LaneStream dec(slice.stream, static_cast<std::size_t>(t));
     const value_t* trow =
         vb + static_cast<std::size_t>(t) *
                  static_cast<std::size_t>(slice.num_col) * 16;
@@ -246,7 +243,6 @@ void spmv_4x4(const BroBcsr& a, std::size_t si, std::span<const value_t> x,
 // with a broadcast x value. Accumulators live in a lane-major buffer
 // (accT[lane][row]) touched one lane per block; bc == 1 means no block can
 // be column-partial.
-template <typename SymT>
 void spmv_8x1(const BroBcsr& a, std::size_t si, std::span<const value_t> x,
               std::span<value_t> y) {
   constexpr int kRegs = 8 / VecD::kLanes;
@@ -257,7 +253,7 @@ void spmv_8x1(const BroBcsr& a, std::size_t si, std::span<const value_t> x,
     const index_t r0 = (slice.first_row + t) * 8;
     const int rh = static_cast<int>(std::min<index_t>(8, rows - r0));
     alignas(32) value_t accT[8][8] = {};
-    LaneStream<SymT> dec(slice.stream, static_cast<std::size_t>(t));
+    LaneStream dec(slice.stream, static_cast<std::size_t>(t));
     const value_t* trow =
         vb + static_cast<std::size_t>(t) *
                  static_cast<std::size_t>(slice.num_col) * 8;
@@ -287,7 +283,6 @@ void spmv_8x1(const BroBcsr& a, std::size_t si, std::span<const value_t> x,
 
 // 1x8: the block's 8 columns ARE the 8 contract lanes (c0 aligned to 8);
 // never a row tail.
-template <typename SymT>
 void spmv_1x8(const BroBcsr& a, std::size_t si, std::span<const value_t> x,
               std::span<value_t> y) {
   constexpr int kRegs = 8 / VecD::kLanes;
@@ -299,7 +294,7 @@ void spmv_1x8(const BroBcsr& a, std::size_t si, std::span<const value_t> x,
     const index_t r0 = slice.first_row + t;
     typename VecD::Reg acc[kRegs];
     for (auto& r : acc) r = VecD::zero();
-    LaneStream<SymT> dec(slice.stream, static_cast<std::size_t>(t));
+    LaneStream dec(slice.stream, static_cast<std::size_t>(t));
     const value_t* trow =
         vb + static_cast<std::size_t>(t) *
                  static_cast<std::size_t>(slice.num_col) * 8;
@@ -336,14 +331,10 @@ void spmv_1x8(const BroBcsr& a, std::size_t si, std::span<const value_t> x,
 // This header's entries of the ISA's SimdKernels table, in
 // kBcsrCandidateShapes order: 0=2x2, 1=4x4, 2=8x1, 3=1x8.
 constexpr void add_kernels(SimdKernels& t) {
-  t.bcsr_spmv32[0] = &spmv_2x2<std::uint32_t>;
-  t.bcsr_spmv32[1] = &spmv_4x4<std::uint32_t>;
-  t.bcsr_spmv32[2] = &spmv_8x1<std::uint32_t>;
-  t.bcsr_spmv32[3] = &spmv_1x8<std::uint32_t>;
-  t.bcsr_spmv64[0] = &spmv_2x2<std::uint64_t>;
-  t.bcsr_spmv64[1] = &spmv_4x4<std::uint64_t>;
-  t.bcsr_spmv64[2] = &spmv_8x1<std::uint64_t>;
-  t.bcsr_spmv64[3] = &spmv_1x8<std::uint64_t>;
+  t.bcsr_spmv[0] = &spmv_2x2;
+  t.bcsr_spmv[1] = &spmv_4x4;
+  t.bcsr_spmv[2] = &spmv_8x1;
+  t.bcsr_spmv[3] = &spmv_1x8;
 }
 
 } // namespace bro::kernels::BRO_SIMD_NS

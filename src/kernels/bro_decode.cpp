@@ -23,51 +23,35 @@ namespace {
 
 using detail::kGenericWidth;
 
-// One specialized entry per width 0..kMaxSpecializedDecodeWidth per symbol
-// type, built at compile time from the templates in bro_decode.h.
-template <typename SymT, std::size_t... Ws>
+// One specialized entry per width 0..kMaxSpecializedDecodeWidth, built at
+// compile time from the templates in bro_decode.h.
+template <std::size_t... Ws>
 constexpr auto ell_table(std::index_sequence<Ws...>) {
   return std::array<BroEllKernel, sizeof...(Ws)>{
       BroEllKernel{static_cast<int>(Ws),
-                   &detail::bro_ell_slice_spmv<SymT, static_cast<int>(Ws)>,
-                   &detail::bro_ell_slice_spmm<SymT, static_cast<int>(Ws)>}...};
+                   &detail::bro_ell_slice_spmv<static_cast<int>(Ws)>,
+                   &detail::bro_ell_slice_spmm<static_cast<int>(Ws)>}...};
 }
 
-template <typename SymT, std::size_t... Ws>
+template <std::size_t... Ws>
 constexpr auto coo_table(std::index_sequence<Ws...>) {
   return std::array<BroCooKernel, sizeof...(Ws)>{
       BroCooKernel{static_cast<int>(Ws),
-                   &detail::bro_coo_interval_spmv<SymT, static_cast<int>(Ws)>,
-                   &detail::bro_coo_interval_spmm<SymT,
-                                                  static_cast<int>(Ws)>}...};
+                   &detail::bro_coo_interval_spmv<static_cast<int>(Ws)>,
+                   &detail::bro_coo_interval_spmm<static_cast<int>(Ws)>}...};
 }
 
 using Widths = std::make_index_sequence<kMaxSpecializedDecodeWidth + 1>;
 
-constexpr auto kEll32 = ell_table<std::uint32_t>(Widths{});
-constexpr auto kEll64 = ell_table<std::uint64_t>(Widths{});
-constexpr auto kCoo32 = coo_table<std::uint32_t>(Widths{});
-constexpr auto kCoo64 = coo_table<std::uint64_t>(Widths{});
+constexpr auto kEll = ell_table(Widths{});
+constexpr auto kCoo = coo_table(Widths{});
 
-constexpr BroEllKernel kEllGeneric32{
-    kGenericWidth, &detail::bro_ell_slice_spmv<std::uint32_t, kGenericWidth>,
-    &detail::bro_ell_slice_spmm<std::uint32_t, kGenericWidth>};
-constexpr BroEllKernel kEllGeneric64{
-    kGenericWidth, &detail::bro_ell_slice_spmv<std::uint64_t, kGenericWidth>,
-    &detail::bro_ell_slice_spmm<std::uint64_t, kGenericWidth>};
-constexpr BroCooKernel kCooGeneric32{
-    kGenericWidth,
-    &detail::bro_coo_interval_spmv<std::uint32_t, kGenericWidth>,
-    &detail::bro_coo_interval_spmm<std::uint32_t, kGenericWidth>};
-constexpr BroCooKernel kCooGeneric64{
-    kGenericWidth,
-    &detail::bro_coo_interval_spmv<std::uint64_t, kGenericWidth>,
-    &detail::bro_coo_interval_spmm<std::uint64_t, kGenericWidth>};
-
-void check_sym_len(int sym_len) {
-  BRO_CHECK_MSG(sym_len == 32 || sym_len == 64,
-                "sym_len must be 32 or 64, got " << sym_len);
-}
+constexpr BroEllKernel kEllGeneric{
+    kGenericWidth, &detail::bro_ell_slice_spmv<kGenericWidth>,
+    &detail::bro_ell_slice_spmm<kGenericWidth>};
+constexpr BroCooKernel kCooGeneric{
+    kGenericWidth, &detail::bro_coo_interval_spmv<kGenericWidth>,
+    &detail::bro_coo_interval_spmm<kGenericWidth>};
 
 /// The uniform width of a slice's bit allocation, or kGenericWidth when the
 /// slice mixes widths (pre-BAR slices with ragged per-column maxima).
@@ -81,67 +65,64 @@ int uniform_width(const core::BroEllSlice& slice) {
 
 } // namespace
 
-BroEllKernel generic_bro_ell_kernel(int sym_len) {
-  check_sym_len(sym_len);
-  return sym_len == 32 ? kEllGeneric32 : kEllGeneric64;
+void check_host_sym_len(int sym_len) {
+  BRO_CHECK_MSG(sym_len == detail::kSym,
+                "host kernels decode 32-bit symbols only; sym_len "
+                    << sym_len
+                    << " is a simulator and file-format setting");
 }
 
-BroCooKernel generic_bro_coo_kernel(int sym_len) {
-  check_sym_len(sym_len);
-  return sym_len == 32 ? kCooGeneric32 : kCooGeneric64;
-}
+BroEllKernel generic_bro_ell_kernel() { return kEllGeneric; }
+
+BroCooKernel generic_bro_coo_kernel() { return kCooGeneric; }
 
 BroEllKernel select_bro_ell_kernel(const core::BroEllSlice& slice,
-                                   int sym_len, SimdIsa isa) {
-  check_sym_len(sym_len);
+                                   SimdIsa isa) {
   const int w = uniform_width(slice);
   if (const SimdKernels* t = simd_kernels(isa)) {
     BroEllKernel k;
     k.width = w >= 0 && w <= kMaxSpecializedDecodeWidth ? w : -1;
-    k.spmv = sym_len == 32 ? t->ell_spmv32 : t->ell_spmv64;
-    k.spmm = sym_len == 32 ? t->ell_spmm32 : t->ell_spmm64;
+    k.spmv = t->ell_spmv;
+    k.spmm = t->ell_spmm;
     k.isa = isa;
     return k;
   }
-  if (w < 0 || w > kMaxSpecializedDecodeWidth)
-    return generic_bro_ell_kernel(sym_len);
-  return sym_len == 32 ? kEll32[static_cast<std::size_t>(w)]
-                       : kEll64[static_cast<std::size_t>(w)];
+  if (w < 0 || w > kMaxSpecializedDecodeWidth) return kEllGeneric;
+  return kEll[static_cast<std::size_t>(w)];
 }
 
 BroCooKernel select_bro_coo_kernel(const core::BroCooInterval& iv,
-                                   int sym_len, SimdIsa isa) {
-  check_sym_len(sym_len);
+                                   SimdIsa isa) {
   if (const SimdKernels* t = simd_kernels(isa)) {
     BroCooKernel k;
     k.width =
         iv.bits >= 0 && iv.bits <= kMaxSpecializedDecodeWidth ? iv.bits : -1;
-    k.spmv = sym_len == 32 ? t->coo_spmv32 : t->coo_spmv64;
-    k.spmm = sym_len == 32 ? t->coo_spmm32 : t->coo_spmm64;
+    k.spmv = t->coo_spmv;
+    k.spmm = t->coo_spmm;
     k.isa = isa;
     return k;
   }
-  if (iv.bits < 0 || iv.bits > kMaxSpecializedDecodeWidth)
-    return generic_bro_coo_kernel(sym_len);
-  return sym_len == 32 ? kCoo32[static_cast<std::size_t>(iv.bits)]
-                       : kCoo64[static_cast<std::size_t>(iv.bits)];
+  if (iv.bits < 0 || iv.bits > kMaxSpecializedDecodeWidth) return kCooGeneric;
+  return kCoo[static_cast<std::size_t>(iv.bits)];
 }
 
 std::vector<BroEllKernel> plan_bro_ell_kernels(const core::BroEll& a,
                                                SimdIsa isa) {
+  check_host_sym_len(a.options().sym_len);
   std::vector<BroEllKernel> kernels;
   kernels.reserve(a.slices().size());
   for (const auto& slice : a.slices())
-    kernels.push_back(select_bro_ell_kernel(slice, a.options().sym_len, isa));
+    kernels.push_back(select_bro_ell_kernel(slice, isa));
   return kernels;
 }
 
 std::vector<BroCooKernel> plan_bro_coo_kernels(const core::BroCoo& a,
                                                SimdIsa isa) {
+  check_host_sym_len(a.options().sym_len);
   std::vector<BroCooKernel> kernels;
   kernels.reserve(a.intervals().size());
   for (const auto& iv : a.intervals())
-    kernels.push_back(select_bro_coo_kernel(iv, a.options().sym_len, isa));
+    kernels.push_back(select_bro_coo_kernel(iv, isa));
   return kernels;
 }
 

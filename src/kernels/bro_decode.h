@@ -3,13 +3,13 @@
 // microbenchmark only; the public dispatch API lives in native_spmv.h).
 //
 // The paper's compression pays off only if the decode path runs at memory
-// speed, so the inner loops here are templated on the delta bit width B and
-// the symbol type SymT (uint32_t for sym_len=32 streams, uint64_t for 64):
-// every shift amount and mask is a compile-time constant, the symbol stream
-// is read through a raw pointer with the lane stride folded in, and the
-// compiler can unroll the periodic load pattern. B = kGenericWidth selects
-// the runtime-width variant — one instantiation per SymT — which decodes
-// bit-for-bit identically and serves as the parity baseline.
+// speed, so the inner loops here are templated on the delta bit width B:
+// every shift amount and mask is a compile-time constant, the 32-bit symbol
+// stream (host execution decodes sym_len = 32 only) is read through a raw
+// pointer with the lane stride folded in, and the compiler can unroll the
+// periodic load pattern. B = kGenericWidth selects the runtime-width
+// variant, which decodes bit-for-bit identically and serves as the parity
+// baseline.
 //
 // All variants implement the same MSB-first symbol-buffer algorithm as
 // core::RowStreamDecoder / the BRO-COO lane decoder (Algorithm 1 with the
@@ -29,6 +29,10 @@ namespace bro::kernels::detail {
 /// Template argument selecting the runtime-width decoder variant.
 inline constexpr int kGenericWidth = -1;
 
+/// Bits per stream symbol on the host: every host kernel reads uint32_t
+/// slots (check_host_sym_len in native_spmv.h rejects anything else).
+inline constexpr int kSym = 32;
+
 /// Right-hand-side tile width for the BRO-COO SpMM kernel: per-lane row
 /// segments accumulate into a stack array of this many values, and wider
 /// batches re-decode the interval once per tile. 8 doubles fit the tile in
@@ -45,14 +49,14 @@ inline constexpr int kMaxCooLanes = 128;
 /// a stream with `stride` lanes reads symbols stream[c*stride + t]. B >= 0
 /// fixes the bit width at compile time; B == kGenericWidth takes the width
 /// as a next() argument.
-template <typename SymT, int B>
+template <int B>
 class LaneDecoder {
  public:
-  LaneDecoder(const SymT* stream, std::size_t stride, std::size_t lane)
+  LaneDecoder(const std::uint32_t* stream, std::size_t stride,
+              std::size_t lane)
       : next_load_(stream + lane), stride_(stride) {}
 
   inline std::uint32_t next(int runtime_b = 0) {
-    constexpr int kSym = static_cast<int>(sizeof(SymT) * 8);
     const int b = B >= 0 ? B : runtime_b;
     std::uint64_t d;
     if (b <= rb_) {
@@ -74,7 +78,7 @@ class LaneDecoder {
   }
 
  private:
-  const SymT* next_load_;
+  const std::uint32_t* next_load_;
   std::size_t stride_;
   std::uint64_t sym_ = 0;
   int rb_ = 0;
@@ -82,10 +86,10 @@ class LaneDecoder {
 
 // ---------------------------------------------------------------- BRO-ELL
 
-template <typename SymT, int B>
+template <int B>
 void bro_ell_slice_spmv(const core::BroEll& a, const core::BroEllSlice& slice,
                         std::span<const value_t> x, std::span<value_t> y) {
-  const SymT* stream = slice.stream.template data<SymT>();
+  const std::uint32_t* stream = slice.stream.data<std::uint32_t>();
   const std::size_t h = static_cast<std::size_t>(slice.height);
   const std::uint8_t* alloc = slice.bit_alloc.data();
   const value_t* vals = a.vals().data();
@@ -99,11 +103,10 @@ void bro_ell_slice_spmv(const core::BroEll& a, const core::BroEllSlice& slice,
   // four refill loads are adjacent lanes (one or two cache lines), and the
   // four extract chains are independent. Each row's sum still accumulates
   // in column order, so no result bit changes.
-  constexpr int kSym = static_cast<int>(sizeof(SymT) * 8);
   index_t t = 0;
   for (; t + 3 < slice.height; t += 4) {
     const std::size_t r0 = static_cast<std::size_t>(slice.first_row + t);
-    const SymT* next_load = stream + static_cast<std::size_t>(t);
+    const std::uint32_t* next_load = stream + static_cast<std::size_t>(t);
     std::uint64_t sym0 = 0, sym1 = 0, sym2 = 0, sym3 = 0;
     int rb = 0;
     index_t col0 = -1, col1 = -1, col2 = -1, col3 = -1;
@@ -161,7 +164,7 @@ void bro_ell_slice_spmv(const core::BroEll& a, const core::BroEllSlice& slice,
   }
   for (; t < slice.height; ++t) {
     const std::size_t r = static_cast<std::size_t>(slice.first_row + t);
-    LaneDecoder<SymT, B> dec(stream, h, static_cast<std::size_t>(t));
+    LaneDecoder<B> dec(stream, h, static_cast<std::size_t>(t));
     index_t col = -1;
     value_t sum = 0;
     std::size_t voff = 0;
@@ -178,11 +181,11 @@ void bro_ell_slice_spmv(const core::BroEll& a, const core::BroEllSlice& slice,
   }
 }
 
-template <typename SymT, int B>
+template <int B>
 void bro_ell_slice_spmm(const core::BroEll& a, const core::BroEllSlice& slice,
                         std::span<const value_t> x, std::span<value_t> y,
                         int k) {
-  const SymT* stream = slice.stream.template data<SymT>();
+  const std::uint32_t* stream = slice.stream.data<std::uint32_t>();
   const std::size_t h = static_cast<std::size_t>(slice.height);
   const std::uint8_t* alloc = slice.bit_alloc.data();
   const value_t* vals = a.vals().data();
@@ -197,8 +200,8 @@ void bro_ell_slice_spmm(const core::BroEll& a, const core::BroEllSlice& slice,
   for (; t + 1 < slice.height; t += 2) {
     const std::size_t r0 = static_cast<std::size_t>(slice.first_row + t);
     const std::size_t r1 = r0 + 1;
-    LaneDecoder<SymT, B> dec0(stream, h, static_cast<std::size_t>(t));
-    LaneDecoder<SymT, B> dec1(stream, h, static_cast<std::size_t>(t) + 1);
+    LaneDecoder<B> dec0(stream, h, static_cast<std::size_t>(t));
+    LaneDecoder<B> dec1(stream, h, static_cast<std::size_t>(t) + 1);
     index_t col0 = -1, col1 = -1;
     value_t* y0 = y.data() + r0 * uk;
     value_t* y1 = y.data() + r1 * uk;
@@ -225,7 +228,7 @@ void bro_ell_slice_spmm(const core::BroEll& a, const core::BroEllSlice& slice,
   }
   for (; t < slice.height; ++t) {
     const std::size_t r = static_cast<std::size_t>(slice.first_row + t);
-    LaneDecoder<SymT, B> dec(stream, h, static_cast<std::size_t>(t));
+    LaneDecoder<B> dec(stream, h, static_cast<std::size_t>(t));
     index_t col = -1;
     value_t* yr = y.data() + r * uk;
     for (std::size_t b = 0; b < uk; ++b) yr[b] = 0;
@@ -253,18 +256,19 @@ void bro_ell_slice_spmm(const core::BroEll& a, const core::BroEllSlice& slice,
 /// loop route every entry with two predictable equality tests instead of
 /// tracking a candidate last row with a flush-and-reset chain per row
 /// change.
-template <typename SymT, int B>
+template <int B>
 index_t bro_coo_interval_last_row(const core::BroCooInterval& iv,
-                                  const SymT* stream, int w, int cols) {
-  LaneDecoder<SymT, B> dec(stream, static_cast<std::size_t>(w),
-                           static_cast<std::size_t>(w - 1));
+                                  const std::uint32_t* stream, int w,
+                                  int cols) {
+  LaneDecoder<B> dec(stream, static_cast<std::size_t>(w),
+                     static_cast<std::size_t>(w - 1));
   index_t row = iv.start_row;
   for (int c = 0; c < cols; ++c)
     row += static_cast<index_t>(B >= 0 ? dec.next() : dec.next(iv.bits));
   return row;
 }
 
-template <typename SymT, int B>
+template <int B>
 void bro_coo_interval_spmv(const core::BroCoo& a, std::size_t i,
                            std::span<const value_t> x, std::span<value_t> y,
                            BroCooCarry& carry) {
@@ -273,13 +277,13 @@ void bro_coo_interval_spmv(const core::BroCoo& a, std::size_t i,
   const int cols = a.options().interval_cols;
   const std::size_t base = i * static_cast<std::size_t>(w) *
                            static_cast<std::size_t>(cols);
-  const SymT* stream = iv.stream.template data<SymT>();
+  const std::uint32_t* stream = iv.stream.data<std::uint32_t>();
   const value_t* vals = a.vals().data();
   const index_t* col_idx = a.col_idx().data();
   const value_t* xp = x.data();
   value_t* yp = y.data();
   const index_t last_row =
-      bro_coo_interval_last_row<SymT, B>(iv, stream, w, cols);
+      bro_coo_interval_last_row<B>(iv, stream, w, cols);
   carry = BroCooCarry{};
   carry.first_row = iv.start_row;
   carry.last_row = last_row;
@@ -298,7 +302,6 @@ void bro_coo_interval_spmv(const core::BroCoo& a, std::size_t i,
       yp[static_cast<std::size_t>(row)] += contrib;
     }
   };
-  constexpr int kSym = static_cast<int>(sizeof(SymT) * 8);
   const int b = B >= 0 ? B : iv.bits;
   if (w <= kMaxCooLanes) {
     // Every lane of the interval decodes the same iv.bits per column, so
@@ -315,7 +318,7 @@ void bro_coo_interval_spmv(const core::BroCoo& a, std::size_t i,
     for (int j = 0; j < w; ++j) sym[j] = 0;
     for (int j = 0; j < w; ++j) row[j] = iv.start_row;
     int rb = 0;
-    const SymT* next_load = stream;
+    const std::uint32_t* next_load = stream;
     std::size_t e = base;
     for (int c = 0; c < cols; ++c) {
       if (b <= rb) {
@@ -347,8 +350,8 @@ void bro_coo_interval_spmv(const core::BroCoo& a, std::size_t i,
   } else {
     // Correctness path for exotic warp sizes: one lane at a time.
     for (int j = 0; j < w; ++j) {
-      LaneDecoder<SymT, B> dec(stream, static_cast<std::size_t>(w),
-                               static_cast<std::size_t>(j));
+      LaneDecoder<B> dec(stream, static_cast<std::size_t>(w),
+                         static_cast<std::size_t>(j));
       index_t row = iv.start_row;
       std::size_t e = base + static_cast<std::size_t>(j);
       for (int c = 0; c < cols; ++c, e += static_cast<std::size_t>(w)) {
@@ -359,7 +362,7 @@ void bro_coo_interval_spmv(const core::BroCoo& a, std::size_t i,
   }
 }
 
-template <typename SymT, int B>
+template <int B>
 void bro_coo_interval_spmm(const core::BroCoo& a, std::size_t i,
                            std::span<const value_t> x, std::span<value_t> y,
                            int k, BroCooCarry& carry, value_t* first_sum,
@@ -369,12 +372,12 @@ void bro_coo_interval_spmm(const core::BroCoo& a, std::size_t i,
   const int cols = a.options().interval_cols;
   const std::size_t base = i * static_cast<std::size_t>(w) *
                            static_cast<std::size_t>(cols);
-  const SymT* stream = iv.stream.template data<SymT>();
+  const std::uint32_t* stream = iv.stream.data<std::uint32_t>();
   const value_t* vals = a.vals().data();
   const index_t* col_idx = a.col_idx().data();
   const std::size_t uk = static_cast<std::size_t>(k);
   const index_t last_row =
-      bro_coo_interval_last_row<SymT, B>(iv, stream, w, cols);
+      bro_coo_interval_last_row<B>(iv, stream, w, cols);
   carry = BroCooCarry{};
   carry.first_row = iv.start_row;
   carry.last_row = last_row;
@@ -385,7 +388,6 @@ void bro_coo_interval_spmm(const core::BroCoo& a, std::size_t i,
   // with every scalar accumulation widened to a tile of at most
   // kCooSegWidth right-hand sides. Wider batches re-decode the interval
   // once per tile: the unpacking cost is amortized over kc FMAs per entry.
-  constexpr int kSym = static_cast<int>(sizeof(SymT) * 8);
   const int b = B >= 0 ? B : iv.bits;
   for (int k0 = 0; k0 < k; k0 += kCooSegWidth) {
     const std::size_t kc =
@@ -413,7 +415,7 @@ void bro_coo_interval_spmm(const core::BroCoo& a, std::size_t i,
       for (int j = 0; j < w; ++j) sym[j] = 0;
       for (int j = 0; j < w; ++j) row[j] = iv.start_row;
       int rb = 0;
-      const SymT* next_load = stream;
+      const std::uint32_t* next_load = stream;
       std::size_t e = base;
       for (int c = 0; c < cols; ++c) {
         if (b <= rb) {
@@ -442,8 +444,8 @@ void bro_coo_interval_spmm(const core::BroCoo& a, std::size_t i,
       }
     } else {
       for (int j = 0; j < w; ++j) {
-        LaneDecoder<SymT, B> dec(stream, static_cast<std::size_t>(w),
-                                 static_cast<std::size_t>(j));
+        LaneDecoder<B> dec(stream, static_cast<std::size_t>(w),
+                           static_cast<std::size_t>(j));
         index_t row = iv.start_row;
         std::size_t e = base + static_cast<std::size_t>(j);
         for (int c = 0; c < cols; ++c, e += static_cast<std::size_t>(w)) {
@@ -458,11 +460,11 @@ void bro_coo_interval_spmm(const core::BroCoo& a, std::size_t i,
 /// Decode `count` deltas of width B from one lane and fold them into a
 /// checksum — the decode-only inner loop the throughput microbenchmark
 /// times (no values, no x gather: pure unpack speed).
-template <typename SymT, int B>
-std::uint64_t decode_lane_checksum(const SymT* stream, std::size_t stride,
-                                   std::size_t lane, std::size_t count,
-                                   int runtime_b) {
-  LaneDecoder<SymT, B> dec(stream, stride, lane);
+template <int B>
+std::uint64_t decode_lane_checksum(const std::uint32_t* stream,
+                                   std::size_t stride, std::size_t lane,
+                                   std::size_t count, int runtime_b) {
+  LaneDecoder<B> dec(stream, stride, lane);
   std::uint64_t sum = 0;
   for (std::size_t c = 0; c < count; ++c)
     sum += B >= 0 ? dec.next() : dec.next(runtime_b);

@@ -23,8 +23,8 @@ namespace bro::kernels {
 /// enum order is load-bearing).
 enum class SimdIsa : int {
   kScalar = 0, // baseline-ABI kernels from bro_decode.h
-  kSse4 = 1,   // 128-bit lanes (4 x u32 / 2 x u64)
-  kAvx2 = 2,   // 256-bit lanes (8 x u32 / 4 x u64)
+  kSse4 = 1,   // 128-bit lanes (4 x u32)
+  kAvx2 = 2,   // 256-bit lanes (8 x u32)
 };
 
 /// "scalar", "sse4" or "avx2".

@@ -27,27 +27,18 @@ namespace bro::kernels {
 
 namespace {
 
-using ChecksumFn = std::uint64_t (*)(const void* stream, std::size_t stride,
-                                     std::size_t lane, std::size_t count,
-                                     int runtime_b);
+using ChecksumFn = std::uint64_t (*)(const std::uint32_t* stream,
+                                     std::size_t stride, std::size_t lane,
+                                     std::size_t count, int runtime_b);
 
-template <typename SymT, int B>
-std::uint64_t checksum_thunk(const void* stream, std::size_t stride,
-                             std::size_t lane, std::size_t count,
-                             int runtime_b) {
-  return detail::decode_lane_checksum<SymT, B>(
-      static_cast<const SymT*>(stream), stride, lane, count, runtime_b);
-}
-
-template <typename SymT, std::size_t... Ws>
+template <std::size_t... Ws>
 constexpr auto checksum_table(std::index_sequence<Ws...>) {
   return std::array<ChecksumFn, sizeof...(Ws)>{
-      &checksum_thunk<SymT, static_cast<int>(Ws)>...};
+      &detail::decode_lane_checksum<static_cast<int>(Ws)>...};
 }
 
 using Widths = std::make_index_sequence<kMaxSpecializedDecodeWidth + 1>;
-constexpr auto kChecksum32 = checksum_table<std::uint32_t>(Widths{});
-constexpr auto kChecksum64 = checksum_table<std::uint64_t>(Widths{});
+constexpr auto kChecksum = checksum_table(Widths{});
 
 /// The table for a SIMD ISA the caller is about to run.
 const SimdKernels& runnable_kernels(SimdIsa isa) {
@@ -60,16 +51,13 @@ const SimdKernels& runnable_kernels(SimdIsa isa) {
 
 } // namespace
 
-DecodeBenchCase make_decode_bench_case(int width, int sym_len,
-                                       std::size_t lanes,
+DecodeBenchCase make_decode_bench_case(int width, std::size_t lanes,
                                        std::size_t deltas_per_lane,
                                        std::uint64_t seed) {
   BRO_CHECK_MSG(width >= 0 && width <= 32, "width must be in [0, 32]");
-  BRO_CHECK_MSG(sym_len == 32 || sym_len == 64, "sym_len must be 32 or 64");
 
   DecodeBenchCase c;
   c.width = width;
-  c.sym_len = sym_len;
   c.lanes = lanes;
   c.deltas_per_lane = deltas_per_lane;
 
@@ -88,57 +76,32 @@ DecodeBenchCase make_decode_bench_case(int width, int sym_len,
   for (auto& bs : rows) {
     for (std::size_t i = 0; i < deltas_per_lane; ++i)
       bs.append(next_rand() & bits::max_value_for_bits(width), width);
-    bs.pad_to_multiple(sym_len);
+    bs.pad_to_multiple(detail::kSym);
   }
-  c.stream = bits::MuxedStream::interleave(rows, sym_len);
+  c.stream = bits::MuxedStream::interleave(rows, detail::kSym);
   c.widths.assign(deltas_per_lane, static_cast<std::uint8_t>(width));
   return c;
 }
 
 std::uint64_t simd_decode_pass(const DecodeBenchCase& c, SimdIsa isa) {
-  const SimdKernels& t = runnable_kernels(isa);
-  if (c.sym_len == 32)
-    return t.checksum32(c.stream.data<std::uint32_t>(), c.lanes,
-                        c.widths.data(), c.deltas_per_lane);
-  return t.checksum64(c.stream.data<std::uint64_t>(), c.lanes,
-                      c.widths.data(), c.deltas_per_lane);
+  return runnable_kernels(isa).checksum(c.stream.data<std::uint32_t>(),
+                                         c.lanes, c.widths.data(),
+                                         c.deltas_per_lane);
 }
 
 std::uint64_t decode_pass(const DecodeBenchCase& c, DecodeVariant variant) {
-  std::uint64_t sum = 0;
+  // Widths above kMaxSpecializedDecodeWidth take the generic kernel for
+  // kSpecialized too, as the dispatcher would.
+  const ChecksumFn fn =
+      variant == DecodeVariant::kSpecialized &&
+              c.width <= kMaxSpecializedDecodeWidth
+          ? kChecksum[static_cast<std::size_t>(c.width)]
+          : &detail::decode_lane_checksum<detail::kGenericWidth>;
+  const std::uint32_t* stream = c.stream.data<std::uint32_t>();
   const std::size_t stride = c.stream.height();
-  switch (variant) {
-    case DecodeVariant::kSpecialized: {
-      if (c.width > kMaxSpecializedDecodeWidth)
-        return decode_pass(c, DecodeVariant::kGeneric);
-      const auto& table = c.sym_len == 32 ? kChecksum32 : kChecksum64;
-      const ChecksumFn fn = table[static_cast<std::size_t>(c.width)];
-      const void* stream = c.sym_len == 32
-                               ? static_cast<const void*>(
-                                     c.stream.data<std::uint32_t>())
-                               : static_cast<const void*>(
-                                     c.stream.data<std::uint64_t>());
-      for (std::size_t lane = 0; lane < c.lanes; ++lane)
-        sum += fn(stream, stride, lane, c.deltas_per_lane, c.width);
-      break;
-    }
-    case DecodeVariant::kGeneric: {
-      if (c.sym_len == 32) {
-        const std::uint32_t* stream = c.stream.data<std::uint32_t>();
-        for (std::size_t lane = 0; lane < c.lanes; ++lane)
-          sum += detail::decode_lane_checksum<std::uint32_t,
-                                              detail::kGenericWidth>(
-              stream, stride, lane, c.deltas_per_lane, c.width);
-      } else {
-        const std::uint64_t* stream = c.stream.data<std::uint64_t>();
-        for (std::size_t lane = 0; lane < c.lanes; ++lane)
-          sum += detail::decode_lane_checksum<std::uint64_t,
-                                              detail::kGenericWidth>(
-              stream, stride, lane, c.deltas_per_lane, c.width);
-      }
-      break;
-    }
-  }
+  std::uint64_t sum = 0;
+  for (std::size_t lane = 0; lane < c.lanes; ++lane)
+    sum += fn(stream, stride, lane, c.deltas_per_lane, c.width);
   return sum;
 }
 
@@ -196,18 +159,17 @@ double time_simd(const DecodeBenchCase& c, SimdIsa isa, double min_seconds) {
 } // namespace
 
 std::vector<DecodeThroughputRow> decode_throughput_sweep(
-    int sym_len, std::size_t lanes, std::size_t deltas_per_lane,
+    std::size_t lanes, std::size_t deltas_per_lane,
     double min_seconds_per_cell) {
   static constexpr int kWidths[] = {1, 2, 4, 6, 8, 12, 16, 20, 24, 28, 32};
   std::vector<DecodeThroughputRow> rows;
   rows.reserve(std::size(kWidths));
   for (const int w : kWidths) {
     const DecodeBenchCase c =
-        make_decode_bench_case(w, sym_len, lanes, deltas_per_lane,
+        make_decode_bench_case(w, lanes, deltas_per_lane,
                                /*seed=*/0x5eed0000u + static_cast<unsigned>(w));
     DecodeThroughputRow row;
     row.width = w;
-    row.sym_len = sym_len;
     row.specialized_gdps =
         time_variant(c, DecodeVariant::kSpecialized, min_seconds_per_cell);
     row.generic_gdps =
@@ -229,14 +191,12 @@ namespace {
 /// within kMaxSpecializedDecodeWidth, the runtime-width generic decoder
 /// otherwise. Span-based so BRO-BCSR — whose block-index slices are the
 /// same BroEllSlice layout — times the identical decode machinery.
-template <typename SymT>
 std::uint64_t scalar_slices_checksum(
-    std::span<const core::BroEllSlice> slices,
-    const std::array<ChecksumFn, kMaxSpecializedDecodeWidth + 1>& table) {
+    std::span<const core::BroEllSlice> slices) {
   std::uint64_t sum = 0;
   for (const auto& s : slices) {
     if (s.height <= 0 || s.num_col <= 0) continue;
-    const SymT* stream = s.stream.template data<SymT>();
+    const std::uint32_t* stream = s.stream.data<std::uint32_t>();
     const std::size_t h = static_cast<std::size_t>(s.height);
     const std::size_t cols = static_cast<std::size_t>(s.num_col);
     const std::uint8_t* alloc = s.bit_alloc.data();
@@ -244,12 +204,12 @@ std::uint64_t scalar_slices_checksum(
     for (std::size_t c = 1; c < cols; ++c)
       if (alloc[c] != uniform) { uniform = -1; break; }
     if (uniform >= 0 && uniform <= kMaxSpecializedDecodeWidth) {
-      const ChecksumFn fn = table[static_cast<std::size_t>(uniform)];
+      const ChecksumFn fn = kChecksum[static_cast<std::size_t>(uniform)];
       for (std::size_t lane = 0; lane < h; ++lane)
         sum += fn(stream, h, lane, cols, uniform);
     } else {
       for (std::size_t lane = 0; lane < h; ++lane) {
-        detail::LaneDecoder<SymT, detail::kGenericWidth> dec(stream, h, lane);
+        detail::LaneDecoder<detail::kGenericWidth> dec(stream, h, lane);
         for (std::size_t c = 0; c < cols; ++c) sum += dec.next(alloc[c]);
       }
     }
@@ -257,37 +217,26 @@ std::uint64_t scalar_slices_checksum(
   return sum;
 }
 
-std::uint64_t scalar_slices_checksum(std::span<const core::BroEllSlice> slices,
-                                     int sym_len) {
-  return sym_len == 32
-             ? scalar_slices_checksum<std::uint32_t>(slices, kChecksum32)
-             : scalar_slices_checksum<std::uint64_t>(slices, kChecksum64);
-}
-
 std::uint64_t simd_slices_checksum(std::span<const core::BroEllSlice> slices,
-                                   int sym_len, const SimdKernels& set) {
+                                   const SimdKernels& set) {
   std::uint64_t sum = 0;
   for (const auto& s : slices) {
     if (s.height <= 0 || s.num_col <= 0) continue;
-    const std::size_t h = static_cast<std::size_t>(s.height);
-    const std::size_t cols = static_cast<std::size_t>(s.num_col);
-    if (sym_len == 32)
-      sum += set.checksum32(s.stream.data<std::uint32_t>(), h,
-                            s.bit_alloc.data(), cols);
-    else
-      sum += set.checksum64(s.stream.data<std::uint64_t>(), h,
-                            s.bit_alloc.data(), cols);
+    sum += set.checksum(s.stream.data<std::uint32_t>(),
+                        static_cast<std::size_t>(s.height),
+                        s.bit_alloc.data(),
+                        static_cast<std::size_t>(s.num_col));
   }
   return sum;
 }
 
 std::uint64_t scalar_ell_checksum(const core::BroEll& a) {
-  return scalar_slices_checksum(a.slices(), a.options().sym_len);
+  return scalar_slices_checksum(a.slices());
 }
 
 std::uint64_t simd_ell_checksum(const core::BroEll& a,
                                 const SimdKernels& set) {
-  return simd_slices_checksum(a.slices(), a.options().sym_len, set);
+  return simd_slices_checksum(a.slices(), set);
 }
 
 } // namespace
@@ -339,9 +288,7 @@ std::uint64_t ans_suite_checksum(const core::BroAns& a) {
   std::uint64_t sum = 0;
   for (const auto& s : a.slices()) {
     if (s.height <= 0 || s.num_col <= 0) continue;
-    sum += a.options().sym_len == 32
-               ? detail::ans_decode_checksum<std::uint32_t>(a, s)
-               : detail::ans_decode_checksum<std::uint64_t>(a, s);
+    sum += detail::ans_decode_checksum(a, s);
   }
   return sum;
 }
@@ -502,21 +449,17 @@ std::vector<BlockSuiteRow> block_suite_sweep(SimdIsa isa, double scale,
     // purely how many symbols each format stores per matrix row.
     const SimdKernels* set = simd_kernels(isa);
     const auto ell_decode = [&] {
-      return set ? simd_slices_checksum(ell.slices(), ell.options().sym_len,
-                                        *set)
-                 : scalar_slices_checksum(ell.slices(),
-                                          ell.options().sym_len);
+      return set ? simd_slices_checksum(ell.slices(), *set)
+                 : scalar_slices_checksum(ell.slices());
     };
     const auto bcsr_decode = [&] {
-      return set ? simd_slices_checksum(bcsr.slices(),
-                                        bcsr.options().sym_len, *set)
-                 : scalar_slices_checksum(bcsr.slices(),
-                                          bcsr.options().sym_len);
+      return set ? simd_slices_checksum(bcsr.slices(), *set)
+                 : scalar_slices_checksum(bcsr.slices());
     };
     const std::uint64_t ell_decode_expect =
-        scalar_slices_checksum(ell.slices(), ell.options().sym_len);
+        scalar_slices_checksum(ell.slices());
     const std::uint64_t bcsr_decode_expect =
-        scalar_slices_checksum(bcsr.slices(), bcsr.options().sym_len);
+        scalar_slices_checksum(bcsr.slices());
     BRO_CHECK_MSG(ell_decode() == ell_decode_expect,
                   simd_isa_name(isa)
                       << " BRO-ELL decode disagrees with scalar on "
@@ -551,7 +494,7 @@ std::vector<BlockSuiteRow> block_suite_sweep(SimdIsa isa, double scale,
   return rows;
 }
 
-AnsDecodeBenchCase make_ans_decode_bench_case(int sym_len, index_t nrows,
+AnsDecodeBenchCase make_ans_decode_bench_case(index_t nrows,
                                               std::uint64_t seed) {
   sparse::GenSpec spec;
   spec.rows = nrows;
@@ -562,11 +505,8 @@ AnsDecodeBenchCase make_ans_decode_bench_case(int sym_len, index_t nrows,
   spec.run = 4;
   spec.seed = seed;
   const sparse::Ell ell = sparse::csr_to_ell(sparse::generate(spec));
-  core::BroAnsOptions opts;
-  opts.sym_len = sym_len;
   AnsDecodeBenchCase c;
-  c.coded =
-      std::make_shared<const core::BroAns>(core::BroAns::compress(ell, opts));
+  c.coded = std::make_shared<const core::BroAns>(core::BroAns::compress(ell));
   for (const auto& s : c.coded->slices())
     c.deltas += static_cast<std::size_t>(s.height) *
                 static_cast<std::size_t>(s.num_col);
@@ -576,44 +516,37 @@ AnsDecodeBenchCase make_ans_decode_bench_case(int sym_len, index_t nrows,
 
 std::uint64_t ans_decode_pass(const AnsDecodeBenchCase& c, SimdIsa isa) {
   const core::BroAns& a = *c.coded;
-  const bool w32 = a.options().sym_len == 32;
   const SimdKernels* t = simd_kernels(isa);
-  const auto vec = t && w32 ? t->ans_checksum32 : nullptr;
+  const auto vec = t ? t->ans_checksum : nullptr;
   std::uint64_t sum = 0;
   for (const auto& s : a.slices()) {
     if (s.height <= 0 || s.num_col <= 0) continue;
-    sum += vec ? vec(a, s)
-               : (w32 ? detail::ans_decode_checksum<std::uint32_t>(a, s)
-                      : detail::ans_decode_checksum<std::uint64_t>(a, s));
+    sum += vec ? vec(a, s) : detail::ans_decode_checksum(a, s);
   }
   return sum;
 }
 
-BcsrDecodeBenchCase make_bcsr_decode_bench_case(int sym_len, index_t panels,
+BcsrDecodeBenchCase make_bcsr_decode_bench_case(index_t panels,
                                                 std::uint64_t seed) {
   const sparse::Csr csr = sparse::generate_truss2d(panels, /*stories=*/6,
                                                    seed);
-  core::BroBcsrOptions opts;
-  opts.sym_len = sym_len;
   BcsrDecodeBenchCase c;
-  c.coded = std::make_shared<const core::BroBcsr>(
-      core::BroBcsr::compress(csr, opts));
+  c.coded =
+      std::make_shared<const core::BroBcsr>(core::BroBcsr::compress(csr));
   for (const auto& s : c.coded->slices())
     c.deltas += static_cast<std::size_t>(s.height) *
                 static_cast<std::size_t>(s.num_col);
-  c.expect = scalar_slices_checksum(c.coded->slices(),
-                                    c.coded->options().sym_len);
+  c.expect = scalar_slices_checksum(c.coded->slices());
   return c;
 }
 
 std::uint64_t bcsr_decode_pass(const BcsrDecodeBenchCase& c, SimdIsa isa) {
   const core::BroBcsr& a = *c.coded;
-  if (isa == SimdIsa::kScalar)
-    return scalar_slices_checksum(a.slices(), a.options().sym_len);
+  if (isa == SimdIsa::kScalar) return scalar_slices_checksum(a.slices());
   const SimdKernels* t = simd_kernels(isa);
   BRO_CHECK_MSG(t != nullptr, "no SIMD kernel table for "
                                   << simd_isa_name(isa));
-  return simd_slices_checksum(a.slices(), a.options().sym_len, *t);
+  return simd_slices_checksum(a.slices(), *t);
 }
 
 } // namespace bro::kernels

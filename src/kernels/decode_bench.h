@@ -20,11 +20,10 @@
 namespace bro::kernels {
 
 /// One synthetic decode workload: `lanes` lanes of `deltas_per_lane` deltas,
-/// every delta `width` bits, multiplexed exactly like a BRO-ELL slice /
-/// BRO-COO interval stream.
+/// every delta `width` bits, multiplexed into 32-bit symbols exactly like a
+/// BRO-ELL slice / BRO-COO interval stream.
 struct DecodeBenchCase {
   int width = 1;
-  int sym_len = 32;
   std::size_t lanes = 0;
   std::size_t deltas_per_lane = 0;
   bits::MuxedStream stream;
@@ -32,8 +31,7 @@ struct DecodeBenchCase {
                                     // form the SIMD checksum kernels take
 };
 
-DecodeBenchCase make_decode_bench_case(int width, int sym_len,
-                                       std::size_t lanes,
+DecodeBenchCase make_decode_bench_case(int width, std::size_t lanes,
                                        std::size_t deltas_per_lane,
                                        std::uint64_t seed);
 
@@ -64,7 +62,6 @@ inline std::size_t decode_pass_deltas(const DecodeBenchCase& c) {
 /// ISA is not runnable on this host/binary.
 struct DecodeThroughputRow {
   int width = 0;
-  int sym_len = 0;
   double specialized_gdps = 0;
   double generic_gdps = 0;
   double sse4_gdps = std::numeric_limits<double>::quiet_NaN();
@@ -72,7 +69,7 @@ struct DecodeThroughputRow {
 };
 
 std::vector<DecodeThroughputRow> decode_throughput_sweep(
-    int sym_len, std::size_t lanes, std::size_t deltas_per_lane,
+    std::size_t lanes, std::size_t deltas_per_lane,
     double min_seconds_per_cell);
 
 /// Scalar-vs-SIMD decode A/B over real BRO-ELL compressions of the matgen
@@ -97,7 +94,7 @@ std::vector<EllSuiteDecodeRow> ell_suite_decode_sweep(
 /// suite (Test Set 1): per matrix, index space savings (eta) of both formats
 /// and full-stream decode throughput of each format's dispatched decode path
 /// planned at `isa` (what execute() would run with that ISA active — the
-/// scalar 4-chain fallback when the ISA has no ANS kernel for the width).
+/// scalar 4-chain fallback when the ISA has no ANS kernel).
 /// Both sides decode the identical delta sequence (checked bitwise via the
 /// checksum before timing).
 struct EntropySuiteRow {
@@ -144,26 +141,26 @@ std::vector<BlockSuiteRow> block_suite_sweep(SimdIsa isa, double scale,
 
 /// BRO-ANS full-stream decode workload for the microbenchmark rows: a
 /// synthetic FEM-like matrix (aligned blocks — the structure class BRO-ANS
-/// is built for) compressed at `sym_len`, plus the sequential reference
-/// decoder's checksum that every timed pass is checked against.
+/// is built for), plus the sequential reference decoder's checksum that
+/// every timed pass is checked against.
 struct AnsDecodeBenchCase {
   std::shared_ptr<const core::BroAns> coded;
   std::size_t deltas = 0;   // padded deltas decoded per pass
   std::uint64_t expect = 0; // sequential reference checksum
 };
 
-AnsDecodeBenchCase make_ans_decode_bench_case(int sym_len, index_t rows,
+AnsDecodeBenchCase make_ans_decode_bench_case(index_t rows,
                                               std::uint64_t seed);
 
 /// One decode-checksum pass over every slice through the kernel dispatch
-/// would select at `isa`: the ISA's vector kernel when its table has one for
-/// the stream width, else the baseline interleaved scalar chains. Returns the
-/// checksum (must equal c.expect — the parity contract).
+/// would select at `isa`: the ISA's vector kernel when its table has one,
+/// else the baseline interleaved scalar chains. Returns the checksum (must
+/// equal c.expect — the parity contract).
 std::uint64_t ans_decode_pass(const AnsDecodeBenchCase& c, SimdIsa isa);
 
 /// BRO-BCSR block-index decode workload for the microbenchmark rows: a
 /// truss-FEM assembly (the structure class the blocked format is built
-/// for) compressed at `sym_len`, plus the scalar dispatch path's checksum
+/// for), plus the scalar dispatch path's checksum
 /// that every timed pass is checked against. `deltas` counts block
 /// indices (incl. slice padding) — the whole point of the format is that
 /// this is ~block-area smaller than the matrix's nnz.
@@ -173,7 +170,7 @@ struct BcsrDecodeBenchCase {
   std::uint64_t expect = 0; // scalar dispatch-path checksum
 };
 
-BcsrDecodeBenchCase make_bcsr_decode_bench_case(int sym_len, index_t panels,
+BcsrDecodeBenchCase make_bcsr_decode_bench_case(index_t panels,
                                                 std::uint64_t seed);
 
 /// One decode-checksum pass over the block-index slices through the decode

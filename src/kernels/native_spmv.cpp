@@ -179,12 +179,12 @@ void native_spmv_bro_ell(const core::BroEll& a, std::span<const value_t> x,
                          std::span<value_t> y) {
   BRO_CHECK(x.size() == static_cast<std::size_t>(a.cols()));
   BRO_CHECK(y.size() == static_cast<std::size_t>(a.rows()));
+  check_host_sym_len(a.options().sym_len);
   const auto& slices = a.slices();
-  const int sym_len = a.options().sym_len;
   const SimdIsa isa = active_simd_isa();
 #pragma omp parallel for schedule(dynamic, 1)
   for (std::size_t si = 0; si < slices.size(); ++si) {
-    const BroEllKernel k = select_bro_ell_kernel(slices[si], sym_len, isa);
+    const BroEllKernel k = select_bro_ell_kernel(slices[si], isa);
     k.spmv(a, slices[si], x, y);
   }
 }
@@ -194,8 +194,9 @@ void native_spmv_bro_ell_generic(const core::BroEll& a,
                                  std::span<value_t> y) {
   BRO_CHECK(x.size() == static_cast<std::size_t>(a.cols()));
   BRO_CHECK(y.size() == static_cast<std::size_t>(a.rows()));
+  check_host_sym_len(a.options().sym_len);
   const auto& slices = a.slices();
-  const BroEllKernel k = generic_bro_ell_kernel(a.options().sym_len);
+  const BroEllKernel k = generic_bro_ell_kernel();
 #pragma omp parallel for schedule(dynamic, 1)
   for (std::size_t si = 0; si < slices.size(); ++si)
     k.spmv(a, slices[si], x, y);
@@ -242,10 +243,10 @@ void native_spmv_bro_coo(const core::BroCoo& a, std::span<const value_t> x,
 void native_spmv_bro_coo(const core::BroCoo& a, std::span<const value_t> x,
                          std::span<value_t> y,
                          std::span<BroCooCarry> carries) {
-  const int sym_len = a.options().sym_len;
+  check_host_sym_len(a.options().sym_len);
   const SimdIsa isa = active_simd_isa();
   bro_coo_spmv_impl(a, x, y, carries, [&](std::size_t i) {
-    return select_bro_coo_kernel(a.intervals()[i], sym_len, isa);
+    return select_bro_coo_kernel(a.intervals()[i], isa);
   });
 }
 
@@ -261,8 +262,9 @@ void native_spmv_bro_coo(const core::BroCoo& a,
 void native_spmv_bro_coo_generic(const core::BroCoo& a,
                                  std::span<const value_t> x,
                                  std::span<value_t> y) {
+  check_host_sym_len(a.options().sym_len);
   std::vector<BroCooCarry> carries(a.intervals().size());
-  const BroCooKernel k = generic_bro_coo_kernel(a.options().sym_len);
+  const BroCooKernel k = generic_bro_coo_kernel();
   bro_coo_spmv_impl(a, x, y, carries, [&](std::size_t) { return k; });
 }
 

@@ -96,14 +96,21 @@ struct BroCooKernel {
 
 /// The decode-kernel choice for one BRO-ANS slice. Entropy-coded streams
 /// have no compile-time width to specialize on (the per-symbol bit count is
-/// state-dependent), so the choice is only scalar-vs-SIMD per symbol length;
-/// the width field stays for dispatch-table symmetry and is always -1.
+/// state-dependent), so the choice is only scalar-vs-SIMD; the width field
+/// stays for dispatch-table symmetry and is always -1.
 struct BroAnsKernel {
   int width = -1;
   void (*spmv)(const core::BroAns& a, const core::BroAnsSlice& slice,
                std::span<const value_t> x, std::span<value_t> y) = nullptr;
   SimdIsa isa = SimdIsa::kScalar;
 };
+
+/// Host kernels decode 32-bit symbols only: sym_len 64 is a simulator and
+/// file-format setting. Every entry point that picks host kernels for a
+/// representation calls this first, so planning a 64-bit representation
+/// throws std::runtime_error naming sym_len before any kernel reads the
+/// stream's (empty) 32-bit slot array.
+void check_host_sym_len(int sym_len);
 
 /// Per-slice / per-interval kernel selection (the plan-time step) at `isa`.
 /// The returned vectors are index-aligned with slices() / intervals().
@@ -120,24 +127,23 @@ std::vector<BroAnsKernel> plan_bro_ans_kernels(const core::BroAns& a,
 /// Selection for a single slice / interval (what plan_bro_*_kernels applies
 /// per element; exposed for tests and the table-free kernel overloads).
 BroEllKernel select_bro_ell_kernel(const core::BroEllSlice& slice,
-                                   int sym_len, SimdIsa isa);
+                                   SimdIsa isa);
 BroCooKernel select_bro_coo_kernel(const core::BroCooInterval& iv,
-                                   int sym_len, SimdIsa isa);
+                                   SimdIsa isa);
 
 /// The generic variable-width kernels as a dispatch entry (width -1): the
 /// bitwise-parity baseline the specialized kernels are fuzzed against.
-BroEllKernel generic_bro_ell_kernel(int sym_len);
-BroCooKernel generic_bro_coo_kernel(int sym_len);
+BroEllKernel generic_bro_ell_kernel();
+BroCooKernel generic_bro_coo_kernel();
 
 /// BRO-ANS slice kernel selection: the ISA's SimdKernels entry when it has
-/// one for the symbol length, else the scalar multi-chain kernel. All
-/// slices of one matrix share a symbol length, so selection is per matrix,
-/// not per slice.
-BroAnsKernel select_bro_ans_kernel(int sym_len, SimdIsa isa);
+/// one, else the scalar multi-chain kernel. Selection is per matrix, not
+/// per slice.
+BroAnsKernel select_bro_ans_kernel(SimdIsa isa);
 
 /// The single-chain sequential decoder as a dispatch entry: the
 /// bitwise-parity baseline the multi-chain/SIMD kernels are fuzzed against.
-BroAnsKernel generic_bro_ans_kernel(int sym_len);
+BroAnsKernel generic_bro_ans_kernel();
 
 void native_spmv_csr(const sparse::Csr& a, std::span<const value_t> x,
                      std::span<value_t> y);

@@ -1,5 +1,5 @@
-// The AVX2 SimdKernels table: BRO-ELL/COO lockstep decode (8 x u32 / 4 x u64
-// lanes), BRO-ANS 8-state vectorized tANS decode (vpgatherdd table lookups,
+// The AVX2 SimdKernels table: BRO-ELL/COO lockstep decode (8 x u32 lanes),
+// BRO-ANS 8-state vectorized tANS decode (vpgatherdd table lookups,
 // branchless vector renorm) and BRO-BCSR value-loop kernels (4 x f64
 // lanes). Compiled with -mavx2 -ffp-contract=off when the toolchain
 // supports it (see src/kernels/CMakeLists.txt); collapses to a stub

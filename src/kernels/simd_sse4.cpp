@@ -1,5 +1,5 @@
-// The SSE4.2 SimdKernels table: BRO-ELL/COO lockstep decode (4 x u32 /
-// 2 x u64 lanes — the portable x86-64 tier below AVX2) and BRO-BCSR
+// The SSE4.2 SimdKernels table: BRO-ELL/COO lockstep decode (4 x u32
+// lanes — the portable x86-64 tier below AVX2) and BRO-BCSR
 // value-loop kernels (2 x f64 lanes). It carries no BRO-ANS entry: without
 // gathers or per-lane variable shifts a tANS chain has nothing to
 // vectorize, and the wider scalar interleave measured no faster than the

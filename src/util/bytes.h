@@ -115,12 +115,21 @@ class ByteReader {
     return static_cast<std::size_t>(n);
   }
 
+  /// A counted array copied out, each element written once: the storage
+  /// is reserved (not value-initialized) after get_count's bound, then
+  /// filled from the wire bytes, which need not be aligned for T.
   template <typename T>
   std::vector<T> get_array(std::size_t max_elems = kSaneCount) {
     static_assert(std::is_trivially_copyable_v<T>);
     const std::size_t n = get_count(sizeof(T), max_elems);
-    std::vector<T> v(n);
-    if (n > 0) std::memcpy(v.data(), need(n * sizeof(T)), n * sizeof(T));
+    const std::uint8_t* p = need(n * sizeof(T));
+    std::vector<T> v;
+    v.reserve(n);
+    for (std::size_t i = 0; i < n; ++i, p += sizeof(T)) {
+      T e;
+      std::memcpy(&e, p, sizeof(T));
+      v.push_back(e);
+    }
     return v;
   }
 

@@ -249,8 +249,14 @@ TEST_P(BroAnsProperty, RoundTripAndSpmv) {
   expect_spmv_matches(csr, bro);
   EXPECT_TRUE(bro::check::validate_bro_ans(bro, &csr).empty());
 
-  // Host kernels: multi-chain and (when available) SIMD dispatch must be
-  // bitwise identical to the single-chain sequential baseline.
+  // Host kernels decode 32-bit symbols only; at 64 they refuse the
+  // representation. At 32, multi-chain and (when available) SIMD dispatch
+  // must be bitwise identical to the single-chain sequential baseline.
+  if (sym_len != 32) {
+    EXPECT_THROW(bk::plan_bro_ans_kernels(bro, bk::active_simd_isa()),
+                 std::runtime_error);
+    return;
+  }
   const auto x = random_vector(static_cast<std::size_t>(csr.cols), 31);
   std::vector<value_t> y_gen(static_cast<std::size_t>(csr.rows));
   std::vector<value_t> y_nat(static_cast<std::size_t>(csr.rows));
@@ -329,25 +335,23 @@ TEST(BroAnsSavings, BeatsFixedWidthOnStructuredMatrices) {
 // ---- SIMD dispatch parity ----
 
 /// Selection reads the ISA's SimdKernels table: only AVX2 carries a BRO-ANS
-/// kernel, and only for 32-bit symbols. Every other request — SSE4 included
-/// — gets the scalar 4-chain kernel, tagged kScalar. Selection only reads
-/// the table, so every ISA is checked whether or not this host can run it.
+/// kernel. Every other request — SSE4 included — gets the scalar 4-chain
+/// kernel, tagged kScalar. Selection only reads the table, so every ISA is
+/// checked whether or not this host can run it.
 TEST(AnsSimdParity, SelectionTagsAndScalarFallback) {
-  for (const int sym_len : {32, 64}) {
-    const bk::BroAnsKernel scalar =
-        bk::select_bro_ans_kernel(sym_len, bk::SimdIsa::kScalar);
-    ASSERT_NE(scalar.spmv, nullptr);
-    for (const bk::SimdIsa isa :
-         {bk::SimdIsa::kScalar, bk::SimdIsa::kSse4, bk::SimdIsa::kAvx2}) {
-      const bk::BroAnsKernel k = bk::select_bro_ans_kernel(sym_len, isa);
-      EXPECT_EQ(k.width, -1);
-      const bool vec = isa == bk::SimdIsa::kAvx2 && sym_len == 32 &&
-                       bk::simd_isa_compiled(isa);
-      EXPECT_EQ(k.isa, vec ? isa : bk::SimdIsa::kScalar)
-          << bk::simd_isa_name(isa) << " sym" << sym_len;
-      EXPECT_EQ(k.spmv, vec ? bk::simd_kernels(isa)->ans_spmv32 : scalar.spmv)
-          << bk::simd_isa_name(isa) << " sym" << sym_len;
-    }
+  const bk::BroAnsKernel scalar =
+      bk::select_bro_ans_kernel(bk::SimdIsa::kScalar);
+  ASSERT_NE(scalar.spmv, nullptr);
+  for (const bk::SimdIsa isa :
+       {bk::SimdIsa::kScalar, bk::SimdIsa::kSse4, bk::SimdIsa::kAvx2}) {
+    const bk::BroAnsKernel k = bk::select_bro_ans_kernel(isa);
+    EXPECT_EQ(k.width, -1);
+    const bool vec =
+        isa == bk::SimdIsa::kAvx2 && bk::simd_isa_compiled(isa);
+    EXPECT_EQ(k.isa, vec ? isa : bk::SimdIsa::kScalar)
+        << bk::simd_isa_name(isa);
+    EXPECT_EQ(k.spmv, vec ? bk::simd_kernels(isa)->ans_spmv : scalar.spmv)
+        << bk::simd_isa_name(isa);
   }
   for (const bk::SimdIsa isa : host_isas()) {
     const bs::Csr csr = bs::generate_poisson2d(12, 13);
@@ -355,18 +359,17 @@ TEST(AnsSimdParity, SelectionTagsAndScalarFallback) {
     const auto kernels = bk::plan_bro_ans_kernels(bro, isa);
     ASSERT_EQ(kernels.size(), bro.slices().size());
     for (const auto& k : kernels)
-      EXPECT_EQ(k.spmv,
-                bk::select_bro_ans_kernel(bro.options().sym_len, isa).spmv);
+      EXPECT_EQ(k.spmv, bk::select_bro_ans_kernel(isa).spmv);
   }
 }
 
-/// The adversarial battery swept across every host ISA, both symbol
-/// lengths, and the table_log extremes: the dispatched SpMV (inline and
-/// plan-time selection) must reproduce the single-chain sequential
-/// decoder bit for bit. Compressions are ISA-independent, so each config
-/// is built once and only the kernel calls sweep the forced ISA — the
-/// shape of test_decode_dispatch's AdversarialParity.
-TEST(AnsSimdParity, AdversarialSweepAcrossIsasTableLogsSymLens) {
+/// The adversarial battery swept across every host ISA and the table_log
+/// extremes: the dispatched SpMV (inline and plan-time selection) must
+/// reproduce the single-chain sequential decoder bit for bit. Compressions
+/// are ISA-independent, so each config is built once and only the kernel
+/// calls sweep the forced ISA — the shape of test_decode_dispatch's
+/// AdversarialParity.
+TEST(AnsSimdParity, AdversarialSweepAcrossIsasAndTableLogs) {
   const auto isas = host_isas();
   for (auto& adversarial : bs::adversarial_suite(5)) {
     const bs::Csr& csr = adversarial.csr;
@@ -380,37 +383,34 @@ TEST(AnsSimdParity, AdversarialSweepAcrossIsasTableLogsSymLens) {
     std::vector<value_t> y(static_cast<std::size_t>(csr.rows));
     std::vector<value_t> y_gen(static_cast<std::size_t>(csr.rows));
 
-    for (const int sym_len : {32, 64})
-      for (const int table_log :
-           {bb::AnsTable::kMinTableLog, 10, bb::AnsTable::kMaxTableLog}) {
-        bc::BroAnsOptions opts;
-        opts.sym_len = sym_len;
-        opts.table_log = table_log;
-        opts.slice_height = 64; // several full lane groups + partial tails
-        const bc::BroAns bro = bc::BroAns::compress(ell, opts);
-        bk::native_spmv_bro_ans_generic(bro, x, y_gen);
+    for (const int table_log :
+         {bb::AnsTable::kMinTableLog, 10, bb::AnsTable::kMaxTableLog}) {
+      bc::BroAnsOptions opts;
+      opts.table_log = table_log;
+      opts.slice_height = 64; // several full lane groups + partial tails
+      const bc::BroAns bro = bc::BroAns::compress(ell, opts);
+      bk::native_spmv_bro_ans_generic(bro, x, y_gen);
 
-        for (const bk::SimdIsa isa : isas) {
-          bk::ScopedSimdIsa forced(isa);
-          bk::native_spmv_bro_ans(bro, x, y);
-          expect_bitwise(y, y_gen, adversarial.name.c_str());
+      for (const bk::SimdIsa isa : isas) {
+        bk::ScopedSimdIsa forced(isa);
+        bk::native_spmv_bro_ans(bro, x, y);
+        expect_bitwise(y, y_gen, adversarial.name.c_str());
 
-          const auto kernels = bk::plan_bro_ans_kernels(bro, isa);
-          bk::native_spmv_bro_ans(bro, kernels, x, y);
-          expect_bitwise(y, y_gen, adversarial.name.c_str());
-        }
+        const auto kernels = bk::plan_bro_ans_kernels(bro, isa);
+        bk::native_spmv_bro_ans(bro, kernels, x, y);
+        expect_bitwise(y, y_gen, adversarial.name.c_str());
       }
+    }
   }
 }
 
-// ---- 64-bit eager refill ----
+// ---- 64-bit streams ----
 
-/// Regression for the AnsChain<uint64_t> eager two-slot refill: wide
-/// deltas at the largest table make per-symbol reads of up to
-/// mantissa + renorm ~ 34 bits, so consecutive symbols drain the 64-bit
-/// window fast enough that nearly every refill splices bits across a slot
-/// boundary. The stream must round-trip exactly and the multi-chain
-/// decoder must match the single-chain baseline bitwise.
+/// Wide deltas at the largest table make per-symbol reads of up to
+/// mantissa + renorm ~ 34 bits, so consecutive symbols drain a 64-bit
+/// window fast enough that nearly every read splices bits across a slot
+/// boundary. The core's sequential decoder must round-trip such a stream
+/// exactly; host kernels refuse it (they decode 32-bit symbols only).
 TEST(BroAnsDecode, EagerRefillSpliceAtSymLen64) {
   bs::Coo coo;
   coo.rows = 24; // three lane groups, every chain hits the wide deltas
@@ -443,13 +443,10 @@ TEST(BroAnsDecode, EagerRefillSpliceAtSymLen64) {
   ASSERT_EQ(out.vals, ell.vals);
   EXPECT_TRUE(bro::check::validate_bro_ans(bro, &csr).empty());
 
-  const auto x = random_vector(static_cast<std::size_t>(csr.cols), 7);
+  expect_spmv_matches(csr, bro, 7);
   std::vector<value_t> y(static_cast<std::size_t>(csr.rows));
-  std::vector<value_t> y_gen(static_cast<std::size_t>(csr.rows));
-  bk::native_spmv_bro_ans_generic(bro, x, y_gen);
-  for (const bk::SimdIsa isa : host_isas()) {
-    bk::ScopedSimdIsa forced(isa);
-    bk::native_spmv_bro_ans(bro, x, y);
-    expect_bitwise(y, y_gen, "eager-refill-sym64");
-  }
+  EXPECT_THROW(bk::native_spmv_bro_ans_generic(
+                   bro, random_vector(static_cast<std::size_t>(csr.cols), 7),
+                   y),
+               std::runtime_error);
 }

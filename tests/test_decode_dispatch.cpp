@@ -1,9 +1,9 @@
 // Width-specialized decode dispatch tests: plan-time kernel selection rules
 // and the bitwise-parity property the dispatch rests on — for every forced
-// bit width, symbol length, adversarial matrix shape AND every SIMD ISA this
-// host can run, the dispatched SpMV/SpMM kernels must reproduce the generic
-// runtime-width scalar decoder's result bit for bit (same algorithm, same
-// traversal, same accumulation order; only the unpacking code differs).
+// bit width, adversarial matrix shape AND every SIMD ISA this host can run,
+// the dispatched SpMV/SpMM kernels must reproduce the generic runtime-width
+// scalar decoder's result bit for bit (same algorithm, same traversal, same
+// accumulation order; only the unpacking code differs).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -131,11 +131,10 @@ TEST(DecodeDispatch, CooSelectionMatchesIntervalBits) {
   }
 }
 
-/// One (matrix, width, sym_len) parity probe, swept across every host ISA:
+/// One (matrix, width) parity probe, swept across every host ISA:
 /// dispatched SpMV and SpMM against the always-scalar generic decoder,
 /// bitwise. The compression is ISA-independent and done once.
-void check_parity(const bs::Csr& csr, int width, int sym_len,
-                  const char* name) {
+void check_parity(const bs::Csr& csr, int width, const char* name) {
   if (csr.nnz() == 0 || csr.rows == 0) return;
   const auto x = random_x(csr.cols, 77);
   const std::size_t rows = static_cast<std::size_t>(csr.rows);
@@ -145,7 +144,6 @@ void check_parity(const bs::Csr& csr, int width, int sym_len,
   // specializable range (columns needing more bits keep their natural
   // width, which also exercises mixed slices).
   bc::BroEllOptions eopt;
-  eopt.sym_len = sym_len;
   eopt.forced_bit_width = width;
   const auto ell = bc::BroEll::compress(bs::csr_to_ell(csr), eopt);
 
@@ -165,14 +163,14 @@ void check_parity(const bs::Csr& csr, int width, int sym_len,
 
     const auto table = bk::plan_bro_ell_kernels(ell, isa);
     std::vector<bk::BroEllKernel> generic_table(
-        table.size(), bk::generic_bro_ell_kernel(sym_len));
+        table.size(), bk::generic_bro_ell_kernel());
     bk::native_spmm_bro_ell(ell, table, xm, ym, k);
     bk::native_spmm_bro_ell(ell, generic_table, xm, ym_gen, k);
     expect_bitwise(ym, ym_gen, name);
   }
 }
 
-TEST(DecodeDispatch, EllParityAcrossWidthsAndSymLens) {
+TEST(DecodeDispatch, EllParityAcrossWidths) {
   const bs::Csr grid = bs::generate_poisson2d(37, 29);
   bs::GenSpec spec;
   spec.rows = 300;
@@ -181,15 +179,14 @@ TEST(DecodeDispatch, EllParityAcrossWidthsAndSymLens) {
   spec.sigma = 5;
   spec.seed = 21;
   const bs::Csr wide = bs::generate(spec);
-  for (int width = 0; width <= 32; ++width)
-    for (const int sym_len : {32, 64}) {
-      check_parity(grid, width, sym_len, "grid");
-      check_parity(wide, width, sym_len, "wide");
-    }
+  for (int width = 0; width <= 32; ++width) {
+    check_parity(grid, width, "grid");
+    check_parity(wide, width, "wide");
+  }
 }
 
 /// The adversarial battery at its natural widths: every degenerate shape,
-/// both symbol lengths, SpMV and SpMM, BRO-ELL + BRO-COO + BRO-HYB.
+/// SpMV and SpMM, BRO-ELL + BRO-COO + BRO-HYB.
 TEST(DecodeDispatch, AdversarialParity) {
   for (auto& adversarial : bs::adversarial_suite(5)) {
     const bs::Csr& csr = adversarial.csr;
@@ -198,58 +195,51 @@ TEST(DecodeDispatch, AdversarialParity) {
     const std::size_t rows = static_cast<std::size_t>(csr.rows);
     std::vector<value_t> y(rows), y_gen(rows);
 
-    for (const int sym_len : {32, 64}) {
-      // ELL blows up on spike shapes; gate like the registry does. All
-      // compressions are ISA-independent, so build once per sym_len and
-      // sweep the dispatch ISA over the kernel calls only.
-      const double expand = static_cast<double>(csr.rows) *
-                            static_cast<double>(csr.max_row_length());
-      const bool ell_ok = expand <= 3.0 * static_cast<double>(csr.nnz());
-      bc::BroEllOptions eopt;
-      eopt.sym_len = sym_len;
-      const auto ell = ell_ok ? bc::BroEll::compress(bs::csr_to_ell(csr), eopt)
-                              : bc::BroEll();
+    // ELL blows up on spike shapes; gate like the registry does. All
+    // compressions are ISA-independent, so build once and sweep the
+    // dispatch ISA over the kernel calls only.
+    const double expand = static_cast<double>(csr.rows) *
+                          static_cast<double>(csr.max_row_length());
+    const bool ell_ok = expand <= 3.0 * static_cast<double>(csr.nnz());
+    const auto ell =
+        ell_ok ? bc::BroEll::compress(bs::csr_to_ell(csr)) : bc::BroEll();
+    const auto coo = bc::BroCoo::compress(bs::csr_to_coo(csr));
+    const auto hyb = bc::BroHyb::compress(csr);
 
-      bc::BroCooOptions copt;
-      copt.sym_len = sym_len;
-      const auto coo = bc::BroCoo::compress(bs::csr_to_coo(csr), copt);
-      const auto hyb = bc::BroHyb::compress(csr);
+    const int k = 2;
+    const std::size_t n = coo.intervals().size();
+    std::vector<bk::BroCooCarry> carries(n);
+    std::vector<value_t> sums(n * 2 * k);
+    std::vector<value_t> ym(rows * k), ym_gen(rows * k);
+    std::vector<value_t> xm(static_cast<std::size_t>(csr.cols) * k);
+    for (std::size_t c = 0; c < static_cast<std::size_t>(csr.cols); ++c)
+      for (int j = 0; j < k; ++j)
+        xm[c * k + static_cast<std::size_t>(j)] =
+            x[(c + static_cast<std::size_t>(j)) % x.size()];
 
-      const int k = 2;
-      const std::size_t n = coo.intervals().size();
-      std::vector<bk::BroCooCarry> carries(n);
-      std::vector<value_t> sums(n * 2 * k);
-      std::vector<value_t> ym(rows * k), ym_gen(rows * k);
-      std::vector<value_t> xm(static_cast<std::size_t>(csr.cols) * k);
-      for (std::size_t c = 0; c < static_cast<std::size_t>(csr.cols); ++c)
-        for (int j = 0; j < k; ++j)
-          xm[c * k + static_cast<std::size_t>(j)] =
-              x[(c + static_cast<std::size_t>(j)) % x.size()];
-
-      for (const bk::SimdIsa isa : host_isas()) {
-        bk::ScopedSimdIsa forced(isa);
-        if (ell_ok) {
-          bk::native_spmv_bro_ell(ell, x, y);
-          bk::native_spmv_bro_ell_generic(ell, x, y_gen);
-          expect_bitwise(y, y_gen, adversarial.name.c_str());
-        }
-
-        bk::native_spmv_bro_coo(coo, x, y);
-        bk::native_spmv_bro_coo_generic(coo, x, y_gen);
-        expect_bitwise(y, y_gen, adversarial.name.c_str());
-
-        const auto table = bk::plan_bro_coo_kernels(coo, isa);
-        std::vector<bk::BroCooKernel> generic_table(
-            table.size(), bk::generic_bro_coo_kernel(sym_len));
-        bk::native_spmm_bro_coo(coo, table, xm, ym, k, carries, sums);
-        bk::native_spmm_bro_coo(coo, generic_table, xm, ym_gen, k, carries,
-                                sums);
-        expect_bitwise(ym, ym_gen, adversarial.name.c_str());
-
-        bk::native_spmv_bro_hyb(hyb, x, y);
-        bk::native_spmv_bro_hyb_generic(hyb, x, y_gen);
+    for (const bk::SimdIsa isa : host_isas()) {
+      bk::ScopedSimdIsa forced(isa);
+      if (ell_ok) {
+        bk::native_spmv_bro_ell(ell, x, y);
+        bk::native_spmv_bro_ell_generic(ell, x, y_gen);
         expect_bitwise(y, y_gen, adversarial.name.c_str());
       }
+
+      bk::native_spmv_bro_coo(coo, x, y);
+      bk::native_spmv_bro_coo_generic(coo, x, y_gen);
+      expect_bitwise(y, y_gen, adversarial.name.c_str());
+
+      const auto table = bk::plan_bro_coo_kernels(coo, isa);
+      std::vector<bk::BroCooKernel> generic_table(
+          table.size(), bk::generic_bro_coo_kernel());
+      bk::native_spmm_bro_coo(coo, table, xm, ym, k, carries, sums);
+      bk::native_spmm_bro_coo(coo, generic_table, xm, ym_gen, k, carries,
+                              sums);
+      expect_bitwise(ym, ym_gen, adversarial.name.c_str());
+
+      bk::native_spmv_bro_hyb(hyb, x, y);
+      bk::native_spmv_bro_hyb_generic(hyb, x, y_gen);
+      expect_bitwise(y, y_gen, adversarial.name.c_str());
     }
   }
 }
@@ -300,47 +290,37 @@ TEST(DecodeDispatch, SimdSelectionTagsKernels) {
 
   const bs::Csr csr = bs::generate_poisson2d(40, 40);
   const bs::Csr truss = bs::generate_truss2d(40, 6, 7);
-  for (const int sym_len : {32, 64}) {
-    bc::BroEllOptions eopt;
-    eopt.sym_len = sym_len;
-    const auto ell = bc::BroEll::compress(bs::csr_to_ell(csr), eopt);
-    bc::BroCooOptions copt;
-    copt.sym_len = sym_len;
-    const auto coo = bc::BroCoo::compress(bs::csr_to_coo(csr), copt);
-
-    for (const bk::SimdIsa isa :
-         {bk::SimdIsa::kScalar, bk::SimdIsa::kSse4, bk::SimdIsa::kAvx2}) {
-      const bk::SimdKernels* t = bk::simd_kernels(isa);
-      const bk::SimdIsa tag = t != nullptr ? isa : bk::SimdIsa::kScalar;
-      const bool w32 = sym_len == 32;
-      for (const auto& kernel : bk::plan_bro_ell_kernels(ell, isa)) {
+  const auto ell = bc::BroEll::compress(bs::csr_to_ell(csr));
+  const auto coo = bc::BroCoo::compress(bs::csr_to_coo(csr));
+  for (const bk::SimdIsa isa :
+       {bk::SimdIsa::kScalar, bk::SimdIsa::kSse4, bk::SimdIsa::kAvx2}) {
+    const bk::SimdKernels* t = bk::simd_kernels(isa);
+    const bk::SimdIsa tag = t != nullptr ? isa : bk::SimdIsa::kScalar;
+    for (const auto& kernel : bk::plan_bro_ell_kernels(ell, isa)) {
+      EXPECT_EQ(kernel.isa, tag);
+      if (t != nullptr) {
+        EXPECT_EQ(kernel.spmv, t->ell_spmv);
+        EXPECT_EQ(kernel.spmm, t->ell_spmm);
+      }
+    }
+    for (const auto& kernel : bk::plan_bro_coo_kernels(coo, isa)) {
+      EXPECT_EQ(kernel.isa, tag);
+      if (t != nullptr) {
+        EXPECT_EQ(kernel.spmv, t->coo_spmv);
+        EXPECT_EQ(kernel.spmm, t->coo_spmm);
+      }
+    }
+    for (const auto& [br, bcol] : bc::kBcsrCandidateShapes) {
+      bc::BroBcsrOptions bopt;
+      bopt.block_rows = br;
+      bopt.block_cols = bcol;
+      const auto bcsr = bc::BroBcsr::compress(truss, bopt);
+      const auto shape =
+          static_cast<std::size_t>(bk::bcsr_shape_index(br, bcol));
+      for (const auto& kernel : bk::plan_bro_bcsr_kernels(bcsr, isa)) {
         EXPECT_EQ(kernel.isa, tag);
         if (t != nullptr) {
-          EXPECT_EQ(kernel.spmv, w32 ? t->ell_spmv32 : t->ell_spmv64);
-          EXPECT_EQ(kernel.spmm, w32 ? t->ell_spmm32 : t->ell_spmm64);
-        }
-      }
-      for (const auto& kernel : bk::plan_bro_coo_kernels(coo, isa)) {
-        EXPECT_EQ(kernel.isa, tag);
-        if (t != nullptr) {
-          EXPECT_EQ(kernel.spmv, w32 ? t->coo_spmv32 : t->coo_spmv64);
-          EXPECT_EQ(kernel.spmm, w32 ? t->coo_spmm32 : t->coo_spmm64);
-        }
-      }
-      for (const auto& [br, bcol] : bc::kBcsrCandidateShapes) {
-        bc::BroBcsrOptions bopt;
-        bopt.block_rows = br;
-        bopt.block_cols = bcol;
-        bopt.sym_len = sym_len;
-        const auto bcsr = bc::BroBcsr::compress(truss, bopt);
-        const auto shape =
-            static_cast<std::size_t>(bk::bcsr_shape_index(br, bcol));
-        for (const auto& kernel : bk::plan_bro_bcsr_kernels(bcsr, isa)) {
-          EXPECT_EQ(kernel.isa, tag);
-          if (t != nullptr) {
-            EXPECT_EQ(kernel.spmv,
-                      w32 ? t->bcsr_spmv32[shape] : t->bcsr_spmv64[shape]);
-          }
+          EXPECT_EQ(kernel.spmv, t->bcsr_spmv[shape]);
         }
       }
     }

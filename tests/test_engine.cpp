@@ -182,6 +182,35 @@ TEST(SpmvPlan, ChecksOperandSizes) {
   EXPECT_THROW(plan.execute(x, y_short), std::exception);
 }
 
+// Host kernels decode 32-bit symbols only. Planning a representation at
+// sym_len 64 fails where its kernels are chosen, with an error that names
+// the setting; queries that build through `make` and run no kernel, such
+// as Matrix::savings(), keep working at 64.
+TEST(SpmvPlan, SymLen64IsRejectedWhereHostKernelsAreChosen) {
+  bc::MatrixOptions opts;
+  opts.ell.sym_len = 64;
+  opts.coo.sym_len = 64;
+  opts.ans.sym_len = 64;
+  opts.bcsr.sym_len = 64;
+  const auto m = std::make_shared<const bc::Matrix>(
+      bc::Matrix::from_csr(bs::generate_truss2d(24, 4, 11), opts));
+  for (const bc::Format f :
+       {bc::Format::kBroEll, bc::Format::kBroCoo, bc::Format::kBroHyb,
+        bc::Format::kBroAns, bc::Format::kBroBcsr}) {
+    const std::string name = be::traits(f).name;
+    try {
+      be::SpmvPlan plan(m, f);
+      ADD_FAILURE() << name << " planned at sym_len 64";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("sym_len"), std::string::npos)
+          << name << ": " << e.what();
+    }
+  }
+  const bc::Savings s = m->savings();
+  EXPECT_GT(s.eta(), 0.0);
+  EXPECT_LT(s.eta(), 1.0);
+}
+
 // ---- Workspace::coo_ranges cache keying ----
 //
 // The COO row-range split is cached inside the plan workspace. A workspace

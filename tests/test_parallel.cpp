@@ -139,16 +139,25 @@ TEST(SimDeterminism, IdenticalRunsIdenticalStats) {
 
 namespace {
 
-/// write_bro_* bytes of every serializable BRO format built from `csr`.
-std::vector<std::string> bro_bytes(const bs::Csr& csr) {
+/// write_bro_* bytes of every serializable BRO format built from `csr`
+/// with `sym_len`-bit stream symbols.
+std::vector<std::string> bro_bytes(const bs::Csr& csr, int sym_len = 32) {
   bc::BroEllOptions eo;
   eo.slice_height = 7; // many slices, so the threads share the work
+  eo.sym_len = sym_len;
   bc::BroAnsOptions ao;
   ao.slice_height = 7;
+  ao.sym_len = sym_len;
   bc::BroBcsrOptions bo;
   bo.slice_height = 3;
+  bo.sym_len = sym_len;
+  bc::BroCooOptions co;
+  co.sym_len = sym_len;
+  bc::BroCsrOptions so;
+  so.sym_len = sym_len;
   bc::BroHybOptions ho;
   ho.ell = eo;
+  ho.coo = co;
   std::vector<std::string> out;
   const auto add = [&](auto write, const auto& m) {
     std::ostringstream s(std::ios::binary);
@@ -159,7 +168,8 @@ std::vector<std::string> bro_bytes(const bs::Csr& csr) {
   add(bc::write_bro_ans, bc::BroAns::compress(csr, csr.max_row_length(), ao));
   add(bc::write_bro_hyb, bc::BroHyb::compress(csr, ho));
   add(bc::write_bro_bcsr, bc::BroBcsr::compress(csr, bo));
-  add(bc::write_bro_coo, bc::BroCoo::compress(bs::csr_to_coo(csr)));
+  add(bc::write_bro_coo, bc::BroCoo::compress(bs::csr_to_coo(csr), co));
+  add(bc::write_bro_csr, bc::BroCsr::compress(csr, so));
   return out;
 }
 
@@ -408,19 +418,25 @@ bool same_csr(const bs::Csr& a, const bs::Csr& b) {
 }
 
 /// Serialized bytes of every format with a serialize hook, built through
-/// the registry (default options) where applicable, plus, when
-/// `small_slices`, bro_bytes' streams, so the ingest runs over many tiles.
+/// the registry at `sym_len` where applicable, plus, when `small_slices`,
+/// bro_bytes' streams, so the ingest runs over many tiles.
 std::vector<std::pair<std::string, Bytes>> ingest_streams(const bs::Csr& csr,
-                                                          bool small_slices) {
+                                                          bool small_slices,
+                                                          int sym_len) {
+  bc::MatrixOptions opts;
+  opts.ell.sym_len = sym_len;
+  opts.coo.sym_len = sym_len;
+  opts.ans.sym_len = sym_len;
+  opts.bcsr.sym_len = sym_len;
   std::vector<std::pair<std::string, Bytes>> out;
   for (const auto& t : be::format_registry()) {
     if (!t.serialize || !t.applicable(csr, 3.0)) continue;
     std::ostringstream s(std::ios::binary);
-    t.serialize(s, t.make(csr, bc::MatrixOptions{}).get());
+    t.serialize(s, t.make(csr, opts).get());
     out.emplace_back(t.name, to_bytes(s.str()));
   }
   if (small_slices)
-    for (const std::string& s : bro_bytes(csr))
+    for (const std::string& s : bro_bytes(csr, sym_len))
       out.emplace_back("small slices, tag " + std::to_string(int(s[8])),
                        to_bytes(s));
   return out;
@@ -441,7 +457,9 @@ std::size_t last_slice_slots(const bc::BroEll& m, std::size_t body) {
 } // namespace
 
 TEST(ParallelIngest, CsrDoesNotDependOnThreadCount) {
-  // The adversarial battery and every third stand-in of each test set.
+  // The adversarial battery and every third stand-in of each test set, at
+  // both symbol lengths: host kernels decode 32-bit symbols only, but the
+  // ingest is runtime-generic, so 64-bit files and uploads still load.
   // Test Set 2 gets no small-slice streams: its padded BRO-ELL would dwarf
   // the rest (the registry builds it as BRO-HYB instead).
   struct Case {
@@ -458,15 +476,19 @@ TEST(ParallelIngest, CsrDoesNotDependOnThreadCount) {
            set != 2});
   }
   for (const auto& [c, small_slices] : cases) {
-    for (const auto& [name, bytes] : ingest_streams(c.csr, small_slices)) {
-      for (const int threads : {1, 2, 4}) {
-        ThreadGuard g(threads);
-        const std::string ctx =
-            c.name + " / " + name + " threads=" + std::to_string(threads);
-        try {
-          EXPECT_TRUE(same_csr(bc::read_bro_to_csr(bytes), c.csr)) << ctx;
-        } catch (const std::exception& e) {
-          ADD_FAILURE() << ctx << ": " << e.what();
+    for (const int sym_len : {32, 64}) {
+      for (const auto& [name, bytes] :
+           ingest_streams(c.csr, small_slices, sym_len)) {
+        for (const int threads : {1, 2, 4}) {
+          ThreadGuard g(threads);
+          const std::string ctx = c.name + " / " + name + " sym_len=" +
+                                  std::to_string(sym_len) +
+                                  " threads=" + std::to_string(threads);
+          try {
+            EXPECT_TRUE(same_csr(bc::read_bro_to_csr(bytes), c.csr)) << ctx;
+          } catch (const std::exception& e) {
+            ADD_FAILURE() << ctx << ": " << e.what();
+          }
         }
       }
     }
@@ -739,12 +761,8 @@ PlainCsr naive_coo_to_csr(const bs::Coo& coo) {
 TEST(HeapPoison, IngestWritesEveryCsrSlot) {
   const bs::Csr csr = ragged_rows(700, 9, 4, 81);
   const PlainCsr want = plain(csr);
-  // Every serializable tag: bro_bytes' five, plus BRO-CSR.
-  std::vector<std::string> streams = bro_bytes(csr);
-  std::ostringstream s(std::ios::binary);
-  bc::write_bro_csr(s, bc::BroCsr::compress(csr));
-  streams.push_back(s.str());
-  for (const std::string& bytes : streams) {
+  // Every serializable tag.
+  for (const std::string& bytes : bro_bytes(csr)) {
     const Bytes in = to_bytes(bytes);
     for (const int threads : {1, 4}) {
       ThreadGuard g(threads);

@@ -361,15 +361,11 @@ int cmd_bench_decode(const Args& args) {
   args.allow_only({"decode", "min-time", "suite", "scale"});
   const double min_time = args.get_double("min-time", 0.02);
   std::cout << "Decode throughput (Gdeltas/s), 64 lanes x 16384 deltas:\n";
-  Table t({"Width", "sym_len", "specialized", "generic", "sse4", "avx2"});
-  for (const int sym_len : {32, 64}) {
-    const auto rows =
-        kernels::decode_throughput_sweep(sym_len, 64, 16384, min_time);
-    for (const auto& r : rows)
-      t.add_row({std::to_string(r.width), std::to_string(r.sym_len),
-                 Table::fmt(r.specialized_gdps, 3), Table::fmt(r.generic_gdps, 3),
-                 Table::fmt(r.sse4_gdps, 3), Table::fmt(r.avx2_gdps, 3)});
-  }
+  Table t({"Width", "specialized", "generic", "sse4", "avx2"});
+  for (const auto& r : kernels::decode_throughput_sweep(64, 16384, min_time))
+    t.add_row({std::to_string(r.width), Table::fmt(r.specialized_gdps, 3),
+               Table::fmt(r.generic_gdps, 3), Table::fmt(r.sse4_gdps, 3),
+               Table::fmt(r.avx2_gdps, 3)});
   t.print(std::cout);
   if (args.has("suite")) return cmd_bench_decode_suite(args, min_time);
   return 0;
@@ -449,8 +445,8 @@ int cmd_entropy_bench(const Args& args) {
 /// archive for CI. Under --gate the exit code enforces the PR's perf
 /// claim: BRO-BCSR must win mean fill-adjusted eta AND hold the geomean
 /// decode-throughput speedup floor, the scalar/SSE4/AVX2 kernels must
-/// agree bitwise across the adversarial battery at every forced shape and
-/// symbol length, and no Test Set 1 matrix may auto-select the format.
+/// agree bitwise across the adversarial battery at every forced shape,
+/// and no Test Set 1 matrix may auto-select the format.
 int cmd_block_bench(const Args& args) {
   args.allow_only({"scale", "min-time", "gate", "min-speedup", "json"});
   const double scale = args.get_double("scale", 0.125);
@@ -537,48 +533,44 @@ int cmd_block_bench(const Args& args) {
     ok = false;
   }
 
-  // Bitwise parity across the adversarial battery: every forced shape and
-  // symbol length, every kernel ISA this process can run, against the
-  // sequential 8-lane reference.
+  // Bitwise parity across the adversarial battery: every forced shape,
+  // every kernel ISA this process can run, against the sequential 8-lane
+  // reference.
   std::size_t parity_checks = 0, applicable_cases = 0;
   for (const auto& c : sparse::adversarial_suite()) {
     if (core::bro_bcsr_applicable(c.csr, 3.0)) ++applicable_cases;
-    for (const auto& [br, bc] : core::kBcsrCandidateShapes)
-      for (const int sym_len : {32, 64}) {
-        core::BroBcsrOptions o;
-        o.block_rows = br;
-        o.block_cols = bc;
-        o.sym_len = sym_len;
-        const core::BroBcsr a = core::BroBcsr::compress(c.csr, o);
-        std::vector<value_t> x(static_cast<std::size_t>(c.csr.cols));
-        for (std::size_t i = 0; i < x.size(); ++i)
-          x[i] = 1.0 + static_cast<value_t>(i % 16) * 0.0625;
-        std::vector<value_t> ref(static_cast<std::size_t>(c.csr.rows));
-        a.spmv(x, ref);
-        for (const kernels::SimdIsa k : {kernels::SimdIsa::kScalar,
-                                         kernels::SimdIsa::kSse4,
-                                         kernels::SimdIsa::kAvx2}) {
-          if (k != kernels::SimdIsa::kScalar &&
-              !kernels::simd_isa_runnable(k))
-            continue;
-          const auto ks = kernels::plan_bro_bcsr_kernels(a, k);
-          std::vector<value_t> y(ref.size(), 0.0);
-          for (std::size_t si = 0; si < ks.size(); ++si)
-            ks[si].spmv(a, si, x, y);
-          for (std::size_t i = 0; i < ref.size(); ++i)
-            if (std::bit_cast<std::uint64_t>(y[i]) !=
-                std::bit_cast<std::uint64_t>(ref[i])) {
-              std::cerr << "block-bench GATE FAIL: " << c.name << " " << br
-                        << "x" << bc << " sym" << sym_len << " "
-                        << kernels::simd_isa_name(k)
-                        << " differs bitwise from the reference at row " << i
-                        << "\n";
-              ok = false;
-              break;
-            }
-          ++parity_checks;
-        }
+    for (const auto& [br, bc] : core::kBcsrCandidateShapes) {
+      core::BroBcsrOptions o;
+      o.block_rows = br;
+      o.block_cols = bc;
+      const core::BroBcsr a = core::BroBcsr::compress(c.csr, o);
+      std::vector<value_t> x(static_cast<std::size_t>(c.csr.cols));
+      for (std::size_t i = 0; i < x.size(); ++i)
+        x[i] = 1.0 + static_cast<value_t>(i % 16) * 0.0625;
+      std::vector<value_t> ref(static_cast<std::size_t>(c.csr.rows));
+      a.spmv(x, ref);
+      for (const kernels::SimdIsa k : {kernels::SimdIsa::kScalar,
+                                       kernels::SimdIsa::kSse4,
+                                       kernels::SimdIsa::kAvx2}) {
+        if (k != kernels::SimdIsa::kScalar && !kernels::simd_isa_runnable(k))
+          continue;
+        const auto ks = kernels::plan_bro_bcsr_kernels(a, k);
+        std::vector<value_t> y(ref.size(), 0.0);
+        for (std::size_t si = 0; si < ks.size(); ++si)
+          ks[si].spmv(a, si, x, y);
+        for (std::size_t i = 0; i < ref.size(); ++i)
+          if (std::bit_cast<std::uint64_t>(y[i]) !=
+              std::bit_cast<std::uint64_t>(ref[i])) {
+            std::cerr << "block-bench GATE FAIL: " << c.name << " " << br
+                      << "x" << bc << " " << kernels::simd_isa_name(k)
+                      << " differs bitwise from the reference at row " << i
+                      << "\n";
+            ok = false;
+            break;
+          }
+        ++parity_checks;
       }
+    }
   }
   if (applicable_cases == 0) {
     std::cerr << "block-bench GATE FAIL: no adversarial case passes the "

@@ -5,8 +5,8 @@
 # one-index-per-block stream decodes ~block-area fewer symbols per matrix
 # row, so the floor holds on every ISA). The gate also sweeps the
 # adversarial battery bitwise across scalar/SSE4/AVX2 at every forced
-# shape and symbol length, and asserts no Test Set 1 matrix auto-selects
-# the blocked format. Override the floor with BRO_BCSR_MIN_SPEEDUP.
+# shape, and asserts no Test Set 1 matrix auto-selects the blocked
+# format. Override the floor with BRO_BCSR_MIN_SPEEDUP.
 # Usage: check_block_bench.sh /path/to/brospmv
 set -eu
 
