@@ -71,6 +71,18 @@ core::Savings savings_once(const Matrix& m) {
   return t.rep_savings(t.make(m.csr(), m.options()).get());
 }
 
+// The parity oracle's kernel choices: the generic decoder for every slice /
+// interval, run through the same drivers as the plan's choices.
+std::vector<kernels::BroEllKernel> generic_kernels(const core::BroEll& a) {
+  return std::vector<kernels::BroEllKernel>(a.slices().size(),
+                                            kernels::generic_bro_ell_kernel());
+}
+
+std::vector<kernels::BroCooKernel> generic_kernels(const core::BroCoo& a) {
+  return std::vector<kernels::BroCooKernel>(a.intervals().size(),
+                                            kernels::generic_bro_coo_kernel());
+}
+
 constexpr std::size_t kCooEntryBytes = 2 * sizeof(index_t) + sizeof(value_t);
 constexpr std::size_t kEllEntryBytes = sizeof(index_t) + sizeof(value_t);
 
@@ -238,7 +250,8 @@ const std::vector<FormatTraits>& build_registry() {
          kernels::native_spmm_bro_ell(bro, ws.bro_ell_kernels(bro), x, y, k);
        },
        .native_generic = [](const void* r, X x, Y y) {
-         kernels::native_spmv_bro_ell_generic(as<BroEll>(r), x, y);
+         const auto& bro = as<BroEll>(r);
+         kernels::native_spmv_bro_ell(bro, generic_kernels(bro), x, y);
        },
        .validate = [](const void* r, const Csr& src) {
          return check::validate_bro_ell(as<BroEll>(r), &src);
@@ -290,7 +303,10 @@ const std::vector<FormatTraits>& build_registry() {
              ws.carry_sums(n * 2 * static_cast<std::size_t>(k)));
        },
        .native_generic = [](const void* r, X x, Y y) {
-         kernels::native_spmv_bro_coo_generic(as<BroCoo>(r), x, y);
+         const auto& bro = as<BroCoo>(r);
+         std::vector<kernels::BroCooCarry> carries(bro.intervals().size());
+         kernels::native_spmv_bro_coo(bro, generic_kernels(bro), x, y,
+                                      carries);
        },
        .validate = [](const void* r, const Csr& src) {
          return check::validate_bro_coo(as<BroCoo>(r), &src);
@@ -344,13 +360,27 @@ const std::vector<FormatTraits>& build_registry() {
        .apply = [](const void* r, X x, Y y) { as<BroHyb>(r).spmv(x, y); },
        .native = [](const void* r, Workspace& ws, X x, Y y) {
          const auto& bro = as<BroHyb>(r);
+         const auto ell = ws.bro_ell_kernels(bro.ell_part());
+         // Without an overflow part the driver reads no COO scratch, and
+         // the build hook sized none: request none, so execute() stays
+         // allocation-free.
+         if (bro.coo_part().nnz() == 0) {
+           kernels::native_spmv_bro_hyb(bro, ell, {}, x, y, {}, {});
+           return;
+         }
          kernels::native_spmv_bro_hyb(
-             bro, ws.bro_ell_kernels(bro.ell_part()),
-             ws.bro_coo_kernels(bro.coo_part()), x, y, ws.values(y.size()),
+             bro, ell, ws.bro_coo_kernels(bro.coo_part()), x, y,
+             ws.values(y.size()),
              ws.carries(bro.coo_part().intervals().size()));
        },
        .native_generic = [](const void* r, X x, Y y) {
-         kernels::native_spmv_bro_hyb_generic(as<BroHyb>(r), x, y);
+         const auto& bro = as<BroHyb>(r);
+         std::vector<value_t> y_coo(y.size());
+         std::vector<kernels::BroCooCarry> carries(
+             bro.coo_part().intervals().size());
+         kernels::native_spmv_bro_hyb(bro, generic_kernels(bro.ell_part()),
+                                      generic_kernels(bro.coo_part()), x, y,
+                                      y_coo, carries);
        },
        .validate = [](const void* r, const Csr& src) {
          return check::validate_bro_hyb(as<BroHyb>(r), &src);
@@ -423,15 +453,16 @@ const std::vector<FormatTraits>& build_registry() {
          return own(BroAns::compress(csr, csr.max_row_length(), o.ans));
        },
        .build = [](const void* r, Workspace& ws) {
-         ws.bro_ans_kernels(as<BroAns>(r));
+         ws.bro_ans_kernel(as<BroAns>(r));
        },
        .apply = [](const void* r, X x, Y y) { as<BroAns>(r).spmv(x, y); },
        .native = [](const void* r, Workspace& ws, X x, Y y) {
          const auto& bro = as<BroAns>(r);
-         kernels::native_spmv_bro_ans(bro, ws.bro_ans_kernels(bro), x, y);
+         kernels::native_spmv_bro_ans(bro, ws.bro_ans_kernel(bro), x, y);
        },
        .native_generic = [](const void* r, X x, Y y) {
-         kernels::native_spmv_bro_ans_generic(as<BroAns>(r), x, y);
+         kernels::native_spmv_bro_ans(as<BroAns>(r),
+                                      kernels::generic_bro_ans_kernel(), x, y);
        },
        .validate = [](const void* r, const Csr& src) {
          return check::validate_bro_ans(as<BroAns>(r), &src);
@@ -465,20 +496,21 @@ const std::vector<FormatTraits>& build_registry() {
          return own(BroBcsr::compress(csr, o.bcsr));
        },
        .build = [](const void* r, Workspace& ws) {
-         ws.bro_bcsr_kernels(as<BroBcsr>(r));
+         ws.bro_bcsr_kernel(as<BroBcsr>(r));
        },
        .apply = [](const void* r, X x, Y y) { as<BroBcsr>(r).spmv(x, y); },
        .native = [](const void* r, Workspace& ws, X x, Y y) {
          const auto& bro = as<BroBcsr>(r);
-         kernels::native_spmv_bro_bcsr(bro, ws.bro_bcsr_kernels(bro), x, y);
+         kernels::native_spmv_bro_bcsr(bro, ws.bro_bcsr_kernel(bro), x, y);
        },
        .native_multi = [](const void* r, Workspace& ws, X x, Y y, int k) {
          const auto& bro = as<BroBcsr>(r);
-         kernels::native_spmm_bro_bcsr(bro, ws.bro_bcsr_kernels(bro), x, y,
-                                       k);
+         kernels::native_spmm_bro_bcsr(bro, ws.bro_bcsr_kernel(bro), x, y, k);
        },
        .native_generic = [](const void* r, X x, Y y) {
-         kernels::native_spmv_bro_bcsr_generic(as<BroBcsr>(r), x, y);
+         kernels::native_spmv_bro_bcsr(as<BroBcsr>(r),
+                                       kernels::generic_bro_bcsr_kernel(), x,
+                                       y);
        },
        .validate = [](const void* r, const Csr& src) {
          return check::validate_bro_bcsr(as<BroBcsr>(r), &src);

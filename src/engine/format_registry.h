@@ -83,9 +83,9 @@ struct FormatTraits {
                        std::span<const value_t> x, std::span<value_t> y,
                        int k) = nullptr;
 
-  /// The same SpMV forced through the runtime-width (generic) decoder
-  /// instead of the plan's width-specialized dispatch table (null for
-  /// formats without bit-level decode). Decodes bit-for-bit identically, so
+  /// The same SpMV driver run with the generic_bro_*_kernel() choice
+  /// instead of the plan's selection (null for formats without bit-level
+  /// decode). Decodes bit-for-bit identically, so
   /// the differential fuzz driver compares it against native() *bitwise* —
   /// the parity oracle for the specialized kernels.
   void (*native_generic)(const void* rep, std::span<const value_t> x,

@@ -87,17 +87,17 @@ std::span<const kernels::CooRange> Workspace::coo_ranges(
   return ranges_;
 }
 
-template <typename Kernel, typename Rep>
-std::span<const Kernel> Workspace::cached_kernels(
-    KernelCache<Kernel>& cache, const Rep& a,
-    std::vector<Kernel> (*plan)(const Rep&, kernels::SimdIsa)) {
+template <typename Choice, typename Rep>
+const Choice& Workspace::cached_kernels(
+    KernelCache<Choice>& cache, const Rep& a,
+    Choice (*select)(const Rep&, kernels::SimdIsa)) {
   const kernels::SimdIsa isa = kernels::active_simd_isa();
   if (cache.isa != isa) {
-    cache.table = plan(a, isa);
+    cache.choice = select(a, isa);
     cache.isa = isa;
     ++allocations_;
   }
-  return cache.table;
+  return cache.choice;
 }
 
 std::span<const kernels::BroEllKernel> Workspace::bro_ell_kernels(
@@ -110,14 +110,13 @@ std::span<const kernels::BroCooKernel> Workspace::bro_coo_kernels(
   return cached_kernels(coo_kernels_, a, &kernels::plan_bro_coo_kernels);
 }
 
-std::span<const kernels::BroAnsKernel> Workspace::bro_ans_kernels(
-    const core::BroAns& a) {
-  return cached_kernels(ans_kernels_, a, &kernels::plan_bro_ans_kernels);
+const kernels::BroAnsKernel& Workspace::bro_ans_kernel(const core::BroAns& a) {
+  return cached_kernels(ans_kernel_, a, &kernels::select_bro_ans_kernel);
 }
 
-std::span<const kernels::BroBcsrKernel> Workspace::bro_bcsr_kernels(
+const kernels::BroBcsrKernel& Workspace::bro_bcsr_kernel(
     const core::BroBcsr& a) {
-  return cached_kernels(bcsr_kernels_, a, &kernels::plan_bro_bcsr_kernels);
+  return cached_kernels(bcsr_kernel_, a, &kernels::select_bro_bcsr_kernel);
 }
 
 SpmvPlan::SpmvPlan(std::shared_ptr<const core::Matrix> matrix,

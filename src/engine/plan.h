@@ -67,39 +67,38 @@ class Workspace {
   /// omp_set_num_threads() change recomputes the split.
   std::span<const kernels::CooRange> coo_ranges(const sparse::Coo& a);
 
-  /// The per-slice / per-interval decode-kernel selection for a BRO
-  /// representation, computed on first request and cached; a change of the
-  /// active SIMD ISA (ScopedSimdIsa/BRO_SIMD) re-selects instead of reusing
-  /// stale kernels. The build hooks populate these so
-  /// execute()/execute_multi() dispatch through pre-selected
-  /// width-specialized kernels with no per-call selection scan or
-  /// allocation.
+  /// The decode-kernel choice for a BRO representation, computed on first
+  /// request and cached: per slice / per interval for BRO-ELL and BRO-COO
+  /// (scalar dispatch specializes by bit width), one kernel per matrix for
+  /// BRO-ANS and BRO-BCSR. A change of the active SIMD ISA
+  /// (ScopedSimdIsa/BRO_SIMD) re-selects instead of reusing stale kernels.
+  /// The build hooks populate these so execute()/execute_multi() dispatch
+  /// through pre-selected kernels with no per-call selection or allocation.
   std::span<const kernels::BroEllKernel> bro_ell_kernels(
       const core::BroEll& a);
   std::span<const kernels::BroCooKernel> bro_coo_kernels(
       const core::BroCoo& a);
-  std::span<const kernels::BroAnsKernel> bro_ans_kernels(
-      const core::BroAns& a);
-  std::span<const kernels::BroBcsrKernel> bro_bcsr_kernels(
-      const core::BroBcsr& a);
+  const kernels::BroAnsKernel& bro_ans_kernel(const core::BroAns& a);
+  const kernels::BroBcsrKernel& bro_bcsr_kernel(const core::BroBcsr& a);
 
-  /// Number of (re)allocations performed so far.
+  /// Number of (re)allocations and kernel re-selections performed so far.
   std::size_t allocations() const { return allocations_; }
 
  private:
-  /// One cached kernel table and the ISA it was selected for (none yet).
-  template <typename Kernel>
+  /// One cached kernel choice (a table or a single kernel) and the ISA it
+  /// was selected for (none yet).
+  template <typename Choice>
   struct KernelCache {
-    std::vector<Kernel> table;
+    Choice choice;
     std::optional<kernels::SimdIsa> isa;
   };
 
-  /// Re-selects through `plan` unless `cache` already holds the table for
-  /// the active ISA.
-  template <typename Kernel, typename Rep>
-  std::span<const Kernel> cached_kernels(
-      KernelCache<Kernel>& cache, const Rep& a,
-      std::vector<Kernel> (*plan)(const Rep&, kernels::SimdIsa));
+  /// Re-selects through `select` unless `cache` already holds the choice
+  /// for the active ISA.
+  template <typename Choice, typename Rep>
+  const Choice& cached_kernels(KernelCache<Choice>& cache, const Rep& a,
+                               Choice (*select)(const Rep&,
+                                                kernels::SimdIsa));
 
   std::vector<value_t> values_;
   std::vector<kernels::BroCooCarry> carries_;
@@ -108,10 +107,10 @@ class Workspace {
   std::vector<value_t> gather_y_;
   std::vector<kernels::CooRange> ranges_;
   int ranges_threads_ = 0; // 0: not split yet
-  KernelCache<kernels::BroEllKernel> ell_kernels_;
-  KernelCache<kernels::BroCooKernel> coo_kernels_;
-  KernelCache<kernels::BroAnsKernel> ans_kernels_;
-  KernelCache<kernels::BroBcsrKernel> bcsr_kernels_;
+  KernelCache<std::vector<kernels::BroEllKernel>> ell_kernels_;
+  KernelCache<std::vector<kernels::BroCooKernel>> coo_kernels_;
+  KernelCache<kernels::BroAnsKernel> ans_kernel_;
+  KernelCache<kernels::BroBcsrKernel> bcsr_kernel_;
   std::size_t allocations_ = 0;
 };
 
@@ -144,10 +143,10 @@ class SpmvPlan {
 
   /// Y = A * X for k interleaved right-hand sides (X[c*k + j] is element c
   /// of vector j; see kernels/native_spmm.h). Formats with an SpMM kernel
-  /// (CSR, ELLPACK, BRO-ELL, BRO-COO) decode each index once per batch;
-  /// the rest fall back to k single-vector executes through gather/scatter
-  /// scratch. Column j of Y is bitwise-identical to execute() on column j
-  /// of X either way.
+  /// (CSR, ELLPACK, BRO-ELL, BRO-COO, BRO-BCSR) decode each index once per
+  /// batch; the rest fall back to k single-vector executes through
+  /// gather/scatter scratch. Column j of Y is bitwise-identical to
+  /// execute() on column j of X either way.
   void execute_multi(std::span<const value_t> x, std::span<value_t> y, int k);
 
   /// Workspace growth counter — stable across execute() calls once built.

@@ -1,4 +1,4 @@
-// BRO-ANS kernel selection and OpenMP-parallel slice drivers (the entropy
+// BRO-ANS kernel selection and the OpenMP-parallel slice driver (the entropy
 // format's counterpart of the dispatch half of bro_decode.cpp).
 #include "kernels/bro_ans_decode.h"
 
@@ -8,7 +8,8 @@
 
 namespace bro::kernels {
 
-BroAnsKernel select_bro_ans_kernel(SimdIsa isa) {
+BroAnsKernel select_bro_ans_kernel(const core::BroAns& a, SimdIsa isa) {
+  check_host_sym_len(a.options().sym_len);
   BroAnsKernel k;
   const SimdKernels* t = simd_kernels(isa);
   if (t != nullptr && t->ans_spmv != nullptr) {
@@ -26,48 +27,15 @@ BroAnsKernel generic_bro_ans_kernel() {
   return k;
 }
 
-std::vector<BroAnsKernel> plan_bro_ans_kernels(const core::BroAns& a,
-                                               SimdIsa isa) {
-  check_host_sym_len(a.options().sym_len);
-  return std::vector<BroAnsKernel>(a.slices().size(),
-                                   select_bro_ans_kernel(isa));
-}
-
-void native_spmv_bro_ans(const core::BroAns& a, std::span<const value_t> x,
-                         std::span<value_t> y) {
-  BRO_CHECK(x.size() >= static_cast<std::size_t>(a.cols()));
-  BRO_CHECK(y.size() >= static_cast<std::size_t>(a.rows()));
-  check_host_sym_len(a.options().sym_len);
-  const BroAnsKernel k = select_bro_ans_kernel(active_simd_isa());
-  const auto& slices = a.slices();
-#pragma omp parallel for schedule(dynamic, 1)
-  for (std::size_t si = 0; si < slices.size(); ++si)
-    k.spmv(a, slices[si], x, y);
-}
-
-void native_spmv_bro_ans(const core::BroAns& a,
-                         std::span<const BroAnsKernel> kernels,
+void native_spmv_bro_ans(const core::BroAns& a, const BroAnsKernel& kernel,
                          std::span<const value_t> x, std::span<value_t> y) {
-  BRO_CHECK(x.size() >= static_cast<std::size_t>(a.cols()));
-  BRO_CHECK(y.size() >= static_cast<std::size_t>(a.rows()));
-  const auto& slices = a.slices();
-  BRO_CHECK(kernels.size() == slices.size());
-#pragma omp parallel for schedule(dynamic, 1)
-  for (std::size_t si = 0; si < slices.size(); ++si)
-    kernels[si].spmv(a, slices[si], x, y);
-}
-
-void native_spmv_bro_ans_generic(const core::BroAns& a,
-                                 std::span<const value_t> x,
-                                 std::span<value_t> y) {
-  BRO_CHECK(x.size() >= static_cast<std::size_t>(a.cols()));
-  BRO_CHECK(y.size() >= static_cast<std::size_t>(a.rows()));
+  BRO_CHECK(x.size() == static_cast<std::size_t>(a.cols()));
+  BRO_CHECK(y.size() == static_cast<std::size_t>(a.rows()));
   check_host_sym_len(a.options().sym_len);
-  const BroAnsKernel k = generic_bro_ans_kernel();
   const auto& slices = a.slices();
 #pragma omp parallel for schedule(dynamic, 1)
   for (std::size_t si = 0; si < slices.size(); ++si)
-    k.spmv(a, slices[si], x, y);
+    kernel.spmv(a, slices[si], x, y);
 }
 
 } // namespace bro::kernels

@@ -190,45 +190,17 @@ BroBcsrKernel generic_bro_bcsr_kernel() {
   return make_scalar_kernel<-1, -1>();
 }
 
-std::vector<BroBcsrKernel> plan_bro_bcsr_kernels(const core::BroBcsr& a,
-                                                 SimdIsa isa) {
-  return std::vector<BroBcsrKernel>(a.slices().size(),
-                                    select_bro_bcsr_kernel(a, isa));
-}
-
-void native_spmv_bro_bcsr(const core::BroBcsr& a,
-                          std::span<const BroBcsrKernel> kernels,
+void native_spmv_bro_bcsr(const core::BroBcsr& a, const BroBcsrKernel& kernel,
                           std::span<const value_t> x, std::span<value_t> y) {
   BRO_CHECK(x.size() == static_cast<std::size_t>(a.cols()));
   BRO_CHECK(y.size() == static_cast<std::size_t>(a.rows()));
-  BRO_CHECK(kernels.size() == a.slices().size());
-#pragma omp parallel for schedule(dynamic, 1)
-  for (std::size_t si = 0; si < kernels.size(); ++si)
-    kernels[si].spmv(a, si, x, y);
-}
-
-void native_spmv_bro_bcsr(const core::BroBcsr& a, std::span<const value_t> x,
-                          std::span<value_t> y) {
-  BRO_CHECK(x.size() == static_cast<std::size_t>(a.cols()));
-  BRO_CHECK(y.size() == static_cast<std::size_t>(a.rows()));
-  const BroBcsrKernel k = select_bro_bcsr_kernel(a, active_simd_isa());
-#pragma omp parallel for schedule(dynamic, 1)
-  for (std::size_t si = 0; si < a.slices().size(); ++si) k.spmv(a, si, x, y);
-}
-
-void native_spmv_bro_bcsr_generic(const core::BroBcsr& a,
-                                  std::span<const value_t> x,
-                                  std::span<value_t> y) {
-  BRO_CHECK(x.size() == static_cast<std::size_t>(a.cols()));
-  BRO_CHECK(y.size() == static_cast<std::size_t>(a.rows()));
   check_host_sym_len(a.options().sym_len);
-  const BroBcsrKernel k = generic_bro_bcsr_kernel();
 #pragma omp parallel for schedule(dynamic, 1)
-  for (std::size_t si = 0; si < a.slices().size(); ++si) k.spmv(a, si, x, y);
+  for (std::size_t si = 0; si < a.slices().size(); ++si)
+    kernel.spmv(a, si, x, y);
 }
 
-void native_spmm_bro_bcsr(const core::BroBcsr& a,
-                          std::span<const BroBcsrKernel> kernels,
+void native_spmm_bro_bcsr(const core::BroBcsr& a, const BroBcsrKernel& kernel,
                           std::span<const value_t> x, std::span<value_t> y,
                           int k) {
   BRO_CHECK(k > 0);
@@ -236,23 +208,10 @@ void native_spmm_bro_bcsr(const core::BroBcsr& a,
             static_cast<std::size_t>(a.cols()) * static_cast<std::size_t>(k));
   BRO_CHECK(y.size() ==
             static_cast<std::size_t>(a.rows()) * static_cast<std::size_t>(k));
-  BRO_CHECK(kernels.size() == a.slices().size());
-#pragma omp parallel for schedule(dynamic, 1)
-  for (std::size_t si = 0; si < kernels.size(); ++si)
-    kernels[si].spmm(a, si, x, y, k);
-}
-
-void native_spmm_bro_bcsr(const core::BroBcsr& a, std::span<const value_t> x,
-                          std::span<value_t> y, int k) {
-  BRO_CHECK(k > 0);
-  BRO_CHECK(x.size() ==
-            static_cast<std::size_t>(a.cols()) * static_cast<std::size_t>(k));
-  BRO_CHECK(y.size() ==
-            static_cast<std::size_t>(a.rows()) * static_cast<std::size_t>(k));
-  const BroBcsrKernel kn = select_bro_bcsr_kernel(a, active_simd_isa());
+  check_host_sym_len(a.options().sym_len);
 #pragma omp parallel for schedule(dynamic, 1)
   for (std::size_t si = 0; si < a.slices().size(); ++si)
-    kn.spmm(a, si, x, y, k);
+    kernel.spmm(a, si, x, y, k);
 }
 
 } // namespace bro::kernels

@@ -21,14 +21,13 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "core/bro_bcsr.h"
 #include "kernels/cpu_features.h"
 
 namespace bro::kernels {
 
-/// The kernel choice for one BRO-BCSR slice. Kernels take the parent matrix
+/// The kernel choice for a BRO-BCSR matrix. Kernels take the parent matrix
 /// plus a slice index (the slice's value-tile base lives in the parent).
 /// Both pointers are always non-null after selection.
 struct BroBcsrKernel {
@@ -43,42 +42,22 @@ struct BroBcsrKernel {
 /// Index of (br, bc) in kBcsrCandidateShapes, or -1 for other shapes.
 int bcsr_shape_index(int br, int bc);
 
-/// Per-slice kernel selection (all slices of one matrix share a shape, so
-/// every entry is identical; the table keeps plan symmetry with the other
-/// BRO formats). A shape with a SIMD entry at `isa` gets it for SpMV; SpMM
-/// stays on the scalar kernels. Throws when sym_len is not 32
-/// (check_host_sym_len).
-std::vector<BroBcsrKernel> plan_bro_bcsr_kernels(const core::BroBcsr& a,
-                                                 SimdIsa isa);
+/// Kernel selection for `a` at `isa`, made once per matrix: every slice
+/// shares the matrix's block shape, so every slice runs the same kernel. A
+/// shape with a SIMD entry at `isa` gets it for SpMV; SpMM stays on the
+/// scalar kernels. Throws when sym_len is not 32 (check_host_sym_len).
 BroBcsrKernel select_bro_bcsr_kernel(const core::BroBcsr& a, SimdIsa isa);
 
 /// The runtime-shape scalar kernels as a dispatch entry: the bitwise-parity
 /// baseline of the differential decode checks.
 BroBcsrKernel generic_bro_bcsr_kernel();
 
-/// BRO-BCSR SpMV with inline kernel selection (table-free convenience).
-void native_spmv_bro_bcsr(const core::BroBcsr& a, std::span<const value_t> x,
-                          std::span<value_t> y);
-
-/// BRO-BCSR over plan-time kernel choices (aligned with slices()): the
-/// branch- and allocation-free plan path.
-void native_spmv_bro_bcsr(const core::BroBcsr& a,
-                          std::span<const BroBcsrKernel> kernels,
+/// The OpenMP drivers: every slice runs `kernel`. SpMM uses the interleaved
+/// layout of native_spmm.h (X[c*k + j], Y[r*k + j]); column j is bitwise
+/// equal to a single-vector spmv against column j.
+void native_spmv_bro_bcsr(const core::BroBcsr& a, const BroBcsrKernel& kernel,
                           std::span<const value_t> x, std::span<value_t> y);
-
-/// BRO-BCSR forced through the runtime-shape generic kernel for every slice.
-void native_spmv_bro_bcsr_generic(const core::BroBcsr& a,
-                                  std::span<const value_t> x,
-                                  std::span<value_t> y);
-
-/// Y = A * X for k interleaved right-hand sides (layout as native_spmm.h:
-/// X[c*k + j], Y[r*k + j]); column j is bitwise equal to a single-vector
-/// spmv against column j.
-void native_spmm_bro_bcsr(const core::BroBcsr& a, std::span<const value_t> x,
-                          std::span<value_t> y, int k);
-
-void native_spmm_bro_bcsr(const core::BroBcsr& a,
-                          std::span<const BroBcsrKernel> kernels,
+void native_spmm_bro_bcsr(const core::BroBcsr& a, const BroBcsrKernel& kernel,
                           std::span<const value_t> x, std::span<value_t> y,
                           int k);
 

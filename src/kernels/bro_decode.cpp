@@ -63,19 +63,9 @@ int uniform_width(const core::BroEllSlice& slice) {
   return b;
 }
 
-} // namespace
-
-void check_host_sym_len(int sym_len) {
-  BRO_CHECK_MSG(sym_len == detail::kSym,
-                "host kernels decode 32-bit symbols only; sym_len "
-                    << sym_len
-                    << " is a simulator and file-format setting");
-}
-
-BroEllKernel generic_bro_ell_kernel() { return kEllGeneric; }
-
-BroCooKernel generic_bro_coo_kernel() { return kCooGeneric; }
-
+/// One slice's choice: the ISA's runtime-width SIMD kernel when it has a
+/// table, else the specialized scalar kernel for a uniform width up to
+/// kMaxSpecializedDecodeWidth, else the generic decoder.
 BroEllKernel select_bro_ell_kernel(const core::BroEllSlice& slice,
                                    SimdIsa isa) {
   const int w = uniform_width(slice);
@@ -91,6 +81,7 @@ BroEllKernel select_bro_ell_kernel(const core::BroEllSlice& slice,
   return kEll[static_cast<std::size_t>(w)];
 }
 
+/// One interval's choice, by the same rule over its single bit width.
 BroCooKernel select_bro_coo_kernel(const core::BroCooInterval& iv,
                                    SimdIsa isa) {
   if (const SimdKernels* t = simd_kernels(isa)) {
@@ -105,6 +96,19 @@ BroCooKernel select_bro_coo_kernel(const core::BroCooInterval& iv,
   if (iv.bits < 0 || iv.bits > kMaxSpecializedDecodeWidth) return kCooGeneric;
   return kCoo[static_cast<std::size_t>(iv.bits)];
 }
+
+} // namespace
+
+void check_host_sym_len(int sym_len) {
+  BRO_CHECK_MSG(sym_len == detail::kSym,
+                "host kernels decode 32-bit symbols only; sym_len "
+                    << sym_len
+                    << " is a simulator and file-format setting");
+}
+
+BroEllKernel generic_bro_ell_kernel() { return kEllGeneric; }
+
+BroCooKernel generic_bro_coo_kernel() { return kCooGeneric; }
 
 std::vector<BroEllKernel> plan_bro_ell_kernels(const core::BroEll& a,
                                                SimdIsa isa) {

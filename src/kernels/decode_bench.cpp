@@ -330,7 +330,7 @@ std::vector<EntropySuiteRow> entropy_suite_sweep(
     // bitwise; fold y's bit pattern into the pass checksum to pin that
     // every pass.
     const auto ell_kernels = plan_bro_ell_kernels(fixed, isa);
-    const auto ans_kernels = plan_bro_ans_kernels(coded, isa);
+    const BroAnsKernel ans_kernel = select_bro_ans_kernel(coded, isa);
     std::vector<value_t> x(static_cast<std::size_t>(csr.cols));
     for (std::size_t i = 0; i < x.size(); ++i)
       x[i] = 1.0 + static_cast<value_t>(i % 16) * 0.0625;
@@ -349,7 +349,7 @@ std::vector<EntropySuiteRow> entropy_suite_sweep(
     const auto ans_pass = [&] {
       const auto& slices = coded.slices();
       for (std::size_t si = 0; si < slices.size(); ++si)
-        ans_kernels[si].spmv(coded, slices[si], x, y);
+        ans_kernel.spmv(coded, slices[si], x, y);
       return fold_y();
     };
     const std::uint64_t expect = ell_pass();
@@ -426,18 +426,19 @@ std::vector<BlockSuiteRow> block_suite_sweep(SimdIsa isa, double scale,
       return fold_y();
     };
 
-    const auto bcsr_scalar = plan_bro_bcsr_kernels(bcsr, SimdIsa::kScalar);
-    const auto bcsr_kernels = plan_bro_bcsr_kernels(bcsr, isa);
-    const auto bcsr_pass_with = [&](const std::vector<BroBcsrKernel>& ks) {
-      for (std::size_t si = 0; si < ks.size(); ++si)
-        ks[si].spmv(bcsr, si, x, y);
+    const BroBcsrKernel bcsr_scalar =
+        select_bro_bcsr_kernel(bcsr, SimdIsa::kScalar);
+    const BroBcsrKernel bcsr_kernel = select_bro_bcsr_kernel(bcsr, isa);
+    const auto bcsr_pass_with = [&](const BroBcsrKernel& k) {
+      for (std::size_t si = 0; si < bcsr.slices().size(); ++si)
+        k.spmv(bcsr, si, x, y);
       return fold_y();
     };
 
     // Pin the tentpole contract before timing: the `isa` kernels must
     // reproduce the scalar 8-lane reference bit-for-bit.
     const std::uint64_t bcsr_expect = bcsr_pass_with(bcsr_scalar);
-    BRO_CHECK_MSG(bcsr_pass_with(bcsr_kernels) == bcsr_expect,
+    BRO_CHECK_MSG(bcsr_pass_with(bcsr_kernel) == bcsr_expect,
                   simd_isa_name(isa)
                       << " BRO-BCSR SpMV differs bitwise from scalar on "
                       << entry.name);
@@ -486,7 +487,7 @@ std::vector<BlockSuiteRow> block_suite_sweep(SimdIsa isa, double scale,
       row.bcsr_spmv_rps = std::max(
           row.bcsr_spmv_rps,
           1e9 * time_pass(nrows, bcsr_expect,
-                          [&] { return bcsr_pass_with(bcsr_kernels); },
+                          [&] { return bcsr_pass_with(bcsr_kernel); },
                           min_seconds_per_cell));
     }
     rows.push_back(std::move(row));

@@ -1,10 +1,7 @@
 #include "kernels/native_spmm.h"
 
 #include <algorithm>
-#include <vector>
 
-#include "bits/bitwidth.h"
-#include "bits/delta.h"
 #include "util/error.h"
 
 namespace bro::kernels {
@@ -61,6 +58,7 @@ void native_spmm_bro_ell(const core::BroEll& a,
                          std::span<const value_t> x, std::span<value_t> y,
                          int k) {
   check_spmm_shapes(a.rows(), a.cols(), x, y, k);
+  check_host_sym_len(a.options().sym_len);
   const auto& slices = a.slices();
   BRO_CHECK(kernels.size() == slices.size());
 #pragma omp parallel for schedule(dynamic, 1)
@@ -68,45 +66,31 @@ void native_spmm_bro_ell(const core::BroEll& a,
     kernels[si].spmm(a, slices[si], x, y, k);
 }
 
-void native_spmm_bro_ell(const core::BroEll& a, std::span<const value_t> x,
-                         std::span<value_t> y, int k) {
+void native_spmm_bro_coo(const core::BroCoo& a,
+                         std::span<const BroCooKernel> kernels,
+                         std::span<const value_t> x, std::span<value_t> y,
+                         int k, std::span<BroCooCarry> carries,
+                         std::span<value_t> carry_sums) {
   check_spmm_shapes(a.rows(), a.cols(), x, y, k);
   check_host_sym_len(a.options().sym_len);
-  const auto& slices = a.slices();
-  const SimdIsa isa = active_simd_isa();
-#pragma omp parallel for schedule(dynamic, 1)
-  for (std::size_t si = 0; si < slices.size(); ++si) {
-    const BroEllKernel kn = select_bro_ell_kernel(slices[si], isa);
-    kn.spmm(a, slices[si], x, y, k);
-  }
-}
-
-namespace {
-
-/// Shared outer loop of the BRO-COO SpMM kernels (see the single-vector
-/// bro_coo_spmv_impl in native_spmv.cpp for the carry discipline).
-template <typename KernelFor>
-void bro_coo_spmm_impl(const core::BroCoo& a, std::span<const value_t> x,
-                       std::span<value_t> y, int k,
-                       std::span<BroCooCarry> carries,
-                       std::span<value_t> carry_sums,
-                       KernelFor&& kernel_for) {
-  check_spmm_shapes(a.rows(), a.cols(), x, y, k);
-  std::fill(y.begin(), y.end(), value_t{0});
   const auto& intervals = a.intervals();
+  BRO_CHECK(kernels.size() == intervals.size());
+  std::fill(y.begin(), y.end(), value_t{0});
   if (intervals.empty()) return;
   const std::size_t uk = static_cast<std::size_t>(k);
   BRO_CHECK(carries.size() >= intervals.size());
   BRO_CHECK(carry_sums.size() >= intervals.size() * 2 * uk);
 
+  // The single-vector driver's carry discipline (native_spmv.cpp), k sums
+  // per boundary row.
 #pragma omp parallel for schedule(dynamic, 4)
   for (std::size_t i = 0; i < intervals.size(); ++i) {
     value_t* first_sum = carry_sums.data() + i * 2 * uk;
-    kernel_for(i).spmm(a, i, x, y, k, carries[i], first_sum, first_sum + uk);
+    kernels[i].spmm(a, i, x, y, k, carries[i], first_sum, first_sum + uk);
   }
 
   // Sequential carry resolution, in interval order as the single-vector
-  // kernel does it.
+  // driver does it.
   for (std::size_t i = 0; i < intervals.size(); ++i) {
     const BroCooCarry& c = carries[i];
     const value_t* first_sum = carry_sums.data() + i * 2 * uk;
@@ -118,37 +102,6 @@ void bro_coo_spmm_impl(const core::BroCoo& a, std::span<const value_t> x,
       for (std::size_t b = 0; b < uk; ++b) yl[b] += last_sum[b];
     }
   }
-}
-
-} // namespace
-
-void native_spmm_bro_coo(const core::BroCoo& a, std::span<const value_t> x,
-                         std::span<value_t> y, int k) {
-  std::vector<BroCooCarry> carries(a.intervals().size());
-  std::vector<value_t> carry_sums(a.intervals().size() * 2 *
-                                  static_cast<std::size_t>(k));
-  native_spmm_bro_coo(a, x, y, k, carries, carry_sums);
-}
-
-void native_spmm_bro_coo(const core::BroCoo& a, std::span<const value_t> x,
-                         std::span<value_t> y, int k,
-                         std::span<BroCooCarry> carries,
-                         std::span<value_t> carry_sums) {
-  check_host_sym_len(a.options().sym_len);
-  const SimdIsa isa = active_simd_isa();
-  bro_coo_spmm_impl(a, x, y, k, carries, carry_sums, [&](std::size_t i) {
-    return select_bro_coo_kernel(a.intervals()[i], isa);
-  });
-}
-
-void native_spmm_bro_coo(const core::BroCoo& a,
-                         std::span<const BroCooKernel> kernels,
-                         std::span<const value_t> x, std::span<value_t> y,
-                         int k, std::span<BroCooCarry> carries,
-                         std::span<value_t> carry_sums) {
-  BRO_CHECK(kernels.size() == a.intervals().size());
-  bro_coo_spmm_impl(a, x, y, k, carries, carry_sums,
-                    [&](std::size_t i) { return kernels[i]; });
 }
 
 } // namespace bro::kernels

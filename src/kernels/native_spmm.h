@@ -7,10 +7,11 @@
 // is amortized over the batch, the same bits-per-flop win the paper gets
 // from compression, now per batch.
 //
-// The BRO kernels dispatch through the same width-specialized decode tables
-// as the single-vector kernels (native_spmv.h): pass the plan-time
-// BroEllKernel / BroCooKernel choices for the branch-free plan path, or use
-// the table-free overloads which select inline per slice/interval.
+// The BRO drivers run the same plan-time kernel choices as the
+// single-vector drivers (native_spmv.h): the BroEllKernel / BroCooKernel
+// tables from plan_bro_{ell,coo}_kernels, or the BroBcsrKernel from
+// select_bro_bcsr_kernel (bro_bcsr_decode.h). Like those, each driver calls
+// check_host_sym_len first.
 //
 // Layout: the k vectors are interleaved. X[c*k + j] is element c of
 // right-hand side j, Y[r*k + j] element r of result j, so one decoded column
@@ -40,31 +41,18 @@ void native_spmm_csr(const sparse::Csr& a, std::span<const value_t> x,
 void native_spmm_ell(const sparse::Ell& a, std::span<const value_t> x,
                      std::span<value_t> y, int k);
 
-void native_spmm_bro_ell(const core::BroEll& a, std::span<const value_t> x,
-                         std::span<value_t> y, int k);
-
-/// BRO-ELL over plan-time kernel choices (aligned with slices()).
+/// BRO-ELL over per-slice kernel choices (aligned with slices()).
 void native_spmm_bro_ell(const core::BroEll& a,
                          std::span<const BroEllKernel> kernels,
                          std::span<const value_t> x, std::span<value_t> y,
                          int k);
 
-void native_spmm_bro_coo(const core::BroCoo& a, std::span<const value_t> x,
-                         std::span<value_t> y, int k);
-
-/// BRO-COO with caller-owned scratch: `carries` records each interval's
-/// first/last row (>= intervals() entries; the scalar sum fields are unused
-/// here), `carry_sums` holds the k-wide partial sums for those two rows,
-/// laid out as [interval * 2k .. interval * 2k + k) for the first row and
-/// [interval * 2k + k .. (interval + 1) * 2k) for the last. The
-/// allocation-free plan path; kernel selection is inline per interval.
-void native_spmm_bro_coo(const core::BroCoo& a, std::span<const value_t> x,
-                         std::span<value_t> y, int k,
-                         std::span<BroCooCarry> carries,
-                         std::span<value_t> carry_sums);
-
-/// BRO-COO over plan-time kernel choices (aligned with intervals()): the
-/// allocation- and branch-free plan path.
+/// BRO-COO over per-interval kernel choices (aligned with intervals()) with
+/// caller-owned scratch: `carries` records each interval's first/last row
+/// (>= intervals() entries; the scalar sum fields are unused here),
+/// `carry_sums` holds the k-wide partial sums for those two rows, laid out
+/// as [interval * 2k .. interval * 2k + k) for the first row and
+/// [interval * 2k + k .. (interval + 1) * 2k) for the last.
 void native_spmm_bro_coo(const core::BroCoo& a,
                          std::span<const BroCooKernel> kernels,
                          std::span<const value_t> x, std::span<value_t> y,

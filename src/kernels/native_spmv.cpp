@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "bits/bitwidth.h"
 #include "bits/delta.h"
 #include "util/error.h"
@@ -37,22 +33,6 @@ std::vector<CooRange> coo_thread_ranges(const sparse::Coo& a, int parts) {
 }
 
 namespace {
-
-int runtime_threads() {
-#ifdef _OPENMP
-  return omp_get_num_threads();
-#else
-  return 1;
-#endif
-}
-
-int runtime_thread_id() {
-#ifdef _OPENMP
-  return omp_get_thread_num();
-#else
-  return 0;
-#endif
-}
 
 /// Accumulate one row-complete chunk of a COO entry stream onto y.
 void accumulate_coo_range(const sparse::Coo& a, const CooRange& r,
@@ -108,25 +88,6 @@ void native_spmv_ellr(const sparse::EllR& a, std::span<const value_t> x,
   }
 }
 
-void native_spmv_coo(const sparse::Coo& a, std::span<const value_t> x,
-                     std::span<value_t> y) {
-  BRO_CHECK(x.size() == static_cast<std::size_t>(a.cols));
-  BRO_CHECK(y.size() == static_cast<std::size_t>(a.rows));
-  std::fill(y.begin(), y.end(), value_t{0});
-  if (a.nnz() == 0) return;
-
-#pragma omp parallel
-  {
-    // Balanced entry split with boundaries snapped forward to row changes
-    // (coo_entry_range), so each thread owns complete rows and writes
-    // race-free.
-    const CooRange r =
-        coo_entry_range(a, static_cast<std::size_t>(runtime_thread_id()),
-                        static_cast<std::size_t>(runtime_threads()));
-    accumulate_coo_range(a, r, x, y);
-  }
-}
-
 void native_spmv_coo(const sparse::Coo& a, std::span<const CooRange> ranges,
                      std::span<const value_t> x, std::span<value_t> y) {
   BRO_CHECK(x.size() == static_cast<std::size_t>(a.cols));
@@ -137,22 +98,6 @@ void native_spmv_coo(const sparse::Coo& a, std::span<const CooRange> ranges,
 #pragma omp parallel for schedule(static)
   for (std::size_t p = 0; p < ranges.size(); ++p)
     accumulate_coo_range(a, ranges[p], x, y);
-}
-
-void native_spmv_hyb(const sparse::Hyb& a, std::span<const value_t> x,
-                     std::span<value_t> y) {
-  native_spmv_ell(a.ell, x, y);
-  if (a.coo.nnz() == 0) return;
-  // Accumulate the COO overflow on top, in parallel: the row-complete split
-  // touches disjoint y entries, so skewed matrices (where the overflow is
-  // anything but small) no longer serialize here.
-#pragma omp parallel
-  {
-    const CooRange r = coo_entry_range(
-        a.coo, static_cast<std::size_t>(runtime_thread_id()),
-        static_cast<std::size_t>(runtime_threads()));
-    accumulate_coo_range(a.coo, r, x, y);
-  }
 }
 
 void native_spmv_hyb(const sparse::Hyb& a, std::span<const CooRange> ranges,
@@ -168,6 +113,7 @@ void native_spmv_bro_ell(const core::BroEll& a,
                          std::span<const value_t> x, std::span<value_t> y) {
   BRO_CHECK(x.size() == static_cast<std::size_t>(a.cols()));
   BRO_CHECK(y.size() == static_cast<std::size_t>(a.rows()));
+  check_host_sym_len(a.options().sym_len);
   const auto& slices = a.slices();
   BRO_CHECK(kernels.size() == slices.size());
 #pragma omp parallel for schedule(dynamic, 1)
@@ -175,114 +121,32 @@ void native_spmv_bro_ell(const core::BroEll& a,
     kernels[si].spmv(a, slices[si], x, y);
 }
 
-void native_spmv_bro_ell(const core::BroEll& a, std::span<const value_t> x,
-                         std::span<value_t> y) {
+void native_spmv_bro_coo(const core::BroCoo& a,
+                         std::span<const BroCooKernel> kernels,
+                         std::span<const value_t> x, std::span<value_t> y,
+                         std::span<BroCooCarry> carries) {
   BRO_CHECK(x.size() == static_cast<std::size_t>(a.cols()));
   BRO_CHECK(y.size() == static_cast<std::size_t>(a.rows()));
   check_host_sym_len(a.options().sym_len);
-  const auto& slices = a.slices();
-  const SimdIsa isa = active_simd_isa();
-#pragma omp parallel for schedule(dynamic, 1)
-  for (std::size_t si = 0; si < slices.size(); ++si) {
-    const BroEllKernel k = select_bro_ell_kernel(slices[si], isa);
-    k.spmv(a, slices[si], x, y);
-  }
-}
-
-void native_spmv_bro_ell_generic(const core::BroEll& a,
-                                 std::span<const value_t> x,
-                                 std::span<value_t> y) {
-  BRO_CHECK(x.size() == static_cast<std::size_t>(a.cols()));
-  BRO_CHECK(y.size() == static_cast<std::size_t>(a.rows()));
-  check_host_sym_len(a.options().sym_len);
-  const auto& slices = a.slices();
-  const BroEllKernel k = generic_bro_ell_kernel();
-#pragma omp parallel for schedule(dynamic, 1)
-  for (std::size_t si = 0; si < slices.size(); ++si)
-    k.spmv(a, slices[si], x, y);
-}
-
-namespace {
-
-/// Shared outer loop of the BRO-COO kernels: zero y, run one interval
-/// kernel per interval (interior rows written directly, boundary rows into
-/// carries), then merge the carries sequentially (tiny: two sums per
-/// interval) — interval-boundary rows may be shared with the neighbouring
-/// interval, so they cannot be written concurrently.
-template <typename KernelFor>
-void bro_coo_spmv_impl(const core::BroCoo& a, std::span<const value_t> x,
-                       std::span<value_t> y, std::span<BroCooCarry> carries,
-                       KernelFor&& kernel_for) {
-  BRO_CHECK(x.size() == static_cast<std::size_t>(a.cols()));
-  BRO_CHECK(y.size() == static_cast<std::size_t>(a.rows()));
-  std::fill(y.begin(), y.end(), value_t{0});
   const auto& intervals = a.intervals();
+  BRO_CHECK(kernels.size() == intervals.size());
+  std::fill(y.begin(), y.end(), value_t{0});
   if (intervals.empty()) return;
   BRO_CHECK(carries.size() >= intervals.size());
 
+  // One interval kernel per interval: interior rows are written directly,
+  // boundary rows into carries. The carries are then merged sequentially
+  // (tiny: two sums per interval) — interval-boundary rows may be shared
+  // with the neighbouring interval, so they cannot be written concurrently.
 #pragma omp parallel for schedule(dynamic, 4)
   for (std::size_t i = 0; i < intervals.size(); ++i)
-    kernel_for(i).spmv(a, i, x, y, carries[i]);
+    kernels[i].spmv(a, i, x, y, carries[i]);
 
   for (std::size_t i = 0; i < intervals.size(); ++i) {
     const BroCooCarry& c = carries[i];
     y[static_cast<std::size_t>(c.first_row)] += c.first_sum;
     if (c.last_row != c.first_row)
       y[static_cast<std::size_t>(c.last_row)] += c.last_sum;
-  }
-}
-
-} // namespace
-
-void native_spmv_bro_coo(const core::BroCoo& a, std::span<const value_t> x,
-                         std::span<value_t> y) {
-  std::vector<BroCooCarry> carries(a.intervals().size());
-  native_spmv_bro_coo(a, x, y, carries);
-}
-
-void native_spmv_bro_coo(const core::BroCoo& a, std::span<const value_t> x,
-                         std::span<value_t> y,
-                         std::span<BroCooCarry> carries) {
-  check_host_sym_len(a.options().sym_len);
-  const SimdIsa isa = active_simd_isa();
-  bro_coo_spmv_impl(a, x, y, carries, [&](std::size_t i) {
-    return select_bro_coo_kernel(a.intervals()[i], isa);
-  });
-}
-
-void native_spmv_bro_coo(const core::BroCoo& a,
-                         std::span<const BroCooKernel> kernels,
-                         std::span<const value_t> x, std::span<value_t> y,
-                         std::span<BroCooCarry> carries) {
-  BRO_CHECK(kernels.size() == a.intervals().size());
-  bro_coo_spmv_impl(a, x, y, carries,
-                    [&](std::size_t i) { return kernels[i]; });
-}
-
-void native_spmv_bro_coo_generic(const core::BroCoo& a,
-                                 std::span<const value_t> x,
-                                 std::span<value_t> y) {
-  check_host_sym_len(a.options().sym_len);
-  std::vector<BroCooCarry> carries(a.intervals().size());
-  const BroCooKernel k = generic_bro_coo_kernel();
-  bro_coo_spmv_impl(a, x, y, carries, [&](std::size_t) { return k; });
-}
-
-void native_spmv_bro_hyb(const core::BroHyb& a, std::span<const value_t> x,
-                         std::span<value_t> y) {
-  std::vector<value_t> y_coo(y.size());
-  std::vector<BroCooCarry> carries(a.coo_part().intervals().size());
-  native_spmv_bro_hyb(a, x, y, y_coo, carries);
-}
-
-void native_spmv_bro_hyb(const core::BroHyb& a, std::span<const value_t> x,
-                         std::span<value_t> y, std::span<value_t> y_coo,
-                         std::span<BroCooCarry> carries) {
-  native_spmv_bro_ell(a.ell_part(), x, y);
-  if (a.coo_part().nnz() > 0) {
-    BRO_CHECK(y_coo.size() >= y.size());
-    native_spmv_bro_coo(a.coo_part(), x, y_coo.first(y.size()), carries);
-    for (std::size_t i = 0; i < y.size(); ++i) y[i] += y_coo[i];
   }
 }
 
@@ -297,17 +161,6 @@ void native_spmv_bro_hyb(const core::BroHyb& a,
     BRO_CHECK(y_coo.size() >= y.size());
     native_spmv_bro_coo(a.coo_part(), coo_kernels, x, y_coo.first(y.size()),
                         carries);
-    for (std::size_t i = 0; i < y.size(); ++i) y[i] += y_coo[i];
-  }
-}
-
-void native_spmv_bro_hyb_generic(const core::BroHyb& a,
-                                 std::span<const value_t> x,
-                                 std::span<value_t> y) {
-  native_spmv_bro_ell_generic(a.ell_part(), x, y);
-  if (a.coo_part().nnz() > 0) {
-    std::vector<value_t> y_coo(y.size());
-    native_spmv_bro_coo_generic(a.coo_part(), x, y_coo);
     for (std::size_t i = 0; i < y.size(); ++i) y[i] += y_coo[i];
   }
 }

@@ -10,8 +10,11 @@
 // per BRO-ELL slice / BRO-COO interval: a slice whose bit_alloc is constant
 // across columns (the common post-BAR case) or an interval (always a single
 // width) dispatches to the specialized kernel; everything else falls back to
-// the generic decoder. plan_bro_*_kernels() materializes that choice once at
-// SpmvPlan build time so execute() stays branch- and allocation-free.
+// the generic decoder. plan_bro_*_kernels() / select_bro_*_kernel()
+// materialize that choice once at SpmvPlan build time, and each format has
+// exactly one OpenMP driver that runs the choice it is given, so execute()
+// stays branch- and allocation-free. The parity oracle runs the same driver
+// with the generic_bro_*_kernel() choice.
 #pragma once
 
 #include <span>
@@ -37,9 +40,8 @@ struct CooRange {
 /// Part `part` of a `parts`-way balanced split of a row-sorted COO entry
 /// stream: boundaries are placed by entry count and snapped forward to the
 /// next row change, so every part owns complete rows and parallel
-/// accumulation into y is race-free. The single definition of the snap rule
-/// shared by coo_thread_ranges, native_spmv_coo's inline split and the HYB
-/// overflow path.
+/// accumulation into y is race-free. The single definition of the snap rule;
+/// coo_thread_ranges applies it part by part.
 CooRange coo_entry_range(const sparse::Coo& a, std::size_t part,
                          std::size_t parts);
 
@@ -94,22 +96,21 @@ struct BroCooKernel {
   SimdIsa isa = SimdIsa::kScalar;
 };
 
-/// The decode-kernel choice for one BRO-ANS slice. Entropy-coded streams
+/// The decode-kernel choice for a BRO-ANS matrix. Entropy-coded streams
 /// have no compile-time width to specialize on (the per-symbol bit count is
-/// state-dependent), so the choice is only scalar-vs-SIMD; the width field
-/// stays for dispatch-table symmetry and is always -1.
+/// state-dependent), so the choice is only scalar-vs-SIMD and is made once
+/// per matrix: every slice runs the same kernel.
 struct BroAnsKernel {
-  int width = -1;
   void (*spmv)(const core::BroAns& a, const core::BroAnsSlice& slice,
                std::span<const value_t> x, std::span<value_t> y) = nullptr;
   SimdIsa isa = SimdIsa::kScalar;
 };
 
 /// Host kernels decode 32-bit symbols only: sym_len 64 is a simulator and
-/// file-format setting. Every entry point that picks host kernels for a
-/// representation calls this first, so planning a 64-bit representation
-/// throws std::runtime_error naming sym_len before any kernel reads the
-/// stream's (empty) 32-bit slot array.
+/// file-format setting. Kernel selection for a representation and every BRO
+/// driver below call this first, so planning or running a 64-bit
+/// representation throws std::runtime_error naming sym_len before any
+/// kernel reads the stream's (empty) 32-bit slot array.
 void check_host_sym_len(int sym_len);
 
 /// Per-slice / per-interval kernel selection (the plan-time step) at `isa`.
@@ -121,29 +122,22 @@ std::vector<BroEllKernel> plan_bro_ell_kernels(const core::BroEll& a,
                                                SimdIsa isa);
 std::vector<BroCooKernel> plan_bro_coo_kernels(const core::BroCoo& a,
                                                SimdIsa isa);
-std::vector<BroAnsKernel> plan_bro_ans_kernels(const core::BroAns& a,
-                                               SimdIsa isa);
 
-/// Selection for a single slice / interval (what plan_bro_*_kernels applies
-/// per element; exposed for tests and the table-free kernel overloads).
-BroEllKernel select_bro_ell_kernel(const core::BroEllSlice& slice,
-                                   SimdIsa isa);
-BroCooKernel select_bro_coo_kernel(const core::BroCooInterval& iv,
-                                   SimdIsa isa);
+/// BRO-ANS kernel selection for `a` at `isa`: the ISA's SimdKernels entry
+/// when it has one, else the scalar multi-chain kernel.
+BroAnsKernel select_bro_ans_kernel(const core::BroAns& a, SimdIsa isa);
 
-/// The generic variable-width kernels as a dispatch entry (width -1): the
-/// bitwise-parity baseline the specialized kernels are fuzzed against.
+/// The generic variable-width kernels as a dispatch entry (width -1), and
+/// the single-chain sequential BRO-ANS decoder: the bitwise-parity
+/// baselines the specialized, multi-chain and SIMD kernels are fuzzed
+/// against. Run them through the same drivers as the plan's choices (a
+/// table of n copies for BRO-ELL / BRO-COO).
 BroEllKernel generic_bro_ell_kernel();
 BroCooKernel generic_bro_coo_kernel();
-
-/// BRO-ANS slice kernel selection: the ISA's SimdKernels entry when it has
-/// one, else the scalar multi-chain kernel. Selection is per matrix, not
-/// per slice.
-BroAnsKernel select_bro_ans_kernel(SimdIsa isa);
-
-/// The single-chain sequential decoder as a dispatch entry: the
-/// bitwise-parity baseline the multi-chain/SIMD kernels are fuzzed against.
 BroAnsKernel generic_bro_ans_kernel();
+
+// The drivers: one OpenMP driver per format, running the kernel choice the
+// plan made. Every x/y span must match the matrix shape exactly.
 
 void native_spmv_csr(const sparse::Csr& a, std::span<const value_t> x,
                      std::span<value_t> y);
@@ -154,90 +148,32 @@ void native_spmv_ell(const sparse::Ell& a, std::span<const value_t> x,
 void native_spmv_ellr(const sparse::EllR& a, std::span<const value_t> x,
                       std::span<value_t> y);
 
-/// COO via per-thread row-range partitioning (entries are row-sorted, so a
-/// balanced split on entry count with boundary fix-up is race-free).
-void native_spmv_coo(const sparse::Coo& a, std::span<const value_t> x,
-                     std::span<value_t> y);
-
 /// COO over pre-computed row-complete ranges (see coo_thread_ranges): the
-/// allocation-free plan path — the split is not recomputed per call.
+/// split is computed once per plan, not per call.
 void native_spmv_coo(const sparse::Coo& a, std::span<const CooRange> ranges,
                      std::span<const value_t> x, std::span<value_t> y);
 
-void native_spmv_hyb(const sparse::Hyb& a, std::span<const value_t> x,
-                     std::span<value_t> y);
-
 /// HYB with the COO overflow accumulated in parallel over pre-computed
-/// row-complete ranges (the plan path): row-complete chunks touch disjoint
-/// y entries, so the overflow no longer serializes on skewed matrices.
+/// row-complete ranges: row-complete chunks touch disjoint y entries, so
+/// the overflow does not serialize on skewed matrices.
 void native_spmv_hyb(const sparse::Hyb& a, std::span<const CooRange> ranges,
                      std::span<const value_t> x, std::span<value_t> y);
 
-/// BRO-ELL with per-slice kernel selection done inline (table-free
-/// convenience path; selection is a cheap bit_alloc scan per slice).
-void native_spmv_bro_ell(const core::BroEll& a, std::span<const value_t> x,
-                         std::span<value_t> y);
-
-/// BRO-ELL over plan-time kernel choices (kernels aligned with slices()):
-/// the branch-free plan path.
+/// BRO-ELL over per-slice kernel choices (aligned with slices()).
 void native_spmv_bro_ell(const core::BroEll& a,
                          std::span<const BroEllKernel> kernels,
                          std::span<const value_t> x, std::span<value_t> y);
 
-/// BRO-ELL forced through the generic variable-width decoder for every
-/// slice — the parity baseline of the differential decode checks.
-void native_spmv_bro_ell_generic(const core::BroEll& a,
-                                 std::span<const value_t> x,
-                                 std::span<value_t> y);
-
-/// BRO-ANS with inline kernel selection (table-free convenience path).
-void native_spmv_bro_ans(const core::BroAns& a, std::span<const value_t> x,
-                         std::span<value_t> y);
-
-/// BRO-ANS over plan-time kernel choices (kernels aligned with slices()):
-/// the branch-free plan path.
-void native_spmv_bro_ans(const core::BroAns& a,
-                         std::span<const BroAnsKernel> kernels,
-                         std::span<const value_t> x, std::span<value_t> y);
-
-/// BRO-ANS forced through the single-chain sequential decoder for every
-/// slice — the parity baseline of the differential decode checks.
-void native_spmv_bro_ans_generic(const core::BroAns& a,
-                                 std::span<const value_t> x,
-                                 std::span<value_t> y);
-
-void native_spmv_bro_coo(const core::BroCoo& a, std::span<const value_t> x,
-                         std::span<value_t> y);
-
-/// BRO-COO with caller-owned carry scratch (>= a.intervals().size() entries)
-/// and inline per-interval kernel selection.
-void native_spmv_bro_coo(const core::BroCoo& a, std::span<const value_t> x,
-                         std::span<value_t> y, std::span<BroCooCarry> carries);
-
-/// BRO-COO over plan-time kernel choices: the allocation- and branch-free
-/// plan path.
+/// BRO-COO over per-interval kernel choices (aligned with intervals()) with
+/// caller-owned carry scratch (>= intervals().size() entries).
 void native_spmv_bro_coo(const core::BroCoo& a,
                          std::span<const BroCooKernel> kernels,
                          std::span<const value_t> x, std::span<value_t> y,
                          std::span<BroCooCarry> carries);
 
-/// BRO-COO forced through the generic decoder for every interval.
-void native_spmv_bro_coo_generic(const core::BroCoo& a,
-                                 std::span<const value_t> x,
-                                 std::span<value_t> y);
-
-void native_spmv_bro_hyb(const core::BroHyb& a, std::span<const value_t> x,
-                         std::span<value_t> y);
-
-/// BRO-HYB with caller-owned scratch: y_coo (>= y.size()) holds the COO
-/// half's partial result, carries covers the COO half's intervals. Kernel
-/// selection is inline per slice/interval.
-void native_spmv_bro_hyb(const core::BroHyb& a, std::span<const value_t> x,
-                         std::span<value_t> y, std::span<value_t> y_coo,
-                         std::span<BroCooCarry> carries);
-
-/// BRO-HYB over plan-time kernel choices for both halves: the allocation-
-/// and branch-free plan path.
+/// BRO-HYB over kernel choices for both halves. Caller-owned scratch:
+/// y_coo (>= y.size()) holds the COO half's partial result, carries covers
+/// the COO half's intervals; neither is touched when the COO half is empty.
 void native_spmv_bro_hyb(const core::BroHyb& a,
                          std::span<const BroEllKernel> ell_kernels,
                          std::span<const BroCooKernel> coo_kernels,
@@ -245,9 +181,8 @@ void native_spmv_bro_hyb(const core::BroHyb& a,
                          std::span<value_t> y_coo,
                          std::span<BroCooCarry> carries);
 
-/// BRO-HYB forced through the generic decoder on both halves.
-void native_spmv_bro_hyb_generic(const core::BroHyb& a,
-                                 std::span<const value_t> x,
-                                 std::span<value_t> y);
+/// BRO-ANS with one kernel for every slice.
+void native_spmv_bro_ans(const core::BroAns& a, const BroAnsKernel& kernel,
+                         std::span<const value_t> x, std::span<value_t> y);
 
 } // namespace bro::kernels

@@ -253,19 +253,16 @@ TEST_P(BroAnsProperty, RoundTripAndSpmv) {
   // representation. At 32, multi-chain and (when available) SIMD dispatch
   // must be bitwise identical to the single-chain sequential baseline.
   if (sym_len != 32) {
-    EXPECT_THROW(bk::plan_bro_ans_kernels(bro, bk::active_simd_isa()),
+    EXPECT_THROW(bk::select_bro_ans_kernel(bro, bk::active_simd_isa()),
                  std::runtime_error);
     return;
   }
   const auto x = random_vector(static_cast<std::size_t>(csr.cols), 31);
   std::vector<value_t> y_gen(static_cast<std::size_t>(csr.rows));
-  std::vector<value_t> y_nat(static_cast<std::size_t>(csr.rows));
-  bk::native_spmv_bro_ans_generic(bro, x, y_gen);
-  bk::native_spmv_bro_ans(bro, x, y_nat);
-  EXPECT_EQ(y_gen, y_nat);
-  const auto kernels = bk::plan_bro_ans_kernels(bro, bk::active_simd_isa());
   std::vector<value_t> y_plan(static_cast<std::size_t>(csr.rows));
-  bk::native_spmv_bro_ans(bro, kernels, x, y_plan);
+  bk::native_spmv_bro_ans(bro, bk::generic_bro_ans_kernel(), x, y_gen);
+  bk::native_spmv_bro_ans(
+      bro, bk::select_bro_ans_kernel(bro, bk::active_simd_isa()), x, y_plan);
   EXPECT_EQ(y_gen, y_plan);
 }
 
@@ -339,13 +336,14 @@ TEST(BroAnsSavings, BeatsFixedWidthOnStructuredMatrices) {
 /// kernel, tagged kScalar. Selection only reads the table, so every ISA is
 /// checked whether or not this host can run it.
 TEST(AnsSimdParity, SelectionTagsAndScalarFallback) {
+  const auto bro =
+      bc::BroAns::compress(bs::csr_to_ell(bs::generate_poisson2d(12, 13)));
   const bk::BroAnsKernel scalar =
-      bk::select_bro_ans_kernel(bk::SimdIsa::kScalar);
+      bk::select_bro_ans_kernel(bro, bk::SimdIsa::kScalar);
   ASSERT_NE(scalar.spmv, nullptr);
   for (const bk::SimdIsa isa :
        {bk::SimdIsa::kScalar, bk::SimdIsa::kSse4, bk::SimdIsa::kAvx2}) {
-    const bk::BroAnsKernel k = bk::select_bro_ans_kernel(isa);
-    EXPECT_EQ(k.width, -1);
+    const bk::BroAnsKernel k = bk::select_bro_ans_kernel(bro, isa);
     const bool vec =
         isa == bk::SimdIsa::kAvx2 && bk::simd_isa_compiled(isa);
     EXPECT_EQ(k.isa, vec ? isa : bk::SimdIsa::kScalar)
@@ -353,19 +351,11 @@ TEST(AnsSimdParity, SelectionTagsAndScalarFallback) {
     EXPECT_EQ(k.spmv, vec ? bk::simd_kernels(isa)->ans_spmv : scalar.spmv)
         << bk::simd_isa_name(isa);
   }
-  for (const bk::SimdIsa isa : host_isas()) {
-    const bs::Csr csr = bs::generate_poisson2d(12, 13);
-    const auto bro = bc::BroAns::compress(bs::csr_to_ell(csr));
-    const auto kernels = bk::plan_bro_ans_kernels(bro, isa);
-    ASSERT_EQ(kernels.size(), bro.slices().size());
-    for (const auto& k : kernels)
-      EXPECT_EQ(k.spmv, bk::select_bro_ans_kernel(isa).spmv);
-  }
 }
 
 /// The adversarial battery swept across every host ISA and the table_log
-/// extremes: the dispatched SpMV (inline and plan-time selection) must
-/// reproduce the single-chain sequential decoder bit for bit. Compressions
+/// extremes: the driver over the selected kernel must reproduce it over the
+/// single-chain sequential decoder bit for bit. Compressions
 /// are ISA-independent, so each config is built once and only the kernel
 /// calls sweep the forced ISA — the shape of test_decode_dispatch's
 /// AdversarialParity.
@@ -389,15 +379,11 @@ TEST(AnsSimdParity, AdversarialSweepAcrossIsasAndTableLogs) {
       opts.table_log = table_log;
       opts.slice_height = 64; // several full lane groups + partial tails
       const bc::BroAns bro = bc::BroAns::compress(ell, opts);
-      bk::native_spmv_bro_ans_generic(bro, x, y_gen);
+      bk::native_spmv_bro_ans(bro, bk::generic_bro_ans_kernel(), x, y_gen);
 
       for (const bk::SimdIsa isa : isas) {
-        bk::ScopedSimdIsa forced(isa);
-        bk::native_spmv_bro_ans(bro, x, y);
-        expect_bitwise(y, y_gen, adversarial.name.c_str());
-
-        const auto kernels = bk::plan_bro_ans_kernels(bro, isa);
-        bk::native_spmv_bro_ans(bro, kernels, x, y);
+        bk::native_spmv_bro_ans(bro, bk::select_bro_ans_kernel(bro, isa), x,
+                                y);
         expect_bitwise(y, y_gen, adversarial.name.c_str());
       }
     }
@@ -445,8 +431,26 @@ TEST(BroAnsDecode, EagerRefillSpliceAtSymLen64) {
 
   expect_spmv_matches(csr, bro, 7);
   std::vector<value_t> y(static_cast<std::size_t>(csr.rows));
-  EXPECT_THROW(bk::native_spmv_bro_ans_generic(
-                   bro, random_vector(static_cast<std::size_t>(csr.cols), 7),
-                   y),
+  EXPECT_THROW(bk::native_spmv_bro_ans(
+                   bro, bk::generic_bro_ans_kernel(),
+                   random_vector(static_cast<std::size_t>(csr.cols), 7), y),
+               std::runtime_error);
+}
+
+/// The driver requires x and y to match the matrix shape exactly, like
+/// every other driver: a longer y would otherwise leave its tail unwritten.
+TEST(BroAnsDecode, DriverRejectsMismatchedVectors) {
+  const bs::Csr csr = bs::generate_poisson2d(9, 7);
+  const auto bro = bc::BroAns::compress(bs::csr_to_ell(csr));
+  const bk::BroAnsKernel k =
+      bk::select_bro_ans_kernel(bro, bk::active_simd_isa());
+  const auto cols = static_cast<std::size_t>(csr.cols);
+  const auto rows = static_cast<std::size_t>(csr.rows);
+  std::vector<value_t> y(rows);
+  bk::native_spmv_bro_ans(bro, k, random_vector(cols, 3), y);
+  std::vector<value_t> y_long(rows + 1);
+  EXPECT_THROW(bk::native_spmv_bro_ans(bro, k, random_vector(cols, 3), y_long),
+               std::runtime_error);
+  EXPECT_THROW(bk::native_spmv_bro_ans(bro, k, random_vector(cols + 1, 3), y),
                std::runtime_error);
 }

@@ -74,9 +74,8 @@ void expect_bitwise_spmv(const bs::Csr& csr, const bc::BroBcsr& a,
   const auto x = random_x(csr.cols, 0xb17b17);
   std::vector<value_t> ref(static_cast<std::size_t>(csr.rows));
   a.spmv(x, ref);
-  const auto ks = bk::plan_bro_bcsr_kernels(a, isa);
   std::vector<value_t> y(ref.size(), 0.0);
-  for (std::size_t si = 0; si < ks.size(); ++si) ks[si].spmv(a, si, x, y);
+  bk::native_spmv_bro_bcsr(a, bk::select_bro_bcsr_kernel(a, isa), x, y);
   for (std::size_t i = 0; i < ref.size(); ++i)
     ASSERT_EQ(std::bit_cast<std::uint64_t>(y[i]),
               std::bit_cast<std::uint64_t>(ref[i]))
@@ -182,7 +181,8 @@ TEST(BroBcsr, SpmmColumnsMatchSpmvBitwise) {
   const auto m = static_cast<std::size_t>(csr.rows);
   const auto flat = random_x(static_cast<index_t>(n * k), 17);
   std::vector<value_t> ym(m * k);
-  bk::native_spmm_bro_bcsr(a, flat, ym, k);
+  bk::native_spmm_bro_bcsr(
+      a, bk::select_bro_bcsr_kernel(a, bk::active_simd_isa()), flat, ym, k);
   for (int j = 0; j < k; ++j) {
     std::vector<value_t> xj(n), yj(m);
     for (std::size_t c = 0; c < n; ++c)

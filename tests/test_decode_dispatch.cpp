@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "core/bro_bcsr.h"
@@ -54,6 +55,32 @@ void expect_bitwise(const std::vector<value_t>& got,
     ASSERT_EQ(std::memcmp(&got[r], &want[r], sizeof(value_t)), 0)
         << what << " diverges at row " << r << ": " << got[r] << " vs "
         << want[r];
+}
+
+/// The parity oracle's choices: the generic decoder for every slice /
+/// interval, run through the same drivers as the selected kernels.
+std::vector<bk::BroEllKernel> generic_table(const bc::BroEll& a) {
+  return std::vector<bk::BroEllKernel>(a.slices().size(),
+                                       bk::generic_bro_ell_kernel());
+}
+
+std::vector<bk::BroCooKernel> generic_table(const bc::BroCoo& a) {
+  return std::vector<bk::BroCooKernel>(a.intervals().size(),
+                                       bk::generic_bro_coo_kernel());
+}
+
+void run_coo(const bc::BroCoo& a, std::span<const bk::BroCooKernel> kernels,
+             const std::vector<value_t>& x, std::vector<value_t>& y) {
+  std::vector<bk::BroCooCarry> carries(a.intervals().size());
+  bk::native_spmv_bro_coo(a, kernels, x, y, carries);
+}
+
+void run_hyb(const bc::BroHyb& a, std::span<const bk::BroEllKernel> ell,
+             std::span<const bk::BroCooKernel> coo,
+             const std::vector<value_t>& x, std::vector<value_t>& y) {
+  std::vector<value_t> y_coo(y.size());
+  std::vector<bk::BroCooCarry> carries(a.coo_part().intervals().size());
+  bk::native_spmv_bro_hyb(a, ell, coo, x, y, y_coo, carries);
 }
 
 /// The selection rules: uniform-width slices take the matching specialized
@@ -155,17 +182,15 @@ void check_parity(const bs::Csr& csr, int width, const char* name) {
       xm[c * k + static_cast<std::size_t>(j)] =
           x[(c + static_cast<std::size_t>(j)) % x.size()];
 
+  const auto generic = generic_table(ell);
   for (const bk::SimdIsa isa : host_isas()) {
-    bk::ScopedSimdIsa forced(isa);
-    bk::native_spmv_bro_ell(ell, x, y);
-    bk::native_spmv_bro_ell_generic(ell, x, y_gen);
+    const auto table = bk::plan_bro_ell_kernels(ell, isa);
+    bk::native_spmv_bro_ell(ell, table, x, y);
+    bk::native_spmv_bro_ell(ell, generic, x, y_gen);
     expect_bitwise(y, y_gen, name);
 
-    const auto table = bk::plan_bro_ell_kernels(ell, isa);
-    std::vector<bk::BroEllKernel> generic_table(
-        table.size(), bk::generic_bro_ell_kernel());
     bk::native_spmm_bro_ell(ell, table, xm, ym, k);
-    bk::native_spmm_bro_ell(ell, generic_table, xm, ym_gen, k);
+    bk::native_spmm_bro_ell(ell, generic, xm, ym_gen, k);
     expect_bitwise(ym, ym_gen, name);
   }
 }
@@ -197,7 +222,7 @@ TEST(DecodeDispatch, AdversarialParity) {
 
     // ELL blows up on spike shapes; gate like the registry does. All
     // compressions are ISA-independent, so build once and sweep the
-    // dispatch ISA over the kernel calls only.
+    // selection ISA over the kernel calls only.
     const double expand = static_cast<double>(csr.rows) *
                           static_cast<double>(csr.max_row_length());
     const bool ell_ok = expand <= 3.0 * static_cast<double>(csr.nnz());
@@ -217,28 +242,28 @@ TEST(DecodeDispatch, AdversarialParity) {
         xm[c * k + static_cast<std::size_t>(j)] =
             x[(c + static_cast<std::size_t>(j)) % x.size()];
 
+    const auto coo_generic = generic_table(coo);
     for (const bk::SimdIsa isa : host_isas()) {
-      bk::ScopedSimdIsa forced(isa);
       if (ell_ok) {
-        bk::native_spmv_bro_ell(ell, x, y);
-        bk::native_spmv_bro_ell_generic(ell, x, y_gen);
+        bk::native_spmv_bro_ell(ell, bk::plan_bro_ell_kernels(ell, isa), x, y);
+        bk::native_spmv_bro_ell(ell, generic_table(ell), x, y_gen);
         expect_bitwise(y, y_gen, adversarial.name.c_str());
       }
 
-      bk::native_spmv_bro_coo(coo, x, y);
-      bk::native_spmv_bro_coo_generic(coo, x, y_gen);
+      const auto table = bk::plan_bro_coo_kernels(coo, isa);
+      run_coo(coo, table, x, y);
+      run_coo(coo, coo_generic, x, y_gen);
       expect_bitwise(y, y_gen, adversarial.name.c_str());
 
-      const auto table = bk::plan_bro_coo_kernels(coo, isa);
-      std::vector<bk::BroCooKernel> generic_table(
-          table.size(), bk::generic_bro_coo_kernel());
       bk::native_spmm_bro_coo(coo, table, xm, ym, k, carries, sums);
-      bk::native_spmm_bro_coo(coo, generic_table, xm, ym_gen, k, carries,
+      bk::native_spmm_bro_coo(coo, coo_generic, xm, ym_gen, k, carries,
                               sums);
       expect_bitwise(ym, ym_gen, adversarial.name.c_str());
 
-      bk::native_spmv_bro_hyb(hyb, x, y);
-      bk::native_spmv_bro_hyb_generic(hyb, x, y_gen);
+      run_hyb(hyb, bk::plan_bro_ell_kernels(hyb.ell_part(), isa),
+              bk::plan_bro_coo_kernels(hyb.coo_part(), isa), x, y);
+      run_hyb(hyb, generic_table(hyb.ell_part()),
+              generic_table(hyb.coo_part()), x, y_gen);
       expect_bitwise(y, y_gen, adversarial.name.c_str());
     }
   }
@@ -263,9 +288,8 @@ TEST(DecodeDispatch, CooParityAcrossWarpSizes) {
     opt.interval_cols = 16;
     const auto coo = bc::BroCoo::compress(bs::csr_to_coo(csr), opt);
     for (const bk::SimdIsa isa : host_isas()) {
-      bk::ScopedSimdIsa forced(isa);
-      bk::native_spmv_bro_coo(coo, x, y);
-      bk::native_spmv_bro_coo_generic(coo, x, y_gen);
+      run_coo(coo, bk::plan_bro_coo_kernels(coo, isa), x, y);
+      run_coo(coo, generic_table(coo), x, y_gen);
       expect_bitwise(y, y_gen, "warp-sweep");
     }
   }
@@ -317,11 +341,10 @@ TEST(DecodeDispatch, SimdSelectionTagsKernels) {
       const auto bcsr = bc::BroBcsr::compress(truss, bopt);
       const auto shape =
           static_cast<std::size_t>(bk::bcsr_shape_index(br, bcol));
-      for (const auto& kernel : bk::plan_bro_bcsr_kernels(bcsr, isa)) {
-        EXPECT_EQ(kernel.isa, tag);
-        if (t != nullptr) {
-          EXPECT_EQ(kernel.spmv, t->bcsr_spmv[shape]);
-        }
+      const bk::BroBcsrKernel kernel = bk::select_bro_bcsr_kernel(bcsr, isa);
+      EXPECT_EQ(kernel.isa, tag);
+      if (t != nullptr) {
+        EXPECT_EQ(kernel.spmv, t->bcsr_spmv[shape]);
       }
     }
   }

@@ -123,19 +123,22 @@ TEST(SpmvPlan, EveryFormatMatchesCsrReference) {
 }
 
 TEST(SpmvPlan, RepeatedExecuteDoesNotAllocate) {
-  const bs::Csr csr = spiked_matrix();
-  const auto x = random_x(csr.cols, 6);
-  const auto m = std::make_shared<bc::Matrix>(bc::Matrix::from_csr(csr));
-  std::vector<value_t> y(static_cast<std::size_t>(csr.rows));
+  // The grid leaves BRO-HYB without an overflow part; the spikes give it
+  // a large one.
+  for (const bs::Csr& csr : {spiked_matrix(), bs::generate_poisson2d(20, 20)}) {
+    const auto x = random_x(csr.cols, 6);
+    const auto m = std::make_shared<bc::Matrix>(bc::Matrix::from_csr(csr));
+    std::vector<value_t> y(static_cast<std::size_t>(csr.rows));
 
-  for (const auto& t : be::format_registry()) {
-    if (!t.applicable(csr, 3.0)) continue;
-    be::SpmvPlan plan(m, t.format);
-    // Construction pre-sizes every workspace the kernel will request.
-    const std::size_t after_build = plan.workspace_allocations();
-    for (int i = 0; i < 5; ++i) plan.execute(x, y);
-    EXPECT_EQ(plan.workspace_allocations(), after_build)
-        << t.name << ": execute() grew a plan workspace";
+    for (const auto& t : be::format_registry()) {
+      if (!t.applicable(csr, 3.0)) continue;
+      be::SpmvPlan plan(m, t.format);
+      // Construction pre-sizes every workspace the kernel will request.
+      const std::size_t after_build = plan.workspace_allocations();
+      for (int i = 0; i < 5; ++i) plan.execute(x, y);
+      EXPECT_EQ(plan.workspace_allocations(), after_build)
+          << t.name << ": execute() grew a plan workspace";
+    }
   }
 }
 
@@ -206,6 +209,24 @@ TEST(SpmvPlan, SymLen64IsRejectedWhereHostKernelsAreChosen) {
           << name << ": " << e.what();
     }
   }
+  // The parity oracle runs the same drivers with the generic choice: given
+  // a 64-bit representation, every native_generic hook throws too.
+  const auto x = random_x(m->cols(), 9);
+  std::vector<value_t> y(static_cast<std::size_t>(m->rows()));
+  int generic_hooks = 0;
+  for (const auto& t : be::format_registry()) {
+    if (t.native_generic == nullptr) continue;
+    ++generic_hooks;
+    const be::Representation rep = t.make(m->csr(), m->options());
+    try {
+      t.native_generic(rep.get(), x, y);
+      ADD_FAILURE() << t.name << " ran its generic decoder at sym_len 64";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("sym_len"), std::string::npos)
+          << t.name << ": " << e.what();
+    }
+  }
+  EXPECT_EQ(generic_hooks, 5);
   const bc::Savings s = m->savings();
   EXPECT_GT(s.eta(), 0.0);
   EXPECT_LT(s.eta(), 1.0);

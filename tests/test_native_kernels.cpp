@@ -1,9 +1,16 @@
-// Native (OpenMP) kernel tests: agreement with the CSR reference across
-// formats and matrix shapes, including the parallel BRO-COO carry handling.
+// Native (OpenMP) kernel tests: every registered host kernel, run through
+// its plan, agrees with the CSR reference across matrix shapes, including
+// the parallel BRO-COO carry handling and the COO row-range split.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
 #include <vector>
 
+#include "core/matrix.h"
+#include "engine/format_registry.h"
+#include "engine/plan.h"
 #include "kernels/native_spmv.h"
 #include "sparse/convert.h"
 #include "sparse/matgen/generators.h"
@@ -12,6 +19,7 @@
 namespace bk = bro::kernels;
 namespace bs = bro::sparse;
 namespace bc = bro::core;
+namespace be = bro::engine;
 using bro::index_t;
 using bro::value_t;
 
@@ -24,49 +32,52 @@ std::vector<value_t> random_x(index_t n, std::uint64_t seed = 55) {
   return x;
 }
 
-void check_all(const bs::Csr& csr) {
+void expect_near(const std::vector<value_t>& y,
+                 const std::vector<value_t>& y_ref, const char* what) {
+  for (std::size_t r = 0; r < y.size(); ++r)
+    ASSERT_NEAR(y[r], y_ref[r], 1e-11 * (1.0 + std::abs(y_ref[r])))
+        << what << " row " << r;
+}
+
+/// Every registered format with an OpenMP host kernel that can hold the
+/// matrix, through its plan, against the CSR reference. Returns the names
+/// of the formats it ran.
+std::vector<std::string> check_all(const bs::Csr& csr) {
   const auto x = random_x(csr.cols);
   std::vector<value_t> y_ref(static_cast<std::size_t>(csr.rows));
   bs::spmv_csr_reference(csr, x, y_ref);
 
-  const auto expect_near = [&](const std::vector<value_t>& y, const char* what) {
-    for (std::size_t r = 0; r < y.size(); ++r)
-      ASSERT_NEAR(y[r], y_ref[r], 1e-11 * (1.0 + std::abs(y_ref[r])))
-          << what << " row " << r;
-  };
-
+  const auto m = std::make_shared<const bc::Matrix>(bc::Matrix::from_csr(csr));
   std::vector<value_t> y(static_cast<std::size_t>(csr.rows));
+  std::vector<std::string> ran;
+  for (const auto& t : be::format_registry()) {
+    if (t.native == nullptr ||
+        !t.applicable(csr, m->options().max_ell_expand))
+      continue;
+    be::SpmvPlan plan(m, t.format);
+    plan.execute(x, y);
+    expect_near(y, y_ref, t.name);
+    ran.emplace_back(t.name);
+  }
+  return ran;
+}
 
-  bk::native_spmv_csr(csr, x, y);
-  expect_near(y, "csr");
-
-  const bs::Coo coo = bs::csr_to_coo(csr);
-  bk::native_spmv_coo(coo, x, y);
-  expect_near(y, "coo");
-
-  const bs::Ell ell = bs::csr_to_ell(csr);
-  bk::native_spmv_ell(ell, x, y);
-  expect_near(y, "ell");
-
-  bk::native_spmv_ellr(bs::csr_to_ellr(csr), x, y);
-  expect_near(y, "ellr");
-
-  bk::native_spmv_hyb(bs::csr_to_hyb(csr), x, y);
-  expect_near(y, "hyb");
-
-  bk::native_spmv_bro_ell(bc::BroEll::compress(ell), x, y);
-  expect_near(y, "bro_ell");
-
-  bk::native_spmv_bro_coo(bc::BroCoo::compress(coo), x, y);
-  expect_near(y, "bro_coo");
-
-  bk::native_spmv_bro_hyb(bc::BroHyb::compress(csr), x, y);
-  expect_near(y, "bro_hyb");
+bool contains(const std::vector<std::string>& names, const char* name) {
+  return std::find(names.begin(), names.end(), name) != names.end();
 }
 
 } // namespace
 
-TEST(NativeKernels, PoissonGrid) { check_all(bs::generate_poisson2d(45, 37)); }
+TEST(NativeKernels, PoissonGrid) {
+  const auto ran = check_all(bs::generate_poisson2d(45, 37));
+  EXPECT_TRUE(contains(ran, "BRO-ELL"));
+  EXPECT_TRUE(contains(ran, "BRO-ANS"));
+}
+
+TEST(NativeKernels, TrussBlocks) {
+  // Dense 2x2 dof blocks pass the BRO-BCSR gate.
+  EXPECT_TRUE(contains(check_all(bs::generate_truss2d(40, 6, 7)), "BRO-BCSR"));
+}
 
 TEST(NativeKernels, RandomLocal) {
   bs::GenSpec spec;
@@ -107,15 +118,11 @@ TEST(NativeKernels, SingleDenseRow) {
   for (index_t r = 0; r < 400; r += 3) coo.push(r, r, 2.0);
   coo.canonicalize();
   const bs::Csr csr = bs::coo_to_csr(coo);
-  // ELL variants would expand 100x; exercise the COO/HYB family only.
-  const auto x = random_x(csr.cols);
-  std::vector<value_t> y_ref(static_cast<std::size_t>(csr.rows));
-  bs::spmv_csr_reference(csr, x, y_ref);
-
-  std::vector<value_t> y(static_cast<std::size_t>(csr.rows));
-  bk::native_spmv_bro_hyb(bc::BroHyb::compress(csr), x, y);
-  for (std::size_t r = 0; r < y.size(); ++r)
-    ASSERT_NEAR(y[r], y_ref[r], 1e-11 * (1.0 + std::abs(y_ref[r])));
+  // ELL variants would expand 100x: the registry loop runs the COO/HYB
+  // family only, BRO-HYB's overflow path included.
+  const auto ran = check_all(csr);
+  EXPECT_TRUE(contains(ran, "BRO-HYB"));
+  EXPECT_FALSE(contains(ran, "BRO-ELL"));
 }
 
 TEST(NativeKernels, BroCooCarriesAcrossIntervalBoundaries) {
@@ -129,8 +136,11 @@ TEST(NativeKernels, BroCooCarriesAcrossIntervalBoundaries) {
   const auto x = random_x(csr.cols, 2);
   std::vector<value_t> y_ref(10);
   bs::spmv_csr_reference(csr, x, y_ref);
+  be::SpmvPlan plan(
+      std::make_shared<const bc::Matrix>(bc::Matrix::from_csr(csr)),
+      bc::Format::kBroCoo);
   std::vector<value_t> y(10);
-  bk::native_spmv_bro_coo(bc::BroCoo::compress(bs::csr_to_coo(csr)), x, y);
+  plan.execute(x, y);
   for (int r = 0; r < 10; ++r)
     ASSERT_NEAR(y[static_cast<std::size_t>(r)],
                 y_ref[static_cast<std::size_t>(r)], 1e-9);
@@ -157,11 +167,14 @@ TEST(NativeKernels, CooEntryRangesAreRowCompleteAndCovering) {
     ASSERT_EQ(ranges.back().hi, coo.nnz());
     for (std::size_t i = 0; i < ranges.size(); ++i) {
       ASSERT_LT(ranges[i].lo, ranges[i].hi) << "empty part survived";
-      if (i > 0) ASSERT_EQ(ranges[i].lo, ranges[i - 1].hi);
+      if (i > 0) {
+        ASSERT_EQ(ranges[i].lo, ranges[i - 1].hi);
+      }
       // Row-complete: no row straddles a boundary.
-      if (ranges[i].hi < coo.nnz())
+      if (ranges[i].hi < coo.nnz()) {
         ASSERT_NE(coo.row_idx[ranges[i].hi - 1], coo.row_idx[ranges[i].hi])
             << "part " << i << " splits a row";
+      }
     }
     // coo_entry_range is the same snap rule, part by part.
     std::size_t cursor = 0;
@@ -197,8 +210,8 @@ TEST(NativeKernels, CooEntryRangeSnapsWholeRowIntoOnePart) {
 
 TEST(NativeKernels, HybParallelOverflowMatchesReference) {
   // Heavy spike rows push most entries into the HYB COO overflow; the
-  // ranges overload must agree with the reference (and with the inline
-  // split) while accumulating the overflow in parallel.
+  // driver must agree with the reference at every split while accumulating
+  // the overflow in parallel.
   bs::GenSpec spec;
   spec.rows = 600;
   spec.cols = 3000;

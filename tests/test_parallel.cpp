@@ -14,14 +14,16 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bcsr_gate_reference.h"
+#include "core/matrix.h"
 #include "core/serialize.h"
 #include "engine/format_registry.h"
-#include "kernels/native_spmv.h"
+#include "engine/plan.h"
 #include "kernels/sim_spmv.h"
 #include "reorder/permutation.h"
 #include "sparse/convert.h"
@@ -78,30 +80,37 @@ TEST_P(ParallelKernels, AllNativeKernelsAgree) {
   spec.sigma = 6;
   spec.run = 2;
   spec.seed = 51;
-  const bs::Csr csr = bs::generate(spec);
-  const auto x = random_x(csr.cols);
-  std::vector<value_t> y_ref(static_cast<std::size_t>(csr.rows));
-  bs::spmv_csr_reference(csr, x, y_ref);
+  // The truss's dense 2x2 blocks pass the BRO-BCSR gate; the generated
+  // matrix covers every other host kernel.
+  std::vector<std::string> ran;
+  for (const bs::Csr& csr :
+       {bs::generate(spec), bs::generate_truss2d(40, 6, 7)}) {
+    const auto x = random_x(csr.cols);
+    std::vector<value_t> y_ref(static_cast<std::size_t>(csr.rows));
+    bs::spmv_csr_reference(csr, x, y_ref);
 
-  std::vector<value_t> y(y_ref.size());
-  const auto check = [&](const char* what) {
-    for (std::size_t r = 0; r < y.size(); ++r)
-      ASSERT_NEAR(y[r], y_ref[r], 1e-11 * (1.0 + std::abs(y_ref[r])))
-          << what << " threads=" << GetParam() << " row " << r;
-  };
-
-  bk::native_spmv_csr(csr, x, y);
-  check("csr");
-  bk::native_spmv_coo(bs::csr_to_coo(csr), x, y);
-  check("coo");
-  bk::native_spmv_ell(bs::csr_to_ell(csr), x, y);
-  check("ell");
-  bk::native_spmv_bro_ell(bc::BroEll::compress(bs::csr_to_ell(csr)), x, y);
-  check("bro_ell");
-  bk::native_spmv_bro_coo(bc::BroCoo::compress(bs::csr_to_coo(csr)), x, y);
-  check("bro_coo");
-  bk::native_spmv_bro_hyb(bc::BroHyb::compress(csr), x, y);
-  check("bro_hyb");
+    // Every registered host kernel that can hold the matrix, through its
+    // plan (built under this thread count, so the COO splits follow it).
+    std::vector<value_t> y(y_ref.size());
+    const auto m =
+        std::make_shared<const bc::Matrix>(bc::Matrix::from_csr(csr));
+    for (const auto& t : be::format_registry()) {
+      if (t.native == nullptr ||
+          !t.applicable(csr, m->options().max_ell_expand))
+        continue;
+      be::SpmvPlan plan(m, t.format);
+      plan.execute(x, y);
+      ran.emplace_back(t.name);
+      for (std::size_t r = 0; r < y.size(); ++r)
+        ASSERT_NEAR(y[r], y_ref[r], 1e-11 * (1.0 + std::abs(y_ref[r])))
+            << t.name << " threads=" << GetParam() << " row " << r;
+    }
+  }
+  for (const auto& t : be::format_registry()) {
+    if (t.native == nullptr) continue;
+    EXPECT_NE(std::find(ran.begin(), ran.end(), t.name), ran.end())
+        << t.name << " never ran";
+  }
 }
 
 TEST_P(ParallelKernels, BroCooCarryUnderThreads) {
@@ -116,7 +125,10 @@ TEST_P(ParallelKernels, BroCooCarryUnderThreads) {
   const auto x = random_x(csr.cols);
   std::vector<value_t> y_ref(6), y(6);
   bs::spmv_csr_reference(csr, x, y_ref);
-  bk::native_spmv_bro_coo(bc::BroCoo::compress(bs::csr_to_coo(csr)), x, y);
+  be::SpmvPlan plan(
+      std::make_shared<const bc::Matrix>(bc::Matrix::from_csr(csr)),
+      bc::Format::kBroCoo);
+  plan.execute(x, y);
   for (int r = 0; r < 6; ++r)
     ASSERT_NEAR(y[static_cast<std::size_t>(r)],
                 y_ref[static_cast<std::size_t>(r)], 1e-8);

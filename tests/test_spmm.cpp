@@ -55,6 +55,13 @@ void check_kernels(const bs::Csr& csr, int k) {
   const bs::Ell ell = bs::csr_to_ell(csr);
   const bc::BroEll bro_ell = bc::BroEll::compress(ell);
   const bc::BroCoo bro_coo = bc::BroCoo::compress(bs::csr_to_coo(csr));
+  const auto ell_kernels =
+      bk::plan_bro_ell_kernels(bro_ell, bk::active_simd_isa());
+  const auto coo_kernels =
+      bk::plan_bro_coo_kernels(bro_coo, bk::active_simd_isa());
+  const std::size_t n = bro_coo.intervals().size();
+  std::vector<bk::BroCooCarry> carries(n);
+  std::vector<value_t> carry_sums(n * 2 * static_cast<std::size_t>(k));
 
   const auto run_single = [&](auto&& kernel) {
     for (int j = 0; j < k; ++j) {
@@ -74,13 +81,16 @@ void check_kernels(const bs::Csr& csr, int k) {
   bk::native_spmm_ell(ell, x_batch, y_batch, k);
   run_single([&](auto& xj, auto& yj) { bk::native_spmv_ell(ell, xj, yj); });
 
-  bk::native_spmm_bro_ell(bro_ell, x_batch, y_batch, k);
-  run_single(
-      [&](auto& xj, auto& yj) { bk::native_spmv_bro_ell(bro_ell, xj, yj); });
+  bk::native_spmm_bro_ell(bro_ell, ell_kernels, x_batch, y_batch, k);
+  run_single([&](auto& xj, auto& yj) {
+    bk::native_spmv_bro_ell(bro_ell, ell_kernels, xj, yj);
+  });
 
-  bk::native_spmm_bro_coo(bro_coo, x_batch, y_batch, k);
-  run_single(
-      [&](auto& xj, auto& yj) { bk::native_spmv_bro_coo(bro_coo, xj, yj); });
+  bk::native_spmm_bro_coo(bro_coo, coo_kernels, x_batch, y_batch, k, carries,
+                          carry_sums);
+  run_single([&](auto& xj, auto& yj) {
+    bk::native_spmv_bro_coo(bro_coo, coo_kernels, xj, yj, carries);
+  });
 }
 
 void check_kernels_all_k(const bs::Csr& csr) {
@@ -140,7 +150,8 @@ TEST(Spmm, RejectsBadShapes) {
 }
 
 // The planned path must be bitwise-identical per column for EVERY registered
-// format — natively for CSR/ELL/BRO-ELL/BRO-COO, through the gather/scatter
+// format — natively for CSR/ELL/BRO-ELL/BRO-COO/BRO-BCSR, through the
+// gather/scatter
 // fallback for the rest — and allocation-free after the first call.
 TEST(Spmm, ExecuteMultiMatchesExecuteForAllFormats) {
   bs::GenSpec spec;

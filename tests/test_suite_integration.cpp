@@ -73,8 +73,13 @@ TEST_P(SuiteMatrix, FacadeAutoFormatAgreesWithReference) {
 TEST_P(SuiteMatrix, BroHybRoundTripAndNativeKernel) {
   const bc::BroHyb bro = bc::BroHyb::compress(csr_);
   EXPECT_EQ(bro.total_nnz(), csr_.nnz());
+  const bk::SimdIsa isa = bk::active_simd_isa();
   std::vector<value_t> y(static_cast<std::size_t>(csr_.rows));
-  bk::native_spmv_bro_hyb(bro, x_, y);
+  std::vector<value_t> y_coo(y.size());
+  std::vector<bk::BroCooCarry> carries(bro.coo_part().intervals().size());
+  bk::native_spmv_bro_hyb(bro, bk::plan_bro_ell_kernels(bro.ell_part(), isa),
+                          bk::plan_bro_coo_kernels(bro.coo_part(), isa), x_, y,
+                          y_coo, carries);
   expect_matches(y, "native BRO-HYB");
 }
 

@@ -554,10 +554,11 @@ int cmd_block_bench(const Args& args) {
                                        kernels::SimdIsa::kAvx2}) {
         if (k != kernels::SimdIsa::kScalar && !kernels::simd_isa_runnable(k))
           continue;
-        const auto ks = kernels::plan_bro_bcsr_kernels(a, k);
+        const kernels::BroBcsrKernel kn =
+            kernels::select_bro_bcsr_kernel(a, k);
         std::vector<value_t> y(ref.size(), 0.0);
-        for (std::size_t si = 0; si < ks.size(); ++si)
-          ks[si].spmv(a, si, x, y);
+        for (std::size_t si = 0; si < a.slices().size(); ++si)
+          kn.spmv(a, si, x, y);
         for (std::size_t i = 0; i < ref.size(); ++i)
           if (std::bit_cast<std::uint64_t>(y[i]) !=
               std::bit_cast<std::uint64_t>(ref[i])) {
