@@ -11,11 +11,10 @@
 #include <vector>
 
 #include "core/matrix.h"
-#include "engine/format_registry.h"
+#include "engine/autotune.h"
 #include "sparse/convert.h"
 #include "sparse/matgen/suite.h"
 #include "sparse/mmio.h"
-#include "util/rng.h"
 #include "util/table.h"
 
 int main(int argc, char** argv) {
@@ -49,21 +48,17 @@ int main(int argc, char** argv) {
   std::cout << "Index compression: " << savings.eta() * 100 << "% saved ("
             << savings.kappa() << "x)\n\n";
 
-  Rng rng(1);
-  std::vector<value_t> x(static_cast<std::size_t>(m.cols()));
-  for (auto& v : x) v = rng.uniform();
-
-  // One row per registered tunable format, one column per paper GPU; the
-  // registry's tune hook runs the analytic simulator.
+  // One row per cocktail format, one column per paper GPU: autotune's
+  // simulated GFlop/s, kept in cocktail order rather than ranked.
+  std::vector<engine::TuneResult> tuned;
+  for (const auto& dev : sim::all_devices())
+    tuned.push_back(engine::autotune(m.csr(), dev));
   Table t({"Format", "C2070 GFlop/s", "GTX680 GFlop/s", "K20 GFlop/s"});
-  for (const auto& tr : engine::format_registry()) {
-    if (!tr.tunable) continue;
-    std::vector<std::string> row = {tr.name};
-    if (tr.applicable(m.csr(), 3.0)) {
-      for (const auto& dev : sim::all_devices())
-        row.push_back(Table::fmt(tr.tune(dev, m.csr(), x).gflops, 2));
-    } else {
-      row.insert(row.end(), {"-", "-", "-"});
+  for (const core::Format f : engine::kCocktail) {
+    std::vector<std::string> row = {core::format_name(f)};
+    for (const auto& res : tuned) {
+      const auto& e = res.entry(f);
+      row.push_back(e.applicable ? Table::fmt(e.gflops, 2) : "-");
     }
     t.add_row(std::move(row));
   }

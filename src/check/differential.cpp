@@ -10,6 +10,8 @@
 
 #include "core/serialize.h"
 #include "engine/plan.h"
+#include "engine/simulate.h"
+#include "gpusim/device.h"
 #include "kernels/cpu_features.h"
 #include "sparse/matgen/adversarial.h"
 #include "sparse/matgen/generators.h"
@@ -19,11 +21,16 @@ namespace bro::check {
 
 namespace {
 
+constexpr double kEps = 1e-10;
+constexpr int kSpmmK = 3; // right-hand sides in the SpMM sweep
+// Matrices with rows or cols beyond this run the validate hook only: an x
+// vector of near-index_t-max size is not allocatable.
+constexpr index_t kMaxSpmvDim = index_t{1} << 24;
+
 /// Element-wise comparison against the reference with the mixed
-/// absolute/relative tolerance |y - ref| <= eps * (1 + |ref|).
+/// absolute/relative tolerance |y - ref| <= kEps * (1 + |ref|).
 bool matches_reference(std::span<const value_t> y,
-                       std::span<const value_t> ref, double eps,
-                       std::string& message) {
+                       std::span<const value_t> ref, std::string& message) {
   if (y.size() != ref.size()) {
     std::ostringstream os;
     os << "result has " << y.size() << " entries, reference has "
@@ -33,11 +40,11 @@ bool matches_reference(std::span<const value_t> y,
   }
   for (std::size_t i = 0; i < ref.size(); ++i) {
     const double err = std::abs(y[i] - ref[i]);
-    if (!(err <= eps * (1.0 + std::abs(ref[i])))) {
+    if (!(err <= kEps * (1.0 + std::abs(ref[i])))) {
       std::ostringstream os;
       os << "y[" << i << "] = " << y[i] << " vs reference " << ref[i]
          << " (|diff| = " << err << ", tol = "
-         << eps * (1.0 + std::abs(ref[i])) << ")";
+         << kEps * (1.0 + std::abs(ref[i])) << ")";
       message = os.str();
       return false;
     }
@@ -116,8 +123,7 @@ class Driver {
   void sweep(const std::string& name, sparse::Csr csr,
              std::uint64_t x_seed) {
     ++report_.matrices;
-    const bool spmv_safe =
-        csr.rows <= opts_.max_spmv_dim && csr.cols <= opts_.max_spmv_dim;
+    const bool spmv_safe = csr.rows <= kMaxSpmvDim && csr.cols <= kMaxSpmvDim;
 
     auto matrix = std::make_shared<core::Matrix>(
         core::Matrix::from_csr(std::move(csr)));
@@ -138,7 +144,7 @@ class Driver {
             << a.nnz() << (spmv_safe ? "" : " (validate only)") << "\n";
 
     for (const auto& t : engine::format_registry()) {
-      if (!t.applicable(a, opts_.max_ell_expand)) {
+      if (!t.applicable(a, core::MatrixOptions{}.max_ell_expand)) {
         ++report_.skipped;
         continue;
       }
@@ -175,19 +181,19 @@ class Driver {
 
     t.apply(rep, x, y);
     ++report_.comparisons;
-    if (!matches_reference(y, ref, opts_.eps, msg))
+    if (!matches_reference(y, ref, msg))
       fail(name, t.name, "apply", msg);
 
     // The planned path: execute twice. Both results must match and the
     // second execute must not grow the workspace.
     plan.execute(x, y);
     ++report_.comparisons;
-    if (!matches_reference(y, ref, opts_.eps, msg))
+    if (!matches_reference(y, ref, msg))
       fail(name, t.name, "plan", msg);
     const std::size_t allocs = plan.workspace_allocations();
     plan.execute(x, y);
     ++report_.comparisons;
-    if (!matches_reference(y, ref, opts_.eps, msg))
+    if (!matches_reference(y, ref, msg))
       fail(name, t.name, "plan", "second execute diverged: " + msg);
     if (plan.workspace_allocations() != allocs) {
       std::ostringstream os;
@@ -200,7 +206,7 @@ class Driver {
     // width-specialized dispatch table; the generic runtime-width decoder
     // must reproduce it bit for bit (same algorithm, same traversal, same
     // accumulation order — only the unpacking code differs).
-    if (opts_.decode_check && t.native_generic) {
+    if (t.native_generic) {
       std::vector<value_t> y_generic(ref.size());
       t.native_generic(rep, x, y_generic);
       ++report_.comparisons;
@@ -224,8 +230,7 @@ class Driver {
     // rounding. Gated on native_generic: only formats with a bit-level
     // decode path have SIMD kernels.
     const kernels::SimdIsa simd_isa = kernels::active_simd_isa();
-    if (opts_.simd_check && t.native_generic &&
-        simd_isa != kernels::SimdIsa::kScalar) {
+    if (t.native_generic && simd_isa != kernels::SimdIsa::kScalar) {
       kernels::ScopedSimdIsa forced(kernels::SimdIsa::kScalar);
       std::vector<value_t> y_scalar(ref.size());
       plan.execute(x, y_scalar);
@@ -243,14 +248,12 @@ class Driver {
       }
     }
 
-    if (opts_.simulate && t.sim_apply) {
-      const std::vector<value_t> sim_y = t.sim_apply(opts_.device, rep, x);
-      ++report_.comparisons;
-      if (!matches_reference(sim_y, ref, opts_.eps, msg))
-        fail(name, t.name, "sim", msg);
-    }
+    const std::vector<value_t> sim_y =
+        engine::simulate(sim::tesla_k20(), t.format, rep, x).y;
+    ++report_.comparisons;
+    if (!matches_reference(sim_y, ref, msg)) fail(name, t.name, "sim", msg);
 
-    if (opts_.spmm_k > 0) sweep_spmm(name, t, plan, x);
+    sweep_spmm(name, t, plan, x);
   }
 
   /// The .bro round trip: the representation's serialized bytes must
@@ -290,7 +293,7 @@ class Driver {
   /// any tolerance would only hide bugs.
   void sweep_spmm(const std::string& name, const engine::FormatTraits& t,
                   engine::SpmvPlan& plan, std::span<const value_t> x) {
-    const std::size_t k = static_cast<std::size_t>(opts_.spmm_k);
+    const std::size_t k = kSpmmK;
     const std::size_t cols = static_cast<std::size_t>(plan.cols());
     const std::size_t rows = static_cast<std::size_t>(plan.rows());
 
@@ -299,7 +302,7 @@ class Driver {
       for (std::size_t c = 0; c < cols; ++c)
         x_batch[c * k + j] = x[(c + j) % std::max<std::size_t>(cols, 1)];
 
-    plan.execute_multi(x_batch, y_batch, opts_.spmm_k);
+    plan.execute_multi(x_batch, y_batch, kSpmmK);
     const std::size_t allocs = plan.workspace_allocations();
 
     std::vector<value_t> xj(cols), yj(rows);
@@ -319,7 +322,7 @@ class Driver {
       }
     }
 
-    plan.execute_multi(x_batch, y_batch, opts_.spmm_k);
+    plan.execute_multi(x_batch, y_batch, kSpmmK);
     if (plan.workspace_allocations() != allocs) {
       std::ostringstream os;
       os << "second execute_multi grew the workspace (" << allocs << " -> "

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <fstream>
 #include <istream>
 #include <iterator>
 #include <limits>
@@ -1199,30 +1198,6 @@ sparse::Csr read_bro_to_csr(std::span<const std::uint8_t> bytes, Format* fmt) {
 sparse::Csr read_bro_to_csr(std::istream& in, Format* fmt) {
   return read_from_stream(in,
                           [fmt](ByteReader& r) { return decode_csr(r, fmt); });
-}
-
-void save_bro_ell(const std::string& path, const BroEll& m) {
-  std::ofstream out(path, std::ios::binary);
-  BRO_CHECK_MSG(out.good(), "cannot open '" << path << "' for writing");
-  write_bro_ell(out, m);
-}
-
-BroEll load_bro_ell(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  BRO_CHECK_MSG(in.good(), "cannot open '" << path << '\'');
-  return read_bro_ell(in);
-}
-
-void save_bro_hyb(const std::string& path, const BroHyb& m) {
-  std::ofstream out(path, std::ios::binary);
-  BRO_CHECK_MSG(out.good(), "cannot open '" << path << "' for writing");
-  write_bro_hyb(out, m);
-}
-
-BroHyb load_bro_hyb(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  BRO_CHECK_MSG(in.good(), "cannot open '" << path << '\'');
-  return read_bro_hyb(in);
 }
 
 } // namespace bro::core

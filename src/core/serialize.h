@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <span>
-#include <string>
 
 #include "core/bro_ans.h"
 #include "core/bro_bcsr.h"
@@ -73,11 +72,5 @@ sparse::Csr read_bro_to_csr(std::span<const std::uint8_t> bytes,
 
 /// The same from a stream positioned at the header.
 sparse::Csr read_bro_to_csr(std::istream& in, Format* fmt = nullptr);
-
-// File-path conveniences.
-void save_bro_ell(const std::string& path, const BroEll& m);
-BroEll load_bro_ell(const std::string& path);
-void save_bro_hyb(const std::string& path, const BroHyb& m);
-BroHyb load_bro_hyb(const std::string& path);
 
 } // namespace bro::core

@@ -8,8 +8,6 @@
 #include "engine/plan.h"
 #include "kernels/native_spmm.h"
 #include "kernels/native_spmv.h"
-#include "kernels/sim_spmv.h"
-#include "kernels/sim_spmv_ext.h"
 #include "sparse/spmv.h"
 #include "util/error.h"
 
@@ -19,7 +17,6 @@ namespace {
 
 using core::Format;
 using core::Matrix;
-using sim::DeviceSpec;
 using X = std::span<const value_t>;
 using Y = std::span<value_t>;
 
@@ -92,10 +89,8 @@ const std::vector<FormatTraits>& build_registry() {
       core::BroEll, core::BroHyb;
   using Opts = core::MatrixOptions;
   static const std::vector<FormatTraits> registry = {
-      // The host CSR reference is the correctness baseline, not a GPU
-      // cocktail candidate (the CSR-scalar/vector simulator baselines live
-      // in bench_baselines_csr). No make hook: the plan runs on the
-      // matrix's own CSR.
+      // The host CSR reference is the correctness baseline. No make hook:
+      // the plan runs on the matrix's own CSR.
       {.format = Format::kCsr, .name = "CSR", .auto_priority = 3,
        .applicable = always_applicable,
        .apply = [](const void* r, X x, Y y) {
@@ -109,12 +104,9 @@ const std::vector<FormatTraits>& build_registry() {
        },
        .validate = [](const void* r, const Csr&) {
          return check::validate_csr(as<Csr>(r));
-       },
-       .sim_apply = [](const DeviceSpec& dev, const void* r, X x) {
-         return kernels::sim_spmv_csr_scalar(dev, as<Csr>(r), x).y;
        }},
 
-      {.format = Format::kCoo, .name = "COO", .tunable = true,
+      {.format = Format::kCoo, .name = "COO",
        .applicable = always_applicable,
        .make = [](const Csr& csr, const Opts&) {
          return own(sparse::csr_to_coo(csr));
@@ -131,19 +123,12 @@ const std::vector<FormatTraits>& build_registry() {
        .validate = [](const void* r, const Csr& src) {
          return check::validate_coo(as<Coo>(r), &src);
        },
-       .sim_apply = [](const DeviceSpec& dev, const void* r, X x) {
-         return kernels::sim_spmv_coo(dev, as<Coo>(r), x).y;
-       },
        .rep_bytes = [](const void* r) {
          return as<Coo>(r).nnz() * kCooEntryBytes;
        },
-       .resident_bytes = resident_bytes_once<Format::kCoo>,
-       .tune = [](const DeviceSpec& dev, const Csr& csr, X x) {
-         const auto coo = sparse::csr_to_coo(csr);
-         return TuneOutcome{kernels::sim_spmv_coo(dev, coo, x).time.gflops};
-       }},
+       .resident_bytes = resident_bytes_once<Format::kCoo>},
 
-      {.format = Format::kEll, .name = "ELLPACK", .tunable = true,
+      {.format = Format::kEll, .name = "ELLPACK",
        .applicable = ell_applicable,
        .make = [](const Csr& csr, const Opts&) {
          return own(sparse::csr_to_ell(csr));
@@ -160,19 +145,12 @@ const std::vector<FormatTraits>& build_registry() {
        .validate = [](const void* r, const Csr& src) {
          return check::validate_ell(as<Ell>(r), &src);
        },
-       .sim_apply = [](const DeviceSpec& dev, const void* r, X x) {
-         return kernels::sim_spmv_ell(dev, as<Ell>(r), x).y;
-       },
        .rep_bytes = [](const void* r) {
          return as<Ell>(r).entries() * kEllEntryBytes;
        },
-       .resident_bytes = resident_bytes_once<Format::kEll>,
-       .tune = [](const DeviceSpec& dev, const Csr& csr, X x) {
-         const auto ell = sparse::csr_to_ell(csr);
-         return TuneOutcome{kernels::sim_spmv_ell(dev, ell, x).time.gflops};
-       }},
+       .resident_bytes = resident_bytes_once<Format::kEll>},
 
-      {.format = Format::kEllR, .name = "ELLPACK-R", .tunable = true,
+      {.format = Format::kEllR, .name = "ELLPACK-R",
        .applicable = ell_applicable,
        .make = [](const Csr& csr, const Opts&) {
          return own(sparse::csr_to_ellr(csr));
@@ -186,21 +164,14 @@ const std::vector<FormatTraits>& build_registry() {
        .validate = [](const void* r, const Csr& src) {
          return check::validate_ellr(as<EllR>(r), &src);
        },
-       .sim_apply = [](const DeviceSpec& dev, const void* r, X x) {
-         return kernels::sim_spmv_ellr(dev, as<EllR>(r), x).y;
-       },
        .rep_bytes = [](const void* r) {
          const auto& e = as<EllR>(r);
          return e.ell.entries() * kEllEntryBytes +
                 e.row_length.size() * sizeof(index_t);
        },
-       .resident_bytes = resident_bytes_once<Format::kEllR>,
-       .tune = [](const DeviceSpec& dev, const Csr& csr, X x) {
-         const auto ellr = sparse::csr_to_ellr(csr);
-         return TuneOutcome{kernels::sim_spmv_ellr(dev, ellr, x).time.gflops};
-       }},
+       .resident_bytes = resident_bytes_once<Format::kEllR>},
 
-      {.format = Format::kHyb, .name = "HYB", .tunable = true,
+      {.format = Format::kHyb, .name = "HYB",
        .applicable = always_applicable,
        .make = [](const Csr& csr, const Opts&) {
          return own(sparse::csr_to_hyb(csr));
@@ -218,21 +189,14 @@ const std::vector<FormatTraits>& build_registry() {
        .validate = [](const void* r, const Csr& src) {
          return check::validate_hyb(as<Hyb>(r), &src);
        },
-       .sim_apply = [](const DeviceSpec& dev, const void* r, X x) {
-         return kernels::sim_spmv_hyb(dev, as<Hyb>(r), x).y;
-       },
        .rep_bytes = [](const void* r) {
          const auto& h = as<Hyb>(r);
          return h.ell.entries() * kEllEntryBytes +
                 h.coo.nnz() * kCooEntryBytes;
        },
-       .resident_bytes = resident_bytes_once<Format::kHyb>,
-       .tune = [](const DeviceSpec& dev, const Csr& csr, X x) {
-         const auto hyb = sparse::csr_to_hyb(csr);
-         return TuneOutcome{kernels::sim_spmv_hyb(dev, hyb, x).time.gflops};
-       }},
+       .resident_bytes = resident_bytes_once<Format::kHyb>},
 
-      {.format = Format::kBroEll, .name = "BRO-ELL", .tunable = true,
+      {.format = Format::kBroEll, .name = "BRO-ELL",
        .auto_priority = 1, .applicable = ell_applicable,
        .make = [](const Csr& csr, const Opts& o) {
          return own(BroEll::compress(csr, csr.max_row_length(), o.ell));
@@ -256,9 +220,6 @@ const std::vector<FormatTraits>& build_registry() {
        .validate = [](const void* r, const Csr& src) {
          return check::validate_bro_ell(as<BroEll>(r), &src);
        },
-       .sim_apply = [](const DeviceSpec& dev, const void* r, X x) {
-         return kernels::sim_spmv_bro_ell(dev, as<BroEll>(r), x).y;
-       },
        .serialize = [](std::ostream& out, const void* r) {
          core::write_bro_ell(out, as<BroEll>(r));
        },
@@ -269,14 +230,9 @@ const std::vector<FormatTraits>& build_registry() {
        },
        .rep_savings = index_savings<BroEll>,
        .resident_bytes = resident_bytes_once<Format::kBroEll>,
-       .savings = savings_once<Format::kBroEll>,
-       .tune = [](const DeviceSpec& dev, const Csr& csr, X x) {
-         const auto bro = BroEll::compress(csr, csr.max_row_length());
-         return TuneOutcome{kernels::sim_spmv_bro_ell(dev, bro, x).time.gflops,
-                            index_savings<BroEll>(&bro).eta()};
-       }},
+       .savings = savings_once<Format::kBroEll>},
 
-      {.format = Format::kBroCoo, .name = "BRO-COO", .tunable = true,
+      {.format = Format::kBroCoo, .name = "BRO-COO",
        .applicable = always_applicable,
        .make = [](const Csr& csr, const Opts& o) {
          return own(BroCoo::compress(sparse::csr_to_coo(csr), o.coo));
@@ -311,9 +267,6 @@ const std::vector<FormatTraits>& build_registry() {
        .validate = [](const void* r, const Csr& src) {
          return check::validate_bro_coo(as<BroCoo>(r), &src);
        },
-       .sim_apply = [](const DeviceSpec& dev, const void* r, X x) {
-         return kernels::sim_spmv_bro_coo(dev, as<BroCoo>(r), x).y;
-       },
        .serialize = [](std::ostream& out, const void* r) {
          core::write_bro_coo(out, as<BroCoo>(r));
        },
@@ -328,19 +281,9 @@ const std::vector<FormatTraits>& build_registry() {
                                    bro.compressed_row_bytes());
        },
        .resident_bytes = resident_bytes_once<Format::kBroCoo>,
-       .savings = savings_once<Format::kBroCoo>,
-       .tune = [](const DeviceSpec& dev, const Csr& csr, X x) {
-         // Device-matched interval sizing (the COO kernel's launch rule).
-         const auto bro =
-             BroCoo::compress(sparse::csr_to_coo(csr),
-                              kernels::bro_coo_options_for(csr.nnz(), dev));
-         return TuneOutcome{kernels::sim_spmv_bro_coo(dev, bro, x).time.gflops,
-                            core::make_savings(bro.original_row_bytes(),
-                                               bro.compressed_row_bytes())
-                                .eta()};
-       }},
+       .savings = savings_once<Format::kBroCoo>},
 
-      {.format = Format::kBroHyb, .name = "BRO-HYB", .tunable = true,
+      {.format = Format::kBroHyb, .name = "BRO-HYB",
        .auto_priority = 2, .applicable = nonzero_applicable,
        .make = [](const Csr& csr, const Opts& o) {
          core::BroHybOptions ho;
@@ -385,9 +328,6 @@ const std::vector<FormatTraits>& build_registry() {
        .validate = [](const void* r, const Csr& src) {
          return check::validate_bro_hyb(as<BroHyb>(r), &src);
        },
-       .sim_apply = [](const DeviceSpec& dev, const void* r, X x) {
-         return kernels::sim_spmv_bro_hyb(dev, as<BroHyb>(r), x).y;
-       },
        .serialize = [](std::ostream& out, const void* r) {
          core::write_bro_hyb(out, as<BroHyb>(r));
        },
@@ -399,22 +339,11 @@ const std::vector<FormatTraits>& build_registry() {
        },
        .rep_savings = index_savings<BroHyb>,
        .resident_bytes = resident_bytes_once<Format::kBroHyb>,
-       .savings = savings_once<Format::kBroHyb>,
-       .tune = [](const DeviceSpec& dev, const Csr& csr, X x) {
-         // Identical partition to HYB (paper §4.2.3) with device-matched
-         // BRO-COO intervals for the overflow part.
-         const auto hyb = sparse::csr_to_hyb(csr);
-         core::BroHybOptions ho;
-         ho.width_override = hyb.ell.width;
-         ho.coo = kernels::bro_coo_options_for(hyb.coo.nnz(), dev);
-         const auto bro = BroHyb::compress(csr, ho);
-         return TuneOutcome{kernels::sim_spmv_bro_hyb(dev, bro, x).time.gflops,
-                            index_savings<BroHyb>(&bro).eta()};
-       }},
+       .savings = savings_once<Format::kBroHyb>},
 
       // No OpenMP host kernel yet: the plan falls back to the sequential
       // warp-scan decode.
-      {.format = Format::kBroCsr, .name = "BRO-CSR", .tunable = true,
+      {.format = Format::kBroCsr, .name = "BRO-CSR",
        .applicable = always_applicable,
        .make = [](const Csr& csr, const Opts&) {
          return own(BroCsr::compress(csr));
@@ -422,9 +351,6 @@ const std::vector<FormatTraits>& build_registry() {
        .apply = [](const void* r, X x, Y y) { as<BroCsr>(r).spmv(x, y); },
        .validate = [](const void* r, const Csr& src) {
          return check::validate_bro_csr(as<BroCsr>(r), &src);
-       },
-       .sim_apply = [](const DeviceSpec& dev, const void* r, X x) {
-         return kernels::sim_spmv_bro_csr(dev, as<BroCsr>(r), x).y;
        },
        .serialize = [](std::ostream& out, const void* r) {
          core::write_bro_csr(out, as<BroCsr>(r));
@@ -437,16 +363,8 @@ const std::vector<FormatTraits>& build_registry() {
        },
        .rep_savings = index_savings<BroCsr>,
        .resident_bytes = resident_bytes_once<Format::kBroCsr>,
-       .savings = savings_once<Format::kBroCsr>,
-       .tune = [](const DeviceSpec& dev, const Csr& csr, X x) {
-         const auto bro = BroCsr::compress(csr);
-         return TuneOutcome{kernels::sim_spmv_bro_csr(dev, bro, x).time.gflops,
-                            index_savings<BroCsr>(&bro).eta()};
-       }},
+       .savings = savings_once<Format::kBroCsr>},
 
-      // Not tunable: the symbol model adapts to the matrix by construction
-      // (the frequency table is rebuilt per matrix), leaving no
-      // device-dependent knob for the cocktail to sweep.
       {.format = Format::kBroAns, .name = "BRO-ANS",
        .applicable = ell_applicable,
        .make = [](const Csr& csr, const Opts& o) {
@@ -467,9 +385,6 @@ const std::vector<FormatTraits>& build_registry() {
        .validate = [](const void* r, const Csr& src) {
          return check::validate_bro_ans(as<BroAns>(r), &src);
        },
-       .sim_apply = [](const DeviceSpec& dev, const void* r, X x) {
-         return kernels::sim_spmv_bro_ans(dev, as<BroAns>(r), x).y;
-       },
        .serialize = [](std::ostream& out, const void* r) {
          core::write_bro_ans(out, as<BroAns>(r));
        },
@@ -487,7 +402,7 @@ const std::vector<FormatTraits>& build_registry() {
       // core/bro_bcsr.cpp) passes: on matrices that block well it beats
       // BRO-ELL on both eta and decode rate, and the gate keeps it off
       // everything else (notably all of Test Set 1).
-      {.format = Format::kBroBcsr, .name = "BRO-BCSR", .tunable = true,
+      {.format = Format::kBroBcsr, .name = "BRO-BCSR",
        .auto_priority = 0,
        .applicable = [](const Csr& csr, double max_ell_expand) {
          return core::bro_bcsr_applicable(csr, max_ell_expand);
@@ -515,9 +430,6 @@ const std::vector<FormatTraits>& build_registry() {
        .validate = [](const void* r, const Csr& src) {
          return check::validate_bro_bcsr(as<BroBcsr>(r), &src);
        },
-       .sim_apply = [](const DeviceSpec& dev, const void* r, X x) {
-         return kernels::sim_spmv_bro_bcsr(dev, as<BroBcsr>(r), x).y;
-       },
        .serialize = [](std::ostream& out, const void* r) {
          core::write_bro_bcsr(out, as<BroBcsr>(r));
        },
@@ -530,12 +442,7 @@ const std::vector<FormatTraits>& build_registry() {
        // explicit-zero value slots against the index-bit savings.
        .rep_savings = index_savings<BroBcsr>,
        .resident_bytes = resident_bytes_once<Format::kBroBcsr>,
-       .savings = savings_once<Format::kBroBcsr>,
-       .tune = [](const DeviceSpec& dev, const Csr& csr, X x) {
-         const auto bro = BroBcsr::compress(csr);
-         return TuneOutcome{kernels::sim_spmv_bro_bcsr(dev, bro, x).time.gflops,
-                            index_savings<BroBcsr>(&bro).eta()};
-       }},
+       .savings = savings_once<Format::kBroBcsr>},
   };
   return registry;
 }

@@ -1,16 +1,17 @@
-// bro::engine format registry — the single format-dispatch site.
+// bro::engine format registry — the single dispatch site for host
+// execution.
 //
 // Every storage format the library knows (the paper's formats, their
 // baselines and the extensions) registers one FormatTraits entry: its name,
 // applicability predicate (the ELL-viability rule), a make hook that builds
-// the representation from the CSR, the hooks that run on that built
+// the representation from the CSR, and the host hooks that run on that
 // representation (workspace build, reference apply, native kernels,
-// validation, simulator, serialization, byte accounting) and the simulator
-// tuning hook. Ownership has one rule: a plan owns what it runs. The make
-// hook's result lives in the engine::SpmvPlan that asked for it and dies
-// with it. format_name, name parsing, auto-selection, the autotuner's
-// candidate enumeration, the CLI's --format handling and the bench harness
-// iterate this table, so adding a format is a one-entry change.
+// validation, serialization, byte accounting). Ownership has one rule: a
+// plan owns what it runs. The make hook's result lives in the
+// engine::SpmvPlan that asked for it and dies with it. format_name, name
+// parsing, auto-selection, the CLI's --format handling and the bench
+// harness iterate this table. Adding a format takes one entry here and one
+// case in the GPU simulator's own switch (engine/simulate.h).
 #pragma once
 
 #include <iosfwd>
@@ -22,20 +23,11 @@
 
 #include "core/matrix.h"
 #include "core/savings.h"
-#include "gpusim/device.h"
 #include "util/types.h"
 
 namespace bro::engine {
 
 class Workspace; // plan.h
-
-/// What the simulator reports for one (format, device) tuning candidate:
-/// modelled throughput plus the index space savings of the device-tuned
-/// compressed object (0 for uncompressed formats).
-struct TuneOutcome {
-  double gflops = 0;
-  double eta = 0;
-};
 
 /// A format's built representation: one heap object of the type its
 /// registry entry's make hook chose, owned by the plan that runs it. Its
@@ -49,7 +41,6 @@ using Representation = std::shared_ptr<const void>;
 struct FormatTraits {
   core::Format format;
   const char* name;       // the canonical display/CLI name ("BRO-ELL", ...)
-  bool tunable = false;   // participates in the autotuner's cocktail
   int auto_priority = -1; // auto_format(): lowest applicable wins; <0 = never
 
   /// Can this format hold the matrix without pathological expansion?
@@ -97,14 +88,6 @@ struct FormatTraits {
   std::vector<std::string> (*validate)(const void* rep,
                                        const sparse::Csr& source) = nullptr;
 
-  /// Simulator-kernel numerical result for differential testing: runs the
-  /// GPU-simulator kernel on the plan's representation (not tune()'s
-  /// device-matched one), so validate / apply / native / sim all exercise
-  /// the same object.
-  std::vector<value_t> (*sim_apply)(const sim::DeviceSpec& dev,
-                                    const void* rep,
-                                    std::span<const value_t> x) = nullptr;
-
   /// Write the representation as a tagged .bro stream (null when the
   /// format has no on-disk form).
   void (*serialize)(std::ostream& out, const void* rep) = nullptr;
@@ -122,11 +105,6 @@ struct FormatTraits {
   /// with rep_bytes / rep_savings, drop it. Null exactly where those are.
   std::size_t (*resident_bytes)(const core::Matrix& m) = nullptr;
   core::Savings (*savings)(const core::Matrix& m) = nullptr;
-
-  /// Simulator run with device-matched compression options (null for
-  /// formats excluded from the cocktail, e.g. the CSR host reference).
-  TuneOutcome (*tune)(const sim::DeviceSpec& dev, const sparse::Csr& csr,
-                      std::span<const value_t> x) = nullptr;
 };
 
 /// The registered formats, in core::Format enumeration order.

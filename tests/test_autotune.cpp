@@ -6,6 +6,7 @@
 
 #include "engine/autotune.h"
 #include "engine/format_registry.h"
+#include "kernels/sim_spmv.h"
 #include "sparse/convert.h"
 #include "sparse/matgen/generators.h"
 #include "sparse/matgen/suite.h"
@@ -134,5 +135,45 @@ TEST(Autotune, DeterministicAcrossCalls) {
   for (std::size_t i = 0; i < a.ranking.size(); ++i) {
     EXPECT_EQ(a.ranking[i].format, b.ranking[i].format);
     EXPECT_DOUBLE_EQ(a.ranking[i].gflops, b.ranking[i].gflops);
+  }
+}
+
+TEST(Autotune, DeviceMatchedOptionsSizeBroCooAndTheHybOverflow) {
+  // Twenty spiked rows push ~20k entries past HYB's split width, so the
+  // whole matrix and the overflow part each size their intervals
+  // differently on a GTX680 (8 SMs) and a K20 (13 SMs).
+  bs::GenSpec spec;
+  spec.rows = 4000;
+  spec.cols = 4000;
+  spec.mu = 8;
+  spec.sigma = 2;
+  spec.spike_rows = 20;
+  spec.spike_len = 1000;
+  spec.seed = 24;
+  const bs::Csr csr = bs::generate(spec);
+  const std::size_t overflow_nnz = bs::csr_to_hyb(csr).coo.nnz();
+  ASSERT_GT(overflow_nnz, 0u);
+  const auto gtx = gs::gtx680(), k20 = gs::tesla_k20();
+  ASSERT_NE(bro::kernels::bro_coo_options_for(csr.nnz(), gtx).interval_cols,
+            bro::kernels::bro_coo_options_for(csr.nnz(), k20).interval_cols);
+  ASSERT_NE(
+      bro::kernels::bro_coo_options_for(overflow_nnz, gtx).interval_cols,
+      bro::kernels::bro_coo_options_for(overflow_nnz, k20).interval_cols);
+
+  // eta of f's representation built with BRO-COO options sized for `nnz`.
+  const auto eta_built = [&](bc::Format f, std::size_t nnz,
+                             const gs::DeviceSpec& dev) {
+    bc::MatrixOptions opts;
+    opts.coo = bro::kernels::bro_coo_options_for(nnz, dev);
+    const auto& t = bk::traits(f);
+    return t.rep_savings(t.make(csr, opts).get()).eta();
+  };
+  for (const auto& dev : {gtx, k20}) {
+    SCOPED_TRACE(dev.name);
+    const auto res = bk::autotune(csr, dev);
+    EXPECT_EQ(res.entry(bc::Format::kBroCoo).eta,
+              eta_built(bc::Format::kBroCoo, csr.nnz(), dev));
+    EXPECT_EQ(res.entry(bc::Format::kBroHyb).eta,
+              eta_built(bc::Format::kBroHyb, overflow_nnz, dev));
   }
 }

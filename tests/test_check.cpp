@@ -15,9 +15,12 @@
 #include "core/matrix.h"
 #include "engine/format_registry.h"
 #include "engine/plan.h"
+#include "engine/simulate.h"
+#include "gpusim/device.h"
 #include "sparse/convert.h"
 #include "sparse/matgen/adversarial.h"
 #include "sparse/matgen/generators.h"
+#include "sparse/matgen/suite.h"
 
 namespace bc = bro::core;
 namespace be = bro::engine;
@@ -65,9 +68,22 @@ TEST(Validate, EveryRegisteredFormatValidatesCleanMatrices) {
 }
 
 TEST(Validate, RegistryHooksAreFullyPopulated) {
+  // Every registered format has a validator and a case in the simulator's
+  // switch: simulate runs on each plan's representation and returns y. The
+  // truss FEM stand-in is one matrix that every format can hold.
+  const bs::Csr csr =
+      bs::generate_suite_matrix(*bs::find_suite_entry("fem"), 0.02);
+  const auto m = std::make_shared<const bc::Matrix>(bc::Matrix::from_csr(csr));
+  const std::vector<value_t> x(static_cast<std::size_t>(csr.cols), 1.0);
   for (const auto& t : be::format_registry()) {
     EXPECT_NE(t.validate, nullptr) << t.name;
-    EXPECT_NE(t.sim_apply, nullptr) << t.name;
+    ASSERT_TRUE(t.applicable(csr, 3.0)) << t.name;
+    const be::SpmvPlan plan(m, t.format);
+    EXPECT_EQ(be::simulate(bro::sim::tesla_k20(), t.format,
+                           plan.representation(), x)
+                  .y.size(),
+              static_cast<std::size_t>(csr.rows))
+        << t.name;
   }
 }
 
@@ -253,7 +269,6 @@ TEST(Fuzz, IsDeterministicPerSeed) {
   ck::FuzzOptions opts;
   opts.rounds = 2;
   opts.seed = 99;
-  opts.simulate = false; // keep the repeat run cheap
   const auto a = ck::run_fuzz(opts, nullptr);
   const auto b = ck::run_fuzz(opts, nullptr);
   EXPECT_EQ(a.matrices, b.matrices);
@@ -267,7 +282,6 @@ TEST(Fuzz, LogReportsEveryMatrix) {
   ck::FuzzOptions opts;
   opts.rounds = 1;
   opts.seed = 7;
-  opts.simulate = false;
   std::ostringstream log;
   const auto report = ck::run_fuzz(opts, &log);
   EXPECT_TRUE(report.ok());

@@ -16,6 +16,7 @@
 #include "core/savings.h"
 #include "engine/format_registry.h"
 #include "engine/plan.h"
+#include "engine/simulate.h"
 #include "gpusim/device.h"
 #include "sparse/convert.h"
 #include "sparse/mmio.h"
@@ -134,12 +135,10 @@ TEST(CrossFormat, AdversarialSweepAcrossRegistry) {
       for (std::size_t r = 0; r < y_plan.size(); ++r)
         ASSERT_NEAR(y_plan[r], y_ref[r], 1e-10 * (1.0 + std::abs(y_ref[r])));
 
-      if (t.sim_apply) {
-        const auto y_sim = t.sim_apply(dev, rep, x);
-        ASSERT_EQ(y_sim.size(), y_ref.size());
-        for (std::size_t r = 0; r < y_sim.size(); ++r)
-          ASSERT_NEAR(y_sim[r], y_ref[r], 1e-10 * (1.0 + std::abs(y_ref[r])));
-      }
+      const auto y_sim = be::simulate(dev, t.format, rep, x).y;
+      ASSERT_EQ(y_sim.size(), y_ref.size());
+      for (std::size_t r = 0; r < y_sim.size(); ++r)
+        ASSERT_NEAR(y_sim[r], y_ref[r], 1e-10 * (1.0 + std::abs(y_ref[r])));
     }
   }
 }

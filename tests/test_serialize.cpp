@@ -4,9 +4,7 @@
 // count fields stomped to just under the sanity bound, interior padding.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <vector>
 
@@ -257,16 +255,6 @@ TEST(Serialize, BroCsrRoundTrip) {
   expect_same_spmv(orig, back, csr.cols, csr.rows);
 }
 
-TEST(Serialize, FileHelpers) {
-  const std::string path = ::testing::TempDir() + "/bro_serialize_test.bro";
-  const bs::Csr csr = test_matrix(5);
-  const auto orig = bc::BroEll::compress(bs::csr_to_ell(csr));
-  bc::save_bro_ell(path, orig);
-  const auto back = bc::load_bro_ell(path);
-  EXPECT_EQ(back.decompress().col_idx, orig.decompress().col_idx);
-  std::remove(path.c_str());
-}
-
 TEST(Serialize, PeekFormatIdentifiesEveryTag) {
   // Each stream identifies its own format — the CLI uses this to load a
   // .bro file written with any --format, not just BRO-HYB.
@@ -336,11 +324,6 @@ TEST(SerializeFailure, CorruptedSizeField) {
   for (int i = 0; i < 8; ++i) bytes[29 + i] = '\xff';
   std::stringstream bad(bytes);
   EXPECT_THROW(bc::read_bro_ell(bad), std::runtime_error);
-}
-
-TEST(SerializeFailure, MissingFile) {
-  EXPECT_THROW(bc::load_bro_ell("/nonexistent/x.bro"), std::runtime_error);
-  EXPECT_THROW(bc::load_bro_hyb("/nonexistent/x.bro"), std::runtime_error);
 }
 
 // ---- one-pass ingest: .bro bytes straight to CSR ----

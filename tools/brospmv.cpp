@@ -22,7 +22,6 @@
 #include <fstream>
 #include <future>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -69,8 +68,7 @@ int usage() {
          "  tune <matrix> [--device D]         simulated format ranking\n"
          "  bench <matrix>                     per-format simulated GFlop/s\n"
          "  fuzz [--rounds N] [--seed S]       differential-test every format\n"
-         "       [--eps E] [--device D] [--no-sim] [--no-decode] [--no-simd]\n"
-         "       [--quiet] [--spmm-k K]\n"
+         "       [--quiet]\n"
          "  cpuinfo [--short]                  SIMD probe + dispatch report\n"
          "                                     (--short: active ISA only)\n"
          "  bench --decode [--min-time S]      host decode-throughput sweep\n"
@@ -601,25 +599,17 @@ int cmd_bench(const Args& args) {
   args.allow_only({"scale"});
   // Equivalent to tune but over all three devices, one column each.
   const sparse::Csr m = load_matrix(args.positional().at(1), args);
+  std::vector<engine::TuneResult> tuned;
+  for (const auto& dev : sim::all_devices())
+    tuned.push_back(engine::autotune(m, dev));
+  // Rows in the first device's ranking order.
   Table t({"Format", "C2070", "GTX680", "K20"});
-  bool first = true;
-  std::vector<std::string> names;
-  std::map<std::string, std::vector<std::string>> cells;
-  for (const auto& dev : sim::all_devices()) {
-    const auto res = engine::autotune(m, dev);
-    for (const auto& e : res.ranking) {
-      const std::string n = core::format_name(e.format);
-      if (first) names.push_back(n);
-      cells[n].push_back(e.applicable ? Table::fmt(e.gflops, 2) : "-");
+  for (const auto& first : tuned.front().ranking) {
+    std::vector<std::string> row = {core::format_name(first.format)};
+    for (const auto& res : tuned) {
+      const auto& e = res.entry(first.format);
+      row.push_back(e.applicable ? Table::fmt(e.gflops, 2) : "-");
     }
-    first = false;
-  }
-  for (const auto& n : names) {
-    std::vector<std::string> row = {n};
-    // Rankings may order formats differently per device; pad defensively.
-    auto& c = cells[n];
-    c.resize(3, "-");
-    row.insert(row.end(), c.begin(), c.end());
     t.add_row(std::move(row));
   }
   t.print(std::cout);
@@ -627,20 +617,12 @@ int cmd_bench(const Args& args) {
 }
 
 int cmd_fuzz(const Args& args) {
-  args.allow_only({"rounds", "seed", "eps", "no-sim", "device", "spmm-k",
-                   "no-decode", "no-simd", "quiet"});
+  args.allow_only({"rounds", "seed", "quiet"});
   check::FuzzOptions opts;
   opts.rounds = static_cast<int>(args.get_long("rounds", opts.rounds));
   if (opts.rounds < 0) throw std::runtime_error("--rounds must be >= 0");
   opts.seed = static_cast<std::uint64_t>(
       args.get_long("seed", static_cast<long>(opts.seed)));
-  opts.eps = args.get_double("eps", opts.eps);
-  opts.simulate = !args.has("no-sim");
-  opts.device = device_from(args);
-  opts.spmm_k = static_cast<int>(args.get_long("spmm-k", opts.spmm_k));
-  if (opts.spmm_k < 0) throw std::runtime_error("--spmm-k must be >= 0");
-  opts.decode_check = !args.has("no-decode");
-  opts.simd_check = !args.has("no-simd");
 
   std::ostream* log = args.has("quiet") ? nullptr : &std::cout;
   const auto report = check::run_fuzz(opts, log);
@@ -734,31 +716,55 @@ int cmd_serve_bench(const Args& args) {
     server.add_matrix(entry.name, std::move(m));
   }
 
+  // Submit, retrying while the server pushes back: help drain the queue
+  // (synchronous mode) or back off.
+  auto submit = [&](std::size_t m, const std::vector<value_t>& x,
+                    const std::string& client) {
+    for (;;) {
+      try {
+        return server.submit(ids[m], x, client);
+      } catch (const serve::RejectedError&) {
+        if (opts.threads == 0)
+          server.poll_once();
+        else
+          std::this_thread::yield();
+      }
+    }
+  };
+
+  // Untimed warm-up: one request per matrix builds its plan, and each
+  // client draws its x for every matrix up front (one per matrix, reused
+  // across its requests), so the timed run below measures serving alone.
+  Timer warm;
+  std::vector<std::vector<std::vector<value_t>>> xs(
+      static_cast<std::size_t>(clients));
+  for (int c = 0; c < clients; ++c) {
+    Rng rng(seed + static_cast<std::uint64_t>(c) * 7919);
+    for (const index_t n : cols) {
+      auto& x = xs[static_cast<std::size_t>(c)].emplace_back(
+          static_cast<std::size_t>(n));
+      for (auto& v : x) v = rng.uniform() * 2 - 1;
+    }
+  }
+  for (std::size_t m = 0; m < ids.size(); ++m) {
+    auto f = submit(m, xs[0][m], "warm-up");
+    if (opts.threads == 0)
+      while (server.poll_once()) {}
+    f.get();
+  }
+  const auto warm_served = server.metrics().served;
+  std::cout << "warm-up   one request per matrix (" << warm_served
+            << ") and every client's x in " << warm.seconds()
+            << " s, untimed\n";
+
   std::atomic<std::size_t> served_rows{0};
   std::atomic<int> submitting{clients};
   auto client = [&](int c) {
-    Rng rng(seed + static_cast<std::uint64_t>(c) * 7919);
     std::vector<std::future<std::vector<value_t>>> pending;
+    const std::string name = "client-" + std::to_string(c);
     for (long r = 0; r < requests; ++r) {
       const std::size_t m = static_cast<std::size_t>(r) % ids.size();
-      std::vector<value_t> x(static_cast<std::size_t>(cols[m]));
-      for (auto& v : x) v = rng.uniform() * 2 - 1;
-      for (;;) {
-        try {
-          // Copy per attempt: submit takes x by value, so a rejection
-          // would otherwise leave the retry with a moved-from (empty) x.
-          std::vector<value_t> attempt = x;
-          pending.push_back(server.submit(ids[m], std::move(attempt),
-                                          "client-" + std::to_string(c)));
-          break;
-        } catch (const serve::RejectedError&) {
-          // Backpressure: help (synchronous mode) or back off and retry.
-          if (opts.threads == 0)
-            server.poll_once();
-          else
-            std::this_thread::yield();
-        }
-      }
+      pending.push_back(submit(m, xs[static_cast<std::size_t>(c)][m], name));
       if (opts.threads == 0 && pending.size() % 16 == 0) server.poll_once();
     }
     submitting.fetch_sub(1);
@@ -790,8 +796,9 @@ int cmd_serve_bench(const Args& args) {
 
   const auto m = server.metrics();
   const long total = static_cast<long>(clients) * requests;
-  std::cout << "\nserved    " << m.served << " / " << total << " requests in "
-            << secs << " s (" << double(m.served) / secs << " req/s, "
+  const auto served = m.served - warm_served;
+  std::cout << "\nserved    " << served << " / " << total << " requests in "
+            << secs << " s (" << double(served) / secs << " req/s, "
             << double(served_rows.load()) / secs << " rows/s)\n"
             << "rejected  " << m.rejected << " submits bounced (retried): "
             << m.shed << " shed, " << m.throttled << " throttled\n"

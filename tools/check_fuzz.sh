@@ -20,12 +20,16 @@ if "$BROSPMV" fuzz --rounds 3abc --seed 2013 2>err.txt; then
 fi
 grep -q "expects an integer" err.txt
 
-echo "== unknown flag must fail =="
-if "$BROSPMV" fuzz --rounds 3 --seed 2013 --no-shard 2>err.txt; then
-  echo "FAIL: --no-shard was accepted"
-  exit 1
-fi
-grep -q -- "--no-shard" err.txt
+echo "== unknown flag or check opt-out must fail =="
+# Every fuzz check is always on: a flag that would turn one off, like any
+# flag the command does not read, must be a hard error naming the flag.
+for flag in no-shard no-decode; do
+  if "$BROSPMV" fuzz --rounds 3 --seed 2013 --$flag 2>err.txt; then
+    echo "FAIL: --$flag was accepted"
+    exit 1
+  fi
+  grep -q -- "--$flag" err.txt
+done
 rm -f err.txt
 
 echo "check_fuzz: OK"
