@@ -10,6 +10,7 @@
 
 #include "core/serialize.h"
 #include "engine/autotune.h"
+#include "engine/plan.h"
 #include "solver/bicgstab.h"
 #include "sparse/convert.h"
 #include "sparse/matgen/generators.h"
@@ -55,11 +56,11 @@ int main(int argc, char** argv) {
             << " bytes (index data " << bro.compressed_index_bytes()
             << " B compressed from " << bro.original_index_bytes() << " B)\n";
 
-  const auto loaded = core::read_bro_hyb(storage);
-  const solver::Operator op = [&](std::span<const value_t> in,
-                                  std::span<value_t> out) {
-    loaded.spmv(in, out);
-  };
+  // Loading yields CSR; the plan rebuilds BRO-HYB from it, as the server
+  // does with an upload.
+  const solver::Operator op = engine::plan_operator(engine::make_shared_plan(
+      core::Matrix::from_csr(core::read_bro_to_csr(storage)),
+      core::Format::kBroHyb));
   const std::vector<value_t> x_true(static_cast<std::size_t>(m.rows), 1.0);
   std::vector<value_t> b(x_true.size());
   op(x_true, b);
@@ -67,7 +68,7 @@ int main(int argc, char** argv) {
   solver::SolveOptions sopts;
   sopts.max_iterations = 3000;
   const auto res = solver::bicgstab(op, b, x, sopts);
-  std::cout << "BiCGSTAB through the loaded compressed operator: "
+  std::cout << "BiCGSTAB through the reloaded BRO-HYB plan: "
             << (res.converged ? "converged" : "FAILED") << " in "
             << res.iterations << " iterations (relative residual "
             << res.residual_norm << ")\n";

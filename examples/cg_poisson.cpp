@@ -37,6 +37,7 @@ int main(int argc, char** argv) {
   opts.max_iterations = 4000;
   opts.tolerance = 1e-10;
 
+  bool converged = true;
   const auto solve_with = [&](core::Format fmt, const char* label) {
     std::vector<value_t> x(n, 0.0);
     // One plan per format: conversion and workspace sizing happen here,
@@ -46,6 +47,7 @@ int main(int argc, char** argv) {
     Timer t;
     const auto res = solver::cg(op, b, x, opts);
     const double secs = t.seconds();
+    converged = converged && res.converged;
     double err = 0;
     for (std::size_t i = 0; i < n; ++i) err = std::max(err, std::abs(x[i] - 1.0));
     std::cout << "  " << label << ": "
@@ -66,5 +68,5 @@ int main(int argc, char** argv) {
             << "of " << savings.original_bytes << " B ("
             << savings.eta() * 100 << "% saved) — the memory-traffic saving "
             << "the paper converts into GPU speedup.\n";
-  return 0;
+  return converged ? 0 : 1;
 }

@@ -59,26 +59,6 @@ int BitString::pad_to_multiple(int multiple) {
   return pad;
 }
 
-std::uint64_t BitString::peek(std::size_t bit_pos, int nbits) const {
-  BRO_CHECK_MSG(nbits >= 0 && nbits <= 64, "nbits=" << nbits);
-  if (nbits == 0) return 0;
-  std::uint64_t out = 0;
-  int remaining = nbits;
-  while (remaining > 0) {
-    const std::size_t word = bit_pos / 64;
-    const int offset = static_cast<int>(bit_pos % 64);
-    const int room = 64 - offset;
-    const int take = remaining < room ? remaining : room;
-    std::uint64_t w = word < words_.size() ? words_[word] : 0;
-    // Bits [offset, offset+take) of w, counting from the MSB side.
-    const std::uint64_t chunk = (w >> (room - take)) & max_value_for_bits(take);
-    out = (take == 64) ? chunk : ((out << take) | chunk);
-    bit_pos += static_cast<std::size_t>(take);
-    remaining -= take;
-  }
-  return out;
-}
-
 BitString BitString::from_words(std::vector<std::uint64_t> words,
                                 std::size_t size_bits) {
   BRO_CHECK_MSG(words.size() == (size_bits + 63) / 64,

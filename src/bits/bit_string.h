@@ -10,9 +10,34 @@
 #include <cstdint>
 #include <vector>
 
+#include "bits/bitwidth.h"
 #include "util/error.h"
 
 namespace bro::bits {
+
+/// Read `nbits` bits starting at `bit_pos` (MSB-first order) from a word
+/// sequence with size() and operator[]: a BitString's own words, or a
+/// serialized stream's words read where they lie (core/serialize.cpp).
+/// Bits beyond the last word read as zero.
+template <typename Words>
+std::uint64_t peek_bits(const Words& words, std::size_t bit_pos, int nbits) {
+  BRO_CHECK_MSG(nbits >= 0 && nbits <= 64, "nbits=" << nbits);
+  std::uint64_t out = 0;
+  int remaining = nbits;
+  while (remaining > 0) {
+    const std::size_t word = bit_pos / 64;
+    const int offset = static_cast<int>(bit_pos % 64);
+    const int room = 64 - offset;
+    const int take = remaining < room ? remaining : room;
+    const std::uint64_t w = word < words.size() ? words[word] : 0;
+    // Bits [offset, offset+take) of w, counting from the MSB side.
+    const std::uint64_t chunk = (w >> (room - take)) & max_value_for_bits(take);
+    out = (take == 64) ? chunk : ((out << take) | chunk);
+    bit_pos += static_cast<std::size_t>(take);
+    remaining -= take;
+  }
+  return out;
+}
 
 class BitString {
  public:
@@ -44,7 +69,9 @@ class BitString {
   }
 
   /// Read back `nbits` bits starting at `bit_pos` (MSB-first order).
-  std::uint64_t peek(std::size_t bit_pos, int nbits) const;
+  std::uint64_t peek(std::size_t bit_pos, int nbits) const {
+    return peek_bits(words_, bit_pos, nbits);
+  }
 
   /// Release the capacity that appends left beyond the stored words (for a
   /// finished, read-only stream).

@@ -34,8 +34,6 @@
 
 namespace bro::core {
 
-struct SerializeAccess;
-
 struct BroAnsOptions {
   int slice_height = 256; // h: rows per slice, as in BRO-ELL
   int sym_len = 32;       // bits per load during decompression (32 or 64)
@@ -134,8 +132,6 @@ class BroAns {
   value_t val_at(index_t r, index_t j) const {
     return vals_[static_cast<std::size_t>(j) * rows_ + r];
   }
-
-  friend struct SerializeAccess; // serialization (serialize.cpp)
 
  private:
   index_t rows_ = 0;

@@ -38,8 +38,6 @@
 
 namespace bro::core {
 
-struct SerializeAccess;
-
 struct BroBcsrOptions {
   // Forced block shape; 0 = choose per matrix by the savings model.
   // block_cols must divide 8 (lane-group alignment), block_rows <= 8.
@@ -146,7 +144,7 @@ class BroBcsr {
   void spmv(std::span<const value_t> x, std::span<value_t> y) const;
 
   /// Exact reconstruction including explicit fill-in zeros (validation and
-  /// generic serving paths).
+  /// tests; a .bro stream loads through core::read_bro_to_csr instead).
   sparse::Csr to_csr() const;
 
   /// Index bytes (streams + per-slice headers) plus the fill charge: a
@@ -162,8 +160,6 @@ class BroBcsr {
   /// Baseline ELLPACK index size of the source (rows * max_row_len * 4),
   /// identical to BRO-ELL's baseline so etas are comparable.
   std::size_t original_index_bytes() const;
-
-  friend struct SerializeAccess; // serialization (serialize.cpp)
 
  private:
   index_t rows_ = 0;

@@ -22,8 +22,6 @@
 
 namespace bro::core {
 
-struct SerializeAccess;
-
 struct BroCooOptions {
   int warp_size = 32;     // lanes per interval (GPU warp width)
   int interval_cols = 64; // entries per lane; interval = warp_size * this
@@ -88,8 +86,6 @@ class BroCoo {
 
   /// Original row-index bytes (nnz * 4, unpadded).
   std::size_t original_row_bytes() const { return nnz_ * sizeof(index_t); }
-
-  friend struct SerializeAccess; // serialization (serialize.cpp)
 
  private:
   index_t rows_ = 0;

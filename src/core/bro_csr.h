@@ -25,8 +25,6 @@
 
 namespace bro::core {
 
-struct SerializeAccess;
-
 struct BroCsrOptions {
   int sym_len = 32;
 };
@@ -48,6 +46,8 @@ class BroCsr {
     return sym_ptr_;
   }
   const util::UninitVector<value_t>& vals() const { return vals_; }
+  /// Every row's packed deltas, as written to a .bro stream.
+  const bits::BitString& stream() const { return stream_; }
 
   /// Symbol `i` of the global packed stream (right-aligned sym_len bits).
   std::uint64_t symbol(std::size_t i) const {
@@ -74,8 +74,6 @@ class BroCsr {
 
   /// Original CSR column-index bytes (nnz * 4).
   std::size_t original_index_bytes() const { return nnz() * sizeof(index_t); }
-
-  friend struct SerializeAccess; // serialization (serialize.cpp)
 
  private:
   index_t rows_ = 0;

@@ -25,8 +25,6 @@
 
 namespace bro::core {
 
-struct SerializeAccess;
-
 struct BroEllOptions {
   int slice_height = 256; // h: rows per slice = GPU thread-block size
   int sym_len = 32;       // bits per load during decompression (32 or 64)
@@ -138,8 +136,6 @@ class BroEll {
   value_t val_at(index_t r, index_t j) const {
     return vals_[static_cast<std::size_t>(j) * rows_ + r];
   }
-
-  friend struct SerializeAccess; // serialization (serialize.cpp)
 
  private:
   index_t rows_ = 0;

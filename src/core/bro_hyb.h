@@ -16,8 +16,6 @@
 
 namespace bro::core {
 
-struct SerializeAccess;
-
 struct BroHybOptions {
   BroEllOptions ell;
   BroCooOptions coo;
@@ -53,8 +51,6 @@ class BroHyb {
 
   /// Uncompressed HYB index bytes: ELL col_idx + COO row_idx + COO col_idx.
   std::size_t original_index_bytes() const;
-
-  friend struct SerializeAccess; // serialization (serialize.cpp)
 
  private:
   index_t rows_ = 0;

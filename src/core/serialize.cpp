@@ -17,107 +17,10 @@
 
 namespace bro::core {
 
-/// Passkey granting the serializers access to the formats' internals.
-struct SerializeAccess {
-  static BroEll make_ell(index_t rows, index_t cols, index_t width,
-                         BroEllOptions opts, std::vector<BroEllSlice> slices,
-                         util::UninitVector<value_t> vals) {
-    BroEll m;
-    m.rows_ = rows;
-    m.cols_ = cols;
-    m.width_ = width;
-    m.opts_ = opts;
-    m.slices_ = std::move(slices);
-    m.vals_ = std::move(vals);
-    return m;
-  }
-  static BroCoo make_coo(index_t rows, index_t cols, std::size_t nnz,
-                         BroCooOptions opts,
-                         std::vector<BroCooInterval> intervals,
-                         util::UninitVector<index_t> col_idx,
-                         util::UninitVector<value_t> vals) {
-    BroCoo m;
-    m.rows_ = rows;
-    m.cols_ = cols;
-    m.nnz_ = nnz;
-    m.opts_ = opts;
-    m.intervals_ = std::move(intervals);
-    m.col_idx_ = std::move(col_idx);
-    m.vals_ = std::move(vals);
-    return m;
-  }
-  static BroHyb make_hyb(index_t rows, index_t cols, index_t split_width,
-                         std::size_t ell_nnz, BroEll ell, BroCoo coo) {
-    BroHyb m;
-    m.rows_ = rows;
-    m.cols_ = cols;
-    m.split_width_ = split_width;
-    m.ell_nnz_ = ell_nnz;
-    m.ell_ = std::move(ell);
-    m.coo_ = std::move(coo);
-    return m;
-  }
-  static const bits::BitString& csr_stream(const BroCsr& m) {
-    return m.stream_;
-  }
-  static BroAns make_ans(index_t rows, index_t cols, index_t width,
-                         BroAnsOptions opts, bits::AnsTable table,
-                         std::vector<BroAnsSlice> slices,
-                         util::UninitVector<value_t> vals) {
-    BroAns m;
-    m.rows_ = rows;
-    m.cols_ = cols;
-    m.width_ = width;
-    m.opts_ = opts;
-    m.table_ = std::move(table);
-    m.slices_ = std::move(slices);
-    m.vals_ = std::move(vals);
-    return m;
-  }
-  static BroBcsr make_bcsr(index_t rows, index_t cols, int br, int bc,
-                           index_t ell_width, std::size_t nnz,
-                           BroBcsrOptions opts,
-                           std::vector<BroEllSlice> slices,
-                           std::vector<std::size_t> val_off,
-                           util::UninitVector<value_t> vals) {
-    BroBcsr m;
-    m.rows_ = rows;
-    m.cols_ = cols;
-    m.br_ = br;
-    m.bc_ = bc;
-    m.block_rows_ = rows == 0 ? 0 : (rows + br - 1) / br;
-    m.ell_width_ = ell_width;
-    m.nnz_ = nnz;
-    m.opts_ = opts;
-    m.slices_ = std::move(slices);
-    m.val_off_ = std::move(val_off);
-    m.vals_ = std::move(vals);
-    return m;
-  }
-  static BroCsr make_csr(index_t rows, index_t cols, BroCsrOptions opts,
-                         util::UninitVector<index_t> row_ptr,
-                         util::UninitVector<std::uint8_t> bits,
-                         util::UninitVector<std::uint32_t> sym_ptr,
-                         util::UninitVector<value_t> vals,
-                         bits::BitString stream) {
-    BroCsr m;
-    m.rows_ = rows;
-    m.cols_ = cols;
-    m.opts_ = opts;
-    m.row_ptr_ = std::move(row_ptr);
-    m.bits_ = std::move(bits);
-    m.sym_ptr_ = std::move(sym_ptr);
-    m.vals_ = std::move(vals);
-    m.stream_ = std::move(stream);
-    return m;
-  }
-};
-
 namespace {
 
 constexpr std::uint32_t kMagic = 0x53'4F'52'42; // "BROS" little-endian
 constexpr std::uint32_t kVersion = 1;
-constexpr std::size_t kHeaderBytes = 4 + 4 + 1;
 
 enum class Tag : std::uint8_t {
   kBroEll = 1,
@@ -274,12 +177,6 @@ class ArrayView {
     std::memcpy(&v, bytes_.data() + i * sizeof(T), sizeof(T));
     return v;
   }
-  /// The array copied out (the copy is its first touch).
-  util::UninitVector<T> to_vector() const {
-    util::UninitVector<T> v(size());
-    if (!v.empty()) std::memcpy(v.data(), bytes_.data(), bytes_.size());
-    return v;
-  }
 
  private:
   std::span<const std::uint8_t> bytes_;
@@ -309,12 +206,6 @@ Format read_header(ByteReader& in) {
   BRO_CHECK_MSG(in.get<std::uint32_t>() == kVersion,
                 "unsupported BRO stream version");
   return format_of(in.get<std::uint8_t>());
-}
-
-void expect_header(ByteReader& in, Format expected) {
-  const Format f = read_header(in);
-  BRO_CHECK_MSG(f == expected, "stream holds a different format (tag "
-                                   << static_cast<int>(f) << ')');
 }
 
 bits::MuxedStream read_mux(ByteReader& in) {
@@ -458,97 +349,73 @@ HybBody read_hyb_body(ByteReader& in) {
   return b;
 }
 
-BroEll make_ell(EllBody b) {
-  return SerializeAccess::make_ell(b.rows, b.cols, b.width, b.opts,
-                                   std::move(b.slices),
-                                   b.vals.to_vector());
-}
+/// BRO-CSR's arrays and its packed stream's words, all read where they lie.
+struct CsrBody {
+  index_t rows = 0, cols = 0;
+  std::int32_t sym_len = 0;
+  ArrayView<index_t> row_ptr;
+  ArrayView<std::uint8_t> bits_per_row;
+  ArrayView<std::uint32_t> row_sym_ptr;
+  ArrayView<value_t> vals;
+  ArrayView<std::uint64_t> words;
+};
 
-BroCoo make_coo(CooBody b) {
-  return SerializeAccess::make_coo(b.rows, b.cols,
-                                   static_cast<std::size_t>(b.nnz), b.opts,
-                                   std::move(b.intervals),
-                                   b.col_idx.to_vector(), b.vals.to_vector());
-}
-
-BroAns read_ans(ByteReader& in) {
-  AnsBody b = read_ans_body(in);
-  return SerializeAccess::make_ans(b.rows, b.cols, b.width, b.opts,
-                                   std::move(b.table), std::move(b.slices),
-                                   b.vals.to_vector());
-}
-
-BroHyb read_hyb(ByteReader& in) {
-  HybBody b = read_hyb_body(in);
-  return SerializeAccess::make_hyb(b.rows, b.cols, b.split_width,
-                                   static_cast<std::size_t>(b.ell_nnz),
-                                   make_ell(std::move(b.ell)),
-                                   make_coo(std::move(b.coo)));
-}
-
-BroCsr read_csr(ByteReader& in) {
-  const auto rows = in.get<index_t>();
-  const auto cols = in.get<index_t>();
-  BroCsrOptions opts;
-  opts.sym_len = in.get<std::int32_t>();
-  auto row_ptr = read_view<index_t>(in).to_vector();
-  auto bits_v = read_view<std::uint8_t>(in).to_vector();
-  auto sym_ptr = read_view<std::uint32_t>(in).to_vector();
-  auto vals = read_view<value_t>(in).to_vector();
+CsrBody read_csr_body(ByteReader& in) {
+  CsrBody b;
+  b.rows = in.get<index_t>();
+  b.cols = in.get<index_t>();
+  b.sym_len = in.get<std::int32_t>();
+  b.row_ptr = read_view<index_t>(in);
+  b.bits_per_row = read_view<std::uint8_t>(in);
+  b.row_sym_ptr = read_view<std::uint32_t>(in);
+  b.vals = read_view<value_t>(in);
   const auto size_bits = in.get<std::uint64_t>();
-  auto words = in.get_array<std::uint64_t>();
-  return SerializeAccess::make_csr(
-      rows, cols, opts, std::move(row_ptr), std::move(bits_v),
-      std::move(sym_ptr), std::move(vals),
-      bits::BitString::from_words(std::move(words), size_bits));
+  b.words = read_view<std::uint64_t>(in);
+  BRO_CHECK_MSG(b.words.size() == (size_bits + 63) / 64,
+                "word count inconsistent with bit size");
+  return b;
 }
 
-BroBcsr read_bcsr(ByteReader& in) {
-  const auto rows = in.get<index_t>();
-  const auto cols = in.get<index_t>();
-  const auto br = in.get<std::int32_t>();
-  const auto bc = in.get<std::int32_t>();
-  BRO_CHECK_MSG(br >= 1 && br <= 8 && (bc == 1 || bc == 2 || bc == 4 || bc == 8),
-                "corrupt BRO-BCSR block shape " << br << 'x' << bc);
-  const auto ell_width = in.get<index_t>();
-  const auto nnz = in.get<std::uint64_t>();
+struct BcsrBody {
+  index_t rows = 0, cols = 0;
+  int br = 1, bc = 1;
   BroBcsrOptions opts;
-  opts.block_rows = in.get<std::int32_t>();
-  opts.block_cols = in.get<std::int32_t>();
-  opts.slice_height = in.get<std::int32_t>();
-  opts.sym_len = in.get<std::int32_t>();
-  opts.min_fill = in.get<double>();
-  BRO_CHECK_MSG(opts.sym_len == 32 || opts.sym_len == 64, "corrupt sym_len");
-  BRO_CHECK_MSG(opts.slice_height > 0, "corrupt slice_height");
-  std::vector<BroEllSlice> slices = read_ell_slices(in);
-  std::vector<std::size_t> val_off;
-  val_off.reserve(slices.size());
-  std::size_t slots = 0;
-  const auto tile = static_cast<std::size_t>(br) * static_cast<std::size_t>(bc);
-  for (const auto& s : slices) {
-    BRO_CHECK_MSG(s.height >= 0 && s.num_col >= 0 &&
-                      s.bit_alloc.size() ==
-                          static_cast<std::size_t>(s.num_col),
-                  "corrupt BRO-BCSR slice header");
-    val_off.push_back(slots);
-    slots += static_cast<std::size_t>(s.height) *
-             static_cast<std::size_t>(s.num_col) * tile;
-  }
-  auto vals = read_view<value_t>(in).to_vector();
-  BRO_CHECK_MSG(vals.size() == slots,
-                "BRO-BCSR value array size mismatches its slices");
-  return SerializeAccess::make_bcsr(rows, cols, br, bc, ell_width, nnz, opts,
-                                    std::move(slices), std::move(val_off),
-                                    std::move(vals));
+  std::vector<BroEllSlice> slices; // rows are block rows
+  ArrayView<value_t> vals;         // row-major br x bc tiles, per slice
+};
+
+BcsrBody read_bcsr_body(ByteReader& in) {
+  BcsrBody b;
+  b.rows = in.get<index_t>();
+  b.cols = in.get<index_t>();
+  b.br = in.get<std::int32_t>();
+  b.bc = in.get<std::int32_t>();
+  BRO_CHECK_MSG(b.br >= 1 && b.br <= 8 &&
+                    (b.bc == 1 || b.bc == 2 || b.bc == 4 || b.bc == 8),
+                "corrupt BRO-BCSR block shape " << b.br << 'x' << b.bc);
+  in.get<index_t>();       // ell_width: the savings baseline, not decoded
+  in.get<std::uint64_t>(); // nnz with fill: pass 1 counts the real entries
+  b.opts.block_rows = in.get<std::int32_t>();
+  b.opts.block_cols = in.get<std::int32_t>();
+  b.opts.slice_height = in.get<std::int32_t>();
+  b.opts.sym_len = in.get<std::int32_t>();
+  b.opts.min_fill = in.get<double>();
+  BRO_CHECK_MSG(b.opts.sym_len == 32 || b.opts.sym_len == 64,
+                "corrupt sym_len");
+  BRO_CHECK_MSG(b.opts.slice_height > 0, "corrupt slice_height");
+  b.slices = read_ell_slices(in);
+  b.vals = read_view<value_t>(in);
+  return b;
 }
 
 // ---------------------------------------------------------------------------
 // Ingest: stream bytes straight to canonical CSR, with no padded ELL,
 // intermediate COO or sort in between, in two passes over tiles of rows.
-// A tile is a run of rows (an ELL-style body's slice) and each tile is one
-// task of parallel_for_slices. A body is one or more parts; row r of the
-// result is row r of every part, in part order. A part decodes any tile
-// in both passes:
+// Every tag decodes this way. A tile is a run of rows (an ELL-style
+// body's slice, the rows of a BRO-BCSR slice's block rows, 256 rows
+// otherwise) and each tile is one task of parallel_for_slices. A body is
+// one or more parts; row r of the result is row r of every part, in part
+// order. A part decodes any tile in both passes:
 //
 //   count(t, first, last, len)    adds the entries of row first+i to len[i];
 //   fill(t, first, last, pos, cols, vals)
@@ -933,32 +800,129 @@ class CooPart {
 /// row's one bit width.
 class BroCsrPart {
  public:
-  explicit BroCsrPart(const BroCsr& m) : m_(m) {}
+  explicit BroCsrPart(const CsrBody& b) : b_(b) {}
 
   void fill(index_t, index_t first, index_t last, index_t* pos, index_t* cols,
             value_t* vals) {
-    const auto sym_len = static_cast<std::size_t>(m_.options().sym_len);
+    const auto sym_len = static_cast<std::size_t>(b_.sym_len);
     for (index_t r = first; r < last; ++r) {
       const auto row = static_cast<std::size_t>(r);
-      const index_t begin = m_.row_ptr()[row];
-      const int b = m_.bits_per_row()[row];
-      std::size_t bit_pos = m_.row_sym_ptr()[row] * sym_len;
+      const int b = b_.bits_per_row[row];
+      std::size_t bit_pos = b_.row_sym_ptr[row] * sym_len;
       std::int64_t col = -1;
-      for (index_t e = begin; e < m_.row_ptr()[row + 1]; ++e) {
-        col += static_cast<std::int64_t>(m_.decode_bits(bit_pos, b));
+      for (index_t e = b_.row_ptr[row]; e < b_.row_ptr[row + 1]; ++e) {
+        col += static_cast<std::int64_t>(
+            bits::peek_bits(b_.words, bit_pos, b));
         bit_pos += static_cast<std::size_t>(b);
-        BRO_CHECK_MSG(col >= 0 && col < m_.cols(),
-                      "BRO-CSR column " << col << " outside [0, "
-                                        << m_.cols() << ')');
+        BRO_CHECK_MSG(col >= 0 && col < b_.cols,
+                      "BRO-CSR column " << col << " outside [0, " << b_.cols
+                                        << ')');
         const auto p = static_cast<std::size_t>(pos[r - first]++);
         cols[p] = static_cast<index_t>(col);
-        vals[p] = m_.vals()[static_cast<std::size_t>(e)];
+        vals[p] = b_.vals[static_cast<std::size_t>(e)];
       }
     }
   }
 
  private:
-  const BroCsr& m_;
+  const CsrBody& b_;
+};
+
+/// A BRO-BCSR body as a part: tile t is slice t, slice_height block rows
+/// of block_r matrix rows each. Each block row's stream decodes its block
+/// columns in ascending order, and every real block gives each of its
+/// rows the tile's values in column order, so rows come out sorted. A
+/// tile value equal to zero is the cover's fill and is dropped; a source
+/// entry that IS exactly 0.0 cannot be told from fill and is dropped too
+/// (the one lossy corner of this format's serialization; SpMV results are
+/// unaffected). The format's SpMV takes block j's tile at stream position
+/// j, so, as in SlicePart, a real delta after a padding one is rejected.
+class BcsrPart {
+ public:
+  explicit BcsrPart(const BcsrBody& b)
+      : b_(b), block_cols_((static_cast<std::int64_t>(b.cols) + b.bc - 1) /
+                           b.bc) {
+    BRO_CHECK_MSG(b.rows >= 0 && b.cols >= 0, "corrupt BRO-BCSR dimensions");
+    const index_t block_rows = b.rows == 0 ? 0 : (b.rows - 1) / b.br + 1;
+    check_tiling(b.slices, block_rows, b.opts.slice_height, "BRO-BCSR");
+    std::size_t slots = 0;
+    const auto tile = static_cast<std::size_t>(b.br * b.bc);
+    for (const auto& s : b.slices) {
+      check_ell_slice(s, b.opts.sym_len, "BRO-BCSR");
+      val_off_.push_back(slots);
+      slots += static_cast<std::size_t>(s.height) *
+               static_cast<std::size_t>(s.num_col) * tile;
+    }
+    BRO_CHECK_MSG(b.vals.size() == slots,
+                  "BRO-BCSR value array size mismatches its slices");
+  }
+
+  /// Matrix rows per tile: one slice's, capped at the matrix so that a
+  /// lone slice of a tall slice_height cannot overflow index_t.
+  index_t tile_rows() const {
+    return static_cast<index_t>(std::clamp<std::int64_t>(
+        std::int64_t{b_.opts.slice_height} * b_.br, 1,
+        std::max<index_t>(b_.rows, 1)));
+  }
+
+  void count(index_t t, index_t first, index_t, index_t* len) {
+    visit(t, first, [&](index_t i, index_t, value_t) { ++len[i]; });
+  }
+
+  void fill(index_t t, index_t first, index_t, index_t* pos, index_t* cols,
+            value_t* vals) {
+    visit(t, first, [&](index_t i, index_t c, value_t v) {
+      const auto p = static_cast<std::size_t>(pos[i]++);
+      cols[p] = c;
+      vals[p] = v;
+    });
+  }
+
+ private:
+  /// emit(row - first, column, value) for every non-zero value of slice
+  /// t's real blocks, block by block.
+  template <typename Emit>
+  void visit(index_t t, index_t first, Emit&& emit) const {
+    const BroEllSlice& s = b_.slices[static_cast<std::size_t>(t)];
+    const auto tile = static_cast<std::size_t>(b_.br * b_.bc);
+    for (index_t i = 0; i < s.height; ++i) {
+      const index_t r0 = (s.first_row + i) * b_.br;
+      const int rh = static_cast<int>(std::min<index_t>(b_.br, b_.rows - r0));
+      RowStreamDecoder dec(s, i, b_.opts.sym_len);
+      std::int64_t bcol = -1;
+      bool padded = false;
+      for (index_t j = 0; j < s.num_col; ++j) {
+        const std::uint32_t d =
+            dec.next(s.bit_alloc[static_cast<std::size_t>(j)]);
+        if (d == bits::kInvalidDelta) {
+          padded = true;
+          continue;
+        }
+        BRO_CHECK_MSG(!padded, "row stream holds a real delta after padding");
+        bcol += d;
+        BRO_CHECK_MSG(bcol < block_cols_, "decoded block column "
+                                              << bcol << " outside [0, "
+                                              << block_cols_ << ')');
+        const auto c0 = static_cast<index_t>(bcol * b_.bc);
+        const int ch = static_cast<int>(std::min<index_t>(b_.bc, b_.cols - c0));
+        const std::size_t at =
+            val_off_[static_cast<std::size_t>(t)] +
+            (static_cast<std::size_t>(i) * static_cast<std::size_t>(s.num_col) +
+             static_cast<std::size_t>(j)) *
+                tile;
+        for (int k = 0; k < rh; ++k)
+          for (int c = 0; c < ch; ++c) {
+            const value_t v =
+                b_.vals[at + static_cast<std::size_t>(k * b_.bc + c)];
+            if (v != value_t{0}) emit(r0 - first + k, c0 + c, v);
+          }
+      }
+    }
+  }
+
+  const BcsrBody& b_;
+  std::int64_t block_cols_ = 0;
+  std::vector<std::size_t> val_off_; // per-slice offset into the tiles
 };
 
 sparse::Csr csr_from_ell(const EllBody& b) {
@@ -999,48 +963,29 @@ sparse::Csr csr_from_hyb(const HybBody& b) {
   return fill_rows(b.rows, b.cols, h, std::move(row_ptr), ell, coo);
 }
 
-sparse::Csr csr_from_bro_csr(const BroCsr& m) {
-  const auto rows = static_cast<std::size_t>(m.rows());
-  const auto& row_ptr = m.row_ptr();
-  BRO_CHECK_MSG(m.rows() >= 0 && m.cols() >= 0 &&
-                    row_ptr.size() == rows + 1 &&
-                    m.bits_per_row().size() == rows &&
-                    m.row_sym_ptr().size() == rows + 1 && row_ptr[0] == 0 &&
-                    static_cast<std::size_t>(row_ptr[rows]) == m.nnz(),
+sparse::Csr csr_from_bro_csr(const CsrBody& b) {
+  const auto rows = static_cast<std::size_t>(b.rows);
+  BRO_CHECK_MSG(b.rows >= 0 && b.cols >= 0 && b.row_ptr.size() == rows + 1 &&
+                    b.bits_per_row.size() == rows &&
+                    b.row_sym_ptr.size() == rows + 1 && b.row_ptr[0] == 0 &&
+                    static_cast<std::size_t>(b.row_ptr[rows]) == b.vals.size(),
                 "corrupt BRO-CSR row arrays");
-  for (std::size_t r = 0; r < rows; ++r)
-    BRO_CHECK_MSG(row_ptr[r] <= row_ptr[r + 1] &&
-                      m.bits_per_row()[r] >= 1 && m.bits_per_row()[r] <= 32,
+  util::UninitVector<index_t> row_ptr(rows + 1);
+  row_ptr[0] = 0;
+  for (std::size_t r = 0; r < rows; ++r) {
+    row_ptr[r + 1] = b.row_ptr[r + 1];
+    BRO_CHECK_MSG(row_ptr[r] <= row_ptr[r + 1] && b.bits_per_row[r] >= 1 &&
+                      b.bits_per_row[r] <= 32,
                   "corrupt BRO-CSR row " << r);
-  BroCsrPart part(m);
-  return fill_rows(m.rows(), m.cols(), kIngestTileRows, row_ptr, part);
+  }
+  BroCsrPart part(b);
+  return fill_rows(b.rows, b.cols, kIngestTileRows, std::move(row_ptr), part);
 }
 
-sparse::Csr csr_from_bcsr(const BroBcsr& m) {
-  BRO_CHECK_MSG(m.rows() >= 0 && m.cols() >= 0, "corrupt BRO-BCSR dimensions");
-  const index_t block_rows =
-      m.rows() == 0 ? 0 : (m.rows() - 1) / m.block_r() + 1;
-  check_tiling(m.slices(), block_rows, m.options().slice_height, "BRO-BCSR");
-  for (const auto& s : m.slices())
-    check_ell_slice(s, m.options().sym_len, "BRO-BCSR");
-  // The cover stores fill-in zeros; strip them so serialize -> deserialize
-  // -> serialize is bitwise idempotent for any matrix without explicitly
-  // stored zero values. (A source entry that IS exactly 0.0 is
-  // indistinguishable from fill and gets dropped too — the one lossy corner
-  // of this format's serialization. SpMV results are unaffected either way.)
-  const sparse::Csr cover = m.to_csr();
-  sparse::CsrBuilder out(cover.rows, cover.cols, cover.nnz());
-  for (index_t r = 0; r < cover.rows; ++r) {
-    for (index_t e = cover.row_ptr[r]; e < cover.row_ptr[r + 1]; ++e) {
-      const auto i = static_cast<std::size_t>(e);
-      if (cover.vals[i] == value_t{0}) continue;
-      BRO_CHECK_MSG(cover.col_idx[i] >= 0 && cover.col_idx[i] < cover.cols,
-                    "BRO-BCSR column outside the matrix");
-      out.push(cover.col_idx[i], cover.vals[i]);
-    }
-    out.end_row();
-  }
-  return out.finish();
+sparse::Csr csr_from_bcsr(const BcsrBody& b) {
+  BcsrPart bcsr(b);
+  const index_t h = bcsr.tile_rows();
+  return fill_rows(b.rows, b.cols, h, count_rows(b.rows, h, bcsr), bcsr);
 }
 
 /// Parse one object of any tag and decode it to CSR: the ONE tag-dispatch
@@ -1053,19 +998,73 @@ sparse::Csr decode_csr(ByteReader& in, Format* fmt) {
     case Format::kBroAns: return csr_from_ans(read_ans_body(in));
     case Format::kBroCoo: return csr_from_coo(read_coo_body(in));
     case Format::kBroHyb: return csr_from_hyb(read_hyb_body(in));
-    case Format::kBroCsr: return csr_from_bro_csr(read_csr(in));
-    case Format::kBroBcsr: return csr_from_bcsr(read_bcsr(in));
+    case Format::kBroCsr: return csr_from_bro_csr(read_csr_body(in));
+    case Format::kBroBcsr: return csr_from_bcsr(read_bcsr_body(in));
     default: break;
   }
   BRO_CHECK_MSG(false, "unsupported .bro payload format tag");
   return {}; // unreachable
 }
 
-/// The std::istream adapters: read the rest of the stream, parse one object
-/// from those bytes, and leave a seekable stream positioned just after the
-/// object (a non-seekable one is consumed to its end).
-template <typename Parse>
-auto read_from_stream(std::istream& in, Parse&& parse) {
+} // namespace
+
+void write_bro_ell(std::ostream& out, const BroEll& m) {
+  write_header(out, Tag::kBroEll);
+  write_ell_body(out, m);
+}
+
+void write_bro_ans(std::ostream& out, const BroAns& m) {
+  write_header(out, Tag::kBroAns);
+  write_ans_body(out, m);
+}
+
+void write_bro_coo(std::ostream& out, const BroCoo& m) {
+  write_header(out, Tag::kBroCoo);
+  write_coo_body(out, m);
+}
+
+void write_bro_hyb(std::ostream& out, const BroHyb& m) {
+  write_header(out, Tag::kBroHyb);
+  write_pod(out, m.rows());
+  write_pod(out, m.cols());
+  write_pod(out, m.split_width());
+  write_pod<std::uint64_t>(out, m.ell_nnz());
+  write_ell_body(out, m.ell_part());
+  write_coo_body(out, m.coo_part());
+}
+
+void write_bro_csr(std::ostream& out, const BroCsr& m) {
+  write_header(out, Tag::kBroCsr);
+  write_pod(out, m.rows());
+  write_pod(out, m.cols());
+  write_pod<std::int32_t>(out, m.options().sym_len);
+  write_vec(out, m.row_ptr());
+  write_vec(out, m.bits_per_row());
+  write_vec(out, m.row_sym_ptr());
+  write_vec(out, m.vals());
+  // Raw bit-string words.
+  const bits::BitString& stream = m.stream();
+  write_pod<std::uint64_t>(out, stream.size_bits());
+  write_vec(out, stream.words());
+}
+
+void write_bro_bcsr(std::ostream& out, const BroBcsr& m) {
+  write_header(out, Tag::kBroBcsr);
+  write_bcsr_body(out, m);
+}
+
+sparse::Csr read_bro_to_csr(std::span<const std::uint8_t> bytes, Format* fmt) {
+  ByteReader r(bytes);
+  sparse::Csr out = decode_csr(r, fmt);
+  BRO_CHECK_MSG(r.done(), r.remaining() << " trailing bytes after the .bro "
+                                           "object");
+  return out;
+}
+
+sparse::Csr read_bro_to_csr(std::istream& in, Format* fmt) {
+  // Read the rest of the stream, parse one object from those bytes, and
+  // leave a seekable stream just after it (a non-seekable one is consumed
+  // to its end).
   const std::istream::pos_type start = in.tellg();
   util::UninitVector<std::uint8_t> bytes; // read() overwrites it in full
   if (start != std::istream::pos_type(-1) && in.seekg(0, std::ios::end)) {
@@ -1081,123 +1080,12 @@ auto read_from_stream(std::istream& in, Parse&& parse) {
                  std::istreambuf_iterator<char>());
   }
   ByteReader r(bytes);
-  auto out = parse(r);
+  sparse::Csr out = decode_csr(r, fmt);
   if (start != std::istream::pos_type(-1)) {
     in.clear();
     in.seekg(start + static_cast<std::streamoff>(r.position()));
   }
   return out;
-}
-
-} // namespace
-
-Format peek_bro_format(std::istream& in) {
-  std::uint8_t header[kHeaderBytes];
-  in.read(reinterpret_cast<char*>(header), sizeof(header));
-  BRO_CHECK_MSG(in.gcount() == static_cast<std::streamsize>(sizeof(header)),
-                "truncated stream while reading the header");
-  ByteReader r(header, sizeof(header));
-  return read_header(r);
-}
-
-void write_bro_ell(std::ostream& out, const BroEll& m) {
-  write_header(out, Tag::kBroEll);
-  write_ell_body(out, m);
-}
-
-BroEll read_bro_ell(std::istream& in) {
-  return read_from_stream(in, [](ByteReader& r) {
-    expect_header(r, Format::kBroEll);
-    return make_ell(read_ell_body(r));
-  });
-}
-
-void write_bro_ans(std::ostream& out, const BroAns& m) {
-  write_header(out, Tag::kBroAns);
-  write_ans_body(out, m);
-}
-
-BroAns read_bro_ans(std::istream& in) {
-  return read_from_stream(in, [](ByteReader& r) {
-    expect_header(r, Format::kBroAns);
-    return read_ans(r);
-  });
-}
-
-void write_bro_coo(std::ostream& out, const BroCoo& m) {
-  write_header(out, Tag::kBroCoo);
-  write_coo_body(out, m);
-}
-
-BroCoo read_bro_coo(std::istream& in) {
-  return read_from_stream(in, [](ByteReader& r) {
-    expect_header(r, Format::kBroCoo);
-    return make_coo(read_coo_body(r));
-  });
-}
-
-void write_bro_hyb(std::ostream& out, const BroHyb& m) {
-  write_header(out, Tag::kBroHyb);
-  write_pod(out, m.rows());
-  write_pod(out, m.cols());
-  write_pod(out, m.split_width());
-  write_pod<std::uint64_t>(out, m.ell_nnz());
-  write_ell_body(out, m.ell_part());
-  write_coo_body(out, m.coo_part());
-}
-
-BroHyb read_bro_hyb(std::istream& in) {
-  return read_from_stream(in, [](ByteReader& r) {
-    expect_header(r, Format::kBroHyb);
-    return read_hyb(r);
-  });
-}
-
-void write_bro_csr(std::ostream& out, const BroCsr& m) {
-  write_header(out, Tag::kBroCsr);
-  write_pod(out, m.rows());
-  write_pod(out, m.cols());
-  write_pod<std::int32_t>(out, m.options().sym_len);
-  write_vec(out, m.row_ptr());
-  write_vec(out, m.bits_per_row());
-  write_vec(out, m.row_sym_ptr());
-  write_vec(out, m.vals());
-  // Raw bit-string words.
-  const bits::BitString& stream = SerializeAccess::csr_stream(m);
-  write_pod<std::uint64_t>(out, stream.size_bits());
-  write_vec(out, stream.words());
-}
-
-BroCsr read_bro_csr(std::istream& in) {
-  return read_from_stream(in, [](ByteReader& r) {
-    expect_header(r, Format::kBroCsr);
-    return read_csr(r);
-  });
-}
-
-void write_bro_bcsr(std::ostream& out, const BroBcsr& m) {
-  write_header(out, Tag::kBroBcsr);
-  write_bcsr_body(out, m);
-}
-
-BroBcsr read_bro_bcsr(std::istream& in) {
-  return read_from_stream(in, [](ByteReader& r) {
-    expect_header(r, Format::kBroBcsr);
-    return read_bcsr(r);
-  });
-}
-
-sparse::Csr read_bro_to_csr(std::span<const std::uint8_t> bytes, Format* fmt) {
-  ByteReader r(bytes);
-  sparse::Csr out = decode_csr(r, fmt);
-  BRO_CHECK_MSG(r.done(), r.remaining() << " trailing bytes after the .bro "
-                                           "object");
-  return out;
-}
-
-sparse::Csr read_bro_to_csr(std::istream& in, Format* fmt) {
-  return read_from_stream(in,
-                          [fmt](ByteReader& r) { return decode_csr(r, fmt); });
 }
 
 } // namespace bro::core

@@ -1,10 +1,15 @@
-// Serialization round-trips for every BRO format, the one-pass .bro -> CSR
-// ingest (bitwise against the source, canonicalization of hand-built rows),
-// and failure injection on corrupted streams: truncation at every prefix,
-// count fields stomped to just under the sanity bound, interior padding.
+// The one .bro reader, read_bro_to_csr: every format's stream decodes to
+// its source CSR bitwise, hand-built rows canonicalize, BRO-BCSR drops its
+// fill, and corrupted streams fail as typed errors: bad headers, truncation
+// at every prefix, count fields stomped to just under the sanity bound,
+// interior padding. The SerializeFailure tests read through the
+// std::istream overload, the Ingest tests mostly through the span one.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
+#include <string>
+#include <utility>
 #include <sstream>
 #include <vector>
 
@@ -25,24 +30,6 @@ using bro::value_t;
 using Bytes = std::vector<std::uint8_t>;
 
 namespace {
-
-bs::Csr test_matrix(std::uint64_t seed) {
-  bs::GenSpec spec;
-  spec.rows = 700;
-  spec.cols = 700;
-  spec.mu = 10;
-  spec.sigma = 4;
-  spec.run = 2;
-  spec.seed = seed;
-  return bs::generate(spec);
-}
-
-std::vector<value_t> random_x(index_t n) {
-  bro::Rng rng(41);
-  std::vector<value_t> x(static_cast<std::size_t>(n));
-  for (auto& v : x) v = rng.uniform() * 2 - 1;
-  return x;
-}
 
 /// Bitwise CSR equality (values compared by representation, so -0.0 and
 /// NaN payloads count too).
@@ -71,6 +58,19 @@ std::vector<const be::FormatTraits*> serializable_formats() {
   for (const auto& t : be::format_registry())
     if (t.serialize) out.push_back(&t);
   return out;
+}
+
+/// The message of the error the std::istream read_bro_to_csr throws on
+/// `bytes`, or "" with a test failure when it accepts them.
+std::string stream_error(const Bytes& bytes) {
+  std::istringstream in(std::string(bytes.begin(), bytes.end()));
+  try {
+    bc::read_bro_to_csr(in);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "a corrupt stream was accepted";
+  return {};
 }
 
 /// The ingest sweep's matrices: the adversarial battery plus three Test
@@ -186,144 +186,65 @@ class LayoutWalker {
   std::size_t first_slots_ = 0;
 };
 
-template <typename Format>
-void expect_same_spmv(const Format& a, const Format& b, index_t cols,
-                      index_t rows) {
-  const auto x = random_x(cols);
-  std::vector<value_t> ya(static_cast<std::size_t>(rows));
-  std::vector<value_t> yb(static_cast<std::size_t>(rows));
-  a.spmv(x, ya);
-  b.spmv(x, yb);
-  EXPECT_EQ(ya, yb); // bitwise: same stream, same arithmetic order
-}
-
 } // namespace
 
-TEST(Serialize, BroEllRoundTrip) {
-  const bs::Csr csr = test_matrix(1);
-  const auto orig = bc::BroEll::compress(bs::csr_to_ell(csr));
-  std::stringstream buf;
-  bc::write_bro_ell(buf, orig);
-  const auto back = bc::read_bro_ell(buf);
-  EXPECT_EQ(back.rows(), orig.rows());
-  EXPECT_EQ(back.width(), orig.width());
-  EXPECT_EQ(back.compressed_index_bytes(), orig.compressed_index_bytes());
-  EXPECT_EQ(back.decompress().col_idx, orig.decompress().col_idx);
-  expect_same_spmv(orig, back, csr.cols, csr.rows);
-}
-
-TEST(Serialize, BroCooRoundTrip) {
-  const bs::Csr csr = test_matrix(2);
-  const auto orig = bc::BroCoo::compress(bs::csr_to_coo(csr));
-  std::stringstream buf;
-  bc::write_bro_coo(buf, orig);
-  const auto back = bc::read_bro_coo(buf);
-  EXPECT_EQ(back.nnz(), orig.nnz());
-  EXPECT_EQ(back.decode_rows(), orig.decode_rows());
-  EXPECT_EQ(back.col_idx(), orig.col_idx());
-}
-
-TEST(Serialize, BroHybRoundTrip) {
-  bs::GenSpec spec;
-  spec.rows = 800;
-  spec.cols = 800;
-  spec.mu = 6;
-  spec.sigma = 2;
-  spec.spike_rows = 3;
-  spec.spike_len = 300;
-  spec.seed = 3;
-  const bs::Csr csr = bs::generate(spec);
-  const auto orig = bc::BroHyb::compress(csr);
-  std::stringstream buf;
-  bc::write_bro_hyb(buf, orig);
-  const auto back = bc::read_bro_hyb(buf);
-  EXPECT_EQ(back.split_width(), orig.split_width());
-  EXPECT_EQ(back.total_nnz(), orig.total_nnz());
-  EXPECT_DOUBLE_EQ(back.ell_fraction(), orig.ell_fraction());
-  expect_same_spmv(orig, back, csr.cols, csr.rows);
-}
-
-TEST(Serialize, BroCsrRoundTrip) {
-  const bs::Csr csr = test_matrix(4);
-  const auto orig = bc::BroCsr::compress(csr);
-  std::stringstream buf;
-  bc::write_bro_csr(buf, orig);
-  const auto back = bc::read_bro_csr(buf);
-  EXPECT_EQ(back.nnz(), orig.nnz());
-  EXPECT_EQ(back.bits_per_row(), orig.bits_per_row());
-  EXPECT_EQ(back.decompress().col_idx, csr.col_idx);
-  expect_same_spmv(orig, back, csr.cols, csr.rows);
-}
-
-TEST(Serialize, PeekFormatIdentifiesEveryTag) {
-  // Each stream identifies its own format — the CLI uses this to load a
-  // .bro file written with any --format, not just BRO-HYB.
-  const bs::Csr csr = test_matrix(9);
-
-  std::stringstream ell;
-  bc::write_bro_ell(ell, bc::BroEll::compress(bs::csr_to_ell(csr)));
-  EXPECT_EQ(bc::peek_bro_format(ell), bc::Format::kBroEll);
-  // peek leaves the stream after the header; rewinding makes read_* valid.
-  ell.seekg(0);
-  EXPECT_NO_THROW(bc::read_bro_ell(ell));
-
-  std::stringstream coo;
-  bc::write_bro_coo(coo, bc::BroCoo::compress(bs::csr_to_coo(csr)));
-  EXPECT_EQ(bc::peek_bro_format(coo), bc::Format::kBroCoo);
-
-  std::stringstream hyb;
-  bc::write_bro_hyb(hyb, bc::BroHyb::compress(csr));
-  EXPECT_EQ(bc::peek_bro_format(hyb), bc::Format::kBroHyb);
-
-  std::stringstream bcsr;
-  bc::write_bro_csr(bcsr, bc::BroCsr::compress(csr));
-  EXPECT_EQ(bc::peek_bro_format(bcsr), bc::Format::kBroCsr);
-
-  std::stringstream ans;
-  bc::write_bro_ans(ans, bc::BroAns::compress(bs::csr_to_ell(csr)));
-  EXPECT_EQ(bc::peek_bro_format(ans), bc::Format::kBroAns);
-
-  std::stringstream junk("not a bro stream");
-  EXPECT_THROW(bc::peek_bro_format(junk), std::runtime_error);
-}
-
-// ---- failure injection ----
+// ---- failure injection through the std::istream reader ----
 
 TEST(SerializeFailure, BadMagic) {
-  std::stringstream buf;
-  buf << "this is not a bro file at all, not even close";
-  EXPECT_THROW(bc::read_bro_ell(buf), std::runtime_error);
+  for (const auto* t : serializable_formats()) {
+    SCOPED_TRACE(t->name);
+    Bytes bad = serialize(*t, small_matrix());
+    bad[0] ^= 0x5a;
+    EXPECT_NE(stream_error(bad).find("bad magic"), std::string::npos);
+  }
+  const std::string junk = "this is not a bro file at all, not even close";
+  EXPECT_NE(stream_error(Bytes(junk.begin(), junk.end())).find("bad magic"),
+            std::string::npos);
+}
+
+TEST(SerializeFailure, BadVersion) {
+  for (const auto* t : serializable_formats()) {
+    SCOPED_TRACE(t->name);
+    Bytes bad = serialize(*t, small_matrix());
+    bad[4] = 2; // version 2
+    EXPECT_NE(stream_error(bad).find("unsupported BRO stream version"),
+              std::string::npos);
+  }
 }
 
 TEST(SerializeFailure, WrongTag) {
-  const bs::Csr csr = test_matrix(6);
-  std::stringstream buf;
-  bc::write_bro_ell(buf, bc::BroEll::compress(bs::csr_to_ell(csr)));
-  EXPECT_THROW(bc::read_bro_coo(buf), std::runtime_error);
+  // Tags 1-6 are the six formats; 0 and 7 name none.
+  for (const auto* t : serializable_formats()) {
+    SCOPED_TRACE(t->name);
+    for (const std::uint8_t tag : {0, 7}) {
+      Bytes bad = serialize(*t, small_matrix());
+      bad[8] = tag;
+      EXPECT_NE(stream_error(bad).find("unknown format tag " +
+                                       std::to_string(tag)),
+                std::string::npos);
+    }
+  }
 }
 
 TEST(SerializeFailure, Truncated) {
-  const bs::Csr csr = test_matrix(7);
-  std::stringstream buf;
-  bc::write_bro_ell(buf, bc::BroEll::compress(bs::csr_to_ell(csr)));
-  const std::string full = buf.str();
-  for (const double frac : {0.3, 0.7, 0.95}) {
-    std::stringstream cut(full.substr(0, static_cast<std::size_t>(
-                                             full.size() * frac)));
-    EXPECT_THROW(bc::read_bro_ell(cut), std::runtime_error) << frac;
+  for (const auto* t : serializable_formats()) {
+    SCOPED_TRACE(t->name);
+    const Bytes full = serialize(*t, small_matrix());
+    for (const double frac : {0.3, 0.7, 0.95}) {
+      const auto n = static_cast<std::ptrdiff_t>(full.size() * frac);
+      EXPECT_FALSE(stream_error(Bytes(full.begin(), full.begin() + n)).empty())
+          << frac;
+    }
   }
 }
 
 TEST(SerializeFailure, CorruptedSizeField) {
-  const bs::Csr csr = test_matrix(8);
-  std::stringstream buf;
-  bc::write_bro_ell(buf, bc::BroEll::compress(bs::csr_to_ell(csr)));
-  std::string bytes = buf.str();
   // Stomp the slice count (offset: magic 4 + version 4 + tag 1 + rows/cols/
   // width 12 + options 8 = 29) with an absurd value.
-  for (int i = 0; i < 8; ++i) bytes[29 + i] = '\xff';
-  std::stringstream bad(bytes);
-  EXPECT_THROW(bc::read_bro_ell(bad), std::runtime_error);
+  Bytes bad = serialize(be::traits(bc::Format::kBroEll), small_matrix());
+  for (int i = 0; i < 8; ++i) bad[29 + i] = 0xff;
+  EXPECT_NE(stream_error(bad).find("implausible element count"),
+            std::string::npos);
 }
 
 // ---- one-pass ingest: .bro bytes straight to CSR ----
@@ -450,17 +371,31 @@ TEST(Ingest, InteriorPaddingIsRejected) {
 
   bc::BroHybOptions hyb_opts;
   hyb_opts.width_override = 2; // row 2's third entry goes to the COO part
-  std::stringstream ell_out, hyb_out;
+  // With 2x2 blocks, block row 0 (rows 0 and 1) holds block columns
+  // {0, 1, 2}: deltas 1, 1, 1. Clearing the first leaves a stream whose
+  // SpMV reads tile 1 for block column 0, while counting only real blocks
+  // would read tile 0.
+  bc::BroBcsrOptions bcsr_opts;
+  bcsr_opts.block_rows = 2;
+  bcsr_opts.block_cols = 2;
+  std::stringstream ell_out, hyb_out, bcsr_out;
   const auto ell = bc::BroEll::compress(bs::csr_to_ell(csr));
+  const auto bcsr = bc::BroBcsr::compress(csr, bcsr_opts);
   bc::write_bro_ell(ell_out, ell);
   bc::write_bro_hyb(hyb_out, bc::BroHyb::compress(csr, hyb_opts));
-  const int first_width = ell.slices()[0].bit_alloc[0];
+  bc::write_bro_bcsr(bcsr_out, bcsr);
+  const int ell_width = ell.slices()[0].bit_alloc[0];
+  const int bcsr_width = bcsr.slices()[0].bit_alloc[0];
 
-  for (std::stringstream* out : {&ell_out, &hyb_out}) {
+  for (const auto& [out, first_width] :
+       {std::pair{&ell_out, ell_width}, std::pair{&hyb_out, ell_width},
+        std::pair{&bcsr_out, bcsr_width}}) {
     const std::string s = out->str();
     Bytes bytes(s.begin(), s.end());
+    SCOPED_TRACE("tag " + std::to_string(bytes[8]));
     expect_same_csr(bc::read_bro_to_csr(bytes), csr);
-    // Slot 0 is symbol 0 of row 0; its top bits hold the first delta.
+    // Slot 0 is symbol 0 of (block) row 0; its top bits hold the first
+    // delta.
     const std::size_t off = LayoutWalker(bytes).first_slots();
     std::uint64_t slot;
     std::memcpy(&slot, bytes.data() + off, sizeof(slot));
@@ -468,4 +403,41 @@ TEST(Ingest, InteriorPaddingIsRejected) {
     std::memcpy(bytes.data() + off, &slot, sizeof(slot));
     EXPECT_THROW(bc::read_bro_to_csr(bytes), std::runtime_error);
   }
+}
+
+TEST(Ingest, BcsrDropsItsFillAndStoredZeros) {
+  // 2x2 blocks over a 4x6 matrix. Block (0, 0) is full but stores 0.0 at
+  // (0, 1) and -0.0 at (1, 0); block (1, 1) holds three entries and one
+  // fill slot; block (0, 2) holds one entry. The ingest cannot tell a
+  // stored zero from fill: it drops exactly those two entries and the
+  // fill, keeping every other value, a NaN included, bit for bit.
+  const value_t nan = std::numeric_limits<value_t>::quiet_NaN();
+  bs::Coo coo;
+  coo.rows = 4;
+  coo.cols = 6;
+  coo.push(0, 0, 1.5);
+  coo.push(0, 1, 0.0);
+  coo.push(1, 0, -0.0);
+  coo.push(1, 1, 2.5);
+  coo.push(0, 5, nan);
+  coo.push(2, 2, 3.0);
+  coo.push(2, 3, -4.0);
+  coo.push(3, 3, 5.0);
+  const bs::Csr src = bs::coo_to_csr(coo);
+  ASSERT_EQ(src.nnz(), 8u);
+  coo.canonicalize(/*drop_zeros=*/true);
+  const bs::Csr want = bs::coo_to_csr(coo);
+  ASSERT_EQ(want.nnz(), 6u);
+
+  bc::BroBcsrOptions opts;
+  opts.block_rows = 2;
+  opts.block_cols = 2;
+  const auto bcsr = bc::BroBcsr::compress(src, opts);
+  // Block row 0 holds two blocks and block row 1 one plus a padding tile:
+  // four 2x2 tiles.
+  ASSERT_EQ(bcsr.value_slots(), 16u);
+  std::stringstream out;
+  bc::write_bro_bcsr(out, bcsr);
+  const std::string s = out.str();
+  expect_same_csr(bc::read_bro_to_csr(Bytes(s.begin(), s.end())), want);
 }
