@@ -72,7 +72,8 @@ int main() {
   auto* d_ba = upload(bit_alloc);
   auto* d_boff = upload(bit_alloc_off);
   auto* d_ncol = upload(num_col);
-  auto* d_vals = upload(bro.vals());
+  // The kernel reads ELLPACK's padded column-major value array.
+  auto* d_vals = upload(core::ell_values(bro.csr(), bro.width()));
   auto* d_x = upload(x);
   double* d_y = nullptr;
   CUDA_OK(cudaMalloc(&d_y, y_host.size() * sizeof(double)));

@@ -247,12 +247,12 @@ Issues validate_hyb(const sparse::Hyb& a, const sparse::Csr* ref) {
 Issues validate_bro_ell(const core::BroEll& a, const sparse::Csr* ref) {
   Issues issues;
   Acc acc(issues);
-  const std::size_t expect = static_cast<std::size_t>(a.rows()) *
-                             static_cast<std::size_t>(a.width());
-  acc.check(a.vals().size() == expect, [&](auto& os) {
-    os << "vals holds " << a.vals().size() << " entries, expected rows*width "
-       << expect;
-  });
+  // The values are the source CSR's, read in place.
+  acc.check(a.csr().rows == a.rows() && a.csr().cols == a.cols(),
+            [&](auto& os) {
+              os << "source CSR is " << a.csr().rows << " x " << a.csr().cols
+                 << ", matrix is " << a.rows() << " x " << a.cols();
+            });
 
   // The slices must tile [0, rows) contiguously.
   index_t next_row = 0;
@@ -288,9 +288,11 @@ Issues validate_bro_ell(const core::BroEll& a, const sparse::Csr* ref) {
   if (!issues.empty()) return issues;
 
   // Decode every row: columns must be strictly increasing and in range, and
-  // with a reference, identical to the source row — the only way to catch a
-  // bit allocation too narrow for the slice's deltas (a truncated delta
-  // still decodes to some in-range column).
+  // exactly the source CSR row's first min(length, width) columns, since
+  // the kernels read a valid slot's value at the CSR entry of that rank.
+  // With a reference, identical to the reference row — the only way to
+  // catch a bit allocation too narrow for the slice's deltas (a truncated
+  // delta still decodes to some in-range column).
   for (const auto& sl : a.slices()) {
     for (index_t i = 0; i < sl.height && !acc.full(); ++i) {
       const index_t r = sl.first_row + i;
@@ -303,6 +305,13 @@ Issues validate_bro_ell(const core::BroEll& a, const sparse::Csr* ref) {
         });
         prev = c;
       }
+      const auto source = core::ell_row(a.csr(), r, a.width());
+      const bool decodes_source = std::ranges::equal(cols, source);
+      acc.check(decodes_source, [&](auto& os) {
+        os << "row " << r << ": decoded " << cols.size()
+           << " columns that are not the source row's first "
+           << source.size();
+      });
       if (!ref) continue;
       const auto want = ref->row_cols(r);
       const bool match = cols.size() == want.size() &&
@@ -325,7 +334,7 @@ Issues validate_bro_ell(const core::BroEll& a, const sparse::Csr* ref) {
                        << " bits but the slice allocates "
                        << int(sl.bit_alloc[j]);
                   });
-      if (match) {
+      if (match && decodes_source) {
         const auto want_vals = ref->row_vals(r);
         for (std::size_t j = 0; j < want_vals.size(); ++j)
           acc.check(a.val_at(r, static_cast<index_t>(j)) == want_vals[j],

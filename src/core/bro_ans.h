@@ -113,7 +113,7 @@ class BroAns {
   std::vector<index_t> decode_row(index_t row) const;
 
   /// Full decompression back to ELLPACK (round-trip testing).
-  sparse::Ell decompress() const { return decompress_to_ell(*this); }
+  sparse::Ell decompress() const { return decompress_to_ell(*this, vals_); }
 
   /// y = A * x via the sequential per-row decode loop.
   void spmv(std::span<const value_t> x, std::span<value_t> y) const;

@@ -72,25 +72,6 @@ std::size_t row_bits(const BroEllSlice& slice) {
   return bits;
 }
 
-/// Write rows [first, last) of `csr`'s ELLPACK value array into `vals`
-/// (m x width, column-major): +0.0 in every slot of those rows, then the
-/// rows' values over their leading slots. Rows outside the range are not
-/// touched, so disjoint ranges may fill in parallel, and a range's slots
-/// stay cache-resident between the two passes.
-void fill_ell_values(const sparse::Csr& csr, index_t width, index_t first,
-                     index_t last, std::span<value_t> vals) {
-  const auto m = static_cast<std::size_t>(csr.rows);
-  for (std::size_t j = 0; j < static_cast<std::size_t>(width); ++j)
-    std::fill(vals.begin() + j * m + first, vals.begin() + j * m + last,
-              value_t{0});
-  for (index_t r = first; r < last; ++r) {
-    const std::span<const value_t> row = csr.row_vals(r);
-    const std::size_t len = ell_row(csr, r, width).size();
-    for (std::size_t j = 0; j < len; ++j)
-      vals[j * m + static_cast<std::size_t>(r)] = row[j];
-  }
-}
-
 } // namespace
 
 BroEllSlice slice_layout(index_t first_row,
@@ -160,36 +141,46 @@ std::span<const index_t> ell_row(const sparse::Csr& csr, index_t r,
 util::UninitVector<value_t> ell_values(const sparse::Csr& csr, index_t width) {
   BRO_CHECK_MSG(width >= 0, "ELL width must be non-negative");
   constexpr index_t kTileRows = 256;
-  util::UninitVector<value_t> vals(static_cast<std::size_t>(csr.rows) *
-                                   static_cast<std::size_t>(width));
+  const auto m = static_cast<std::size_t>(csr.rows);
+  util::UninitVector<value_t> vals(m * static_cast<std::size_t>(width));
+  // Each 256-row tile writes +0.0 in all its slots, then its rows' values
+  // over their leading slots, while the tile's slots are cache-resident.
+  // Tiles are disjoint, so the array is first touched in parallel.
   const index_t tiles = (csr.rows + kTileRows - 1) / kTileRows;
   util::parallel_for_slices(tiles, [&](index_t t) {
     const index_t first = t * kTileRows;
-    fill_ell_values(csr, width, first, std::min(csr.rows, first + kTileRows),
-                    vals);
+    const index_t last = std::min(csr.rows, first + kTileRows);
+    for (std::size_t j = 0; j < static_cast<std::size_t>(width); ++j)
+      std::fill(vals.begin() + j * m + first, vals.begin() + j * m + last,
+                value_t{0});
+    for (index_t r = first; r < last; ++r) {
+      const std::span<const value_t> row = csr.row_vals(r);
+      const std::size_t len = ell_row(csr, r, width).size();
+      for (std::size_t j = 0; j < len; ++j)
+        vals[j * m + static_cast<std::size_t>(r)] = row[j];
+    }
   });
   return vals;
 }
 
-BroEll BroEll::compress(const sparse::Csr& csr, index_t width,
-                        BroEllOptions opts) {
+BroEll BroEll::compress(std::shared_ptr<const sparse::Csr> shared,
+                        index_t width, BroEllOptions opts) {
+  BRO_CHECK_MSG(shared != nullptr, "BRO-ELL needs a source CSR");
   BRO_CHECK_MSG(opts.slice_height > 0, "slice height must be positive");
   BRO_CHECK_MSG(opts.sym_len == 32 || opts.sym_len == 64,
                 "sym_len must be 32 or 64");
   BRO_CHECK_MSG(opts.forced_bit_width >= 0 && opts.forced_bit_width <= 32,
                 "forced_bit_width must be in [0, 32]");
+  BRO_CHECK_MSG(width >= 0, "ELL width must be non-negative");
 
+  const sparse::Csr& csr = *shared;
   BroEll out;
   out.rows_ = csr.rows;
   out.cols_ = csr.cols;
   out.width_ = width;
   out.opts_ = opts;
-  BRO_CHECK_MSG(width >= 0, "ELL width must be non-negative");
-  out.vals_.resize(static_cast<std::size_t>(csr.rows) *
-                   static_cast<std::size_t>(width));
+  out.csr_ = std::move(shared);
 
-  // One task per slice packs its stream and fills its rows of the value
-  // array, so the array's pages are first touched by the filling threads.
   const index_t h = opts.slice_height;
   const index_t num_slices = csr.rows == 0 ? 0 : (csr.rows + h - 1) / h;
   out.slices_.resize(static_cast<std::size_t>(num_slices));
@@ -202,9 +193,13 @@ BroEll BroEll::compress(const sparse::Csr& csr, index_t width,
       rows[t] = ell_row(csr, first + static_cast<index_t>(t), width);
     out.slices_[static_cast<std::size_t>(s)] =
         pack_slice(first, rows, opts.sym_len, opts.forced_bit_width);
-    fill_ell_values(csr, width, first, last, out.vals_);
   });
   return out;
+}
+
+BroEll BroEll::compress(sparse::Csr csr, index_t width, BroEllOptions opts) {
+  return compress(std::make_shared<const sparse::Csr>(std::move(csr)), width,
+                  opts);
 }
 
 BroEll BroEll::compress(const sparse::Ell& ell, BroEllOptions opts) {

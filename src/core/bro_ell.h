@@ -6,13 +6,19 @@
 // (bit_alloc), padded so sym_len divides every row stream, and finally
 // multiplexed so thread t reads symbol c*h + t — a coalesced access.
 //
-// The values array is kept exactly as in ELLPACK (column-major m-by-k);
-// BRO compresses index data only. Space savings η = 1 - C/O are therefore
-// reported against the ELLPACK index array.
+// BRO compresses index data only, so the values are not copied: a BroEll
+// shares ownership of the CSR it was built from and reads slot c of row r
+// at csr.vals[row_ptr[r] + c]. Each row holds its valid entries in its
+// first min(length, width) slots, so that slot is the row's c-th entry.
+// ELLPACK's padded column-major value array, the GPU layout, exists only
+// on the way out (ell_values: the .bro writer, the CUDA check, ELLPACK
+// reconstruction). Space savings η = 1 - C/O are reported against the
+// ELLPACK index array.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -75,15 +81,16 @@ util::UninitVector<value_t> ell_values(const sparse::Csr& csr, index_t width);
 std::size_t slice_index_bytes(std::span<const BroEllSlice> slices);
 
 /// ELLPACK reconstruction of a row-decodable BRO-ELL-layout format (BroEll,
-/// BroAns): decode_row(r) fills row r's leading slots, values verbatim.
+/// BroAns): decode_row(r) fills row r's leading slots; `vals` is the
+/// format's ELLPACK value array, copied verbatim.
 template <typename Bro>
-sparse::Ell decompress_to_ell(const Bro& m) {
+sparse::Ell decompress_to_ell(const Bro& m, std::span<const value_t> vals) {
   sparse::Ell out;
   out.rows = m.rows();
   out.cols = m.cols();
   out.width = m.width();
   out.col_idx.assign(static_cast<std::size_t>(out.rows) * out.width, sparse::kPad);
-  out.vals.assign(m.vals().begin(), m.vals().end());
+  out.vals.assign(vals.begin(), vals.end());
   for (index_t r = 0; r < out.rows; ++r) {
     const std::vector<index_t> cols = m.decode_row(r);
     for (std::size_t j = 0; j < cols.size(); ++j)
@@ -94,11 +101,13 @@ sparse::Ell decompress_to_ell(const Bro& m) {
 
 class BroEll {
  public:
-  /// Offline host-side compression straight from CSR rows (ell_row). Each
-  /// slice task packs its stream and fills its rows of the value array, so
-  /// the array is first touched in parallel; the output does not depend on
-  /// the thread count.
-  static BroEll compress(const sparse::Csr& csr, index_t width,
+  /// Offline host-side compression straight from CSR rows (ell_row), one
+  /// parallel task per slice; the output does not depend on the thread
+  /// count. The result shares ownership of `csr` and reads its values.
+  static BroEll compress(std::shared_ptr<const sparse::Csr> csr,
+                         index_t width, BroEllOptions opts = {});
+  /// Adapter for callers without a shared CSR: the result owns `csr`.
+  static BroEll compress(sparse::Csr csr, index_t width,
                          BroEllOptions opts = {});
   /// Adapter for callers that hold a padded ELLPACK.
   static BroEll compress(const sparse::Ell& ell, BroEllOptions opts = {});
@@ -108,13 +117,16 @@ class BroEll {
   index_t width() const { return width_; }
   const BroEllOptions& options() const { return opts_; }
   const std::vector<BroEllSlice>& slices() const { return slices_; }
-  const util::UninitVector<value_t>& vals() const { return vals_; }
+  /// The CSR the representation was built from: the values' home.
+  const sparse::Csr& csr() const { return *csr_; }
 
   /// Decode the column indices of one row (testing / verification path).
   std::vector<index_t> decode_row(index_t row) const;
 
   /// Full decompression back to ELLPACK (round-trip testing).
-  sparse::Ell decompress() const { return decompress_to_ell(*this); }
+  sparse::Ell decompress() const {
+    return decompress_to_ell(*this, ell_values(*csr_, width_));
+  }
 
   /// y = A * x via the Algorithm-1 decode loop, sequentially per row.
   void spmv(std::span<const value_t> x, std::span<value_t> y) const;
@@ -127,14 +139,16 @@ class BroEll {
   /// Actual heap bytes of the index data as stored (streams at their true
   /// symbol width + bit_alloc + per-slice header). Now that MuxedStream
   /// packs symbols, this coincides with compressed_index_bytes(); it is the
-  /// number the plan/PlanCache resident accounting charges.
+  /// number the plan/PlanCache resident accounting charges, since the
+  /// values are the CSR's.
   std::size_t resident_index_bytes() const { return compressed_index_bytes(); }
 
   /// Original ELLPACK index size (m * k * 4 bytes).
   std::size_t original_index_bytes() const;
 
+  /// Value of slot j of row r, a valid slot (j < min(length, width)).
   value_t val_at(index_t r, index_t j) const {
-    return vals_[static_cast<std::size_t>(j) * rows_ + r];
+    return csr_->vals[static_cast<std::size_t>(csr_->row_ptr[r] + j)];
   }
 
  private:
@@ -143,7 +157,7 @@ class BroEll {
   index_t width_ = 0;
   BroEllOptions opts_;
   std::vector<BroEllSlice> slices_;
-  util::UninitVector<value_t> vals_; // column-major m x k, as in ELLPACK
+  std::shared_ptr<const sparse::Csr> csr_;
 };
 
 /// Stateful implementation of the Algorithm-1 symbol-buffer decoder for one

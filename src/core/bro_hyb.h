@@ -4,10 +4,12 @@
 // HYB and BRO-HYB comparisons share identical partitions, as the paper
 // requires for fairness); the ELL part is compressed with BRO-ELL and the
 // COO part with BRO-COO. Both parts are built straight from the CSR rows:
-// no padded HYB is materialized.
+// no padded HYB is materialized. The ELL part reads its values from that
+// CSR, which it shares (core/bro_ell.h); the COO part owns the overflow.
 #pragma once
 
 #include <iosfwd>
+#include <memory>
 
 #include "core/bro_coo.h"
 #include "core/bro_ell.h"
@@ -24,7 +26,11 @@ struct BroHybOptions {
 
 class BroHyb {
  public:
-  static BroHyb compress(const sparse::Csr& csr, BroHybOptions opts = {});
+  /// Compression from CSR rows; the ELL part shares ownership of `csr`.
+  static BroHyb compress(std::shared_ptr<const sparse::Csr> csr,
+                         BroHybOptions opts = {});
+  /// Adapter for callers without a shared CSR: the result owns `csr`.
+  static BroHyb compress(sparse::Csr csr, BroHybOptions opts = {});
 
   index_t rows() const { return rows_; }
   index_t cols() const { return cols_; }

@@ -81,7 +81,9 @@ void write_ell_body(std::ostream& out, const BroEll& m) {
   write_pod<std::int32_t>(out, m.options().sym_len);
   write_pod<std::uint64_t>(out, m.slices().size());
   for (const BroEllSlice& s : m.slices()) write_ell_slice(out, s);
-  write_vec(out, m.vals());
+  // The stream keeps ELLPACK's padded column-major value array, built from
+  // the values the representation reads in place.
+  write_vec(out, ell_values(m.csr(), m.width()));
 }
 
 void write_ans_body(std::ostream& out, const BroAns& m) {

@@ -53,7 +53,8 @@ TuneResult autotune(const sparse::Csr& csr, const sim::DeviceSpec& dev) {
       result.ranking.push_back({f, 0, 0, false});
       continue;
     }
-    const Representation rep = t.make(csr, device_options(f, csr, dev));
+    const Representation rep =
+        t.make(borrow_csr(csr), device_options(f, csr, dev));
     const double gflops = simulate(dev, f, rep.get(), x).time.gflops;
     const double eta = t.rep_savings ? t.rep_savings(rep.get()).eta() : 0;
     result.ranking.push_back({f, gflops, eta, true});

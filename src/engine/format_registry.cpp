@@ -59,13 +59,13 @@ core::Savings index_savings(const void* rep) {
 template <Format F>
 std::size_t resident_bytes_once(const Matrix& m) {
   const FormatTraits& t = traits(F);
-  return t.rep_bytes(t.make(m.csr(), m.options()).get());
+  return t.rep_bytes(t.make(borrow_csr(m.csr()), m.options()).get());
 }
 
 template <Format F>
 core::Savings savings_once(const Matrix& m) {
   const FormatTraits& t = traits(F);
-  return t.rep_savings(t.make(m.csr(), m.options()).get());
+  return t.rep_savings(t.make(borrow_csr(m.csr()), m.options()).get());
 }
 
 // The parity oracle's kernel choices: the generic decoder for every slice /
@@ -108,8 +108,8 @@ const std::vector<FormatTraits>& build_registry() {
 
       {.format = Format::kCoo, .name = "COO",
        .applicable = always_applicable,
-       .make = [](const Csr& csr, const Opts&) {
-         return own(sparse::csr_to_coo(csr));
+       .make = [](const SharedCsr& csr, const Opts&) {
+         return own(sparse::csr_to_coo(*csr));
        },
        .build = [](const void* r, Workspace& ws) { ws.coo_ranges(as<Coo>(r)); },
        .apply = [](const void* r, X x, Y y) {
@@ -130,8 +130,8 @@ const std::vector<FormatTraits>& build_registry() {
 
       {.format = Format::kEll, .name = "ELLPACK",
        .applicable = ell_applicable,
-       .make = [](const Csr& csr, const Opts&) {
-         return own(sparse::csr_to_ell(csr));
+       .make = [](const SharedCsr& csr, const Opts&) {
+         return own(sparse::csr_to_ell(*csr));
        },
        .apply = [](const void* r, X x, Y y) {
          sparse::spmv_ell(as<Ell>(r), x, y);
@@ -152,8 +152,8 @@ const std::vector<FormatTraits>& build_registry() {
 
       {.format = Format::kEllR, .name = "ELLPACK-R",
        .applicable = ell_applicable,
-       .make = [](const Csr& csr, const Opts&) {
-         return own(sparse::csr_to_ellr(csr));
+       .make = [](const SharedCsr& csr, const Opts&) {
+         return own(sparse::csr_to_ellr(*csr));
        },
        .apply = [](const void* r, X x, Y y) {
          sparse::spmv_ellr(as<EllR>(r), x, y);
@@ -173,8 +173,8 @@ const std::vector<FormatTraits>& build_registry() {
 
       {.format = Format::kHyb, .name = "HYB",
        .applicable = always_applicable,
-       .make = [](const Csr& csr, const Opts&) {
-         return own(sparse::csr_to_hyb(csr));
+       .make = [](const SharedCsr& csr, const Opts&) {
+         return own(sparse::csr_to_hyb(*csr));
        },
        .build = [](const void* r, Workspace& ws) {
          ws.coo_ranges(as<Hyb>(r).coo);
@@ -198,8 +198,8 @@ const std::vector<FormatTraits>& build_registry() {
 
       {.format = Format::kBroEll, .name = "BRO-ELL",
        .auto_priority = 1, .applicable = ell_applicable,
-       .make = [](const Csr& csr, const Opts& o) {
-         return own(BroEll::compress(csr, csr.max_row_length(), o.ell));
+       .make = [](const SharedCsr& csr, const Opts& o) {
+         return own(BroEll::compress(csr, csr->max_row_length(), o.ell));
        },
        .build = [](const void* r, Workspace& ws) {
          ws.bro_ell_kernels(as<BroEll>(r));
@@ -224,9 +224,7 @@ const std::vector<FormatTraits>& build_registry() {
          core::write_bro_ell(out, as<BroEll>(r));
        },
        .rep_bytes = [](const void* r) {
-         const auto& bro = as<BroEll>(r);
-         return bro.resident_index_bytes() +
-                bro.vals().size() * sizeof(value_t);
+         return as<BroEll>(r).resident_index_bytes();
        },
        .rep_savings = index_savings<BroEll>,
        .resident_bytes = resident_bytes_once<Format::kBroEll>,
@@ -234,8 +232,8 @@ const std::vector<FormatTraits>& build_registry() {
 
       {.format = Format::kBroCoo, .name = "BRO-COO",
        .applicable = always_applicable,
-       .make = [](const Csr& csr, const Opts& o) {
-         return own(BroCoo::compress(sparse::csr_to_coo(csr), o.coo));
+       .make = [](const SharedCsr& csr, const Opts& o) {
+         return own(BroCoo::compress(sparse::csr_to_coo(*csr), o.coo));
        },
        .build = [](const void* r, Workspace& ws) {
          const auto& bro = as<BroCoo>(r);
@@ -285,7 +283,7 @@ const std::vector<FormatTraits>& build_registry() {
 
       {.format = Format::kBroHyb, .name = "BRO-HYB",
        .auto_priority = 2, .applicable = nonzero_applicable,
-       .make = [](const Csr& csr, const Opts& o) {
+       .make = [](const SharedCsr& csr, const Opts& o) {
          core::BroHybOptions ho;
          ho.ell = o.ell;
          ho.coo = o.coo;
@@ -334,7 +332,6 @@ const std::vector<FormatTraits>& build_registry() {
        .rep_bytes = [](const void* r) {
          const auto& bro = as<BroHyb>(r);
          return bro.resident_index_bytes() +
-                bro.ell_part().vals().size() * sizeof(value_t) +
                 bro.coo_part().padded_nnz() * sizeof(value_t);
        },
        .rep_savings = index_savings<BroHyb>,
@@ -345,8 +342,8 @@ const std::vector<FormatTraits>& build_registry() {
       // warp-scan decode.
       {.format = Format::kBroCsr, .name = "BRO-CSR",
        .applicable = always_applicable,
-       .make = [](const Csr& csr, const Opts&) {
-         return own(BroCsr::compress(csr));
+       .make = [](const SharedCsr& csr, const Opts&) {
+         return own(BroCsr::compress(*csr));
        },
        .apply = [](const void* r, X x, Y y) { as<BroCsr>(r).spmv(x, y); },
        .validate = [](const void* r, const Csr& src) {
@@ -367,8 +364,8 @@ const std::vector<FormatTraits>& build_registry() {
 
       {.format = Format::kBroAns, .name = "BRO-ANS",
        .applicable = ell_applicable,
-       .make = [](const Csr& csr, const Opts& o) {
-         return own(BroAns::compress(csr, csr.max_row_length(), o.ans));
+       .make = [](const SharedCsr& csr, const Opts& o) {
+         return own(BroAns::compress(*csr, csr->max_row_length(), o.ans));
        },
        .build = [](const void* r, Workspace& ws) {
          ws.bro_ans_kernel(as<BroAns>(r));
@@ -407,8 +404,8 @@ const std::vector<FormatTraits>& build_registry() {
        .applicable = [](const Csr& csr, double max_ell_expand) {
          return core::bro_bcsr_applicable(csr, max_ell_expand);
        },
-       .make = [](const Csr& csr, const Opts& o) {
-         return own(BroBcsr::compress(csr, o.bcsr));
+       .make = [](const SharedCsr& csr, const Opts& o) {
+         return own(BroBcsr::compress(*csr, o.bcsr));
        },
        .build = [](const void* r, Workspace& ws) {
          ws.bro_bcsr_kernel(as<BroBcsr>(r));
@@ -448,6 +445,10 @@ const std::vector<FormatTraits>& build_registry() {
 }
 
 } // namespace
+
+SharedCsr borrow_csr(const sparse::Csr& csr) {
+  return SharedCsr(SharedCsr{}, &csr);
+}
 
 const std::vector<FormatTraits>& format_registry() { return build_registry(); }
 

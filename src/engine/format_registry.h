@@ -34,6 +34,15 @@ class Workspace; // plan.h
 /// address is stable for the plan's lifetime, moves included.
 using Representation = std::shared_ptr<const void>;
 
+/// The CSR a representation is built from. BRO-ELL and BRO-HYB read their
+/// values from it in place, so their representations keep it alive; a plan
+/// passes an aliasing pointer into its core::Matrix.
+using SharedCsr = std::shared_ptr<const sparse::Csr>;
+
+/// A non-owning SharedCsr, for a caller that keeps `csr` alive for as long
+/// as the representation built from it (a one-shot build-measure-drop).
+SharedCsr borrow_csr(const sparse::Csr& csr);
+
 /// One registry entry. Null hooks are left out of the designated
 /// initializers; each hook's comment says what null means. `rep` is the
 /// plan's representation: the make hook's object, or the matrix's CSR when
@@ -48,9 +57,10 @@ struct FormatTraits {
   bool (*applicable)(const sparse::Csr& csr, double max_ell_expand);
 
   /// Builds the representation from the CSR and the matrix's options;
-  /// intermediates are dropped before it returns. Null: the plan runs on
-  /// the matrix's CSR itself.
-  Representation (*make)(const sparse::Csr& csr,
+  /// intermediates are dropped before it returns. The representation may
+  /// share ownership of `csr`. Null: the plan runs on the matrix's CSR
+  /// itself.
+  Representation (*make)(const SharedCsr& csr,
                          const core::MatrixOptions& opts) = nullptr;
 
   /// One-time plan step: pre-size the workspace so execute() never
@@ -92,9 +102,10 @@ struct FormatTraits {
   /// format has no on-disk form).
   void (*serialize)(std::ostream& out, const void* rep) = nullptr;
 
-  /// Heap bytes of the representation (null: the representation is the
-  /// matrix's CSR). Feeds SpmvPlan::resident_bytes() and through it the
-  /// serve layer's PlanCache byte budget.
+  /// Heap bytes the representation owns (null: the representation is the
+  /// matrix's CSR). The CSR a representation shares is not counted: the
+  /// plan charges it once. Feeds SpmvPlan::resident_bytes() and through it
+  /// the serve layer's PlanCache byte budget.
   std::size_t (*rep_bytes)(const void* rep) = nullptr;
 
   /// Index space savings of the representation (null for uncompressed

@@ -124,8 +124,11 @@ SpmvPlan::SpmvPlan(std::shared_ptr<const core::Matrix> matrix,
     : matrix_(std::move(matrix)) {
   BRO_CHECK_MSG(matrix_ != nullptr, "SpmvPlan requires a matrix");
   traits_ = &traits(format.value_or(matrix_->auto_format()));
+  // The representation may share the matrix's CSR: an aliasing pointer
+  // keeps the whole matrix alive for as long as it does.
   if (traits_->make)
-    owned_ = traits_->make(matrix_->csr(), matrix_->options());
+    owned_ = traits_->make(SharedCsr(matrix_, &matrix_->csr()),
+                           matrix_->options());
   rep_ = owned_ ? owned_.get() : &matrix_->csr();
   if (traits_->build) traits_->build(rep_, ws_);
 }

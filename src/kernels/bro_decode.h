@@ -92,9 +92,9 @@ void bro_ell_slice_spmv(const core::BroEll& a, const core::BroEllSlice& slice,
   const std::uint32_t* stream = slice.stream.data<std::uint32_t>();
   const std::size_t h = static_cast<std::size_t>(slice.height);
   const std::uint8_t* alloc = slice.bit_alloc.data();
-  const value_t* vals = a.vals().data();
+  const value_t* vals = a.csr().vals.data();
+  const index_t* row_ptr = a.csr().row_ptr.data();
   const value_t* xp = x.data();
-  const std::size_t m = static_cast<std::size_t>(a.rows());
 
   // Every row of a slice consumes the same alloc[c] bits at column c, so
   // all row decoders drain their symbol buffers in lockstep: the residual
@@ -102,17 +102,22 @@ void bro_ell_slice_spmv(const core::BroEll& a, const core::BroEllSlice& slice,
   // pass therefore costs one refill branch per column (not per row), the
   // four refill loads are adjacent lanes (one or two cache lines), and the
   // four extract chains are independent. Each row's sum still accumulates
-  // in column order, so no result bit changes.
+  // in column order, so no result bit changes. A valid slot c of row r is
+  // the row's c-th CSR entry, so each row reads its values through one
+  // base pointer.
   index_t t = 0;
   for (; t + 3 < slice.height; t += 4) {
     const std::size_t r0 = static_cast<std::size_t>(slice.first_row + t);
     const std::uint32_t* next_load = stream + static_cast<std::size_t>(t);
+    const value_t* v0 = vals + row_ptr[r0];
+    const value_t* v1 = vals + row_ptr[r0 + 1];
+    const value_t* v2 = vals + row_ptr[r0 + 2];
+    const value_t* v3 = vals + row_ptr[r0 + 3];
     std::uint64_t sym0 = 0, sym1 = 0, sym2 = 0, sym3 = 0;
     int rb = 0;
     index_t col0 = -1, col1 = -1, col2 = -1, col3 = -1;
     value_t sum0 = 0, sum1 = 0, sum2 = 0, sum3 = 0;
-    std::size_t voff = 0;
-    for (index_t c = 0; c < slice.num_col; ++c, voff += m) {
+    for (index_t c = 0; c < slice.num_col; ++c) {
       const int b = B >= 0 ? B : alloc[static_cast<std::size_t>(c)];
       std::uint32_t d0, d1, d2, d3;
       if (b <= rb) {
@@ -142,19 +147,19 @@ void bro_ell_slice_spmv(const core::BroEll& a, const core::BroEllSlice& slice,
       }
       if (d0 != bits::kInvalidDelta) {
         col0 += static_cast<index_t>(d0);
-        sum0 += vals[voff + r0] * xp[static_cast<std::size_t>(col0)];
+        sum0 += v0[c] * xp[static_cast<std::size_t>(col0)];
       }
       if (d1 != bits::kInvalidDelta) {
         col1 += static_cast<index_t>(d1);
-        sum1 += vals[voff + r0 + 1] * xp[static_cast<std::size_t>(col1)];
+        sum1 += v1[c] * xp[static_cast<std::size_t>(col1)];
       }
       if (d2 != bits::kInvalidDelta) {
         col2 += static_cast<index_t>(d2);
-        sum2 += vals[voff + r0 + 2] * xp[static_cast<std::size_t>(col2)];
+        sum2 += v2[c] * xp[static_cast<std::size_t>(col2)];
       }
       if (d3 != bits::kInvalidDelta) {
         col3 += static_cast<index_t>(d3);
-        sum3 += vals[voff + r0 + 3] * xp[static_cast<std::size_t>(col3)];
+        sum3 += v3[c] * xp[static_cast<std::size_t>(col3)];
       }
     }
     y[r0] = sum0;
@@ -165,16 +170,16 @@ void bro_ell_slice_spmv(const core::BroEll& a, const core::BroEllSlice& slice,
   for (; t < slice.height; ++t) {
     const std::size_t r = static_cast<std::size_t>(slice.first_row + t);
     LaneDecoder<B> dec(stream, h, static_cast<std::size_t>(t));
+    const value_t* v = vals + row_ptr[r];
     index_t col = -1;
     value_t sum = 0;
-    std::size_t voff = 0;
-    for (index_t c = 0; c < slice.num_col; ++c, voff += m) {
+    for (index_t c = 0; c < slice.num_col; ++c) {
       const std::uint32_t d =
           B >= 0 ? dec.next()
                  : dec.next(alloc[static_cast<std::size_t>(c)]);
       if (d != bits::kInvalidDelta) {
         col += static_cast<index_t>(d);
-        sum += vals[voff + r] * xp[static_cast<std::size_t>(col)];
+        sum += v[c] * xp[static_cast<std::size_t>(col)];
       }
     }
     y[r] = sum;
@@ -188,8 +193,8 @@ void bro_ell_slice_spmm(const core::BroEll& a, const core::BroEllSlice& slice,
   const std::uint32_t* stream = slice.stream.data<std::uint32_t>();
   const std::size_t h = static_cast<std::size_t>(slice.height);
   const std::uint8_t* alloc = slice.bit_alloc.data();
-  const value_t* vals = a.vals().data();
-  const std::size_t m = static_cast<std::size_t>(a.rows());
+  const value_t* vals = a.csr().vals.data();
+  const index_t* row_ptr = a.csr().row_ptr.data();
   const std::size_t uk = static_cast<std::size_t>(k);
   // Row pairing as in the SpMV kernel: per-row accumulation order is
   // untouched (each row still sums in column order), so results are
@@ -202,25 +207,26 @@ void bro_ell_slice_spmm(const core::BroEll& a, const core::BroEllSlice& slice,
     const std::size_t r1 = r0 + 1;
     LaneDecoder<B> dec0(stream, h, static_cast<std::size_t>(t));
     LaneDecoder<B> dec1(stream, h, static_cast<std::size_t>(t) + 1);
+    const value_t* v0 = vals + row_ptr[r0];
+    const value_t* v1 = vals + row_ptr[r1];
     index_t col0 = -1, col1 = -1;
     value_t* y0 = y.data() + r0 * uk;
     value_t* y1 = y.data() + r1 * uk;
     for (std::size_t b = 0; b < uk; ++b) y0[b] = 0;
     for (std::size_t b = 0; b < uk; ++b) y1[b] = 0;
-    std::size_t voff = 0;
-    for (index_t c = 0; c < slice.num_col; ++c, voff += m) {
+    for (index_t c = 0; c < slice.num_col; ++c) {
       const int bw = B >= 0 ? 0 : alloc[static_cast<std::size_t>(c)];
       const std::uint32_t d0 = dec0.next(bw);
       const std::uint32_t d1 = dec1.next(bw);
       if (d0 != bits::kInvalidDelta) {
         col0 += static_cast<index_t>(d0);
-        const value_t v = vals[voff + r0];
+        const value_t v = v0[c];
         const value_t* xc = x.data() + static_cast<std::size_t>(col0) * uk;
         for (std::size_t b = 0; b < uk; ++b) y0[b] += v * xc[b];
       }
       if (d1 != bits::kInvalidDelta) {
         col1 += static_cast<index_t>(d1);
-        const value_t v = vals[voff + r1];
+        const value_t v = v1[c];
         const value_t* xc = x.data() + static_cast<std::size_t>(col1) * uk;
         for (std::size_t b = 0; b < uk; ++b) y1[b] += v * xc[b];
       }
@@ -229,17 +235,17 @@ void bro_ell_slice_spmm(const core::BroEll& a, const core::BroEllSlice& slice,
   for (; t < slice.height; ++t) {
     const std::size_t r = static_cast<std::size_t>(slice.first_row + t);
     LaneDecoder<B> dec(stream, h, static_cast<std::size_t>(t));
+    const value_t* vr = vals + row_ptr[r];
     index_t col = -1;
     value_t* yr = y.data() + r * uk;
     for (std::size_t b = 0; b < uk; ++b) yr[b] = 0;
-    std::size_t voff = 0;
-    for (index_t c = 0; c < slice.num_col; ++c, voff += m) {
+    for (index_t c = 0; c < slice.num_col; ++c) {
       const std::uint32_t d =
           B >= 0 ? dec.next()
                  : dec.next(alloc[static_cast<std::size_t>(c)]);
       if (d != bits::kInvalidDelta) {
         col += static_cast<index_t>(d);
-        const value_t v = vals[voff + r];
+        const value_t v = vr[c];
         const value_t* xc = x.data() + static_cast<std::size_t>(col) * uk;
         for (std::size_t b = 0; b < uk; ++b) yr[b] += v * xc[b];
       }

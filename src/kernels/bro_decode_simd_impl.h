@@ -163,16 +163,16 @@ void ell_slice_spmv(const core::BroEll& a, const core::BroEllSlice& slice,
   const std::uint32_t* stream = slice.stream.data<std::uint32_t>();
   const std::size_t h = static_cast<std::size_t>(slice.height);
   const std::uint8_t* alloc = slice.bit_alloc.data();
-  const value_t* vals = a.vals().data();
+  const value_t* vals = a.csr().vals.data();
+  const index_t* row_ptr = a.csr().row_ptr.data();
   const value_t* xp = x.data();
-  const std::size_t m = static_cast<std::size_t>(a.rows());
   constexpr int W = V::kLanes;
 
   // One vector lane per row: all rows of a slice consume alloc[c] bits at
   // column c, so the W symbol buffers live in one register and drain in
   // lockstep. The decoded deltas are spilled to d[] and each row's column
   // walk + FP accumulation runs scalar in column order, exactly as in
-  // bro_ell_slice_spmv.
+  // bro_ell_slice_spmv, reading slot c of row r0 + j at v[j][c].
   index_t t = 0;
   for (; t + W - 1 < slice.height; t += W) {
     const std::size_t r0 = static_cast<std::size_t>(slice.first_row + t);
@@ -180,19 +180,20 @@ void ell_slice_spmv(const core::BroEll& a, const core::BroEllSlice& slice,
     V::Reg sym = V::zero();
     int rb = 0;
     alignas(32) std::uint32_t d[W];
+    const value_t* v[W];
     index_t col[W];
     value_t sum[W];
+    for (int j = 0; j < W; ++j)
+      v[j] = vals + row_ptr[r0 + static_cast<std::size_t>(j)];
     for (int j = 0; j < W; ++j) col[j] = -1;
     for (int j = 0; j < W; ++j) sum[j] = 0;
-    std::size_t voff = 0;
-    for (index_t c = 0; c < slice.num_col; ++c, voff += m) {
+    for (index_t c = 0; c < slice.num_col; ++c) {
       lockstep_next(sym, rb, alloc[static_cast<std::size_t>(c)], next_load,
                     h, d);
       for (int j = 0; j < W; ++j) {
         if (d[j] != bits::kInvalidDelta) {
           col[j] += static_cast<index_t>(d[j]);
-          sum[j] += vals[voff + r0 + static_cast<std::size_t>(j)] *
-                    xp[static_cast<std::size_t>(col[j])];
+          sum[j] += v[j][c] * xp[static_cast<std::size_t>(col[j])];
         }
       }
     }
@@ -202,14 +203,14 @@ void ell_slice_spmv(const core::BroEll& a, const core::BroEllSlice& slice,
   for (; t < slice.height; ++t) {
     const std::size_t r = static_cast<std::size_t>(slice.first_row + t);
     ScalarLane dec(stream, h, static_cast<std::size_t>(t));
+    const value_t* v = vals + row_ptr[r];
     index_t col = -1;
     value_t sum = 0;
-    std::size_t voff = 0;
-    for (index_t c = 0; c < slice.num_col; ++c, voff += m) {
+    for (index_t c = 0; c < slice.num_col; ++c) {
       const std::uint32_t d = dec.next(alloc[static_cast<std::size_t>(c)]);
       if (d != bits::kInvalidDelta) {
         col += static_cast<index_t>(d);
-        sum += vals[voff + r] * xp[static_cast<std::size_t>(col)];
+        sum += v[c] * xp[static_cast<std::size_t>(col)];
       }
     }
     y[r] = sum;
@@ -222,38 +223,49 @@ void ell_slice_spmm(const core::BroEll& a, const core::BroEllSlice& slice,
   const std::uint32_t* stream = slice.stream.data<std::uint32_t>();
   const std::size_t h = static_cast<std::size_t>(slice.height);
   const std::uint8_t* alloc = slice.bit_alloc.data();
-  const value_t* vals = a.vals().data();
-  const std::size_t m = static_cast<std::size_t>(a.rows());
+  const value_t* vals = a.csr().vals.data();
+  const index_t* row_ptr = a.csr().row_ptr.data();
   const std::size_t uk = static_cast<std::size_t>(k);
   constexpr int W = V::kLanes;
 
-  // Same lane-per-row decode as the SpMV kernel; each decoded column feeds
-  // k FMAs per live row, per-row in column order as in bro_ell_slice_spmm.
+  // Same lane-per-row decode as the SpMV kernel, split into phases over
+  // tiles of kSpmmTileCols columns: decode the tile for all W rows into
+  // d[], then walk it one row at a time, each decoded column feeding k
+  // FMAs. A row's values are then one sequential stream per tile, which
+  // the hardware prefetchers follow; interleaving W rows per column hides
+  // that from them. Each row still sums in column order, as in
+  // bro_ell_slice_spmm, so no result bit changes.
+  constexpr index_t kSpmmTileCols = 32;
   index_t t = 0;
   for (; t + W - 1 < slice.height; t += W) {
     const std::size_t r0 = static_cast<std::size_t>(slice.first_row + t);
     const std::uint32_t* next_load = stream + static_cast<std::size_t>(t);
     V::Reg sym = V::zero();
     int rb = 0;
-    alignas(32) std::uint32_t d[W];
+    alignas(32) std::uint32_t d[kSpmmTileCols][W];
     index_t col[W];
-    value_t* yr[W];
     for (int j = 0; j < W; ++j) col[j] = -1;
     for (int j = 0; j < W; ++j) {
-      yr[j] = y.data() + (r0 + static_cast<std::size_t>(j)) * uk;
-      for (std::size_t bb = 0; bb < uk; ++bb) yr[j][bb] = 0;
+      value_t* yr = y.data() + (r0 + static_cast<std::size_t>(j)) * uk;
+      for (std::size_t bb = 0; bb < uk; ++bb) yr[bb] = 0;
     }
-    std::size_t voff = 0;
-    for (index_t c = 0; c < slice.num_col; ++c, voff += m) {
-      lockstep_next(sym, rb, alloc[static_cast<std::size_t>(c)], next_load,
-                    h, d);
+    for (index_t c0 = 0; c0 < slice.num_col; c0 += kSpmmTileCols) {
+      const index_t nc = std::min(kSpmmTileCols, slice.num_col - c0);
+      for (index_t c = 0; c < nc; ++c)
+        lockstep_next(sym, rb, alloc[static_cast<std::size_t>(c0 + c)],
+                      next_load, h, d[c]);
       for (int j = 0; j < W; ++j) {
-        if (d[j] != bits::kInvalidDelta) {
-          col[j] += static_cast<index_t>(d[j]);
-          const value_t v = vals[voff + r0 + static_cast<std::size_t>(j)];
-          const value_t* xc =
-              x.data() + static_cast<std::size_t>(col[j]) * uk;
-          for (std::size_t bb = 0; bb < uk; ++bb) yr[j][bb] += v * xc[bb];
+        const std::size_t r = r0 + static_cast<std::size_t>(j);
+        const value_t* vr = vals + row_ptr[r] + c0;
+        value_t* yr = y.data() + r * uk;
+        for (index_t c = 0; c < nc; ++c) {
+          if (d[c][j] != bits::kInvalidDelta) {
+            col[j] += static_cast<index_t>(d[c][j]);
+            const value_t v = vr[c];
+            const value_t* xc =
+                x.data() + static_cast<std::size_t>(col[j]) * uk;
+            for (std::size_t bb = 0; bb < uk; ++bb) yr[bb] += v * xc[bb];
+          }
         }
       }
     }
@@ -261,15 +273,15 @@ void ell_slice_spmm(const core::BroEll& a, const core::BroEllSlice& slice,
   for (; t < slice.height; ++t) {
     const std::size_t r = static_cast<std::size_t>(slice.first_row + t);
     ScalarLane dec(stream, h, static_cast<std::size_t>(t));
+    const value_t* vr = vals + row_ptr[r];
     index_t col = -1;
     value_t* yr = y.data() + r * uk;
     for (std::size_t bb = 0; bb < uk; ++bb) yr[bb] = 0;
-    std::size_t voff = 0;
-    for (index_t c = 0; c < slice.num_col; ++c, voff += m) {
+    for (index_t c = 0; c < slice.num_col; ++c) {
       const std::uint32_t d = dec.next(alloc[static_cast<std::size_t>(c)]);
       if (d != bits::kInvalidDelta) {
         col += static_cast<index_t>(d);
-        const value_t v = vals[voff + r];
+        const value_t v = vr[c];
         const value_t* xc = x.data() + static_cast<std::size_t>(col) * uk;
         for (std::size_t bb = 0; bb < uk; ++bb) yr[bb] += v * xc[bb];
       }

@@ -247,8 +247,10 @@ std::vector<EllSuiteDecodeRow> ell_suite_decode_sweep(
 
   std::vector<EllSuiteDecodeRow> rows;
   for (const auto& entry : sparse::suite_test_set(1)) {
-    const sparse::Csr csr = sparse::generate_suite_matrix(entry, scale);
-    const core::BroEll bro = core::BroEll::compress(sparse::csr_to_ell(csr));
+    const auto csr = std::make_shared<const sparse::Csr>(
+        sparse::generate_suite_matrix(entry, scale));
+    const core::BroEll bro =
+        core::BroEll::compress(csr, csr->max_row_length());
 
     EllSuiteDecodeRow row;
     row.matrix = entry.name;
@@ -301,7 +303,7 @@ std::vector<EntropySuiteRow> entropy_suite_sweep(
   for (const auto& entry : sparse::suite_test_set(1)) {
     const sparse::Csr csr = sparse::generate_suite_matrix(entry, scale);
     const sparse::Ell ell = sparse::csr_to_ell(csr);
-    const core::BroEll fixed = core::BroEll::compress(ell);
+    const core::BroEll fixed = core::BroEll::compress(csr, ell.width);
     const core::BroAns coded = core::BroAns::compress(ell);
 
     EntropySuiteRow row;
@@ -375,7 +377,7 @@ std::vector<BlockSuiteRow> block_suite_sweep(SimdIsa isa, double scale,
   std::vector<BlockSuiteRow> rows;
   for (const auto& entry : sparse::suite_test_set(3)) {
     const sparse::Csr csr = sparse::generate_suite_matrix(entry, scale);
-    const core::BroEll ell = core::BroEll::compress(sparse::csr_to_ell(csr));
+    const core::BroEll ell = core::BroEll::compress(csr, csr.max_row_length());
     const core::BroBcsr bcsr = core::BroBcsr::compress(csr);
 
     BlockSuiteRow row;

@@ -206,7 +206,11 @@ SimResult sim_spmv_bro_ell(const sim::DeviceSpec& dev, const core::BroEll& a,
   const std::uint64_t blocks = std::max<std::uint64_t>(1, a.slices().size());
   sim::SimContext sim(dev, {blocks, h});
 
-  const auto val_arr = sim.alloc(a.vals().size(), sizeof(value_t));
+  // The device holds ELLPACK's padded column-major value array (rows x
+  // width), whatever layout the host representation keeps its values in.
+  const auto val_arr = sim.alloc(
+      static_cast<std::uint64_t>(m) * static_cast<std::uint64_t>(a.width()),
+      sizeof(value_t));
   const auto x_arr = sim.alloc(x.size(), sizeof(value_t));
   const auto y_arr = sim.alloc(static_cast<std::uint64_t>(m), sizeof(value_t));
   // One virtual region per slice stream keeps the addressing simple; the

@@ -421,7 +421,7 @@ std::vector<std::uint8_t> matrix_to_bro_bytes(const core::Matrix& m,
   BRO_CHECK_MSG(t.serialize != nullptr,
                 t.name << " has no serialized form (use a BRO format)");
   std::ostringstream out(std::ios::binary);
-  t.serialize(out, t.make(m.csr(), m.options()).get());
+  t.serialize(out, t.make(engine::borrow_csr(m.csr()), m.options()).get());
   const std::string s = out.str();
   return std::vector<std::uint8_t>(s.begin(), s.end());
 }

@@ -166,7 +166,7 @@ TEST(Autotune, DeviceMatchedOptionsSizeBroCooAndTheHybOverflow) {
     bc::MatrixOptions opts;
     opts.coo = bro::kernels::bro_coo_options_for(nnz, dev);
     const auto& t = bk::traits(f);
-    return t.rep_savings(t.make(csr, opts).get()).eta();
+    return t.rep_savings(t.make(bk::borrow_csr(csr), opts).get()).eta();
   };
   for (const auto& dev : {gtx, k20}) {
     SCOPED_TRACE(dev.name);

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -212,6 +213,41 @@ TEST(DecodeDispatch, EllParityAcrossWidths) {
 
 /// The adversarial battery at its natural widths: every degenerate shape,
 /// SpMV and SpMM, BRO-ELL + BRO-COO + BRO-HYB.
+/// A BroEll reads its values from the CSR it shares. Built through the
+/// ELLPACK adapter, or from a shared CSR whose other owner is gone, it runs
+/// bitwise like one built from a CSR the caller keeps, SpMV and SpMM, at
+/// every ISA. (Under ASan a dangling source would be a use-after-free.)
+TEST(DecodeDispatch, EllKeepsTheSourceItReads) {
+  const bs::Csr csr = bs::generate_poisson2d(37, 29); // ragged: 3-5 per row
+  const index_t width = csr.max_row_length();
+  const bc::BroEll kept = bc::BroEll::compress(csr, width);
+  const bc::BroEll adapted = bc::BroEll::compress(bs::csr_to_ell(csr));
+  auto shared = std::make_shared<const bs::Csr>(csr);
+  const bc::BroEll orphan = bc::BroEll::compress(shared, width);
+  shared.reset();
+
+  constexpr int k = 3;
+  const auto x = random_x(csr.cols, 51);
+  const auto xk = random_x(csr.cols * k, 52);
+  std::vector<value_t> want(static_cast<std::size_t>(csr.rows));
+  bk::native_spmv_bro_ell(kept, generic_table(kept), x, want);
+  for (const bk::SimdIsa isa : host_isas()) {
+    SCOPED_TRACE(bk::simd_isa_name(isa));
+    std::vector<value_t> want_k(want.size() * k);
+    bk::native_spmm_bro_ell(kept, bk::plan_bro_ell_kernels(kept, isa), xk,
+                            want_k, k);
+    for (const bc::BroEll* bro : {&adapted, &orphan}) {
+      const auto kernels = bk::plan_bro_ell_kernels(*bro, isa);
+      std::vector<value_t> y(want.size());
+      bk::native_spmv_bro_ell(*bro, kernels, x, y);
+      expect_bitwise(y, want, "SpMV");
+      std::vector<value_t> yk(want_k.size());
+      bk::native_spmm_bro_ell(*bro, kernels, xk, yk, k);
+      expect_bitwise(yk, want_k, "SpMM");
+    }
+  }
+}
+
 TEST(DecodeDispatch, AdversarialParity) {
   for (auto& adversarial : bs::adversarial_suite(5)) {
     const bs::Csr& csr = adversarial.csr;

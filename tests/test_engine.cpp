@@ -217,7 +217,8 @@ TEST(SpmvPlan, SymLen64IsRejectedWhereHostKernelsAreChosen) {
   for (const auto& t : be::format_registry()) {
     if (t.native_generic == nullptr) continue;
     ++generic_hooks;
-    const be::Representation rep = t.make(m->csr(), m->options());
+    const be::Representation rep =
+        t.make(be::SharedCsr(m, &m->csr()), m->options());
     try {
       t.native_generic(rep.get(), x, y);
       ADD_FAILURE() << t.name << " ran its generic decoder at sym_len 64";

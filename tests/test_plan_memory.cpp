@@ -4,7 +4,9 @@
 //   - building a plan retains its representation bytes (within 5 %);
 //   - destroying the plan returns the heap to its pre-build size (1 MB);
 //   - so does evicting the plan from a PlanCache while the matrix stays
-//     referenced, so the cache's byte budget bounds real memory.
+//     referenced, so the cache's byte budget bounds real memory;
+//   - BRO-ELL and BRO-HYB plans hold no value copy: their ELL part reads
+//     the matrix's CSR.
 #include <gtest/gtest.h>
 #include <malloc.h>
 
@@ -85,6 +87,26 @@ TEST(PlanMemory, DestroyingAPlanFreesItsRepresentation) {
     }
     EXPECT_LT(std::abs(heap_in_use() - before), kMiB);
   }
+}
+
+TEST(PlanMemory, BroEllPlansOwnOnlyTheirIndex) {
+  // BRO-ELL and BRO-HYB read the ELL values from the matrix's CSR in
+  // place, so a plan's representation bytes are its index bytes (plus
+  // BRO-HYB's COO overflow arrays) and no copy of the CSR is made.
+  const auto m = pwtk();
+  const be::SpmvPlan ell(m, bc::Format::kBroEll);
+  const auto& bro = *static_cast<const bc::BroEll*>(ell.representation());
+  EXPECT_EQ(&bro.csr(), &m->csr());
+  EXPECT_EQ(ell.representation_bytes(), bc::slice_index_bytes(bro.slices()));
+
+  const be::SpmvPlan hyb(m, bc::Format::kBroHyb);
+  const auto& h = *static_cast<const bc::BroHyb*>(hyb.representation());
+  EXPECT_EQ(&h.ell_part().csr(), &m->csr());
+  EXPECT_EQ(hyb.representation_bytes(),
+            bc::slice_index_bytes(h.ell_part().slices()) +
+                h.coo_part().resident_row_bytes() +
+                h.coo_part().padded_nnz() * (sizeof(bro::index_t) +
+                                             sizeof(value_t)));
 }
 
 TEST(PlanMemory, EvictionFreesTheRepresentation) {

@@ -48,7 +48,7 @@ void expect_same_csr(const bs::Csr& got, const bs::Csr& want) {
 
 Bytes serialize(const be::FormatTraits& t, const bs::Csr& csr) {
   std::ostringstream out(std::ios::binary);
-  t.serialize(out, t.make(csr, bc::MatrixOptions{}).get());
+  t.serialize(out, t.make(be::borrow_csr(csr), bc::MatrixOptions{}).get());
   const std::string s = out.str();
   return Bytes(s.begin(), s.end());
 }
@@ -132,6 +132,8 @@ class LayoutWalker {
 
   const std::vector<std::size_t>& counts() const { return counts_; }
   std::size_t first_slots() const { return first_slots_; }
+  /// Where the (first) ELL-style body's value array starts: its count.
+  std::size_t ell_values() const { return ell_values_; }
 
  private:
   std::uint64_t count() {
@@ -157,6 +159,7 @@ class LayoutWalker {
   void ell_body() {
     skip(20);
     ell_slices();
+    ell_values_ = r_.position();
     array(8);
   }
   void ans_body() {
@@ -184,6 +187,7 @@ class LayoutWalker {
   bro::ByteReader r_;
   std::vector<std::size_t> counts_;
   std::size_t first_slots_ = 0;
+  std::size_t ell_values_ = 0;
 };
 
 } // namespace
@@ -270,6 +274,34 @@ TEST(Ingest, EveryFormatDecodesToTheSourceCsrBitwise) {
       std::string rest;
       in >> rest;
       EXPECT_EQ(rest, "tail");
+    }
+  }
+}
+
+TEST(Ingest, EllValueBlocksAreThePaddedEllpackArray) {
+  // BRO-ELL and BRO-HYB keep no value array of their own, but their
+  // streams still carry ELLPACK's: rows x width, column-major, +0.0 in
+  // every padding slot.
+  std::vector<bs::AdversarialCase> cases = bs::adversarial_suite(5);
+  for (const int set : {1, 2, 3})
+    for (const auto& e : bs::suite_test_set(set))
+      cases.push_back({e.name, bs::generate_suite_matrix(e, 0.01)});
+  for (const auto& c : cases) {
+    for (const bc::Format f : {bc::Format::kBroEll, bc::Format::kBroHyb}) {
+      const be::FormatTraits& t = be::traits(f);
+      if (!t.applicable(c.csr, 3.0)) continue;
+      SCOPED_TRACE(c.name + " / " + t.name);
+      const Bytes bytes = serialize(t, c.csr);
+      const bro::util::UninitVector<value_t> want =
+          f == bc::Format::kBroEll ? bs::csr_to_ell(c.csr).vals
+                                   : bs::csr_to_hyb(c.csr).ell.vals;
+      const std::size_t at = LayoutWalker(bytes).ell_values();
+      std::uint64_t n = 0;
+      std::memcpy(&n, bytes.data() + at, sizeof(n));
+      ASSERT_EQ(n, want.size());
+      EXPECT_TRUE(want.empty() ||
+                  std::memcmp(bytes.data() + at + sizeof(n), want.data(),
+                              want.size() * sizeof(value_t)) == 0);
     }
   }
 }

@@ -185,7 +185,7 @@ int cmd_compress(const Args& args) {
   Timer timer;
   std::ofstream out(out_path, std::ios::binary);
   if (!out) throw std::runtime_error("cannot open " + out_path);
-  const auto rep = t.make(m, core::MatrixOptions{});
+  const auto rep = t.make(engine::borrow_csr(m), core::MatrixOptions{});
   t.serialize(out, rep.get());
   const auto s = t.rep_savings(rep.get());
   std::cout << "compressed " << m.nnz() << " non-zeros to " << t.name
