@@ -112,55 +112,84 @@ bool count_blocks(const sparse::Csr& csr, index_t first, index_t end,
   return true;
 }
 
-/// Highest cover fill over every candidate shape, from an exact count of
-/// each shape's non-empty blocks (count_blocks). Rows split into chunks of
-/// 8, the lcm of the candidate block heights, so no block spans two chunks
-/// and the chunks count in parallel: each thread counts its chunks with its
-/// own stamps, and the integer counts sum to the serial ones. Returns 1.0
-/// (no verdict) when a column lies outside the matrix, or when the stamps
-/// would outgrow the CSR itself (far more columns than entries), leaving
-/// such input to the full analysis.
-double best_candidate_fill(const sparse::Csr& csr) {
+/// Whether some candidate shape's cover can reach `min_fill`, from exact
+/// counts of each shape's non-empty blocks (count_blocks). Rows split into
+/// chunks of 8, the lcm of the candidate block heights, so no block spans
+/// two chunks and the chunks count in parallel: each thread counts its
+/// chunks with its own stamps, and the integer counts sum to the serial
+/// ones. The chunks are counted in rounds. After each round, a shape's
+/// final block count is at least its count so far plus the entries left
+/// over br * bc, since a block holds at most br * bc entries of distinct
+/// non-negative columns (as in every valid CSR). So its final fill is at
+/// most cover_fill of that sum, and once no shape's bound reaches the
+/// floor the answer is no. After the last round nothing is left and the
+/// bound is the exact fill. Returns true (no verdict) when a
+/// counted column lies outside the matrix, or when the stamps would
+/// outgrow the CSR itself (far more columns than entries), leaving such
+/// input to the full analysis.
+bool fill_floor_reachable(const sparse::Csr& csr, double min_fill) {
   const auto cols = static_cast<std::size_t>(csr.cols);
-  if (cols > csr.nnz() + static_cast<std::size_t>(csr.rows)) return 1.0;
+  if (cols > csr.nnz() + static_cast<std::size_t>(csr.rows)) return true;
   constexpr index_t kChunkRows = 8;
   static_assert(std::ranges::all_of(kBcsrCandidateShapes, [](const auto& s) {
     return kChunkRows % s.first == 0;
   }));
+  // A round is 1/64 of the chunks, at least 32 (256 rows), so the two
+  // barriers a round costs stay small next to its counting.
+  const index_t chunks = (csr.rows + kChunkRows - 1) / kChunkRows;
+  const index_t round_chunks = std::max<index_t>(32, (chunks + 63) / 64);
 
-  // Every thread's stamps are allocated here, before the parallel region,
-  // so the workers allocate nothing.
-  std::vector<ShapeStamps> stamps(static_cast<std::size_t>(max_threads()));
-  for (ShapeStamps& stamp : stamps)
+  // One cache line per thread for its counts; every thread's stamps are
+  // allocated here, before the parallel region, so the workers allocate
+  // nothing.
+  struct alignas(64) Counter {
+    ShapeStamps stamp;
+    std::array<std::size_t, kShapes> blocks{};
+    bool out_of_range = false;
+  };
+  std::vector<Counter> counters(static_cast<std::size_t>(max_threads()));
+  for (Counter& c : counters)
     for (std::size_t i = 0; i < kShapes; ++i) {
       const auto bc = static_cast<std::size_t>(kBcsrCandidateShapes[i].second);
-      stamp[i].assign((cols + bc - 1) / bc, -1);
+      c.stamp[i].assign((cols + bc - 1) / bc, -1);
     }
 
-  std::size_t blocks[kShapes] = {};
-  bool out_of_range = false;
-  const index_t chunks = (csr.rows + kChunkRows - 1) / kChunkRows;
-#pragma omp parallel reduction(+ : blocks[:kShapes]) \
-    reduction(|| : out_of_range)
+  bool reachable = true, done = false;
+#pragma omp parallel
   {
-    ShapeStamps& stamp = stamps[static_cast<std::size_t>(thread_id())];
-    std::array<std::size_t, kShapes> count{};
-#pragma omp for schedule(dynamic, 64)
-    for (index_t k = 0; k < chunks; ++k)
-      if (!out_of_range)
-        out_of_range = !count_blocks(csr, k * kChunkRows,
-                                     std::min(csr.rows, (k + 1) * kChunkRows),
-                                     stamp, count);
-    for (std::size_t i = 0; i < kShapes; ++i) blocks[i] += count[i];
+    Counter& mine = counters[static_cast<std::size_t>(thread_id())];
+    for (index_t first = 0; !done; first += round_chunks) {
+      const index_t last = std::min(chunks, first + round_chunks);
+#pragma omp for schedule(dynamic, 16)
+      for (index_t k = first; k < last; ++k)
+        if (!mine.out_of_range)
+          mine.out_of_range = !count_blocks(
+              csr, k * kChunkRows, std::min(csr.rows, (k + 1) * kChunkRows),
+              mine.stamp, mine.blocks);
+#pragma omp single
+      {
+        const std::size_t left =
+            csr.nnz() - static_cast<std::size_t>(
+                            csr.row_ptr[static_cast<std::size_t>(
+                                std::min(csr.rows, last * kChunkRows))]);
+        std::array<std::size_t, kShapes> blocks{};
+        bool out_of_range = false;
+        for (const Counter& c : counters) {
+          out_of_range = out_of_range || c.out_of_range;
+          for (std::size_t i = 0; i < kShapes; ++i) blocks[i] += c.blocks[i];
+        }
+        reachable = out_of_range;
+        for (std::size_t i = 0; i < kShapes && !reachable; ++i) {
+          const auto [br, bc] = kBcsrCandidateShapes[i];
+          const auto area = static_cast<std::size_t>(br * bc);
+          reachable = cover_fill(csr.nnz(), blocks[i] + (left + area - 1) / area,
+                                 br, bc) >= min_fill;
+        }
+        done = !reachable || out_of_range || last == chunks;
+      }
+    }
   }
-  if (out_of_range) return 1.0;
-
-  double best = 0.0;
-  for (std::size_t i = 0; i < kShapes; ++i)
-    best = std::max(best, cover_fill(csr.nnz(), blocks[i],
-                                     kBcsrCandidateShapes[i].first,
-                                     kBcsrCandidateShapes[i].second));
-  return best;
+  return reachable;
 }
 
 /// Exact cost of slicing `rows` (index lists) the BRO-ELL way, from the
@@ -237,9 +266,9 @@ bool bro_bcsr_applicable(const sparse::Csr& csr, double max_ell_expand,
                          const BroBcsrOptions& opts) {
   if (csr.rows == 0 || csr.cols == 0 || csr.nnz() == 0) return false;
   // Exact early-out: the best shape's fill is at most the highest fill of
-  // any candidate, so when none reaches the floor the full analysis below
+  // any candidate, so when none can reach the floor the full analysis below
   // would reject too.
-  if (best_candidate_fill(csr) < opts.min_fill) return false;
+  if (!fill_floor_reachable(csr, opts.min_fill)) return false;
   const BcsrAnalysis a = analyze_bro_bcsr(csr, opts);
   if (a.best < 0) return false;
   const BcsrShapeStats& s = a.shapes[static_cast<std::size_t>(a.best)];

@@ -93,9 +93,12 @@ BcsrAnalysis analyze_bro_bcsr(const sparse::Csr& csr,
 /// Savings-model applicability: the best shape must clear the fill floor,
 /// stay within the ELL expansion bound, and beat the unblocked index cost
 /// by a clear margin (so marginally-blocked matrices keep BRO-ELL). A
-/// one-pass block count, parallel over 8-row chunks and exact at any
-/// thread count, rejects first when no candidate shape reaches the fill
-/// floor; only matrices that pass it pay for analyze_bro_bcsr.
+/// block count, parallel over 8-row chunks and exact at any thread count,
+/// rejects first when no candidate shape can reach the fill floor. It
+/// counts in rounds and stops as soon as an upper bound on every shape's
+/// fill (blocks so far plus the entries left packed into full blocks)
+/// falls below the floor, usually within the first rounds; only matrices
+/// that pass it pay for analyze_bro_bcsr.
 bool bro_bcsr_applicable(const sparse::Csr& csr, double max_ell_expand,
                          const BroBcsrOptions& opts = {});
 

@@ -123,7 +123,9 @@ SpmvPlan::SpmvPlan(std::shared_ptr<const core::Matrix> matrix,
                    std::optional<core::Format> format)
     : matrix_(std::move(matrix)) {
   BRO_CHECK_MSG(matrix_ != nullptr, "SpmvPlan requires a matrix");
-  traits_ = &traits(format.value_or(matrix_->auto_format()));
+  // Not value_or: its argument would run the applicability gates even when
+  // the caller already chose the format.
+  traits_ = &traits(format ? *format : matrix_->auto_format());
   // The representation may share the matrix's CSR: an aliasing pointer
   // keeps the whole matrix alive for as long as it does.
   if (traits_->make)

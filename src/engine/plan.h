@@ -123,6 +123,8 @@ class Workspace {
 /// from two threads (see the file-header contract).
 class SpmvPlan {
  public:
+  /// Plans `format`, or the matrix's auto_format() when none is given; a
+  /// given format never runs the applicability gates.
   explicit SpmvPlan(std::shared_ptr<const core::Matrix> matrix,
                     std::optional<core::Format> format = std::nullopt);
 

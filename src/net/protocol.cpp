@@ -4,7 +4,8 @@
 #include <cstdint>
 #include <cstring>
 #include <new>
-#include <sstream>
+#include <ostream>
+#include <streambuf>
 
 #include "core/serialize.h"
 #include "engine/format_registry.h"
@@ -201,6 +202,28 @@ std::vector<std::uint8_t> joined(FrameParts parts) {
   parts.head.insert(parts.head.end(), parts.tail.begin(), parts.tail.end());
   return std::move(parts.head);
 }
+
+/// An output stream buffer that appends what is written to a byte vector,
+/// so a writer's bytes land in the vector without an intermediate copy.
+class VectorStreamBuf : public std::streambuf {
+ public:
+  explicit VectorStreamBuf(std::vector<std::uint8_t>& out) : out_(out) {}
+
+ protected:
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    const auto* p = reinterpret_cast<const std::uint8_t*>(s);
+    out_.insert(out_.end(), p, p + n);
+    return n;
+  }
+  int_type overflow(int_type c) override {
+    if (!traits_type::eq_int_type(c, traits_type::eof()))
+      out_.push_back(static_cast<std::uint8_t>(c));
+    return traits_type::not_eof(c);
+  }
+
+ private:
+  std::vector<std::uint8_t>& out_;
+};
 
 } // namespace
 
@@ -420,10 +443,14 @@ std::vector<std::uint8_t> matrix_to_bro_bytes(const core::Matrix& m,
   const auto& t = engine::traits(format);
   BRO_CHECK_MSG(t.serialize != nullptr,
                 t.name << " has no serialized form (use a BRO format)");
-  std::ostringstream out(std::ios::binary);
+  std::vector<std::uint8_t> bytes;
+  VectorStreamBuf buf(bytes);
+  std::ostream out(&buf);
+  // A failed allocation in the buffer propagates instead of leaving the
+  // bytes silently cut short.
+  out.exceptions(std::ios::badbit);
   t.serialize(out, t.make(engine::borrow_csr(m.csr()), m.options()).get());
-  const std::string s = out.str();
-  return std::vector<std::uint8_t>(s.begin(), s.end());
+  return bytes;
 }
 
 core::Matrix matrix_from_bro_bytes(std::span<const std::uint8_t> bytes) {

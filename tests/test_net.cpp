@@ -17,10 +17,12 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bcsr_gate_reference.h"
 #include "engine/format_registry.h"
 #include "net/client.h"
 #include "net/protocol.h"
@@ -202,6 +204,34 @@ TEST(Protocol, EveryRegistryFormatRoundTripsBitwise) {
     EXPECT_EQ(back.cols(), m.cols());
     EXPECT_EQ(back.nnz(), m.nnz());
     EXPECT_EQ(bn::matrix_to_bro_bytes(back, t->format), bytes);
+  }
+}
+
+TEST(Protocol, UploadBytesAreTheWritersBytes) {
+  // matrix_to_bro_bytes writes into its result directly; its bytes must be
+  // what the format's writer puts on an ostringstream. Cases whose ELLPACK
+  // padding passes 64x their entries are left out: rajat30's BRO-ELL
+  // stream alone is 543 MB.
+  for (const auto& c : bro::oracle::gate_cases()) {
+    if (double(c.csr.rows) * c.csr.max_row_length() > 64.0 * c.csr.nnz())
+      continue;
+    const bc::Matrix m = bc::Matrix::from_csr(c.csr);
+    for (const auto* t : serializable_formats()) {
+      SCOPED_TRACE(c.name + " " + t->name);
+      std::ostringstream out(std::ios::binary);
+      try {
+        t->serialize(out, t->make(be::borrow_csr(m.csr()), m.options()).get());
+      } catch (const std::exception&) {
+        EXPECT_ANY_THROW(bn::matrix_to_bro_bytes(m, t->format));
+        continue;
+      }
+      const std::string want = out.str();
+      const auto bytes = bn::matrix_to_bro_bytes(m, t->format);
+      ASSERT_EQ(bytes.size(), want.size());
+      EXPECT_TRUE(std::ranges::equal(bytes, want, {}, {}, [](char ch) {
+        return static_cast<std::uint8_t>(ch);
+      }));
+    }
   }
 }
 

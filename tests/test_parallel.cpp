@@ -398,6 +398,86 @@ TEST(ParallelGate, VerdictsDoNotDependOnThreadCount) {
   }
 }
 
+namespace {
+
+/// Rows of a matrix for the prefilter's early exit, built segment by
+/// segment: `scattered` rows hold one entry each, every one in its own
+/// block of every candidate shape; `dense` rows (a multiple of 8, starting
+/// on a multiple of 8) hold three dense 8x8 blocks per 8-row group, which
+/// every candidate shape covers at fill 1.
+struct Segment {
+  bool dense;
+  index_t rows;
+};
+
+bs::Csr segmented(const std::vector<Segment>& segments) {
+  bs::Csr csr;
+  for (const Segment& s : segments) csr.rows += s.rows;
+  csr.cols = 8 * (csr.rows + 3);
+  csr.row_ptr.push_back(0);
+  index_t r = 0;
+  for (const Segment& s : segments)
+    for (index_t end = r + s.rows; r < end; ++r) {
+      if (s.dense)
+        for (index_t block = r / 8; block < r / 8 + 3; ++block)
+          for (index_t c = 8 * block; c < 8 * block + 8; ++c)
+            csr.col_idx.push_back(c);
+      else
+        csr.col_idx.push_back(8 * r);
+      csr.row_ptr.push_back(static_cast<index_t>(csr.col_idx.size()));
+    }
+  csr.vals.assign(csr.col_idx.size(), 1.0);
+  return csr;
+}
+
+/// The highest cover fill over the candidate shapes, by the full analysis.
+double best_fill(const bs::Csr& csr) {
+  double best = 0;
+  for (const auto& s : bc::analyze_bro_bcsr(csr).shapes)
+    best = std::max(best, s.fill);
+  return best;
+}
+
+} // namespace
+
+TEST(ParallelGate, EarlyExitAgreesWithFullAnalysis) {
+  // Fill of the best (2x2) cover is (s + D) / (4s + D) for s scattered and
+  // D dense entries. Each case sits near the 0.95 floor, so a bound that
+  // undercounts what is left would reject a matrix the analysis accepts.
+  struct Case {
+    const char* name;
+    std::vector<Segment> segments;
+    double fill;
+  };
+  const std::vector<Case> cases = {
+      {"scattered prefix, then dense blocks", {{false, 400}, {true, 1048}},
+       0.9551},
+      {"dense blocks, then a scattered tail", {{true, 1024}, {false, 486}},
+       0.9450},
+      {"fill 0.96, rows % 8 == 5",
+       {{false, 176}, {true, 1024}, {false, 173}}, 0.9597},
+      {"fill 0.94, rows % 8 == 5",
+       {{false, 264}, {true, 1024}, {false, 269}}, 0.9401},
+  };
+  for (const auto& c : cases) {
+    const bs::Csr csr = segmented(c.segments);
+    ASSERT_TRUE(csr.is_valid()) << c.name;
+    EXPECT_NEAR(best_fill(csr), c.fill, 1e-4) << c.name;
+    const bool want = bro::oracle::reference_applicable(csr, 3.0);
+    EXPECT_EQ(want, c.fill > 0.95) << c.name;
+    const auto first = be::auto_select(csr, 3.0);
+    for (const int threads : {1, 2, 4}) {
+      ThreadGuard g(threads);
+      for (const double expand : {3.0, 1e30})
+        EXPECT_EQ(bc::bro_bcsr_applicable(csr, expand),
+                  bro::oracle::reference_applicable(csr, expand))
+            << c.name << " threads=" << threads << " expand=" << expand;
+      EXPECT_EQ(be::auto_select(csr, 3.0), first)
+          << c.name << " threads=" << threads;
+    }
+  }
+}
+
 TEST(ParallelGate, OutOfRangeColumnDefersToFullAnalysis) {
   // One column just past the matrix, in the last row: the prefilter must
   // neither index its stamps with it nor reject, and the full analysis
