@@ -16,8 +16,8 @@
 namespace bro::bits {
 
 /// Read `nbits` bits starting at `bit_pos` (MSB-first order) from a word
-/// sequence with size() and operator[]: a BitString's own words, or a
-/// serialized stream's words read where they lie (core/serialize.cpp).
+/// sequence with size() and operator[]: a BitString's own words, or the
+/// words a .bro reader kept (core/serialize.cpp).
 /// Bits beyond the last word read as zero.
 template <typename Words>
 std::uint64_t peek_bits(const Words& words, std::size_t bit_pos, int nbits) {

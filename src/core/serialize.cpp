@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <coroutine>
 #include <cstring>
+#include <exception>
 #include <istream>
 #include <iterator>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <ostream>
 #include <ranges>
 
@@ -147,10 +150,247 @@ void write_bcsr_body(std::ostream& out, const BroBcsr& m) {
 }
 
 // ---------------------------------------------------------------------------
-// The reader: one bounds-checked ByteReader cursor over the stream bytes.
-// Every element count is checked against the bytes left before it sizes an
-// allocation (ByteReader::get_count), with the minimum wire size of one
-// element as the divisor.
+// The reader is a coroutine. It asks an Input for the bytes of each field
+// in stream order (co_await) and is resumed as BroReader::feed delivers
+// them, so one straight-line parse serves every chunking: a whole span, a
+// file read in blocks, or a socket's reads. Every element count is checked
+// against the bytes the stream may still hold before it sizes an
+// allocation (get_count), with the minimum wire size of one element as the
+// divisor.
+
+/// A lazily started coroutine producing a T; an exception inside it is
+/// rethrown to its awaiter. Awaiting it runs it on the awaiter's stack: if
+/// it ends without waiting for bytes, the awaiter just continues, so a loop
+/// over many tasks whose bytes are all fed never deepens the stack. One
+/// that waited resumes its awaiter when it ends.
+template <typename T>
+class [[nodiscard]] Task {
+ public:
+  struct promise_type {
+    std::optional<T> value;
+    std::exception_ptr error;
+    std::coroutine_handle<> awaiter = std::noop_coroutine();
+    bool inline_run = false; // started by await_suspend, not yet waited
+
+    Task get_return_object() {
+      return Task(std::coroutine_handle<promise_type>::from_promise(*this));
+    }
+    std::suspend_always initial_suspend() noexcept { return {}; }
+    auto final_suspend() noexcept {
+      struct ResumeAwaiter {
+        bool await_ready() noexcept { return false; }
+        std::coroutine_handle<> await_suspend(
+            std::coroutine_handle<promise_type> h) noexcept {
+          const promise_type& p = h.promise();
+          return p.inline_run ? std::noop_coroutine() : p.awaiter;
+        }
+        void await_resume() noexcept {}
+      };
+      return ResumeAwaiter{};
+    }
+    template <typename U>
+    void return_value(U&& v) {
+      value.emplace(std::forward<U>(v));
+    }
+    void unhandled_exception() { error = std::current_exception(); }
+  };
+
+  Task(Task&& o) noexcept : h_(std::exchange(o.h_, {})) {}
+  Task& operator=(Task&&) = delete;
+  ~Task() {
+    if (h_) h_.destroy();
+  }
+
+  bool await_ready() const noexcept { return false; }
+  bool await_suspend(std::coroutine_handle<> a) {
+    promise_type& p = h_.promise();
+    p.awaiter = a;
+    p.inline_run = true;
+    h_.resume();
+    p.inline_run = false;
+    return !h_.done(); // ended already: the awaiter continues at once
+  }
+  T await_resume() { return result(); }
+
+  /// Run an unawaited task until it first waits for bytes, or ends.
+  void start() { h_.resume(); }
+  bool done() const { return h_.done(); }
+  /// The value of a task that has ended, or its exception.
+  T result() {
+    if (h_.promise().error) std::rethrow_exception(h_.promise().error);
+    return std::move(*h_.promise().value);
+  }
+  bool failed() const { return h_.done() && h_.promise().error; }
+  void rethrow() const { std::rethrow_exception(h_.promise().error); }
+
+ private:
+  explicit Task(std::coroutine_handle<promise_type> h) : h_(h) {}
+  std::coroutine_handle<promise_type> h_;
+};
+
+/// The stream as the parse asks for it. Each request is the next n bytes,
+/// taken one of two ways: contiguous (`bytes`, `get`: fields and mux
+/// streams), or handed over in whole elements as they arrive (`stream`:
+/// arrays, copied where they are kept or written into the CSR). A request
+/// whose bytes were already fed does not suspend.
+class Input {
+ public:
+  explicit Input(std::size_t max_bytes) : max_(max_bytes) {}
+
+  /// Bytes the stream may still hold past the current position.
+  std::size_t remaining() const { return max_ - pos_; }
+
+  /// The awaitable behind every request.
+  class Request {
+   public:
+    bool await_ready() { return in_.serve(*this); }
+    void await_suspend(std::coroutine_handle<> h) {
+      in_.waiting_ = this;
+      in_.resume_ = h;
+    }
+
+   protected:
+    Request(Input& in, std::size_t n) : in_(in), left_(n) {}
+    ~Request() = default;
+    /// Takes the request's next `n` bytes, n <= left_.
+    virtual void put(const std::uint8_t* p, std::size_t n) = 0;
+
+    Input& in_;
+    std::size_t left_;
+    friend class Input;
+  };
+
+  /// n contiguous bytes, valid until the next request: read where they
+  /// were fed when one feed holds them all, staged otherwise.
+  class Bytes : public Request {
+   public:
+    Bytes(Input& in, std::size_t n) : Request(in, n), n_(n) {}
+    std::span<const std::uint8_t> await_resume() const { return view_; }
+
+   protected:
+    void put(const std::uint8_t* p, std::size_t n) override {
+      if (n == n_) {
+        view_ = {p, n};
+        return;
+      }
+      auto& stage = in_.stage_;
+      if (left_ == n_) {
+        stage.clear();
+        stage.reserve(n_);
+      }
+      stage.insert(stage.end(), p, p + n);
+      if (stage.size() == n_) view_ = stage;
+    }
+
+    std::size_t n_;
+    std::span<const std::uint8_t> view_;
+  };
+
+  template <typename T>
+  class Get : public Bytes {
+   public:
+    explicit Get(Input& in) : Bytes(in, sizeof(T)) {}
+    T await_resume() const {
+      T v{};
+      std::memcpy(&v, this->view_.data(), sizeof(T));
+      return v;
+    }
+  };
+
+  /// Elements of T handed to fn(first, p, n) as they arrive: elements
+  /// first .. first + n - 1, unaligned at p. An element split across feeds
+  /// is carried until it is whole.
+  template <typename T, typename Fn>
+  class Stream : public Request {
+   public:
+    Stream(Input& in, std::size_t count, Fn fn)
+        : Request(in, count * sizeof(T)), fn_(std::move(fn)) {}
+    void await_resume() const {}
+
+   private:
+    void put(const std::uint8_t* p, std::size_t n) override {
+      if (carried_ > 0) {
+        const std::size_t take = std::min(sizeof(T) - carried_, n);
+        std::memcpy(carry_ + carried_, p, take);
+        carried_ += take;
+        p += take;
+        n -= take;
+        if (carried_ < sizeof(T)) return;
+        fn_(next_++, carry_, std::size_t{1});
+        carried_ = 0;
+      }
+      const std::size_t whole = n / sizeof(T);
+      if (whole > 0) fn_(next_, p, whole);
+      next_ += whole;
+      carried_ = n - whole * sizeof(T);
+      std::memcpy(carry_, p + whole * sizeof(T), carried_);
+    }
+
+    Fn fn_;
+    std::size_t next_ = 0;
+    std::uint8_t carry_[sizeof(T)] = {};
+    std::size_t carried_ = 0;
+  };
+
+  Bytes bytes(std::size_t n) {
+    need(n);
+    return Bytes(*this, n);
+  }
+  template <typename T>
+  Get<T> get() {
+    need(sizeof(T));
+    return Get<T>(*this);
+  }
+  template <typename T, typename Fn>
+  Stream<T, Fn> stream(std::size_t count, Fn fn) {
+    need(count * sizeof(T));
+    return Stream<T, Fn>(*this, count, std::move(fn));
+  }
+
+  /// Serve `bytes` to the waiting request, resuming the parse each time
+  /// one completes, until they run out or the parse stops asking. Returns
+  /// how many it took.
+  std::size_t feed(std::span<const std::uint8_t> bytes) {
+    chunk_ = bytes;
+    const std::size_t start = pos_;
+    while (waiting_ != nullptr && serve(*waiting_)) {
+      waiting_ = nullptr;
+      std::exchange(resume_, {}).resume();
+    }
+    chunk_ = {};
+    return pos_ - start;
+  }
+
+  /// Bytes the waiting request still needs; 0 when none waits.
+  std::size_t wanted() const { return waiting_ ? waiting_->left_ : 0; }
+  std::size_t position() const { return pos_; }
+
+ private:
+  void need(std::size_t n) const {
+    BRO_CHECK_MSG(n <= remaining(), "payload underrun: need "
+                                        << n << " bytes, have "
+                                        << remaining());
+  }
+
+  /// Give `r` what the current feed holds for it; true once it has all.
+  bool serve(Request& r) {
+    const std::size_t n = std::min(r.left_, chunk_.size());
+    if (n > 0) {
+      r.put(chunk_.data(), n);
+      r.left_ -= n;
+      chunk_ = chunk_.subspan(n);
+      pos_ += n;
+    }
+    return r.left_ == 0;
+  }
+
+  std::size_t max_;
+  std::size_t pos_ = 0;
+  std::span<const std::uint8_t> chunk_; // the feed being served
+  Request* waiting_ = nullptr;
+  std::coroutine_handle<> resume_;
+  std::vector<std::uint8_t> stage_; // a Bytes request split across feeds
+};
 
 /// Wire bytes of a mux header (sym_len, height, symbols_per_row); a mux
 /// occupies at least this much even with no slots.
@@ -164,29 +404,28 @@ constexpr std::size_t kMinAnsSliceBytes = 3 * 4 + 8 + 8;
 /// A BRO-COO interval at its smallest: two i32 fields and an empty mux.
 constexpr std::size_t kMinCooIntervalBytes = 2 * 4 + kMuxHeaderBytes;
 
-/// A counted array left in place in the input: the ingest path reads value
-/// and column arrays straight out of the stream bytes instead of copying
-/// them into vectors first.
-template <typename T>
-class ArrayView {
- public:
-  ArrayView() = default;
-  explicit ArrayView(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
+/// A u64 element count whose elements occupy at least `min_bytes` each,
+/// checked against the bytes left before anything is sized by it.
+Task<std::size_t> get_count(Input& in, std::size_t min_bytes) {
+  const auto n = co_await in.get<std::uint64_t>();
+  BRO_CHECK_MSG(n <= ByteReader::kSaneCount && n <= in.remaining() / min_bytes,
+                "implausible element count " << n << " with "
+                                             << in.remaining()
+                                             << " bytes left");
+  co_return static_cast<std::size_t>(n);
+}
 
-  std::size_t size() const { return bytes_.size() / sizeof(T); }
-  T operator[](std::size_t i) const {
-    T v;
-    std::memcpy(&v, bytes_.data() + i * sizeof(T), sizeof(T));
-    return v;
-  }
-
- private:
-  std::span<const std::uint8_t> bytes_;
-};
-
-template <typename T>
-ArrayView<T> read_view(ByteReader& in) {
-  return ArrayView<T>(in.get_array_bytes<T>());
+/// A counted array, copied into a vector of its own as it arrives.
+template <typename Vec>
+Task<Vec> get_array(Input& in) {
+  using T = typename Vec::value_type;
+  const std::size_t n = co_await get_count(in, sizeof(T));
+  Vec v(n);
+  co_await in.stream<T>(
+      n, [&v](std::size_t first, const std::uint8_t* p, std::size_t k) {
+        std::memcpy(v.data() + first, p, k * sizeof(T));
+      });
+  co_return std::move(v);
 }
 
 Format format_of(std::uint8_t tag) {
@@ -202,20 +441,21 @@ Format format_of(std::uint8_t tag) {
   return Format::kBroHyb; // unreachable
 }
 
-Format read_header(ByteReader& in) {
-  BRO_CHECK_MSG(in.get<std::uint32_t>() == kMagic,
-                "not a BRO serialized stream (bad magic)");
-  BRO_CHECK_MSG(in.get<std::uint32_t>() == kVersion,
-                "unsupported BRO stream version");
-  return format_of(in.get<std::uint8_t>());
+Task<Format> read_header(Input& in) {
+  const auto magic = co_await in.get<std::uint32_t>();
+  BRO_CHECK_MSG(magic == kMagic, "not a BRO serialized stream (bad magic)");
+  const auto version = co_await in.get<std::uint32_t>();
+  BRO_CHECK_MSG(version == kVersion, "unsupported BRO stream version");
+  const auto tag = co_await in.get<std::uint8_t>();
+  co_return format_of(tag);
 }
 
-bits::MuxedStream read_mux(ByteReader& in) {
-  const auto sym_len = in.get<std::int32_t>();
+Task<bits::MuxedStream> read_mux(Input& in) {
+  const auto sym_len = co_await in.get<std::int32_t>();
   BRO_CHECK_MSG(sym_len == 32 || sym_len == 64,
                 "corrupt stream sym_len " << sym_len);
-  const auto height = in.get<std::uint64_t>();
-  const auto spr = in.get<std::uint64_t>();
+  const auto height = co_await in.get<std::uint64_t>();
+  const auto spr = co_await in.get<std::uint64_t>();
   // Every slot is a u64 on the wire, so height x symbols_per_row is bounded
   // by the bytes left before the stream is sized. A stream with no symbols
   // (a slice of empty rows) may be of any height up to the sanity bound.
@@ -228,43 +468,47 @@ bits::MuxedStream read_mux(ByteReader& in) {
                                                  << in.remaining()
                                                  << " bytes left");
   const std::size_t n = static_cast<std::size_t>(height * spr);
-  return bits::MuxedStream::from_u64_slots(
+  const auto slots = co_await in.bytes(n * sizeof(std::uint64_t));
+  co_return bits::MuxedStream::from_u64_slots(
       sym_len, static_cast<std::size_t>(height), static_cast<std::size_t>(spr),
-      in.get_span(n * sizeof(std::uint64_t)));
+      slots);
 }
 
-std::vector<BroEllSlice> read_ell_slices(ByteReader& in) {
-  std::vector<BroEllSlice> slices(in.get_count(kMinEllSliceBytes));
+Task<std::vector<BroEllSlice>> read_ell_slices(Input& in) {
+  const std::size_t n = co_await get_count(in, kMinEllSliceBytes);
+  std::vector<BroEllSlice> slices(n);
   for (auto& s : slices) {
-    s.first_row = in.get<index_t>();
-    s.height = in.get<index_t>();
-    s.num_col = in.get<index_t>();
-    s.pad_bits = in.get<std::int32_t>();
-    s.bit_alloc = in.get_array<std::uint8_t>();
-    s.stream = read_mux(in);
+    s.first_row = co_await in.get<index_t>();
+    s.height = co_await in.get<index_t>();
+    s.num_col = co_await in.get<index_t>();
+    s.pad_bits = co_await in.get<std::int32_t>();
+    s.bit_alloc = co_await get_array<std::vector<std::uint8_t>>(in);
+    s.stream = co_await read_mux(in);
   }
-  return slices;
+  co_return std::move(slices);
 }
 
+/// An ELL-style body up to its value array, whose count it holds: the
+/// array itself streams into the CSR (stream_ell_values).
 struct EllBody {
   index_t rows = 0, cols = 0, width = 0;
   BroEllOptions opts;
   std::vector<BroEllSlice> slices;
-  ArrayView<value_t> vals;
+  std::size_t nvals = 0;
 };
 
-EllBody read_ell_body(ByteReader& in) {
+Task<EllBody> read_ell_body(Input& in) {
   EllBody b;
-  b.rows = in.get<index_t>();
-  b.cols = in.get<index_t>();
-  b.width = in.get<index_t>();
-  b.opts.slice_height = in.get<std::int32_t>();
-  b.opts.sym_len = in.get<std::int32_t>();
+  b.rows = co_await in.get<index_t>();
+  b.cols = co_await in.get<index_t>();
+  b.width = co_await in.get<index_t>();
+  b.opts.slice_height = co_await in.get<std::int32_t>();
+  b.opts.sym_len = co_await in.get<std::int32_t>();
   BRO_CHECK_MSG(b.opts.sym_len == 32 || b.opts.sym_len == 64,
                 "corrupt sym_len");
-  b.slices = read_ell_slices(in);
-  b.vals = read_view<value_t>(in);
-  return b;
+  b.slices = co_await read_ell_slices(in);
+  b.nvals = co_await get_count(in, sizeof(value_t));
+  co_return std::move(b);
 }
 
 struct AnsBody {
@@ -272,37 +516,39 @@ struct AnsBody {
   BroAnsOptions opts;
   bits::AnsTable table;
   std::vector<BroAnsSlice> slices;
-  ArrayView<value_t> vals;
+  std::size_t nvals = 0;
 };
 
-AnsBody read_ans_body(ByteReader& in) {
+Task<AnsBody> read_ans_body(Input& in) {
   AnsBody b;
-  b.rows = in.get<index_t>();
-  b.cols = in.get<index_t>();
-  b.width = in.get<index_t>();
-  b.opts.slice_height = in.get<std::int32_t>();
-  b.opts.sym_len = in.get<std::int32_t>();
-  b.opts.table_log = in.get<std::int32_t>();
+  b.rows = co_await in.get<index_t>();
+  b.cols = co_await in.get<index_t>();
+  b.width = co_await in.get<index_t>();
+  b.opts.slice_height = co_await in.get<std::int32_t>();
+  b.opts.sym_len = co_await in.get<std::int32_t>();
+  b.opts.table_log = co_await in.get<std::int32_t>();
   BRO_CHECK_MSG(b.opts.sym_len == 32 || b.opts.sym_len == 64,
                 "corrupt sym_len");
-  const auto layout = in.get<std::uint32_t>();
+  const auto layout = co_await in.get<std::uint32_t>();
   BRO_CHECK_MSG(layout == 2, "unsupported BRO-ANS payload layout "
                                  << layout
                                  << " (this build reads layout 2 only)");
   // from_freqs validates table_log range, table size and frequency sum.
-  b.table = bits::AnsTable::from_freqs(in.get_array<std::uint16_t>(),
-                                       b.opts.table_log);
-  b.slices.resize(in.get_count(kMinAnsSliceBytes));
+  auto freqs = co_await get_array<std::vector<std::uint16_t>>(in);
+  b.table = bits::AnsTable::from_freqs(std::move(freqs), b.opts.table_log);
+  const std::size_t n = co_await get_count(in, kMinAnsSliceBytes);
+  b.slices.resize(n);
   for (auto& s : b.slices) {
-    s.first_row = in.get<index_t>();
-    s.height = in.get<index_t>();
-    s.num_col = in.get<index_t>();
-    s.init_states = in.get_array<std::uint16_t>();
-    s.groups.resize(in.get_count(kMuxHeaderBytes));
-    for (auto& g : s.groups) g = read_mux(in);
+    s.first_row = co_await in.get<index_t>();
+    s.height = co_await in.get<index_t>();
+    s.num_col = co_await in.get<index_t>();
+    s.init_states = co_await get_array<std::vector<std::uint16_t>>(in);
+    const std::size_t groups = co_await get_count(in, kMuxHeaderBytes);
+    s.groups.resize(groups);
+    for (auto& g : s.groups) g = co_await read_mux(in);
   }
-  b.vals = read_view<value_t>(in);
-  return b;
+  b.nvals = co_await get_count(in, sizeof(value_t));
+  co_return std::move(b);
 }
 
 struct CooBody {
@@ -310,112 +556,97 @@ struct CooBody {
   std::uint64_t nnz = 0;
   BroCooOptions opts;
   std::vector<BroCooInterval> intervals;
-  ArrayView<index_t> col_idx;
-  ArrayView<value_t> vals;
+  util::UninitVector<index_t> col_idx;
+  util::UninitVector<value_t> vals;
 };
 
-CooBody read_coo_body(ByteReader& in) {
+Task<CooBody> read_coo_body(Input& in) {
   CooBody b;
-  b.rows = in.get<index_t>();
-  b.cols = in.get<index_t>();
-  b.nnz = in.get<std::uint64_t>();
-  b.opts.warp_size = in.get<std::int32_t>();
-  b.opts.interval_cols = in.get<std::int32_t>();
-  b.opts.sym_len = in.get<std::int32_t>();
-  b.intervals.resize(in.get_count(kMinCooIntervalBytes));
+  b.rows = co_await in.get<index_t>();
+  b.cols = co_await in.get<index_t>();
+  b.nnz = co_await in.get<std::uint64_t>();
+  b.opts.warp_size = co_await in.get<std::int32_t>();
+  b.opts.interval_cols = co_await in.get<std::int32_t>();
+  b.opts.sym_len = co_await in.get<std::int32_t>();
+  const std::size_t n = co_await get_count(in, kMinCooIntervalBytes);
+  b.intervals.resize(n);
   for (auto& iv : b.intervals) {
-    iv.start_row = in.get<index_t>();
-    iv.bits = in.get<std::int32_t>();
-    iv.stream = read_mux(in);
+    iv.start_row = co_await in.get<index_t>();
+    iv.bits = co_await in.get<std::int32_t>();
+    iv.stream = co_await read_mux(in);
   }
-  b.col_idx = read_view<index_t>(in);
-  b.vals = read_view<value_t>(in);
-  return b;
+  b.col_idx = co_await get_array<util::UninitVector<index_t>>(in);
+  b.vals = co_await get_array<util::UninitVector<value_t>>(in);
+  co_return std::move(b);
 }
 
-struct HybBody {
-  index_t rows = 0, cols = 0, split_width = 0;
-  std::uint64_t ell_nnz = 0;
-  EllBody ell;
-  CooBody coo;
-};
-
-HybBody read_hyb_body(ByteReader& in) {
-  HybBody b;
-  b.rows = in.get<index_t>();
-  b.cols = in.get<index_t>();
-  b.split_width = in.get<index_t>();
-  b.ell_nnz = in.get<std::uint64_t>();
-  b.ell = read_ell_body(in);
-  b.coo = read_coo_body(in);
-  return b;
-}
-
-/// BRO-CSR's arrays and its packed stream's words, all read where they lie.
+/// BRO-CSR's arrays and its packed stream's words.
 struct CsrBody {
   index_t rows = 0, cols = 0;
   std::int32_t sym_len = 0;
-  ArrayView<index_t> row_ptr;
-  ArrayView<std::uint8_t> bits_per_row;
-  ArrayView<std::uint32_t> row_sym_ptr;
-  ArrayView<value_t> vals;
-  ArrayView<std::uint64_t> words;
+  util::UninitVector<index_t> row_ptr;
+  util::UninitVector<std::uint8_t> bits_per_row;
+  util::UninitVector<std::uint32_t> row_sym_ptr;
+  util::UninitVector<value_t> vals;
+  util::UninitVector<std::uint64_t> words;
 };
 
-CsrBody read_csr_body(ByteReader& in) {
+Task<CsrBody> read_csr_body(Input& in) {
   CsrBody b;
-  b.rows = in.get<index_t>();
-  b.cols = in.get<index_t>();
-  b.sym_len = in.get<std::int32_t>();
-  b.row_ptr = read_view<index_t>(in);
-  b.bits_per_row = read_view<std::uint8_t>(in);
-  b.row_sym_ptr = read_view<std::uint32_t>(in);
-  b.vals = read_view<value_t>(in);
-  const auto size_bits = in.get<std::uint64_t>();
-  b.words = read_view<std::uint64_t>(in);
+  b.rows = co_await in.get<index_t>();
+  b.cols = co_await in.get<index_t>();
+  b.sym_len = co_await in.get<std::int32_t>();
+  b.row_ptr = co_await get_array<util::UninitVector<index_t>>(in);
+  b.bits_per_row = co_await get_array<util::UninitVector<std::uint8_t>>(in);
+  b.row_sym_ptr = co_await get_array<util::UninitVector<std::uint32_t>>(in);
+  b.vals = co_await get_array<util::UninitVector<value_t>>(in);
+  const auto size_bits = co_await in.get<std::uint64_t>();
+  b.words = co_await get_array<util::UninitVector<std::uint64_t>>(in);
   BRO_CHECK_MSG(b.words.size() == (size_bits + 63) / 64,
                 "word count inconsistent with bit size");
-  return b;
+  co_return std::move(b);
 }
 
 struct BcsrBody {
   index_t rows = 0, cols = 0;
   int br = 1, bc = 1;
   BroBcsrOptions opts;
-  std::vector<BroEllSlice> slices; // rows are block rows
-  ArrayView<value_t> vals;         // row-major br x bc tiles, per slice
+  std::vector<BroEllSlice> slices;  // rows are block rows
+  util::UninitVector<value_t> vals; // row-major br x bc tiles, per slice
 };
 
-BcsrBody read_bcsr_body(ByteReader& in) {
+Task<BcsrBody> read_bcsr_body(Input& in) {
   BcsrBody b;
-  b.rows = in.get<index_t>();
-  b.cols = in.get<index_t>();
-  b.br = in.get<std::int32_t>();
-  b.bc = in.get<std::int32_t>();
+  b.rows = co_await in.get<index_t>();
+  b.cols = co_await in.get<index_t>();
+  b.br = co_await in.get<std::int32_t>();
+  b.bc = co_await in.get<std::int32_t>();
   BRO_CHECK_MSG(b.br >= 1 && b.br <= 8 &&
                     (b.bc == 1 || b.bc == 2 || b.bc == 4 || b.bc == 8),
                 "corrupt BRO-BCSR block shape " << b.br << 'x' << b.bc);
-  in.get<index_t>();       // ell_width: the savings baseline, not decoded
-  in.get<std::uint64_t>(); // nnz with fill: pass 1 counts the real entries
-  b.opts.block_rows = in.get<std::int32_t>();
-  b.opts.block_cols = in.get<std::int32_t>();
-  b.opts.slice_height = in.get<std::int32_t>();
-  b.opts.sym_len = in.get<std::int32_t>();
-  b.opts.min_fill = in.get<double>();
+  co_await in.get<index_t>();       // ell_width: the savings baseline
+  co_await in.get<std::uint64_t>(); // nnz with fill: pass 1 counts the real entries
+  b.opts.block_rows = co_await in.get<std::int32_t>();
+  b.opts.block_cols = co_await in.get<std::int32_t>();
+  b.opts.slice_height = co_await in.get<std::int32_t>();
+  b.opts.sym_len = co_await in.get<std::int32_t>();
+  b.opts.min_fill = co_await in.get<double>();
   BRO_CHECK_MSG(b.opts.sym_len == 32 || b.opts.sym_len == 64,
                 "corrupt sym_len");
   BRO_CHECK_MSG(b.opts.slice_height > 0, "corrupt slice_height");
-  b.slices = read_ell_slices(in);
-  b.vals = read_view<value_t>(in);
-  return b;
+  b.slices = co_await read_ell_slices(in);
+  b.vals = co_await get_array<util::UninitVector<value_t>>(in);
+  co_return std::move(b);
 }
 
 // ---------------------------------------------------------------------------
 // Ingest: stream bytes straight to canonical CSR, with no padded ELL,
 // intermediate COO or sort in between, in two passes over tiles of rows.
-// Every tag decodes this way. A tile is a run of rows (an ELL-style
-// body's slice, the rows of a BRO-BCSR slice's block rows, 256 rows
-// otherwise) and each tile is one task of parallel_for_slices. A body is
+// Every tag decodes this way from its kept index sections; an ELL-style
+// body's value array streams into the CSR between the passes
+// (stream_ell_values). A tile is a run of rows (an ELL-style body's slice,
+// the rows of a BRO-BCSR slice's block rows, 256 rows otherwise) and each
+// tile is one task of parallel_for_slices. A body is
 // one or more parts; row r of the result is row r of every part, in part
 // order. A part decodes any tile in both passes:
 //
@@ -427,8 +658,9 @@ BcsrBody read_bcsr_body(ByteReader& in) {
 // Pass 1 counts into the output's row_ptr and one exclusive scan turns the
 // counts into offsets; pass 2 decodes again, writes every entry straight
 // into the final arrays and canonicalizes the tile's rows in place. Both
-// passes decode the same bytes the same way, so the output does not depend
-// on the thread count, and a part's scratch is O(tile rows). Each check
+// passes decode the same bytes the same way, so the output depends neither
+// on the thread count nor on how the bytes were chunked, and a part's
+// scratch is O(tile rows). Each check
 // below guards an index the decoders would otherwise take on trust; the
 // first tile that fails one throws after its loop (util::parallel_for_slices).
 
@@ -492,17 +724,21 @@ void compact_rows(sparse::Csr& a) {
 
 /// Pass 2: the parts write every entry into place (the first touch of the
 /// unzeroed arrays, on the tile's thread), then each row is
-/// canonicalized there (sparse::canonicalize_row). A row whose columns
-/// arrive unsorted or duplicated comes only from a hand-built stream; one
-/// that merged duplicates marks its leftover slots with column -1, and
-/// compact_rows closes them once every tile is done.
+/// canonicalized there (sparse::canonicalize_row). `vals` holds the values
+/// an ELL-style part streamed in already (that part writes only columns);
+/// the other parts write both. A row whose columns arrive unsorted or
+/// duplicated comes only from a hand-built stream; one that merged
+/// duplicates marks its leftover slots with column -1, and compact_rows
+/// closes them once every tile is done.
 template <typename... Parts>
 sparse::Csr fill_rows(index_t rows, index_t cols, index_t tile_rows,
-                      util::UninitVector<index_t> row_ptr, Parts&... parts) {
+                      util::UninitVector<index_t> row_ptr,
+                      util::UninitVector<value_t> vals, Parts&... parts) {
   sparse::Csr out;
   out.rows = rows;
   out.cols = cols;
   out.col_idx.resize(static_cast<std::size_t>(row_ptr.back()));
+  out.vals = std::move(vals);
   out.vals.resize(out.col_idx.size());
   std::atomic<bool> merged{false};
   util::parallel_for_slices(tile_count(rows, tile_rows), [&](index_t t) {
@@ -573,7 +809,8 @@ void check_ell_slice(const BroEllSlice& s, int sym_len, const char* what) {
                 what << " stream shape mismatches its slice");
 }
 
-/// Dimensions and the column-major value array of an ELL-style body.
+/// Dimensions and the column-major value array's size of an ELL-style
+/// body.
 void check_ell_values(index_t rows, index_t cols, index_t width,
                       std::size_t nvals, const char* what) {
   BRO_CHECK_MSG(rows >= 0 && cols >= 0 && width >= 0,
@@ -584,7 +821,7 @@ void check_ell_values(index_t rows, index_t cols, index_t width,
 }
 
 void check_ell_body(const EllBody& b) {
-  check_ell_values(b.rows, b.cols, b.width, b.vals.size(), "BRO-ELL");
+  check_ell_values(b.rows, b.cols, b.width, b.nvals, "BRO-ELL");
   check_tiling(b.slices, b.rows, b.opts.slice_height, "BRO-ELL");
   for (const auto& s : b.slices) {
     check_ell_slice(s, b.opts.sym_len, "BRO-ELL");
@@ -593,7 +830,7 @@ void check_ell_body(const EllBody& b) {
 }
 
 void check_ans_body(const AnsBody& b) {
-  check_ell_values(b.rows, b.cols, b.width, b.vals.size(), "BRO-ANS");
+  check_ell_values(b.rows, b.cols, b.width, b.nvals, "BRO-ANS");
   check_tiling(b.slices, b.rows, b.opts.slice_height, "BRO-ANS");
   for (const auto& s : b.slices) {
     BRO_CHECK_MSG(s.num_col <= b.width, "BRO-ANS slice wider than width");
@@ -644,11 +881,12 @@ class AnsLanes {
 };
 
 /// An ELL-style body as a part: tile t is slice t, its lanes decoded
-/// column by column, so the deltas and the column-major value array are
-/// read sequentially. Padding must be a suffix of each row. The format's
+/// column by column. Padding must be a suffix of each row. The format's
 /// own SpMV pairs value slot c with stream position c, so a real delta
 /// after a padding one would decode to a CSR whose product differs from
-/// the format's; no writer emits one, and the row is rejected.
+/// the format's; no writer emits one, and the row is rejected. Its values
+/// are in place before pass 2 (stream_ell_values): row r's c-th entry is
+/// value slot c, so fill writes only the columns.
 template <typename Body, typename Lanes>
 class SlicePart {
  public:
@@ -679,8 +917,8 @@ class SlicePart {
     entries_ += entries;
   }
 
-  void fill(index_t t, index_t first, index_t, index_t* pos, index_t* cols,
-            value_t* vals) {
+  void fill(index_t t, index_t, index_t, index_t* pos, index_t* cols,
+            value_t*) {
     const auto& s = b_.slices[static_cast<std::size_t>(t)];
     if (s.num_col == 0) return;
     const auto h = static_cast<std::size_t>(s.height);
@@ -689,18 +927,13 @@ class SlicePart {
     std::vector<std::int64_t> col(h, -1);
     for (index_t c = 0; c < s.num_col; ++c) {
       lanes(c, d.data());
-      const std::size_t slot = static_cast<std::size_t>(c) *
-                                   static_cast<std::size_t>(b_.rows) +
-                               static_cast<std::size_t>(first);
       for (std::size_t i = 0; i < h; ++i) {
         if (d[i] == bits::kInvalidDelta) continue; // padding: a suffix
         col[i] += d[i];
         BRO_CHECK_MSG(col[i] < b_.cols, "decoded column " << col[i]
                                                           << " outside [0, "
                                                           << b_.cols << ')');
-        const auto p = static_cast<std::size_t>(pos[i]++);
-        cols[p] = static_cast<index_t>(col[i]);
-        vals[p] = b_.vals[slot + i];
+        cols[pos[i]++] = static_cast<index_t>(col[i]);
       }
     }
   }
@@ -927,42 +1160,193 @@ class BcsrPart {
   std::vector<std::size_t> val_off_; // per-slice offset into the tiles
 };
 
-sparse::Csr csr_from_ell(const EllBody& b) {
+/// Writes an ELL-style body's column-major value array into the CSR's rows
+/// as it arrives. Slot (c, r) is row r's entry c, real when c is below the
+/// row's length (pass 1's count; padding is a suffix), and goes to
+/// vals[row_ptr[r] + c]. A window of up to kWindowCols whole columns is
+/// held and written out together, so that each row's writes are one
+/// contiguous run; a matrix too tall for two columns in kWindowBytes
+/// scatters each value straight to its slot instead.
+class ColumnWriter {
+ public:
+  static constexpr std::size_t kWindowBytes = std::size_t{16} << 20;
+  static constexpr std::size_t kWindowCols = 8;
+  static constexpr index_t kFlushRows = 4096;
+
+  ColumnWriter(index_t rows, index_t width, const index_t* row_ptr,
+               value_t* vals)
+      : rows_(static_cast<std::size_t>(rows)), row_ptr_(row_ptr), vals_(vals) {
+    const std::size_t column = rows_ * sizeof(value_t);
+    if (rows_ > 0 && 2 * column <= kWindowBytes)
+      cols_ = std::min({kWindowBytes / column, kWindowCols,
+                        static_cast<std::size_t>(width)});
+    if (cols_ > 1) {
+      // A window of a MiB or more is reserved at kHugePageBytes: a mapping
+      // of its own, which the allocator gives back when the reader is done
+      // rather than keeping it cached.
+      const std::size_t n = cols_ * rows_;
+      if (n * sizeof(value_t) >= (std::size_t{1} << 20))
+        window_.reserve(util::kHugePageBytes / sizeof(value_t));
+      window_.resize(n);
+    }
+  }
+
+  /// The next n value slots, unaligned at p.
+  void put(const std::uint8_t* p, std::size_t n) {
+    while (n > 0) {
+      const std::size_t run = std::min(n, rows_ - r_);
+      if (cols_ > 1) {
+        std::memcpy(window_.data() + (c_ - c0_) * rows_ + r_, p,
+                    run * sizeof(value_t));
+      } else {
+        for (std::size_t i = 0; i < run; ++i)
+          if (c_ < len(r_ + i))
+            std::memcpy(vals_ + row_ptr_[r_ + i] + c_, p + i * sizeof(value_t),
+                        sizeof(value_t));
+      }
+      p += run * sizeof(value_t);
+      n -= run;
+      r_ += run;
+      if (r_ == rows_) {
+        r_ = 0;
+        if (++c_ - c0_ == cols_) flush();
+      }
+    }
+  }
+
+  /// Write out the columns the window holds (at the array's end, its last
+  /// partial window), in parallel over tiles of rows.
+  void flush() {
+    const auto rows = static_cast<index_t>(rows_);
+    if (cols_ > 1)
+      util::parallel_for_slices(tile_count(rows, kFlushRows), [&](index_t t) {
+        const auto [first, last] = tile_span(t, rows, kFlushRows);
+        for (auto r = static_cast<std::size_t>(first);
+             r < static_cast<std::size_t>(last); ++r) {
+          value_t* row = vals_ + row_ptr_[r];
+          for (std::size_t c = c0_, end = std::min(len(r), c_); c < end; ++c)
+            row[c] = window_[(c - c0_) * rows_ + r];
+        }
+      });
+    c0_ = c_;
+  }
+
+ private:
+  std::size_t len(std::size_t r) const {
+    return static_cast<std::size_t>(row_ptr_[r + 1] - row_ptr_[r]);
+  }
+
+  std::size_t rows_;
+  const index_t* row_ptr_;
+  value_t* vals_;
+  std::size_t cols_ = 1;         // window width in columns; 1 = none
+  util::UninitVector<value_t> window_;
+  std::size_t c0_ = 0;           // first column the window holds
+  std::size_t c_ = 0, r_ = 0;    // the next slot
+};
+
+/// An ELL-style body's rows: their offsets, and their values.
+struct EllRows {
+  util::UninitVector<index_t> row_ptr;
+  util::UninitVector<value_t> vals;
+};
+
+/// Pass 1 over the slices held gives each row's length, then the body's
+/// value array streams straight into the CSR's value array at those
+/// offsets: it is never held whole. The array reserves `spare` more
+/// entries for a part that follows (BRO-HYB's COO part); pages never
+/// written cost no memory.
+template <typename Body, typename Part>
+Task<EllRows> stream_ell_values(Input& in, const Body& b, Part& part,
+                                std::size_t spare) {
+  EllRows e;
+  e.row_ptr = count_rows(b.rows, b.opts.slice_height, part);
+  const auto nnz = static_cast<std::size_t>(e.row_ptr.back());
+  e.vals.reserve(nnz + spare);
+  e.vals.resize(nnz);
+  ColumnWriter w(b.rows, b.width, e.row_ptr.data(), e.vals.data());
+  co_await in.stream<value_t>(
+      b.nvals, [&w](std::size_t, const std::uint8_t* p, std::size_t n) {
+        w.put(p, n);
+      });
+  w.flush();
+  co_return std::move(e);
+}
+
+/// BRO-HYB's COO entries go after each row's ELL prefix. With `coo_ptr`
+/// the exclusive scan of the COO part's row counts, row r's ELL values
+/// move from row_ptr[r] to row_ptr[r] + coo_ptr[r], in place and back to
+/// front (each row moves up, over rows already moved), and row_ptr becomes
+/// the merged offsets.
+void make_room_for_overflow(EllRows& e,
+                            const util::UninitVector<index_t>& coo_ptr) {
+  const std::size_t rows = e.row_ptr.size() - 1;
+  const std::int64_t nnz = std::int64_t{e.row_ptr[rows]} + coo_ptr[rows];
+  BRO_CHECK_MSG(nnz <= std::numeric_limits<index_t>::max(),
+                "matrix exceeds the index range");
+  e.vals.resize(static_cast<std::size_t>(nnz));
+  for (std::size_t r = rows; r-- > 0 && coo_ptr[r] > 0;) {
+    const auto from = static_cast<std::size_t>(e.row_ptr[r]);
+    std::memmove(e.vals.data() + from + coo_ptr[r], e.vals.data() + from,
+                 (static_cast<std::size_t>(e.row_ptr[r + 1]) - from) *
+                     sizeof(value_t));
+  }
+  for (std::size_t r = 0; r <= rows; ++r) e.row_ptr[r] += coo_ptr[r];
+}
+
+Task<sparse::Csr> decode_ell(Input& in) {
+  const EllBody b = co_await read_ell_body(in);
   check_ell_body(b);
   EllPart ell(b);
-  const index_t h = b.opts.slice_height;
-  return fill_rows(b.rows, b.cols, h, count_rows(b.rows, h, ell), ell);
+  EllRows e = co_await stream_ell_values(in, b, ell, 0);
+  co_return fill_rows(b.rows, b.cols, b.opts.slice_height,
+                      std::move(e.row_ptr), std::move(e.vals), ell);
 }
 
-sparse::Csr csr_from_ans(const AnsBody& b) {
+Task<sparse::Csr> decode_ans(Input& in) {
+  const AnsBody b = co_await read_ans_body(in);
   check_ans_body(b);
   AnsPart ans(b);
-  const index_t h = b.opts.slice_height;
-  return fill_rows(b.rows, b.cols, h, count_rows(b.rows, h, ans), ans);
+  EllRows e = co_await stream_ell_values(in, b, ans, 0);
+  co_return fill_rows(b.rows, b.cols, b.opts.slice_height,
+                      std::move(e.row_ptr), std::move(e.vals), ans);
 }
 
-sparse::Csr csr_from_coo(const CooBody& b) {
+Task<sparse::Csr> decode_coo(Input& in) {
+  const CooBody b = co_await read_coo_body(in);
   BRO_CHECK_MSG(b.rows >= 0 && b.cols >= 0, "corrupt BRO-COO dimensions");
   CooPart coo(b, b.rows, b.cols);
-  return fill_rows(b.rows, b.cols, kIngestTileRows,
-                   count_rows(b.rows, kIngestTileRows, coo), coo);
+  auto row_ptr = count_rows(b.rows, kIngestTileRows, coo);
+  co_return fill_rows(b.rows, b.cols, kIngestTileRows, std::move(row_ptr), {},
+                      coo);
 }
 
-sparse::Csr csr_from_hyb(const HybBody& b) {
+Task<sparse::Csr> decode_hyb(Input& in) {
+  const auto rows = co_await in.get<index_t>();
+  const auto cols = co_await in.get<index_t>();
+  co_await in.get<index_t>(); // split_width: the ELL part's width
+  const auto ell_nnz = co_await in.get<std::uint64_t>();
+  const EllBody eb = co_await read_ell_body(in);
   // The HYB split puts each row's first split_width entries in the ELL part
   // and the rest in the COO part, so ELL row r then COO row r is row r.
-  BRO_CHECK_MSG(b.ell.rows == b.rows && b.ell.cols == b.cols,
+  BRO_CHECK_MSG(eb.rows == rows && eb.cols == cols,
                 "BRO-HYB ELL part dimensions mismatch the matrix");
-  check_ell_body(b.ell);
-  EllPart ell(b.ell);
-  CooPart coo(b.coo, b.rows, b.cols);
-  const index_t h = b.ell.opts.slice_height;
-  util::UninitVector<index_t> row_ptr = count_rows(b.rows, h, ell, coo);
-  BRO_CHECK_MSG(ell.entries() == b.ell_nnz,
-                "BRO-HYB ell_nnz " << b.ell_nnz << " mismatches the "
+  check_ell_body(eb);
+  EllPart ell(eb);
+  // Each COO entry behind the value array takes a column and a value.
+  const std::size_t spare = (in.remaining() - eb.nvals * sizeof(value_t)) /
+                            (sizeof(index_t) + sizeof(value_t));
+  EllRows e = co_await stream_ell_values(in, eb, ell, spare);
+  BRO_CHECK_MSG(ell.entries() == ell_nnz,
+                "BRO-HYB ell_nnz " << ell_nnz << " mismatches the "
                                    << ell.entries()
                                    << " entries of its ELL part");
-  return fill_rows(b.rows, b.cols, h, std::move(row_ptr), ell, coo);
+  const CooBody cb = co_await read_coo_body(in);
+  CooPart coo(cb, rows, cols);
+  const index_t h = eb.opts.slice_height;
+  make_room_for_overflow(e, count_rows(rows, h, coo));
+  co_return fill_rows(rows, cols, h, std::move(e.row_ptr), std::move(e.vals),
+                      ell, coo);
 }
 
 sparse::Csr csr_from_bro_csr(const CsrBody& b) {
@@ -981,31 +1365,38 @@ sparse::Csr csr_from_bro_csr(const CsrBody& b) {
                   "corrupt BRO-CSR row " << r);
   }
   BroCsrPart part(b);
-  return fill_rows(b.rows, b.cols, kIngestTileRows, std::move(row_ptr), part);
+  return fill_rows(b.rows, b.cols, kIngestTileRows, std::move(row_ptr), {},
+                   part);
 }
 
-sparse::Csr csr_from_bcsr(const BcsrBody& b) {
+Task<sparse::Csr> decode_bro_csr(Input& in) {
+  const CsrBody b = co_await read_csr_body(in);
+  co_return csr_from_bro_csr(b);
+}
+
+Task<sparse::Csr> decode_bcsr(Input& in) {
+  const BcsrBody b = co_await read_bcsr_body(in);
   BcsrPart bcsr(b);
   const index_t h = bcsr.tile_rows();
-  return fill_rows(b.rows, b.cols, h, count_rows(b.rows, h, bcsr), bcsr);
+  auto row_ptr = count_rows(b.rows, h, bcsr);
+  co_return fill_rows(b.rows, b.cols, h, std::move(row_ptr), {}, bcsr);
 }
 
 /// Parse one object of any tag and decode it to CSR: the ONE tag-dispatch
-/// site behind both read_bro_to_csr overloads.
-sparse::Csr decode_csr(ByteReader& in, Format* fmt) {
-  const Format f = read_header(in);
-  if (fmt != nullptr) *fmt = f;
-  switch (f) {
-    case Format::kBroEll: return csr_from_ell(read_ell_body(in));
-    case Format::kBroAns: return csr_from_ans(read_ans_body(in));
-    case Format::kBroCoo: return csr_from_coo(read_coo_body(in));
-    case Format::kBroHyb: return csr_from_hyb(read_hyb_body(in));
-    case Format::kBroCsr: return csr_from_bro_csr(read_csr_body(in));
-    case Format::kBroBcsr: return csr_from_bcsr(read_bcsr_body(in));
+/// site, behind every BroReader.
+Task<sparse::Csr> decode_csr(Input& in, Format& fmt) {
+  fmt = co_await read_header(in);
+  switch (fmt) {
+    case Format::kBroEll: co_return co_await decode_ell(in);
+    case Format::kBroAns: co_return co_await decode_ans(in);
+    case Format::kBroCoo: co_return co_await decode_coo(in);
+    case Format::kBroHyb: co_return co_await decode_hyb(in);
+    case Format::kBroCsr: co_return co_await decode_bro_csr(in);
+    case Format::kBroBcsr: co_return co_await decode_bcsr(in);
     default: break;
   }
   BRO_CHECK_MSG(false, "unsupported .bro payload format tag");
-  return {}; // unreachable
+  co_return sparse::Csr{}; // unreachable
 }
 
 } // namespace
@@ -1055,39 +1446,91 @@ void write_bro_bcsr(std::ostream& out, const BroBcsr& m) {
   write_bcsr_body(out, m);
 }
 
+struct BroReader::State {
+  explicit State(std::size_t max_bytes)
+      : in(max_bytes), parse(decode_csr(in, fmt)) {
+    parse.start();
+  }
+
+  void rethrow_if_failed() const {
+    if (error) std::rethrow_exception(error);
+    if (parse.failed()) parse.rethrow();
+  }
+
+  Input in;
+  Format fmt = Format::kBroHyb;
+  Task<sparse::Csr> parse;
+  std::exception_ptr error; // a failure of feed() itself
+};
+
+BroReader::BroReader(std::size_t max_bytes)
+    : s_(std::make_unique<State>(max_bytes)) {}
+BroReader::~BroReader() = default;
+BroReader::BroReader(BroReader&&) noexcept = default;
+BroReader& BroReader::operator=(BroReader&&) noexcept = default;
+
+void BroReader::feed(std::span<const std::uint8_t> bytes) {
+  State& s = *s_;
+  try {
+    s.rethrow_if_failed();
+    const std::size_t used = s.parse.done() ? 0 : s.in.feed(bytes);
+    s.rethrow_if_failed();
+    BRO_CHECK_MSG(used == bytes.size(),
+                  s.in.remaining() << " trailing bytes after the .bro object");
+  } catch (...) {
+    s.error = std::current_exception();
+    throw;
+  }
+}
+
+std::size_t BroReader::wanted() const { return s_->in.wanted(); }
+
+sparse::Csr BroReader::finish(Format* fmt) {
+  State& s = *s_;
+  s.rethrow_if_failed();
+  BRO_CHECK_MSG(s.parse.done(), "payload underrun: the stream ended after "
+                                    << s.in.position() << " bytes, "
+                                    << s.in.wanted()
+                                    << " short of its next field");
+  if (fmt != nullptr) *fmt = s.fmt;
+  return s.parse.result();
+}
+
 sparse::Csr read_bro_to_csr(std::span<const std::uint8_t> bytes, Format* fmt) {
-  ByteReader r(bytes);
-  sparse::Csr out = decode_csr(r, fmt);
-  BRO_CHECK_MSG(r.done(), r.remaining() << " trailing bytes after the .bro "
-                                           "object");
-  return out;
+  BroReader r(bytes.size());
+  r.feed(bytes);
+  return r.finish(fmt);
 }
 
 sparse::Csr read_bro_to_csr(std::istream& in, Format* fmt) {
-  // Read the rest of the stream, parse one object from those bytes, and
-  // leave a seekable stream just after it (a non-seekable one is consumed
-  // to its end).
+  // Fed no more than the reader wants, so it never reads past the object:
+  // a seekable stream is read in blocks and left just after it. A
+  // non-seekable one is read to its end first, which bounds every count.
   const std::istream::pos_type start = in.tellg();
-  util::UninitVector<std::uint8_t> bytes; // read() overwrites it in full
-  if (start != std::istream::pos_type(-1) && in.seekg(0, std::ios::end)) {
-    const auto end = in.tellg();
-    in.seekg(start);
-    bytes.resize(static_cast<std::size_t>(end - start));
-    in.read(reinterpret_cast<char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
+  if (start == std::istream::pos_type(-1) || !in.seekg(0, std::ios::end)) {
+    in.clear();
+    const util::UninitVector<std::uint8_t> bytes(
+        std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>{});
+    BroReader r(bytes.size());
+    for (std::span<const std::uint8_t> rest(bytes); r.wanted() > 0;) {
+      const std::size_t n = std::min(r.wanted(), rest.size());
+      r.feed(rest.first(n));
+      rest = rest.subspan(n);
+    }
+    return r.finish(fmt);
+  }
+  const std::istream::pos_type end = in.tellg();
+  in.seekg(start);
+  BroReader r(static_cast<std::size_t>(end - start));
+  util::UninitVector<std::uint8_t> block(std::size_t{64} << 10);
+  while (r.wanted() > 0) {
+    const std::size_t n = std::min(r.wanted(), block.size());
+    in.read(reinterpret_cast<char*>(block.data()),
+            static_cast<std::streamsize>(n));
     BRO_CHECK_MSG(in.good(), "stream read failed");
-  } else {
-    in.clear();
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
+    r.feed({block.data(), n});
   }
-  ByteReader r(bytes);
-  sparse::Csr out = decode_csr(r, fmt);
-  if (start != std::istream::pos_type(-1)) {
-    in.clear();
-    in.seekg(start + static_cast<std::streamoff>(r.position()));
-  }
-  return out;
+  return r.finish(fmt);
 }
 
 } // namespace bro::core

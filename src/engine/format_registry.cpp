@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <ostream>
+#include <sstream>
 
 #include "check/validate.h"
 #include "core/serialize.h"
@@ -448,6 +449,20 @@ const std::vector<FormatTraits>& build_registry() {
 
 SharedCsr borrow_csr(const sparse::Csr& csr) {
   return SharedCsr(SharedCsr{}, &csr);
+}
+
+Representation make_serializable(const FormatTraits& t, const SharedCsr& csr,
+                                 const core::MatrixOptions& opts) {
+  BRO_CHECK_MSG(t.serialize != nullptr,
+                t.name << " has no serialized form (use a BRO format)");
+  if (!t.applicable(*csr, opts.max_ell_expand)) {
+    std::ostringstream msg;
+    msg << t.name << " does not apply to this " << csr->rows << " x "
+        << csr->cols << " matrix with " << csr->nnz()
+        << " non-zeros at max_ell_expand " << opts.max_ell_expand;
+    throw NotApplicableError(msg.str());
+  }
+  return t.make(csr, opts);
 }
 
 const std::vector<FormatTraits>& format_registry() { return build_registry(); }

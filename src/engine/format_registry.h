@@ -17,6 +17,7 @@
 #include <iosfwd>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -117,6 +118,20 @@ struct FormatTraits {
   std::size_t (*resident_bytes)(const core::Matrix& m) = nullptr;
   core::Savings (*savings)(const core::Matrix& m) = nullptr;
 };
+
+/// A format's gate (its `applicable` predicate) refused a matrix.
+class NotApplicableError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// The representation `t` writes as a .bro stream for `csr`, the one
+/// build behind every writer of .bro bytes. Throws std::runtime_error when
+/// the format has no serialized form, and NotApplicableError, naming the
+/// format and `opts.max_ell_expand`, when its gate refuses the matrix: a
+/// padded format's stream could otherwise grow without a bound.
+Representation make_serializable(const FormatTraits& t, const SharedCsr& csr,
+                                 const core::MatrixOptions& opts);
 
 /// The registered formats, in core::Format enumeration order.
 const std::vector<FormatTraits>& format_registry();

@@ -91,21 +91,34 @@ std::vector<std::uint8_t> encode_frame(FrameKind kind, std::uint8_t code,
 
 std::span<std::uint8_t> FrameAssembler::direct_tail() {
   if (!pending_) return {};
-  Payload& p = pending_->payload;
-  return {p.data() + filled_, p.size() - filled_};
+  const std::size_t left = pending_->header.payload_len - filled_;
+  if (!pending_->sink) return {pending_->payload.data() + filled_, left};
+  if (sink_buf_.empty()) sink_buf_.resize(kRecvChunkBytes);
+  return {sink_buf_.data(), std::min(left, sink_buf_.size())};
 }
 
 void FrameAssembler::commit_direct(std::size_t n) {
   BRO_CHECK(n <= direct_tail().size());
+  if (n == 0) return;
+  if (pending_->sink)
+    pending_->sink->consume({sink_buf_.data(), n});
+  filled_ += n;
+}
+
+void FrameAssembler::put_pending(const std::uint8_t* data, std::size_t n) {
+  if (pending_->sink)
+    pending_->sink->consume({data, n});
+  else if (n > 0)
+    std::memcpy(pending_->payload.data() + filled_, data, n);
   filled_ += n;
 }
 
 void FrameAssembler::append(const std::uint8_t* data, std::size_t n) {
-  const std::span<std::uint8_t> tail = direct_tail();
-  const std::size_t direct = std::min(n, tail.size());
+  const std::size_t direct =
+      pending_ ? std::min<std::size_t>(n, pending_->header.payload_len - filled_)
+               : 0;
   if (direct > 0) {
-    std::memcpy(tail.data(), data, direct);
-    filled_ += direct;
+    put_pending(data, direct);
     data += direct;
     n -= direct;
   }
@@ -122,7 +135,7 @@ void FrameAssembler::append(const std::uint8_t* data, std::size_t n) {
 
 std::optional<Frame> FrameAssembler::next() {
   if (pending_) {
-    if (!direct_tail().empty()) return std::nullopt;
+    if (filled_ < pending_->header.payload_len) return std::nullopt;
     std::optional<Frame> f = std::move(pending_);
     pending_.reset();
     return f;
@@ -155,13 +168,23 @@ std::optional<Frame> FrameAssembler::next() {
 
   Frame f;
   f.header = header;
-  try {
-    f.payload = Payload(len);
-  } catch (const std::bad_alloc&) {
-    throw ProtocolError("cannot allocate a frame payload of " +
-                        std::to_string(len) + " B");
+  if (staged < len && sinks_) f.sink = sinks_(header);
+  if (!f.sink) {
+    try {
+      f.payload = Payload(len);
+    } catch (const std::bad_alloc&) {
+      throw ProtocolError("cannot allocate a frame payload of " +
+                          std::to_string(len) + " B");
+    }
   }
-  if (staged > 0) std::memcpy(f.payload.data(), h + kFrameHeaderBytes, staged);
+  if (staged < len) {
+    // A large frame: the rest of its payload lands straight in it.
+    pending_ = std::move(f);
+    filled_ = 0;
+    put_pending(h + kFrameHeaderBytes, staged);
+  } else if (len > 0) {
+    std::memcpy(f.payload.data(), h + kFrameHeaderBytes, len);
+  }
   pos_ += kFrameHeaderBytes + staged;
   if (pos_ == buf_.size()) {
     // Drained: reuse the buffer, but give back what one burst of appends
@@ -170,12 +193,7 @@ std::optional<Frame> FrameAssembler::next() {
     pos_ = 0;
     if (buf_.capacity() > 2 * kRecvChunkBytes) buf_.shrink_to_fit();
   }
-  if (staged < len) {
-    // A large frame: the rest of its payload lands straight in it.
-    pending_ = std::move(f);
-    filled_ = staged;
-    return std::nullopt;
-  }
+  if (staged < len) return std::nullopt;
   return f;
 }
 
@@ -307,13 +325,70 @@ std::vector<std::uint8_t> make_upload_request(
   return joined(upload_request_parts(request_id, matrix_id, bro_bytes));
 }
 
-UploadRequest parse_upload_request(const Frame& f) {
-  auto r = payload_reader(f);
-  UploadRequest req;
-  req.matrix_id = r.get_string();
-  req.bro_bytes = r.get_array_bytes<std::uint8_t>();
-  BRO_CHECK_MSG(r.done(), "trailing bytes after UPLOAD_MATRIX payload");
-  return req;
+bool UploadDecoder::stage_head(std::span<const std::uint8_t>& bytes) {
+  // The head is the id's u32 length, the id and the u64 .bro byte count;
+  // `want` is where it ends, once the length is in.
+  const auto take = [&](std::size_t want) {
+    const std::size_t n = std::min(want - head_.size(), bytes.size());
+    head_.insert(head_.end(), bytes.begin(), bytes.begin() + n);
+    bytes = bytes.subspan(n);
+    return head_.size() == want;
+  };
+  if (head_.size() < sizeof(std::uint32_t) && !take(sizeof(std::uint32_t)))
+    return false;
+  std::uint32_t id_len = 0;
+  std::memcpy(&id_len, head_.data(), sizeof(id_len));
+  const std::size_t want =
+      sizeof(std::uint32_t) + id_len + sizeof(std::uint64_t);
+  const std::size_t have = head_.size() + bytes.size() + left_;
+  BRO_CHECK_MSG(want <= have, "payload underrun: the UPLOAD_MATRIX head needs "
+                                  << want << " bytes, the payload holds "
+                                  << have);
+  if (!take(want)) return false;
+  ByteReader r(head_);
+  matrix_id_ = r.get_string();
+  const auto count = r.get<std::uint64_t>();
+  const std::size_t rest = bytes.size() + left_;
+  BRO_CHECK_MSG(count <= rest, "payload underrun: need " << count
+                                                         << " bytes, have "
+                                                         << rest);
+  BRO_CHECK_MSG(count == rest, "trailing bytes after UPLOAD_MATRIX payload");
+  head_ = {};
+  reader_.emplace(static_cast<std::size_t>(count));
+  return true;
+}
+
+void UploadDecoder::consume(std::span<const std::uint8_t> bytes) {
+  left_ -= bytes.size();
+  if (error_) return;
+  try {
+    if ((reader_ || stage_head(bytes)) && !bytes.empty()) reader_->feed(bytes);
+  } catch (const std::exception& e) {
+    error_ = e.what();
+    reader_.reset();
+    head_ = {};
+  }
+}
+
+Upload UploadDecoder::finish() {
+  if (error_) throw std::runtime_error(*error_);
+  BRO_CHECK_MSG(left_ == 0 && reader_,
+                "payload underrun: the UPLOAD_MATRIX payload ends in its head");
+  return {std::move(matrix_id_), core::Matrix::from_csr(reader_->finish())};
+}
+
+std::unique_ptr<PayloadSink> upload_sink(const FrameHeader& h) {
+  if (h.kind != FrameKind::kRequest ||
+      static_cast<Op>(h.code) != Op::kUploadMatrix)
+    return nullptr;
+  return std::make_unique<UploadDecoder>(h.payload_len);
+}
+
+Upload decode_upload(Frame& f) {
+  if (f.sink) return dynamic_cast<UploadDecoder&>(*f.sink).finish();
+  UploadDecoder d(f.payload.size());
+  d.consume({f.payload.data(), f.payload.size()});
+  return d.finish();
 }
 
 std::vector<std::uint8_t> make_upload_ack(std::uint64_t request_id,
@@ -441,21 +516,20 @@ StatsSnapshot parse_stats_response(const Frame& f) {
 std::vector<std::uint8_t> matrix_to_bro_bytes(const core::Matrix& m,
                                               core::Format format) {
   const auto& t = engine::traits(format);
-  BRO_CHECK_MSG(t.serialize != nullptr,
-                t.name << " has no serialized form (use a BRO format)");
+  const auto rep =
+      engine::make_serializable(t, engine::borrow_csr(m.csr()), m.options());
   std::vector<std::uint8_t> bytes;
   VectorStreamBuf buf(bytes);
   std::ostream out(&buf);
   // A failed allocation in the buffer propagates instead of leaving the
   // bytes silently cut short.
   out.exceptions(std::ios::badbit);
-  t.serialize(out, t.make(engine::borrow_csr(m.csr()), m.options()).get());
+  t.serialize(out, rep.get());
   return bytes;
 }
 
 core::Matrix matrix_from_bro_bytes(std::span<const std::uint8_t> bytes) {
-  // Decoded in place: no copy of the upload is made on the way to CSR. The
-  // tag dispatch lives in core::read_bro_to_csr, so uploads accept every
+  // The tag dispatch lives in core::BroReader, so uploads accept every
   // serializable format automatically.
   return core::Matrix::from_csr(core::read_bro_to_csr(bytes));
 }

@@ -17,8 +17,8 @@
 // submission order, and the client re-associates by id. Matrix payloads
 // ride the existing tagged `.bro` serialization (core/serialize.h) —
 // UPLOAD_MATRIX frames carry exactly the bytes `brospmv compress` writes,
-// and the server decodes them in place, dispatching on the embedded tag,
-// via core::read_bro_to_csr.
+// and the server decodes them as they arrive, dispatching on the embedded
+// tag, through core::BroReader (UploadDecoder).
 //
 // Every serve-layer refusal maps to a distinct Status (queue-full vs shed
 // vs throttled, mirroring serve::RejectCause) and carries the observed
@@ -32,6 +32,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -39,6 +41,7 @@
 #include <vector>
 
 #include "core/matrix.h"
+#include "core/serialize.h"
 #include "serve/admission.h"
 #include "serve/server.h"
 #include "util/bytes.h"
@@ -115,9 +118,29 @@ class Payload {
   util::UninitVector<std::uint8_t> bytes_;
 };
 
+/// Takes a large frame's payload as it arrives, in place of a Payload
+/// (FrameAssembler's sink factory picks the frames that get one).
+class PayloadSink {
+ public:
+  PayloadSink() = default;
+  PayloadSink(const PayloadSink&) = delete;
+  PayloadSink& operator=(const PayloadSink&) = delete;
+  virtual ~PayloadSink() = default;
+  /// The payload's next bytes, in order. Never throws: a sink that cannot
+  /// use them records why and drops the rest of the frame.
+  virtual void consume(std::span<const std::uint8_t> bytes) = 0;
+};
+
+/// The sink for a large frame with this header, or null to receive its
+/// payload into a Payload.
+using SinkFactory =
+    std::function<std::unique_ptr<PayloadSink>(const FrameHeader&)>;
+
 struct Frame {
   FrameHeader header;
   Payload payload;
+  /// The sink that took the payload, if one did (payload is then empty).
+  std::unique_ptr<PayloadSink> sink;
 
   Op op() const { return static_cast<Op>(header.code); }
   Status status() const { return static_cast<Status>(header.code); }
@@ -151,10 +174,14 @@ inline constexpr std::size_t kRecvChunkBytes = 64 * 1024;
 /// validated its header, it allocates the payload at its exact size, moves
 /// in the bytes already staged, and exposes the rest as direct_tail(), the
 /// place the next socket read should land. append() fills that tail too.
+/// When `sinks` gives the frame a PayloadSink instead, no payload is
+/// allocated: direct_tail() is a chunk-sized buffer whose committed bytes,
+/// like the staged and appended ones, go straight to the sink.
 class FrameAssembler {
  public:
-  explicit FrameAssembler(std::size_t max_frame_bytes = kDefaultMaxFrameBytes)
-      : max_frame_bytes_(max_frame_bytes) {}
+  explicit FrameAssembler(std::size_t max_frame_bytes = kDefaultMaxFrameBytes,
+                          SinkFactory sinks = {})
+      : max_frame_bytes_(max_frame_bytes), sinks_(std::move(sinks)) {}
 
   void append(const std::uint8_t* data, std::size_t n);
   std::optional<Frame> next();
@@ -171,11 +198,16 @@ class FrameAssembler {
   std::size_t staging_capacity() const { return buf_.capacity(); }
 
  private:
+  /// Hand the next n bytes of pending_'s payload to its sink or buffer.
+  void put_pending(const std::uint8_t* data, std::size_t n);
+
   std::size_t max_frame_bytes_;
+  SinkFactory sinks_;
   std::vector<std::uint8_t> buf_;
   std::size_t pos_ = 0;          // consumed prefix; compacted lazily
   std::optional<Frame> pending_; // a large frame whose payload is arriving
   std::size_t filled_ = 0;       // bytes of pending_'s payload received
+  std::vector<std::uint8_t> sink_buf_; // direct_tail() of a sunk payload
 };
 
 // ---------------------------------------------------------------------------
@@ -219,13 +251,6 @@ std::vector<std::uint8_t> make_error_response(std::uint64_t request_id,
                                               const std::string& message);
 ErrorInfo parse_error_response(const Frame& f);
 
-struct UploadRequest {
-  std::string matrix_id;
-  /// A complete tagged .bro stream, viewed in place in the frame payload:
-  /// valid only while the parsed Frame lives.
-  std::span<const std::uint8_t> bro_bytes;
-};
-
 std::vector<std::uint8_t> make_upload_request(
     std::uint64_t request_id, const std::string& matrix_id,
     std::span<const std::uint8_t> bro_bytes);
@@ -233,7 +258,45 @@ std::vector<std::uint8_t> make_upload_request(
 FrameParts upload_request_parts(std::uint64_t request_id,
                                 const std::string& matrix_id,
                                 std::span<const std::uint8_t> bro_bytes);
-UploadRequest parse_upload_request(const Frame& f);
+
+/// A matrix registration decoded from an UPLOAD_MATRIX payload.
+struct Upload {
+  std::string matrix_id;
+  core::Matrix matrix;
+};
+
+/// An UPLOAD_MATRIX payload decoded as it arrives: the matrix id and the
+/// .bro byte count are staged, and the .bro bytes go straight to a
+/// core::BroReader, so no copy of the payload is ever held. The first
+/// malformed byte frees what was decoded and puts the decoder in discard
+/// mode: it drops the rest of the frame, and finish() throws that error,
+/// so the connection stays in sync.
+class UploadDecoder : public PayloadSink {
+ public:
+  explicit UploadDecoder(std::size_t payload_bytes) : left_(payload_bytes) {}
+  void consume(std::span<const std::uint8_t> bytes) override;
+  /// Once every payload byte was consumed: the upload. Throws
+  /// std::runtime_error for a malformed one.
+  Upload finish();
+
+ private:
+  /// Stage the id and count; true once the .bro bytes begin.
+  bool stage_head(std::span<const std::uint8_t>& bytes);
+
+  std::size_t left_;               // payload bytes still to come
+  std::vector<std::uint8_t> head_; // the id's length, the id, the count
+  std::string matrix_id_;
+  std::optional<core::BroReader> reader_;
+  std::optional<std::string> error_;
+};
+
+/// The sink factory a server gives its assemblers: large UPLOAD_MATRIX
+/// requests decode as they arrive (UploadDecoder).
+std::unique_ptr<PayloadSink> upload_sink(const FrameHeader& h);
+
+/// The upload an UPLOAD_MATRIX frame carries: through the decoder that took
+/// its payload, or from a payload small enough to have been staged.
+Upload decode_upload(Frame& f);
 
 /// kOk upload response: dimensions of the registered matrix.
 struct UploadAck {
@@ -296,10 +359,9 @@ StatsSnapshot parse_stats_response(const Frame& f);
 std::vector<std::uint8_t> matrix_to_bro_bytes(const core::Matrix& m,
                                               core::Format format);
 
-/// Reconstruct a Matrix from a tagged .bro stream, decoded in place straight
-/// to CSR (exact — indices and values are stored losslessly), so the server
-/// plans from the same CSR the uploader held. Throws std::runtime_error on
-/// malformed bytes.
+/// Reconstruct a Matrix from a tagged .bro stream, decoded straight to CSR
+/// (exact — indices and values are stored losslessly), the CSR an upload of
+/// the same bytes registers. Throws std::runtime_error on malformed bytes.
 core::Matrix matrix_from_bro_bytes(std::span<const std::uint8_t> bytes);
 
 } // namespace bro::net

@@ -44,10 +44,11 @@ void NetServerOptions::validate() const {
 }
 
 /// One accepted TCP connection: reassembly buffer in, write queue out, and
-/// the submit futures whose responses this connection still owes.
+/// the submit futures whose responses this connection still owes. A large
+/// upload's bytes go to its decoder as they arrive (upload_sink).
 struct NetServer::Connection {
   explicit Connection(UniqueFd f, std::size_t max_frame)
-      : fd(std::move(f)), assembler(max_frame) {}
+      : fd(std::move(f)), assembler(max_frame, upload_sink) {}
 
   UniqueFd fd;
   FrameAssembler assembler;
@@ -165,8 +166,7 @@ void NetServer::begin_drain(Loop& loop) {
   for (auto& c : loop.conns) c->close_after_flush = true;
 }
 
-void NetServer::handle_frame(Loop& loop, Connection& conn,
-                             const Frame& frame) {
+void NetServer::handle_frame(Loop& loop, Connection& conn, Frame& frame) {
   {
     std::lock_guard lk(stats_mu_);
     ++stats_.frames_in;
@@ -234,17 +234,15 @@ void NetServer::handle_frame(Loop& loop, Connection& conn,
 
     case Op::kUploadMatrix: {
       try {
-        // The .bro bytes are decoded in place in the frame payload, which
-        // the upload was received into directly: the server holds one
-        // copy of an upload while it decodes.
-        const UploadRequest req = parse_upload_request(frame);
-        auto m = std::make_shared<const core::Matrix>(
-            matrix_from_bro_bytes(req.bro_bytes));
+        // A large upload was decoded as its bytes arrived: the server never
+        // held its payload, only the CSR it decodes to.
+        Upload up = decode_upload(frame);
+        auto m = std::make_shared<const core::Matrix>(std::move(up.matrix));
         UploadAck ack;
         ack.rows = static_cast<std::uint64_t>(m->rows());
         ack.cols = static_cast<std::uint64_t>(m->cols());
         ack.nnz = m->nnz();
-        server_.add_matrix(req.matrix_id, std::move(m));
+        server_.add_matrix(up.matrix_id, std::move(m));
         respond(make_upload_ack(rid, ack));
       } catch (const std::exception& e) {
         respond(make_error_response(rid, Status::kBadRequest, 0, e.what()));

@@ -88,7 +88,7 @@ class NetServer {
   struct Connection;
   struct Loop; // poll-loop state, lives for one run()
 
-  void handle_frame(Loop& loop, Connection& conn, const Frame& frame);
+  void handle_frame(Loop& loop, Connection& conn, Frame& frame);
   void begin_drain(Loop& loop);
 
   serve::SpmvServer& server_;

@@ -3,9 +3,9 @@
 // length-prefixed strings and arrays to a growable byte vector; ByteReader
 // is a bounds-checked cursor over a received buffer that throws
 // std::runtime_error on underrun, so truncated payloads surface as typed
-// decode failures instead of reads past the frame. It is the one binary
-// reader of the codebase: wire frames and .bro streams (core/serialize.h)
-// both parse through it.
+// decode failures instead of reads past the frame. Wire frames parse
+// through it; .bro streams, which arrive in pieces, parse through
+// core::BroReader (core/serialize.h) under the same kSaneCount bound.
 //
 // Scalars are encoded as their in-memory little-endian representation
 // (the only byte order this codebase targets); strings and arrays carry a
@@ -131,15 +131,6 @@ class ByteReader {
       v.push_back(e);
     }
     return v;
-  }
-
-  /// A counted array borrowed in place: the element count, then a view of
-  /// its bytes (valid while the underlying buffer lives).
-  template <typename T>
-  std::span<const std::uint8_t> get_array_bytes(
-      std::size_t max_elems = kSaneCount) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    return get_span(get_count(sizeof(T), max_elems) * sizeof(T));
   }
 
   /// Borrow `n` raw bytes (valid while the underlying buffer lives).

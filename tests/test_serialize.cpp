@@ -1,9 +1,10 @@
-// The one .bro reader, read_bro_to_csr: every format's stream decodes to
-// its source CSR bitwise, hand-built rows canonicalize, BRO-BCSR drops its
-// fill, and corrupted streams fail as typed errors: bad headers, truncation
-// at every prefix, count fields stomped to just under the sanity bound,
-// interior padding. The SerializeFailure tests read through the
-// std::istream overload, the Ingest tests mostly through the span one.
+// The one .bro reader, BroReader: every format's stream decodes to its
+// source CSR bitwise, whatever the chunks it arrives in, hand-built rows
+// canonicalize, BRO-BCSR drops its fill, and corrupted streams fail as
+// typed errors: bad headers, truncation at every prefix, count fields
+// stomped to just under the sanity bound, interior padding. The
+// SerializeFailure tests read through read_bro_to_csr's std::istream
+// overload, the Ingest tests mostly through the span one.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -13,6 +14,7 @@
 #include <sstream>
 #include <vector>
 
+#include "bcsr_gate_reference.h"
 #include "core/serialize.h"
 #include "engine/format_registry.h"
 #include "sparse/convert.h"
@@ -100,6 +102,38 @@ bs::Csr small_matrix() {
   for (index_t c = 0; c < 40; c += 3) coo.push(7, c, rng.uniform() + 0.5);
   coo.canonicalize();
   return bs::coo_to_csr(coo);
+}
+
+/// What a decode returned: the CSR, or the message of its error.
+struct Verdict {
+  std::string error;
+  bs::Csr csr;
+};
+
+void expect_same_verdict(const Verdict& got, const Verdict& want) {
+  EXPECT_EQ(got.error, want.error);
+  if (got.error.empty() && want.error.empty()) expect_same_csr(got.csr, want.csr);
+}
+
+/// `bytes` through read_bro_to_csr's span overload, in one feed.
+Verdict whole_span(const Bytes& bytes) {
+  try {
+    return {{}, bc::read_bro_to_csr(bytes)};
+  } catch (const std::runtime_error& e) {
+    return {e.what(), {}};
+  }
+}
+
+/// `bytes` fed to a BroReader in `chunk`-byte pieces.
+Verdict chunked(const Bytes& bytes, std::size_t chunk) {
+  try {
+    bc::BroReader r(bytes.size());
+    for (std::size_t off = 0; off < bytes.size(); off += chunk)
+      r.feed(std::span(bytes).subspan(off, std::min(chunk, bytes.size() - off)));
+    return {{}, r.finish()};
+  } catch (const std::runtime_error& e) {
+    return {e.what(), {}};
+  }
 }
 
 /// Walks a serialized stream with the documented layout (an oracle
@@ -472,4 +506,40 @@ TEST(Ingest, BcsrDropsItsFillAndStoredZeros) {
   bc::write_bro_bcsr(out, bcsr);
   const std::string s = out.str();
   expect_same_csr(bc::read_bro_to_csr(Bytes(s.begin(), s.end())), want);
+}
+
+TEST(Ingest, ChunkedFeedEqualsWholeSpan) {
+  // Every tag over the adversarial battery and Test Sets 1-3: fed in
+  // pieces of 1 byte (streams of at most 16 KiB), 7, 4096 and 65536 bytes,
+  // the push reader returns the whole-span CSR bit for bit. Then 30 seeded
+  // single-bit corruptions of each stream, fed whole and in pieces (7
+  // bytes for streams of at most 64 KiB every other time, 4096 otherwise):
+  // the same CSR or the same error message. The reader's checks read only the stream
+  // position and its bound, so where a piece ends cannot change a verdict.
+  bro::Rng rng(2013);
+  std::size_t streams = 0, rejected = 0;
+  for (const auto& c : bro::oracle::gate_cases()) {
+    for (const auto* t : serializable_formats()) {
+      if (!t->applicable(c.csr, 3.0)) continue;
+      SCOPED_TRACE(c.name + " / " + t->name);
+      const Bytes bytes = serialize(*t, c.csr);
+      const Verdict want = whole_span(bytes);
+      ASSERT_EQ(want.error, "");
+      for (const std::size_t chunk : {1, 7, 4096, 65536})
+        if (chunk > 1 || bytes.size() <= 16 * 1024)
+          expect_same_verdict(chunked(bytes, chunk), want);
+      for (int k = 0; k < 30; ++k) {
+        Bytes bad = bytes;
+        const std::size_t bit = rng.below(bytes.size() * 8);
+        bad[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+        const Verdict w = whole_span(bad);
+        const bool small = bytes.size() <= 64 * 1024;
+        expect_same_verdict(chunked(bad, k % 2 == 0 && small ? 7 : 4096), w);
+        rejected += !w.error.empty();
+      }
+      ++streams;
+    }
+  }
+  EXPECT_GE(streams, 150u);
+  EXPECT_GT(rejected, 0u);
 }

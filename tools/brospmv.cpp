@@ -179,13 +179,11 @@ int cmd_compress(const Args& args) {
   const sparse::Csr m = load_matrix(args.positional().at(1), args);
   const std::string out_path = args.positional().at(2);
   const auto& t = parse_format(args.get("format", "BRO-HYB"));
-  if (!t.serialize)
-    throw std::runtime_error(std::string(t.name) +
-                             " has no serialized form (use a BRO format)");
   Timer timer;
+  const auto rep =
+      engine::make_serializable(t, engine::borrow_csr(m), core::MatrixOptions{});
   std::ofstream out(out_path, std::ios::binary);
   if (!out) throw std::runtime_error("cannot open " + out_path);
-  const auto rep = t.make(engine::borrow_csr(m), core::MatrixOptions{});
   t.serialize(out, rep.get());
   const auto s = t.rep_savings(rep.get());
   std::cout << "compressed " << m.nnz() << " non-zeros to " << t.name
