@@ -28,27 +28,25 @@ void MuxedStream::set_slot(std::size_t i, std::uint64_t v) {
   }
 }
 
-MuxedStream MuxedStream::from_u64_slots(int sym_len, std::size_t height,
-                                        std::size_t symbols_per_row,
-                                        std::span<const std::uint8_t> bytes) {
-  MuxedStream out(sym_len, height, symbols_per_row);
-  const std::size_t n = out.total_symbols();
-  BRO_CHECK_MSG(bytes.size() == n * sizeof(std::uint64_t),
+void MuxedStream::load_u64_slots(std::size_t first,
+                                 std::span<const std::uint8_t> bytes) {
+  const std::size_t n = bytes.size() / sizeof(std::uint64_t);
+  BRO_CHECK_MSG(bytes.size() % sizeof(std::uint64_t) == 0 &&
+                    first <= total_symbols() && n <= total_symbols() - first,
                 "slot bytes do not match the stream dimensions");
-  if (sym_len == 64) {
-    if (n > 0) std::memcpy(out.slots64_.data(), bytes.data(), bytes.size());
-    return out;
+  if (sym_len_ == 64) {
+    if (n > 0) std::memcpy(slots64_.data() + first, bytes.data(), bytes.size());
+    return;
   }
   std::uint64_t wide = 0; // OR of every slot: one range check at the end
   for (std::size_t i = 0; i < n; ++i) {
     std::uint64_t v;
     std::memcpy(&v, bytes.data() + i * sizeof(v), sizeof(v));
     wide |= v;
-    out.slots32_[i] = static_cast<std::uint32_t>(v);
+    slots32_[first + i] = static_cast<std::uint32_t>(v);
   }
   BRO_CHECK_MSG(wide <= 0xffffffffull,
                 "symbol value does not fit a 32-bit slot");
-  return out;
 }
 
 MuxedStream MuxedStream::interleave(std::span<const BitString> rows,

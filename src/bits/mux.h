@@ -32,12 +32,10 @@ class MuxedStream {
   /// Build by interleaving `rows` (each padded to the same symbol count).
   static MuxedStream interleave(std::span<const BitString> rows, int sym_len);
 
-  /// Bulk-load the flat slots from their serialized form: one little-endian
-  /// u64 per slot, height * symbols_per_row of them. Throws if a 32-bit
-  /// stream's slot does not fit 32 bits.
-  static MuxedStream from_u64_slots(int sym_len, std::size_t height,
-                                    std::size_t symbols_per_row,
-                                    std::span<const std::uint8_t> bytes);
+  /// Load flat slots first, first + 1, ... from their serialized form, one
+  /// little-endian u64 per slot (bytes.size() / 8 of them, unaligned).
+  /// Throws if a 32-bit stream's slot does not fit 32 bits.
+  void load_u64_slots(std::size_t first, std::span<const std::uint8_t> bytes);
 
   int sym_len() const { return sym_len_; }
   std::size_t height() const { return height_; }

@@ -229,10 +229,10 @@ class [[nodiscard]] Task {
 };
 
 /// The stream as the parse asks for it. Each request is the next n bytes,
-/// taken one of two ways: contiguous (`bytes`, `get`: fields and mux
-/// streams), or handed over in whole elements as they arrive (`stream`:
-/// arrays, copied where they are kept or written into the CSR). A request
-/// whose bytes were already fed does not suspend.
+/// taken one of two ways: a field (`get`), or whole elements handed over
+/// as they arrive (`stream`: arrays and mux streams, copied where they are
+/// kept or written into the CSR). A request whose bytes were already fed
+/// does not suspend. Nothing is staged but a field split across feeds.
 class Input {
  public:
   explicit Input(std::size_t max_bytes) : max_(max_bytes) {}
@@ -260,41 +260,23 @@ class Input {
     friend class Input;
   };
 
-  /// n contiguous bytes, valid until the next request: read where they
-  /// were fed when one feed holds them all, staged otherwise.
-  class Bytes : public Request {
-   public:
-    Bytes(Input& in, std::size_t n) : Request(in, n), n_(n) {}
-    std::span<const std::uint8_t> await_resume() const { return view_; }
-
-   protected:
-    void put(const std::uint8_t* p, std::size_t n) override {
-      if (n == n_) {
-        view_ = {p, n};
-        return;
-      }
-      auto& stage = in_.stage_;
-      if (left_ == n_) {
-        stage.clear();
-        stage.reserve(n_);
-      }
-      stage.insert(stage.end(), p, p + n);
-      if (stage.size() == n_) view_ = stage;
-    }
-
-    std::size_t n_;
-    std::span<const std::uint8_t> view_;
-  };
-
+  /// One field of type T.
   template <typename T>
-  class Get : public Bytes {
+  class Get : public Request {
    public:
-    explicit Get(Input& in) : Bytes(in, sizeof(T)) {}
+    explicit Get(Input& in) : Request(in, sizeof(T)) {}
     T await_resume() const {
       T v{};
-      std::memcpy(&v, this->view_.data(), sizeof(T));
+      std::memcpy(&v, bytes_, sizeof(T));
       return v;
     }
+
+   private:
+    void put(const std::uint8_t* p, std::size_t n) override {
+      std::memcpy(bytes_ + sizeof(T) - left_, p, n);
+    }
+
+    std::uint8_t bytes_[sizeof(T)] = {};
   };
 
   /// Elements of T handed to fn(first, p, n) as they arrive: elements
@@ -332,10 +314,6 @@ class Input {
     std::size_t carried_ = 0;
   };
 
-  Bytes bytes(std::size_t n) {
-    need(n);
-    return Bytes(*this, n);
-  }
   template <typename T>
   Get<T> get() {
     need(sizeof(T));
@@ -389,7 +367,6 @@ class Input {
   std::span<const std::uint8_t> chunk_; // the feed being served
   Request* waiting_ = nullptr;
   std::coroutine_handle<> resume_;
-  std::vector<std::uint8_t> stage_; // a Bytes request split across feeds
 };
 
 /// Wire bytes of a mux header (sym_len, height, symbols_per_row); a mux
@@ -467,11 +444,14 @@ Task<bits::MuxedStream> read_mux(Input& in) {
                                                  << " with "
                                                  << in.remaining()
                                                  << " bytes left");
-  const std::size_t n = static_cast<std::size_t>(height * spr);
-  const auto slots = co_await in.bytes(n * sizeof(std::uint64_t));
-  co_return bits::MuxedStream::from_u64_slots(
-      sym_len, static_cast<std::size_t>(height), static_cast<std::size_t>(spr),
-      slots);
+  bits::MuxedStream mux(sym_len, static_cast<std::size_t>(height),
+                        static_cast<std::size_t>(spr));
+  co_await in.stream<std::uint64_t>(
+      mux.total_symbols(),
+      [&mux](std::size_t first, const std::uint8_t* p, std::size_t k) {
+        mux.load_u64_slots(first, {p, k * sizeof(std::uint64_t)});
+      });
+  co_return mux;
 }
 
 Task<std::vector<BroEllSlice>> read_ell_slices(Input& in) {
@@ -1165,8 +1145,9 @@ class BcsrPart {
 /// row's length (pass 1's count; padding is a suffix), and goes to
 /// vals[row_ptr[r] + c]. A window of up to kWindowCols whole columns is
 /// held and written out together, so that each row's writes are one
-/// contiguous run; a matrix too tall for two columns in kWindowBytes
-/// scatters each value straight to its slot instead.
+/// contiguous run (on pwtk a third faster than scattering every value).
+/// A one-column body, or a matrix too tall for two columns in
+/// kWindowBytes, scatters each value straight to its slot instead.
 class ColumnWriter {
  public:
   static constexpr std::size_t kWindowBytes = std::size_t{16} << 20;
@@ -1181,9 +1162,10 @@ class ColumnWriter {
       cols_ = std::min({kWindowBytes / column, kWindowCols,
                         static_cast<std::size_t>(width)});
     if (cols_ > 1) {
-      // A window of a MiB or more is reserved at kHugePageBytes: a mapping
-      // of its own, which the allocator gives back when the reader is done
-      // rather than keeping it cached.
+      // A window of a MiB or more is reserved at kHugePageBytes, so it is
+      // a mapping of its own that is unmapped when the reader is done.
+      // From the heap it stays resident in the receiving thread's arena:
+      // batch-large's rss_peak_mb read 12.6 MB higher (EXPERIMENTS.md).
       const std::size_t n = cols_ * rows_;
       if (n * sizeof(value_t) >= (std::size_t{1} << 20))
         window_.reserve(util::kHugePageBytes / sizeof(value_t));

@@ -27,13 +27,8 @@ bool nonzero_applicable(const sparse::Csr& csr, double) {
   return csr.nnz() > 0;
 }
 
-// The ELL-viability rule: padding to the longest row must not expand the
-// non-zero count by more than max_ell_expand.
 bool ell_applicable(const sparse::Csr& csr, double max_ell_expand) {
-  return csr.nnz() > 0 &&
-         static_cast<double>(csr.rows) *
-                 static_cast<double>(csr.max_row_length()) <=
-             max_ell_expand * static_cast<double>(csr.nnz());
+  return csr.nnz() > 0 && ell_padding_fits(csr, max_ell_expand);
 }
 
 /// The plan's representation as the type the entry's make hook built.
@@ -198,7 +193,7 @@ const std::vector<FormatTraits>& build_registry() {
        .resident_bytes = resident_bytes_once<Format::kHyb>},
 
       {.format = Format::kBroEll, .name = "BRO-ELL",
-       .auto_priority = 1, .applicable = ell_applicable,
+       .auto_priority = 1, .applicable = ell_applicable, .pads_rows = true,
        .make = [](const SharedCsr& csr, const Opts& o) {
          return own(BroEll::compress(csr, csr->max_row_length(), o.ell));
        },
@@ -364,7 +359,7 @@ const std::vector<FormatTraits>& build_registry() {
        .savings = savings_once<Format::kBroCsr>},
 
       {.format = Format::kBroAns, .name = "BRO-ANS",
-       .applicable = ell_applicable,
+       .applicable = ell_applicable, .pads_rows = true,
        .make = [](const SharedCsr& csr, const Opts& o) {
          return own(BroAns::compress(*csr, csr->max_row_length(), o.ans));
        },
@@ -447,6 +442,12 @@ const std::vector<FormatTraits>& build_registry() {
 
 } // namespace
 
+bool ell_padding_fits(const sparse::Csr& csr, double max_ell_expand) {
+  return static_cast<double>(csr.rows) *
+             static_cast<double>(csr.max_row_length()) <=
+         max_ell_expand * static_cast<double>(csr.nnz());
+}
+
 SharedCsr borrow_csr(const sparse::Csr& csr) {
   return SharedCsr(SharedCsr{}, &csr);
 }
@@ -455,7 +456,7 @@ Representation make_serializable(const FormatTraits& t, const SharedCsr& csr,
                                  const core::MatrixOptions& opts) {
   BRO_CHECK_MSG(t.serialize != nullptr,
                 t.name << " has no serialized form (use a BRO format)");
-  if (!t.applicable(*csr, opts.max_ell_expand)) {
+  if (t.pads_rows && !ell_padding_fits(*csr, opts.max_ell_expand)) {
     std::ostringstream msg;
     msg << t.name << " does not apply to this " << csr->rows << " x "
         << csr->cols << " matrix with " << csr->nnz()

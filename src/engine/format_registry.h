@@ -57,6 +57,10 @@ struct FormatTraits {
   /// (ELLPACK family: rows * max_row_length <= max_ell_expand * nnz.)
   bool (*applicable)(const sparse::Csr& csr, double max_ell_expand);
 
+  /// The .bro stream stores every row padded to the longest row's length
+  /// (BRO-ELL, BRO-ANS), so its size has no bound but ell_padding_fits.
+  bool pads_rows = false;
+
   /// Builds the representation from the CSR and the matrix's options;
   /// intermediates are dropped before it returns. The representation may
   /// share ownership of `csr`. Null: the plan runs on the matrix's CSR
@@ -119,7 +123,12 @@ struct FormatTraits {
   core::Savings (*savings)(const core::Matrix& m) = nullptr;
 };
 
-/// A format's gate (its `applicable` predicate) refused a matrix.
+/// The ELL-viability rule: padding every row to the longest row's length
+/// expands the non-zero count by at most max_ell_expand (an empty matrix
+/// pads nothing).
+bool ell_padding_fits(const sparse::Csr& csr, double max_ell_expand);
+
+/// A format refused a matrix it cannot hold within its bound.
 class NotApplicableError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -128,8 +137,10 @@ class NotApplicableError : public std::runtime_error {
 /// The representation `t` writes as a .bro stream for `csr`, the one
 /// build behind every writer of .bro bytes. Throws std::runtime_error when
 /// the format has no serialized form, and NotApplicableError, naming the
-/// format and `opts.max_ell_expand`, when its gate refuses the matrix: a
-/// padded format's stream could otherwise grow without a bound.
+/// format and `opts.max_ell_expand`, when the format pads its rows and
+/// ell_padding_fits refuses the matrix: that stream would grow without a
+/// bound. Every other matrix is written, whatever the format's gate for
+/// auto-selection says of it.
 Representation make_serializable(const FormatTraits& t, const SharedCsr& csr,
                                  const core::MatrixOptions& opts);
 

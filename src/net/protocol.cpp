@@ -92,22 +92,21 @@ std::vector<std::uint8_t> encode_frame(FrameKind kind, std::uint8_t code,
 std::span<std::uint8_t> FrameAssembler::direct_tail() {
   if (!pending_) return {};
   const std::size_t left = pending_->header.payload_len - filled_;
-  if (!pending_->sink) return {pending_->payload.data() + filled_, left};
-  if (sink_buf_.empty()) sink_buf_.resize(kRecvChunkBytes);
-  return {sink_buf_.data(), std::min(left, sink_buf_.size())};
+  if (!pending_->upload) return {pending_->payload.data() + filled_, left};
+  if (upload_buf_.empty()) upload_buf_.resize(kRecvChunkBytes);
+  return {upload_buf_.data(), std::min(left, upload_buf_.size())};
 }
 
 void FrameAssembler::commit_direct(std::size_t n) {
   BRO_CHECK(n <= direct_tail().size());
   if (n == 0) return;
-  if (pending_->sink)
-    pending_->sink->consume({sink_buf_.data(), n});
+  if (pending_->upload) pending_->upload->consume({upload_buf_.data(), n});
   filled_ += n;
 }
 
 void FrameAssembler::put_pending(const std::uint8_t* data, std::size_t n) {
-  if (pending_->sink)
-    pending_->sink->consume({data, n});
+  if (pending_->upload)
+    pending_->upload->consume({data, n});
   else if (n > 0)
     std::memcpy(pending_->payload.data() + filled_, data, n);
   filled_ += n;
@@ -138,6 +137,7 @@ std::optional<Frame> FrameAssembler::next() {
     if (filled_ < pending_->header.payload_len) return std::nullopt;
     std::optional<Frame> f = std::move(pending_);
     pending_.reset();
+    upload_buf_ = {}; // held only while an upload arrives
     return f;
   }
   if (buffered() < kFrameHeaderBytes) return std::nullopt;
@@ -168,8 +168,10 @@ std::optional<Frame> FrameAssembler::next() {
 
   Frame f;
   f.header = header;
-  if (staged < len && sinks_) f.sink = sinks_(header);
-  if (!f.sink) {
+  if (staged < len && header.kind == FrameKind::kRequest &&
+      f.op() == Op::kUploadMatrix) {
+    f.upload = std::make_unique<UploadDecoder>(len);
+  } else {
     try {
       f.payload = Payload(len);
     } catch (const std::bad_alloc&) {
@@ -377,15 +379,8 @@ Upload UploadDecoder::finish() {
   return {std::move(matrix_id_), core::Matrix::from_csr(reader_->finish())};
 }
 
-std::unique_ptr<PayloadSink> upload_sink(const FrameHeader& h) {
-  if (h.kind != FrameKind::kRequest ||
-      static_cast<Op>(h.code) != Op::kUploadMatrix)
-    return nullptr;
-  return std::make_unique<UploadDecoder>(h.payload_len);
-}
-
 Upload decode_upload(Frame& f) {
-  if (f.sink) return dynamic_cast<UploadDecoder&>(*f.sink).finish();
+  if (f.upload) return f.upload->finish();
   UploadDecoder d(f.payload.size());
   d.consume({f.payload.data(), f.payload.size()});
   return d.finish();

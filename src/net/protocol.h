@@ -32,7 +32,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -118,29 +117,45 @@ class Payload {
   util::UninitVector<std::uint8_t> bytes_;
 };
 
-/// Takes a large frame's payload as it arrives, in place of a Payload
-/// (FrameAssembler's sink factory picks the frames that get one).
-class PayloadSink {
- public:
-  PayloadSink() = default;
-  PayloadSink(const PayloadSink&) = delete;
-  PayloadSink& operator=(const PayloadSink&) = delete;
-  virtual ~PayloadSink() = default;
-  /// The payload's next bytes, in order. Never throws: a sink that cannot
-  /// use them records why and drops the rest of the frame.
-  virtual void consume(std::span<const std::uint8_t> bytes) = 0;
+/// A matrix registration decoded from an UPLOAD_MATRIX payload.
+struct Upload {
+  std::string matrix_id;
+  core::Matrix matrix;
 };
 
-/// The sink for a large frame with this header, or null to receive its
-/// payload into a Payload.
-using SinkFactory =
-    std::function<std::unique_ptr<PayloadSink>(const FrameHeader&)>;
+/// An UPLOAD_MATRIX payload decoded as it arrives: the matrix id and the
+/// .bro byte count are staged, and the .bro bytes go straight to a
+/// core::BroReader, so no copy of the payload is ever held. The first
+/// malformed byte frees what was decoded and puts the decoder in discard
+/// mode: it drops the rest of the frame, and finish() throws that error,
+/// so the connection stays in sync.
+class UploadDecoder {
+ public:
+  explicit UploadDecoder(std::size_t payload_bytes) : left_(payload_bytes) {}
+
+  /// The payload's next bytes, in order. Never throws.
+  void consume(std::span<const std::uint8_t> bytes);
+  /// Once every payload byte was consumed: the upload. Throws
+  /// std::runtime_error for a malformed one.
+  Upload finish();
+
+ private:
+  /// Stage the id and count; true once the .bro bytes begin.
+  bool stage_head(std::span<const std::uint8_t>& bytes);
+
+  std::size_t left_;               // payload bytes still to come
+  std::vector<std::uint8_t> head_; // the id's length, the id, the count
+  std::string matrix_id_;
+  std::optional<core::BroReader> reader_;
+  std::optional<std::string> error_;
+};
 
 struct Frame {
   FrameHeader header;
   Payload payload;
-  /// The sink that took the payload, if one did (payload is then empty).
-  std::unique_ptr<PayloadSink> sink;
+  /// The decoder that took a large UPLOAD_MATRIX request's payload as it
+  /// arrived (payload is then empty).
+  std::unique_ptr<UploadDecoder> upload;
 
   Op op() const { return static_cast<Op>(header.code); }
   Status status() const { return static_cast<Status>(header.code); }
@@ -174,14 +189,14 @@ inline constexpr std::size_t kRecvChunkBytes = 64 * 1024;
 /// validated its header, it allocates the payload at its exact size, moves
 /// in the bytes already staged, and exposes the rest as direct_tail(), the
 /// place the next socket read should land. append() fills that tail too.
-/// When `sinks` gives the frame a PayloadSink instead, no payload is
-/// allocated: direct_tail() is a chunk-sized buffer whose committed bytes,
-/// like the staged and appended ones, go straight to the sink.
+/// A large UPLOAD_MATRIX request allocates no payload: its bytes, staged,
+/// appended or committed through direct_tail() (then a chunk-sized buffer
+/// held until the frame completes), go to the frame's UploadDecoder as
+/// they arrive.
 class FrameAssembler {
  public:
-  explicit FrameAssembler(std::size_t max_frame_bytes = kDefaultMaxFrameBytes,
-                          SinkFactory sinks = {})
-      : max_frame_bytes_(max_frame_bytes), sinks_(std::move(sinks)) {}
+  explicit FrameAssembler(std::size_t max_frame_bytes = kDefaultMaxFrameBytes)
+      : max_frame_bytes_(max_frame_bytes) {}
 
   void append(const std::uint8_t* data, std::size_t n);
   std::optional<Frame> next();
@@ -198,16 +213,15 @@ class FrameAssembler {
   std::size_t staging_capacity() const { return buf_.capacity(); }
 
  private:
-  /// Hand the next n bytes of pending_'s payload to its sink or buffer.
+  /// Hand the next n bytes of pending_'s payload to its decoder or buffer.
   void put_pending(const std::uint8_t* data, std::size_t n);
 
   std::size_t max_frame_bytes_;
-  SinkFactory sinks_;
   std::vector<std::uint8_t> buf_;
   std::size_t pos_ = 0;          // consumed prefix; compacted lazily
   std::optional<Frame> pending_; // a large frame whose payload is arriving
   std::size_t filled_ = 0;       // bytes of pending_'s payload received
-  std::vector<std::uint8_t> sink_buf_; // direct_tail() of a sunk payload
+  std::vector<std::uint8_t> upload_buf_; // direct_tail() of an upload
 };
 
 // ---------------------------------------------------------------------------
@@ -258,41 +272,6 @@ std::vector<std::uint8_t> make_upload_request(
 FrameParts upload_request_parts(std::uint64_t request_id,
                                 const std::string& matrix_id,
                                 std::span<const std::uint8_t> bro_bytes);
-
-/// A matrix registration decoded from an UPLOAD_MATRIX payload.
-struct Upload {
-  std::string matrix_id;
-  core::Matrix matrix;
-};
-
-/// An UPLOAD_MATRIX payload decoded as it arrives: the matrix id and the
-/// .bro byte count are staged, and the .bro bytes go straight to a
-/// core::BroReader, so no copy of the payload is ever held. The first
-/// malformed byte frees what was decoded and puts the decoder in discard
-/// mode: it drops the rest of the frame, and finish() throws that error,
-/// so the connection stays in sync.
-class UploadDecoder : public PayloadSink {
- public:
-  explicit UploadDecoder(std::size_t payload_bytes) : left_(payload_bytes) {}
-  void consume(std::span<const std::uint8_t> bytes) override;
-  /// Once every payload byte was consumed: the upload. Throws
-  /// std::runtime_error for a malformed one.
-  Upload finish();
-
- private:
-  /// Stage the id and count; true once the .bro bytes begin.
-  bool stage_head(std::span<const std::uint8_t>& bytes);
-
-  std::size_t left_;               // payload bytes still to come
-  std::vector<std::uint8_t> head_; // the id's length, the id, the count
-  std::string matrix_id_;
-  std::optional<core::BroReader> reader_;
-  std::optional<std::string> error_;
-};
-
-/// The sink factory a server gives its assemblers: large UPLOAD_MATRIX
-/// requests decode as they arrive (UploadDecoder).
-std::unique_ptr<PayloadSink> upload_sink(const FrameHeader& h);
 
 /// The upload an UPLOAD_MATRIX frame carries: through the decoder that took
 /// its payload, or from a payload small enough to have been staged.

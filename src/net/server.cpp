@@ -45,10 +45,10 @@ void NetServerOptions::validate() const {
 
 /// One accepted TCP connection: reassembly buffer in, write queue out, and
 /// the submit futures whose responses this connection still owes. A large
-/// upload's bytes go to its decoder as they arrive (upload_sink).
+/// upload's bytes go to its decoder as they arrive (FrameAssembler).
 struct NetServer::Connection {
   explicit Connection(UniqueFd f, std::size_t max_frame)
-      : fd(std::move(f)), assembler(max_frame, upload_sink) {}
+      : fd(std::move(f)), assembler(max_frame) {}
 
   UniqueFd fd;
   FrameAssembler assembler;

@@ -28,7 +28,6 @@
 #include "net/protocol.h"
 #include "net/server.h"
 #include "serve/server.h"
-#include "sparse/convert.h"
 #include "sparse/matgen/adversarial.h"
 #include "sparse/matgen/generators.h"
 #include "sparse/matgen/suite.h"
@@ -172,81 +171,63 @@ std::vector<const be::FormatTraits*> serializable_formats() {
 // Wire-payload round-trip: every registry format survives
 // serialize -> frame -> reassemble -> parse -> deserialize bitwise.
 
+/// Whether matrix_to_bro_bytes refuses `csr` in format `t`: only a format
+/// that pads its rows, past the ELL expansion bound.
+bool writer_refuses(const be::FormatTraits& t, const bro::sparse::Csr& csr,
+                    double max_ell_expand) {
+  return t.pads_rows && !be::ell_padding_fits(csr, max_ell_expand);
+}
+
 TEST(Protocol, EveryRegistryFormatRoundTripsBitwise) {
-  // A random matrix, and one of three dense 2x2 blocks per block row, which
-  // BRO-BCSR's gate takes: every format round-trips at least one of them,
-  // and a matrix its gate refuses is not written.
-  bro::sparse::Coo blocks;
-  blocks.rows = 96;
-  blocks.cols = 80;
-  bro::Rng rng(9);
-  for (index_t br = 0; br < 48; ++br)
-    for (index_t k = 0; k < 3; ++k)
-      for (index_t i = 0; i < 4; ++i)
-        blocks.push(2 * br + i / 2, 2 * ((br * 7 + k * 5) % 40) + i % 2,
-                    rng.uniform() + 0.5);
-  blocks.canonicalize();
-  const bc::Matrix matrices[] = {
-      make_matrix(96, 80, 42),
-      bc::Matrix::from_csr(bro::sparse::coo_to_csr(blocks))};
+  const bc::Matrix m = make_matrix(96, 80, 42);
   const auto formats = serializable_formats();
   ASSERT_GE(formats.size(), 5u); // all five BRO formats serialize
   for (const auto* t : formats) {
     SCOPED_TRACE(t->name);
-    int round_trips = 0;
-    for (const bc::Matrix& m : matrices) {
-      if (!t->applicable(m.csr(), m.options().max_ell_expand)) {
-        EXPECT_THROW(bn::matrix_to_bro_bytes(m, t->format),
-                     be::NotApplicableError);
-        continue;
-      }
-      const auto bytes = bn::matrix_to_bro_bytes(m, t->format);
+    ASSERT_FALSE(writer_refuses(*t, m.csr(), m.options().max_ell_expand));
+    const auto bytes = bn::matrix_to_bro_bytes(m, t->format);
 
-      // Through a frame, reassembled from awkward split points.
-      const auto frame_bytes = bn::make_upload_request(7, "m", bytes);
-      bn::FrameAssembler fa;
-      const std::size_t cut = frame_bytes.size() / 3 + 1;
-      for (std::size_t off = 0; off < frame_bytes.size(); off += cut) {
-        const std::size_t n = std::min(cut, frame_bytes.size() - off);
-        if (off + n < frame_bytes.size()) {
-          EXPECT_FALSE(fa.next().has_value());
-        }
-        fa.append(frame_bytes.data() + off, n);
-      }
-      auto frame = fa.next();
-      ASSERT_TRUE(frame.has_value());
-      EXPECT_EQ(frame->op(), bn::Op::kUploadMatrix);
-      EXPECT_EQ(frame->header.request_id, 7u);
-      bn::Upload up = bn::decode_upload(*frame);
-      EXPECT_EQ(up.matrix_id, "m");
-
-      // Deserialize and re-serialize: the round trip must be lossless, so
-      // the re-encoded stream is bitwise identical.
-      const bc::Matrix& back = up.matrix;
-      EXPECT_EQ(back.rows(), m.rows());
-      EXPECT_EQ(back.cols(), m.cols());
-      EXPECT_EQ(back.nnz(), m.nnz());
-      EXPECT_EQ(bn::matrix_to_bro_bytes(back, t->format), bytes);
-      ++round_trips;
+    // Through a frame, reassembled from awkward split points.
+    const auto frame_bytes = bn::make_upload_request(7, "m", bytes);
+    bn::FrameAssembler fa;
+    const std::size_t cut = frame_bytes.size() / 3 + 1;
+    for (std::size_t off = 0; off < frame_bytes.size(); off += cut) {
+      const std::size_t n = std::min(cut, frame_bytes.size() - off);
+      if (off + n < frame_bytes.size())
+        EXPECT_FALSE(fa.next().has_value());
+      fa.append(frame_bytes.data() + off, n);
     }
-    EXPECT_GE(round_trips, 1);
+    auto frame = fa.next();
+    ASSERT_TRUE(frame.has_value());
+    EXPECT_EQ(frame->op(), bn::Op::kUploadMatrix);
+    EXPECT_EQ(frame->header.request_id, 7u);
+    bn::Upload up = bn::decode_upload(*frame);
+    EXPECT_EQ(up.matrix_id, "m");
+
+    // Deserialize and re-serialize: the round trip must be lossless, so
+    // the re-encoded stream is bitwise identical.
+    const bc::Matrix& back = up.matrix;
+    EXPECT_EQ(back.rows(), m.rows());
+    EXPECT_EQ(back.cols(), m.cols());
+    EXPECT_EQ(back.nnz(), m.nnz());
+    EXPECT_EQ(bn::matrix_to_bro_bytes(back, t->format), bytes);
   }
 }
 
 TEST(Protocol, UploadBytesAreTheWritersBytes) {
   // matrix_to_bro_bytes writes into its result directly; its bytes must be
-  // what the format's writer puts on an ostringstream. A matrix the
-  // format's gate refuses is refused as a typed error naming the format
-  // and max_ell_expand, before anything is padded: rajat30's BRO-ELL
-  // stream alone would be 543 MB.
+  // what the format's writer puts on an ostringstream. A format that pads
+  // its rows refuses a matrix past the ELL expansion bound, as a typed
+  // error naming the format and max_ell_expand, before anything is padded:
+  // rajat30's BRO-ELL stream alone would be 543 MB.
   for (const auto& c : bro::oracle::gate_cases()) {
     const bc::Matrix m = bc::Matrix::from_csr(c.csr);
     for (const auto* t : serializable_formats()) {
       SCOPED_TRACE(c.name + " " + t->name);
-      if (!t->applicable(c.csr, m.options().max_ell_expand)) {
+      if (writer_refuses(*t, c.csr, m.options().max_ell_expand)) {
         try {
           bn::matrix_to_bro_bytes(m, t->format);
-          ADD_FAILURE() << "a gated matrix was serialized";
+          ADD_FAILURE() << "a matrix past the expansion bound was padded";
         } catch (const be::NotApplicableError& e) {
           const std::string what = e.what();
           EXPECT_NE(what.find(t->name), std::string::npos) << what;
@@ -465,8 +446,8 @@ TEST(Protocol, RejectsTruncatedAndCorruptFrames) {
 
 TEST(Protocol, UploadIngestMatchesSourceCsrBitwise) {
   // Every serializable format x the adversarial battery x Test Set 1
-  // stand-ins: an upload reassembled from random read sizes, through a
-  // server's assembler, must hand the server exactly the uploader's CSR.
+  // stand-ins: an upload reassembled from random read sizes must hand the
+  // server exactly the uploader's CSR.
   std::vector<bro::sparse::AdversarialCase> cases =
       bro::sparse::adversarial_suite(2);
   const auto set1 = bro::sparse::suite_test_set(1);
@@ -480,7 +461,7 @@ TEST(Protocol, UploadIngestMatchesSourceCsrBitwise) {
       SCOPED_TRACE(c.name + " / " + t->name);
       const auto frame_bytes =
           bn::make_upload_request(1, "m", bn::matrix_to_bro_bytes(m, t->format));
-      bn::FrameAssembler fa(bn::kDefaultMaxFrameBytes, bn::upload_sink);
+      bn::FrameAssembler fa;
       auto frames = reassemble(fa, frame_bytes, Feed::kMixed, 5);
       ASSERT_EQ(frames.size(), 1u);
       bn::Frame& frame = frames.front();
@@ -488,7 +469,7 @@ TEST(Protocol, UploadIngestMatchesSourceCsrBitwise) {
       // the bytes as they arrive.
       const bool large =
           frame_bytes.size() - bn::kFrameHeaderBytes > bn::kRecvChunkBytes;
-      EXPECT_EQ(frame.sink != nullptr, large);
+      EXPECT_EQ(frame.upload != nullptr, large);
       EXPECT_EQ(frame.payload.size(), large ? 0 : frame.header.payload_len);
       const bc::Matrix back = bn::decode_upload(frame).matrix;
       const bro::sparse::Csr& got = back.csr();
@@ -563,8 +544,10 @@ TEST(Protocol, SplitPointSweepMatchesEncodedFrames) {
 
   { // One read carrying the end of a large payload, a whole small frame and
     // the start of the next frame.
-    const auto large = bn::encode_frame(bn::FrameKind::kRequest, 3, 1,
-                                        random_bytes(c + 100, 9));
+    // (A SUBMIT: a large UPLOAD_MATRIX payload goes to its decoder.)
+    const auto large = bn::encode_frame(
+        bn::FrameKind::kRequest, static_cast<std::uint8_t>(bn::Op::kSubmit), 1,
+        random_bytes(c + 100, 9));
     const auto small = bn::make_empty_request(2, bn::Op::kPing);
     const auto third = bn::make_remove_request(3, "m");
     std::vector<std::uint8_t> rest(large.begin() + 50, large.end());
@@ -639,10 +622,12 @@ TEST(Protocol, StagingStaysBoundedAfterLargeFrame) {
 }
 
 TEST(Protocol, HostileLengthCostsOnlyTheBytesSent) {
-  // A header announcing 512 MB, then a few bytes: the payload is allocated
-  // but never zero-filled, so resident memory follows the bytes received.
+  // A SUBMIT header announcing 512 MB, then a few bytes: the payload is
+  // allocated but never zero-filled, so resident memory follows the bytes
+  // received. (An upload allocates no payload at all,
+  // Protocol.UploadHoldsNoWholePayload.)
   constexpr std::uint32_t kAnnounced = 512u << 20;
-  auto bytes = header_announcing(kAnnounced);
+  auto bytes = header_announcing(kAnnounced, bn::Op::kSubmit);
   const auto few = random_bytes(64, 3);
   bytes.insert(bytes.end(), few.begin(), few.end());
 
@@ -992,6 +977,48 @@ TEST(NetServer, StatsRemoveAndUploadRoundTrip) {
   } catch (const bn::RpcError& e) {
     EXPECT_EQ(e.status(), bn::Status::kUnknownMatrix);
   }
+  server.stop();
+}
+
+TEST(NetServer, AllZeroMatricesUploadInEveryFormat) {
+  // A matrix with no non-zeros pads nothing, so every format writes it
+  // (BRO-HYB, compress's default, included) although no BRO gate takes it
+  // for auto-selection; the server registers exactly that matrix.
+  bv::ServerOptions sopts;
+  sopts.threads = 0;
+  bv::SpmvServer core(sopts);
+  bn::NetServer server(core, {});
+  server.start();
+  bn::NetClient cli("127.0.0.1", server.port());
+
+  int cases = 0;
+  for (const auto& c : bro::sparse::adversarial_suite(2)) {
+    if (c.csr.nnz() != 0) continue;
+    ++cases;
+    const bc::Matrix m = bc::Matrix::from_csr(c.csr);
+    for (const auto* t : serializable_formats()) {
+      SCOPED_TRACE(c.name + " / " + t->name);
+      const auto bytes = bn::matrix_to_bro_bytes(m, t->format);
+      const auto ack = cli.upload_matrix("zero", bytes);
+      EXPECT_EQ(ack.rows, static_cast<std::uint64_t>(m.rows()));
+      EXPECT_EQ(ack.cols, static_cast<std::uint64_t>(m.cols()));
+      EXPECT_EQ(ack.nnz, 0u);
+      if (m.rows() > 0 && m.cols() > 0) {
+        const auto y = cli.submit("zero", random_x(m.cols(), 5));
+        EXPECT_EQ(y, std::vector<value_t>(y.size(), 0.0));
+        EXPECT_EQ(y.size(), static_cast<std::size_t>(m.rows()));
+      }
+      EXPECT_TRUE(cli.remove_matrix("zero"));
+
+      const bc::Matrix back = bn::matrix_from_bro_bytes(bytes);
+      EXPECT_EQ(back.rows(), m.rows());
+      EXPECT_EQ(back.cols(), m.cols());
+      EXPECT_EQ(back.csr().row_ptr, m.csr().row_ptr);
+      EXPECT_EQ(back.nnz(), 0u);
+      EXPECT_EQ(bn::matrix_to_bro_bytes(back, t->format), bytes);
+    }
+  }
+  EXPECT_GE(cases, 3);
   server.stop();
 }
 

@@ -4,16 +4,13 @@
 #   2. `spmv --format F` must run for each name printed by `formats`,
 #   3. every format with a serialized form must round-trip
 #      `compress` -> `spmv <file.bro>` with the file's own tag driving
-#      format selection (no --format on the reading side); a format whose
-#      gate refuses the matrix (compress writes nothing then) round-trips
-#      a blocked truss stand-in instead,
+#      format selection (no --format on the reading side),
 #   4. an unknown --format must be a hard error listing registered names.
 # Usage: check_format_registry.sh /path/to/brospmv
 set -eu
 
 BROSPMV=${1:?usage: check_format_registry.sh /path/to/brospmv}
 MATRIX=cant   # ELL-viable, so the whole ELLPACK family is applicable
-BLOCKED=truss-deck # 2x2-blocked, so BRO-BCSR's gate takes it
 SCALE=0.03125
 
 echo "== tune =="
@@ -31,10 +28,7 @@ echo "== compress -> spmv round-trip for every serializable format =="
 ROUND_TRIPS=0
 for f in $FORMATS; do
   if "$BROSPMV" compress "$MATRIX" rt_fmt.bro --scale "$SCALE" \
-      --format "$f" 2>rt_err.txt ||
-     { grep -q "does not apply" rt_err.txt &&
-       "$BROSPMV" compress "$BLOCKED" rt_fmt.bro --scale "$SCALE" \
-         --format "$f" 2>rt_err.txt; }; then
+      --format "$f" 2>rt_err.txt; then
     "$BROSPMV" spmv rt_fmt.bro >rt_out.txt
     # The reader must identify the format from the file tag alone.
     grep -q "$f (from file)" rt_out.txt || {
