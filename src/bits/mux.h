@@ -79,8 +79,8 @@ class MuxedStream {
 
   /// Actual heap bytes of the slot storage. Equal to byte_size() now that
   /// symbols are stored at their true width — half the former one-uint64-
-  /// per-symbol footprint for sym_len=32 streams. Feeds the plan/PlanCache
-  /// resident-byte accounting.
+  /// per-symbol footprint for sym_len=32 streams. Feeds the plan's
+  /// representation-byte accounting.
   std::size_t resident_bytes() const {
     return slots32_.size() * sizeof(std::uint32_t) +
            slots64_.size() * sizeof(std::uint64_t);

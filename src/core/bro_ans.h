@@ -123,7 +123,7 @@ class BroAns {
   std::size_t compressed_index_bytes() const;
 
   /// Heap bytes of the index data as resident (decode table included) —
-  /// what plan/PlanCache byte accounting charges.
+  /// what the plan's representation-byte accounting charges.
   std::size_t resident_index_bytes() const;
 
   /// Original ELLPACK index size (m * k * 4 bytes).

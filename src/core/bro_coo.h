@@ -81,7 +81,7 @@ class BroCoo {
 
   /// Actual heap bytes of the row-index data as stored. Coincides with
   /// compressed_row_bytes() now that MuxedStream packs symbols at their
-  /// true width; feeds the plan/PlanCache resident accounting.
+  /// true width; feeds the plan's representation-byte accounting.
   std::size_t resident_row_bytes() const;
 
   /// Original row-index bytes (nnz * 4, unpadded).

@@ -139,7 +139,7 @@ class BroEll {
   /// Actual heap bytes of the index data as stored (streams at their true
   /// symbol width + bit_alloc + per-slice header). Now that MuxedStream
   /// packs symbols, this coincides with compressed_index_bytes(); it is the
-  /// number the plan/PlanCache resident accounting charges, since the
+  /// number the plan's representation-byte accounting charges, since the
   /// values are the CSR's.
   std::size_t resident_index_bytes() const { return compressed_index_bytes(); }
 

@@ -109,8 +109,8 @@ struct FormatTraits {
 
   /// Heap bytes the representation owns (null: the representation is the
   /// matrix's CSR). The CSR a representation shares is not counted: the
-  /// plan charges it once. Feeds SpmvPlan::resident_bytes() and through it
-  /// the serve layer's PlanCache byte budget.
+  /// plan charges it once. Feeds SpmvPlan::representation_bytes() and
+  /// through it the serve layer's plan byte budget.
   std::size_t (*rep_bytes)(const void* rep) = nullptr;
 
   /// Index space savings of the representation (null for uncompressed

@@ -19,11 +19,11 @@
 // execute concurrently — the kernels parallelize internally with OpenMP, so
 // there is nothing to gain and a silent data race to lose. Concurrent
 // callers need one plan each (each plan holds one representation, so that
-// costs its bytes again) or an external lock; bro::serve::PlanCache +
-// SpmvServer implement the locked variant. Building plans is lock-free:
-// the shared core::Matrix is immutable. Misuse fails loudly:
-// execute()/execute_multi() guard entry with an atomic in-use flag and
-// throw via BRO_CHECK instead of racing.
+// costs its bytes again) or an external lock; bro::serve::SpmvServer
+// implements the locked variant, one plan per registered matrix. Building
+// plans is lock-free: the shared core::Matrix is immutable. Misuse fails
+// loudly: execute()/execute_multi() guard entry with an atomic in-use flag
+// and throw via BRO_CHECK instead of racing.
 #pragma once
 
 #include <atomic>
@@ -161,12 +161,13 @@ class SpmvPlan {
   const void* representation() const { return rep_; }
 
   /// Heap bytes of the plan's own representation (registry rep_bytes hook;
-  /// 0 when it runs on the matrix's CSR).
+  /// 0 when it runs on the matrix's CSR): what freeing the plan frees while
+  /// the matrix lives, and what the serve layer charges against its plan
+  /// byte budget.
   std::size_t representation_bytes() const;
 
   /// Resident bytes of this plan: the matrix's CSR plus the plan's
-  /// representation. What the serve layer's PlanCache charges against its
-  /// byte budget.
+  /// representation.
   std::size_t resident_bytes() const;
 
   /// Test seam for the concurrency contract: acquire/release exactly the

@@ -23,9 +23,7 @@ namespace {
 
 } // namespace
 
-NetClient::NetClient(const std::string& host, int port,
-                     std::size_t max_frame_bytes)
-    : assembler_(max_frame_bytes) {
+NetClient::NetClient(const std::string& host, int port) {
   BRO_CHECK_MSG(port > 0 && port <= 65535,
                 "client port must be in [1, 65535]");
   fd_.reset(::socket(AF_INET, SOCK_STREAM, 0));

@@ -41,8 +41,7 @@ class NetClient {
  public:
   /// Connect to host:port (IPv4 dotted-quad). Throws std::runtime_error
   /// when the connection cannot be established.
-  NetClient(const std::string& host, int port,
-            std::size_t max_frame_bytes = kDefaultMaxFrameBytes);
+  NetClient(const std::string& host, int port);
 
   NetClient(NetClient&&) = default;
   NetClient& operator=(NetClient&&) = default;

@@ -22,6 +22,9 @@ namespace bro::net {
 
 namespace {
 
+// Pending-connection queue length passed to listen(2).
+constexpr int kListenBacklog = 64;
+
 [[noreturn]] void throw_errno(const std::string& what) {
   throw std::runtime_error(what + ": " + std::strerror(errno));
 }
@@ -37,9 +40,6 @@ void set_nonblocking(int fd) {
 void NetServerOptions::validate() const {
   BRO_CHECK_MSG(port >= 0 && port <= 65535,
                 "NetServer port must be in [0, 65535]");
-  BRO_CHECK_MSG(backlog >= 1, "NetServer backlog must be >= 1");
-  BRO_CHECK_MSG(max_frame_bytes >= kFrameHeaderBytes,
-                "NetServer max_frame_bytes too small for a header");
   BRO_CHECK_MSG(!listen.empty(), "NetServer listen address must be set");
 }
 
@@ -47,8 +47,7 @@ void NetServerOptions::validate() const {
 /// the submit futures whose responses this connection still owes. A large
 /// upload's bytes go to its decoder as they arrive (FrameAssembler).
 struct NetServer::Connection {
-  explicit Connection(UniqueFd f, std::size_t max_frame)
-      : fd(std::move(f)), assembler(max_frame) {}
+  explicit Connection(UniqueFd f) : fd(std::move(f)) {}
 
   UniqueFd fd;
   FrameAssembler assembler;
@@ -98,7 +97,7 @@ NetServer::NetServer(serve::SpmvServer& server, NetServerOptions opts)
   if (::bind(listen_fd_.get(), reinterpret_cast<sockaddr*>(&addr),
              sizeof(addr)) != 0)
     throw_errno("bind " + opts_.listen + ":" + std::to_string(opts_.port));
-  if (::listen(listen_fd_.get(), opts_.backlog) != 0) throw_errno("listen");
+  if (::listen(listen_fd_.get(), kListenBacklog) != 0) throw_errno("listen");
   set_nonblocking(listen_fd_.get());
 
   sockaddr_in bound{};
@@ -331,8 +330,7 @@ void NetServer::run() {
         set_nonblocking(fd.get());
         const int one = 1;
         ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-        loop.conns.push_back(std::make_unique<Connection>(
-            std::move(fd), opts_.max_frame_bytes));
+        loop.conns.push_back(std::make_unique<Connection>(std::move(fd)));
         {
           std::lock_guard lk(stats_mu_);
           ++stats_.accepted;

@@ -39,8 +39,6 @@ namespace bro::net {
 struct NetServerOptions {
   std::string listen = "127.0.0.1"; // IPv4 dotted-quad to bind
   int port = 0;                     // 0 = kernel-assigned (see port())
-  int backlog = 64;
-  std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
 
   /// Throws (BRO_CHECK) on out-of-domain values.
   void validate() const;

@@ -21,29 +21,33 @@ ExecMetrics::ExecMetrics()
       queue_wait(latency_histogram()),
       execute(latency_histogram()) {}
 
-Executor::Executor(ExecutorOptions opts)
-    : opts_(opts), cache_(opts.cache_bytes) {}
+Executor::Executor(std::size_t cache_bytes,
+                   std::optional<core::Format> format)
+    : cache_bytes_(cache_bytes), format_(format) {}
 
 void Executor::add_matrix(const std::string& id,
                           std::shared_ptr<const core::Matrix> matrix) {
   BRO_CHECK_MSG(matrix != nullptr, "add_matrix requires a matrix");
   auto entry = std::make_shared<MatrixEntry>();
-  entry->format = opts_.format ? *opts_.format : matrix->auto_format();
+  entry->format = format_ ? *format_ : matrix->auto_format();
   entry->matrix = std::move(matrix);
   std::lock_guard lk(mu_);
-  matrices_[id] = std::move(entry);
+  auto& slot = matrices_[id];
+  if (slot) {
+    slot->registered = false;
+    drop_plan_locked(*slot);
+  }
+  slot = std::move(entry);
 }
 
 bool Executor::remove_matrix(const std::string& id) {
-  bool existed;
-  {
-    std::lock_guard lk(mu_);
-    existed = matrices_.erase(id) > 0;
-  }
-  // Drop the cached plans either way: a stale build may survive a replaced
-  // registration.
-  cache_.erase_matrix(id);
-  return existed;
+  std::lock_guard lk(mu_);
+  const auto it = matrices_.find(id);
+  if (it == matrices_.end()) return false;
+  it->second->registered = false;
+  drop_plan_locked(*it->second);
+  matrices_.erase(it);
+  return true;
 }
 
 std::shared_ptr<const core::Matrix> Executor::matrix(
@@ -51,6 +55,66 @@ std::shared_ptr<const core::Matrix> Executor::matrix(
   std::lock_guard lk(mu_);
   const auto it = matrices_.find(id);
   return it == matrices_.end() ? nullptr : it->second->matrix;
+}
+
+void Executor::drop_plan_locked(MatrixEntry& entry) {
+  if (!entry.plan) return;
+  stats_.resident_bytes -= entry.plan_bytes;
+  lru_.erase(entry.lru_it);
+  entry.plan.reset();
+  entry.plan_bytes = 0;
+}
+
+std::shared_ptr<engine::SpmvPlan> Executor::plan_for(MatrixEntry& entry) {
+  {
+    std::lock_guard lk(mu_);
+    if (entry.plan) {
+      ++stats_.hits;
+      lru_.splice(lru_.begin(), lru_, entry.lru_it);
+      return entry.plan;
+    }
+    ++stats_.misses;
+    ++building_;
+  }
+
+  // Build outside mu_: other matrices' batches and builds go on meanwhile,
+  // and this matrix's next batch waits on its exec_mu.
+  std::shared_ptr<engine::SpmvPlan> plan;
+  try {
+    plan = std::make_shared<engine::SpmvPlan>(entry.matrix, entry.format);
+  } catch (...) {
+    std::lock_guard lk(mu_);
+    --building_;
+    ++stats_.build_failures;
+    throw;
+  }
+
+  std::lock_guard lk(mu_);
+  --building_;
+  // A registration replaced or removed mid-build gets no plan: this batch
+  // predates that, so it still runs on the plan, which is then freed.
+  if (!entry.registered) return plan;
+  entry.plan = plan;
+  // Representation bytes are what dropping the plan frees; the CSR stays
+  // with the registration.
+  entry.plan_bytes = plan->representation_bytes();
+  stats_.resident_bytes += entry.plan_bytes;
+  lru_.push_front(&entry);
+  entry.lru_it = lru_.begin();
+  // The front entry always survives, so one oversized plan is admitted
+  // rather than thrashing.
+  while (stats_.resident_bytes > cache_bytes_ && lru_.size() > 1) {
+    drop_plan_locked(*lru_.back());
+    ++stats_.evictions;
+  }
+  return plan;
+}
+
+PlanCacheStats Executor::cache_stats() const {
+  std::lock_guard lk(mu_);
+  PlanCacheStats s = stats_;
+  s.entries = lru_.size() + building_;
+  return s;
 }
 
 void Executor::execute_batch(Batch& batch) {
@@ -88,11 +152,12 @@ void Executor::execute_batch(Batch& batch) {
     }
     std::vector<value_t> y_batch(rows * uk);
 
-    auto plan = cache_.get_or_build(id, entry->matrix, entry->format);
+    std::shared_ptr<engine::SpmvPlan> plan;
     double secs = 0;
     {
       // One executor per plan at a time (the SpmvPlan contract).
       std::lock_guard ex(entry->exec_mu);
+      plan = plan_for(*entry);
       Timer t;
       plan->execute_multi(x_batch, y_batch, k);
       secs = t.seconds();

@@ -1,32 +1,46 @@
-// bro::serve execution layer — plan resolution and batch execution.
+// bro::serve execution layer — the matrix registry and batch execution.
 //
 // The executor owns what the original monolithic SpmvServer kept tangled
-// with its queue: the matrix registry, the PlanCache, the per-matrix
-// exec_mu that upholds SpmvPlan's single-executor contract, and per-batch
-// metrics (batch sizes, queue-wait and execute-time percentiles, per-format
-// latency). execute_batch() takes one coalesced batch from the scheduling
-// layer, interleaves the right-hand sides, runs the SpMM on the calling
-// (dispatch) thread through the cached plan — the kernels parallelize
-// rows internally via OpenMP — and fulfills the request promises.
+// with its queue: the matrix registry, each registered matrix's plan, the
+// per-matrix exec_mu that upholds SpmvPlan's single-executor contract, and
+// per-batch metrics (batch sizes, queue-wait and execute-time percentiles,
+// per-format latency). execute_batch() takes one coalesced batch from the
+// scheduling layer, interleaves the right-hand sides, runs the SpMM on the
+// calling (dispatch) thread through the matrix's plan — the kernels
+// parallelize rows internally via OpenMP — and fulfills the request
+// promises.
+//
+// Plans are the paper's compress-once step: an entry builds its plan on
+// its first batch, under its exec_mu, and keeps it across batches. One LRU
+// list over the entries bounds the plans' representation bytes: evicting a
+// plan frees exactly those, since the registration keeps the CSR alive
+// whatever happens to the plan. The most recently used plan always
+// survives, so one oversized plan is admitted rather than thrashing.
+// Replacing or removing a registration drops its plan with it; a batch
+// already executing keeps the plan it holds.
 #pragma once
 
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
 
-#include "serve/plan_cache.h"
+#include "engine/plan.h"
 #include "serve/scheduler.h"
 #include "util/histogram.h"
 
 namespace bro::serve {
 
-struct ExecutorOptions {
-  std::size_t cache_bytes = std::size_t{256} << 20; // plan-cache budget
-  // Force one format for every matrix; default auto-selects per matrix.
-  std::optional<core::Format> format;
+struct PlanCacheStats {
+  std::uint64_t hits = 0;           // batches that found their plan built
+  std::uint64_t misses = 0;         // batches that built their plan
+  std::uint64_t evictions = 0;      // plans dropped for the byte budget
+  std::uint64_t build_failures = 0; // builds that threw
+  std::size_t resident_bytes = 0;   // representation bytes of held plans
+  std::size_t entries = 0;          // held plans, in-flight builds included
 };
 
 struct ExecMetrics {
@@ -44,19 +58,22 @@ struct ExecMetrics {
 
 class Executor {
  public:
-  explicit Executor(ExecutorOptions opts);
+  /// `cache_bytes` bounds the representation bytes of the plans held;
+  /// `format` forces one format for every matrix (default: auto-selected
+  /// per matrix at registration).
+  Executor(std::size_t cache_bytes, std::optional<core::Format> format);
 
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
 
-  /// Register a matrix under `id` (replacing any previous registration for
-  /// new requests; in-flight batches keep the entry they resolved).
+  /// Register a matrix under `id`, replacing any previous registration and
+  /// its plan for new requests; in-flight batches keep what they resolved.
   void add_matrix(const std::string& id,
                   std::shared_ptr<const core::Matrix> matrix);
 
-  /// Drop the registration and every plan the cache holds for `id`.
-  /// Returns false when the id was not registered. In-flight batches keep
-  /// their resolved entry and plan; new submits see an unknown id.
+  /// Drop the registration and its plan. Returns false when the id was not
+  /// registered. In-flight batches keep their resolved entry and plan; new
+  /// submits see an unknown id.
   bool remove_matrix(const std::string& id);
 
   /// The registered matrix, or null.
@@ -69,26 +86,40 @@ class Executor {
   void execute_batch(Batch& batch);
 
   ExecMetrics metrics() const;
-  PlanCacheStats cache_stats() const { return cache_.stats(); }
+  PlanCacheStats cache_stats() const;
 
  private:
   struct MatrixEntry {
     std::shared_ptr<const core::Matrix> matrix;
-    // Resolved once at registration (opts_.format, else auto_format()):
-    // auto-selection runs the BRO-BCSR cover analysis over the whole
-    // matrix, far too costly to repeat per batch.
+    // Resolved once at registration (the forced format, else
+    // auto_format()): auto-selection runs the BRO-BCSR cover analysis over
+    // the whole matrix, far too costly to repeat per batch.
     core::Format format = core::Format::kCsr;
     // SpmvPlan is a single-executor object (engine/plan.h); batches for
-    // the same matrix serialize on this so two dispatch threads never
-    // share a plan's workspace concurrently.
+    // the same matrix, and so the build of its plan, serialize on this.
     std::mutex exec_mu;
+    // Guarded by Executor::mu_. `plan` is non-null exactly while the entry
+    // is on lru_; `registered` turns false when the id is replaced or
+    // removed, so a build finishing afterwards is not kept.
+    std::shared_ptr<engine::SpmvPlan> plan;
+    std::size_t plan_bytes = 0;
+    bool registered = true;
+    std::list<MatrixEntry*>::iterator lru_it;
   };
 
-  const ExecutorOptions opts_;
-  PlanCache cache_;
+  /// The entry's plan, built on a miss. Called under entry.exec_mu.
+  std::shared_ptr<engine::SpmvPlan> plan_for(MatrixEntry& entry);
+  /// Drop the entry's plan and its bytes. Called under mu_.
+  void drop_plan_locked(MatrixEntry& entry);
 
-  mutable std::mutex mu_; // guards matrices_
+  const std::size_t cache_bytes_;
+  const std::optional<core::Format> format_;
+
+  mutable std::mutex mu_; // guards matrices_, lru_, stats_, building_
   std::unordered_map<std::string, std::shared_ptr<MatrixEntry>> matrices_;
+  std::list<MatrixEntry*> lru_; // entries holding a plan; front = MRU
+  PlanCacheStats stats_;
+  std::size_t building_ = 0; // plan builds in flight
 
   mutable std::mutex metrics_mu_;
   ExecMetrics metrics_;

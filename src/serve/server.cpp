@@ -8,6 +8,7 @@ void ServerOptions::validate() const {
   BRO_CHECK_MSG(threads >= 0, "SpmvServer threads must be >= 0");
   BRO_CHECK_MSG(max_batch >= 1, "SpmvServer max_batch must be >= 1");
   BRO_CHECK_MSG(max_queue >= 1, "SpmvServer max_queue must be >= 1");
+  BRO_CHECK_MSG(cache_bytes > 0, "SpmvServer needs a nonzero cache_bytes");
   BRO_CHECK_MSG(admission.rate >= 0,
                 "SpmvServer admission rate must be >= 0");
 }
@@ -19,7 +20,7 @@ ServerMetrics::ServerMetrics()
 
 SpmvServer::SpmvServer(ServerOptions opts)
     : opts_((opts.validate(), opts)),
-      executor_({.cache_bytes = opts.cache_bytes, .format = opts.format}),
+      executor_(opts.cache_bytes, opts.format),
       scheduler_(opts.max_queue, opts.max_batch),
       admission_(opts.admission) {
   dispatchers_.reserve(static_cast<std::size_t>(opts_.threads));

@@ -10,9 +10,10 @@
 //   * scheduling (serve/scheduler.h): the bounded pending queue
 //     (max_queue backpressure) and same-matrix coalescing into SpMM
 //     batches of up to max_batch right-hand sides,
-//   * execution (serve/executor.h): PlanCache resolution, per-matrix
-//     plan serialization, and the SpMM itself, run on the thread that
-//     took the batch.
+//   * execution (serve/executor.h): the matrix registry, each matrix's
+//     plan (built on its first batch, held under a byte budget), per-matrix
+//     plan serialization, and the SpMM itself, run on the thread that took
+//     the batch.
 //
 // The façade owns `threads` dispatch threads that move batches from the
 // scheduler to the executor; each runs its batch's kernel, which
@@ -35,7 +36,6 @@
 
 #include "serve/admission.h"
 #include "serve/executor.h"
-#include "serve/plan_cache.h"
 #include "serve/scheduler.h"
 #include "util/histogram.h"
 
@@ -45,7 +45,8 @@ struct ServerOptions {
   int threads = 2;          // dispatch threads; 0 = synchronous (poll_once)
   std::size_t max_queue = 256; // pending-request bound (backpressure)
   int max_batch = 8;        // most right-hand sides folded into one SpMM
-  std::size_t cache_bytes = std::size_t{256} << 20; // plan-cache budget
+  // Budget for the plans' representation bytes (the CSRs are not charged).
+  std::size_t cache_bytes = std::size_t{256} << 20;
   // Force one format for every matrix; default auto-selects per matrix.
   std::optional<core::Format> format;
 
@@ -54,7 +55,8 @@ struct ServerOptions {
   AdmissionOptions admission;
 
   /// Throws (BRO_CHECK) on out-of-domain values: threads < 0,
-  /// max_batch < 1, max_queue == 0, a negative admission rate.
+  /// max_batch < 1, max_queue == 0, cache_bytes == 0, a negative
+  /// admission rate.
   void validate() const;
 };
 
@@ -85,13 +87,14 @@ class SpmvServer {
   SpmvServer(const SpmvServer&) = delete;
   SpmvServer& operator=(const SpmvServer&) = delete;
 
-  /// Register a matrix under `id` (replacing any previous registration for
-  /// new requests; in-flight batches keep the plan they resolved).
+  /// Register a matrix under `id`, replacing any previous registration and
+  /// its plan for new requests; in-flight batches keep the plan they
+  /// resolved.
   void add_matrix(const std::string& id, core::Matrix matrix);
   void add_matrix(const std::string& id,
                   std::shared_ptr<const core::Matrix> matrix);
 
-  /// Drop the registration and every cached plan for `id`. Returns false
+  /// Drop the registration and the plan for `id`. Returns false
   /// when the id was not registered. Requests already queued against the
   /// id fail with their promise's exception; new submits throw.
   bool remove_matrix(const std::string& id);

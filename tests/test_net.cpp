@@ -24,6 +24,7 @@
 
 #include "bcsr_gate_reference.h"
 #include "engine/format_registry.h"
+#include "engine/plan.h"
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
@@ -977,6 +978,44 @@ TEST(NetServer, StatsRemoveAndUploadRoundTrip) {
   } catch (const bn::RpcError& e) {
     EXPECT_EQ(e.status(), bn::Status::kUnknownMatrix);
   }
+  server.stop();
+}
+
+TEST(NetServer, UploadToALiveIdServesTheNewMatrix) {
+  // An UPLOAD_MATRIX to a registered id replaces the matrix and its plan:
+  // the next SUBMIT is answered with the new matrix, bitwise equal to an
+  // in-process plan of the uploaded bytes.
+  bv::ServerOptions sopts;
+  sopts.threads = 0;
+  bv::SpmvServer core(sopts);
+  bn::NetServer server(core, {});
+  server.start();
+  bn::NetClient cli("127.0.0.1", server.port());
+
+  const auto x = random_x(50, 3);
+  const auto planned = [&](const std::vector<std::uint8_t>& bytes) {
+    const auto m =
+        std::make_shared<const bc::Matrix>(bn::matrix_from_bro_bytes(bytes));
+    std::vector<value_t> y(static_cast<std::size_t>(m->rows()));
+    be::SpmvPlan(m, m->auto_format()).execute(x, y);
+    return y;
+  };
+  const auto old_bytes =
+      bn::matrix_to_bro_bytes(make_matrix(60, 50, 10), bc::Format::kBroHyb);
+  const auto new_bytes =
+      bn::matrix_to_bro_bytes(make_matrix(60, 50, 11), bc::Format::kBroHyb);
+  ASSERT_NE(planned(old_bytes), planned(new_bytes));
+
+  cli.upload_matrix("A", old_bytes);
+  EXPECT_EQ(cli.submit("A", x), planned(old_bytes));
+  cli.upload_matrix("A", new_bytes);
+  EXPECT_EQ(cli.submit("A", x), planned(new_bytes));
+  EXPECT_EQ(cli.submit("A", x), planned(new_bytes));
+
+  const auto cache = core.metrics().cache;
+  EXPECT_EQ(cache.misses, 2u);
+  EXPECT_EQ(cache.hits, 1u);
+  EXPECT_EQ(cache.entries, 1u);
   server.stop();
 }
 

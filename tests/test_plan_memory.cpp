@@ -3,8 +3,9 @@
 // scale 0.25 (~2.9 M non-zeros), for every registered format that applies:
 //   - building a plan retains its representation bytes (within 5 %);
 //   - destroying the plan returns the heap to its pre-build size (1 MB);
-//   - so does evicting the plan from a PlanCache while the matrix stays
-//     referenced, so the cache's byte budget bounds real memory;
+//   - so does a server evicting or removing a registered matrix's plan
+//     while the matrix stays referenced, so the plan byte budget, which
+//     charges representation bytes, bounds the memory eviction frees;
 //   - BRO-ELL and BRO-HYB plans hold no value copy: their ELL part reads
 //     the matrix's CSR.
 #include <gtest/gtest.h>
@@ -13,11 +14,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "engine/format_registry.h"
 #include "engine/plan.h"
-#include "serve/plan_cache.h"
+#include "serve/server.h"
 #include "sparse/matgen/suite.h"
 
 namespace bc = bro::core;
@@ -112,16 +114,35 @@ TEST(PlanMemory, BroEllPlansOwnOnlyTheirIndex) {
 TEST(PlanMemory, EvictionFreesTheRepresentation) {
   if (kSanitized) GTEST_SKIP() << "mallinfo2 does not see sanitizer heaps";
   const auto m = pwtk();
+  const std::vector<value_t> x(static_cast<std::size_t>(m->cols()), 1.0);
   for (const be::FormatTraits* t : applicable_formats()) {
     SCOPED_TRACE(t->name);
-    bv::PlanCache cache(1); // each insert evicts all but the newest entry
+    // A 1-byte budget holds only the most recent plan.
+    bv::ServerOptions opts;
+    opts.threads = 0;
+    opts.cache_bytes = 1;
+    opts.format = t->format;
+    bv::SpmvServer server(opts);
+    server.add_matrix("pwtk", m);
+    server.add_matrix("other", m);
+    const auto serve = [&](const std::string& id) {
+      auto f = server.submit(id, x);
+      server.drain();
+      f.get();
+    };
     const std::int64_t before = heap_in_use();
-    const std::size_t rep_bytes =
-        cache.get_or_build("pwtk", m, t->format)->representation_bytes();
+    serve("pwtk");
+    const std::size_t rep_bytes = server.metrics().cache.resident_bytes;
     expect_retains_representation(heap_in_use() - before, rep_bytes);
-    // Another entry evicts the plan; the matrix stays referenced.
-    cache.get_or_build("other", m, bc::Format::kCsr);
-    EXPECT_EQ(cache.stats().evictions, 1u);
+    // Another registration's plan evicts this one (when it has bytes to
+    // free); the matrix stays referenced and one plan stays held.
+    serve("other");
+    EXPECT_EQ(server.metrics().cache.evictions, rep_bytes > 0 ? 1u : 0u);
+    expect_retains_representation(heap_in_use() - before, rep_bytes);
+    // Removing the registrations drops the last plan.
+    server.remove_matrix("pwtk");
+    server.remove_matrix("other");
+    EXPECT_EQ(server.metrics().cache.resident_bytes, 0u);
     EXPECT_LT(std::abs(heap_in_use() - before), kMiB);
   }
 }

@@ -1,7 +1,9 @@
-// Serving-layer tests: PlanCache hit/miss/eviction accounting (including
-// the N-threads-by-M-matrices contention case), SpmvServer correctness,
-// deterministic batching through the synchronous poll_once path,
-// backpressure, and the SpmvPlan single-executor guard.
+// Serving-layer tests: the plan cache's hit/miss/eviction accounting
+// (PlanCache.*: each registered matrix's plan, held under the byte budget,
+// including the N-threads-by-M-matrices contention case and removal during
+// a cold build), re-registration, SpmvServer correctness, deterministic
+// batching through the synchronous poll_once path, backpressure, and the
+// SpmvPlan single-executor guard.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,12 +11,12 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "engine/plan.h"
-#include "serve/plan_cache.h"
 #include "serve/scheduler.h"
 #include "serve/server.h"
 #include "sparse/convert.h"
@@ -62,63 +64,113 @@ void expect_near_ref(const std::vector<value_t>& y,
     ASSERT_NEAR(y[r], ref[r], 1e-10 * (1.0 + std::abs(ref[r]))) << "row " << r;
 }
 
+/// y = m * x through an in-process plan of `format`: what the server must
+/// return bit for bit.
+std::vector<value_t> planned(const std::shared_ptr<const bc::Matrix>& m,
+                             bc::Format format,
+                             const std::vector<value_t>& x) {
+  std::vector<value_t> y(static_cast<std::size_t>(m->rows()));
+  be::SpmvPlan(m, format).execute(x, y);
+  return y;
+}
+
+/// Options for `threads` dispatch threads, one format for every matrix when
+/// given, and a plan byte budget; the rest are the defaults.
+bv::ServerOptions options(
+    int threads, std::optional<bc::Format> format = std::nullopt,
+    std::size_t cache_bytes = bv::ServerOptions{}.cache_bytes) {
+  bv::ServerOptions opts;
+  opts.threads = threads;
+  opts.format = format;
+  opts.cache_bytes = cache_bytes;
+  return opts;
+}
+
+/// Submit one request and serve it (synchronously when threads == 0).
+std::vector<value_t> serve_one(bv::SpmvServer& server, const std::string& id,
+                               const std::vector<value_t>& x) {
+  auto f = server.submit(id, x);
+  server.drain();
+  return f.get();
+}
+
+std::size_t rep_bytes(const std::shared_ptr<const bc::Matrix>& m,
+                      bc::Format format) {
+  return be::SpmvPlan(m, format).representation_bytes();
+}
+
 } // namespace
 
 TEST(PlanCache, HitsMissesAndSharing) {
-  bv::PlanCache cache(std::size_t{64} << 20);
+  // The first batch builds the matrix's plan; the next reuses it.
+  bv::SpmvServer server(options(0, bc::Format::kBroEll));
   auto m = make_matrix(120, 110, 1);
+  server.add_matrix("a", m);
+  const auto x = random_x(m->cols(), 2);
 
-  auto p1 = cache.get_or_build("a", m, bc::Format::kCsr);
-  auto p2 = cache.get_or_build("a", m, bc::Format::kCsr);
-  EXPECT_EQ(p1.get(), p2.get()); // same cached plan, not a rebuild
-  auto p3 = cache.get_or_build("a", m, bc::Format::kBroEll);
-  EXPECT_NE(p1.get(), p3.get()); // format is part of the key
+  EXPECT_EQ(serve_one(server, "a", x), planned(m, bc::Format::kBroEll, x));
+  EXPECT_EQ(serve_one(server, "a", x), planned(m, bc::Format::kBroEll, x));
 
-  const auto s = cache.stats();
+  const auto s = server.metrics().cache;
   EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.misses, 2u);
+  EXPECT_EQ(s.misses, 1u);
   EXPECT_EQ(s.evictions, 0u);
-  EXPECT_EQ(s.entries, 2u);
+  EXPECT_EQ(s.entries, 1u);
   EXPECT_GT(s.resident_bytes, 0u);
-  EXPECT_EQ(s.resident_bytes, p1->resident_bytes() + p3->resident_bytes());
+  EXPECT_EQ(s.resident_bytes, rep_bytes(m, bc::Format::kBroEll));
 }
 
 TEST(PlanCache, LruEvictionKeepsMostRecent) {
-  // A 1-byte budget admits exactly one (MRU) entry at a time.
-  bv::PlanCache cache(1);
+  // A 1-byte budget holds exactly one (MRU) plan at a time.
+  bv::SpmvServer server(options(0, bc::Format::kBroEll, 1));
   auto ma = make_matrix(100, 100, 2);
   auto mb = make_matrix(100, 100, 3);
+  server.add_matrix("a", ma);
+  server.add_matrix("b", mb);
+  const auto x = random_x(100, 7);
 
-  auto pa = cache.get_or_build("a", ma, bc::Format::kCsr);
-  EXPECT_EQ(cache.stats().entries, 1u);
-  cache.get_or_build("b", mb, bc::Format::kCsr); // evicts "a"
-  EXPECT_EQ(cache.stats().entries, 1u);
-  EXPECT_EQ(cache.stats().evictions, 1u);
+  serve_one(server, "a", x);
+  EXPECT_EQ(server.metrics().cache.entries, 1u);
+  serve_one(server, "b", x); // evicts "a"
+  EXPECT_EQ(server.metrics().cache.entries, 1u);
+  EXPECT_EQ(server.metrics().cache.evictions, 1u);
 
-  // "a" was evicted, so this is a miss; our shared_ptr kept pa alive.
-  auto pa2 = cache.get_or_build("a", ma, bc::Format::kCsr);
-  EXPECT_NE(pa.get(), pa2.get());
-  const auto s = cache.stats();
+  // "a" was evicted, so this is a miss that rebuilds the same answer.
+  EXPECT_EQ(serve_one(server, "a", x), planned(ma, bc::Format::kBroEll, x));
+  const auto s = server.metrics().cache;
   EXPECT_EQ(s.hits, 0u);
   EXPECT_EQ(s.misses, 3u);
   EXPECT_EQ(s.evictions, 2u);
-
-  // The evicted plan is still usable through the caller's reference.
-  const auto x = random_x(ma->cols(), 7);
-  std::vector<value_t> y(static_cast<std::size_t>(ma->rows()));
-  pa->execute(x, y);
-  expect_near_ref(y, reference(*ma, x));
+  EXPECT_EQ(s.entries, 1u);
+  EXPECT_EQ(s.resident_bytes, rep_bytes(ma, bc::Format::kBroEll));
 }
 
-TEST(PlanCache, ClearDropsEntries) {
-  bv::PlanCache cache(std::size_t{64} << 20);
-  auto m = make_matrix(60, 60, 4);
-  cache.get_or_build("a", m, m->auto_format());
-  cache.get_or_build("b", m, m->auto_format());
-  cache.clear();
-  const auto s = cache.stats();
-  EXPECT_EQ(s.entries, 0u);
-  EXPECT_EQ(s.resident_bytes, 0u);
+TEST(PlanCache, BudgetChargesRepresentationBytes) {
+  // Two matrices whose CSRs alone exceed the budget while their BRO-ELL
+  // representations fit: served alternately, each plan is built once and
+  // none is evicted, since evicting one would free only its representation.
+  auto ma = make_matrix(2000, 2000, 40);
+  auto mb = make_matrix(2000, 2000, 41);
+  const std::size_t budget =
+      rep_bytes(ma, bc::Format::kBroEll) + rep_bytes(mb, bc::Format::kBroEll);
+  const std::size_t csr_bytes = ma->nnz() * (sizeof(index_t) + sizeof(value_t));
+  ASSERT_GT(csr_bytes, budget);
+
+  bv::SpmvServer server(options(0, bc::Format::kBroEll, budget));
+  server.add_matrix("a", ma);
+  server.add_matrix("b", mb);
+  const auto x = random_x(2000, 42);
+  for (int i = 0; i < 6; ++i) {
+    const auto& m = i % 2 == 0 ? ma : mb;
+    EXPECT_EQ(serve_one(server, i % 2 == 0 ? "a" : "b", x),
+              planned(m, bc::Format::kBroEll, x));
+  }
+  const auto s = server.metrics().cache;
+  EXPECT_EQ(s.misses, 2u);
+  EXPECT_EQ(s.hits, 4u);
+  EXPECT_EQ(s.evictions, 0u);
+  EXPECT_EQ(s.entries, 2u);
+  EXPECT_EQ(s.resident_bytes, budget);
 }
 
 // Plans build lock-free from one shared matrix: core::Matrix is an
@@ -156,8 +208,8 @@ TEST(SpmvPlan, BuildsLockFreeFromOneSharedMatrix) {
   }
 }
 
-// The contention satellite: N threads hammer M matrices through one cache
-// whose budget forces continual eviction. Counters must reconcile exactly
+// N submitting threads hammer M matrices through dispatch threads whose
+// plan budget forces continual eviction. Counters must reconcile exactly
 // and every result must match the sequential CSR reference.
 TEST(PlanCache, ContendedCountersReconcileAndResultsMatch) {
   constexpr int kThreads = 4;
@@ -174,29 +226,21 @@ TEST(PlanCache, ContendedCountersReconcileAndResultsMatch) {
     refs.push_back(reference(*matrices.back(), xs.back()));
   }
 
-  // Budget of one plan: threads constantly evict each other's entries.
-  bv::PlanCache cache(be::SpmvPlan(matrices[0], bc::Format::kCsr)
-                          .resident_bytes());
-  // Returned plans are single-executor objects shared between threads that
-  // hit the same cache entry; executes serialize per matrix id, exactly as
-  // SpmvServer does.
-  std::mutex exec_mu[kMatrices];
+  // Budget of one plan: batches constantly evict each other's plans.
+  const std::size_t budget = rep_bytes(matrices[0], bc::Format::kBroEll);
+  bv::SpmvServer server(options(kThreads, bc::Format::kBroEll, budget));
+  const std::string ids[] = {"m0", "m1", "m2"};
+  for (int i = 0; i < kMatrices; ++i)
+    server.add_matrix(ids[i], matrices[static_cast<std::size_t>(i)]);
 
   std::vector<std::thread> threads;
   std::atomic<int> failures{0};
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      const std::string ids[] = {"m0", "m1", "m2"};
       for (int it = 0; it < kIters; ++it) {
-        const int i = (t + it) % kMatrices;
-        auto plan = cache.get_or_build(
-            ids[i], matrices[static_cast<std::size_t>(i)], bc::Format::kCsr);
-        std::vector<value_t> y(refs[static_cast<std::size_t>(i)].size());
-        {
-          std::lock_guard<std::mutex> lock(exec_mu[i]);
-          plan->execute(xs[static_cast<std::size_t>(i)], y);
-        }
-        const auto& ref = refs[static_cast<std::size_t>(i)];
+        const auto i = static_cast<std::size_t>((t + it) % kMatrices);
+        const auto y = server.submit(ids[i], xs[i]).get();
+        const auto& ref = refs[i];
         for (std::size_t r = 0; r < ref.size(); ++r)
           if (std::abs(y[r] - ref[r]) > 1e-10 * (1.0 + std::abs(ref[r]))) {
             ++failures;
@@ -206,14 +250,17 @@ TEST(PlanCache, ContendedCountersReconcileAndResultsMatch) {
     });
   }
   for (auto& th : threads) th.join();
+  server.drain();
   EXPECT_EQ(failures.load(), 0);
 
-  const auto s = cache.stats();
-  EXPECT_EQ(s.hits + s.misses, std::uint64_t{kThreads} * kIters);
+  const auto m = server.metrics();
+  const auto& s = m.cache;
+  EXPECT_EQ(m.served, std::uint64_t{kThreads} * kIters);
+  EXPECT_EQ(s.hits + s.misses, m.batches); // one plan lookup per batch
   EXPECT_EQ(s.build_failures, 0u);
   EXPECT_GT(s.evictions, 0u); // the tiny budget must have evicted
   EXPECT_EQ(s.entries, s.misses - s.evictions - s.build_failures);
-  EXPECT_LE(s.resident_bytes, 2 * cache.max_resident_bytes());
+  EXPECT_LE(s.resident_bytes, 2 * budget);
 }
 
 TEST(SpmvPlan, ConcurrentExecuteThrowsInsteadOfRacing) {
@@ -349,6 +396,7 @@ TEST(ServerOptions, ValidatedAtConstruction) {
   EXPECT_THROW(bv::SpmvServer({.max_queue = 0}), std::runtime_error);
   EXPECT_THROW(bv::SpmvServer({.max_batch = 0}), std::runtime_error);
   EXPECT_THROW(bv::SpmvServer({.max_batch = -7}), std::runtime_error);
+  EXPECT_THROW(bv::SpmvServer(options(0, std::nullopt, 0)), std::runtime_error);
 }
 
 TEST(SpmvServer, RejectedErrorCarriesQueueDepth) {
@@ -414,21 +462,6 @@ TEST(SpmvServer, RemoveMatrixFailsQueuedRequestsLoudly) {
   server.drain();
   EXPECT_THROW(f.get(), std::runtime_error);
   EXPECT_EQ(server.metrics().failed, 1u);
-}
-
-TEST(PlanCache, EraseMatrixDropsAllFormatsForThatId) {
-  bv::PlanCache cache(std::size_t{64} << 20);
-  auto m = make_matrix(80, 80, 25);
-  cache.get_or_build("a", m, bc::Format::kCsr);
-  cache.get_or_build("a", m, bc::Format::kBroEll);
-  cache.get_or_build("b", m, bc::Format::kCsr);
-  ASSERT_EQ(cache.stats().entries, 3u);
-
-  EXPECT_EQ(cache.erase_matrix("a"), 2u);
-  const auto s = cache.stats();
-  EXPECT_EQ(s.entries, 1u);
-  EXPECT_EQ(cache.erase_matrix("a"), 0u);
-  EXPECT_EQ(cache.erase_matrix("missing"), 0u);
 }
 
 TEST(AdmissionController, TokenBucketThrottlesPerClient) {
@@ -616,45 +649,74 @@ TEST(AdmissionController, KeepsUnrefilledBucketsAndCapsTrackedClients) {
   EXPECT_EQ(adm.tracked_clients(), 3u);
 }
 
-TEST(PlanCache, EraseMatrixDropsInFlightBuilds) {
-  bv::PlanCache cache(std::size_t{64} << 20);
-  auto m = make_matrix(600, 600, 29);
+TEST(SpmvServer, ReRegisteredIdServesTheNewMatrix) {
+  // Replacing a registration replaces its plan: the next request is served
+  // with the new matrix, bit for bit, synchronously and from dispatch
+  // threads.
+  for (const int threads : {0, 2}) {
+    SCOPED_TRACE(threads);
+    bv::SpmvServer server(options(threads));
+    const std::shared_ptr<const bc::Matrix> old_m = make_matrix(90, 80, 43);
+    const std::shared_ptr<const bc::Matrix> new_m = make_matrix(90, 80, 44);
+    const auto x = random_x(80, 45);
+    server.add_matrix("a", old_m);
+    EXPECT_EQ(serve_one(server, "a", x),
+              planned(old_m, old_m->auto_format(), x));
 
-  // Race removal against the build: the builder thread starts a miss, the
-  // main thread erases the matrix as soon as the building placeholder is
-  // visible. Whichever side wins, no entry for the removed id may remain
-  // once the build completes — the old code re-inserted it from the
-  // builder, resurrecting a removed matrix in the cache.
-  std::shared_ptr<be::SpmvPlan> built;
-  std::thread builder(
-      [&] { built = cache.get_or_build("gone", m, bc::Format::kBroEll); });
-  while (cache.stats().entries == 0) std::this_thread::yield();
-  cache.erase_matrix("gone");
-  builder.join();
+    server.add_matrix("a", new_m);
+    const auto want = planned(new_m, new_m->auto_format(), x);
+    ASSERT_NE(want, planned(old_m, old_m->auto_format(), x));
+    EXPECT_EQ(serve_one(server, "a", x), want);
+    EXPECT_EQ(serve_one(server, "a", x), want);
 
-  ASSERT_NE(built, nullptr); // the in-flight caller still gets its plan
-  EXPECT_EQ(cache.stats().entries, 0u);
-
-  // The id is fully forgotten: the next build is a fresh miss that caches
-  // normally again.
-  cache.get_or_build("gone", m, bc::Format::kBroEll);
-  EXPECT_EQ(cache.stats().entries, 1u);
+    const auto s = server.metrics().cache;
+    EXPECT_EQ(s.misses, 2u);
+    EXPECT_EQ(s.hits, 1u);
+    EXPECT_EQ(s.entries, 1u);
+    EXPECT_EQ(s.resident_bytes, rep_bytes(new_m, new_m->auto_format()));
+  }
 }
 
-TEST(PlanCache, ClearDiscardsInFlightBuilds) {
-  bv::PlanCache cache(std::size_t{64} << 20);
-  auto m = make_matrix(600, 600, 31);
-  cache.get_or_build("done", m, bc::Format::kCsr);
+TEST(PlanCache, RetiringAnIdDuringItsColdBuildServesTheBatch) {
+  // Remove, then replace, a registration while the dispatch thread builds
+  // its plan. The batch that triggered the build predates the change, so
+  // it is served with the matrix it resolved; the plan it built is not
+  // kept, and the counters settle with nothing resident. Whichever side
+  // wins the race, the same must hold.
+  const std::shared_ptr<const bc::Matrix> m = make_matrix(600, 600, 29);
+  const std::shared_ptr<const bc::Matrix> other = make_matrix(600, 600, 30);
+  const auto x = random_x(600, 31);
+  const auto want = planned(m, bc::Format::kBroEll, x);
+  for (const bool replace : {false, true}) {
+    SCOPED_TRACE(replace ? "replace" : "remove");
+    bv::SpmvServer server(options(1, bc::Format::kBroEll));
+    server.add_matrix("gone", m);
+    auto f = server.submit("gone", x);
+    // entries turns 1 once the build has begun: the batch has resolved its
+    // registration by then.
+    while (server.metrics().cache.entries == 0) std::this_thread::yield();
+    if (replace)
+      server.add_matrix("gone", other);
+    else
+      EXPECT_TRUE(server.remove_matrix("gone"));
+    EXPECT_EQ(f.get(), want);
+    server.drain();
 
-  std::shared_ptr<be::SpmvPlan> built;
-  std::thread builder(
-      [&] { built = cache.get_or_build("building", m, bc::Format::kBroEll); });
-  while (cache.stats().entries < 2) std::this_thread::yield();
-  cache.clear();
-  builder.join();
+    auto s = server.metrics().cache;
+    EXPECT_EQ(s.misses, 1u);
+    EXPECT_EQ(s.entries, 0u);
+    EXPECT_EQ(s.resident_bytes, 0u);
 
-  ASSERT_NE(built, nullptr);
-  EXPECT_EQ(cache.stats().entries, 0u);
+    // The id is fully forgotten: the next registration's first batch is a
+    // fresh miss that keeps its plan.
+    server.add_matrix("gone", other);
+    EXPECT_EQ(serve_one(server, "gone", x),
+              planned(other, bc::Format::kBroEll, x));
+    s = server.metrics().cache;
+    EXPECT_EQ(s.misses, 2u);
+    EXPECT_EQ(s.entries, 1u);
+    EXPECT_EQ(s.resident_bytes, rep_bytes(other, bc::Format::kBroEll));
+  }
 }
 
 TEST(Scheduler, MaxBatchOneDisablesCoalescing) {
